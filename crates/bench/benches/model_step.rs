@@ -42,6 +42,14 @@ fn main() {
             bench.iter(|| black_box(train_step(&mut net, &mut opt, &x, &labels)))
         });
     }
+    // The LeNet step the benchmark's `silo_lenet` workload (and every
+    // `--quick` image cell) is made of: 3 channels at 16x16.
+    let mut net = lenet_cnn(3, 16, 10, 1);
+    let x = Tensor::randn(&[32, 3, 16, 16], 1.0, &mut rng);
+    let mut opt = Sgd::new(net.param_count(), 0.01, 0.9, 0.0);
+    h.bench("model_step/lenet16_batch32", |bench| {
+        bench.iter(|| black_box(train_step(&mut net, &mut opt, &x, &labels)))
+    });
 
     let net = lenet_cnn(1, 16, 10, 5);
     h.bench("params_flat_lenet", |bench| {

@@ -9,10 +9,63 @@
 use niid_bench::harness::{black_box, BenchMeta, Harness};
 use niid_stats::Pcg64;
 use niid_tensor::{
-    conv2d, conv2d_backward, conv2d_backward_ws, conv2d_forward, conv2d_forward_implicit, matmul,
-    matmul_a_bt, matmul_at_b, maxpool2d, softmax_rows, with_forced_kernel, with_thread_budget,
-    Conv2dShape, ConvScratch, Kernel, Pool2dShape, Tensor,
+    conv2d, conv2d_backward, conv2d_backward_ws, conv2d_forward, conv2d_forward_direct,
+    conv2d_forward_implicit, matmul, matmul_a_bt, matmul_at_b, maxpool2d, softmax_rows,
+    with_forced_kernel, with_thread_budget, Conv2dShape, ConvScratch, Kernel, Pool2dShape, Tensor,
 };
+
+/// A lowering-specific conv forward ([`conv2d_forward`] dispatches).
+type ConvForward = fn(&Tensor, &Tensor, Option<&Tensor>, &Conv2dShape, &mut ConvScratch) -> Tensor;
+
+/// One forward and one backward row (single kernel thread) for `s` at
+/// `batch`, through `forward` and the backward its scratch pairs with.
+/// `op_suffix` keeps a forced lowering's rows apart from the dispatched
+/// ones of the same shape (`--compare` keys on op|shape|threads|simd).
+#[allow(clippy::too_many_arguments)]
+fn conv_rows(
+    h: &mut Harness,
+    rng: &mut Pcg64,
+    prefix: &str,
+    op_suffix: &str,
+    shape_label: &str,
+    s: Conv2dShape,
+    batch: usize,
+    forward: ConvForward,
+) {
+    let flops = (batch * 2 * s.output_numel() * s.col_width()) as u64;
+    let x = Tensor::randn(&[batch, s.in_channels, s.in_h, s.in_w], 1.0, rng);
+    let w = Tensor::randn(&[s.out_channels, s.col_width()], 0.2, rng);
+    let b = Tensor::randn(&[s.out_channels], 0.1, rng);
+    let mut scratch = ConvScratch::new();
+    h.bench_meta(
+        &format!("{prefix}_forward_batch{batch}/t1"),
+        BenchMeta::op(format!("conv2d/forward{op_suffix}"), shape_label, 1, flops),
+        |bench| {
+            bench.iter(|| {
+                with_thread_budget(1, || {
+                    forward(black_box(&x), black_box(&w), Some(&b), &s, &mut scratch)
+                })
+            })
+        },
+    );
+    let gy = Tensor::ones(forward(&x, &w, Some(&b), &s, &mut scratch).shape());
+    h.bench_meta(
+        &format!("{prefix}_backward_batch{batch}/t1"),
+        BenchMeta::op(
+            format!("conv2d/backward{op_suffix}"),
+            shape_label,
+            1,
+            2 * flops,
+        ),
+        |bench| {
+            bench.iter(|| {
+                with_thread_budget(1, || {
+                    conv2d_backward_ws(&mut scratch, black_box(&w), black_box(&gy), &s)
+                })
+            })
+        },
+    );
+}
 
 /// Kernel thread budgets swept on the large workloads.
 const THREAD_SWEEP: [usize; 3] = [1, 2, 4];
@@ -156,6 +209,67 @@ fn main() {
                 })
             },
         );
+    }
+    // The first conv of the paper's CNN at the scale `GenConfig::bench` /
+    // `quick` actually train (3→6 channels, 5x5 kernel, 16x16 input).
+    let early16 = Conv2dShape {
+        in_channels: 3,
+        out_channels: 6,
+        in_h: 16,
+        in_w: 16,
+        kernel_h: 5,
+        kernel_w: 5,
+        stride: 1,
+        padding: 0,
+    };
+    conv_rows(
+        &mut h,
+        &mut rng,
+        "conv2d/early16",
+        "",
+        "n32 3->6 16x16 k5",
+        early16,
+        32,
+        conv2d_forward,
+    );
+    // A `ConvWide` body layer (VGG-9 / ResNet: 3x3, padding 1) through the
+    // lowering dispatch picks for it, and — on the AVX2 arm — forced
+    // through the direct kernels: the measurement behind keeping
+    // `ConvWide` on the implicit path (DESIGN.md).
+    let wide16 = Conv2dShape {
+        in_channels: 32,
+        out_channels: 64,
+        in_h: 16,
+        in_w: 16,
+        kernel_h: 3,
+        kernel_w: 3,
+        stride: 1,
+        padding: 1,
+    };
+    let wide_shape = "n8 32->64 16x16 k3 p1";
+    conv_rows(
+        &mut h,
+        &mut rng,
+        "conv2d/wide16",
+        "",
+        wide_shape,
+        wide16,
+        8,
+        conv2d_forward,
+    );
+    if Kernel::Avx2.available() {
+        with_forced_kernel(Kernel::Avx2, || {
+            conv_rows(
+                &mut h,
+                &mut rng,
+                "conv2d/wide16_direct",
+                "_direct",
+                wide_shape,
+                wide16,
+                8,
+                conv2d_forward_direct,
+            );
+        });
     }
     // The fused (implicit-GEMM) forward, benched directly so the lowering
     // shows up as its own tracked op. The kernel is pinned to AVX2 where

@@ -611,11 +611,13 @@ pub fn install_substrate_collector(registry: &Arc<Registry>) {
         for (lowering, calls) in [
             ("implicit", s.conv_implicit_calls),
             ("materialized", s.conv_materialized_calls),
+            ("direct", s.conv_direct_calls),
         ] {
             r.gauge(
                 "niid_conv_lowering_calls",
-                "Convolution passes per lowering (implicit fuses im2col into \
-                 the GEMM pack; materialized is the scalar arm / oracle)",
+                "Convolution passes per lowering (direct reads the NCHW planes \
+                 in place; implicit fuses im2col into the GEMM pack; \
+                 materialized is the scalar arm / oracle)",
                 &[("lowering", lowering)],
             )
             .set(calls as f64);
@@ -629,23 +631,25 @@ pub fn install_substrate_collector(registry: &Arc<Registry>) {
 /// been recorded, so unprofiled runs pay nothing and emit nothing.
 pub fn install_prof_collector(registry: &Arc<Registry>) {
     registry.register_collector("niid_prof", |r| {
-        for row in niid_prof::flame() {
+        // The exact counters only: `flame()` would also drain every
+        // ring for percentiles this collector never reads.
+        for row in niid_prof::totals() {
             r.gauge(
                 "niid_prof_self_ns_total",
                 "Cumulative span self time (duration minus child spans), ns",
-                &[("span", row.label.as_str())],
+                &[("span", row.label)],
             )
             .set(row.self_ns as f64);
             r.gauge(
                 "niid_prof_total_ns_total",
                 "Cumulative span wall time including child spans, ns",
-                &[("span", row.label.as_str())],
+                &[("span", row.label)],
             )
             .set(row.total_ns as f64);
             r.gauge(
                 "niid_prof_calls_total",
                 "Completed span count",
-                &[("span", row.label.as_str())],
+                &[("span", row.label)],
             )
             .set(row.calls as f64);
         }

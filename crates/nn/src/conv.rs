@@ -1,17 +1,21 @@
 //! Convolution layer over `niid-tensor`'s GEMM-lowered kernels.
 //!
-//! On the AVX2 arm the substrate runs the **implicit** lowering — the
-//! im2col mapping is fused into the GEMM panel pack, so no
+//! On the AVX2 arm the substrate runs a fused lowering — direct kernels
+//! over the NCHW planes for the paper CNN's narrow stride-1 shapes, the
+//! im2col mapping fused into the GEMM panel pack for the rest — so no
 //! `[batch·positions, C·kh·kw]` buffer is materialized; the scalar arm
 //! keeps the historical materialized im2col pipeline (see
 //! `niid_tensor::conv`). The layer is agnostic: it hands the same
-//! [`ConvScratch`] to either path and the results are bit-identical
+//! [`ConvScratch`] to whichever path and the results are bit-identical
 //! under a fixed kernel.
 
 use crate::layer::{Layer, Phase};
 use crate::param::ParamReader;
 use niid_stats::Pcg64;
-use niid_tensor::{conv2d_backward_accum, conv2d_forward, Conv2dShape, ConvScratch, Tensor};
+use niid_tensor::{
+    conv2d_backward_accum, conv2d_backward_params_accum, conv2d_forward, Conv2dShape, ConvScratch,
+    Tensor,
+};
 
 /// 2-D convolution over NCHW activations with a fixed input geometry.
 pub struct Conv2d {
@@ -22,7 +26,7 @@ pub struct Conv2d {
     grad_bias: Tensor,
     /// Reusable lowering/backward workspace, held across batches so the
     /// hot path performs no per-batch allocation. The substrate records
-    /// in it which lowering (implicit or materialized) the forward ran.
+    /// in it which lowering the forward ran.
     scratch: ConvScratch,
     /// Whether `scratch` holds the state of a training-phase forward.
     cols_cached: bool,
@@ -48,6 +52,14 @@ impl Conv2d {
     pub fn geometry(&self) -> &Conv2dShape {
         &self.shape
     }
+
+    /// Consume the training-phase forward state a backward pass needs.
+    fn take_cached_forward(&mut self) {
+        assert!(
+            std::mem::take(&mut self.cols_cached),
+            "Conv2d::backward without cached forward"
+        );
+    }
 }
 
 impl Layer for Conv2d {
@@ -68,10 +80,7 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: Tensor) -> Tensor {
-        assert!(
-            std::mem::take(&mut self.cols_cached),
-            "Conv2d::backward without cached forward"
-        );
+        self.take_cached_forward();
         // dW and db accumulate straight into the layer's gradient buffers
         // — no weight-sized temporaries per batch.
         conv2d_backward_accum(
@@ -82,6 +91,17 @@ impl Layer for Conv2d {
             self.grad_weight.as_mut_slice(),
             self.grad_bias.as_mut_slice(),
         )
+    }
+
+    fn backward_params_only(&mut self, grad_out: Tensor) {
+        self.take_cached_forward();
+        conv2d_backward_params_accum(
+            &mut self.scratch,
+            &grad_out,
+            &self.shape,
+            self.grad_weight.as_mut_slice(),
+            self.grad_bias.as_mut_slice(),
+        );
     }
 
     fn param_count(&self) -> usize {
@@ -188,35 +208,6 @@ mod tests {
         b.read_params(&mut ParamReader::new(&flat));
         let yb = b.forward(x, Phase::Eval);
         assert!(ya.max_abs_diff(&yb) < 1e-7);
-    }
-
-    #[test]
-    fn train_step_routes_through_expected_lowering() {
-        // Layer-level check that the substrate's conv dispatch is wired
-        // through: a Train forward + backward takes the implicit (fused)
-        // path on the SIMD arm and the materialized path on the scalar
-        // arm, as reported by the substrate counters.
-        let s = small_shape();
-        let mut rng = Pcg64::new(14);
-        let mut c = Conv2d::new(s, &mut rng);
-        let x = Tensor::randn(&[4, 2, 6, 6], 1.0, &mut rng);
-        let before = niid_tensor::stats::snapshot();
-        let y = c.forward(x, Phase::Train);
-        c.backward(Tensor::ones(y.shape()));
-        let d = niid_tensor::stats::snapshot().since(&before);
-        if niid_tensor::active_kernel().is_simd() {
-            assert!(
-                d.conv_implicit_calls >= 2,
-                "expected fused forward+backward, got {d:?}"
-            );
-            assert_eq!(d.conv_materialized_calls, 0, "unexpected materialization");
-        } else {
-            assert!(
-                d.conv_materialized_calls >= 1,
-                "expected materialized forward on the scalar arm, got {d:?}"
-            );
-            assert_eq!(d.conv_implicit_calls, 0, "implicit path on scalar arm");
-        }
     }
 
     #[test]

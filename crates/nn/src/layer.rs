@@ -52,6 +52,16 @@ pub trait Layer: Send {
     /// Accumulates parameter gradients internally.
     fn backward(&mut self, grad_out: Tensor) -> Tensor;
 
+    /// Backward pass for a layer whose input gradient nobody reads (the
+    /// first layer of a model: its input is the training batch).
+    /// Accumulates exactly the parameter gradients [`Layer::backward`]
+    /// would — skipping an unread output changes no bits. Layers whose
+    /// input gradient is a separate product override this to skip it;
+    /// containers forward it to their first layer.
+    fn backward_params_only(&mut self, grad_out: Tensor) {
+        self.backward(grad_out);
+    }
+
     /// Number of trainable parameters.
     fn param_count(&self) -> usize {
         0

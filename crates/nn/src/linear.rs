@@ -50,6 +50,30 @@ impl Linear {
     pub fn weight(&self) -> &Tensor {
         &self.weight
     }
+
+    /// `dW += xᵀ · dy`, `db += column sums of dy`: the GEMM and the bias
+    /// reduction accumulate straight into the gradient buffers — no
+    /// `[in, out]`-sized temporary per batch.
+    fn accumulate_param_grads(&mut self, grad_out: &Tensor) {
+        let x = self
+            .cached_input
+            .take()
+            .expect("Linear::backward without cached forward");
+        let batch = grad_out.shape()[0];
+        matmul_at_b_slices(
+            x.as_slice(),
+            grad_out.as_slice(),
+            self.grad_weight.as_mut_slice(),
+            batch,
+            self.in_features,
+            self.out_features,
+        );
+        let kern = simd::active_kernel();
+        let gb = self.grad_bias.as_mut_slice();
+        for r in 0..batch {
+            simd::add_assign(kern, gb, grad_out.row(r));
+        }
+    }
 }
 
 impl Layer for Linear {
@@ -75,31 +99,15 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_out: Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .take()
-            .expect("Linear::backward without cached forward");
-        // dW += xᵀ · dy ; db += column sums of dy ; dx = dy · Wᵀ. The GEMM
-        // and the bias reduction accumulate straight into the gradient
-        // buffers — no `[in, out]`-sized temporary per batch. On the AVX2
-        // arm the dx product runs `matmul_a_bt`'s NT micro-kernel: Wᵀ
-        // panels are packed contiguously once per tile instead of striding
-        // the row-major weight matrix on every FMA.
-        let batch = grad_out.shape()[0];
-        matmul_at_b_slices(
-            x.as_slice(),
-            grad_out.as_slice(),
-            self.grad_weight.as_mut_slice(),
-            batch,
-            self.in_features,
-            self.out_features,
-        );
-        let kern = simd::active_kernel();
-        let gb = self.grad_bias.as_mut_slice();
-        for r in 0..batch {
-            simd::add_assign(kern, gb, grad_out.row(r));
-        }
+        self.accumulate_param_grads(&grad_out);
+        // dx = dy · Wᵀ. On the AVX2 arm this runs `matmul_a_bt`'s NT
+        // micro-kernel: Wᵀ panels are packed contiguously once per tile
+        // instead of striding the row-major weight matrix on every FMA.
         matmul_a_bt(&grad_out, &self.weight)
+    }
+
+    fn backward_params_only(&mut self, grad_out: Tensor) {
+        self.accumulate_param_grads(&grad_out);
     }
 
     fn param_count(&self) -> usize {

@@ -71,7 +71,8 @@ impl Network {
         let logits = self.forward(x, Phase::Train);
         let (loss, grad) =
             SoftmaxCrossEntropy::loss_and_grad_ws(&logits, labels, &mut self.loss_scratch);
-        self.root.backward(grad);
+        // The gradient w.r.t. the training batch is never read.
+        self.root.backward_params_only(grad);
         loss
     }
 
@@ -359,6 +360,111 @@ mod tests {
         let per_class = net.evaluate_per_class(&x, &y, &[2], 8);
         assert!(!per_class[0].is_nan());
         assert!(per_class[1].is_nan());
+    }
+
+    /// `forward_backward` skips the first layer's input gradient; the
+    /// gradients, loss and BatchNorm buffers it leaves must be bit-equal
+    /// to `forward(Train)` + the explicit `Network::backward`, which
+    /// computes that gradient — under every kernel the CPU offers.
+    fn assert_params_only_matches_full(tag: &str, build: &dyn Fn() -> Network, x_shape: &[usize]) {
+        for kern in niid_tensor::Kernel::available_kernels() {
+            niid_tensor::with_forced_kernel(kern, || {
+                let mut rng = Pcg64::new(91);
+                let x = Tensor::randn(x_shape, 1.0, &mut rng);
+                let (mut fused, mut full) = (build(), build());
+                let labels: Vec<usize> = (0..x_shape[0]).map(|i| i % full.num_classes()).collect();
+                // Two steps, so BatchNorm running statistics (updated by
+                // the first) feed the comparison too.
+                for step in 0..2 {
+                    let loss = fused.forward_backward(x.clone(), &labels);
+                    let logits = full.forward(x.clone(), Phase::Train);
+                    let (want, grad) = SoftmaxCrossEntropy::loss_and_grad(&logits, &labels);
+                    let gx = full.backward(grad);
+                    assert_eq!(gx.shape(), x.shape(), "{tag}: backward returns dX");
+                    let at = format!("{tag} @{} step {step}", kern.name());
+                    assert_eq!(loss.to_bits(), want.to_bits(), "loss: {at}");
+                    let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+                    assert_eq!(bits(fused.grads_flat()), bits(full.grads_flat()), "{at}");
+                    assert_eq!(
+                        bits(fused.buffers_flat()),
+                        bits(full.buffers_flat()),
+                        "{at}"
+                    );
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn forward_backward_matches_explicit_backward_bitwise() {
+        use crate::activation::Flatten;
+        use crate::conv::Conv2d;
+        use crate::models::ModelSpec;
+        use niid_tensor::Conv2dShape;
+        let conv = |rng: &mut Pcg64| {
+            Conv2d::new(
+                Conv2dShape {
+                    in_channels: 2,
+                    out_channels: 3,
+                    in_h: 7,
+                    in_w: 6,
+                    kernel_h: 3,
+                    kernel_w: 3,
+                    stride: 1,
+                    padding: 1,
+                },
+                rng,
+            )
+        };
+        let linear = || Network::new(Linear::new(5, 3, &mut Pcg64::new(1)), 3);
+        assert_params_only_matches_full("linear", &linear, &[4, 5]);
+        let conv_first = || {
+            let mut rng = Pcg64::new(2);
+            Network::new(
+                Sequential::new().push(conv(&mut rng)).push(Flatten::new()),
+                126,
+            )
+        };
+        assert_params_only_matches_full("conv2d", &conv_first, &[3, 2, 7, 6]);
+        let nested = || {
+            let mut rng = Pcg64::new(3);
+            let stem = Sequential::new()
+                .push(Sequential::new().push(conv(&mut rng)).push(Relu::new()))
+                .push(Flatten::new());
+            Network::new(stem.push(Linear::new(126, 4, &mut rng)), 4)
+        };
+        assert_params_only_matches_full("nested sequential", &nested, &[3, 2, 7, 6]);
+        let specs = [
+            (
+                ModelSpec::LenetCnn {
+                    in_channels: 1,
+                    side: 16,
+                },
+                vec![5, 1, 16, 16],
+            ),
+            (ModelSpec::Mlp { in_dim: 12 }, vec![6, 12]),
+            (
+                ModelSpec::Vgg9 {
+                    in_channels: 3,
+                    side: 8,
+                    width: 2,
+                },
+                vec![4, 3, 8, 8],
+            ),
+            (
+                ModelSpec::ResNetLite {
+                    in_channels: 3,
+                    side: 8,
+                    width: 4,
+                    blocks_per_stage: 1,
+                },
+                vec![4, 3, 8, 8],
+            ),
+        ];
+        for (spec, x_shape) in specs {
+            let build = || spec.build(10, 7);
+            assert_params_only_matches_full(&format!("{spec:?}"), &build, &x_shape);
+        }
     }
 
     #[test]

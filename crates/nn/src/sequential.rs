@@ -63,6 +63,17 @@ impl Layer for Sequential {
             .fold(grad_out, |acc, layer| layer.backward(acc))
     }
 
+    fn backward_params_only(&mut self, grad_out: Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let grad = rest
+            .iter_mut()
+            .rev()
+            .fold(grad_out, |acc, layer| layer.backward(acc));
+        first.backward_params_only(grad);
+    }
+
     fn param_count(&self) -> usize {
         self.layers.iter().map(|l| l.param_count()).sum()
     }

@@ -17,7 +17,8 @@
 //! * [`flame`] — in-process aggregation per label: call count, total and
 //!   self nanoseconds (exact, maintained incrementally and immune to
 //!   ring wrap-around), plus p50/p99 duration percentiles computed from
-//!   the entries still retained in the rings.
+//!   the entries still retained in the rings. [`totals`] is the same
+//!   exact counters without the ring walk, for periodic scrapes.
 //!
 //! # Design
 //!
@@ -411,6 +412,37 @@ pub fn flame() -> Vec<FlameRow> {
     rows
 }
 
+/// Exact cumulative counters of one recorded label.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LabelTotals {
+    /// Span label.
+    pub label: &'static str,
+    /// Completed spans.
+    pub calls: u64,
+    /// Cumulative wall time inside the span, children included.
+    pub total_ns: u64,
+    /// Cumulative wall time minus time attributed to child spans.
+    pub self_ns: u64,
+}
+
+/// The exact counters of every label recorded so far, in first-recorded
+/// order. Unlike [`flame`] this reads only the per-label atomics — no
+/// ring is walked, nothing is allocated per entry or sorted — so a
+/// periodic scrape costs the same whether the rings are empty or full.
+pub fn totals() -> Vec<LabelTotals> {
+    let i = interner().lock().unwrap();
+    i.by_id
+        .iter()
+        .map(|s| LabelTotals {
+            label: s.name,
+            calls: s.calls.load(Ordering::Relaxed),
+            total_ns: s.total_ns.load(Ordering::Relaxed),
+            self_ns: s.self_ns.load(Ordering::Relaxed),
+        })
+        .filter(|t| t.calls > 0)
+        .collect()
+}
+
 /// Exact cumulative `(calls, total_ns, self_ns)` for one label, or `None`
 /// if it was never recorded. Cheap; safe from any thread.
 pub fn label_totals(label: &str) -> Option<(u64, u64, u64)> {
@@ -579,6 +611,35 @@ mod tests {
             calls >= RING_CAPACITY as u64 + extra,
             "cumulative totals survive wrap"
         );
+    }
+
+    #[test]
+    fn totals_are_the_flame_counters_and_leave_rings_untouched() {
+        let _g = test_lock();
+        enable(true);
+        // A wrapped ring: the counters must not depend on what it retains.
+        std::thread::spawn(|| {
+            for _ in 0..RING_CAPACITY + 10 {
+                let _sp = span!("test.totals_burst");
+            }
+        })
+        .join()
+        .unwrap();
+        enable(false);
+        let rings = ring_stats();
+        let got = totals();
+        assert_eq!(ring_stats(), rings, "totals() moved a ring");
+        let flame = flame();
+        assert_eq!(got.len(), flame.len());
+        for t in &got {
+            let f = flame.iter().find(|f| f.label == t.label).unwrap();
+            assert_eq!(
+                (t.calls, t.total_ns, t.self_ns),
+                (f.calls, f.total_ns, f.self_ns)
+            );
+        }
+        let burst = got.iter().find(|t| t.label == "test.totals_burst").unwrap();
+        assert!(burst.calls >= RING_CAPACITY as u64 + 10);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! 2-D convolution via GEMM lowering — **implicit** on the AVX2 arm,
+//! 2-D convolution — **direct** or **implicit-GEMM** on the AVX2 arm,
 //! materialized im2col on the scalar arm and as the bit-exactness oracle.
 //!
 //! Layout conventions:
@@ -13,16 +13,16 @@
 //! Padding is zero-padding; stride is symmetric. Dilation and grouped
 //! convolution are not implemented — no model in the paper needs them.
 //!
-//! ## Implicit vs materialized lowering
+//! ## Three lowerings, one result
 //!
 //! The materialized path ([`conv2d_forward_materialized`]) writes the full
 //! im2col matrix into [`ConvScratch`] and hands it to the GEMM — the
 //! historical pipeline, kept verbatim as the scalar arm (part of the
 //! `NIID_SIMD=scalar` bit-exact replay contract) and as the oracle the
-//! fused path is validated against.
+//! other two are validated against.
 //!
-//! The default AVX2 path ([`conv2d_forward_implicit`]) instead evaluates
-//! the im2col index mapping
+//! The implicit path ([`conv2d_forward_implicit`]) evaluates the im2col
+//! index mapping
 //!
 //! ```text
 //! row p -> (oy, ox) = (p / out_w, p % out_w)
@@ -36,15 +36,24 @@
 //! and [`crate::simd::gemm_panel_nt_avx2`] consumes it — no
 //! `[batch·positions, C·kh·kw]` buffer ever exists. The backward pass
 //! mirrors the fusion: the weight gradient regenerates im2col row windows
-//! on the fly ([`im2col_rows`]) while replicating `matmul_at_b_slices`'
-//! exact task split, and the data gradient runs position strips through
-//! the shared [`crate::matmul::atb_rows`] kernel and scatters each strip
-//! immediately ([`col2im_scatter_rows`]).
+//! on the fly ([`im2col_rows`]), and the data gradient runs position
+//! strips through the shared [`crate::matmul::atb_rows`] kernel and
+//! scatters each strip immediately ([`col2im_scatter_rows`]).
 //!
-//! Per output element the fused and materialized paths run the same
-//! `t`-ascending FMA chain over the same operand values — tile splits are
-//! bits-neutral (see [`crate::dispatch`]) — so under the same SIMD kernel
-//! the two are **bit-identical**; tests assert exactly this.
+//! The direct path ([`conv2d_forward_direct`], kernels in
+//! [`crate::conv_direct`]) lowers nothing at all: forward, dW and dX read
+//! row segments of the (zero-padded) NCHW planes with unaligned vector
+//! loads. It serves the stride-1 shapes of the paper CNN, where packing
+//! and regenerating the lowered operand cost more than the FMAs they
+//! feed; [`crate::dispatch::conv_lowering`] picks the path from the
+//! geometry alone.
+//!
+//! Per output element all three run the same depth-ascending FMA chain
+//! over the same operand values — tile splits are bits-neutral (see
+//! [`crate::dispatch`]), and both fused weight gradients replicate
+//! `matmul_at_b_slices`' branch and `ATB_BLOCK_M` partial-sum split — so
+//! under the same SIMD kernel they are **bit-identical**; tests assert
+//! exactly this.
 //!
 //! ## Workspace reuse
 //!
@@ -52,8 +61,9 @@
 //! operate on a caller-owned [`ConvScratch`]: buffers persist across
 //! batches, so a training step performs no per-sample allocation. The
 //! forward pass records which lowering ran; the materialized path fills
-//! `cols` while the implicit path caches the raw `input` (the backward
-//! weight pass re-reads it) and leaves `cols` unmaterialized. Samples are
+//! `cols` while the fused paths cache the `input` (raw for the implicit
+//! path, zero-padded for the direct one — the backward weight pass
+//! re-reads it) and leave `cols` unmaterialized. Samples are
 //! processed in parallel (each owns disjoint regions of every buffer),
 //! which keeps results bit-identical at any thread count. The allocating
 //! [`conv2d`] / [`conv2d_backward`] wrappers route through a reused
@@ -61,6 +71,9 @@
 //! lowering allocation per call. Bias broadcast and the bias-gradient
 //! reduction dispatch through [`crate::simd`].
 
+#[cfg(target_arch = "x86_64")]
+use crate::conv_direct as direct;
+use crate::dispatch::ConvLowering;
 use crate::matmul::{matmul_a_bt_slices, matmul_at_b_slices};
 use crate::parallel::{parallel_for_threshold, SharedMut};
 use crate::simd;
@@ -126,6 +139,19 @@ impl Conv2dShape {
     /// Elements in one output sample.
     pub fn output_numel(&self) -> usize {
         self.out_channels * self.out_positions()
+    }
+
+    /// The same convolution seen from its zero-padded input: planes of
+    /// `[in_h + 2·padding, in_w + 2·padding]` and `padding = 0`. Lowering
+    /// the padded planes through this view yields the identical im2col
+    /// matrix, which is what lets the direct kernels ignore padding.
+    pub fn padded_view(&self) -> Conv2dShape {
+        Conv2dShape {
+            in_h: self.in_h + 2 * self.padding,
+            in_w: self.in_w + 2 * self.padding,
+            padding: 0,
+            ..*self
+        }
     }
 
     fn validate(&self) {
@@ -313,20 +339,23 @@ pub fn col2im(cols: &Tensor, s: &Conv2dShape) -> Vec<f32> {
 #[derive(Debug, Default)]
 pub struct ConvScratch {
     /// im2col lowering of the last forward batch: `[batch·positions, cw]`.
-    /// Only filled by the materialized path (`cols_valid` tracks this).
+    /// Only filled by the materialized path (`cached` tracks this).
     cols: Vec<f32>,
-    /// Backward scratch for per-sample column gradients (same extent).
+    /// Backward scratch: per-sample column gradients (same extent) on
+    /// the materialized path, the `kx`-lane weight pack on the direct one.
     dcols: Vec<f32>,
     /// Output gradients transposed to `[batch·positions, out_channels]`
     /// so the weight gradient is one tall GEMM.
     gy_t: Vec<f32>,
-    /// Raw forward input cached by the implicit path: `[batch, C·H·W]`.
-    /// The fused backward weight pass regenerates im2col windows from it.
+    /// Forward input cached by the fused paths for the backward weight
+    /// pass: raw `[batch, C·H·W]` after an implicit forward, zero-padded
+    /// `[batch, C·(H+2p)·(W+2p)]` plus lane slack after a direct one.
     input: Vec<f32>,
     /// Samples lowered by the last forward pass.
     batch: usize,
-    /// Whether `cols` currently holds the lowering for `batch` samples.
-    cols_valid: bool,
+    /// What the last forward left behind for `batch` samples: `cols`
+    /// (`Materialized`) or one of the two `input` layouts.
+    cached: ConvLowering,
 }
 
 impl ConvScratch {
@@ -344,15 +373,36 @@ impl ConvScratch {
     /// `[batch·positions, col_width]`.
     ///
     /// # Panics
-    /// Panics if the last forward pass ran the implicit lowering (nothing
-    /// was materialized); callers that need the buffer should run
+    /// Panics if the last forward pass ran a fused lowering (nothing was
+    /// materialized); callers that need the buffer should run
     /// [`conv2d_forward_materialized`].
     pub fn cols(&self, s: &Conv2dShape) -> &[f32] {
         assert!(
-            self.cols_valid,
-            "conv scratch holds no materialized lowering (implicit forward)"
+            self.cached == ConvLowering::Materialized,
+            "conv scratch holds no materialized lowering ({:?} forward)",
+            self.cached
         );
         &self.cols[..self.batch * s.out_positions() * s.col_width()]
+    }
+
+    /// Cache a forward input for the fused backward named by `lowering`
+    /// (`Direct` pads, anything else keeps the raw layout).
+    fn cache_input(&mut self, xs: &[f32], n: usize, s: &Conv2dShape, lowering: ConvLowering) {
+        match lowering {
+            #[cfg(target_arch = "x86_64")]
+            ConvLowering::Direct => {
+                let padded = n * s.padded_view().input_numel();
+                Self::ensure(&mut self.input, padded + direct::SLACK);
+                direct::pad_batch(xs, s, n, &mut self.input[..padded]);
+            }
+            _ => {
+                debug_assert_eq!(xs.len(), n * s.input_numel());
+                Self::ensure(&mut self.input, xs.len());
+                self.input[..xs.len()].copy_from_slice(xs);
+            }
+        }
+        self.batch = n;
+        self.cached = lowering;
     }
 
     fn ensure(buf: &mut Vec<f32>, len: usize) {
@@ -405,16 +455,6 @@ fn check_forward_args(
     n
 }
 
-/// Whether the fused backward replicates `matmul_at_b_slices`' per-sample
-/// dX task split: the strip walk reproduces the KB row-split branch, so
-/// the shape must satisfy that branch's predicate (`k = positions`,
-/// `m = out_channels`). Shapes that would take the partial-sum branch
-/// fall back to the materialized path instead.
-#[cfg(target_arch = "x86_64")]
-fn implicit_eligible(s: &Conv2dShape) -> bool {
-    s.out_positions() >= 2 * crate::matmul::KB || s.out_channels < crate::matmul::ATB_BLOCK_M
-}
-
 /// Forward convolution over a batch, caching what the backward pass needs
 /// in `scratch` for reuse by [`conv2d_backward_ws`].
 ///
@@ -422,10 +462,12 @@ fn implicit_eligible(s: &Conv2dShape) -> bool {
 /// * `weight`: `[out_channels, C*kh*kw]`
 /// * `bias`: optional `[out_channels]`
 ///
-/// Returns the output `[N, out_c, oh, ow]`. Dispatches to the implicit
-/// (fused-pack) lowering on the AVX2 arm and the materialized im2col
-/// lowering otherwise; both process samples in parallel over disjoint
-/// buffer regions, so results are bit-identical at any thread count.
+/// Returns the output `[N, out_c, oh, ow]`. On the AVX2 arm
+/// [`crate::dispatch::conv_lowering`] picks the direct kernels or the
+/// implicit (fused-pack) lowering from the geometry; the scalar arm runs
+/// the materialized im2col lowering. All three process samples in
+/// parallel over disjoint buffer regions, so results are bit-identical at
+/// any thread count.
 pub fn conv2d_forward(
     input: &Tensor,
     weight: &Tensor,
@@ -433,13 +475,20 @@ pub fn conv2d_forward(
     s: &Conv2dShape,
     scratch: &mut ConvScratch,
 ) -> Tensor {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if simd::active_kernel().is_simd() && implicit_eligible(s) {
-            return conv2d_forward_implicit(input, weight, bias, s, scratch);
-        }
+    match active_lowering(s) {
+        ConvLowering::Direct => conv2d_forward_direct(input, weight, bias, s, scratch),
+        ConvLowering::Implicit => conv2d_forward_implicit(input, weight, bias, s, scratch),
+        ConvLowering::Materialized => conv2d_forward_materialized(input, weight, bias, s, scratch),
     }
-    conv2d_forward_materialized(input, weight, bias, s, scratch)
+}
+
+/// The lowering [`conv2d_forward`] runs for `s` under the active kernel.
+fn active_lowering(s: &Conv2dShape) -> ConvLowering {
+    if simd::active_kernel().is_simd() {
+        crate::dispatch::conv_lowering(s)
+    } else {
+        ConvLowering::Materialized
+    }
 }
 
 /// Forward convolution through the materialized im2col lowering — the
@@ -462,7 +511,7 @@ pub fn conv2d_forward_materialized(
     let out_numel = s.output_numel();
     ConvScratch::ensure(&mut scratch.cols, n * positions * cw);
     scratch.batch = n;
-    scratch.cols_valid = true;
+    scratch.cached = ConvLowering::Materialized;
 
     let mut out = vec![0.0f32; n * out_numel];
     let xs = input.as_slice();
@@ -606,10 +655,7 @@ pub fn conv2d_forward_implicit(
         // Cache the raw input: the fused backward weight pass regenerates
         // im2col row windows from it (and the scalar-arm fallback
         // re-materializes `cols` from it, bit-identically).
-        ConvScratch::ensure(&mut scratch.input, n * in_numel);
-        scratch.input[..n * in_numel].copy_from_slice(input.as_slice());
-        scratch.batch = n;
-        scratch.cols_valid = false;
+        scratch.cache_input(input.as_slice(), n, s, ConvLowering::Implicit);
 
         let mut out = vec![0.0f32; n * out_numel];
         let xs = input.as_slice();
@@ -669,16 +715,74 @@ pub fn conv2d_forward_implicit(
     }
 }
 
-/// Re-materialize `cols` from the raw input cached by an implicit
-/// forward. im2col is a pure function of the input, so the result is
-/// bit-identical to a materialized forward's lowering — this is how a
-/// forced-scalar backward after an implicit forward stays on the scalar
-/// arm's historical accumulation order.
+/// Forward convolution straight from the NCHW planes — nothing is
+/// lowered, packed or regenerated (kernels and the bit-identity argument
+/// live in [`crate::conv_direct`]). AVX2-arm only; needs `stride == 1`
+/// and `kernel_w <= 8`.
+///
+/// Bit-identical to [`conv2d_forward_materialized`] under the same SIMD
+/// kernel: every output element runs the oracle's depth-ascending FMA
+/// chain from `0.0` over the same values, then adds its bias.
+///
+/// # Panics
+/// Panics when the active kernel is scalar or the geometry is outside
+/// the kernels' reach.
+pub fn conv2d_forward_direct(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    s: &Conv2dShape,
+    scratch: &mut ConvScratch,
+) -> Tensor {
+    assert!(
+        simd::active_kernel().is_simd(),
+        "conv2d_forward_direct: requires a SIMD kernel (scalar arm uses the materialized path)"
+    );
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("SIMD kernel selected on non-x86_64");
+    #[cfg(target_arch = "x86_64")]
+    {
+        let n = check_forward_args(input, weight, bias, s);
+        let out_numel = s.output_numel();
+        let flops = n * 2 * out_numel * s.col_width();
+        stats::bump(&stats::CONV_DIRECT_CALLS, 1);
+        stats::bump(&stats::GEMM_FLOPS, flops as u64);
+        // Padded once up front, so the kernels only ever read the cache
+        // (their slack lanes may look into a neighbouring sample).
+        scratch.cache_input(input.as_slice(), n, s, ConvLowering::Direct);
+        let v = s.padded_view();
+        let vin = v.input_numel();
+        let cache = &scratch.input[..n * vin + direct::SLACK];
+
+        let mut out = vec![0.0f32; n * out_numel];
+        let wv = weight.as_slice();
+        let bv = bias.map(Tensor::as_slice);
+        let out_ptr = SharedMut(out.as_mut_ptr());
+        parallel_for_threshold(n, flops, &|i| {
+            let _sp = niid_prof::span!("conv.direct_fwd");
+            // SAFETY: sample `i` exclusively owns its region of out.
+            let out_i = unsafe { out_ptr.slice(i * out_numel, out_numel) };
+            direct::forward_sample(&cache[i * vin..], &v, wv, bv, out_i);
+        });
+        Tensor::from_vec(out, &[n, s.out_channels, s.out_h(), s.out_w()])
+    }
+}
+
+/// Re-materialize `cols` from the input cached by a fused forward.
+/// im2col is a pure function of the input (and lowering the zero-padded
+/// planes through [`Conv2dShape::padded_view`] yields the same matrix),
+/// so the result is bit-identical to a materialized forward's lowering —
+/// this is how a forced-scalar backward after a fused forward stays on
+/// the scalar arm's historical accumulation order.
 fn materialize_cols(scratch: &mut ConvScratch, s: &Conv2dShape) {
     let n = scratch.batch;
     let positions = s.out_positions();
     let cw = s.col_width();
-    let in_numel = s.input_numel();
+    let src = match scratch.cached {
+        ConvLowering::Direct => s.padded_view(),
+        _ => *s,
+    };
+    let in_numel = src.input_numel();
     let ConvScratch { cols, input, .. } = scratch;
     ConvScratch::ensure(cols, n * positions * cw);
     let xs = &input[..n * in_numel];
@@ -686,9 +790,9 @@ fn materialize_cols(scratch: &mut ConvScratch, s: &Conv2dShape) {
     parallel_for_threshold(n, n * positions * cw, &|i| {
         // SAFETY: sample `i` exclusively owns its cols region.
         let cols_i = unsafe { cols_ptr.slice(i * positions * cw, positions * cw) };
-        im2col_into(&xs[i * in_numel..(i + 1) * in_numel], s, cols_i);
+        im2col_into(&xs[i * in_numel..(i + 1) * in_numel], &src, cols_i);
     });
-    scratch.cols_valid = true;
+    scratch.cached = ConvLowering::Materialized;
 }
 
 /// Backward convolution against the state cached in `scratch`,
@@ -702,14 +806,14 @@ fn materialize_cols(scratch: &mut ConvScratch, s: &Conv2dShape) {
 /// * `grad_weight`: flat `[out_c · C·kh·kw]`, accumulated (`+=`)
 /// * `grad_bias`: flat `[out_c]`, accumulated (`+=`)
 ///
-/// Returns `grad_input [N,C,H,W]`. If the forward pass ran the implicit
-/// lowering and the active kernel is still SIMD, the fused backward runs
-/// (no lowered matrices materialized); otherwise the lowering is
-/// (re)materialized and the historical body runs verbatim. Both variants
-/// are bit-identical under the same kernel, and accumulating into zeroed
-/// buffers produces the same bits as the allocating path. All per-sample
-/// work writes disjoint regions, so results are bit-identical at any
-/// thread count.
+/// Returns `grad_input [N,C,H,W]`. If the forward pass ran a fused
+/// lowering and the active kernel is still SIMD, the matching fused
+/// backward runs (no lowered matrices materialized); otherwise the
+/// lowering is (re)materialized and the historical body runs verbatim.
+/// All variants are bit-identical under the same kernel, and accumulating
+/// into zeroed buffers produces the same bits as the allocating path. All
+/// per-sample work writes disjoint regions, so results are bit-identical
+/// at any thread count.
 pub fn conv2d_backward_accum(
     scratch: &mut ConvScratch,
     weight: &Tensor,
@@ -718,8 +822,23 @@ pub fn conv2d_backward_accum(
     grad_weight: &mut [f32],
     grad_bias: &mut [f32],
 ) -> Tensor {
+    conv2d_backward_params_accum(scratch, grad_out, s, grad_weight, grad_bias);
+    backward_input(scratch, weight, grad_out, s)
+}
+
+/// The parameter half of [`conv2d_backward_accum`]: accumulates dW and db
+/// and skips the data gradient entirely — for a layer whose input
+/// gradient nobody reads (the first layer of a model). Identical bits in
+/// `grad_weight` / `grad_bias`, since skipping an unread output changes
+/// no accumulation.
+pub fn conv2d_backward_params_accum(
+    scratch: &mut ConvScratch,
+    grad_out: &Tensor,
+    s: &Conv2dShape,
+    grad_weight: &mut [f32],
+    grad_bias: &mut [f32],
+) {
     let n = grad_out.shape()[0];
-    let cw = s.col_width();
     assert_eq!(
         grad_out.shape(),
         &[n, s.out_channels, s.out_h(), s.out_w()],
@@ -732,7 +851,7 @@ pub fn conv2d_backward_accum(
     );
     assert_eq!(
         grad_weight.len(),
-        s.out_channels * cw,
+        s.out_channels * s.col_width(),
         "conv2d_backward: bad grad_weight length"
     );
     assert_eq!(
@@ -741,44 +860,76 @@ pub fn conv2d_backward_accum(
         "conv2d_backward: bad grad_bias length"
     );
 
-    if !scratch.cols_valid {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if simd::active_kernel().is_simd() && implicit_eligible(s) {
-                return backward_implicit(scratch, weight, grad_out, s, grad_weight, grad_bias);
-            }
-        }
+    // A fused cache pairs with its own fused backward as long as a SIMD
+    // kernel is still active and the per-sample dX GEMM would take
+    // `matmul_at_b_slices`' row-split branch, which both fused data
+    // gradients replicate; anything else (re)materializes, after which
+    // `scratch.cached` names the backward both halves run.
+    let fused_ok = simd::active_kernel().is_simd() && crate::dispatch::fused_backward_eligible(s);
+    if scratch.cached != ConvLowering::Materialized && !fused_ok {
         materialize_cols(scratch, s);
     }
-    backward_materialized(scratch, weight, grad_out, s, grad_weight, grad_bias)
+
+    let _sp = niid_prof::span!("conv.dw");
+    match scratch.cached {
+        ConvLowering::Materialized => dw_materialized(scratch, grad_out, s, grad_weight),
+        #[cfg(target_arch = "x86_64")]
+        _ => dw_fused(scratch, grad_out, s, grad_weight),
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("fused conv lowering on non-x86_64"),
+    }
+
+    // db: per-channel sums of grad_out, samples in ascending order.
+    let kern = simd::active_kernel();
+    let positions = s.out_positions();
+    for go_i in grad_out.as_slice().chunks_exact(s.output_numel()) {
+        for (c, gb) in grad_bias.iter_mut().enumerate() {
+            *gb += simd::sum(kern, &go_i[c * positions..(c + 1) * positions]);
+        }
+    }
 }
 
-/// The historical materialized backward body, verbatim — scalar arm and
-/// bit-exactness oracle for [`backward_implicit`].
-fn backward_materialized(
+/// The data-gradient half of [`conv2d_backward_accum`], for the lowering
+/// the parameter half settled on (`scratch.cached`).
+fn backward_input(
     scratch: &mut ConvScratch,
     weight: &Tensor,
     grad_out: &Tensor,
     s: &Conv2dShape,
-    grad_weight: &mut [f32],
-    grad_bias: &mut [f32],
 ) -> Tensor {
+    let _sp = niid_prof::span!("conv.dx");
+    let n = scratch.batch;
+    let mut grad_input = vec![0.0f32; n * s.input_numel()];
+    match scratch.cached {
+        ConvLowering::Materialized => {
+            dx_materialized(scratch, weight, grad_out, s, &mut grad_input)
+        }
+        #[cfg(target_arch = "x86_64")]
+        ConvLowering::Implicit => dx_implicit(n, weight, grad_out, s, &mut grad_input),
+        #[cfg(target_arch = "x86_64")]
+        ConvLowering::Direct => dx_direct(scratch, weight, grad_out, s, &mut grad_input),
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("fused conv lowering on non-x86_64"),
+    }
+    Tensor::from_vec(grad_input, &[n, s.in_channels, s.in_h, s.in_w])
+}
+
+/// The historical materialized weight-gradient body, verbatim — scalar
+/// arm and bit-exactness oracle for [`dw_fused`].
+fn dw_materialized(
+    scratch: &mut ConvScratch,
+    grad_out: &Tensor,
+    s: &Conv2dShape,
+    grad_weight: &mut [f32],
+) {
     let n = scratch.batch;
     let positions = s.out_positions();
     let cw = s.col_width();
     let out_numel = s.output_numel();
-    let in_numel = s.input_numel();
-    let ConvScratch {
-        cols, dcols, gy_t, ..
-    } = scratch;
+    let ConvScratch { cols, gy_t, .. } = scratch;
     let cols = &cols[..n * positions * cw];
-    ConvScratch::ensure(dcols, n * positions * cw);
     ConvScratch::ensure(gy_t, n * positions * s.out_channels);
-
     let go = grad_out.as_slice();
-    let wv = weight.as_slice();
-    // Resolved on the calling thread; re-pinned inside pool tasks below.
-    let kern = simd::active_kernel();
 
     // Transpose each sample's [outc, positions] gradient to
     // [positions, outc] so dW becomes one tall Aᵀ·B GEMM below.
@@ -809,81 +960,93 @@ fn backward_materialized(
         s.out_channels,
         cw,
     );
-
-    // db: per-channel sums of grad_out, samples in ascending order.
-    for i in 0..n {
-        let go_i = &go[i * out_numel..(i + 1) * out_numel];
-        for (c, gb) in grad_bias.iter_mut().enumerate() {
-            *gb += simd::sum(kern, &go_i[c * positions..(c + 1) * positions]);
-        }
-    }
-
-    // dX: per sample, dcols = gyᵀ · W then scatter-add back to the input
-    // geometry. Disjoint regions per sample.
-    let mut grad_input = vec![0.0f32; n * in_numel];
-    {
-        let dcols_ptr = SharedMut(dcols.as_mut_ptr());
-        let gx_ptr = SharedMut(grad_input.as_mut_ptr());
-        parallel_for_threshold(n, n * 2 * out_numel * cw, &|i| {
-            let go_i = &go[i * out_numel..(i + 1) * out_numel];
-            // SAFETY: sample `i` exclusively owns its dcols/grad_input regions.
-            let dcols_i = unsafe { dcols_ptr.slice(i * positions * cw, positions * cw) };
-            let gx_i = unsafe { gx_ptr.slice(i * in_numel, in_numel) };
-            // dcols [pos, cw] = gy_iᵀ [pos, outc] · W [outc, cw]; the GEMM
-            // accumulates, so clear the reused scratch region first. The
-            // nested GEMM may run on a pool worker — re-pin the kernel.
-            dcols_i.fill(0.0);
-            simd::with_forced_kernel(kern, || {
-                matmul_at_b_slices(go_i, wv, dcols_i, s.out_channels, positions, cw);
-            });
-            col2im_into(dcols_i, s, gx_i);
-        });
-    }
-
-    Tensor::from_vec(grad_input, &[n, s.in_channels, s.in_h, s.in_w])
 }
 
-/// Fused backward: the weight gradient regenerates im2col row windows on
-/// the fly while replicating `matmul_at_b_slices`' branch and task split
-/// exactly; the data gradient runs position strips through the shared
-/// [`crate::matmul::atb_rows`] kernel and scatters each strip
-/// immediately. Bit-identical to [`backward_materialized`] under the same
-/// SIMD kernel: every per-element FMA chain visits the same values in the
-/// same order (depth windows are loaded/stored as f32 between kernel
-/// calls, which is exact).
-#[cfg(target_arch = "x86_64")]
-fn backward_implicit(
+/// The historical materialized data-gradient body, verbatim: per sample,
+/// `dcols = gyᵀ · W`, then scatter-add back to the input geometry.
+fn dx_materialized(
     scratch: &mut ConvScratch,
     weight: &Tensor,
     grad_out: &Tensor,
     s: &Conv2dShape,
-    grad_weight: &mut [f32],
-    grad_bias: &mut [f32],
-) -> Tensor {
-    use crate::matmul::{ATB_BLOCK_M, KB};
+    grad_input: &mut [f32],
+) {
     let n = scratch.batch;
     let positions = s.out_positions();
     let cw = s.col_width();
     let out_numel = s.output_numel();
     let in_numel = s.input_numel();
-    let outc = s.out_channels;
-    let kern = simd::active_kernel();
-    stats::bump(&stats::CONV_IMPLICIT_CALLS, 1);
-    // dW + dX GEMM flops, normally counted inside matmul_at_b_slices.
-    stats::bump(&stats::GEMM_FLOPS, (n * 4 * out_numel * cw) as u64);
-    let tiles = crate::dispatch::tiles_for(crate::dispatch::classify_conv(s.in_channels, cw));
-
+    ConvScratch::ensure(&mut scratch.dcols, n * positions * cw);
     let go = grad_out.as_slice();
     let wv = weight.as_slice();
-    let xs = &scratch.input[..n * in_numel];
-    let m = n * positions;
+    // Resolved on the calling thread; re-pinned inside pool tasks below.
+    let kern = simd::active_kernel();
+    let dcols_ptr = SharedMut(scratch.dcols.as_mut_ptr());
+    let gx_ptr = SharedMut(grad_input.as_mut_ptr());
+    parallel_for_threshold(n, n * 2 * out_numel * cw, &|i| {
+        let go_i = &go[i * out_numel..(i + 1) * out_numel];
+        // SAFETY: sample `i` exclusively owns its dcols/grad_input regions.
+        let dcols_i = unsafe { dcols_ptr.slice(i * positions * cw, positions * cw) };
+        let gx_i = unsafe { gx_ptr.slice(i * in_numel, in_numel) };
+        // dcols [pos, cw] = gy_iᵀ [pos, outc] · W [outc, cw]; the GEMM
+        // accumulates, so clear the reused scratch region first. The
+        // nested GEMM may run on a pool worker — re-pin the kernel.
+        dcols_i.fill(0.0);
+        simd::with_forced_kernel(kern, || {
+            matmul_at_b_slices(go_i, wv, dcols_i, s.out_channels, positions, cw);
+        });
+        col2im_into(dcols_i, s, gx_i);
+    });
+}
 
-    // --- dW: same branch predicate as matmul_at_b_slices over
-    //     (k = outc, m = batch·positions). ---
+/// Fused weight gradient, shared by the implicit and direct lowerings:
+/// `matmul_at_b_slices`' branch and task split replicated exactly over
+/// (`k = out_channels`, `m = batch·positions`), with the lowered operand
+/// supplied per row range by [`dw_rows_implicit`] (im2col windows
+/// regenerated on the fly) or [`direct::dw_rows`] (read from the padded
+/// planes in place). Bit-identical to [`dw_materialized`] under the same
+/// SIMD kernel: every per-element FMA chain visits the same values in the
+/// same order, with the same `ATB_BLOCK_M` partial-sum boundaries.
+#[cfg(target_arch = "x86_64")]
+fn dw_fused(scratch: &ConvScratch, grad_out: &Tensor, s: &Conv2dShape, grad_weight: &mut [f32]) {
+    use crate::matmul::{ATB_BLOCK_M, KB};
+    let n = scratch.batch;
+    let cw = s.col_width();
+    let outc = s.out_channels;
+    let m = n * s.out_positions();
     let flops = 2 * m * outc * cw;
+    let direct = scratch.cached == ConvLowering::Direct;
+    stats::bump(
+        if direct {
+            &stats::CONV_DIRECT_CALLS
+        } else {
+            &stats::CONV_IMPLICIT_CALLS
+        },
+        1,
+    );
+    // The dW GEMM flops, normally counted inside matmul_at_b_slices.
+    stats::bump(&stats::GEMM_FLOPS, flops as u64);
+    let tiles = crate::dispatch::tiles_for(crate::dispatch::classify_conv(s.in_channels, cw));
+    let go = grad_out.as_slice();
+    let view = s.padded_view();
+    let xs = if direct {
+        &scratch.input[..n * view.input_numel() + direct::SLACK]
+    } else {
+        &scratch.input[..n * s.input_numel()]
+    };
+    // dW rows `kk0..kk1` accumulated over lowered rows `r0..r1`.
+    let rows = |c_rows: &mut [f32], kk0: usize, kk1: usize, r0: usize, r1: usize| {
+        if direct {
+            let _sp = niid_prof::span!("conv.direct_dw");
+            direct::dw_rows(xs, go, c_rows, &view, kk0, kk1, r0, r1);
+        } else {
+            dw_rows_implicit(xs, go, c_rows, s, kk0, kk1, r0, r1, tiles.kc, tiles.mr);
+        }
+    };
+
     if outc >= 2 * KB || m < ATB_BLOCK_M {
         // Row-split path: each task owns KB output rows of dW and sweeps
-        // every lowered row, regenerated in tiles.kc-row windows.
+        // every lowered row.
         let tasks = outc.div_ceil(KB);
         let gw_ptr = SharedMut(grad_weight.as_mut_ptr());
         parallel_for_threshold(tasks, flops, &|t| {
@@ -891,68 +1054,121 @@ fn backward_implicit(
             let kk1 = (kk0 + KB).min(outc);
             // SAFETY: task `t` exclusively owns dW rows kk0..kk1.
             let gw_rows = unsafe { gw_ptr.slice(kk0 * cw, (kk1 - kk0) * cw) };
-            dw_rows_implicit(xs, go, gw_rows, s, kk0, kk1, 0, m, tiles.kc, tiles.mr);
+            rows(gw_rows, kk0, kk1, 0, m);
         });
-    } else {
-        // Partial-sum path: fixed ATB_BLOCK_M-row partial products reduced
-        // in ascending block order, exactly like matmul_at_b_slices.
-        let blocks = m.div_ceil(ATB_BLOCK_M);
-        let mut partials = vec![0.0f32; blocks * outc * cw];
-        {
-            let pptr = SharedMut(partials.as_mut_ptr());
-            parallel_for_threshold(blocks, flops, &|blk| {
-                let r0 = blk * ATB_BLOCK_M;
-                let r1 = (r0 + ATB_BLOCK_M).min(m);
-                // SAFETY: block `blk` exclusively owns its partial buffer.
-                let part = unsafe { pptr.slice(blk * outc * cw, outc * cw) };
-                dw_rows_implicit(xs, go, part, s, 0, outc, r0, r1, tiles.kc, tiles.mr);
-            });
-        }
-        for blk in 0..blocks {
-            simd::add_assign(
-                kern,
-                grad_weight,
-                &partials[blk * outc * cw..(blk + 1) * outc * cw],
-            );
-        }
+        return;
     }
-
-    // db: identical to the materialized body.
-    for i in 0..n {
-        let go_i = &go[i * out_numel..(i + 1) * out_numel];
-        for (c, gb) in grad_bias.iter_mut().enumerate() {
-            *gb += simd::sum(kern, &go_i[c * positions..(c + 1) * positions]);
-        }
-    }
-
-    // --- dX: per sample, strips of positions through atb_rows (the
-    //     identical kernel the materialized path runs on full dcols),
-    //     scattered immediately. Strip length is bits-free: every strip
-    //     element is computed in one full-depth (outc) chain, and the
-    //     global scatter order matches col2im_into. ---
-    let mut grad_input = vec![0.0f32; n * in_numel];
+    // Partial-sum path: fixed ATB_BLOCK_M-row partial products reduced
+    // in ascending block order, exactly like matmul_at_b_slices.
+    let blocks = m.div_ceil(ATB_BLOCK_M);
+    let mut partials = vec![0.0f32; blocks * outc * cw];
     {
-        let gx_ptr = SharedMut(grad_input.as_mut_ptr());
-        let sp = tiles.nc.min(positions);
-        parallel_for_threshold(n, n * 2 * out_numel * cw, &|i| {
-            // SAFETY: sample `i` exclusively owns its grad_input region.
-            let gx_i = unsafe { gx_ptr.slice(i * in_numel, in_numel) };
-            let go_i = &go[i * out_numel..(i + 1) * out_numel];
-            gx_i.fill(0.0);
-            crate::parallel::with_scratch(sp * cw, |strip| {
-                let mut p0 = 0;
-                while p0 < positions {
-                    let p1 = (p0 + sp).min(positions);
-                    let st = &mut strip[..(p1 - p0) * cw];
-                    st.fill(0.0);
-                    crate::matmul::atb_rows(kern, go_i, wv, st, 0, outc, p0, p1, positions, cw);
-                    col2im_scatter_rows(st, s, p0, p1, gx_i);
-                    p0 = p1;
-                }
-            });
+        let pptr = SharedMut(partials.as_mut_ptr());
+        parallel_for_threshold(blocks, flops, &|blk| {
+            let r0 = blk * ATB_BLOCK_M;
+            let r1 = (r0 + ATB_BLOCK_M).min(m);
+            // SAFETY: block `blk` exclusively owns its partial buffer.
+            let part = unsafe { pptr.slice(blk * outc * cw, outc * cw) };
+            rows(part, 0, outc, r0, r1);
         });
     }
-    Tensor::from_vec(grad_input, &[n, s.in_channels, s.in_h, s.in_w])
+    let kern = simd::active_kernel();
+    for part in partials.chunks_exact(outc * cw) {
+        simd::add_assign(kern, grad_weight, part);
+    }
+}
+
+/// Implicit data gradient: per sample, strips of positions through
+/// [`crate::matmul::atb_rows`] (the identical kernel the materialized
+/// path runs on full dcols), scattered immediately. Strip length is
+/// bits-free: every strip element is computed in one full-depth (outc)
+/// chain, and the global scatter order matches `col2im_into`.
+#[cfg(target_arch = "x86_64")]
+fn dx_implicit(
+    n: usize,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    s: &Conv2dShape,
+    grad_input: &mut [f32],
+) {
+    let positions = s.out_positions();
+    let cw = s.col_width();
+    let out_numel = s.output_numel();
+    let in_numel = s.input_numel();
+    let kern = simd::active_kernel();
+    let flops = n * 2 * out_numel * cw;
+    // The dX GEMM flops, normally counted inside matmul_at_b_slices.
+    stats::bump(&stats::GEMM_FLOPS, flops as u64);
+    let tiles = crate::dispatch::tiles_for(crate::dispatch::classify_conv(s.in_channels, cw));
+    let go = grad_out.as_slice();
+    let wv = weight.as_slice();
+    let gx_ptr = SharedMut(grad_input.as_mut_ptr());
+    let sp = tiles.nc.min(positions);
+    parallel_for_threshold(n, flops, &|i| {
+        // SAFETY: sample `i` exclusively owns its grad_input region.
+        let gx_i = unsafe { gx_ptr.slice(i * in_numel, in_numel) };
+        let go_i = &go[i * out_numel..(i + 1) * out_numel];
+        crate::parallel::with_scratch(sp * cw, |strip| {
+            let mut p0 = 0;
+            while p0 < positions {
+                let p1 = (p0 + sp).min(positions);
+                let st = &mut strip[..(p1 - p0) * cw];
+                st.fill(0.0);
+                crate::matmul::atb_rows(
+                    kern,
+                    go_i,
+                    wv,
+                    st,
+                    0,
+                    s.out_channels,
+                    p0,
+                    p1,
+                    positions,
+                    cw,
+                );
+                col2im_scatter_rows(st, s, p0, p1, gx_i);
+                p0 = p1;
+            }
+        });
+    });
+}
+
+/// Direct data gradient: per sample, [`direct::dx_sample`] accumulates
+/// onto zeroed padded planes in a thread-local buffer, whose interior is
+/// then copied out. The `kx`-lane weight pack is built once per call.
+#[cfg(target_arch = "x86_64")]
+fn dx_direct(
+    scratch: &mut ConvScratch,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    s: &Conv2dShape,
+    grad_input: &mut [f32],
+) {
+    let n = scratch.batch;
+    let out_numel = s.output_numel();
+    let in_numel = s.input_numel();
+    let flops = n * 2 * out_numel * s.col_width();
+    // The dX GEMM flops, normally counted inside matmul_at_b_slices.
+    stats::bump(&stats::GEMM_FLOPS, flops as u64);
+    let v = s.padded_view();
+    let pack_len = v.in_channels * v.kernel_h * v.out_channels * direct::LANES;
+    ConvScratch::ensure(&mut scratch.dcols, pack_len);
+    let wpack = &mut scratch.dcols[..pack_len];
+    direct::pack_weights_kx(weight.as_slice(), &v, wpack);
+    let wpack = &*wpack;
+    let go = grad_out.as_slice();
+    let gx_ptr = SharedMut(grad_input.as_mut_ptr());
+    parallel_for_threshold(n, flops, &|i| {
+        let _sp = niid_prof::span!("conv.direct_dx");
+        // SAFETY: sample `i` exclusively owns its grad_input region.
+        let gx_i = unsafe { gx_ptr.slice(i * in_numel, in_numel) };
+        let go_i = &go[i * out_numel..(i + 1) * out_numel];
+        crate::parallel::with_scratch(v.input_numel() + direct::SLACK, |plane| {
+            plane.fill(0.0);
+            direct::dx_sample(go_i, wpack, &v, plane);
+            direct::unpad_sample(plane, s, gx_i);
+        });
+    });
 }
 
 /// Accumulate dW output rows `kk0..kk1` over lowered rows `r0..r1`
@@ -1098,10 +1314,13 @@ pub fn conv2d_backward(
         s
     );
     with_wrapper_scratch(|scratch| {
-        ConvScratch::ensure(&mut scratch.input, n * s.input_numel());
-        scratch.input[..n * s.input_numel()].copy_from_slice(input.as_slice());
-        scratch.batch = n;
-        scratch.cols_valid = false;
+        // Leave behind what `conv2d_forward` would have; a shape (or
+        // kernel) with no fused backward re-materializes from it.
+        let lowering = match active_lowering(s) {
+            ConvLowering::Direct => ConvLowering::Direct,
+            _ => ConvLowering::Implicit,
+        };
+        scratch.cache_input(input.as_slice(), n, s, lowering);
         conv2d_backward_ws(scratch, weight, grad_out, s)
     })
 }
@@ -1335,6 +1554,38 @@ mod tests {
         assert!(fast.max_abs_diff(&slow) < 1e-4);
     }
 
+    type Forward = fn(&Tensor, &Tensor, Option<&Tensor>, &Conv2dShape, &mut ConvScratch) -> Tensor;
+
+    /// Forward through `forward`, then the backward its scratch pairs
+    /// with: `[y, gx, gw, gb]`.
+    fn run_lowering(
+        forward: Forward,
+        x: &Tensor,
+        w: &Tensor,
+        b: &Tensor,
+        gy: &Tensor,
+        s: &Conv2dShape,
+    ) -> [Tensor; 4] {
+        let mut scratch = ConvScratch::new();
+        let y = forward(x, w, Some(b), s, &mut scratch);
+        let (gx, gw, gb) = conv2d_backward_ws(&mut scratch, w, gy, s);
+        [y, gx, gw, gb]
+    }
+
+    /// Bit equality; a NaN may differ from its counterpart only in
+    /// payload (FMA operand order picks it, the compiler picks that).
+    fn assert_bits_eq(got: &[Tensor; 4], want: &[Tensor; 4], tag: &str) {
+        for (name, (g, w)) in ["y", "gx", "gw", "gb"].iter().zip(got.iter().zip(want)) {
+            assert_eq!(g.shape(), w.shape(), "{name} shape: {tag}");
+            for (i, (a, b)) in g.as_slice().iter().zip(w.as_slice()).enumerate() {
+                assert!(
+                    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                    "{name}[{i}]: {a} vs {b}: {tag}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn implicit_matches_materialized_bitwise() {
         if !simd::active_kernel().is_simd() {
@@ -1370,17 +1621,82 @@ mod tests {
             let w = Tensor::randn(&[s.out_channels, s.col_width()], 0.3, &mut rng);
             let b = Tensor::randn(&[s.out_channels], 0.1, &mut rng);
             let gy = Tensor::randn(&[n, s.out_channels, s.out_h(), s.out_w()], 1.0, &mut rng);
-            let mut sc_imp = ConvScratch::new();
-            let mut sc_mat = ConvScratch::new();
-            let y_imp = conv2d_forward_implicit(&x, &w, Some(&b), &s, &mut sc_imp);
-            let y_mat = conv2d_forward_materialized(&x, &w, Some(&b), &s, &mut sc_mat);
-            assert_eq!(y_imp.as_slice(), y_mat.as_slice(), "forward {s:?}");
-            let (gx_i, gw_i, gb_i) = conv2d_backward_ws(&mut sc_imp, &w, &gy, &s);
-            let (gx_m, gw_m, gb_m) = conv2d_backward_ws(&mut sc_mat, &w, &gy, &s);
-            assert_eq!(gx_i.as_slice(), gx_m.as_slice(), "gx {s:?}");
-            assert_eq!(gw_i.as_slice(), gw_m.as_slice(), "gw {s:?}");
-            assert_eq!(gb_i.as_slice(), gb_m.as_slice(), "gb {s:?}");
+            let imp = run_lowering(conv2d_forward_implicit, &x, &w, &b, &gy, &s);
+            let mat = run_lowering(conv2d_forward_materialized, &x, &w, &b, &gy, &s);
+            assert_bits_eq(&imp, &mat, &format!("{s:?}"));
         }
+    }
+
+    /// The direct kernels against the materialized oracle over randomised
+    /// stride-1 geometries — non-square planes, output rows that are no
+    /// multiple of the vector width (and narrower than it), paddings 0–2,
+    /// batch 1, batches whose lowered rows straddle an `ATB_BLOCK_M`
+    /// boundary mid-row, non-finite inputs — at thread budgets 1, 2, 4.
+    #[test]
+    fn direct_matches_materialized_bitwise() {
+        if !simd::active_kernel().is_simd() {
+            return; // direct kernels exist only on the SIMD arm
+        }
+        let mut rng = Pcg64::new(0xD1EC7);
+        let mut straddled = 0;
+        for case in 0..60 {
+            let k = [1usize, 2, 3, 5, 7][rng.next_below(5)];
+            let kernel_h = if rng.next_below(4) == 0 {
+                1 + rng.next_below(5)
+            } else {
+                k
+            };
+            let padding = rng.next_below(3);
+            let s = Conv2dShape {
+                in_channels: 1 + rng.next_below(6),
+                out_channels: 1 + rng.next_below(17),
+                in_h: kernel_h.max(2) + rng.next_below(14),
+                in_w: k.max(2) + rng.next_below(20),
+                kernel_h,
+                kernel_w: k,
+                stride: 1,
+                padding,
+            };
+            // Batch 1, a few, or just enough lowered rows to cross the
+            // partial-sum block boundary (when the shape takes that branch).
+            let positions = s.out_positions();
+            let n = match case % 3 {
+                0 => 1,
+                1 => 2 + rng.next_below(4),
+                _ => (crate::matmul::ATB_BLOCK_M / positions + 2).min(40),
+            };
+            let m = n * positions;
+            if m > crate::matmul::ATB_BLOCK_M
+                && !crate::matmul::ATB_BLOCK_M.is_multiple_of(s.out_w())
+            {
+                straddled += 1;
+            }
+            let mut x = Tensor::randn(&[n, s.in_channels, s.in_h, s.in_w], 1.0, &mut rng);
+            let mut w = Tensor::randn(&[s.out_channels, s.col_width()], 0.3, &mut rng);
+            let b = Tensor::randn(&[s.out_channels], 0.1, &mut rng);
+            let mut gy = Tensor::randn(&[n, s.out_channels, s.out_h(), s.out_w()], 1.0, &mut rng);
+            if case % 4 == 3 {
+                let mut poison = |t: &mut Tensor, v: f32| {
+                    let at = rng.next_below(t.numel());
+                    t.as_mut_slice()[at] = v;
+                };
+                poison(&mut x, f32::NAN);
+                poison(&mut x, f32::INFINITY);
+                poison(&mut w, f32::NEG_INFINITY);
+                poison(&mut gy, f32::INFINITY);
+            }
+            let mat = run_lowering(conv2d_forward_materialized, &x, &w, &b, &gy, &s);
+            for budget in [1usize, 2, 4] {
+                let dir = with_thread_budget(budget, || {
+                    run_lowering(conv2d_forward_direct, &x, &w, &b, &gy, &s)
+                });
+                assert_bits_eq(&dir, &mat, &format!("case {case} n{n} @{budget} {s:?}"));
+            }
+        }
+        assert!(
+            straddled >= 5,
+            "only {straddled} cases split a row across blocks"
+        );
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //! panel-bounds-dependent, and its historical constants are part of the
 //! `NIID_SIMD=scalar` bit-exact replay contract.
 
+use crate::conv::Conv2dShape;
+use crate::matmul::{ATB_BLOCK_M, KB};
 use std::cell::Cell;
 
 /// Which GEMM formulation a shape belongs to. `Aᵀ·B` is absent on
@@ -156,6 +158,49 @@ pub fn classify_conv(in_channels: usize, col_width: usize) -> ShapeClass {
         ShapeClass::ConvMid
     } else {
         ShapeClass::ConvWide
+    }
+}
+
+/// How a convolution is lowered onto the FMA kernels (see
+/// [`crate::conv`] for the three paths).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ConvLowering {
+    /// Nothing is lowered: the kernels read NCHW row segments in place.
+    Direct,
+    /// im2col fused into the GEMM panel pack.
+    Implicit,
+    /// Full im2col matrix in [`crate::ConvScratch`]: the scalar arm, the
+    /// oracle, and the fallback for shapes neither fused path covers.
+    #[default]
+    Materialized,
+}
+
+/// Whether the fused backward passes cover `s`: both compute every
+/// lowered dX value as one out-channel-ascending chain, i.e. they
+/// replicate the row-split branch of the per-sample
+/// `matmul_at_b_slices(k = positions, m = out_channels)` the
+/// materialized path runs, so the shape must satisfy that branch's
+/// predicate.
+pub fn fused_backward_eligible(s: &Conv2dShape) -> bool {
+    s.out_positions() >= 2 * KB || s.out_channels < ATB_BLOCK_M
+}
+
+/// The lowering a geometry takes on the AVX2 arm — a function of the
+/// shape alone. The paper CNN's narrow stride-1 layers (`ConvEarly`,
+/// `ConvMid`) run the direct kernels, where packing and regenerating the
+/// lowered operand cost more than the FMAs they feed; wide bodies
+/// (`ConvWide`: `kx`-lane vectors would idle most lanes on a 3-wide
+/// kernel, measured in DESIGN.md) and strided layers keep the implicit
+/// pack.
+pub fn conv_lowering(s: &Conv2dShape) -> ConvLowering {
+    if !fused_backward_eligible(s) {
+        return ConvLowering::Materialized;
+    }
+    let narrow = classify_conv(s.in_channels, s.col_width()) != ShapeClass::ConvWide;
+    if narrow && s.stride == 1 && s.kernel_w <= 8 {
+        ConvLowering::Direct
+    } else {
+        ConvLowering::Implicit
     }
 }
 

@@ -13,17 +13,21 @@
 //!    [`parallel`]).
 //! 3. **Speed**: GEMM is cache-blocked (tiled over M/N/K per shape class
 //!    via the committed [`dispatch`] table) and splits row-blocks across
-//!    a persistent worker pool sized by `NIID_THREADS`; convolution
-//!    lowers to GEMM *implicitly* on the AVX2 arm — the im2col mapping is
-//!    fused into the panel pack, so no `[batch·positions, C·kh·kw]`
-//!    buffer is materialized — with the [`ConvScratch`]-backed
-//!    materialized path kept as the scalar arm and bit-exactness oracle.
+//!    a persistent worker pool sized by `NIID_THREADS`; on the AVX2 arm
+//!    the paper CNN's narrow stride-1 convolutions run *direct* kernels
+//!    over the NCHW planes and the rest lower to GEMM *implicitly* — the
+//!    im2col mapping is fused into the panel pack — so no
+//!    `[batch·positions, C·kh·kw]` buffer is materialized either way,
+//!    with the [`ConvScratch`]-backed materialized path kept as the
+//!    scalar arm and bit-exactness oracle.
 //!
 //! The tensor is row-major over a `Vec<f32>` with an explicit shape; there
 //! are no strides or views. That costs some copies but removes an entire
 //! class of aliasing bugs from hand-written backward passes.
 
 pub mod conv;
+#[cfg(target_arch = "x86_64")]
+mod conv_direct;
 pub mod dispatch;
 mod dispatch_table;
 pub mod matmul;
@@ -35,13 +39,13 @@ pub mod stats;
 pub mod tensor;
 
 pub use conv::{
-    col2im, col2im_into, conv2d, conv2d_backward, conv2d_backward_accum, conv2d_backward_ws,
-    conv2d_forward, conv2d_forward_implicit, conv2d_forward_materialized, im2col, Conv2dShape,
-    ConvScratch,
+    col2im, col2im_into, conv2d, conv2d_backward, conv2d_backward_accum,
+    conv2d_backward_params_accum, conv2d_backward_ws, conv2d_forward, conv2d_forward_direct,
+    conv2d_forward_implicit, conv2d_forward_materialized, im2col, Conv2dShape, ConvScratch,
 };
 pub use dispatch::{
     classify_conv, classify_gemm, tiles_for, tuned_entries, validate_tiles, with_forced_tiles,
-    GemmOp, ShapeClass, TileParams, DEFAULT_TILES,
+    ConvLowering, GemmOp, ShapeClass, TileParams, DEFAULT_TILES,
 };
 pub use matmul::{
     matmul, matmul_a_bt, matmul_a_bt_slices, matmul_at_b, matmul_at_b_slices, matmul_slices,

@@ -70,9 +70,13 @@ pub fn maxpool2d(input: &Tensor, s: &Pool2dShape) -> (Tensor, Vec<u32>) {
     );
     assert!(s.stride > 0, "pool stride must be positive");
     let (oh, ow) = (s.out_h(), s.out_w());
+    let xs = input.as_slice();
+    if (s.kernel_h, s.kernel_w, s.stride) == (2, 2, 2) {
+        let (out, arg) = maxpool_2x2(xs, s, n * s.channels);
+        return (Tensor::from_vec(out, &[n, s.channels, oh, ow]), arg);
+    }
     let mut out = Vec::with_capacity(n * s.channels * oh * ow);
     let mut arg = Vec::with_capacity(out.capacity());
-    let xs = input.as_slice();
     for i in 0..n {
         for c in 0..s.channels {
             let plane_off = (i * s.channels + c) * s.in_h * s.in_w;
@@ -99,6 +103,44 @@ pub fn maxpool2d(input: &Tensor, s: &Pool2dShape) -> (Tensor, Vec<u32>) {
         }
     }
     (Tensor::from_vec(out, &[n, s.channels, oh, ow]), arg)
+}
+
+/// The `2x2/2` window every model in the paper pools with, over
+/// `planes` contiguous `[in_h, in_w]` planes: the general loop's exact
+/// comparison sequence (row-major window order, strict `>` from `-∞`, so
+/// the first maximum wins and a window with nothing above `-∞` — all NaN
+/// — keeps `-∞` and flat index 0), unrolled over two row slices.
+fn maxpool_2x2(xs: &[f32], s: &Pool2dShape, planes: usize) -> (Vec<f32>, Vec<u32>) {
+    let (oh, ow) = (s.out_h(), s.out_w());
+    let mut out = vec![0.0f32; planes * oh * ow];
+    let mut arg = vec![0u32; out.len()];
+    let rows = out.chunks_exact_mut(ow).zip(arg.chunks_exact_mut(ow));
+    for (r, (out_row, arg_row)) in rows.enumerate() {
+        let (plane, oy) = (r / oh, r % oh);
+        let top_off = plane * s.in_h * s.in_w + 2 * oy * s.in_w;
+        let top = xs[top_off..top_off + 2 * ow].chunks_exact(2);
+        let bot = xs[top_off + s.in_w..top_off + s.in_w + 2 * ow].chunks_exact(2);
+        let windows = top.zip(bot).zip(out_row.iter_mut().zip(arg_row));
+        for (ox, ((t, b), (o, a))) in windows.enumerate() {
+            let base = top_off + 2 * ox;
+            let mut best = f32::NEG_INFINITY;
+            let mut best_idx = 0usize;
+            for (v, idx) in [
+                (t[0], base),
+                (t[1], base + 1),
+                (b[0], base + s.in_w),
+                (b[1], base + s.in_w + 1),
+            ] {
+                if v > best {
+                    best = v;
+                    best_idx = idx;
+                }
+            }
+            *o = best;
+            *a = best_idx as u32;
+        }
+    }
+    (out, arg)
 }
 
 /// Backward of max pooling: route each output gradient to the input element
@@ -192,6 +234,61 @@ mod tests {
         let x = Tensor::from_vec(vec![-5.0, -3.0, -9.0, -4.0], &[1, 1, 2, 2]);
         let (y, _) = maxpool2d(&x, &s);
         assert_eq!(y.as_slice(), &[-3.0]);
+    }
+
+    /// The unrolled `2x2/2` path against the general loop's comparison
+    /// sequence, written out: outputs and argmax must agree exactly,
+    /// including ties, NaN, ±∞ and odd extents whose last row/column no
+    /// window covers.
+    #[test]
+    fn two_by_two_fast_path_matches_reference_exactly() {
+        let mut rng = niid_stats::Pcg64::new(0x9001);
+        for &(h, w) in &[(2usize, 2usize), (4, 6), (5, 7), (12, 12), (3, 9)] {
+            let s = Pool2dShape::square(3, h, w, 2);
+            let mut x = Tensor::randn(&[2, 3, h, w], 1.0, &mut rng);
+            {
+                // Ties (first max must win), an all-NaN window, a NaN
+                // beside finite values, and infinities.
+                let xs = x.as_mut_slice();
+                xs[0] = 1.5;
+                xs[1] = 1.5;
+                xs[w] = 1.5;
+                xs[w + 1] = 1.5;
+                let p1 = h * w;
+                for i in [p1, p1 + 1, p1 + w, p1 + w + 1] {
+                    xs[i] = f32::NAN;
+                }
+                let p2 = 2 * h * w;
+                xs[p2] = f32::NAN;
+                xs[p2 + 1] = f32::NEG_INFINITY;
+                xs[p2 + w] = f32::INFINITY;
+            }
+            let (y, arg) = maxpool2d(&x, &s);
+            let xs = x.as_slice();
+            let (oh, ow) = (s.out_h(), s.out_w());
+            let mut k = 0;
+            for plane in 0..6 {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let mut best = f32::NEG_INFINITY;
+                        let mut best_idx = 0usize;
+                        for ky in 0..2 {
+                            for kx in 0..2 {
+                                let idx = plane * h * w + (2 * oy + ky) * w + 2 * ox + kx;
+                                if xs[idx] > best {
+                                    best = xs[idx];
+                                    best_idx = idx;
+                                }
+                            }
+                        }
+                        assert_eq!(y.as_slice()[k].to_bits(), best.to_bits(), "{h}x{w} out {k}");
+                        assert_eq!(arg[k] as usize, best_idx, "{h}x{w} argmax {k}");
+                        k += 1;
+                    }
+                }
+            }
+            assert_eq!(k, arg.len());
+        }
     }
 
     #[test]

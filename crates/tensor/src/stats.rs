@@ -30,6 +30,7 @@ pub(crate) static CONV_SCRATCH_BYTES: AtomicU64 = AtomicU64::new(0);
 pub(crate) static CONV_SCRATCH_PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 pub(crate) static CONV_IMPLICIT_CALLS: AtomicU64 = AtomicU64::new(0);
 pub(crate) static CONV_MATERIALIZED_CALLS: AtomicU64 = AtomicU64::new(0);
+pub(crate) static CONV_DIRECT_CALLS: AtomicU64 = AtomicU64::new(0);
 
 #[inline]
 pub(crate) fn bump(counter: &AtomicU64, n: u64) {
@@ -98,6 +99,8 @@ pub struct SubstrateStats {
     pub conv_implicit_calls: u64,
     /// Conv passes that ran the materialized im2col lowering.
     pub conv_materialized_calls: u64,
+    /// Conv passes that ran the direct (lowering-free) kernels.
+    pub conv_direct_calls: u64,
 }
 
 impl SubstrateStats {
@@ -187,6 +190,9 @@ impl SubstrateStats {
             conv_materialized_calls: self
                 .conv_materialized_calls
                 .saturating_sub(earlier.conv_materialized_calls),
+            conv_direct_calls: self
+                .conv_direct_calls
+                .saturating_sub(earlier.conv_direct_calls),
         }
     }
 }
@@ -215,6 +221,7 @@ pub fn snapshot() -> SubstrateStats {
         conv_scratch_peak_bytes: CONV_SCRATCH_PEAK_BYTES.load(Ordering::Relaxed),
         conv_implicit_calls: CONV_IMPLICIT_CALLS.load(Ordering::Relaxed),
         conv_materialized_calls: CONV_MATERIALIZED_CALLS.load(Ordering::Relaxed),
+        conv_direct_calls: CONV_DIRECT_CALLS.load(Ordering::Relaxed),
     }
 }
 
@@ -243,6 +250,7 @@ pub fn reset() {
         &CONV_SCRATCH_REUSES,
         &CONV_IMPLICIT_CALLS,
         &CONV_MATERIALIZED_CALLS,
+        &CONV_DIRECT_CALLS,
     ] {
         c.store(0, Ordering::Relaxed);
     }

@@ -1,8 +1,9 @@
-//! The implicit-GEMM convolution contract, checked from outside the
-//! substrate: the fused lowering (im2col folded into the GEMM panel
-//! pack) must be **bit-exact** against the materialized im2col pipeline
-//! it replaced — across kernel geometries, through non-finite inputs,
-//! and inside a full federated run at any thread count.
+//! The fused-convolution contract, checked from outside the substrate:
+//! the implicit lowering (im2col folded into the GEMM panel pack) and
+//! the direct kernels (no lowering at all, stride 1) must be
+//! **bit-exact** against the materialized im2col pipeline they replaced
+//! — across kernel geometries, through non-finite inputs, and inside a
+//! full federated run at any thread count.
 
 use niid_bench_rs::data::Dataset;
 use niid_bench_rs::fl::engine::{BufferPolicy, FedSim, FlConfig};
@@ -12,8 +13,9 @@ use niid_bench_rs::fl::Algorithm;
 use niid_bench_rs::nn::ModelSpec;
 use niid_bench_rs::stats::Pcg64;
 use niid_bench_rs::tensor::{
-    active_kernel, conv2d_backward_ws, conv2d_forward, conv2d_forward_implicit,
-    conv2d_forward_materialized, with_thread_budget, Conv2dShape, ConvScratch, Tensor,
+    active_kernel, conv2d_backward_ws, conv2d_forward, conv2d_forward_direct,
+    conv2d_forward_implicit, conv2d_forward_materialized, with_thread_budget, Conv2dShape,
+    ConvScratch, Tensor,
 };
 
 /// Run both lowerings on the same problem and return
@@ -84,6 +86,17 @@ fn implicit_matches_materialized_across_shape_sweep() {
                     assert_eq!(gi.0.as_slice(), gm.0.as_slice(), "dX bits differ: {tag}");
                     assert_eq!(gi.1.as_slice(), gm.1.as_slice(), "dW bits differ: {tag}");
                     assert_eq!(gi.2.as_slice(), gm.2.as_slice(), "db bits differ: {tag}");
+                    if stride == 1 {
+                        // The direct kernels cover every stride-1 geometry.
+                        let mut sc_d = ConvScratch::new();
+                        let yd = conv2d_forward_direct(&x, &w, Some(&b), &s, &mut sc_d);
+                        assert_eq!(yd.as_slice(), ym.as_slice(), "direct forward: {tag}");
+                        let gy = Tensor::randn(yd.shape(), 1.0, &mut Pcg64::new(0xBEEF));
+                        let gd = conv2d_backward_ws(&mut sc_d, &w, &gy, &s);
+                        assert_eq!(gd.0.as_slice(), gm.0.as_slice(), "direct dX: {tag}");
+                        assert_eq!(gd.1.as_slice(), gm.1.as_slice(), "direct dW: {tag}");
+                        assert_eq!(gd.2.as_slice(), gm.2.as_slice(), "direct db: {tag}");
+                    }
                 }
             }
         }

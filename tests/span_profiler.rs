@@ -191,6 +191,43 @@ fn ring_wrap_accounts_for_overwritten_entries() {
     assert_eq!(row.dropped, EXTRA);
 }
 
+/// A metrics scrape mirrors the exact per-label counters and nothing
+/// else: it must not move (or depend on) the span rings, which a traced
+/// run keeps full — walking them on every round's scrape is what made a
+/// traced observed round cost 20x an untraced one.
+#[test]
+fn metrics_scrape_mirrors_totals_and_leaves_rings_untouched() {
+    use niid_bench_rs::metrics::registry::{Registry, SampleValue};
+    let _g = prof_lock();
+    prof::enable(true);
+    for _ in 0..prof::RING_CAPACITY + 50 {
+        let _s = prof::span!("test.scrape_burst");
+    }
+    prof::enable(false);
+    let registry = std::sync::Arc::new(Registry::new());
+    niid_bench_rs::fl::dynamics::install_prof_collector(&registry);
+    let rings = prof::ring_stats();
+    let families = registry.gather();
+    assert_eq!(prof::ring_stats(), rings, "a scrape moved a span ring");
+    let calls = families
+        .iter()
+        .find(|f| f.name == "niid_prof_calls_total")
+        .expect("prof gauges present once a span was recorded");
+    for t in prof::totals() {
+        let sample = calls
+            .samples
+            .iter()
+            .find(|s| s.labels == [("span".to_owned(), t.label.to_owned())])
+            .unwrap_or_else(|| panic!("no series for {}", t.label));
+        assert_eq!(
+            sample.value,
+            SampleValue::Gauge(t.calls as f64),
+            "{}",
+            t.label
+        );
+    }
+}
+
 /// The disabled path is the default everywhere, so it has to stay near
 /// free: a generous smoke bound that only catches order-of-magnitude
 /// regressions (e.g. taking a lock per span).

@@ -28,6 +28,21 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
+/// The checkpoint directory holds the v4 file and nothing else: every
+/// save renamed its `checkpoint.bin.tmp` away (or removed it).
+fn assert_only_checkpoint(dir: &std::path::Path, when: &str) {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| fail(&format!("read {}: {e}", dir.display())))
+        .filter_map(|entry| Some(entry.ok()?.file_name().to_string_lossy().into_owned()))
+        .collect();
+    names.sort();
+    if names != ["checkpoint.bin"] {
+        fail(&format!(
+            "{when}: expected only checkpoint.bin, found {names:?}"
+        ));
+    }
+}
+
 fn build_sim(config: FlConfig) -> FedSim {
     let split = generate(DatasetId::Mnist, &GenConfig::tiny(42));
     let part = partition(
@@ -121,9 +136,11 @@ fn main() {
     if !sim.has_checkpoint() {
         fail("no checkpoint on disk after the simulated kill");
     }
+    assert_only_checkpoint(&dir, "after the simulated kill");
     let resumed = sim
         .run_or_resume()
         .unwrap_or_else(|e| fail(&format!("resume: {e}")));
+    assert_only_checkpoint(&dir, "after the resumed run");
     assert_identical(&resumed, &full);
     println!(
         "resume_smoke: resumed stream bit-identical over {} rounds (final acc {:.3})",

@@ -17,7 +17,7 @@
 //! --metrics-port <p>   serve live Prometheus metrics on 127.0.0.1:<p>
 //!                      (0 picks an ephemeral port, printed at startup)
 //! --checkpoint-dir <dir>  write round-granular checkpoints under
-//!                         <dir>/trial<t>/checkpoint.json
+//!                         <dir>/trial<t>/checkpoint.bin
 //! --checkpoint-every <k>  checkpoint cadence in rounds (default 5)
 //! --resume             resume each trial from its checkpoint when one
 //!                      exists (requires --checkpoint-dir or NIID_CHECKPOINT)

@@ -107,7 +107,7 @@ pub struct ExperimentSpec {
     /// endpoint.
     pub metrics_port: Option<u16>,
     /// Root directory for round-granular checkpoints; each trial writes
-    /// under `<dir>/trial<t>/checkpoint.json`. Defaults from the
+    /// under `<dir>/trial<t>/checkpoint.bin`. Defaults from the
     /// `NIID_CHECKPOINT` environment variable; `None` disables
     /// checkpointing.
     pub checkpoint_dir: Option<String>,

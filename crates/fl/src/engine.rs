@@ -445,6 +445,9 @@ impl FedSim {
                 "resume requires FlConfig::checkpoint to locate the checkpoint file".into(),
             )
         })?;
+        // A directory holding only a pre-v4 text checkpoint is refused by
+        // name rather than reported as a missing file.
+        policy.resumable()?;
         let ck = Checkpoint::load(&policy.path())?;
         self.state_from_checkpoint(ck)
     }
@@ -455,6 +458,16 @@ impl FedSim {
             .checkpoint
             .as_ref()
             .is_some_and(|p| p.path().exists())
+    }
+
+    /// [`has_checkpoint`](Self::has_checkpoint) for the `run_or_resume*`
+    /// branch, where a legacy-format checkpoint must stop the run instead
+    /// of being started over (see [`CheckpointPolicy::resumable`]).
+    fn resumable(&self) -> Result<bool, FlError> {
+        self.config
+            .checkpoint
+            .as_ref()
+            .map_or(Ok(false), CheckpointPolicy::resumable)
     }
 
     /// Resume when a checkpoint exists, start fresh otherwise — the shape
@@ -469,7 +482,7 @@ impl FedSim {
         sink: &dyn TraceSink,
         observer: Option<&dyn RoundObserver>,
     ) -> Result<RunResult, FlError> {
-        if self.has_checkpoint() {
+        if self.resumable()? {
             self.resume_observed(sink, observer)
         } else {
             self.run_observed(sink, observer)
@@ -544,7 +557,7 @@ impl FedSim {
         coord: &mut Coordinator,
         sink: &dyn TraceSink,
     ) -> Result<RunResult, FlError> {
-        if self.has_checkpoint() {
+        if self.resumable()? {
             self.resume_distributed(coord, sink)
         } else {
             self.run_distributed(coord, sink)
@@ -1832,6 +1845,43 @@ mod tests {
         let sim = FedSim::new(spec(), parties, test, cfg).unwrap();
         assert!(!sim.has_checkpoint());
         assert!(matches!(sim.resume(), Err(FlError::Checkpoint(_))));
+    }
+
+    /// A directory holding only a pre-v4 `checkpoint.json`: every resume
+    /// entry refuses it by name, and the `run_or_resume*` ones do not
+    /// mistake "no checkpoint.bin" for "start fresh" and run over it.
+    #[test]
+    fn legacy_text_checkpoint_is_refused_not_overwritten() {
+        let dir = std::env::temp_dir().join(format!("niid_engine_legacy_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let legacy = dir.join("checkpoint.json");
+        std::fs::write(&legacy, "{\"version\":3,\"round_next\":2}").unwrap();
+        let (parties, test) = toy_setup(2, 8, 31);
+        let mut cfg = quick_config(Algorithm::FedAvg, 32);
+        cfg.checkpoint = Some(crate::checkpoint::CheckpointPolicy::new(&dir, 1));
+        let sim = FedSim::new(spec(), parties, test, cfg).unwrap();
+        assert!(!sim.has_checkpoint());
+        let mut coord =
+            Coordinator::bind("127.0.0.1:0", 2, sim.fingerprint(), Default::default()).unwrap();
+        let refusals = [
+            sim.resume(),
+            sim.run_or_resume(),
+            sim.resume_distributed(&mut coord, &NoopSink),
+            sim.run_or_resume_distributed(&mut coord, &NoopSink),
+        ];
+        for refusal in refusals {
+            match refusal {
+                Err(FlError::Checkpoint(msg)) => {
+                    assert!(msg.contains("unsupported checkpoint version"), "{msg}");
+                    assert!(msg.contains("checkpoint.json"), "{msg}");
+                }
+                other => panic!("expected a legacy-format refusal, got {other:?}"),
+            }
+        }
+        assert!(!sim.has_checkpoint(), "no run was started over it");
+        assert!(legacy.exists());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

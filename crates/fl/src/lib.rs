@@ -42,6 +42,7 @@ pub mod metrics;
 pub mod net;
 pub mod party;
 pub mod trace;
+pub(crate) mod wire;
 
 pub use algorithm::{Algorithm, ControlVariateUpdate};
 pub use checkpoint::{Checkpoint, CheckpointPolicy};

@@ -1,6 +1,7 @@
 //! Per-round metrics and run results (the training curves of Figures 7–12
 //! and the accuracy cells of Table 3).
 
+use crate::wire::{put_f64, put_u64, Cursor, Malformed};
 use niid_json::{FromJson, Json, JsonError, ToJson};
 
 /// Metrics captured at (the end of) one communication round.
@@ -49,6 +50,46 @@ pub struct RunResult {
     pub total_bytes: usize,
     /// Wall-clock seconds spent in the simulation.
     pub wall_seconds: f64,
+}
+
+impl RoundRecord {
+    /// Append the record in its fixed 81-byte checkpoint layout (exact
+    /// bits): five counts, four timings/losses and the `test_accuracy`
+    /// value as 8-byte words, then the `test_accuracy` presence flag.
+    pub(crate) fn put(&self, buf: &mut Vec<u8>) {
+        put_u64(buf, self.round as u64);
+        put_u64(buf, self.participants as u64);
+        put_u64(buf, self.down_bytes as u64);
+        put_u64(buf, self.up_bytes as u64);
+        put_u64(buf, self.failures as u64);
+        put_f64(buf, self.local_wall_ms);
+        put_f64(buf, self.aggregate_wall_ms);
+        put_f64(buf, self.eval_wall_ms);
+        put_f64(buf, self.avg_local_loss);
+        put_f64(buf, self.test_accuracy.unwrap_or(0.0));
+        buf.push(u8::from(self.test_accuracy.is_some()));
+    }
+
+    /// Read one record written by [`put`](Self::put).
+    pub(crate) fn take(r: &mut Cursor) -> Result<Self, Malformed> {
+        let mut rec = RoundRecord {
+            round: r.usize("record round")?,
+            participants: r.usize("record participants")?,
+            down_bytes: r.usize("record down_bytes")?,
+            up_bytes: r.usize("record up_bytes")?,
+            failures: r.usize("record failures")?,
+            local_wall_ms: r.f64("record local_wall_ms")?,
+            aggregate_wall_ms: r.f64("record aggregate_wall_ms")?,
+            eval_wall_ms: r.f64("record eval_wall_ms")?,
+            avg_local_loss: r.f64("record avg_local_loss")?,
+            test_accuracy: None,
+        };
+        let accuracy = r.f64("record test_accuracy")?;
+        if r.bool("record test_accuracy flag")? {
+            rec.test_accuracy = Some(accuracy);
+        }
+        Ok(rec)
+    }
 }
 
 impl ToJson for RoundRecord {

@@ -43,13 +43,13 @@
 //! the in-process simulator on every field except wall-clock timings.
 
 use crate::algorithm::Algorithm;
-use crate::comm::{read_f32_le, write_f32_le};
 use crate::compress::SEED_COMPRESS_BASE;
 use crate::engine::FlConfig;
 use crate::fault::{FailureKind, FaultAction, PartyFailure};
 use crate::local::{local_train, LocalOutcome, ScaffoldCtx};
 use crate::party::PartyProvider;
 use crate::trace::{TraceEvent, TraceSink};
+use crate::wire::{put_bytes, put_f32s, put_f64, put_len, put_str, put_u64, Cursor, Malformed};
 use niid_json::{FromJson, Json, JsonError, ToJson};
 use niid_metrics::Deadline;
 use niid_nn::{ModelSpec, Network};
@@ -355,108 +355,11 @@ fn send_with_retry(
     }
 }
 
-// ── Payload encodings ────────────────────────────────────────────────
+// ── Payload encodings (the shared [`crate::wire`] byte layout) ───────
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32s(buf: &mut Vec<u8>, xs: &[f32]) {
-    put_u32(buf, xs.len() as u32);
-    write_f32_le(buf, xs);
-}
-
-fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
-    put_u32(buf, b.len() as u32);
-    buf.extend_from_slice(b);
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_bytes(buf, s.as_bytes());
-}
-
-/// Bounds-checked cursor over a frame payload. Every overrun — including
-/// `u32::MAX`-ish vector counts whose byte size would overflow — is a
-/// typed [`NetError::Malformed`], and `finish` rejects trailing garbage.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], NetError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| {
-                NetError::Malformed(format!(
-                    "truncated {what}: need {n} bytes at offset {} of {}",
-                    self.pos,
-                    self.buf.len()
-                ))
-            })?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, NetError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, NetError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, NetError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64, NetError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    fn f32_vec(&mut self, what: &str) -> Result<Vec<f32>, NetError> {
-        let n = self.u32(what)? as usize;
-        let bytes = n
-            .checked_mul(4)
-            .ok_or_else(|| NetError::Malformed(format!("{what} count {n} overflows")))?;
-        Ok(read_f32_le(self.take(bytes, what)?))
-    }
-
-    fn bytes_vec(&mut self, what: &str) -> Result<Vec<u8>, NetError> {
-        let n = self.u32(what)? as usize;
-        Ok(self.take(n, what)?.to_vec())
-    }
-
-    fn string(&mut self, what: &str) -> Result<String, NetError> {
-        let b = self.bytes_vec(what)?;
-        String::from_utf8(b).map_err(|_| NetError::Malformed(format!("{what} is not UTF-8")))
-    }
-
-    fn finish(self, what: &str) -> Result<(), NetError> {
-        if self.pos != self.buf.len() {
-            return Err(NetError::Malformed(format!(
-                "{} trailing bytes after {what}",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
+impl From<Malformed> for NetError {
+    fn from(e: Malformed) -> Self {
+        NetError::Malformed(e.0)
     }
 }
 
@@ -572,18 +475,15 @@ impl BroadcastMsg {
 
     /// Parse a `Broadcast` payload.
     pub fn decode(payload: &[u8]) -> Result<Self, NetError> {
-        let mut r = Reader::new(payload);
-        let round = r.u64("Broadcast round")?;
-        let params = r.f32_vec("Broadcast params")?;
-        let buffers = r.f32_vec("Broadcast buffers")?;
-        let server_c = r.f32_vec("Broadcast server_c")?;
+        let mut r = Cursor::new(payload);
+        let msg = BroadcastMsg {
+            round: r.u64("Broadcast round")?,
+            params: r.f32_vec("Broadcast params")?,
+            buffers: r.f32_vec("Broadcast buffers")?,
+            server_c: r.f32_vec("Broadcast server_c")?,
+        };
         r.finish("Broadcast")?;
-        Ok(BroadcastMsg {
-            round,
-            params,
-            buffers,
-            server_c,
-        })
+        Ok(msg)
     }
 }
 
@@ -612,7 +512,7 @@ impl AssignMsg {
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         put_u64(&mut buf, self.round);
-        put_u32(&mut buf, self.parties.len() as u32);
+        put_len(&mut buf, self.parties.len());
         for p in &self.parties {
             put_u64(&mut buf, p.party_id);
             put_f32s(&mut buf, &p.client_c);
@@ -623,19 +523,16 @@ impl AssignMsg {
 
     /// Parse a `RoundAssign` payload.
     pub fn decode(payload: &[u8]) -> Result<Self, NetError> {
-        let mut r = Reader::new(payload);
+        let mut r = Cursor::new(payload);
         let round = r.u64("RoundAssign round")?;
-        let count = r.u32("RoundAssign count")? as usize;
+        let count = r.u32("RoundAssign count")?;
         // Grow as we parse: a hostile count cannot pre-reserve memory.
         let mut parties = Vec::new();
         for _ in 0..count {
-            let party_id = r.u64("RoundAssign party_id")?;
-            let client_c = r.f32_vec("RoundAssign client_c")?;
-            let residual = r.f32_vec("RoundAssign residual")?;
             parties.push(PartyAssignment {
-                party_id,
-                client_c,
-                residual,
+                party_id: r.u64("RoundAssign party_id")?,
+                client_c: r.f32_vec("RoundAssign client_c")?,
+                residual: r.f32_vec("RoundAssign residual")?,
             });
         }
         r.finish("RoundAssign")?;
@@ -746,44 +643,26 @@ impl UpdateMsg {
 
     /// Parse an `Update` payload.
     pub fn decode(payload: &[u8]) -> Result<Self, NetError> {
-        let mut r = Reader::new(payload);
+        let mut r = Cursor::new(payload);
         let round = r.u64("Update round")?;
         let party_id = r.u64("Update party_id")?;
-        let status = r.u8("Update status")?;
-        let body = match status {
-            0 => {
-                let payload = r.bytes_vec("Update payload")?;
-                let residual = r.f32_vec("Update residual")?;
-                let client_c = r.f32_vec("Update client_c")?;
-                let buffers = r.f32_vec("Update buffers")?;
-                let delta_c = r.f32_vec("Update delta_c")?;
-                let tau = r.u64("Update tau")?;
-                let n_samples = r.u64("Update n_samples")?;
-                let avg_loss = r.f64("Update avg_loss")?;
-                let wall_ms = r.f64("Update wall_ms")?;
-                UpdateBody::Trained {
-                    payload,
-                    residual,
-                    client_c,
-                    buffers,
-                    delta_c,
-                    tau,
-                    n_samples,
-                    avg_loss,
-                    wall_ms,
-                }
-            }
-            1 => {
-                let tag = r.u8("Update failure kind")?;
-                let kind = failure_kind_from_tag(tag)
-                    .ok_or_else(|| NetError::Malformed(format!("unknown failure kind {tag}")))?;
-                let message = r.string("Update failure message")?;
-                UpdateBody::Failed { kind, message }
-            }
-            other => {
-                return Err(NetError::Malformed(format!(
-                    "unknown update status {other}"
-                )))
+        let body = if r.bool("Update status")? {
+            let tag = r.u8("Update failure kind")?;
+            let kind = failure_kind_from_tag(tag)
+                .ok_or_else(|| NetError::Malformed(format!("unknown failure kind {tag}")))?;
+            let message = r.string("Update failure message")?;
+            UpdateBody::Failed { kind, message }
+        } else {
+            UpdateBody::Trained {
+                payload: r.bytes_vec("Update payload")?,
+                residual: r.f32_vec("Update residual")?,
+                client_c: r.f32_vec("Update client_c")?,
+                buffers: r.f32_vec("Update buffers")?,
+                delta_c: r.f32_vec("Update delta_c")?,
+                tau: r.u64("Update tau")?,
+                n_samples: r.u64("Update n_samples")?,
+                avg_loss: r.f64("Update avg_loss")?,
+                wall_ms: r.f64("Update wall_ms")?,
             }
         };
         r.finish("Update")?;
@@ -1851,7 +1730,7 @@ mod tests {
         // AssignMsg with a huge party count but no bytes behind it.
         let mut assign = Vec::new();
         put_u64(&mut assign, 0);
-        put_u32(&mut assign, u32::MAX);
+        assign.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(AssignMsg::decode(&assign).is_err());
 
         // Broadcast truncated mid-vector.

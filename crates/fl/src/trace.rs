@@ -844,7 +844,7 @@ mod tests {
             },
             TraceEvent::CheckpointWritten {
                 round: 1,
-                path: "/tmp/run/checkpoint.json".into(),
+                path: "/tmp/run/checkpoint.bin".into(),
             },
         ];
         for ev in &events {

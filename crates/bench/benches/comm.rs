@@ -121,8 +121,8 @@ fn main() {
 
     h.bench("round_traffic_accounting", |bench| {
         bench.iter(|| {
-            let plain = RoundTraffic::for_round(black_box(100), 40_960, 0, false);
-            let scaffold = RoundTraffic::for_round(black_box(100), 40_960, 0, true);
+            let plain = RoundTraffic::for_round_faulted(black_box(100), 100, 0, 40_960, 0, false);
+            let scaffold = RoundTraffic::for_round_faulted(black_box(100), 100, 0, 40_960, 0, true);
             assert_eq!(scaffold.total(), 2 * plain.total());
             (plain, scaffold)
         })

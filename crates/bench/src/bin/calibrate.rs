@@ -2,8 +2,8 @@
 //! at each scale? Used to size the experiment defaults; not part of the
 //! paper's tables.
 
-use niid_bench::{maybe_write_profile, print_header, Args};
-use niid_core::experiment::{run_experiment, ExperimentSpec};
+use niid_bench::{maybe_write_profile, print_header, run_or_exit, Args};
+use niid_core::experiment::ExperimentSpec;
 use niid_core::partition::Strategy;
 use niid_data::DatasetId;
 use niid_fl::Algorithm;
@@ -31,7 +31,7 @@ fn main() {
         args.apply(&mut spec, 50, 1);
         spec.rounds = 2;
         let t = Instant::now();
-        let result = run_experiment(&spec).expect("experiment failed");
+        let result = run_or_exit(&spec);
         let secs = t.elapsed().as_secs_f64();
         println!(
             "{:<10} {:>6.2}s for {} rounds ({:.2}s/round), acc {:.3}",

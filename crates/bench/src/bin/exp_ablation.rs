@@ -12,9 +12,9 @@
 
 use niid_bench::{
     curve_line, maybe_print_metrics_summary, maybe_print_trace_summary, maybe_write_json,
-    maybe_write_profile, print_header, Args,
+    maybe_write_profile, print_header, run_or_exit, Args,
 };
-use niid_core::experiment::{run_experiment, ExperimentResult, ExperimentSpec};
+use niid_core::experiment::{ExperimentResult, ExperimentSpec};
 use niid_core::partition::Strategy;
 use niid_data::DatasetId;
 use niid_fl::{Algorithm, ControlVariateUpdate};
@@ -43,7 +43,7 @@ fn main() {
             args.gen_config(),
         );
         args.apply(&mut spec, 50, 1);
-        let result = run_experiment(&spec).expect("experiment");
+        let result = run_or_exit(&spec);
         println!(
             "  {}   volatility {:.4}",
             curve_line(name, &result.runs[0].curve()),
@@ -62,7 +62,7 @@ fn main() {
         );
         args.apply(&mut spec, 50, 1);
         spec.server_lr = server_lr;
-        let result = run_experiment(&spec).expect("experiment");
+        let result = run_or_exit(&spec);
         println!(
             "  {}   volatility {:.4}",
             curve_line(&format!("eta = {server_lr}"), &result.runs[0].curve()),
@@ -82,7 +82,7 @@ fn main() {
             );
             args.apply(&mut spec, 50, 1);
             spec.local_epochs = epochs;
-            let result = run_experiment(&spec).expect("experiment");
+            let result = run_or_exit(&spec);
             println!(
                 "  {}",
                 curve_line(

@@ -21,9 +21,9 @@
 
 use niid_bench::{
     curve_line, maybe_print_metrics_summary, maybe_print_trace_summary, maybe_write_profile,
-    print_header, Args,
+    print_header, run_or_exit, Args,
 };
-use niid_core::experiment::{run_experiment, ExperimentSpec};
+use niid_core::experiment::ExperimentSpec;
 use niid_core::partition::Strategy;
 use niid_data::DatasetId;
 use niid_fl::{Algorithm, UpdateCodec};
@@ -144,7 +144,7 @@ fn main() {
                 ExperimentSpec::new(dataset, strategy, Algorithm::FedAvg, args.gen_config());
             args.apply(&mut spec, 50, 1);
             spec.codec = codec;
-            let result = run_experiment(&spec).expect("experiment");
+            let result = run_or_exit(&spec);
             let run = &result.runs[0];
             let up: usize = run.rounds.iter().map(|r| r.up_bytes).sum();
             let down: usize = run.rounds.iter().map(|r| r.down_bytes).sum();

@@ -8,9 +8,9 @@
 
 use niid_bench::{
     curve_line, maybe_print_metrics_summary, maybe_print_trace_summary, maybe_write_json,
-    maybe_write_profile, print_header, Args, Scale,
+    maybe_write_profile, print_header, run_or_exit, Args, Scale,
 };
-use niid_core::experiment::{run_experiment, ExperimentResult, ExperimentSpec};
+use niid_core::experiment::{ExperimentResult, ExperimentSpec};
 use niid_core::partition::Strategy;
 use niid_data::DatasetId;
 use niid_fl::engine::BufferPolicy;
@@ -70,7 +70,7 @@ fn main() {
             args.apply(&mut spec, 100, 1);
             spec.model = Some(model);
             spec.buffer_policy = policy;
-            let result = run_experiment(&spec).expect("experiment");
+            let result = run_or_exit(&spec);
             let run = &result.runs[0];
             println!(
                 "  {}   volatility {:.4}",

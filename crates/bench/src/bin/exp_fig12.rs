@@ -5,9 +5,9 @@
 
 use niid_bench::{
     curve_line, maybe_print_metrics_summary, maybe_print_trace_summary, maybe_write_json,
-    maybe_write_profile, print_header, Args, Scale,
+    maybe_write_profile, print_header, run_or_exit, Args, Scale,
 };
-use niid_core::experiment::{run_experiment, ExperimentResult, ExperimentSpec};
+use niid_core::experiment::{ExperimentResult, ExperimentSpec};
 use niid_core::partition::Strategy;
 use niid_data::DatasetId;
 use niid_fl::Algorithm;
@@ -41,7 +41,7 @@ fn main() {
             args.apply(&mut spec, 100, 1);
             spec.n_parties = parties;
             spec.sample_fraction = fraction;
-            let result = run_experiment(&spec).expect("experiment");
+            let result = run_or_exit(&spec);
             let run = &result.runs[0];
             println!(
                 "  {}   volatility {:.4}",

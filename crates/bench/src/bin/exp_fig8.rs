@@ -4,9 +4,9 @@
 
 use niid_bench::{
     curve_line, maybe_print_metrics_summary, maybe_print_trace_summary, maybe_write_json,
-    maybe_write_profile, print_header, Args,
+    maybe_write_profile, print_header, run_or_exit, Args,
 };
-use niid_core::experiment::{run_experiment, ExperimentResult, ExperimentSpec};
+use niid_core::experiment::{ExperimentResult, ExperimentSpec};
 use niid_core::partition::Strategy;
 use niid_data::DatasetId;
 use niid_fl::Algorithm;
@@ -26,7 +26,7 @@ fn main() {
             args.gen_config(),
         );
         args.apply(&mut spec, 50, 1);
-        let result = run_experiment(&spec).expect("experiment");
+        let result = run_or_exit(&spec);
         let run = &result.runs[0];
         // Rounds to reach 90% of the mu=0 final accuracy measures speed.
         println!("{}", curve_line(&format!("mu = {mu}"), &run.curve()));

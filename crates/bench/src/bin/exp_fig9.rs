@@ -5,9 +5,9 @@
 
 use niid_bench::{
     maybe_print_metrics_summary, maybe_print_trace_summary, maybe_write_json, maybe_write_profile,
-    print_header, Args, Scale,
+    print_header, run_or_exit, Args, Scale,
 };
-use niid_core::experiment::{run_experiment, ExperimentResult, ExperimentSpec};
+use niid_core::experiment::{ExperimentResult, ExperimentSpec};
 use niid_core::partition::Strategy;
 use niid_core::Table;
 use niid_data::DatasetId;
@@ -41,7 +41,7 @@ fn main() {
                     ExperimentSpec::new(DatasetId::Cifar10, strategy, algo, args.gen_config());
                 args.apply(&mut spec, 50, 1);
                 spec.local_epochs = epochs;
-                let result = run_experiment(&spec).expect("experiment");
+                let result = run_or_exit(&spec);
                 row.push(format!("{:.1}%", result.mean_accuracy * 100.0));
                 all.push(result);
             }

@@ -9,9 +9,9 @@
 
 use niid_bench::{
     maybe_print_metrics_summary, maybe_print_trace_summary, maybe_write_json, maybe_write_profile,
-    print_header, Args,
+    print_header, run_or_exit, Args,
 };
-use niid_core::experiment::{run_experiment, ExperimentResult, ExperimentSpec};
+use niid_core::experiment::{ExperimentResult, ExperimentSpec};
 use niid_core::partition::Strategy;
 use niid_core::{Leaderboard, Table};
 use niid_data::DatasetId;
@@ -90,14 +90,7 @@ fn main() {
             for algo in algorithms {
                 let mut spec = ExperimentSpec::new(*dataset, *strategy, algo, args.gen_config());
                 args.apply(&mut spec, 50, 3);
-                let result = run_experiment(&spec).unwrap_or_else(|e| {
-                    panic!(
-                        "{} / {} / {}: {e}",
-                        dataset.name(),
-                        strategy.label(),
-                        algo.name()
-                    )
-                });
+                let result = run_or_exit(&spec);
                 row.push(result.cell());
                 board.add(&result);
                 all_results.push(result);

@@ -16,6 +16,7 @@
 //! original party processes find it again on their own.
 
 use niid_bench::dist::{build_sim, DistArgs};
+use niid_fl::engine::{RunOptions, Start};
 use niid_fl::net::{Coordinator, NetConfig};
 use niid_fl::trace::NoopSink;
 use niid_json::ToJson;
@@ -63,22 +64,25 @@ fn main() {
         .unwrap_or_else(|e| fail(&format!("roster: {e}")));
     println!("fl_server: roster complete, driving {} rounds", args.rounds);
 
+    let result = sim
+        .run_with(RunOptions {
+            start: if args.resume {
+                Start::Auto
+            } else {
+                Start::Fresh
+            },
+            stop_after: args.stop_after,
+            coordinator: Some(&mut coord),
+            ..RunOptions::new(&NoopSink)
+        })
+        .unwrap_or_else(|e| fail(&format!("run: {e}")));
     if let Some(stop_after) = args.stop_after {
-        // Rehearse a coordinator crash: run a prefix of the rounds, then
+        // Rehearse a coordinator crash: a prefix of the rounds ran, now
         // exit without sending Shutdown — from the parties' perspective
         // the connections just die, exactly like a kill.
-        sim.run_interrupted_distributed(&mut coord, stop_after, &NoopSink)
-            .unwrap_or_else(|e| fail(&format!("interrupted run: {e}")));
         println!("fl_server: stopping after round {stop_after} (simulated crash)");
         return;
     }
-
-    let result = if args.resume {
-        sim.run_or_resume_distributed(&mut coord, &NoopSink)
-    } else {
-        sim.run_distributed(&mut coord, &NoopSink)
-    }
-    .unwrap_or_else(|e| fail(&format!("run: {e}")));
     coord.shutdown_all();
 
     println!(

@@ -16,7 +16,7 @@
 
 use niid_core::partition::{build_parties, partition, Strategy};
 use niid_data::{generate, DatasetId, GenConfig};
-use niid_fl::engine::{BufferPolicy, FedSim, FlConfig};
+use niid_fl::engine::{BufferPolicy, FedSim, FlConfig, RunOptions, Start};
 use niid_fl::local::LocalConfig;
 use niid_fl::trace::NoopSink;
 use niid_fl::{Algorithm, CheckpointPolicy, ControlVariateUpdate, FaultPlan, RunResult};
@@ -138,7 +138,10 @@ fn main() {
     }
     assert_only_checkpoint(&dir, "after the simulated kill");
     let resumed = sim
-        .run_or_resume()
+        .run_with(RunOptions {
+            start: Start::Auto,
+            ..RunOptions::new(&NoopSink)
+        })
         .unwrap_or_else(|e| fail(&format!("resume: {e}")));
     assert_only_checkpoint(&dir, "after the resumed run");
     assert_identical(&resumed, &full);

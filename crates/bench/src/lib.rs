@@ -36,7 +36,7 @@
 pub mod dist;
 pub mod harness;
 
-use niid_core::experiment::ExperimentSpec;
+use niid_core::experiment::{run_experiment, ExperimentResult, ExperimentSpec};
 use niid_data::GenConfig;
 use niid_fl::{FaultPlan, TraceSummary, UpdateCodec};
 use niid_json::ToJson;
@@ -278,6 +278,22 @@ impl Args {
             .as_ref()
             .map(|d| std::path::Path::new(d).join("metrics.jsonl"))
     }
+}
+
+/// Run one experiment cell, or print its typed error and exit 2. A
+/// refused checkpoint, a lost quorum or an unpartitionable cell is an
+/// outcome the run was built to report, not a bug to unwind through a
+/// panic banner.
+pub fn run_or_exit(spec: &ExperimentSpec) -> ExperimentResult {
+    run_experiment(spec).unwrap_or_else(|e| {
+        eprintln!(
+            "error: {} / {} / {}: {e}",
+            spec.dataset.name(),
+            spec.strategy.label(),
+            spec.algorithm.name()
+        );
+        std::process::exit(2)
+    })
 }
 
 /// Print a standard experiment header. When `--trace` was given, the trace

@@ -4,9 +4,9 @@
 use crate::partition::{build_parties, partition, LazyPartition, PartitionError, Strategy};
 use niid_data::{generate, DatasetId, GenConfig};
 use niid_fl::dynamics::{DynamicsRecorder, RoundObserver};
-use niid_fl::engine::{BufferPolicy, FedSim, FlConfig};
+use niid_fl::engine::{BufferPolicy, FedSim, FlConfig, RunOptions, Start};
 use niid_fl::local::LocalConfig;
-use niid_fl::trace::{JsonlSink, NoopSink};
+use niid_fl::trace::{JsonlSink, NoopSink, TraceSink};
 use niid_fl::{Algorithm, CheckpointPolicy, FaultPlan, FlError, RunResult, UpdateCodec};
 use niid_json::{FromJson, Json, JsonError, ToJson};
 use niid_metrics::{
@@ -445,18 +445,15 @@ pub fn run_experiment(spec: &ExperimentSpec) -> Result<ExperimentResult, Experim
             let parties = build_parties(&train, &part, derive_seed(tseed, 0x17));
             FedSim::new(model.clone(), parties, test.clone(), config)?
         };
-        let result = if spec.resume {
-            match (&sink, observer) {
-                (Some(s), obs) => sim.run_or_resume_observed(s, obs)?,
-                (None, obs) => sim.run_or_resume_observed(&NoopSink, obs)?,
-            }
-        } else {
-            match (&sink, observer) {
-                (Some(s), obs) => sim.run_observed(s, obs)?,
-                (None, Some(obs)) => sim.run_observed(&NoopSink, Some(obs))?,
-                (None, None) => sim.run()?,
-            }
-        };
+        let result = sim.run_with(RunOptions {
+            observer,
+            start: if spec.resume {
+                Start::Auto
+            } else {
+                Start::Fresh
+            },
+            ..RunOptions::new(sink.as_ref().map_or(&NoopSink, |s| s as &dyn TraceSink))
+        })?;
         accuracies.push(result.final_accuracy);
         runs.push(result);
     }

@@ -21,51 +21,16 @@ pub struct RoundTraffic {
 }
 
 impl RoundTraffic {
-    /// Compute the round's traffic from the exchanged vector sizes.
+    /// Traffic computed from the exchanged vector sizes: `param_len`
+    /// trainable parameters and `buffer_len` BatchNorm buffers shipped both
+    /// ways, plus SCAFFOLD's `c` down and `Δc` up under
+    /// `with_control_variates`. The engine bills from encoded payload
+    /// lengths instead; this formula is the oracle its dense billing is
+    /// tested against.
     ///
-    /// * `participants` — number of sampled parties this round,
-    /// * `param_len` — trainable parameter count,
-    /// * `buffer_len` — BatchNorm buffer count (shipped both ways),
-    /// * `with_control_variates` — SCAFFOLD ships `c` down and `Δc` up.
-    pub fn for_round(
-        participants: usize,
-        param_len: usize,
-        buffer_len: usize,
-        with_control_variates: bool,
-    ) -> Self {
-        Self::for_round_degraded(
-            participants,
-            participants,
-            param_len,
-            buffer_len,
-            with_control_variates,
-        )
-    }
-
-    /// Traffic for a round where only `survivors` of the `selected`
-    /// parties reported back and none of the failures got an upload onto
-    /// the wire (crashes/panics). Equivalent to
-    /// [`for_round_faulted`](Self::for_round_faulted) with `dropped = 0`.
-    pub fn for_round_degraded(
-        selected: usize,
-        survivors: usize,
-        param_len: usize,
-        buffer_len: usize,
-        with_control_variates: bool,
-    ) -> Self {
-        Self::for_round_faulted(
-            selected,
-            survivors,
-            0,
-            param_len,
-            buffer_len,
-            with_control_variates,
-        )
-    }
-
-    /// Traffic for a round with failures split by kind. The broadcast went
-    /// to every selected party (the server cannot know who will fail), and
-    /// uploads are billed by what actually hit the wire:
+    /// The broadcast went to every selected party (the server cannot know
+    /// who will fail), and uploads are billed by what actually hit the
+    /// wire:
     ///
     /// * `survivors` — parties whose update arrived and aggregated,
     /// * `dropped` — parties whose update was **sent but lost in
@@ -221,33 +186,33 @@ mod tests {
 
     #[test]
     fn scaffold_doubles_traffic_for_buffer_free_models() {
-        let plain = RoundTraffic::for_round(10, 1000, 0, false);
-        let scaffold = RoundTraffic::for_round(10, 1000, 0, true);
+        let plain = RoundTraffic::for_round_faulted(10, 10, 0, 1000, 0, false);
+        let scaffold = RoundTraffic::for_round_faulted(10, 10, 0, 1000, 0, true);
         assert_eq!(scaffold.total(), 2 * plain.total());
     }
 
     #[test]
     fn traffic_scales_with_participants() {
-        let a = RoundTraffic::for_round(5, 100, 0, false);
-        let b = RoundTraffic::for_round(10, 100, 0, false);
+        let a = RoundTraffic::for_round_faulted(5, 5, 0, 100, 0, false);
+        let b = RoundTraffic::for_round_faulted(10, 10, 0, 100, 0, false);
         assert_eq!(2 * a.down_bytes, b.down_bytes);
     }
 
     #[test]
     fn buffers_count_toward_traffic() {
-        let without = RoundTraffic::for_round(1, 100, 0, false);
-        let with = RoundTraffic::for_round(1, 100, 20, false);
+        let without = RoundTraffic::for_round_faulted(1, 1, 0, 100, 0, false);
+        let with = RoundTraffic::for_round_faulted(1, 1, 0, 100, 20, false);
         assert_eq!(with.total() - without.total(), 2 * f32_payload_bytes(20));
     }
 
     #[test]
     fn degraded_round_halves_only_the_upload() {
-        let clean = RoundTraffic::for_round(10, 1000, 8, false);
-        let degraded = RoundTraffic::for_round_degraded(10, 5, 1000, 8, false);
+        let clean = RoundTraffic::for_round_faulted(10, 10, 0, 1000, 8, false);
+        let degraded = RoundTraffic::for_round_faulted(10, 5, 0, 1000, 8, false);
         assert_eq!(degraded.down_bytes, clean.down_bytes, "broadcast unchanged");
         assert_eq!(2 * degraded.up_bytes, clean.up_bytes);
         // No survivors at all: the broadcast still happened.
-        let dead = RoundTraffic::for_round_degraded(10, 0, 1000, 8, true);
+        let dead = RoundTraffic::for_round_faulted(10, 0, 0, 1000, 8, true);
         assert_eq!(dead.up_bytes, 0);
         assert!(dead.down_bytes > 0);
     }
@@ -264,17 +229,12 @@ mod tests {
 
         // A pure-drop round uploads exactly as much as a clean round.
         let all_dropped = RoundTraffic::for_round_faulted(10, 0, 10, 1000, 8, false);
-        let clean = RoundTraffic::for_round(10, 1000, 8, false);
+        let clean = RoundTraffic::for_round_faulted(10, 10, 0, 1000, 8, false);
         assert_eq!(all_dropped.up_bytes, clean.up_bytes);
 
-        // A pure-crash round uploads nothing (degraded == faulted with
-        // dropped = 0).
+        // A pure-crash round uploads nothing.
         let all_crashed = RoundTraffic::for_round_faulted(10, 0, 0, 1000, 8, false);
         assert_eq!(all_crashed.up_bytes, 0);
-        assert_eq!(
-            all_crashed,
-            RoundTraffic::for_round_degraded(10, 0, 1000, 8, false)
-        );
 
         // SCAFFOLD's control variate rides on dropped uploads too.
         let cv = RoundTraffic::for_round_faulted(4, 2, 2, 100, 0, true);

@@ -8,23 +8,22 @@ use crate::aggregate::{
 use crate::algorithm::Algorithm;
 use crate::checkpoint::{Checkpoint, CheckpointPolicy};
 use crate::comm::RoundTraffic;
-use crate::compress::{DecodedUpdate, UpdateCodec, SEED_COMPRESS_BASE};
+use crate::compress::{DecodedUpdate, UpdateCodec};
 use crate::dynamics::{RoundObservation, RoundObserver};
 use crate::error::FlError;
-use crate::fault::{FailureKind, FaultAction, FaultPlan, PartyFailure, PartyOutcome};
-use crate::local::{local_train, LocalConfig, LocalOutcome, ScaffoldCtx};
+use crate::fault::{FailureKind, FaultPlan, PartyFailure};
+use crate::local::{LocalConfig, LocalOutcome};
 use crate::metrics::{RoundRecord, RunResult};
-use crate::net::{Coordinator, NetError, RemoteOutcome, WireUpdate};
-use crate::party::{OwnedParty, Party, PartyProvider, PartyRef};
+use crate::net::{Coordinator, NetError};
+use crate::party::{Party, PartyProvider, PartyStore};
 use crate::trace::{NoopSink, TraceEvent, TraceSink};
+use crate::transport::{Broadcast, LocalPool, PartyEnv, PartyOutcome, TrainedParty, Transport};
 use niid_data::Dataset;
-use niid_nn::ModelSpec;
+use niid_nn::{ModelSpec, Network};
 use niid_stats::{derive_seed, Pcg64};
-use niid_tensor::{active_kernel, configured_threads, set_thread_budget, with_forced_kernel};
+use niid_tensor::active_kernel;
 use std::collections::BTreeMap;
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::ops::Range;
 use std::time::Instant;
 
 /// How the server treats BatchNorm running statistics at aggregation.
@@ -125,41 +124,55 @@ pub struct FedSim {
     config: FlConfig,
 }
 
-/// Where party datasets live for the run's lifetime.
-///
-/// Cross-silo runs (tens of parties) keep every dataset resident, exactly
-/// as before. Cross-device runs hand the engine a [`PartyProvider`]
-/// instead, and a party's dataset view exists only while a worker is
-/// training it — peak party-resident memory is `O(workers)` datasets,
-/// not `O(N)`.
-enum PartyStore {
-    /// Every party's dataset held in memory for the whole run.
-    Resident(Vec<Party>),
-    /// Parties materialized per cohort and dropped after training.
-    OnDemand(Box<dyn PartyProvider>),
+/// Where [`FedSim::run_with`] starts from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Start {
+    /// Round 0, fresh state.
+    Fresh,
+    /// The checkpoint at `FlConfig::checkpoint`; an error without one.
+    Resume,
+    /// Resume when a checkpoint exists, start fresh otherwise — the shape
+    /// experiment drivers want for `--resume`.
+    Auto,
 }
 
-impl PartyStore {
-    fn len(&self) -> usize {
-        match self {
-            PartyStore::Resident(v) => v.len(),
-            PartyStore::OnDemand(p) => p.n_parties(),
-        }
-    }
+/// How to run a [`FedSim`]: the arguments of [`FedSim::run_with`].
+pub struct RunOptions<'a> {
+    /// Receives the run's [`TraceEvent`] stream ([`NoopSink`] = untraced,
+    /// at no observability cost).
+    pub sink: &'a dyn TraceSink,
+    /// Training-dynamics observer (see [`crate::dynamics`]). When present,
+    /// the engine keeps a copy of the pre-aggregation global parameters
+    /// each round and hands the observer a [`RoundObservation`] after
+    /// aggregation and evaluation; its
+    /// [`grad_spans`](RoundObserver::grad_spans) are threaded into local
+    /// training so per-layer gradient norms get accumulated. Observation
+    /// never changes the numerical trajectory. In-process runs only.
+    pub observer: Option<&'a dyn RoundObserver>,
+    /// Fresh, resumed, or whichever the checkpoint directory allows.
+    pub start: Start,
+    /// Stop after this many rounds — a simulated kill. Evaluation and
+    /// checkpoint cadence stay tied to the *target* round count
+    /// (`FlConfig::rounds`), exactly as in a real run that dies
+    /// mid-flight, so a later resume continues the same trajectory.
+    pub stop_after: Option<usize>,
+    /// Train each cohort on the party processes connected to this
+    /// coordinator instead of the in-process pool. Server-side state —
+    /// error-feedback residuals and SCAFFOLD variates included — stays
+    /// here (and in the checkpoint); parties are stateless between
+    /// rounds, so a server restart needs no party-side recovery.
+    pub coordinator: Option<&'a mut Coordinator>,
+}
 
-    /// `|Dᵢ|` without materializing anything.
-    fn num_samples(&self, id: usize) -> usize {
-        match self {
-            PartyStore::Resident(v) => v[id].num_samples(),
-            PartyStore::OnDemand(p) => p.num_samples(id),
-        }
-    }
-
-    /// Borrow (resident) or materialize (on-demand) party `id`.
-    fn party(&self, id: usize) -> PartyRef<'_> {
-        match self {
-            PartyStore::Resident(v) => PartyRef::Borrowed(&v[id]),
-            PartyStore::OnDemand(p) => PartyRef::Owned(OwnedParty::new(p.materialize(id))),
+impl<'a> RunOptions<'a> {
+    /// A fresh, complete, in-process, unobserved run traced to `sink`.
+    pub fn new(sink: &'a dyn TraceSink) -> Self {
+        RunOptions {
+            sink,
+            observer: None,
+            start: Start::Fresh,
+            stop_after: None,
+            coordinator: None,
         }
     }
 }
@@ -375,12 +388,9 @@ impl FedSim {
         picked
     }
 
-    /// Run the simulation to completion.
-    ///
-    /// Equivalent to [`run_traced`](Self::run_traced) with a [`NoopSink`];
-    /// untraced runs pay no observability cost.
+    /// Run the simulation to completion, untraced.
     pub fn run(&self) -> Result<RunResult, FlError> {
-        self.run_traced(&NoopSink)
+        self.run_with(RunOptions::new(&NoopSink))
     }
 
     /// Run the simulation, emitting a [`TraceEvent`] stream to `sink`.
@@ -391,54 +401,108 @@ impl FedSim {
     /// one `RoundFinished`. The same phase timings land in each
     /// [`RoundRecord`].
     pub fn run_traced(&self, sink: &dyn TraceSink) -> Result<RunResult, FlError> {
-        self.run_observed(sink, None)
+        self.run_with(RunOptions::new(sink))
     }
 
-    /// Run the simulation with tracing plus an optional training-dynamics
-    /// observer (see [`crate::dynamics`]). When an observer is present,
-    /// the engine keeps a copy of the pre-aggregation global parameters
-    /// each round and hands the observer a [`RoundObservation`] after
-    /// aggregation and evaluation; the observer's
-    /// [`grad_spans`](RoundObserver::grad_spans) are threaded into local
-    /// training so per-layer gradient norms get accumulated. Observation
-    /// never changes the numerical trajectory of the run.
+    /// [`run_traced`](Self::run_traced) plus an optional training-dynamics
+    /// observer (see [`RunOptions::observer`]).
     pub fn run_observed(
         &self,
         sink: &dyn TraceSink,
         observer: Option<&dyn RoundObserver>,
     ) -> Result<RunResult, FlError> {
-        self.drive(
-            self.initial_state(),
-            sink,
-            observer,
-            self.config.rounds,
-            None,
-        )
+        let mut opts = RunOptions::new(sink);
+        opts.observer = observer;
+        self.run_with(opts)
     }
 
     /// Resume from the checkpoint at `FlConfig::checkpoint` and run the
-    /// remaining rounds. Because every random draw is derived statelessly
-    /// from `(seed, round, party)`, the resumed trajectory — records,
-    /// accuracies, traffic — is bit-for-bit identical to the run that was
-    /// never interrupted. Fails with [`FlError::Checkpoint`] when no
-    /// checkpoint policy is configured, the file is missing/corrupt, or it
-    /// was written by an incompatible configuration.
+    /// remaining rounds ([`Start::Resume`]).
     pub fn resume(&self) -> Result<RunResult, FlError> {
-        self.resume_observed(&NoopSink, None)
+        let mut opts = RunOptions::new(&NoopSink);
+        opts.start = Start::Resume;
+        self.run_with(opts)
     }
 
-    /// [`resume`](Self::resume) with tracing and an optional observer
-    /// (mirrors [`run_observed`](Self::run_observed)).
-    pub fn resume_observed(
+    /// Run from scratch but stop after `stop_after` rounds — a simulated
+    /// kill (see [`RunOptions::stop_after`]). Returns the partial result.
+    pub fn run_interrupted(
         &self,
+        stop_after: usize,
         sink: &dyn TraceSink,
-        observer: Option<&dyn RoundObserver>,
     ) -> Result<RunResult, FlError> {
-        let state = self.loaded_state()?;
-        self.drive(state, sink, observer, self.config.rounds, None)
+        let mut opts = RunOptions::new(sink);
+        opts.stop_after = Some(stop_after);
+        self.run_with(opts)
+    }
+
+    /// Run to completion with local training delegated to the party
+    /// processes connected to `coord` (see [`RunOptions::coordinator`]).
+    pub fn run_distributed(
+        &self,
+        coord: &mut Coordinator,
+        sink: &dyn TraceSink,
+    ) -> Result<RunResult, FlError> {
+        let mut opts = RunOptions::new(sink);
+        opts.coordinator = Some(coord);
+        self.run_with(opts)
+    }
+
+    /// The one run entry: every other `run*`/`resume` method is a
+    /// delegation to this with some [`RunOptions`] fields set.
+    ///
+    /// Because every random draw is derived statelessly from
+    /// `(seed, round, party)`, a resumed trajectory — records, accuracies,
+    /// traffic — is bit-for-bit identical to the run that was never
+    /// interrupted, and a distributed one to the in-process one (on every
+    /// field except wall-clock timings).
+    pub fn run_with(&self, opts: RunOptions<'_>) -> Result<RunResult, FlError> {
+        let started = Instant::now();
+        if opts.observer.is_some() && opts.coordinator.is_some() {
+            return Err(FlError::InvalidConfig {
+                field: "observer",
+                message: "round observers read each party's uncompressed delta, \
+                          which does not cross the wire"
+                    .into(),
+            });
+        }
+        let cfg = &self.config;
+        let resume = match opts.start {
+            Start::Fresh => false,
+            Start::Resume => true,
+            // A legacy-format checkpoint stops the run here instead of
+            // being started over (see `CheckpointPolicy::resumable`).
+            Start::Auto => cfg
+                .checkpoint
+                .as_ref()
+                .map_or(Ok(false), CheckpointPolicy::resumable)?,
+        };
+        let mut st = if resume {
+            self.loaded_state()?
+        } else {
+            self.initial_state()
+        };
+        let mut pool = self.local_pool(opts.observer.and_then(RoundObserver::grad_spans));
+        let transport: &mut dyn Transport = match opts.coordinator {
+            Some(coord) => coord,
+            None => &mut pool,
+        };
+        let stop_round = opts.stop_after.map_or(cfg.rounds, |k| k.min(cfg.rounds));
+        self.drive(&mut st, opts.sink, opts.observer, stop_round, transport)?;
+        Ok(RunResult {
+            algorithm: cfg.algorithm.name().to_string(),
+            rounds: st.records,
+            final_accuracy: st.final_accuracy,
+            best_accuracy: st.best_accuracy,
+            total_bytes: st.total_bytes,
+            wall_seconds: started.elapsed().as_secs_f64(),
+        })
     }
 
     /// Load and validate the configured checkpoint into resumable state.
+    /// Fails with [`FlError::Checkpoint`] when no checkpoint policy is
+    /// configured, the file is missing/corrupt, or it was written by an
+    /// incompatible configuration.
     fn loaded_state(&self) -> Result<SimState, FlError> {
         let policy = self.config.checkpoint.as_ref().ok_or_else(|| {
             FlError::Checkpoint(
@@ -460,125 +524,21 @@ impl FedSim {
             .is_some_and(|p| p.path().exists())
     }
 
-    /// [`has_checkpoint`](Self::has_checkpoint) for the `run_or_resume*`
-    /// branch, where a legacy-format checkpoint must stop the run instead
-    /// of being started over (see [`CheckpointPolicy::resumable`]).
-    fn resumable(&self) -> Result<bool, FlError> {
-        self.config
-            .checkpoint
-            .as_ref()
-            .map_or(Ok(false), CheckpointPolicy::resumable)
-    }
-
-    /// Resume when a checkpoint exists, start fresh otherwise — the shape
-    /// experiment drivers want for `--resume`.
-    pub fn run_or_resume(&self) -> Result<RunResult, FlError> {
-        self.run_or_resume_observed(&NoopSink, None)
-    }
-
-    /// [`run_or_resume`](Self::run_or_resume) with tracing and observer.
-    pub fn run_or_resume_observed(
-        &self,
-        sink: &dyn TraceSink,
-        observer: Option<&dyn RoundObserver>,
-    ) -> Result<RunResult, FlError> {
-        if self.resumable()? {
-            self.resume_observed(sink, observer)
-        } else {
-            self.run_observed(sink, observer)
-        }
-    }
-
-    /// Run from scratch but stop after `stop_after` rounds — a simulated
-    /// kill. Evaluation and checkpoint cadence stay tied to the *target*
-    /// round count (`FlConfig::rounds`), exactly as in a real run that
-    /// dies mid-flight, so a later [`resume`](Self::resume) continues the
-    /// same trajectory. Returns the partial result.
-    pub fn run_interrupted(
-        &self,
-        stop_after: usize,
-        sink: &dyn TraceSink,
-    ) -> Result<RunResult, FlError> {
-        self.drive(
-            self.initial_state(),
-            sink,
-            None,
-            stop_after.min(self.config.rounds),
-            None,
-        )
+    /// The in-process transport over this simulation's parties.
+    fn local_pool<'a>(&'a self, grad_spans: Option<&'a [Range<usize>]>) -> LocalPool<'a> {
+        LocalPool(PartyEnv {
+            cfg: &self.config,
+            model_spec: &self.model_spec,
+            parties: &self.parties,
+            classes: self.test.num_classes,
+            grad_spans,
+        })
     }
 
     /// The canonical config JSON both sides of a distributed run compare
     /// at handshake time (see [`crate::net::config_fingerprint`]).
     pub fn fingerprint(&self) -> String {
         crate::net::config_fingerprint(&self.model_spec, self.parties.len(), &self.config)
-    }
-
-    /// Run to completion with local training delegated to the party
-    /// processes connected to `coord` — the `fl_server` entry point.
-    ///
-    /// Same round loop, sampling, quorum policy, aggregation, evaluation
-    /// and checkpointing as [`run`](Self::run); only the training phase
-    /// crosses sockets. With matching seed/codec/faults the resulting
-    /// [`RoundRecord`] stream is bit-identical to the in-process
-    /// simulator on every field except wall-clock timings.
-    pub fn run_distributed(
-        &self,
-        coord: &mut Coordinator,
-        sink: &dyn TraceSink,
-    ) -> Result<RunResult, FlError> {
-        self.drive(
-            self.initial_state(),
-            sink,
-            None,
-            self.config.rounds,
-            Some(coord),
-        )
-    }
-
-    /// [`resume`](Self::resume) over a distributed cohort. Server-side
-    /// state — error-feedback residuals and SCAFFOLD variates included —
-    /// comes from the checkpoint; parties are stateless between rounds
-    /// (they receive `client_c`/residuals in each `RoundAssign`), so a
-    /// server restart needs no party-side recovery.
-    pub fn resume_distributed(
-        &self,
-        coord: &mut Coordinator,
-        sink: &dyn TraceSink,
-    ) -> Result<RunResult, FlError> {
-        let state = self.loaded_state()?;
-        self.drive(state, sink, None, self.config.rounds, Some(coord))
-    }
-
-    /// Resume when a checkpoint exists, start fresh otherwise — the
-    /// distributed `--resume` shape.
-    pub fn run_or_resume_distributed(
-        &self,
-        coord: &mut Coordinator,
-        sink: &dyn TraceSink,
-    ) -> Result<RunResult, FlError> {
-        if self.resumable()? {
-            self.resume_distributed(coord, sink)
-        } else {
-            self.run_distributed(coord, sink)
-        }
-    }
-
-    /// [`run_interrupted`](Self::run_interrupted) over a distributed
-    /// cohort — a simulated server kill with parties left running.
-    pub fn run_interrupted_distributed(
-        &self,
-        coord: &mut Coordinator,
-        stop_after: usize,
-        sink: &dyn TraceSink,
-    ) -> Result<RunResult, FlError> {
-        self.drive(
-            self.initial_state(),
-            sink,
-            None,
-            stop_after.min(self.config.rounds),
-            Some(coord),
-        )
     }
 
     /// Fresh server-side state for round 0.
@@ -749,26 +709,20 @@ impl FedSim {
     }
 
     /// The round loop: advance `st` from `st.round_next` up to (not
-    /// including) `stop_round`, which is `cfg.rounds` except for
-    /// [`run_interrupted`](Self::run_interrupted). With `remote` set, the
-    /// training phase runs on the connected party processes instead of
-    /// the in-process worker pool; everything else is byte-for-byte the
-    /// same loop.
+    /// including) `stop_round`, which is `cfg.rounds` except for a
+    /// simulated kill. Where the cohort trains is `transport`'s business;
+    /// everything else is the same loop on every path, and nothing a
+    /// round produces is committed to `st` before the round passes quorum.
     fn drive(
         &self,
-        mut st: SimState,
+        st: &mut SimState,
         sink: &dyn TraceSink,
         observer: Option<&dyn RoundObserver>,
         stop_round: usize,
-        mut remote: Option<&mut Coordinator>,
-    ) -> Result<RunResult, FlError> {
-        let start = Instant::now();
+        transport: &mut dyn Transport,
+    ) -> Result<(), FlError> {
         let cfg = &self.config;
-        let classes = self.test.num_classes;
-
-        let mut eval_model = self.model_spec.build(classes, 0);
-        let p_len = st.global_params.len();
-        let is_scaffold = cfg.algorithm.uses_control_variates();
+        let mut eval_model = self.model_spec.build(self.test.num_classes, 0);
 
         for round in st.round_next..stop_round {
             let _round_sp = niid_prof::span!("fl.round");
@@ -782,76 +736,29 @@ impl FedSim {
                 participants: selected.len(),
             });
 
-            let grad_spans = observer.and_then(RoundObserver::grad_spans);
-            // In-process SCAFFOLD training commits refreshed `client_c`
-            // into the state map *before* the quorum verdict, so an
-            // abort-time checkpoint (written when quorum is lost, to
-            // restart at the failed round) must restore the selected
-            // parties' pre-round variates first. Remote rounds apply all
-            // wire state post-quorum and need no snapshot.
-            let client_c_before: Option<Vec<(usize, Option<Vec<f32>>)>> =
-                (remote.is_none() && is_scaffold && cfg.checkpoint.is_some()).then(|| {
-                    selected
-                        .iter()
-                        .map(|&id| (id, st.client_c.get(&id).cloned()))
-                        .collect()
-                });
-            // Survivors' updates exactly as they crossed the wire
-            // (distributed rounds only): codec payload + party-side
-            // refreshed feedback state, adopted after quorum passes.
-            let mut wire_updates: BTreeMap<usize, WireUpdate> = BTreeMap::new();
-            let party_outcomes = match remote.as_mut() {
-                Some(coord) => {
-                    let _sp = niid_prof::span!("fl.train");
-                    coord
-                        .train_round(
-                            round,
-                            &selected,
-                            &st.global_params,
-                            &st.global_buffers,
-                            &st.server_c,
-                            &st.client_c,
-                            &st.residuals,
-                            sink,
-                        )
-                        .into_iter()
-                        .zip(selected.iter().copied())
-                        .map(|(outcome, party_id)| match outcome {
-                            RemoteOutcome::Trained { outcome, wire } => {
-                                wire_updates.insert(party_id, wire);
-                                PartyOutcome::Trained(outcome)
-                            }
-                            RemoteOutcome::Failed(failure) => PartyOutcome::Failed(failure),
-                        })
-                        .collect()
-                }
-                None => {
-                    let _sp = niid_prof::span!("fl.train");
-                    self.train_selected(
-                        &selected,
-                        &st.global_params,
-                        &st.global_buffers,
-                        &st.server_c,
-                        &mut st.client_c,
-                        round,
-                        sink,
-                        grad_spans,
-                    )
-                }
+            let party_outcomes = {
+                let _sp = niid_prof::span!("fl.train");
+                let bcast = Broadcast {
+                    round,
+                    params: &st.global_params,
+                    buffers: &st.global_buffers,
+                    server_c: &st.server_c,
+                };
+                transport.train_round(&bcast, &selected, &st.client_c, &st.residuals, sink)
             };
+            debug_assert_eq!(party_outcomes.len(), selected.len());
             let local_wall_ms = round_started.elapsed().as_secs_f64() * 1e3;
 
             // Split the cohort: survivors aggregate, failures are isolated
-            // and reported. A failed party's `client_c` was already handed
-            // back untouched by `train_selected`.
+            // and reported.
             let mut survivors: Vec<usize> = Vec::with_capacity(selected.len());
-            let mut outcomes: Vec<LocalOutcome> = Vec::with_capacity(selected.len());
+            let mut trained: Vec<TrainedParty> = Vec::with_capacity(selected.len());
             let mut failures: Vec<PartyFailure> = Vec::new();
             for (party_id, outcome) in selected.iter().copied().zip(party_outcomes) {
                 match outcome {
-                    PartyOutcome::Trained(out) => {
+                    PartyOutcome::Trained(t) => {
                         survivors.push(party_id);
-                        outcomes.push(out);
+                        trained.push(t);
                     }
                     PartyOutcome::Failed(failure) => {
                         debug_assert_eq!(failure.party_id, party_id);
@@ -871,24 +778,10 @@ impl FedSim {
                 // Abort-time checkpoint: without it a killed run leaves
                 // only the last *periodic* checkpoint, so `--resume`
                 // replays up to `checkpoint_every` finished rounds.
-                // `round_next` is the failed round itself — no state from
-                // this round has been committed (the `client_c` snapshot
-                // above undoes the one pre-quorum mutation) — so resume
-                // retries exactly here.
+                // `st` is still the state this round started from,
+                // `round_next` included, so resume retries exactly here.
                 if let Some(policy) = &cfg.checkpoint {
-                    if let Some(snapshot) = client_c_before {
-                        for (id, entry) in snapshot {
-                            match entry {
-                                Some(c) => {
-                                    st.client_c.insert(id, c);
-                                }
-                                None => {
-                                    st.client_c.remove(&id);
-                                }
-                            }
-                        }
-                    }
-                    self.save_checkpoint(&st, round, policy, sink, round)?;
+                    self.save_checkpoint(st, policy, sink, round)?;
                 }
                 return Err(FlError::QuorumLost {
                     round,
@@ -905,100 +798,14 @@ impl FedSim {
                 });
             }
 
-            // ── Measured wire traffic ──────────────────────────────────
-            // Every byte below comes from an actually-encoded payload, not
-            // a formula. The downlink broadcast (params + buffers + server
-            // `c` under SCAFFOLD) is always dense and is encoded here,
-            // before aggregation mutates the globals — these are the bytes
-            // this round *started* from — then billed once per selected
-            // party. Each survivor's Δw passes through the configured
-            // codec with its per-party error-feedback residual; buffers
-            // and SCAFFOLD's Δc ride along dense. Billing by failure
-            // kind: a dropped update was trained and sent (the loss
-            // happened in flight), so it costs upload bytes at the
-            // codec's data-independent encoded size; a crashed party
-            // never produced one. Dropped/crashed parties' residuals are
-            // untouched — they did no lossy encode this round.
             let comm_started = Instant::now();
-            let kern = active_kernel();
-            let dense = UpdateCodec::DenseF32;
-            let mut bcast_bytes = dense.encode(kern, &st.global_params, 0).len()
-                + dense.encode(kern, &st.global_buffers, 0).len();
-            if is_scaffold {
-                bcast_bytes += dense.encode(kern, &st.server_c, 0).len();
-            }
-            let down_bytes = selected.len() * bcast_bytes;
-            let mut up_bytes = 0usize;
-            let mut decoded_updates: Vec<DecodedUpdate> = Vec::with_capacity(outcomes.len());
-            for (party_id, out) in survivors.iter().copied().zip(&outcomes) {
-                let (payload_len, decoded) = match wire_updates.remove(&party_id) {
-                    // Distributed round: the party already ran the lossy
-                    // encode with its error feedback; the server decodes
-                    // the received bytes (hostile input is a typed error)
-                    // and adopts the refreshed residual and variate.
-                    Some(wire) => {
-                        let decoded =
-                            cfg.codec
-                                .decode(kern, &wire.payload, p_len)
-                                .ok_or_else(|| {
-                                    FlError::Net(NetError::Malformed(format!(
-                                        "party {party_id} sent an undecodable round-{round} update"
-                                    )))
-                                })?;
-                        if wire.residual.is_empty() {
-                            st.residuals.remove(&party_id);
-                        } else {
-                            st.residuals.insert(party_id, wire.residual);
-                        }
-                        if !wire.client_c.is_empty() {
-                            st.client_c.insert(party_id, wire.client_c);
-                        }
-                        (wire.payload.len(), decoded)
-                    }
-                    // In-process round: encode here, with the same derived
-                    // seed a remote party would use.
-                    None => {
-                        let seed = derive_seed(
-                            cfg.seed,
-                            SEED_COMPRESS_BASE ^ (((round as u64) << 24) ^ party_id as u64),
-                        );
-                        let mut residual = st.residuals.remove(&party_id).unwrap_or_default();
-                        let (payload, decoded) =
-                            cfg.codec
-                                .encode_with_feedback(kern, &out.delta, &mut residual, seed);
-                        if !residual.is_empty() {
-                            st.residuals.insert(party_id, residual);
-                        }
-                        (payload.len(), decoded)
-                    }
-                };
-                up_bytes += payload_len
-                    + dense.encoded_len(out.buffers.len())
-                    + dense.encoded_len(out.delta_c.len());
-                decoded_updates.push(decoded);
-            }
-            let dropped = failures
-                .iter()
-                .filter(|f| matches!(f.kind, FailureKind::InjectedDrop))
-                .count();
-            up_bytes += dropped
-                * (cfg.codec.encoded_len(p_len)
-                    + dense.encoded_len(st.global_buffers.len())
-                    + if is_scaffold {
-                        dense.encoded_len(p_len)
-                    } else {
-                        0
-                    });
-            let traffic = RoundTraffic {
-                down_bytes,
-                up_bytes,
-            };
-            st.total_bytes += traffic.total();
+            let (traffic, outcomes, updates) =
+                self.receive_updates(st, round, selected.len(), &survivors, trained, &failures)?;
             sink.record(&TraceEvent::CommMeasured {
                 round,
                 encoding: cfg.codec.label().to_string(),
-                down_bytes,
-                up_bytes,
+                down_bytes: traffic.down_bytes,
+                up_bytes: traffic.up_bytes,
                 wall_ms: comm_started.elapsed().as_secs_f64() * 1e3,
             });
 
@@ -1006,66 +813,20 @@ impl FedSim {
             let global_before = observer.map(|_| st.global_params.clone());
 
             let agg_started = Instant::now();
-            {
-                let _sp = niid_prof::span!("fl.aggregate");
-                let updates: Vec<UpdateRef<'_>> =
-                    decoded_updates.iter().map(UpdateRef::from).collect();
-                match cfg.algorithm {
-                    Algorithm::FedNova => fednova_average_updates(
-                        &mut st.global_params,
-                        &outcomes,
-                        &updates,
-                        cfg.server_lr,
-                    ),
-                    _ => weighted_average_updates(
-                        &mut st.global_params,
-                        &outcomes,
-                        &updates,
-                        cfg.server_lr,
-                    ),
-                }
-                if is_scaffold {
-                    scaffold_update_c(&mut st.server_c, &outcomes, self.parties.len());
-                }
-                if cfg.buffer_policy == BufferPolicy::Average {
-                    if let Some(avg) = average_buffers(&outcomes) {
-                        st.global_buffers = avg;
-                    }
-                }
-            }
+            self.aggregate(st, &outcomes, &updates);
             let aggregate_wall_ms = agg_started.elapsed().as_secs_f64() * 1e3;
             sink.record(&TraceEvent::Aggregated {
                 round,
                 wall_ms: aggregate_wall_ms,
             });
 
-            let is_last = round + 1 == cfg.rounds;
-            let mut eval_wall_ms = 0.0;
-            let test_accuracy = if (round + 1) % cfg.eval_every == 0 || is_last {
-                let _sp = niid_prof::span!("fl.eval");
-                let eval_started = Instant::now();
-                eval_model.set_params_flat(&st.global_params);
-                if !st.global_buffers.is_empty() {
-                    eval_model.set_buffers_flat(&st.global_buffers);
-                }
-                let acc = eval_model.evaluate(
-                    &self.test.features,
-                    &self.test.labels,
-                    &self.test.input_shape,
-                    cfg.eval_batch_size,
-                );
-                st.best_accuracy = st.best_accuracy.max(acc);
-                st.final_accuracy = acc;
-                eval_wall_ms = eval_started.elapsed().as_secs_f64() * 1e3;
-                sink.record(&TraceEvent::Evaluated {
-                    round,
-                    accuracy: acc,
-                    wall_ms: eval_wall_ms,
-                });
-                Some(acc)
-            } else {
-                None
-            };
+            let (test_accuracy, eval_wall_ms) =
+                if (round + 1) % cfg.eval_every == 0 || round + 1 == cfg.rounds {
+                    let (acc, wall_ms) = self.evaluate(st, &mut eval_model, round, sink);
+                    (Some(acc), wall_ms)
+                } else {
+                    (None, 0.0)
+                };
 
             // Weighted by |Dᵢ| so the reported loss matches the federated
             // objective Σᵢ (nᵢ/n) Lᵢ rather than favoring small parties.
@@ -1108,32 +869,154 @@ impl FedSim {
                 eval_wall_ms,
                 failures: failures.len(),
             });
+            st.round_next = round + 1;
 
             if let Some(policy) = &cfg.checkpoint {
                 if (round + 1) % policy.every == 0 || round + 1 == cfg.rounds {
-                    self.save_checkpoint(&st, round + 1, policy, sink, round)?;
+                    self.save_checkpoint(st, policy, sink, round)?;
                 }
             }
         }
+        Ok(())
+    }
 
-        Ok(RunResult {
-            algorithm: cfg.algorithm.name().to_string(),
-            rounds: st.records,
-            final_accuracy: st.final_accuracy,
-            best_accuracy: st.best_accuracy,
-            total_bytes: st.total_bytes,
-            wall_seconds: start.elapsed().as_secs_f64(),
-        })
+    /// The comm phase: decode and check every survivor's upload, then —
+    /// only once all of them are good — commit the refreshed per-party
+    /// state and bill the round. A malformed upload (whatever transport
+    /// delivered it) is a typed error that leaves `st` untouched.
+    ///
+    /// Every upload byte billed is the length of a payload that was
+    /// actually encoded; the always-dense downlink (params + buffers +
+    /// server `c` under SCAFFOLD, the state this round *started* from) and
+    /// the buffers and `Δc` that ride along dense are billed at
+    /// [`UpdateCodec::encoded_len`], which is data-independent. Billing by
+    /// failure kind: a dropped update was trained and sent (the loss
+    /// happened in flight), so it costs upload bytes at the codec's
+    /// encoded size; a crashed party never produced one.
+    fn receive_updates(
+        &self,
+        st: &mut SimState,
+        round: usize,
+        selected: usize,
+        survivors: &[usize],
+        trained: Vec<TrainedParty>,
+        failures: &[PartyFailure],
+    ) -> Result<(RoundTraffic, Vec<LocalOutcome>, Vec<DecodedUpdate>), FlError> {
+        let codec = self.config.codec;
+        let kern = active_kernel();
+        let (p_len, b_len) = (st.global_params.len(), st.global_buffers.len());
+        // What an honest party returns: a variate and `Δc` only under
+        // SCAFFOLD, a residual only under a lossy codec.
+        let c_len = st.server_c.len();
+        let r_len = if codec.is_lossy() { p_len } else { 0 };
+        let mut updates = Vec::with_capacity(trained.len());
+        for (&party_id, t) in survivors.iter().zip(&trained) {
+            let malformed = |what: &str| {
+                FlError::Net(NetError::Malformed(format!(
+                    "party {party_id} sent {what} in round {round}"
+                )))
+            };
+            let decoded = codec.decode(kern, &t.payload, p_len);
+            updates.push(decoded.ok_or_else(|| malformed("an undecodable update"))?);
+            if t.residual.len() != r_len
+                || t.client_c.len() != c_len
+                || t.outcome.delta_c.len() != c_len
+                || t.outcome.buffers.len() != b_len
+                || t.outcome.tau == 0
+            {
+                return Err(malformed("an update of the wrong shape"));
+            }
+        }
+
+        let dense = UpdateCodec::DenseF32;
+        let ride_along = dense.encoded_len(b_len) + dense.encoded_len(c_len);
+        let dropped = failures
+            .iter()
+            .filter(|f| matches!(f.kind, FailureKind::InjectedDrop))
+            .count();
+        let traffic = RoundTraffic {
+            down_bytes: selected * (dense.encoded_len(p_len) + ride_along),
+            up_bytes: trained.iter().map(|t| t.payload.len()).sum::<usize>()
+                + survivors.len() * ride_along
+                + dropped * (codec.encoded_len(p_len) + ride_along),
+        };
+        st.total_bytes += traffic.total();
+        let outcomes = survivors
+            .iter()
+            .zip(trained)
+            .map(|(&party_id, t)| {
+                if !t.residual.is_empty() {
+                    st.residuals.insert(party_id, t.residual);
+                }
+                if !t.client_c.is_empty() {
+                    st.client_c.insert(party_id, t.client_c);
+                }
+                t.outcome
+            })
+            .collect();
+        Ok((traffic, outcomes, updates))
+    }
+
+    /// Fold the survivors' updates into the global model, the SCAFFOLD
+    /// server variate and (under [`BufferPolicy::Average`]) the buffers.
+    fn aggregate(&self, st: &mut SimState, outcomes: &[LocalOutcome], updates: &[DecodedUpdate]) {
+        let _sp = niid_prof::span!("fl.aggregate");
+        let cfg = &self.config;
+        let updates: Vec<UpdateRef<'_>> = updates.iter().map(UpdateRef::from).collect();
+        let average = match cfg.algorithm {
+            Algorithm::FedNova => fednova_average_updates,
+            _ => weighted_average_updates,
+        };
+        average(&mut st.global_params, outcomes, &updates, cfg.server_lr);
+        if cfg.algorithm.uses_control_variates() {
+            scaffold_update_c(&mut st.server_c, outcomes, self.parties.len());
+        }
+        if cfg.buffer_policy == BufferPolicy::Average {
+            if let Some(avg) = average_buffers(outcomes) {
+                st.global_buffers = avg;
+            }
+        }
+    }
+
+    /// Test-set accuracy of the current global model, and how long the
+    /// evaluation took in ms.
+    fn evaluate(
+        &self,
+        st: &mut SimState,
+        eval_model: &mut Network,
+        round: usize,
+        sink: &dyn TraceSink,
+    ) -> (f64, f64) {
+        let _sp = niid_prof::span!("fl.eval");
+        let eval_started = Instant::now();
+        eval_model.set_params_flat(&st.global_params);
+        if !st.global_buffers.is_empty() {
+            eval_model.set_buffers_flat(&st.global_buffers);
+        }
+        let accuracy = eval_model.evaluate(
+            &self.test.features,
+            &self.test.labels,
+            &self.test.input_shape,
+            self.config.eval_batch_size,
+        );
+        st.best_accuracy = st.best_accuracy.max(accuracy);
+        st.final_accuracy = accuracy;
+        let wall_ms = eval_started.elapsed().as_secs_f64() * 1e3;
+        sink.record(&TraceEvent::Evaluated {
+            round,
+            accuracy,
+            wall_ms,
+        });
+        (accuracy, wall_ms)
     }
 
     /// Write a checkpoint of `st` through the atomic tmp + fsync + rename
     /// path — the one writer for both the periodic round-end checkpoint
-    /// (`round_next = round + 1`) and the abort-time checkpoint a lost
-    /// quorum leaves behind (`round_next = round`, the failed round).
+    /// (`st.round_next` is `round + 1`) and the abort-time checkpoint a
+    /// lost quorum leaves behind (still `round`, the failed round).
     fn save_checkpoint(
         &self,
         st: &SimState,
-        round_next: usize,
         policy: &CheckpointPolicy,
         sink: &dyn TraceSink,
         round: usize,
@@ -1142,7 +1025,7 @@ impl FedSim {
         let cfg = &self.config;
         let path = policy.path();
         Checkpoint {
-            round_next,
+            round_next: st.round_next,
             seed: cfg.seed,
             algorithm: cfg.algorithm.name().to_string(),
             n_parties: self.parties.len(),
@@ -1170,259 +1053,6 @@ impl FedSim {
             path: path.display().to_string(),
         });
         Ok(())
-    }
-
-    /// Run local training for the selected parties, possibly in parallel.
-    /// Outcomes are returned in `selected` order regardless of scheduling;
-    /// `PartyTrained` events fire in completion order.
-    ///
-    /// Failure isolation: a party whose local training panics — real bug
-    /// or injected [`FaultAction::Crash`] — becomes a typed
-    /// [`PartyOutcome::Failed`] instead of unwinding the run, and its
-    /// SCAFFOLD `client_c` is returned to it untouched (`local_train`
-    /// only commits the refreshed variate at its very end).
-    #[allow(clippy::too_many_arguments)]
-    fn train_selected(
-        &self,
-        selected: &[usize],
-        global_params: &[f32],
-        global_buffers: &[f32],
-        server_c: &[f32],
-        client_c: &mut BTreeMap<usize, Vec<f32>>,
-        round: usize,
-        sink: &dyn TraceSink,
-        grad_spans: Option<&[std::ops::Range<usize>]>,
-    ) -> Vec<PartyOutcome> {
-        struct Job {
-            slot: usize,
-            party_id: usize,
-            client_c: Vec<f32>,
-        }
-        let is_scaffold = self.config.algorithm.uses_control_variates();
-        let scaffold_variant = match self.config.algorithm {
-            Algorithm::Scaffold { variant } => Some(variant),
-            _ => None,
-        };
-        // A party absent from the sparse map has the implicit all-zero
-        // variate (`local_train` treats an empty Vec the same way), so
-        // never-before-sampled parties cost nothing here.
-        let mut jobs: Vec<Job> = selected
-            .iter()
-            .enumerate()
-            .map(|(slot, &party_id)| Job {
-                slot,
-                party_id,
-                client_c: client_c.remove(&party_id).unwrap_or_default(),
-            })
-            .collect();
-        // Longest-processing-time-first: under quantity skew one party can
-        // hold most of the data, so workers should start the big parties
-        // first and backfill with small ones. Party id breaks ties so the
-        // queue order is deterministic. `num_samples` never materializes a
-        // dataset, so this stays O(m) work even on the on-demand path.
-        jobs.sort_by_key(|j| {
-            (
-                std::cmp::Reverse(self.parties.num_samples(j.party_id)),
-                j.party_id,
-            )
-        });
-
-        let threads = if self.config.threads == 0 {
-            configured_threads()
-        } else {
-            self.config.threads
-        }
-        .min(jobs.len())
-        .max(1);
-
-        let classes = self.test.num_classes;
-        let run_seed = self.config.seed;
-        let spec = &self.model_spec;
-        let parties = &self.parties;
-        let local_cfg = &self.config.local;
-        let algorithm = &self.config.algorithm;
-        let fault_plan = self.config.fault_plan.as_ref();
-        if fault_plan.is_some() {
-            crate::fault::install_quiet_panic_hook();
-        }
-
-        let run_job = |job: &mut Job, model_slot: &mut Option<niid_nn::Network>| -> PartyOutcome {
-            let action = fault_plan
-                .map(|p| p.action(round, job.party_id))
-                .unwrap_or(FaultAction::None);
-            match action {
-                FaultAction::Drop => {
-                    // The party "trains" but its upload is lost; skipping
-                    // the work entirely keeps the cell cheap and the
-                    // surviving trajectory untouched either way.
-                    return PartyOutcome::Failed(PartyFailure {
-                        party_id: job.party_id,
-                        kind: FailureKind::InjectedDrop,
-                        message: "update dropped by fault plan".into(),
-                    });
-                }
-                FaultAction::Delay(ms) => std::thread::sleep(std::time::Duration::from_millis(ms)),
-                FaultAction::Crash | FaultAction::None => {}
-            }
-            let inject_crash = action == FaultAction::Crash;
-            let mut rng = Pcg64::new(derive_seed(
-                run_seed,
-                ((round as u64) << 24) ^ (job.party_id as u64 + 1),
-            ));
-            // Panic isolation. The closure mutates only the job's own
-            // control variate and this worker's model slot, and both are
-            // handled on the unwind path — `local_train` commits its
-            // `client_c` refresh only at the very end, so a mid-panic
-            // leaves the variate at its pre-round value, and the
-            // half-trained model is torn down below — which is what makes
-            // the `AssertUnwindSafe` sound.
-            //
-            // The party is materialized inside the guard (a lazy
-            // provider's dataset view exists only for this job's
-            // lifetime) and dropped — releasing its residency bytes — as
-            // soon as training ends, crash or not.
-            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                if inject_crash {
-                    std::panic::panic_any(crate::fault::INJECTED_CRASH_MSG);
-                }
-                let party = parties.party(job.party_id);
-                let model = model_slot.get_or_insert_with(|| spec.build(classes, 0));
-                let ctx = if is_scaffold {
-                    Some(ScaffoldCtx {
-                        server_c,
-                        client_c: &mut job.client_c,
-                        variant: scaffold_variant.expect("scaffold variant"),
-                    })
-                } else {
-                    None
-                };
-                let _sp = niid_prof::span!("fl.local_train");
-                local_train(
-                    model,
-                    &party,
-                    global_params,
-                    global_buffers,
-                    local_cfg,
-                    algorithm,
-                    ctx,
-                    grad_spans,
-                    &mut rng,
-                )
-            }));
-            match caught {
-                Ok(out) => {
-                    sink.record(&TraceEvent::PartyTrained {
-                        round,
-                        party_id: job.party_id,
-                        tau: out.tau,
-                        n_samples: out.n_samples,
-                        avg_loss: out.avg_loss,
-                        wall_ms: out.wall_ms,
-                    });
-                    PartyOutcome::Trained(out)
-                }
-                Err(payload) => {
-                    *model_slot = None;
-                    PartyOutcome::Failed(PartyFailure {
-                        party_id: job.party_id,
-                        kind: if inject_crash {
-                            FailureKind::InjectedCrash
-                        } else {
-                            FailureKind::Panic
-                        },
-                        message: panic_message(payload.as_ref()),
-                    })
-                }
-            }
-        };
-
-        let mut results: Vec<Option<PartyOutcome>> = (0..jobs.len()).map(|_| None).collect();
-        if threads <= 1 {
-            let mut model: Option<niid_nn::Network> = None;
-            for job in &mut jobs {
-                let out = run_job(job, &mut model);
-                results[job.slot] = Some(out);
-            }
-        } else {
-            // Work-stealing over the LPT-ordered queue: workers claim jobs
-            // one at a time through an atomic cursor, so a worker that draws
-            // a huge party under quantity skew doesn't also get stuck with a
-            // pre-assigned chunk of stragglers behind it. Each worker builds
-            // a single reusable model and runs the same `run_job` the
-            // sequential path uses, and caps its kernel-level parallelism so
-            // party × kernel threads never oversubscribe the configured
-            // budget.
-            let queue: Vec<Mutex<Option<Job>>> =
-                jobs.drain(..).map(|j| Mutex::new(Some(j))).collect();
-            let cursor = AtomicUsize::new(0);
-            let kernel_budget = (configured_threads() / threads).max(1);
-            // The SIMD micro-kernel is resolved once per round on the
-            // calling thread and pinned into every worker, so a round
-            // running under `with_forced_kernel` (determinism tests) uses
-            // that kernel for all parties regardless of thread count.
-            let kern = active_kernel();
-            let run_job = &run_job;
-            let queue = &queue;
-            let cursor = &cursor;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        s.spawn(move || {
-                            set_thread_budget(kernel_budget);
-                            with_forced_kernel(kern, || {
-                                let mut model: Option<niid_nn::Network> = None;
-                                let mut done: Vec<(usize, Job, PartyOutcome)> = Vec::new();
-                                loop {
-                                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                    if i >= queue.len() {
-                                        break;
-                                    }
-                                    let mut job = queue[i]
-                                        .lock()
-                                        .expect("job slot poisoned")
-                                        .take()
-                                        .expect("job claimed twice");
-                                    let out = run_job(&mut job, &mut model);
-                                    done.push((job.slot, job, out));
-                                }
-                                done
-                            })
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    let outputs = handle.join().expect("local-training worker panicked");
-                    for (slot, job, outcome) in outputs {
-                        results[slot] = Some(outcome);
-                        jobs.push(job);
-                    }
-                }
-            });
-        }
-
-        // Return control variates to their owners — including failed
-        // parties, whose variate comes back untouched. Empty means "still
-        // the implicit zero variate" and stays out of the sparse map.
-        for job in jobs {
-            if !job.client_c.is_empty() {
-                client_c.insert(job.party_id, job.client_c);
-            }
-        }
-        results
-            .into_iter()
-            .map(|o| o.expect("missing party outcome"))
-            .collect()
-    }
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".into()
     }
 }
 
@@ -1847,9 +1477,9 @@ mod tests {
         assert!(matches!(sim.resume(), Err(FlError::Checkpoint(_))));
     }
 
-    /// A directory holding only a pre-v4 `checkpoint.json`: every resume
-    /// entry refuses it by name, and the `run_or_resume*` ones do not
-    /// mistake "no checkpoint.bin" for "start fresh" and run over it.
+    /// A directory holding only a pre-v4 `checkpoint.json`: every resuming
+    /// start refuses it by name, and `Start::Auto` does not mistake "no
+    /// checkpoint.bin" for "start fresh" and run over it.
     #[test]
     fn legacy_text_checkpoint_is_refused_not_overwritten() {
         let dir = std::env::temp_dir().join(format!("niid_engine_legacy_{}", std::process::id()));
@@ -1864,19 +1494,18 @@ mod tests {
         assert!(!sim.has_checkpoint());
         let mut coord =
             Coordinator::bind("127.0.0.1:0", 2, sim.fingerprint(), Default::default()).unwrap();
-        let refusals = [
-            sim.resume(),
-            sim.run_or_resume(),
-            sim.resume_distributed(&mut coord, &NoopSink),
-            sim.run_or_resume_distributed(&mut coord, &NoopSink),
-        ];
-        for refusal in refusals {
-            match refusal {
-                Err(FlError::Checkpoint(msg)) => {
-                    assert!(msg.contains("unsupported checkpoint version"), "{msg}");
-                    assert!(msg.contains("checkpoint.json"), "{msg}");
+        for distributed in [false, true] {
+            for start in [Start::Resume, Start::Auto] {
+                let mut opts = RunOptions::new(&NoopSink);
+                opts.start = start;
+                opts.coordinator = distributed.then_some(&mut coord);
+                match sim.run_with(opts) {
+                    Err(FlError::Checkpoint(msg)) => {
+                        assert!(msg.contains("unsupported checkpoint version"), "{msg}");
+                        assert!(msg.contains("checkpoint.json"), "{msg}");
+                    }
+                    other => panic!("expected a legacy-format refusal, got {other:?}"),
                 }
-                other => panic!("expected a legacy-format refusal, got {other:?}"),
             }
         }
         assert!(!sim.has_checkpoint(), "no run was started over it");
@@ -1937,7 +1566,7 @@ mod tests {
     }
 
     #[test]
-    fn run_or_resume_starts_fresh_then_resumes() {
+    fn start_auto_runs_fresh_then_resumes() {
         let dir = std::env::temp_dir().join(format!("niid_engine_ror_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let (parties, test) = toy_setup(3, 16, 29);
@@ -1954,7 +1583,9 @@ mod tests {
         let sim = FedSim::new(spec(), parties, test, cfg).unwrap();
         sim.run_interrupted(2, &NoopSink).unwrap();
         assert!(sim.has_checkpoint());
-        let resumed = sim.run_or_resume().unwrap();
+        let mut auto = RunOptions::new(&NoopSink);
+        auto.start = Start::Auto;
+        let resumed = sim.run_with(auto).unwrap();
         // Bit-for-bit trajectory; wall_seconds is the only field allowed
         // to differ. Records carry wall-clock phases, so compare the
         // numerical fields.
@@ -1968,6 +1599,159 @@ mod tests {
             assert_eq!(a.avg_local_loss, b.avg_local_loss);
             assert_eq!(a.failures, b.failures);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_observer_over_a_coordinator_is_refused_up_front() {
+        struct Unreached;
+        impl RoundObserver for Unreached {
+            fn observe_round(&self, _: &RoundObservation<'_>) {
+                unreachable!("no round runs");
+            }
+        }
+        let (parties, test) = toy_setup(2, 8, 35);
+        let sim = FedSim::new(spec(), parties, test, quick_config(Algorithm::FedAvg, 36)).unwrap();
+        let mut coord =
+            Coordinator::bind("127.0.0.1:0", 2, sim.fingerprint(), Default::default()).unwrap();
+        let mut opts = RunOptions::new(&NoopSink);
+        opts.observer = Some(&Unreached);
+        opts.coordinator = Some(&mut coord);
+        assert!(matches!(
+            sim.run_with(opts),
+            Err(FlError::InvalidConfig {
+                field: "observer",
+                ..
+            })
+        ));
+    }
+
+    /// The in-process pool with a hook that edits what it reported: the
+    /// transport seam lets a test play a hostile or unlucky cohort without
+    /// a socket.
+    struct Tampered<'a, F> {
+        pool: LocalPool<'a>,
+        tamper: F,
+    }
+
+    impl<F: FnMut(&mut [PartyOutcome])> Transport for Tampered<'_, F> {
+        fn train_round(
+            &mut self,
+            bcast: &Broadcast<'_>,
+            selected: &[usize],
+            client_c: &BTreeMap<usize, Vec<f32>>,
+            residuals: &BTreeMap<usize, Vec<f32>>,
+            sink: &dyn TraceSink,
+        ) -> Vec<PartyOutcome> {
+            let mut outcomes = self
+                .pool
+                .train_round(bcast, selected, client_c, residuals, sink);
+            (self.tamper)(&mut outcomes);
+            outcomes
+        }
+    }
+
+    /// SCAFFOLD + int8 over four parties, two clean rounds in: every
+    /// party holds a variate and a residual.
+    fn stateful_sim(checkpoint: Option<CheckpointPolicy>) -> (FedSim, SimState) {
+        let (parties, test) = toy_setup(4, 32, 33);
+        let mut cfg = quick_config(
+            Algorithm::Scaffold {
+                variant: ControlVariateUpdate::Reuse,
+            },
+            34,
+        );
+        cfg.codec = UpdateCodec::Int8Q { levels: 128 };
+        cfg.checkpoint = checkpoint;
+        let sim = FedSim::new(spec(), parties, test, cfg).unwrap();
+        let mut st = sim.initial_state();
+        sim.drive(&mut st, &NoopSink, None, 2, &mut sim.local_pool(None))
+            .unwrap();
+        assert_eq!((st.client_c.len(), st.residuals.len()), (4, 4));
+        (sim, st)
+    }
+
+    fn first_trained(outcomes: &mut [PartyOutcome]) -> &mut TrainedParty {
+        match &mut outcomes[0] {
+            PartyOutcome::Trained(t) => t,
+            PartyOutcome::Failed(f) => panic!("party 0 failed: {f:?}"),
+        }
+    }
+
+    #[test]
+    fn a_malformed_upload_is_a_typed_error_and_commits_nothing() {
+        type Tamper = fn(&mut TrainedParty);
+        let tamperings: [(&str, Tamper); 4] = [
+            ("undecodable payload", |t| t.payload.push(0)),
+            ("short residual", |t| t.residual.truncate(1)),
+            ("long client_c", |t| t.client_c.push(0.0)),
+            ("missing delta_c", |t| t.outcome.delta_c.clear()),
+        ];
+        for (what, tamper) in tamperings {
+            let (sim, mut st) = stateful_sim(None);
+            let before = (
+                st.client_c.clone(),
+                st.residuals.clone(),
+                st.global_params.clone(),
+                st.records.clone(),
+                st.total_bytes,
+            );
+            let mut transport = Tampered {
+                pool: sim.local_pool(None),
+                tamper: |outcomes: &mut [PartyOutcome]| tamper(first_trained(outcomes)),
+            };
+            let err = sim
+                .drive(&mut st, &NoopSink, None, 3, &mut transport)
+                .unwrap_err();
+            assert!(
+                matches!(err, FlError::Net(NetError::Malformed(_))),
+                "{what}: {err:?}"
+            );
+            let after = (
+                st.client_c,
+                st.residuals,
+                st.global_params,
+                st.records,
+                st.total_bytes,
+            );
+            assert!(before == after, "{what}: state moved before the error");
+        }
+    }
+
+    #[test]
+    fn a_lost_quorum_checkpoints_the_variates_the_round_started_from() {
+        let dir = std::env::temp_dir().join(format!("niid_engine_seam_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let policy = CheckpointPolicy::new(&dir, 10);
+        let (sim, mut st) = stateful_sim(Some(policy.clone()));
+        let entered_with: Vec<_> = st.client_c.clone().into_iter().collect();
+        let mut refreshed = Vec::new();
+        let mut transport = Tampered {
+            pool: sim.local_pool(None),
+            tamper: |outcomes: &mut [PartyOutcome]| {
+                // Party 0 really trained (its refreshed variate is in its
+                // outcome); the other three are lost: 1 of 4 < quorum 0.5.
+                refreshed = first_trained(outcomes).client_c.clone();
+                for (party_id, outcome) in outcomes.iter_mut().enumerate().skip(1) {
+                    *outcome = PartyOutcome::Failed(PartyFailure {
+                        party_id,
+                        kind: FailureKind::Panic,
+                        message: "lost".into(),
+                    });
+                }
+            },
+        };
+        let err = sim
+            .drive(&mut st, &NoopSink, None, 3, &mut transport)
+            .unwrap_err();
+        assert!(
+            matches!(err, FlError::QuorumLost { round: 2, .. }),
+            "{err:?}"
+        );
+        assert_ne!(refreshed, entered_with[0].1, "party 0 did refresh");
+        let ck = Checkpoint::load(&policy.path()).unwrap();
+        assert_eq!(ck.round_next, 2);
+        assert_eq!(ck.client_c, entered_with);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -21,7 +21,8 @@
 //!   wall time only, never the numerical trajectory).
 //!
 //! The engine turns each failed party into a typed [`PartyFailure`]
-//! inside a [`PartyOutcome`] and aggregates the surviving cohort (see
+//! inside a [`PartyOutcome`](crate::transport::PartyOutcome) and
+//! aggregates the surviving cohort (see
 //! `FlConfig::min_quorum`).
 
 use niid_stats::{derive_seed, Pcg64};
@@ -226,31 +227,6 @@ pub struct PartyFailure {
     pub kind: FailureKind,
     /// The panic payload (or a fixed message for injected faults).
     pub message: String,
-}
-
-/// What `train_selected` now produces per selected party: a trained
-/// outcome, or an isolated failure.
-#[derive(Debug)]
-pub enum PartyOutcome {
-    /// The party finished local training.
-    Trained(crate::local::LocalOutcome),
-    /// The party failed; its update is excluded from aggregation.
-    Failed(PartyFailure),
-}
-
-impl PartyOutcome {
-    /// The failure, if this party failed.
-    pub fn failure(&self) -> Option<&PartyFailure> {
-        match self {
-            PartyOutcome::Failed(f) => Some(f),
-            PartyOutcome::Trained(_) => None,
-        }
-    }
-
-    /// True when the party trained successfully.
-    pub fn is_trained(&self) -> bool {
-        matches!(self, PartyOutcome::Trained(_))
-    }
 }
 
 /// Payload of the panic the engine raises for [`FaultAction::Crash`].

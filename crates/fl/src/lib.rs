@@ -42,6 +42,7 @@ pub mod metrics;
 pub mod net;
 pub mod party;
 pub mod trace;
+pub mod transport;
 pub(crate) mod wire;
 
 pub use algorithm::{Algorithm, ControlVariateUpdate};
@@ -51,9 +52,9 @@ pub use dynamics::{
     bn_drift, cosine_similarity, l2_distance, l2_norm, BnSpan, DynamicsRecorder, DynamicsSummary,
     RoundObservation, RoundObserver,
 };
-pub use engine::{BufferPolicy, FedSim, FlConfig};
+pub use engine::{BufferPolicy, FedSim, FlConfig, RunOptions, Start};
 pub use error::FlError;
-pub use fault::{FailureKind, FaultAction, FaultPlan, PartyFailure, PartyOutcome};
+pub use fault::{FailureKind, FaultAction, FaultPlan, PartyFailure};
 pub use metrics::{RoundRecord, RunResult};
 pub use net::{
     config_fingerprint, run_party_client, Coordinator, NetConfig, NetError, PartyClientConfig,
@@ -61,3 +62,4 @@ pub use net::{
 };
 pub use party::{residency, OwnedParty, Party, PartyProvider, PartyRef, ResidentProvider};
 pub use trace::{JsonlSink, MemorySink, NoopSink, PhaseStats, TraceEvent, TraceSink, TraceSummary};
+pub use transport::{PartyOutcome, TrainedParty};

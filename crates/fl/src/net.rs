@@ -42,23 +42,21 @@
 //! arm) the server's `RoundRecord` stream is therefore bit-identical to
 //! the in-process simulator on every field except wall-clock timings.
 
-use crate::algorithm::Algorithm;
-use crate::compress::SEED_COMPRESS_BASE;
 use crate::engine::FlConfig;
-use crate::fault::{FailureKind, FaultAction, PartyFailure};
-use crate::local::{local_train, LocalOutcome, ScaffoldCtx};
+use crate::fault::{FailureKind, PartyFailure};
+use crate::local::LocalOutcome;
 use crate::party::PartyProvider;
-use crate::trace::{TraceEvent, TraceSink};
+use crate::trace::TraceSink;
+use crate::transport::{
+    record_trained, train_party, Broadcast, PartyEnv, PartyOutcome, TrainedParty, Transport,
+};
 use crate::wire::{put_bytes, put_f32s, put_f64, put_len, put_str, put_u64, Cursor, Malformed};
 use niid_json::{FromJson, Json, JsonError, ToJson};
 use niid_metrics::Deadline;
-use niid_nn::{ModelSpec, Network};
-use niid_stats::{derive_seed, Pcg64};
-use niid_tensor::{active_kernel, with_forced_kernel};
+use niid_nn::ModelSpec;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -604,6 +602,69 @@ pub enum UpdateBody {
 }
 
 impl UpdateMsg {
+    /// Wrap a party's outcome for the wire. `delta` and `layer_grad_sq`
+    /// stay behind: the update travels as the codec `payload`.
+    fn from_outcome(round: usize, party_id: usize, outcome: PartyOutcome) -> Self {
+        let body = match outcome {
+            PartyOutcome::Failed(PartyFailure { kind, message, .. }) => {
+                UpdateBody::Failed { kind, message }
+            }
+            PartyOutcome::Trained(t) => UpdateBody::Trained {
+                payload: t.payload,
+                residual: t.residual,
+                client_c: t.client_c,
+                buffers: t.outcome.buffers,
+                delta_c: t.outcome.delta_c,
+                tau: t.outcome.tau as u64,
+                n_samples: t.outcome.n_samples as u64,
+                avg_loss: t.outcome.avg_loss,
+                wall_ms: t.outcome.wall_ms,
+            },
+        };
+        UpdateMsg {
+            round: round as u64,
+            party_id: party_id as u64,
+            body,
+        }
+    }
+
+    /// The outcome a received message reports.
+    fn into_outcome(self) -> PartyOutcome {
+        let party_id = self.party_id as usize;
+        match self.body {
+            UpdateBody::Failed { kind, message } => PartyOutcome::Failed(PartyFailure {
+                party_id,
+                kind,
+                message,
+            }),
+            UpdateBody::Trained {
+                payload,
+                residual,
+                client_c,
+                buffers,
+                delta_c,
+                tau,
+                n_samples,
+                avg_loss,
+                wall_ms,
+            } => PartyOutcome::Trained(TrainedParty {
+                outcome: LocalOutcome {
+                    delta: Vec::new(),
+                    tau: tau as usize,
+                    n_samples: n_samples as usize,
+                    avg_loss,
+                    buffers,
+                    delta_c,
+                    wall_ms,
+                    layer_grad_sq: Vec::new(),
+                },
+                payload,
+                residual,
+                client_c,
+            }),
+        }
+    }
+
     /// Binary payload bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -737,35 +798,6 @@ impl Default for NetConfig {
             retry_backoff: Duration::from_millis(100),
         }
     }
-}
-
-/// A survivor's update exactly as it crossed the wire: the codec payload
-/// plus the party-side-refreshed feedback state the server re-adopts
-/// after the round passes quorum.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireUpdate {
-    /// The codec-encoded Δw byte stream.
-    pub payload: Vec<u8>,
-    /// Refreshed error-feedback residual (empty = none kept).
-    pub residual: Vec<f32>,
-    /// Refreshed SCAFFOLD variate (empty = none kept).
-    pub client_c: Vec<f32>,
-}
-
-/// One selected party's distributed-round outcome, aligned to the
-/// engine's in-process [`PartyOutcome`](crate::fault::PartyOutcome).
-#[derive(Debug, Clone)]
-pub enum RemoteOutcome {
-    /// The party trained and its update arrived.
-    Trained {
-        /// Scalar outcome fields (the delta itself stays encoded inside
-        /// `wire`; `outcome.delta` is empty).
-        outcome: LocalOutcome,
-        /// The update as it crossed the wire.
-        wire: WireUpdate,
-    },
-    /// The party reported a typed failure, or its host vanished.
-    Failed(PartyFailure),
 }
 
 struct HostConn {
@@ -946,34 +978,42 @@ impl Coordinator {
             .position(|h| h.party_ids.contains(&party_id))
     }
 
-    /// Train one round's cohort over the wire. Returns outcomes aligned
-    /// to `selected`; a vanished or hostile host turns its pending
-    /// parties into typed [`PartyFailure`]s, which the engine's quorum
-    /// policy then judges — exactly the in-process failure path.
-    #[allow(clippy::too_many_arguments)]
-    pub fn train_round(
+    /// Tell every connected host the run is over. Best effort; clears
+    /// the roster either way.
+    pub fn shutdown_all(&mut self) {
+        for host in &mut self.hosts {
+            let _ = write_frame(&mut host.stream, MsgKind::Shutdown, &[]);
+        }
+        self.hosts.clear();
+    }
+}
+
+/// The distributed transport: the cohort trains on the connected party
+/// hosts. A vanished or hostile host turns its pending parties into typed
+/// [`PartyFailure`]s, which the engine's quorum policy then judges —
+/// exactly the in-process failure path.
+impl Transport for Coordinator {
+    fn train_round(
         &mut self,
-        round: usize,
+        bcast: &Broadcast<'_>,
         selected: &[usize],
-        global_params: &[f32],
-        global_buffers: &[f32],
-        server_c: &[f32],
         client_c: &BTreeMap<usize, Vec<f32>>,
         residuals: &BTreeMap<usize, Vec<f32>>,
         sink: &dyn TraceSink,
-    ) -> Vec<RemoteOutcome> {
+    ) -> Vec<PartyOutcome> {
         self.absorb_reconnects();
-        let p_len = global_params.len();
-        let b_len = global_buffers.len();
+        let round = bcast.round;
+        let p_len = bcast.params.len();
+        let b_len = bcast.buffers.len();
         let host_lost = |party_id: usize, peer: &str, e: &NetError| {
-            RemoteOutcome::Failed(PartyFailure {
+            PartyOutcome::Failed(PartyFailure {
                 party_id,
                 kind: FailureKind::Panic,
                 message: format!("party host {peer} unavailable: {e}"),
             })
         };
 
-        let mut results: BTreeMap<usize, RemoteOutcome> = BTreeMap::new();
+        let mut results: BTreeMap<usize, PartyOutcome> = BTreeMap::new();
         // Group the cohort by hosting connection, in host order.
         let mut plans: Vec<(usize, Vec<usize>)> = Vec::new();
         for &pid in selected {
@@ -985,7 +1025,7 @@ impl Coordinator {
                 None => {
                     results.insert(
                         pid,
-                        RemoteOutcome::Failed(PartyFailure {
+                        PartyOutcome::Failed(PartyFailure {
                             party_id: pid,
                             kind: FailureKind::Panic,
                             message: "no connected host for this party".into(),
@@ -997,9 +1037,9 @@ impl Coordinator {
 
         let bcast = BroadcastMsg {
             round: round as u64,
-            params: global_params.to_vec(),
-            buffers: global_buffers.to_vec(),
-            server_c: server_c.to_vec(),
+            params: bcast.params.to_vec(),
+            buffers: bcast.buffers.to_vec(),
+            server_c: bcast.server_c.to_vec(),
         }
         .encode();
 
@@ -1089,58 +1129,9 @@ impl Coordinator {
                     Ok(upd) => {
                         let pid = upd.party_id as usize;
                         pending.remove(&pid);
-                        match upd.body {
-                            UpdateBody::Trained {
-                                payload,
-                                residual,
-                                client_c,
-                                buffers,
-                                delta_c,
-                                tau,
-                                n_samples,
-                                avg_loss,
-                                wall_ms,
-                            } => {
-                                sink.record(&TraceEvent::PartyTrained {
-                                    round,
-                                    party_id: pid,
-                                    tau: tau as usize,
-                                    n_samples: n_samples as usize,
-                                    avg_loss,
-                                    wall_ms,
-                                });
-                                results.insert(
-                                    pid,
-                                    RemoteOutcome::Trained {
-                                        outcome: LocalOutcome {
-                                            delta: Vec::new(),
-                                            tau: tau as usize,
-                                            n_samples: n_samples as usize,
-                                            avg_loss,
-                                            buffers,
-                                            delta_c,
-                                            wall_ms,
-                                            layer_grad_sq: Vec::new(),
-                                        },
-                                        wire: WireUpdate {
-                                            payload,
-                                            residual,
-                                            client_c,
-                                        },
-                                    },
-                                );
-                            }
-                            UpdateBody::Failed { kind, message } => {
-                                results.insert(
-                                    pid,
-                                    RemoteOutcome::Failed(PartyFailure {
-                                        party_id: pid,
-                                        kind,
-                                        message,
-                                    }),
-                                );
-                            }
-                        }
+                        let outcome = upd.into_outcome();
+                        record_trained(sink, round, pid, &outcome);
+                        results.insert(pid, outcome);
                     }
                     Err(e) => {
                         let peer = self.hosts[*h].peer.clone();
@@ -1167,15 +1158,6 @@ impl Coordinator {
                     .expect("every selected party has an outcome")
             })
             .collect()
-    }
-
-    /// Tell every connected host the run is over. Best effort; clears
-    /// the roster either way.
-    pub fn shutdown_all(&mut self) {
-        for host in &mut self.hosts {
-            let _ = write_frame(&mut host.stream, MsgKind::Shutdown, &[]);
-        }
-        self.hosts.clear();
     }
 }
 
@@ -1251,123 +1233,6 @@ pub struct PartyHost {
     pub config: FlConfig,
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".into()
-    }
-}
-
-/// Train one assigned party and build its `Update` message — the exact
-/// in-process worker semantics: fault action first (delays are real
-/// sleeps), the same derived RNG and codec seeds, panic isolation into a
-/// typed failure, and party-side error-feedback encoding.
-fn train_one(
-    host: &PartyHost,
-    model_slot: &mut Option<Network>,
-    kern: niid_tensor::Kernel,
-    round: u64,
-    assignment: PartyAssignment,
-    bcast: &BroadcastMsg,
-) -> UpdateMsg {
-    let cfg = &host.config;
-    let party_id = assignment.party_id as usize;
-    let failed = |kind: FailureKind, message: String| UpdateMsg {
-        round,
-        party_id: assignment.party_id,
-        body: UpdateBody::Failed { kind, message },
-    };
-    let action = cfg
-        .fault_plan
-        .as_ref()
-        .map(|p| p.action(round as usize, party_id))
-        .unwrap_or(FaultAction::None);
-    match action {
-        FaultAction::Drop => {
-            return failed(
-                FailureKind::InjectedDrop,
-                "update dropped by fault plan".into(),
-            )
-        }
-        FaultAction::Delay(ms) => std::thread::sleep(Duration::from_millis(ms)),
-        FaultAction::Crash => {
-            return failed(
-                FailureKind::InjectedCrash,
-                crate::fault::INJECTED_CRASH_MSG.into(),
-            )
-        }
-        FaultAction::None => {}
-    }
-    let is_scaffold = cfg.algorithm.uses_control_variates();
-    let scaffold_variant = match cfg.algorithm {
-        Algorithm::Scaffold { variant } => Some(variant),
-        _ => None,
-    };
-    let mut rng = Pcg64::new(derive_seed(cfg.seed, (round << 24) ^ (party_id as u64 + 1)));
-    let mut job_client_c = assignment.client_c;
-    let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        let party = host.provider.materialize(party_id);
-        let model =
-            model_slot.get_or_insert_with(|| host.model_spec.build(host.provider.num_classes(), 0));
-        let ctx = if is_scaffold {
-            Some(ScaffoldCtx {
-                server_c: &bcast.server_c,
-                client_c: &mut job_client_c,
-                variant: scaffold_variant.expect("scaffold variant"),
-            })
-        } else {
-            None
-        };
-        with_forced_kernel(kern, || {
-            local_train(
-                model,
-                &party,
-                &bcast.params,
-                &bcast.buffers,
-                &cfg.local,
-                &cfg.algorithm,
-                ctx,
-                None,
-                &mut rng,
-            )
-        })
-    }));
-    match caught {
-        Ok(out) => {
-            let seed = derive_seed(
-                cfg.seed,
-                SEED_COMPRESS_BASE ^ ((round << 24) ^ party_id as u64),
-            );
-            let mut residual = assignment.residual;
-            let (payload, _decoded) =
-                cfg.codec
-                    .encode_with_feedback(kern, &out.delta, &mut residual, seed);
-            UpdateMsg {
-                round,
-                party_id: assignment.party_id,
-                body: UpdateBody::Trained {
-                    payload,
-                    residual,
-                    client_c: job_client_c,
-                    buffers: out.buffers,
-                    delta_c: out.delta_c,
-                    tau: out.tau as u64,
-                    n_samples: out.n_samples as u64,
-                    avg_loss: out.avg_loss,
-                    wall_ms: out.wall_ms,
-                },
-            }
-        }
-        Err(payload) => {
-            *model_slot = None;
-            failed(FailureKind::Panic, panic_message(payload.as_ref()))
-        }
-    }
-}
-
 fn connect_once(cfg: &PartyClientConfig) -> Result<TcpStream, NetError> {
     let addr = cfg.server.resolve().ok_or(NetError::Io {
         op: "resolve server address",
@@ -1386,15 +1251,19 @@ fn connect_once(cfg: &PartyClientConfig) -> Result<TcpStream, NetError> {
 /// (bounded by [`PartyClientConfig::max_reconnects`] consecutive
 /// failures); a fingerprint rejection is fatal immediately.
 pub fn run_party_client(cfg: &PartyClientConfig, host: &PartyHost) -> Result<(), NetError> {
-    if host.config.fault_plan.is_some() {
-        crate::fault::install_quiet_panic_hook();
-    }
+    let env = PartyEnv {
+        cfg: &host.config,
+        model_spec: &host.model_spec,
+        classes: host.provider.num_classes(),
+        parties: &host.provider,
+        grad_spans: None,
+    };
     let hello = HelloMsg {
         fingerprint: cfg.fingerprint.clone(),
         party_ids: cfg.party_ids.clone(),
     }
     .encode();
-    let mut model: Option<Network> = None;
+    let mut model = None;
     let mut outages = 0u32;
     'session: loop {
         macro_rules! outage {
@@ -1454,9 +1323,17 @@ pub fn run_party_client(cfg: &PartyClientConfig, host: &PartyHost) -> Result<(),
                             assign.round
                         )));
                     };
-                    let kern = active_kernel();
-                    for assignment in assign.parties {
-                        let upd = train_one(host, &mut model, kern, assign.round, assignment, b);
+                    let bcast = Broadcast {
+                        round: b.round as usize,
+                        params: &b.params,
+                        buffers: &b.buffers,
+                        server_c: &b.server_c,
+                    };
+                    for a in assign.parties {
+                        let party_id = a.party_id as usize;
+                        let outcome =
+                            train_party(&env, &bcast, &mut model, party_id, a.client_c, a.residual);
+                        let upd = UpdateMsg::from_outcome(bcast.round, party_id, outcome);
                         if let Err(e) = write_frame(&mut stream, MsgKind::Update, &upd.encode()) {
                             outage!(e);
                         }
@@ -1476,6 +1353,7 @@ pub fn run_party_client(cfg: &PartyClientConfig, host: &PartyHost) -> Result<(),
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::Algorithm;
 
     fn frame_bytes(kind: MsgKind, payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();

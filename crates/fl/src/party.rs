@@ -157,6 +157,65 @@ impl std::ops::Deref for PartyRef<'_> {
     }
 }
 
+/// Where party datasets live for the run's lifetime.
+///
+/// Cross-silo runs (tens of parties) keep every dataset resident, exactly
+/// as before. Cross-device runs hand the engine a [`PartyProvider`]
+/// instead, and a party's dataset view exists only while a worker is
+/// training it — peak party-resident memory is `O(workers)` datasets,
+/// not `O(N)`.
+pub(crate) enum PartyStore {
+    /// Every party's dataset held in memory for the whole run.
+    Resident(Vec<Party>),
+    /// Parties materialized per cohort and dropped after training.
+    OnDemand(Box<dyn PartyProvider>),
+}
+
+impl PartyStore {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            PartyStore::Resident(v) => v.len(),
+            PartyStore::OnDemand(p) => p.n_parties(),
+        }
+    }
+}
+
+/// What a trainer needs of its parties, whether it is a pool worker over
+/// the simulation's [`PartyStore`] or a party process over the provider
+/// it hosts.
+pub(crate) trait PartySource: Sync {
+    /// `|Dᵢ|` without materializing anything.
+    fn num_samples(&self, id: usize) -> usize;
+    /// Borrow (resident) or materialize (on-demand) party `id`.
+    fn party(&self, id: usize) -> PartyRef<'_>;
+}
+
+impl PartySource for Box<dyn PartyProvider> {
+    fn num_samples(&self, id: usize) -> usize {
+        (**self).num_samples(id)
+    }
+
+    fn party(&self, id: usize) -> PartyRef<'_> {
+        PartyRef::Owned(OwnedParty::new(self.materialize(id)))
+    }
+}
+
+impl PartySource for PartyStore {
+    fn num_samples(&self, id: usize) -> usize {
+        match self {
+            PartyStore::Resident(v) => v[id].num_samples(),
+            PartyStore::OnDemand(p) => p.num_samples(id),
+        }
+    }
+
+    fn party(&self, id: usize) -> PartyRef<'_> {
+        match self {
+            PartyStore::Resident(v) => PartyRef::Borrowed(&v[id]),
+            PartyStore::OnDemand(p) => p.party(id),
+        }
+    }
+}
+
 /// A [`PartyProvider`] over fully resident parties — the adapter that
 /// lets anything wanting a provider (a distributed
 /// [`PartyHost`](crate::net::PartyHost), a cohort-on-demand test) host a

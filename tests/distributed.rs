@@ -5,7 +5,7 @@
 //! checkpoint while the party processes keep running.
 
 use niid_bench_rs::data::Dataset;
-use niid_bench_rs::fl::engine::{BufferPolicy, FedSim, FlConfig};
+use niid_bench_rs::fl::engine::{BufferPolicy, FedSim, FlConfig, RunOptions, Start};
 use niid_bench_rs::fl::fault::FaultPlan;
 use niid_bench_rs::fl::local::LocalConfig;
 use niid_bench_rs::fl::net::{Coordinator, NetConfig, PartyClientConfig, PartyHost, ServerAddr};
@@ -231,8 +231,12 @@ fn distributed_resume_survives_a_server_restart() {
     coord.wait_for_roster().expect("roster 1");
 
     let sim = build_sim(cfg.clone());
-    sim.run_interrupted_distributed(&mut coord, 3, &NoopSink)
-        .expect("interrupted distributed run");
+    sim.run_with(RunOptions {
+        stop_after: Some(3),
+        coordinator: Some(&mut coord),
+        ..RunOptions::new(&NoopSink)
+    })
+    .expect("interrupted distributed run");
     assert!(
         sim.has_checkpoint(),
         "no checkpoint after the simulated kill"
@@ -247,7 +251,11 @@ fn distributed_resume_survives_a_server_restart() {
     coord2.wait_for_roster().expect("roster 2 after restart");
 
     let resumed = sim
-        .run_or_resume_distributed(&mut coord2, &NoopSink)
+        .run_with(RunOptions {
+            start: Start::Auto,
+            coordinator: Some(&mut coord2),
+            ..RunOptions::new(&NoopSink)
+        })
         .expect("resumed distributed run");
     coord2.shutdown_all();
     for c in clients {

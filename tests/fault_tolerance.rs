@@ -6,7 +6,7 @@
 
 use niid_bench_rs::data::Dataset;
 use niid_bench_rs::fl::checkpoint::Checkpoint;
-use niid_bench_rs::fl::engine::{BufferPolicy, FedSim, FlConfig};
+use niid_bench_rs::fl::engine::{BufferPolicy, FedSim, FlConfig, RunOptions, Start};
 use niid_bench_rs::fl::fault::{FaultAction, FaultPlan};
 use niid_bench_rs::fl::local::LocalConfig;
 use niid_bench_rs::fl::party::Party;
@@ -196,7 +196,12 @@ fn resume_replays_the_fault_schedule_bit_exactly() {
     let full = make_sim(None).run().unwrap();
     let sim = make_sim(Some(CheckpointPolicy::new(&dir, 2)));
     sim.run_interrupted(4, &NoopSink).unwrap();
-    let resumed = sim.run_or_resume().unwrap();
+    let resumed = sim
+        .run_with(RunOptions {
+            start: Start::Auto,
+            ..RunOptions::new(&NoopSink)
+        })
+        .unwrap();
 
     for (ra, rb) in resumed.rounds.iter().zip(&full.rounds) {
         assert_eq!(ra.failures, rb.failures, "round {}", ra.round);

@@ -1,0 +1,53 @@
+//! Behaviour lock for the experiment binaries: the stdout of each of the
+//! 14 deterministic experiments (Tables 1–3, Figures 3–12, the ablations)
+//! at `--quick --seed 42` is pinned byte-for-byte in `tests/golden/<id>.txt`.
+//!
+//! The child runs under `NIID_SIMD=off` so the fixtures are machine-
+//! independent (the scalar arm reproduces history on every CPU), and with
+//! the `NIID_*` output env defaults cleared so a developer's shell cannot
+//! leak a trace or checkpoint path into the run. The fixtures were
+//! generated from the sixteen per-figure `main`s and must never be edited
+//! by a refactor of how experiments are declared or driven.
+
+use std::process::Command;
+
+fn check(exe: &str, id: &str) {
+    let out = Command::new(exe)
+        .args(["--quick", "--seed", "42"])
+        .env("NIID_SIMD", "off")
+        .env_remove("NIID_TRACE")
+        .env_remove("NIID_METRICS")
+        .env_remove("NIID_METRICS_PORT")
+        .env_remove("NIID_CHECKPOINT")
+        .output()
+        .unwrap_or_else(|e| panic!("spawn {exe}: {e}"));
+    assert!(
+        out.status.success(),
+        "{id} exited {:?}\nstderr:\n{}",
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let path = format!("{}/tests/golden/{id}.txt", env!("CARGO_MANIFEST_DIR"));
+    let want = std::fs::read(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    if out.stdout != want {
+        panic!(
+            "{id}: stdout differs from {path}\n--- expected\n{}\n--- got\n{}",
+            String::from_utf8_lossy(&want),
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+}
+
+macro_rules! golden {
+    ($($id:ident)*) => {$(
+        #[test]
+        fn $id() {
+            check(
+                env!(concat!("CARGO_BIN_EXE_exp_", stringify!($id))),
+                stringify!($id),
+            );
+        }
+    )*};
+}
+
+golden!(table1 table2 table3 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 ablation);

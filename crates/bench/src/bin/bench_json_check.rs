@@ -61,7 +61,7 @@ fn check_entry(e: &Json, idx: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// Extra fields `exp_scale` records per population cell
+/// Extra fields `exp scale` records per population cell
 /// (`BENCH_fl_scale.json`): all must be present, finite and positive, and
 /// the cohort can never exceed the population.
 fn check_fl_scale_entry(e: &Json, idx: usize) -> Result<(), String> {
@@ -100,7 +100,7 @@ fn check_fl_scale_entry(e: &Json, idx: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// Extra fields `exp_comm` records per (skew, codec) cell: the codec
+/// Extra fields `exp comm` records per (skew, codec) cell: the codec
 /// label, the final accuracy in [0, 1], and measured traffic totals that
 /// must be positive. `bytes_ratio_vs_dense` must be finite and positive —
 /// 1.0 for the dense reference row, > 1 when a codec actually shrinks the

@@ -10,6 +10,7 @@
 //! CLI shared by both binaries plus `build_sim`/`build_host` over the
 //! same tiny-MNIST Dirichlet(β=0.5) LeNet cell the resume smoke uses.
 
+use crate::{fail, parsed, take};
 use niid_core::partition::{build_parties, partition, Strategy};
 use niid_data::{generate, Dataset, DatasetId, GenConfig};
 use niid_fl::engine::{BufferPolicy, FedSim, FlConfig};
@@ -96,40 +97,25 @@ impl DistArgs {
     /// Parse `std::env::args()`; exits with a usage message on error.
     pub fn parse(bin: &'static str) -> Self {
         let mut out = DistArgs::default();
-        let mut it = std::env::args().skip(1);
-        let fail = |msg: String| -> ! {
-            eprintln!("{bin}: {msg}");
-            std::process::exit(2);
-        };
+        let it = &mut std::env::args().skip(1);
         while let Some(arg) = it.next() {
-            let mut take = |name: &str| -> String {
-                it.next()
-                    .unwrap_or_else(|| fail(format!("missing value for {name}")))
-            };
-            macro_rules! parsed {
-                ($name:literal) => {
-                    take($name)
-                        .parse()
-                        .unwrap_or_else(|e| fail(format!("bad {}: {e}", $name)))
-                };
-            }
             match arg.as_str() {
-                "--seed" => out.seed = parsed!("--seed"),
-                "--rounds" => out.rounds = parsed!("--rounds"),
-                "--parties" => out.parties = parsed!("--parties"),
-                "--codec" => out.codec = parsed!("--codec"),
-                "--faults" => out.faults = Some(parsed!("--faults")),
-                "--min-quorum" => out.min_quorum = parsed!("--min-quorum"),
-                "--port" => out.port = parsed!("--port"),
-                "--addr-file" => out.addr_file = Some(take("--addr-file")),
-                "--connect" => out.connect = Some(take("--connect")),
-                "--slot" => out.slot = parsed!("--slot"),
-                "--of" => out.of = parsed!("--of"),
-                "--checkpoint-dir" => out.checkpoint_dir = Some(take("--checkpoint-dir")),
-                "--checkpoint-every" => out.checkpoint_every = parsed!("--checkpoint-every"),
+                "--seed" => out.seed = parsed(it, "--seed"),
+                "--rounds" => out.rounds = parsed(it, "--rounds"),
+                "--parties" => out.parties = parsed(it, "--parties"),
+                "--codec" => out.codec = parsed(it, "--codec"),
+                "--faults" => out.faults = Some(parsed(it, "--faults")),
+                "--min-quorum" => out.min_quorum = parsed(it, "--min-quorum"),
+                "--port" => out.port = parsed(it, "--port"),
+                "--addr-file" => out.addr_file = Some(take(it, "--addr-file")),
+                "--connect" => out.connect = Some(take(it, "--connect")),
+                "--slot" => out.slot = parsed(it, "--slot"),
+                "--of" => out.of = parsed(it, "--of"),
+                "--checkpoint-dir" => out.checkpoint_dir = Some(take(it, "--checkpoint-dir")),
+                "--checkpoint-every" => out.checkpoint_every = parsed(it, "--checkpoint-every"),
                 "--resume" => out.resume = true,
-                "--stop-after" => out.stop_after = Some(parsed!("--stop-after")),
-                "--json" => out.json = Some(take("--json")),
+                "--stop-after" => out.stop_after = Some(parsed(it, "--stop-after")),
+                "--json" => out.json = Some(take(it, "--json")),
                 "--help" | "-h" => {
                     eprintln!(
                         "usage: {bin} [--seed N] [--rounds N] [--parties N] [--codec SPEC] \

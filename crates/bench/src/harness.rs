@@ -73,9 +73,9 @@ pub struct BenchMeta {
     /// `scalar/none`). Left empty by constructors and resolved from the
     /// active dispatch at record time; set it explicitly only to override.
     pub simd: String,
-    /// Extra numeric columns carried verbatim into the JSON entry (e.g.
+    /// Extra columns carried verbatim into the JSON entry (e.g.
     /// `compression_ratio` for codec rows); empty for plain kernel rows.
-    pub extras: Vec<(&'static str, f64)>,
+    pub extras: Vec<(&'static str, Json)>,
 }
 
 impl BenchMeta {
@@ -93,7 +93,7 @@ impl BenchMeta {
 
     /// Attach an extra numeric column to the JSON entry.
     pub fn with_extra(mut self, key: &'static str, value: f64) -> Self {
-        self.extras.push((key, value));
+        self.extras.push((key, Json::Num(value)));
         self
     }
 }
@@ -240,11 +240,7 @@ impl Harness {
         if meta.simd.is_empty() {
             // Resolved here, on the thread running the workload, so a bench
             // wrapped in `with_forced_kernel` reports the forced kernel.
-            meta.simd = format!(
-                "{}/{}",
-                niid_tensor::active_kernel().name(),
-                niid_tensor::detected_features()
-            );
+            meta.simd = simd_tag();
         }
         let mut b = if self.short {
             Bencher::short()
@@ -274,30 +270,43 @@ impl Harness {
         Json::arr(
             self.entries
                 .iter()
-                .map(|(name, meta, m)| {
-                    let mut fields = vec![
-                        ("group", Json::Str(self.group.clone())),
-                        ("name", Json::Str(name.clone())),
-                        ("op", Json::Str(meta.op.clone())),
-                        ("shape", Json::Str(meta.shape.clone())),
-                        ("threads", Json::Num(meta.threads as f64)),
-                        ("simd", Json::Str(meta.simd.clone())),
-                        ("median_ns", Json::Num(m.median_ns)),
-                        ("min_ns", Json::Num(m.min_ns)),
-                        ("iters", Json::Num(m.iters as f64)),
-                        (
-                            "gflops",
-                            gflops(meta, m).map(Json::Num).unwrap_or(Json::Null),
-                        ),
-                    ];
-                    for &(key, value) in &meta.extras {
-                        fields.push((key, Json::Num(value)));
-                    }
-                    Json::obj(fields)
-                })
+                .map(|(name, meta, m)| entry_json(&self.group, name, meta, m))
                 .collect(),
         )
     }
+}
+
+/// The active SIMD dispatch as `<kernel>/<detected features>`.
+pub fn simd_tag() -> String {
+    format!(
+        "{}/{}",
+        niid_tensor::active_kernel().name(),
+        niid_tensor::detected_features()
+    )
+}
+
+/// One entry of the bench JSON schema (`bench_json_check` validates it):
+/// the generic fields, then `meta.extras` in order. The one emitter behind
+/// every `BENCH_*.json` row, whether a harness bench or an `exp` cell
+/// recorded it.
+pub fn entry_json(group: &str, name: &str, meta: &BenchMeta, m: &Measurement) -> Json {
+    let mut fields = vec![
+        ("group", Json::Str(group.into())),
+        ("name", Json::Str(name.into())),
+        ("op", Json::Str(meta.op.clone())),
+        ("shape", Json::Str(meta.shape.clone())),
+        ("threads", Json::Num(meta.threads as f64)),
+        ("simd", Json::Str(meta.simd.clone())),
+        ("median_ns", Json::Num(m.median_ns)),
+        ("min_ns", Json::Num(m.min_ns)),
+        ("iters", Json::Num(m.iters as f64)),
+        (
+            "gflops",
+            gflops(meta, m).map(Json::Num).unwrap_or(Json::Null),
+        ),
+    ];
+    fields.extend(meta.extras.iter().cloned());
+    Json::obj(fields)
 }
 
 impl Drop for Harness {
@@ -323,6 +332,34 @@ impl Drop for Harness {
             }
         }
     }
+}
+
+/// A bench-schema entry for a measured federated run (an `exp` cell, not a
+/// harness bench): `wall_seconds / rounds` is its one timing sample, the
+/// group is the op, and thread budget and SIMD tag are this process's.
+pub fn bench_entry(
+    op: &str,
+    name: String,
+    shape: String,
+    rounds: usize,
+    wall_seconds: f64,
+    extras: Vec<(&'static str, Json)>,
+) -> Json {
+    let ns = wall_seconds * 1e9 / rounds.max(1) as f64;
+    let meta = BenchMeta {
+        op: op.into(),
+        shape,
+        threads: niid_tensor::configured_threads(),
+        flops: 0,
+        simd: simd_tag(),
+        extras,
+    };
+    let sample = Measurement {
+        median_ns: ns,
+        min_ns: ns,
+        iters: rounds as u64,
+    };
+    entry_json(op, &name, &meta, &sample)
 }
 
 /// GFLOP/s for a FLOP-counted workload (`flops / ns` ≡ `Gflop / s`).

@@ -1,48 +1,49 @@
-//! Shared plumbing for the experiment binaries (`exp_table*`, `exp_fig*`).
+//! The experiment surface of the reproduction: one declarative table of
+//! experiments ([`experiments::EXPERIMENTS`] — every table and figure of
+//! the paper plus the ablation, compression and scale extensions) and the
+//! plumbing the one driver binary (`exp`) runs them through.
 //!
-//! Every binary regenerates one table or figure of the paper. They share a
-//! tiny hand-rolled CLI:
-//!
-//! ```text
-//! --quick        tiny scale (seconds; smoke-testing the harness)
-//! --paper-scale  full Table 2 sizes and paper round counts (very slow on CPU)
-//! --seed <u64>   master seed (default 42)
-//! --rounds <n>   override communication rounds
-//! --trials <n>   override trial count
-//! --json <path>  also write results as JSON
-//! --trace <path> append round-level trace events (JSON Lines) and print
-//!                a phase-timing summary at exit
-//! --metrics-dir <dir>  write training-dynamics metrics (JSON Lines) to
-//!                      <dir>/metrics.jsonl and print a dynamics summary
-//! --metrics-port <p>   serve live Prometheus metrics on 127.0.0.1:<p>
-//!                      (0 picks an ephemeral port, printed at startup)
-//! --checkpoint-dir <dir>  write round-granular checkpoints under
-//!                         <dir>/trial<t>/checkpoint.bin
-//! --checkpoint-every <k>  checkpoint cadence in rounds (default 5)
-//! --resume             resume each trial from its checkpoint when one
-//!                      exists (requires --checkpoint-dir or NIID_CHECKPOINT)
-//! --faults <spec>      deterministic fault injection, e.g.
-//!                      crash=0.3 or crash=0.2,drop=0.05,delay=0.1:50,seed=7
-//! --min-quorum <f>     minimum surviving fraction of each round's cohort
-//!                      before the run aborts with a quorum error (default 0.5)
-//! --codec <spec>       wire codec for update uploads: dense (default),
-//!                      topk[:f], int8[:L], topk8[:f[:L]]
-//! --profile <path>     record span-profiler data and write a Chrome
-//!                      trace-event JSON (loadable in Perfetto) at exit
-//! ```
-//!
-//! The default (no flag) is the `bench` scale recorded in EXPERIMENTS.md.
+//! `exp --help` prints [`USAGE`], the flag reference. The default (no
+//! scale flag) is the `bench` scale recorded in EXPERIMENTS.md, at each
+//! experiment's own `bench_rounds` budget.
 
 pub mod dist;
+pub mod experiments;
+mod experiments_scale;
+mod experiments_static;
 pub mod harness;
 
 use niid_core::experiment::{run_experiment, ExperimentResult, ExperimentSpec};
 use niid_data::GenConfig;
 use niid_fl::{FaultPlan, TraceSummary, UpdateCodec};
-use niid_json::ToJson;
-use std::io::Write;
+use std::fmt::Display;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
-/// Scale profile for an experiment binary.
+/// Print `error: <msg>` and exit 2 — the one exit for a bad command line,
+/// a typed run failure or an unwritable output.
+pub fn fail(msg: impl Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
+}
+
+/// The value following flag `name` (shared with [`dist::DistArgs`]).
+pub(crate) fn take(it: &mut impl Iterator<Item = String>, name: &str) -> String {
+    it.next()
+        .unwrap_or_else(|| fail(format!("missing value for {name}")))
+}
+
+/// The value following flag `name`, parsed.
+pub(crate) fn parsed<T>(it: &mut impl Iterator<Item = String>, name: &str) -> T
+where
+    T: FromStr<Err: Display>,
+{
+    take(it, name)
+        .parse()
+        .unwrap_or_else(|e| fail(format!("bad {name}: {e}")))
+}
+
+/// Scale profile for an experiment run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Seconds-long smoke test.
@@ -66,6 +67,9 @@ pub struct Args {
     pub trials: Option<usize>,
     /// Optional JSON output path.
     pub json: Option<String>,
+    /// Optional output directory: one isolated process per experiment,
+    /// `<out>/<id>.txt` + `<out>/<id>.json`.
+    pub out: Option<String>,
     /// Optional JSONL trace-output path.
     pub trace: Option<String>,
     /// Optional training-dynamics metrics directory.
@@ -89,13 +93,31 @@ pub struct Args {
     pub profile: Option<String>,
 }
 
-impl Args {
-    /// Parse `std::env::args()`; exits with a usage message on error.
-    pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1))
-    }
+/// What `exp --help` prints.
+pub const USAGE: &str = "\
+usage: exp <id>... | all | list  [flags]        (`exp list` prints the ids)
 
-    /// Parse from an explicit iterator (testable).
+--quick | --short       tiny scale (seconds; smoke-testing the harness)
+--paper-scale           full Table 2 sizes and paper round counts (very slow on CPU)
+--seed <u64>            master seed (default 42)
+--rounds <n>            override communication rounds
+--trials <n>            override trial count
+--json <path>           also write results as JSON
+--out <dir>             one process per experiment, writing <dir>/<id>.txt and <dir>/<id>.json
+--trace <path>          append round trace events (JSONL); print a phase-timing summary at exit
+--metrics-dir <dir>     write training-dynamics metrics to <dir>/metrics.jsonl; print a summary
+--metrics-port <p>      serve live Prometheus metrics on 127.0.0.1:<p> (0 = ephemeral, printed)
+--checkpoint-dir <dir>  write round-granular checkpoints under <dir>/trial<t>/checkpoint.bin
+--checkpoint-every <k>  checkpoint cadence in rounds (default 5)
+--resume                resume trials from their checkpoints (--checkpoint-dir or NIID_CHECKPOINT)
+--faults <spec>         fault injection: crash=0.3 or crash=0.2,drop=0.05,delay=0.1:50,seed=7
+--min-quorum <f>        surviving fraction of a round's cohort below which it aborts (default 0.5)
+--codec <spec>          upload codec: dense (default), topk[:f], int8[:L], topk8[:f[:L]]
+--profile <path>        record spans; write a Chrome trace-event JSON (Perfetto) at exit";
+
+impl Args {
+    /// Parse the flags of a command line (the `exp` driver strips the
+    /// leading experiment ids); exits 2 with a message on error.
     pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Self {
         let mut out = Args {
             scale: Scale::Bench,
@@ -103,6 +125,7 @@ impl Args {
             rounds: None,
             trials: None,
             json: None,
+            out: None,
             trace: None,
             metrics_dir: None,
             metrics_port: None,
@@ -114,88 +137,42 @@ impl Args {
             codec: None,
             profile: None,
         };
-        let mut it = args.into_iter();
+        let it = &mut args.into_iter();
         while let Some(arg) = it.next() {
-            let mut take = |name: &str| -> String {
-                it.next().unwrap_or_else(|| {
-                    eprintln!("missing value for {name}");
-                    std::process::exit(2);
-                })
-            };
             match arg.as_str() {
-                "--quick" => out.scale = Scale::Quick,
+                // `--short` is the bench harness's (and CI's) word for it.
+                "--quick" | "--short" => out.scale = Scale::Quick,
                 "--paper-scale" => out.scale = Scale::Paper,
-                "--seed" => {
-                    out.seed = take("--seed").parse().unwrap_or_else(|e| {
-                        eprintln!("bad --seed: {e}");
-                        std::process::exit(2);
-                    })
-                }
-                "--rounds" => {
-                    out.rounds = Some(take("--rounds").parse().unwrap_or_else(|e| {
-                        eprintln!("bad --rounds: {e}");
-                        std::process::exit(2);
-                    }))
-                }
-                "--trials" => {
-                    out.trials = Some(take("--trials").parse().unwrap_or_else(|e| {
-                        eprintln!("bad --trials: {e}");
-                        std::process::exit(2);
-                    }))
-                }
-                "--json" => out.json = Some(take("--json")),
-                "--trace" => out.trace = Some(take("--trace")),
-                "--metrics-dir" => out.metrics_dir = Some(take("--metrics-dir")),
-                "--metrics-port" => {
-                    out.metrics_port = Some(take("--metrics-port").parse().unwrap_or_else(|e| {
-                        eprintln!("bad --metrics-port: {e}");
-                        std::process::exit(2);
-                    }))
-                }
-                "--checkpoint-dir" => out.checkpoint_dir = Some(take("--checkpoint-dir")),
+                "--seed" => out.seed = parsed(it, "--seed"),
+                "--rounds" => out.rounds = Some(parsed(it, "--rounds")),
+                "--trials" => out.trials = Some(parsed(it, "--trials")),
+                "--json" => out.json = Some(take(it, "--json")),
+                "--out" => out.out = Some(take(it, "--out")),
+                "--trace" => out.trace = Some(take(it, "--trace")),
+                "--metrics-dir" => out.metrics_dir = Some(take(it, "--metrics-dir")),
+                "--metrics-port" => out.metrics_port = Some(parsed(it, "--metrics-port")),
+                "--checkpoint-dir" => out.checkpoint_dir = Some(take(it, "--checkpoint-dir")),
                 "--checkpoint-every" => {
-                    out.checkpoint_every =
-                        Some(take("--checkpoint-every").parse().unwrap_or_else(|e| {
-                            eprintln!("bad --checkpoint-every: {e}");
-                            std::process::exit(2);
-                        }))
+                    out.checkpoint_every = Some(parsed(it, "--checkpoint-every"))
                 }
                 "--resume" => out.resume = true,
-                "--profile" => out.profile = Some(take("--profile")),
-                "--faults" => {
-                    out.faults = Some(take("--faults").parse().unwrap_or_else(|e| {
-                        eprintln!("bad --faults: {e}");
-                        std::process::exit(2);
-                    }))
-                }
-                "--min-quorum" => {
-                    out.min_quorum = Some(take("--min-quorum").parse().unwrap_or_else(|e| {
-                        eprintln!("bad --min-quorum: {e}");
-                        std::process::exit(2);
-                    }))
-                }
-                "--codec" => {
-                    out.codec = Some(take("--codec").parse().unwrap_or_else(|e| {
-                        eprintln!("bad --codec: {e}");
-                        std::process::exit(2);
-                    }))
-                }
+                "--profile" => out.profile = Some(take(it, "--profile")),
+                "--faults" => out.faults = Some(parsed(it, "--faults")),
+                "--min-quorum" => out.min_quorum = Some(parsed(it, "--min-quorum")),
+                "--codec" => out.codec = Some(parsed(it, "--codec")),
                 "--help" | "-h" => {
-                    eprintln!(
-                        "usage: [--quick | --paper-scale] [--seed N] [--rounds N] \
-                         [--trials N] [--json PATH] [--trace PATH] \
-                         [--metrics-dir DIR] [--metrics-port PORT] \
-                         [--checkpoint-dir DIR] [--checkpoint-every K] [--resume] \
-                         [--faults SPEC] [--min-quorum F] [--codec SPEC] \
-                         [--profile PATH]"
-                    );
+                    println!("{USAGE}");
                     std::process::exit(0);
                 }
-                other => {
-                    eprintln!("unknown argument: {other}");
-                    std::process::exit(2);
-                }
+                other => fail(format!("unknown argument: {other}")),
             }
+        }
+        if out.trials == Some(0) {
+            fail("bad --trials: must be at least 1");
+        }
+        let env_dir = std::env::var("NIID_CHECKPOINT").is_ok_and(|d| !d.is_empty());
+        if out.resume && out.checkpoint_dir.is_none() && !env_dir {
+            fail("--resume needs --checkpoint-dir DIR (or NIID_CHECKPOINT) to resume from");
         }
         out
     }
@@ -213,70 +190,51 @@ impl Args {
     /// overrides) onto a spec. `paper_rounds` is the figure's own round
     /// count in the paper (50 for Table 3, 100 for Fig. 12, ...).
     pub fn apply(&self, spec: &mut ExperimentSpec, paper_rounds: usize, paper_trials: usize) {
-        match self.scale {
-            Scale::Quick => {
-                spec.rounds = 3;
-                spec.local_epochs = 2;
-                spec.batch_size = 32;
-                spec.trials = 1;
-            }
-            Scale::Bench => {
-                spec.rounds = 15;
-                spec.local_epochs = 5;
-                spec.batch_size = 32;
-                spec.trials = 1;
-            }
-            Scale::Paper => {
-                spec.rounds = paper_rounds;
-                spec.local_epochs = 10;
-                spec.batch_size = 64;
-                spec.trials = paper_trials;
-            }
-        }
-        if let Some(r) = self.rounds {
-            spec.rounds = r;
-        }
-        if let Some(t) = self.trials {
-            spec.trials = t;
-        }
-        if self.trace.is_some() {
-            // --trace beats the NIID_TRACE env default picked up by
-            // ExperimentSpec::new.
-            spec.trace_path = self.trace.clone();
-        }
-        if self.metrics_dir.is_some() {
-            // Same precedence: the flag beats NIID_METRICS.
-            spec.metrics_dir = self.metrics_dir.clone();
-        }
-        if self.metrics_port.is_some() {
-            spec.metrics_port = self.metrics_port;
-        }
-        if self.checkpoint_dir.is_some() {
-            // The flag beats the NIID_CHECKPOINT env default.
-            spec.checkpoint_dir = self.checkpoint_dir.clone();
-        }
-        if let Some(every) = self.checkpoint_every {
-            spec.checkpoint_every = every;
-        }
-        if self.resume {
-            spec.resume = true;
-        }
-        if self.faults.is_some() {
-            spec.faults = self.faults.clone();
-        }
-        if let Some(q) = self.min_quorum {
-            spec.min_quorum = q;
-        }
-        if let Some(codec) = self.codec {
-            spec.codec = codec;
-        }
+        let (rounds, epochs, batch, trials) = match self.scale {
+            Scale::Quick => (3, 2, 32, 1),
+            Scale::Bench => (15, 5, 32, 1),
+            Scale::Paper => (paper_rounds, 10, 64, paper_trials),
+        };
+        spec.rounds = self.rounds.unwrap_or(rounds);
+        spec.local_epochs = epochs;
+        spec.batch_size = batch;
+        spec.trials = self.trials.unwrap_or(trials);
+        // A flag beats the `NIID_*` env default `ExperimentSpec::new` read.
+        spec.trace_path = self.trace.clone().or(spec.trace_path.take());
+        spec.metrics_dir = self.metrics_dir.clone().or(spec.metrics_dir.take());
+        spec.metrics_port = self.metrics_port.or(spec.metrics_port);
+        spec.checkpoint_dir = self.checkpoint_dir.clone().or(spec.checkpoint_dir.take());
+        spec.checkpoint_every = self.checkpoint_every.unwrap_or(spec.checkpoint_every);
+        spec.resume |= self.resume;
+        spec.faults = self.faults.clone().or(spec.faults.take());
+        spec.min_quorum = self.min_quorum.unwrap_or(spec.min_quorum);
+        spec.codec = self.codec.unwrap_or(spec.codec);
     }
 
     /// Path of the metrics JSONL series, when `--metrics-dir` was given.
-    pub fn metrics_jsonl_path(&self) -> Option<std::path::PathBuf> {
-        self.metrics_dir
-            .as_ref()
-            .map(|d| std::path::Path::new(d).join("metrics.jsonl"))
+    pub fn metrics_jsonl_path(&self) -> Option<PathBuf> {
+        let dir = self.metrics_dir.as_ref()?;
+        Some(Path::new(dir).join("metrics.jsonl"))
+    }
+
+    /// The given flags that only [`Args::apply`] consumes — meaningless
+    /// to an experiment that runs no `ExperimentSpec` cells.
+    pub fn cell_flags(&self) -> Vec<&'static str> {
+        [
+            ("--rounds", self.rounds.is_some()),
+            ("--trials", self.trials.is_some()),
+            ("--trace", self.trace.is_some()),
+            ("--metrics-dir", self.metrics_dir.is_some()),
+            ("--metrics-port", self.metrics_port.is_some()),
+            ("--checkpoint-dir", self.checkpoint_dir.is_some()),
+            ("--checkpoint-every", self.checkpoint_every.is_some()),
+            ("--resume", self.resume),
+            ("--faults", self.faults.is_some()),
+            ("--min-quorum", self.min_quorum.is_some()),
+        ]
+        .into_iter()
+        .filter_map(|(flag, given)| given.then_some(flag))
+        .collect()
     }
 }
 
@@ -286,46 +244,35 @@ impl Args {
 /// panic banner.
 pub fn run_or_exit(spec: &ExperimentSpec) -> ExperimentResult {
     run_experiment(spec).unwrap_or_else(|e| {
-        eprintln!(
-            "error: {} / {} / {}: {e}",
-            spec.dataset.name(),
-            spec.strategy.label(),
+        let (dataset, strategy) = (spec.dataset.name(), spec.strategy.label());
+        fail(format!(
+            "{dataset} / {strategy} / {}: {e}",
             spec.algorithm.name()
-        );
-        std::process::exit(2)
+        ))
     })
 }
 
-/// Print a standard experiment header. When `--trace` was given, the trace
-/// file is truncated here so one invocation's events never mix with a
-/// previous run's (experiment cells append to it).
+/// Print a standard experiment header. Cells append to the `--trace` and
+/// `--metrics-dir` files, so each is truncated here, once per invocation,
+/// and holds this run's events alone. Both are best-effort: an unwritable
+/// path warns (`run_experiment` then disables the sink) but never kills
+/// the run.
 pub fn print_header(what: &str, args: &Args) {
     println!("=== {what} ===");
     println!(
         "scale: {:?}   seed: {}   (use --quick / --paper-scale to change)",
         args.scale, args.seed
     );
+    let start = |what: &str, path: &Path| match std::fs::File::create(path) {
+        Ok(_) => println!("{what} to {}", path.display()),
+        Err(e) => eprintln!("warning: cannot create {}: {e}", path.display()),
+    };
     if let Some(path) = &args.trace {
-        // Tracing is best-effort: an unwritable path must not kill the run.
-        // run_experiment prints its own warning and disables the sink.
-        match std::fs::File::create(path) {
-            Ok(_) => println!("tracing rounds to {path}"),
-            Err(e) => eprintln!("warning: cannot create trace file {path}: {e}"),
-        }
+        start("tracing rounds", Path::new(path));
     }
     if let Some(path) = args.metrics_jsonl_path() {
-        // Same append-per-cell convention as the trace file: truncate once
-        // per invocation so the series belongs to this run alone.
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        match std::fs::File::create(&path) {
-            Ok(_) => println!("metrics series to {}", path.display()),
-            Err(e) => eprintln!(
-                "warning: cannot create metrics file {}: {e}",
-                path.display()
-            ),
-        }
+        let _ = std::fs::create_dir_all(path.parent().expect("joined under --metrics-dir"));
+        start("metrics series", &path);
     }
     if args.metrics_dir.is_some() || args.metrics_port.is_some() {
         // Ctrl-C during a long run still leaves flushed, parseable
@@ -339,65 +286,38 @@ pub fn print_header(what: &str, args: &Args) {
     println!();
 }
 
-/// Write a serializable value as pretty JSON if `--json` was given.
-pub fn maybe_write_json<T: ToJson>(args: &Args, value: &T) {
-    if let Some(path) = &args.json {
-        let json = value.to_json_pretty();
-        let mut f =
-            std::fs::File::create(path).unwrap_or_else(|e| panic!("cannot create {path}: {e}"));
-        f.write_all(json.as_bytes()).expect("write json");
-        println!("(results written to {path})");
-    }
-}
-
-/// Fold the `--trace` file (if any) into a per-phase timing table and
-/// print it — the binaries call this once after their last experiment.
-/// The steal/idle line is attached from this process's live pool spans.
-pub fn maybe_print_trace_summary(args: &Args) {
+/// The end-of-run reports, each printed only when its flag was given: the
+/// `--trace` file folded into a per-phase timing table (with this
+/// process's pool steal/idle line), the `--metrics-dir` series folded
+/// into the training-dynamics summary, and the `--profile` Chrome trace
+/// plus flame table.
+pub fn print_epilogue(args: &Args) {
     if let Some(path) = &args.trace {
         match TraceSummary::from_jsonl_file(path) {
-            Ok(summary) => {
-                println!();
-                print!("{}", summary.with_pool_activity().render());
-            }
+            Ok(summary) => print!("\n{}", summary.with_pool_activity().render()),
             Err(e) => eprintln!("warning: cannot summarize trace {path}: {e}"),
         }
     }
-}
-
-/// Write the Chrome trace-event profile and print the flame table when
-/// `--profile` was given — the binaries call this once at exit.
-pub fn maybe_write_profile(args: &Args) {
-    let Some(path) = &args.profile else { return };
-    match niid_prof::write_chrome_trace(path) {
-        Ok(()) => {
-            println!();
-            println!("profile written to {path} (load in https://ui.perfetto.dev)");
-            print!("{}", niid_prof::render_flame_table(12));
+    if let Some(path) = args.metrics_jsonl_path() {
+        niid_metrics::flush_all();
+        match niid_fl::DynamicsSummary::from_jsonl_file(&path) {
+            Ok(summary) => print!("\n{}", summary.render()),
+            Err(e) => eprintln!("warning: cannot summarize metrics {}: {e}", path.display()),
         }
-        Err(e) => eprintln!("warning: cannot write profile {path}: {e}"),
     }
-}
-
-/// Fold the `--metrics-dir` series (if any) into the one-screen training-
-/// dynamics summary — top-diverging parties, BN drift, substrate stats —
-/// and print it after the last experiment.
-pub fn maybe_print_metrics_summary(args: &Args) {
-    let Some(path) = args.metrics_jsonl_path() else {
-        return;
-    };
-    niid_metrics::flush_all();
-    match niid_fl::DynamicsSummary::from_jsonl_file(&path) {
-        Ok(summary) => {
-            println!();
-            print!("{}", summary.render());
+    if let Some(path) = &args.profile {
+        match niid_prof::write_chrome_trace(path) {
+            Ok(()) => {
+                println!("\nprofile written to {path} (load in https://ui.perfetto.dev)");
+                print!("{}", niid_prof::render_flame_table(12));
+            }
+            Err(e) => eprintln!("warning: cannot write profile {path}: {e}"),
         }
-        Err(e) => eprintln!("warning: cannot summarize metrics {}: {e}", path.display()),
     }
 }
 
 /// Render a training curve as a compact ASCII sparkline plus key points,
-/// used by the figure binaries.
+/// used by the curve renderers.
 pub fn curve_line(label: &str, curve: &[(usize, f64)]) -> String {
     const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     let spark: String = curve

@@ -1,19 +1,21 @@
-//! Behaviour lock for the experiment binaries: the stdout of each of the
+//! Behaviour lock for the experiment registry: the stdout of each of the
 //! 14 deterministic experiments (Tables 1–3, Figures 3–12, the ablations)
-//! at `--quick --seed 42` is pinned byte-for-byte in `tests/golden/<id>.txt`.
+//! at `exp <id> --quick --seed 42` is pinned byte-for-byte in
+//! `tests/golden/<id>.txt`.
 //!
 //! The child runs under `NIID_SIMD=off` so the fixtures are machine-
 //! independent (the scalar arm reproduces history on every CPU), and with
 //! the `NIID_*` output env defaults cleared so a developer's shell cannot
 //! leak a trace or checkpoint path into the run. The fixtures were
-//! generated from the sixteen per-figure `main`s and must never be edited
-//! by a refactor of how experiments are declared or driven.
+//! generated from the per-figure `main`s the registry replaced and must
+//! never be edited by a refactor of how experiments are declared or driven.
 
 use std::process::Command;
 
-fn check(exe: &str, id: &str) {
+fn check(id: &str) {
+    let exe = env!("CARGO_BIN_EXE_exp");
     let out = Command::new(exe)
-        .args(["--quick", "--seed", "42"])
+        .args([id, "--quick", "--seed", "42"])
         .env("NIID_SIMD", "off")
         .env_remove("NIID_TRACE")
         .env_remove("NIID_METRICS")
@@ -42,10 +44,7 @@ macro_rules! golden {
     ($($id:ident)*) => {$(
         #[test]
         fn $id() {
-            check(
-                env!(concat!("CARGO_BIN_EXE_exp_", stringify!($id))),
-                stringify!($id),
-            );
+            check(stringify!($id));
         }
     )*};
 }

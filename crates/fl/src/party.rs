@@ -76,7 +76,7 @@ static RESIDENT_BYTES: AtomicUsize = AtomicUsize::new(0);
 static RESIDENT_PEAK: AtomicUsize = AtomicUsize::new(0);
 
 /// Process-wide gauge of on-demand party residency — the "resident-set
-/// proxy" the `exp_scale` bench reports. Only parties materialized
+/// proxy" the `exp scale` sweep reports. Only parties materialized
 /// through a [`PartyProvider`] count; a fully resident `Vec<Party>`
 /// simulation contributes nothing (its residency is trivially `N`).
 pub mod residency {

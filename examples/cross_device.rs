@@ -4,7 +4,7 @@
 //! regenerates each sampled device's shard deterministically from the
 //! partition seed, so peak party-resident memory tracks the cohort, not
 //! the population. For the full sweep up to one million devices see
-//! `cargo run --release -p niid-bench --bin exp_scale`.
+//! `cargo run --release -p niid-bench --bin exp -- scale`.
 //!
 //! ```sh
 //! cargo run --release --example cross_device

@@ -1,6 +1,6 @@
 //! Model-level benchmarks: one forward+backward+SGD step for each of the
-//! paper's architectures, plus the flat state (de)serialization that the
-//! federated server performs every round.
+//! paper's architectures — the in-place step `local_train` runs — plus the
+//! flat state load every party performs at the top of a round.
 
 use niid_bench::harness::{black_box, Harness};
 use niid_nn::{lenet_cnn, mlp, resnet_lite, vgg9, Network, Sgd};
@@ -10,9 +10,8 @@ use niid_tensor::Tensor;
 fn train_step(net: &mut Network, opt: &mut Sgd, x: &Tensor, y: &[usize]) -> f64 {
     net.zero_grads();
     let loss = net.forward_backward(x.clone(), y);
-    let mut params = net.params_flat();
-    opt.step(&mut params, &net.grads_flat());
-    net.set_params_flat(&params);
+    let (params, grads) = net.params_and_grads_mut();
+    opt.step(params, grads);
     loss
 }
 
@@ -51,11 +50,7 @@ fn main() {
         bench.iter(|| black_box(train_step(&mut net, &mut opt, &x, &labels)))
     });
 
-    let net = lenet_cnn(1, 16, 10, 5);
-    h.bench("params_flat_lenet", |bench| {
-        bench.iter(|| black_box(net.params_flat()))
-    });
-    let flat = net.params_flat();
+    let flat = lenet_cnn(1, 16, 10, 5).params().to_vec();
     let mut net2 = lenet_cnn(1, 16, 10, 6);
     h.bench("set_params_flat_lenet", |bench| {
         bench.iter(|| net2.set_params_flat(black_box(&flat)))

@@ -15,7 +15,7 @@ use niid_tensor::{
 };
 
 /// A lowering-specific conv forward ([`conv2d_forward`] dispatches).
-type ConvForward = fn(&Tensor, &Tensor, Option<&Tensor>, &Conv2dShape, &mut ConvScratch) -> Tensor;
+type ConvForward = fn(&Tensor, &[f32], Option<&[f32]>, &Conv2dShape, &mut ConvScratch) -> Tensor;
 
 /// One forward and one backward row (single kernel thread) for `s` at
 /// `batch`, through `forward` and the backward its scratch pairs with.
@@ -43,12 +43,18 @@ fn conv_rows(
         |bench| {
             bench.iter(|| {
                 with_thread_budget(1, || {
-                    forward(black_box(&x), black_box(&w), Some(&b), &s, &mut scratch)
+                    forward(
+                        black_box(&x),
+                        black_box(w.as_slice()),
+                        Some(b.as_slice()),
+                        &s,
+                        &mut scratch,
+                    )
                 })
             })
         },
     );
-    let gy = Tensor::ones(forward(&x, &w, Some(&b), &s, &mut scratch).shape());
+    let gy = Tensor::ones(forward(&x, w.as_slice(), Some(b.as_slice()), &s, &mut scratch).shape());
     h.bench_meta(
         &format!("{prefix}_backward_batch{batch}/t1"),
         BenchMeta::op(
@@ -190,12 +196,18 @@ fn main() {
             |bench| {
                 bench.iter(|| {
                     with_thread_budget(t, || {
-                        conv2d_forward(black_box(&x), black_box(&w), Some(&b), &s, &mut scratch)
+                        conv2d_forward(
+                            black_box(&x),
+                            black_box(w.as_slice()),
+                            Some(b.as_slice()),
+                            &s,
+                            &mut scratch,
+                        )
                     })
                 })
             },
         );
-        let y = conv2d_forward(&x, &w, Some(&b), &s, &mut scratch);
+        let y = conv2d_forward(&x, w.as_slice(), Some(b.as_slice()), &s, &mut scratch);
         let gy = Tensor::ones(y.shape());
         h.bench_meta(
             &format!("conv2d/backward_batch32/t{t}"),
@@ -286,8 +298,8 @@ fn main() {
                         with_thread_budget(1, || {
                             conv2d_forward_implicit(
                                 black_box(&x),
-                                black_box(&w),
-                                Some(&b),
+                                black_box(w.as_slice()),
+                                Some(b.as_slice()),
                                 &s,
                                 &mut scratch,
                             )
@@ -321,8 +333,8 @@ fn main() {
                         with_thread_budget(1, || {
                             conv2d_forward_implicit(
                                 black_box(&xe),
-                                black_box(&we),
-                                Some(&be),
+                                black_box(we.as_slice()),
+                                Some(be.as_slice()),
                                 &s_early,
                                 &mut scratch_e,
                             )

@@ -70,7 +70,13 @@ fn conv_workload(class: ShapeClass, label: &'static str, s: Conv2dShape, batch: 
         label,
         flops: (batch * 2 * s.output_numel() * s.col_width()) as u64,
         run: Box::new(move || {
-            let y = conv2d_forward_implicit(&x, &w, Some(&b), &s, &mut scratch.borrow_mut());
+            let y = conv2d_forward_implicit(
+                &x,
+                w.as_slice(),
+                Some(b.as_slice()),
+                &s,
+                &mut scratch.borrow_mut(),
+            );
             std::hint::black_box(&y);
         }),
     }

@@ -6,15 +6,13 @@
 use niid_bench::experiments::{find, Kind, EXPERIMENTS};
 use std::collections::HashSet;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::Output;
+
+mod common;
 
 fn exp(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_exp"))
+    common::exp_command()
         .args(args)
-        .env_remove("NIID_TRACE")
-        .env_remove("NIID_METRICS")
-        .env_remove("NIID_METRICS_PORT")
-        .env_remove("NIID_CHECKPOINT")
         .output()
         .expect("spawn exp")
 }

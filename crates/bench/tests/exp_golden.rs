@@ -10,19 +10,14 @@
 //! generated from the per-figure `main`s the registry replaced and must
 //! never be edited by a refactor of how experiments are declared or driven.
 
-use std::process::Command;
+mod common;
 
 fn check(id: &str) {
-    let exe = env!("CARGO_BIN_EXE_exp");
-    let out = Command::new(exe)
+    let out = common::exp_command()
         .args([id, "--quick", "--seed", "42"])
         .env("NIID_SIMD", "off")
-        .env_remove("NIID_TRACE")
-        .env_remove("NIID_METRICS")
-        .env_remove("NIID_METRICS_PORT")
-        .env_remove("NIID_CHECKPOINT")
         .output()
-        .unwrap_or_else(|e| panic!("spawn {exe}: {e}"));
+        .unwrap_or_else(|e| panic!("spawn exp: {e}"));
     assert!(
         out.status.success(),
         "{id} exited {:?}\nstderr:\n{}",

@@ -526,7 +526,7 @@ impl FedSim {
 
     /// The in-process transport over this simulation's parties.
     fn local_pool<'a>(&'a self, grad_spans: Option<&'a [Range<usize>]>) -> LocalPool<'a> {
-        LocalPool(PartyEnv {
+        LocalPool::new(PartyEnv {
             cfg: &self.config,
             model_spec: &self.model_spec,
             parties: &self.parties,
@@ -546,8 +546,8 @@ impl FedSim {
         let cfg = &self.config;
         let init_seed = derive_seed(cfg.seed, SEED_INIT);
         let model = self.model_spec.build(self.test.num_classes, init_seed);
-        let global_params = model.params_flat();
-        let global_buffers = model.buffers_flat();
+        let global_params = model.params().to_vec();
+        let global_buffers = model.buffers().to_vec();
         let server_c = if cfg.algorithm.uses_control_variates() {
             vec![0.0f32; global_params.len()]
         } else {
@@ -630,8 +630,8 @@ impl FedSim {
             );
         }
         let probe = self.model_spec.build(self.test.num_classes, 0);
-        let p_len = probe.params_flat().len();
-        let b_len = probe.buffers_flat().len();
+        let p_len = probe.param_count();
+        let b_len = probe.buffer_count();
         if ck.global_params.len() != p_len {
             return mismatch(
                 "global_params length",
@@ -1423,8 +1423,8 @@ mod tests {
         let result = sim.run_traced(&sink).unwrap();
         let events = sink.events();
         let probe = spec().build(2, 0);
-        let p_len = probe.params_flat().len();
-        let b_len = probe.buffers_flat().len();
+        let p_len = probe.param_count();
+        let b_len = probe.buffer_count();
         let mut saw_faulted_round = false;
         for r in &result.rounds {
             let dropped = events
@@ -1649,6 +1649,38 @@ mod tests {
             (self.tamper)(&mut outcomes);
             outcomes
         }
+    }
+
+    /// The pool's worker models live as long as the pool, not one round:
+    /// a slot swapped for the wrong architecture is still there next round
+    /// (its first party panics on the length check), and that panic tears
+    /// the slot down so the next party rebuilds it.
+    #[test]
+    fn local_pool_keeps_worker_models_across_rounds() {
+        let (parties, test) = toy_setup(3, 16, 61);
+        let mut cfg = quick_config(Algorithm::FedAvg, 62);
+        cfg.threads = 1;
+        let sim = FedSim::new(spec(), parties, test, cfg).unwrap();
+        let st = sim.initial_state();
+        let mut pool = sim.local_pool(None);
+        let round = |pool: &mut LocalPool<'_>, round: usize| {
+            let bcast = Broadcast {
+                round,
+                params: &st.global_params,
+                buffers: &st.global_buffers,
+                server_c: &[],
+            };
+            let (c, r) = (BTreeMap::new(), BTreeMap::new());
+            pool.train_round(&bcast, &[0, 1, 2], &c, &r, &NoopSink)
+                .iter()
+                .map(|o| matches!(o, PartyOutcome::Trained(_)))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(round(&mut pool, 0), [true, true, true]);
+        assert_eq!(pool.models.len(), 1);
+        pool.models[0] = Some(ModelSpec::Mlp { in_dim: 5 }.build(2, 0));
+        assert_eq!(round(&mut pool, 1), [false, true, true]);
+        assert_eq!(round(&mut pool, 2), [true, true, true]);
     }
 
     /// SCAFFOLD + int8 over four parties, two clean rounds in: every

@@ -136,7 +136,6 @@ pub fn local_train(
     // reported loss is the per-sample mean regardless of ragged batches.
     let mut loss_sum = 0.0f64;
     let mut loss_samples = 0usize;
-    let mut params = global_params.to_vec();
     let mut layer_grad_sq: Vec<f64> = grad_spans.map_or(Vec::new(), |s| vec![0.0; s.len()]);
 
     for _epoch in 0..cfg.epochs {
@@ -147,7 +146,8 @@ pub fn local_train(
             model.zero_grads();
             loss_sum += model.forward_backward(x, &y) * batch_idx.len() as f64;
             loss_samples += batch_idx.len();
-            let mut grads = model.grads_flat();
+            // Everything below runs in place on the model's own arena.
+            let (params, grads) = model.params_and_grads_mut();
             if let Some(spans) = grad_spans {
                 // `sum_sq_f64` keeps four independent f64 accumulators (the
                 // serial `s += g*g` chain would otherwise dominate small
@@ -162,11 +162,11 @@ pub fn local_train(
             if mu != 0.0 {
                 // FedProx: the proximal term is part of the local
                 // objective, so its gradient goes through the optimizer.
-                for ((g, &p), &gp) in grads.iter_mut().zip(&params).zip(global_params) {
+                for ((g, &p), &gp) in grads.iter_mut().zip(&*params).zip(global_params) {
                     *g += mu * (p - gp);
                 }
             }
-            opt.step(&mut params, &grads);
+            opt.step(params, grads);
             if let Some(corr) = &correction {
                 // SCAFFOLD: momentum-free post-step correction
                 // w ← w − η (c − cᵢ), as in the reference implementation.
@@ -174,7 +174,6 @@ pub fn local_train(
                     *p -= cfg.lr * c;
                 }
             }
-            model.set_params_flat(&params);
             tau += 1;
         }
     }
@@ -182,14 +181,14 @@ pub fn local_train(
     // Δwᵢ = wᵗ - wᵢᵗ (Algorithm 1 line 22).
     let delta: Vec<f32> = global_params
         .iter()
-        .zip(&params)
+        .zip(model.params())
         .map(|(&g, &w)| g - w)
         .collect();
 
     // Captured before the control-variate refresh: GradientAtGlobal runs
     // extra forward passes below that would otherwise leak into the
     // BatchNorm statistics this party reports.
-    let local_buffers = model.buffers_flat();
+    let local_buffers = model.buffers().to_vec();
 
     // SCAFFOLD control-variate refresh (Algorithm 2 lines 23–25).
     let delta_c = match scaffold {
@@ -223,9 +222,8 @@ pub fn local_train(
                         let (x, y) = party.batch(chunk);
                         model.zero_grads();
                         model.forward_backward(x, &y);
-                        let g = model.grads_flat();
                         let w = chunk.len() as f32 / n as f32;
-                        for (a, &gv) in acc.iter_mut().zip(&g) {
+                        for (a, &gv) in acc.iter_mut().zip(model.grads()) {
                             *a += w * gv;
                         }
                     }
@@ -285,7 +283,7 @@ mod tests {
     fn tau_counts_steps() {
         let party = toy_party(20, 1);
         let mut model = mlp(4, 2, 7);
-        let global = model.params_flat();
+        let global = model.params().to_vec();
         let out = local_train(
             &mut model,
             &party,
@@ -308,7 +306,7 @@ mod tests {
     fn delta_is_global_minus_local() {
         let party = toy_party(16, 3);
         let mut model = mlp(4, 2, 8);
-        let global = model.params_flat();
+        let global = model.params().to_vec();
         let out = local_train(
             &mut model,
             &party,
@@ -320,7 +318,7 @@ mod tests {
             None,
             &mut Pcg64::new(4),
         );
-        let local = model.params_flat();
+        let local = model.params().to_vec();
         for ((&g, &w), &d) in global.iter().zip(&local).zip(&out.delta) {
             assert!((g - w - d).abs() < 1e-6);
         }
@@ -332,7 +330,7 @@ mod tests {
         let party = toy_party(24, 5);
         let run = |seed: u64| {
             let mut model = mlp(4, 2, 9);
-            let global = model.params_flat();
+            let global = model.params().to_vec();
             local_train(
                 &mut model,
                 &party,
@@ -354,7 +352,7 @@ mod tests {
     fn large_prox_mu_shrinks_updates() {
         let party = toy_party(32, 6);
         let model = mlp(4, 2, 10);
-        let global = model.params_flat();
+        let global = model.params().to_vec();
         let norm_for = |algo: Algorithm| {
             let mut m = mlp(4, 2, 10);
             let out = local_train(
@@ -389,7 +387,7 @@ mod tests {
     fn scaffold_reuse_control_variate_algebra() {
         let party = toy_party(16, 7);
         let mut model = mlp(4, 2, 12);
-        let global = model.params_flat();
+        let global = model.params().to_vec();
         let p_len = global.len();
         let server_c = vec![0.0f32; p_len];
         let mut client_c = Vec::new(); // lazily initialized to zeros
@@ -428,7 +426,7 @@ mod tests {
     fn scaffold_gradient_at_global_produces_full_batch_gradient() {
         let party = toy_party(16, 8);
         let mut model = mlp(4, 2, 14);
-        let global = model.params_flat();
+        let global = model.params().to_vec();
         let p_len = global.len();
         let server_c = vec![0.0f32; p_len];
         let mut client_c = vec![0.0f32; p_len];
@@ -456,7 +454,7 @@ mod tests {
         let all: Vec<usize> = (0..16).collect();
         let (x, y) = party.batch(&all);
         reference.forward_backward(x, &y);
-        let full_grad = reference.grads_flat();
+        let full_grad = reference.grads().to_vec();
         for (i, (&ci, &g)) in client_c.iter().zip(&full_grad).enumerate() {
             assert!(
                 (ci - g).abs() < 1e-4 * (1.0 + g.abs()),
@@ -471,7 +469,7 @@ mod tests {
         // A strong constant server control variate must visibly bias the
         // local update compared to plain FedAvg.
         let party = toy_party(16, 9);
-        let global = mlp(4, 2, 16).params_flat();
+        let global = mlp(4, 2, 16).params().to_vec();
         let p_len = global.len();
 
         let mut m1 = mlp(4, 2, 16);
@@ -526,8 +524,8 @@ mod tests {
         let labels = (0..8).map(|i| i % 2).collect();
         let party = Party::new(0, Dataset::new("img", x, labels, 2, vec![3, 16, 16], None));
         let mut model = resnet_lite(3, 16, 2, 2, 1, 21);
-        let global = model.params_flat();
-        let global_buffers = model.buffers_flat();
+        let global = model.params().to_vec();
+        let global_buffers = model.buffers().to_vec();
         let out = local_train(
             &mut model,
             &party,
@@ -557,7 +555,7 @@ mod tests {
         let party = toy_party(20, 30);
         let c = cfg();
         let mut model = mlp(4, 2, 31);
-        let global = model.params_flat();
+        let global = model.params().to_vec();
         let out = local_train(
             &mut model,
             &party,
@@ -589,7 +587,7 @@ mod tests {
                 seen += chunk.len();
                 step_sum += loss;
                 steps += 1;
-                let grads = m.grads_flat();
+                let grads = m.grads().to_vec();
                 opt.step(&mut params, &grads);
                 m.set_params_flat(&params);
             }
@@ -628,8 +626,8 @@ mod tests {
         };
         let run = |variant: ControlVariateUpdate| {
             let mut model = resnet_lite(3, 16, 2, 2, 1, 41);
-            let global = model.params_flat();
-            let global_buffers = model.buffers_flat();
+            let global = model.params().to_vec();
+            let global_buffers = model.buffers().to_vec();
             let server_c = vec![0.0f32; global.len()];
             let mut client_c = vec![0.0f32; global.len()];
             local_train(

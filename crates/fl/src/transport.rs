@@ -240,7 +240,21 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// The in-process transport: the cohort trains on a work-stealing pool
 /// of threads inside this process.
-pub(crate) struct LocalPool<'a>(pub PartyEnv<'a>);
+pub(crate) struct LocalPool<'a> {
+    env: PartyEnv<'a>,
+    /// One reusable model per worker, built on first use and kept across
+    /// rounds (a worker whose party panicked rebuilds its own).
+    pub models: Vec<Option<Network>>,
+}
+
+impl<'a> LocalPool<'a> {
+    pub fn new(env: PartyEnv<'a>) -> Self {
+        Self {
+            env,
+            models: Vec::new(),
+        }
+    }
+}
 
 impl Transport for LocalPool<'_> {
     fn train_round(
@@ -251,7 +265,7 @@ impl Transport for LocalPool<'_> {
         residuals: &BTreeMap<usize, Vec<f32>>,
         sink: &dyn TraceSink,
     ) -> Vec<PartyOutcome> {
-        let env = &self.0;
+        let (env, models) = (&self.env, &mut self.models);
         // `(slot in selected, party id)`, longest-processing-time-first:
         // under quantity skew one party can hold most of the data, so
         // workers should start the big parties first and backfill with
@@ -267,6 +281,9 @@ impl Transport for LocalPool<'_> {
         }
         .min(queue.len())
         .max(1);
+        if models.len() < threads {
+            models.resize_with(threads, || None);
+        }
 
         let run_job = |party_id: usize, model_slot: &mut Option<Network>| -> PartyOutcome {
             // A party absent from a sparse map has the implicit all-zero
@@ -285,15 +302,15 @@ impl Transport for LocalPool<'_> {
         };
 
         let mut done: Vec<(usize, PartyOutcome)> = if threads <= 1 {
-            let mut model = None;
-            let run = |&(slot, party_id)| (slot, run_job(party_id, &mut model));
+            let model = &mut models[0];
+            let run = |&(slot, party_id)| (slot, run_job(party_id, model));
             queue.iter().map(run).collect()
         } else {
             // Work-stealing over the LPT-ordered queue: workers claim jobs
             // one at a time through an atomic cursor, so a worker that draws
             // a huge party under quantity skew doesn't also get stuck with a
-            // pre-assigned chunk of stragglers behind it. Each worker builds
-            // a single reusable model and caps its kernel-level parallelism
+            // pre-assigned chunk of stragglers behind it. Each worker owns one
+            // reusable model slot and caps its kernel-level parallelism
             // so party × kernel threads never oversubscribe the configured
             // budget.
             let cursor = AtomicUsize::new(0);
@@ -305,17 +322,17 @@ impl Transport for LocalPool<'_> {
             let kern = active_kernel();
             let (run_job, queue, cursor) = (&run_job, &queue, &cursor);
             std::thread::scope(|s| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
+                let handles: Vec<_> = models[..threads]
+                    .iter_mut()
+                    .map(|model| {
                         s.spawn(move || {
                             set_thread_budget(kernel_budget);
                             with_forced_kernel(kern, || {
-                                let mut model = None;
                                 let mut done = Vec::new();
                                 while let Some(&(slot, party_id)) =
                                     queue.get(cursor.fetch_add(1, Ordering::Relaxed))
                                 {
-                                    done.push((slot, run_job(party_id, &mut model)));
+                                    done.push((slot, run_job(party_id, model)));
                                 }
                                 done
                             })

@@ -1,5 +1,6 @@
 //! Parameter-free layers: ReLU and Flatten.
 
+use crate::arena::State;
 use crate::layer::{Layer, Phase};
 use niid_tensor::{relu, relu_assign, relu_backward, Tensor};
 
@@ -26,7 +27,7 @@ impl Layer for Relu {
         "relu"
     }
 
-    fn forward(&mut self, mut x: Tensor, phase: Phase) -> Tensor {
+    fn forward(&mut self, mut x: Tensor, phase: Phase, _state: &mut State<'_>) -> Tensor {
         if phase == Phase::Train {
             // Training needs the pre-activation input for backward, so the
             // output is a fresh tensor.
@@ -40,7 +41,7 @@ impl Layer for Relu {
         }
     }
 
-    fn backward(&mut self, grad_out: Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: Tensor, _state: &mut State<'_>) -> Tensor {
         let x = self
             .cached_input
             .take()
@@ -75,7 +76,7 @@ impl Layer for Flatten {
         "flatten"
     }
 
-    fn forward(&mut self, x: Tensor, _phase: Phase) -> Tensor {
+    fn forward(&mut self, x: Tensor, _phase: Phase, _state: &mut State<'_>) -> Tensor {
         assert!(x.ndim() >= 1, "Flatten: input must have a batch dimension");
         let n = x.shape()[0];
         let rest: usize = x.shape()[1..].iter().product();
@@ -83,7 +84,7 @@ impl Layer for Flatten {
         x.reshape(&[n, rest])
     }
 
-    fn backward(&mut self, grad_out: Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: Tensor, _state: &mut State<'_>) -> Tensor {
         grad_out.reshape(&self.cached_shape)
     }
 }
@@ -91,14 +92,15 @@ impl Layer for Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::Arena;
 
     #[test]
     fn relu_round_trip() {
         let mut r = Relu::new();
         let x = Tensor::from_vec(vec![-2.0, 3.0, 0.0, 1.0], &[2, 2]);
-        let y = r.forward(x, Phase::Train);
+        let y = r.forward(x, Phase::Train, &mut Arena::default().state());
         assert_eq!(y.as_slice(), &[0.0, 3.0, 0.0, 1.0]);
-        let gx = r.backward(Tensor::ones(&[2, 2]));
+        let gx = r.backward(Tensor::ones(&[2, 2]), &mut Arena::default().state());
         assert_eq!(gx.as_slice(), &[0.0, 1.0, 0.0, 1.0]);
     }
 
@@ -106,9 +108,9 @@ mod tests {
     fn flatten_round_trip() {
         let mut f = Flatten::new();
         let x = Tensor::zeros(&[2, 3, 4, 5]);
-        let y = f.forward(x, Phase::Train);
+        let y = f.forward(x, Phase::Train, &mut Arena::default().state());
         assert_eq!(y.shape(), &[2, 60]);
-        let gx = f.backward(Tensor::ones(&[2, 60]));
+        let gx = f.backward(Tensor::ones(&[2, 60]), &mut Arena::default().state());
         assert_eq!(gx.shape(), &[2, 3, 4, 5]);
     }
 }

@@ -2,28 +2,25 @@
 //!
 //! This layer is load-bearing for the paper's Finding 7: "a simple
 //! averaging of batch normalization layers introduces instability in
-//! non-IID setting". The trainable affine parameters (`gamma`, `beta`) are
-//! exposed through `write_params`/`read_params` like any layer, while the
-//! running statistics are exposed through `write_buffers`/`read_buffers`,
-//! letting the federated server choose whether to average statistics
-//! (plain FedAvg of the full state dict) or keep them local (the §6.2
-//! mitigation — average learned parameters, leave statistics alone).
+//! non-IID setting". The trainable affine parameters (`gamma`, `beta`)
+//! live in the arena's `params` like any layer's, while the running
+//! statistics live in its `buffers`, letting the federated server choose
+//! whether to average statistics (plain FedAvg of the full state dict) or
+//! keep them local (the §6.2 mitigation — average learned parameters,
+//! leave statistics alone).
 
+use crate::arena::{pair, pair_mut, Arena, Slot, State};
 use crate::layer::{Layer, Phase};
-use crate::param::ParamReader;
 use niid_tensor::Tensor;
 
-/// BatchNorm over the channel dimension of NCHW activations.
+/// BatchNorm over the channel dimension of NCHW activations; the arena
+/// holds `[gamma | beta]` in `params` and `[running_mean | running_var]`
+/// in `buffers`.
 pub struct BatchNorm2d {
     channels: usize,
     eps: f32,
     momentum: f32,
-    gamma: Tensor,
-    beta: Tensor,
-    grad_gamma: Tensor,
-    grad_beta: Tensor,
-    running_mean: Tensor,
-    running_var: Tensor,
+    at: Slot,
     // Training-forward caches.
     cached_xhat: Option<Tensor>,
     cached_inv_std: Vec<f32>,
@@ -38,25 +35,10 @@ impl BatchNorm2d {
             channels,
             eps: 1e-5,
             momentum: 0.1,
-            gamma: Tensor::ones(&[channels]),
-            beta: Tensor::zeros(&[channels]),
-            grad_gamma: Tensor::zeros(&[channels]),
-            grad_beta: Tensor::zeros(&[channels]),
-            running_mean: Tensor::zeros(&[channels]),
-            running_var: Tensor::ones(&[channels]),
+            at: Slot::UNBOUND,
             cached_xhat: None,
             cached_inv_std: Vec::new(),
         }
-    }
-
-    /// Current running mean (read-only, for tests/diagnostics).
-    pub fn running_mean(&self) -> &Tensor {
-        &self.running_mean
-    }
-
-    /// Current running variance (read-only, for tests/diagnostics).
-    pub fn running_var(&self) -> &Tensor {
-        &self.running_var
     }
 
     fn check_input(&self, x: &Tensor) -> (usize, usize) {
@@ -79,9 +61,11 @@ impl Layer for BatchNorm2d {
         "batchnorm2d"
     }
 
-    fn forward(&mut self, x: Tensor, phase: Phase) -> Tensor {
+    fn forward(&mut self, x: Tensor, phase: Phase, state: &mut State<'_>) -> Tensor {
         let (n, spatial) = self.check_input(&x);
         let c = self.channels;
+        let (gamma, beta) = pair(state.params, self.at.params, c, c);
+        let (running_mean, running_var) = pair_mut(state.buffers, self.at.buffers, c, c);
         let mut y = Tensor::zeros(x.shape());
 
         match phase {
@@ -109,8 +93,7 @@ impl Layer for BatchNorm2d {
                     let inv_std = 1.0 / (var + self.eps).sqrt();
                     self.cached_inv_std[ch] = inv_std;
 
-                    let g = self.gamma.as_slice()[ch];
-                    let b = self.beta.as_slice()[ch];
+                    let (g, b) = (gamma[ch], beta[ch]);
                     for i in 0..n {
                         let off = (i * c + ch) * spatial;
                         for j in 0..spatial {
@@ -122,19 +105,18 @@ impl Layer for BatchNorm2d {
 
                     // Update running statistics (unbiased variance, PyTorch).
                     let unbiased = if m > 1.0 { var * m / (m - 1.0) } else { var };
-                    let rm = &mut self.running_mean.as_mut_slice()[ch];
+                    let rm = &mut running_mean[ch];
                     *rm = (1.0 - self.momentum) * *rm + self.momentum * mean;
-                    let rv = &mut self.running_var.as_mut_slice()[ch];
+                    let rv = &mut running_var[ch];
                     *rv = (1.0 - self.momentum) * *rv + self.momentum * unbiased;
                 }
                 self.cached_xhat = Some(xhat);
             }
             Phase::Eval => {
                 for ch in 0..c {
-                    let mean = self.running_mean.as_slice()[ch];
-                    let inv_std = 1.0 / (self.running_var.as_slice()[ch] + self.eps).sqrt();
-                    let g = self.gamma.as_slice()[ch];
-                    let b = self.beta.as_slice()[ch];
+                    let mean = running_mean[ch];
+                    let inv_std = 1.0 / (running_var[ch] + self.eps).sqrt();
+                    let (g, b) = (gamma[ch], beta[ch]);
                     for i in 0..n {
                         let off = (i * c + ch) * spatial;
                         for j in 0..spatial {
@@ -148,13 +130,15 @@ impl Layer for BatchNorm2d {
         y
     }
 
-    fn backward(&mut self, grad_out: Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: Tensor, state: &mut State<'_>) -> Tensor {
         let xhat = self
             .cached_xhat
             .take()
             .expect("BatchNorm2d::backward without cached training forward");
         let (n, spatial) = self.check_input(&grad_out);
         let c = self.channels;
+        let gamma = &state.params[self.at.params..][..c];
+        let (grad_gamma, grad_beta) = pair_mut(state.grads, self.at.params, c, c);
         let m = (n * spatial) as f32;
         let mut gx = Tensor::zeros(grad_out.shape());
 
@@ -170,10 +154,10 @@ impl Layer for BatchNorm2d {
                     sum_dy_xhat += dy * xhat.as_slice()[off + j] as f64;
                 }
             }
-            self.grad_beta.as_mut_slice()[ch] += sum_dy as f32;
-            self.grad_gamma.as_mut_slice()[ch] += sum_dy_xhat as f32;
+            grad_beta[ch] += sum_dy as f32;
+            grad_gamma[ch] += sum_dy_xhat as f32;
 
-            let g = self.gamma.as_slice()[ch];
+            let g = gamma[ch];
             let inv_std = self.cached_inv_std[ch];
             let mean_dy = sum_dy as f32 / m;
             let mean_dy_xhat = sum_dy_xhat as f32 / m;
@@ -189,50 +173,14 @@ impl Layer for BatchNorm2d {
         gx
     }
 
-    fn param_count(&self) -> usize {
-        2 * self.channels
-    }
-
-    fn buffer_count(&self) -> usize {
-        2 * self.channels
-    }
-
-    fn write_params(&self, out: &mut Vec<f32>) {
-        out.extend_from_slice(self.gamma.as_slice());
-        out.extend_from_slice(self.beta.as_slice());
-    }
-
-    fn read_params(&mut self, src: &mut ParamReader<'_>) {
-        self.gamma
-            .as_mut_slice()
-            .copy_from_slice(src.take(self.channels));
-        self.beta
-            .as_mut_slice()
-            .copy_from_slice(src.take(self.channels));
-    }
-
-    fn write_grads(&self, out: &mut Vec<f32>) {
-        out.extend_from_slice(self.grad_gamma.as_slice());
-        out.extend_from_slice(self.grad_beta.as_slice());
-    }
-
-    fn write_buffers(&self, out: &mut Vec<f32>) {
-        out.extend_from_slice(self.running_mean.as_slice());
-        out.extend_from_slice(self.running_var.as_slice());
-    }
-
-    fn read_buffers(&mut self, src: &mut ParamReader<'_>) {
-        self.running_mean
-            .as_mut_slice()
-            .copy_from_slice(src.take(self.channels));
-        self.running_var
-            .as_mut_slice()
-            .copy_from_slice(src.take(self.channels));
-    }
-
-    fn zero_grads(&mut self) {
-        self.grad_gamma.zero_();
-        self.grad_beta.zero_();
+    fn bind(&mut self, prefix: &str, arena: &mut Arena) {
+        // gamma = 1, beta = 0; running mean = 0, running variance = 1.
+        let (zeros, ones) = (vec![0.0; self.channels], vec![1.0; self.channels]);
+        self.at = arena.push(
+            format!("{prefix}{}", self.name()),
+            &[ones.as_slice(), &zeros].concat(),
+            &[zeros.as_slice(), &ones].concat(),
+        );
     }
 }
 
@@ -241,9 +189,15 @@ mod tests {
     use super::*;
     use niid_stats::Pcg64;
 
+    fn bound(channels: usize) -> (BatchNorm2d, Arena) {
+        let mut bn = BatchNorm2d::new(channels);
+        let arena = Arena::bind(&mut bn);
+        (bn, arena)
+    }
+
     #[test]
     fn train_forward_normalizes_per_channel() {
-        let mut bn = BatchNorm2d::new(2);
+        let (mut bn, mut arena) = bound(2);
         let mut rng = Pcg64::new(20);
         // Shift channel 1 far from zero; output must be ~N(0,1) per channel.
         let mut x = Tensor::randn(&[8, 2, 4, 4], 2.0, &mut rng);
@@ -252,7 +206,7 @@ mod tests {
                 x.as_mut_slice()[(i * 2 + 1) * 16 + j] += 50.0;
             }
         }
-        let y = bn.forward(x, Phase::Train);
+        let y = bn.forward(x, Phase::Train, &mut arena.state());
         for ch in 0..2 {
             let mut vals = Vec::new();
             for i in 0..8 {
@@ -269,27 +223,26 @@ mod tests {
 
     #[test]
     fn running_stats_track_batch_stats() {
-        let mut bn = BatchNorm2d::new(1);
+        let (mut bn, mut arena) = bound(1);
         let mut rng = Pcg64::new(21);
         // Constant-distribution input; after many updates running stats
         // converge to the batch statistics.
         for _ in 0..200 {
             let x = Tensor::randn(&[16, 1, 2, 2], 1.0, &mut rng).add_scalar(5.0);
-            bn.forward(x, Phase::Train);
+            bn.forward(x, Phase::Train, &mut arena.state());
         }
-        let rm = bn.running_mean().as_slice()[0];
-        let rv = bn.running_var().as_slice()[0];
+        let (rm, rv) = (arena.buffers[0], arena.buffers[1]);
         assert!((rm - 5.0).abs() < 0.2, "running mean {rm}");
         assert!((rv - 1.0).abs() < 0.2, "running var {rv}");
     }
 
     #[test]
     fn eval_uses_running_stats() {
-        let mut bn = BatchNorm2d::new(1);
+        let (mut bn, mut arena) = bound(1);
         // With default running stats (mean 0, var 1), eval is identity
         // modulo eps.
         let x = Tensor::from_vec(vec![1.0, -2.0, 0.5, 3.0], &[1, 1, 2, 2]);
-        let y = bn.forward(x.clone(), Phase::Eval);
+        let y = bn.forward(x.clone(), Phase::Eval, &mut arena.state());
         assert!(y.max_abs_diff(&x) < 1e-4);
     }
 
@@ -298,24 +251,22 @@ mod tests {
         let mut rng = Pcg64::new(22);
         let x = Tensor::randn(&[4, 2, 3, 3], 1.5, &mut rng);
         // Random affine so gradients are non-trivial.
-        let mut params = vec![1.3, 0.7, -0.2, 0.4];
+        let params = [1.3, 0.7, -0.2, 0.4];
 
         // Loss: sum over a weighting tensor to avoid the degenerate
         // sum-of-normalized-values (which has zero input gradient).
         let w = Tensor::randn(x.shape(), 1.0, &mut rng);
         let loss = |x: &Tensor, p: &[f32]| -> f64 {
-            let mut bn = BatchNorm2d::new(2);
-            bn.read_params(&mut ParamReader::new(p));
-            let y = bn.forward(x.clone(), Phase::Train);
+            let (mut bn, mut arena) = bound(2);
+            arena.params.copy_from_slice(p);
+            let y = bn.forward(x.clone(), Phase::Train, &mut arena.state());
             y.mul(&w).sum()
         };
 
-        let mut bn = BatchNorm2d::new(2);
-        bn.read_params(&mut ParamReader::new(&params));
-        let y = bn.forward(x.clone(), Phase::Train);
-        let gx = bn.backward(w.clone().mul(&Tensor::ones(y.shape())));
-        let mut grads = Vec::new();
-        bn.write_grads(&mut grads);
+        let (mut bn, mut arena) = bound(2);
+        arena.params.copy_from_slice(&params);
+        bn.forward(x.clone(), Phase::Train, &mut arena.state());
+        let gx = bn.backward(w.clone(), &mut arena.state());
 
         let eps = 1e-2f32;
         for idx in [0usize, 17, 40, 71] {
@@ -331,39 +282,28 @@ mod tests {
             );
         }
         for idx in 0..4 {
-            let mut pp = params.clone();
+            let mut pp = params;
             pp[idx] += eps;
-            let mut pm = params.clone();
+            let mut pm = params;
             pm[idx] -= eps;
             let num = (loss(&x, &pp) - loss(&x, &pm)) / (2.0 * eps as f64);
-            let ana = grads[idx] as f64;
+            let ana = arena.grads[idx] as f64;
             assert!(
                 (num - ana).abs() < 2e-2 * (1.0 + ana.abs()),
                 "param {idx}: numeric {num} vs analytic {ana}"
             );
         }
-        params.clear();
     }
 
     #[test]
-    fn buffers_round_trip_separately_from_params() {
-        let mut bn = BatchNorm2d::new(3);
+    fn training_moves_buffers_not_params() {
+        let (mut bn, mut arena) = bound(3);
+        assert_eq!(arena.buffers, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
         let mut rng = Pcg64::new(23);
         let x = Tensor::randn(&[4, 3, 2, 2], 1.0, &mut rng).add_scalar(2.0);
-        bn.forward(x, Phase::Train);
-
-        let mut bufs = Vec::new();
-        bn.write_buffers(&mut bufs);
-        assert_eq!(bufs.len(), bn.buffer_count());
-
-        let mut bn2 = BatchNorm2d::new(3);
-        bn2.read_buffers(&mut ParamReader::new(&bufs));
-        let mut bufs2 = Vec::new();
-        bn2.write_buffers(&mut bufs2);
-        assert_eq!(bufs, bufs2);
-        // Params unaffected: gamma still ones.
-        let mut p = Vec::new();
-        bn2.write_params(&mut p);
-        assert_eq!(&p[..3], &[1.0, 1.0, 1.0]);
+        bn.forward(x, Phase::Train, &mut arena.state());
+        assert!(arena.buffers[..3].iter().all(|&m| m > 0.1), "means moved");
+        // Params unaffected: gamma still ones, beta still zeros.
+        assert_eq!(arena.params, [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]);
     }
 }

@@ -9,21 +9,19 @@
 //! [`ConvScratch`] to whichever path and the results are bit-identical
 //! under a fixed kernel.
 
+use crate::arena::{Arena, State, WeightBias};
 use crate::layer::{Layer, Phase};
-use crate::param::ParamReader;
 use niid_stats::Pcg64;
 use niid_tensor::{
     conv2d_backward_accum, conv2d_backward_params_accum, conv2d_forward, Conv2dShape, ConvScratch,
     Tensor,
 };
 
-/// 2-D convolution over NCHW activations with a fixed input geometry.
+/// 2-D convolution over NCHW activations with a fixed input geometry; the
+/// arena holds `[W [out_c, in_c*kh*kw] | b [out_c]]`.
 pub struct Conv2d {
     shape: Conv2dShape,
-    weight: Tensor, // [out_c, in_c*kh*kw]
-    bias: Tensor,   // [out_c]
-    grad_weight: Tensor,
-    grad_bias: Tensor,
+    wb: WeightBias,
     /// Reusable lowering/backward workspace, held across batches so the
     /// hot path performs no per-batch allocation. The substrate records
     /// in it which lowering the forward ran.
@@ -37,12 +35,10 @@ impl Conv2d {
     pub fn new(shape: Conv2dShape, rng: &mut Pcg64) -> Self {
         let cw = shape.col_width();
         let std = (2.0 / cw as f32).sqrt();
+        let weight = Tensor::randn(&[shape.out_channels, cw], std, rng);
         Self {
             shape,
-            weight: Tensor::randn(&[shape.out_channels, cw], std, rng),
-            bias: Tensor::zeros(&[shape.out_channels]),
-            grad_weight: Tensor::zeros(&[shape.out_channels, cw]),
-            grad_bias: Tensor::zeros(&[shape.out_channels]),
+            wb: WeightBias::new(weight.into_vec(), shape.out_channels),
             scratch: ConvScratch::new(),
             cols_cached: false,
         }
@@ -67,67 +63,30 @@ impl Layer for Conv2d {
         "conv2d"
     }
 
-    fn forward(&mut self, x: Tensor, phase: Phase) -> Tensor {
-        let y = conv2d_forward(
-            &x,
-            &self.weight,
-            Some(&self.bias),
-            &self.shape,
-            &mut self.scratch,
-        );
+    fn forward(&mut self, x: Tensor, phase: Phase, state: &mut State<'_>) -> Tensor {
+        let (w, b) = self.wb.split(state.params);
+        let y = conv2d_forward(&x, w, Some(b), &self.shape, &mut self.scratch);
         self.cols_cached = phase == Phase::Train;
         y
     }
 
-    fn backward(&mut self, grad_out: Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: Tensor, state: &mut State<'_>) -> Tensor {
         self.take_cached_forward();
-        // dW and db accumulate straight into the layer's gradient buffers
-        // — no weight-sized temporaries per batch.
-        conv2d_backward_accum(
-            &mut self.scratch,
-            &self.weight,
-            &grad_out,
-            &self.shape,
-            self.grad_weight.as_mut_slice(),
-            self.grad_bias.as_mut_slice(),
-        )
+        // dW and db accumulate straight into the arena's gradient span —
+        // no weight-sized temporaries per batch.
+        let (gw, gb) = self.wb.split_mut(state.grads);
+        let (w, _) = self.wb.split(state.params);
+        conv2d_backward_accum(&mut self.scratch, w, &grad_out, &self.shape, gw, gb)
     }
 
-    fn backward_params_only(&mut self, grad_out: Tensor) {
+    fn backward_params_only(&mut self, grad_out: Tensor, state: &mut State<'_>) {
         self.take_cached_forward();
-        conv2d_backward_params_accum(
-            &mut self.scratch,
-            &grad_out,
-            &self.shape,
-            self.grad_weight.as_mut_slice(),
-            self.grad_bias.as_mut_slice(),
-        );
+        let (gw, gb) = self.wb.split_mut(state.grads);
+        conv2d_backward_params_accum(&mut self.scratch, &grad_out, &self.shape, gw, gb);
     }
 
-    fn param_count(&self) -> usize {
-        self.weight.numel() + self.bias.numel()
-    }
-
-    fn write_params(&self, out: &mut Vec<f32>) {
-        out.extend_from_slice(self.weight.as_slice());
-        out.extend_from_slice(self.bias.as_slice());
-    }
-
-    fn read_params(&mut self, src: &mut ParamReader<'_>) {
-        let wn = self.weight.numel();
-        let bn = self.bias.numel();
-        self.weight.as_mut_slice().copy_from_slice(src.take(wn));
-        self.bias.as_mut_slice().copy_from_slice(src.take(bn));
-    }
-
-    fn write_grads(&self, out: &mut Vec<f32>) {
-        out.extend_from_slice(self.grad_weight.as_slice());
-        out.extend_from_slice(self.grad_bias.as_slice());
-    }
-
-    fn zero_grads(&mut self) {
-        self.grad_weight.zero_();
-        self.grad_bias.zero_();
+    fn bind(&mut self, prefix: &str, arena: &mut Arena) {
+        self.wb.bind(format!("{prefix}{}", self.name()), arena);
     }
 }
 
@@ -148,45 +107,42 @@ mod tests {
         }
     }
 
+    fn bound(seed: u64) -> (Conv2d, Arena, Pcg64) {
+        let mut rng = Pcg64::new(seed);
+        let mut c = Conv2d::new(small_shape(), &mut rng);
+        let arena = Arena::bind(&mut c);
+        (c, arena, rng)
+    }
+
     #[test]
     fn forward_shape_and_determinism() {
-        let s = small_shape();
-        let mut rng = Pcg64::new(10);
-        let mut c = Conv2d::new(s, &mut rng);
+        let (mut c, mut arena, mut rng) = bound(10);
         let x = Tensor::randn(&[4, 2, 6, 6], 1.0, &mut rng);
-        let y1 = c.forward(x.clone(), Phase::Eval);
-        let y2 = c.forward(x, Phase::Eval);
+        let y1 = c.forward(x.clone(), Phase::Eval, &mut arena.state());
+        let y2 = c.forward(x, Phase::Eval, &mut arena.state());
         assert_eq!(y1.shape(), &[4, 3, 6, 6]);
         assert_eq!(y1, y2);
     }
 
     #[test]
     fn weight_grad_matches_finite_difference() {
-        let s = small_shape();
-        let mut rng = Pcg64::new(11);
-        let mut c = Conv2d::new(s, &mut rng);
+        let (mut c, mut arena, mut rng) = bound(11);
         let x = Tensor::randn(&[2, 2, 6, 6], 1.0, &mut rng);
 
-        let y = c.forward(x.clone(), Phase::Train);
-        c.backward(Tensor::ones(y.shape()));
-        let mut grads = Vec::new();
-        c.write_grads(&mut grads);
-        let mut params = Vec::new();
-        c.write_params(&mut params);
+        let y = c.forward(x.clone(), Phase::Train, &mut arena.state());
+        c.backward(Tensor::ones(y.shape()), &mut arena.state());
+        let params = arena.params.clone();
 
-        let eval = |p: &[f32]| -> f64 {
-            let mut c2 = Conv2d::new(s, &mut Pcg64::new(11));
-            c2.read_params(&mut ParamReader::new(p));
-            c2.forward(x.clone(), Phase::Eval).sum()
-        };
         let eps = 1e-2f32;
         for idx in [0usize, 13, 41, params.len() - 1] {
-            let mut pp = params.clone();
-            pp[idx] += eps;
-            let mut pm = params.clone();
-            pm[idx] -= eps;
-            let num = (eval(&pp) - eval(&pm)) / (2.0 * eps as f64);
-            let ana = grads[idx] as f64;
+            let mut eval = |delta: f32| -> f64 {
+                arena.params[idx] = params[idx] + delta;
+                let y = c.forward(x.clone(), Phase::Eval, &mut arena.state());
+                arena.params[idx] = params[idx];
+                y.sum()
+            };
+            let num = (eval(eps) - eval(-eps)) / (2.0 * eps as f64);
+            let ana = arena.grads[idx] as f64;
             assert!(
                 (num - ana).abs() < 2e-2 * (1.0 + ana.abs()),
                 "param {idx}: numeric {num} vs analytic {ana}"
@@ -195,32 +151,30 @@ mod tests {
     }
 
     #[test]
-    fn param_round_trip_preserves_output() {
-        let s = small_shape();
-        let mut rng = Pcg64::new(12);
-        let mut a = Conv2d::new(s, &mut rng);
+    fn grads_accumulate_until_zeroed() {
+        let (mut c, mut arena, mut rng) = bound(13);
         let x = Tensor::randn(&[1, 2, 6, 6], 1.0, &mut rng);
-        let ya = a.forward(x.clone(), Phase::Eval);
-
-        let mut flat = Vec::new();
-        a.write_params(&mut flat);
-        let mut b = Conv2d::new(s, &mut Pcg64::new(999));
-        b.read_params(&mut ParamReader::new(&flat));
-        let yb = b.forward(x, Phase::Eval);
-        assert!(ya.max_abs_diff(&yb) < 1e-7);
+        let mut step = |arena: &mut Arena| {
+            let y = c.forward(x.clone(), Phase::Train, &mut arena.state());
+            c.backward(Tensor::ones(y.shape()), &mut arena.state());
+        };
+        step(&mut arena);
+        let once = arena.grads.clone();
+        step(&mut arena);
+        for (twice, once) in arena.grads.iter().zip(&once) {
+            assert!((twice - 2.0 * once).abs() < 1e-4 * (1.0 + once.abs()));
+        }
     }
 
     #[test]
-    fn zero_grads_resets() {
-        let s = small_shape();
-        let mut rng = Pcg64::new(13);
-        let mut c = Conv2d::new(s, &mut rng);
+    fn same_params_same_output_across_instances() {
+        let (mut a, mut arena_a, mut rng) = bound(12);
         let x = Tensor::randn(&[1, 2, 6, 6], 1.0, &mut rng);
-        let y = c.forward(x, Phase::Train);
-        c.backward(Tensor::ones(y.shape()));
-        c.zero_grads();
-        let mut g = Vec::new();
-        c.write_grads(&mut g);
-        assert!(g.iter().all(|&v| v == 0.0));
+        let ya = a.forward(x.clone(), Phase::Eval, &mut arena_a.state());
+
+        let (mut b, mut arena_b, _) = bound(999);
+        arena_b.params.copy_from_slice(&arena_a.params);
+        let yb = b.forward(x, Phase::Eval, &mut arena_b.state());
+        assert!(ya.max_abs_diff(&yb) < 1e-7);
     }
 }

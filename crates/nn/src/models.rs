@@ -352,7 +352,7 @@ mod tests {
         assert_eq!(y.shape(), &[4, 10]);
         let loss = net.forward_backward(Tensor::zeros(&[4, 3, 16, 16]), &[0, 1, 2, 3]);
         assert!(loss.is_finite());
-        assert!(net.grads_flat().iter().any(|&g| g != 0.0));
+        assert!(net.grads().iter().any(|&g| g != 0.0));
     }
 
     #[test]
@@ -387,15 +387,18 @@ mod tests {
 
     #[test]
     fn same_seed_same_model() {
-        let a = lenet_cnn(1, 16, 10, 123).params_flat();
-        let b = lenet_cnn(1, 16, 10, 123).params_flat();
-        let c = lenet_cnn(1, 16, 10, 124).params_flat();
-        assert_eq!(a, b);
-        assert_ne!(a, c);
+        let a = lenet_cnn(1, 16, 10, 123);
+        let b = lenet_cnn(1, 16, 10, 123);
+        let c = lenet_cnn(1, 16, 10, 124);
+        assert_eq!(a.params(), b.params());
+        assert_ne!(a.params(), c.params());
     }
 
+    /// The arena *is* the layout: `state_layout()` spans tile `params()` /
+    /// `grads()` / `buffers()` exactly, and every leaf reads and writes
+    /// its own span of them.
     #[test]
-    fn state_layout_covers_flat_vectors_for_every_model() {
+    fn arena_is_the_state_layout_for_every_model() {
         let specs = [
             ModelSpec::Mlp { in_dim: 7 },
             ModelSpec::LenetCnn {
@@ -415,25 +418,53 @@ mod tests {
             },
         ];
         for spec in specs {
-            let net = spec.build(5, 11);
+            let mut net = spec.build(5, 11);
             let layout = net.state_layout();
             let params: usize = layout.iter().map(|s| s.params).sum();
             let buffers: usize = layout.iter().map(|s| s.buffers).sum();
-            assert_eq!(params, net.param_count(), "spec {spec:?}");
-            assert_eq!(buffers, net.buffer_count(), "spec {spec:?}");
+            assert_eq!(params, net.params().len(), "spec {spec:?}");
+            assert_eq!(params, net.grads().len(), "spec {spec:?}");
+            assert_eq!(buffers, net.buffers().len(), "spec {spec:?}");
             assert!(
                 layout.iter().all(|s| s.params + s.buffers > 0),
                 "stateless leaves must be omitted"
             );
             let bn_leaves = layout.iter().filter(|s| s.buffers > 0).count();
             assert_eq!(spec.has_batchnorm(), bn_leaves > 0, "spec {spec:?}");
-            if spec.has_batchnorm() {
-                // BN buffers are [running_mean; running_var] per layer.
-                assert!(layout
-                    .iter()
-                    .filter(|s| s.buffers > 0)
-                    .all(|s| s.buffers % 2 == 0 && s.name.contains("batchnorm")));
+            assert_eq!(net.params_flat(), net.params());
+
+            // One memcpy in, the same bits out.
+            let mut rng = Pcg64::new(5);
+            let v = Tensor::randn(&[params], 0.3, &mut rng).into_vec();
+            net.set_params_flat(&v);
+            let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(net.params()), bits(&v), "spec {spec:?}");
+
+            let mut shape = vec![4];
+            shape.extend(spec.input_shape());
+            let before = net.buffers().to_vec();
+            net.forward_backward(Tensor::randn(&shape, 1.0, &mut rng), &[0, 1, 2, 3]);
+            let (mut p0, mut b0) = (0, 0);
+            for span in &layout {
+                let tag = format!("{spec:?} {}", span.name);
+                let grads = &net.grads()[p0..p0 + span.params];
+                assert!(
+                    span.params == 0 || grads.iter().any(|&g| g != 0.0),
+                    "no gradient: {tag}"
+                );
+                // BatchNorm buffers are [running_mean | running_var], and
+                // a training forward moves both.
+                let (now, was) = (&net.buffers()[b0..], &before[b0..]);
+                assert!(
+                    (0..span.buffers).all(|i| now[i] != was[i]),
+                    "stale running statistics: {tag}"
+                );
+                assert!(span.buffers == 0 || span.name.ends_with("batchnorm2d"));
+                p0 += span.params;
+                b0 += span.buffers;
             }
+            net.zero_grads();
+            assert!(net.grads().iter().all(|&g| g == 0.0), "spec {spec:?}");
         }
     }
 }

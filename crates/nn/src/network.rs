@@ -1,27 +1,32 @@
-//! [`Network`]: a model root with flat state I/O, training and evaluation
-//! helpers. This is the unit that federated parties exchange.
+//! [`Network`]: a model root and its flat state arena, with training and
+//! evaluation helpers. This is the unit that federated parties exchange.
 
-use crate::layer::{Layer, Phase};
+use crate::arena::Arena;
+use crate::layer::{Layer, LayerSpan, Phase};
 use crate::loss::{LossScratch, SoftmaxCrossEntropy};
-use crate::param::ParamReader;
 use niid_tensor::{argmax_rows, Tensor};
 
 /// A complete classification model: an arbitrary layer graph (usually a
 /// [`crate::Sequential`]) terminating in class logits, trained with softmax
-/// cross-entropy.
+/// cross-entropy, plus the one [`Arena`] holding all of its state.
 pub struct Network {
     root: Box<dyn Layer>,
+    arena: Arena,
     num_classes: usize,
     /// Reused softmax/loss workspace for [`Self::forward_backward`].
     loss_scratch: LossScratch,
 }
 
 impl Network {
-    /// Wrap a root layer whose output is `[batch, num_classes]` logits.
+    /// Wrap a root layer whose output is `[batch, num_classes]` logits,
+    /// moving the tree's initial weights into a fresh arena.
     pub fn new(root: impl Layer + 'static, num_classes: usize) -> Self {
         assert!(num_classes >= 2, "Network: need at least 2 classes");
+        let mut root: Box<dyn Layer> = Box::new(root);
+        let arena = Arena::bind(root.as_mut());
         Self {
-            root: Box::new(root),
+            root,
+            arena,
             num_classes,
             loss_scratch: LossScratch::new(),
         }
@@ -34,26 +39,24 @@ impl Network {
 
     /// Total trainable parameter count.
     pub fn param_count(&self) -> usize {
-        self.root.param_count()
+        self.arena.params.len()
     }
 
     /// Total buffer count (BatchNorm running statistics).
     pub fn buffer_count(&self) -> usize {
-        self.root.buffer_count()
+        self.arena.buffers.len()
     }
 
     /// Per-leaf-layer spans of the flat state vectors, in traversal
     /// order; prefix sums give each layer's offset into
-    /// [`Network::params_flat`] / [`Network::buffers_flat`].
-    pub fn state_layout(&self) -> Vec<crate::layer::LayerSpan> {
-        let mut out = Vec::new();
-        self.root.state_layout("", &mut out);
-        out
+    /// [`Network::params`] / [`Network::buffers`].
+    pub fn state_layout(&self) -> Vec<LayerSpan> {
+        self.arena.layout.clone()
     }
 
     /// Forward pass to logits.
     pub fn forward(&mut self, x: Tensor, phase: Phase) -> Tensor {
-        let y = self.root.forward(x, phase);
+        let y = self.root.forward(x, phase, &mut self.arena.state());
         assert_eq!(
             y.shape().last().copied(),
             Some(self.num_classes),
@@ -72,7 +75,8 @@ impl Network {
         let (loss, grad) =
             SoftmaxCrossEntropy::loss_and_grad_ws(&logits, labels, &mut self.loss_scratch);
         // The gradient w.r.t. the training batch is never read.
-        self.root.backward_params_only(grad);
+        self.root
+            .backward_params_only(grad, &mut self.arena.state());
         loss
     }
 
@@ -80,14 +84,44 @@ impl Network {
     /// losses). Must follow a `forward(.., Phase::Train)` on this instance;
     /// accumulates parameter gradients and returns the input gradient.
     pub fn backward(&mut self, grad_logits: Tensor) -> Tensor {
-        self.root.backward(grad_logits)
+        self.root.backward(grad_logits, &mut self.arena.state())
     }
 
-    /// Snapshot trainable parameters as a flat vector.
+    /// The trainable parameters, in [`Self::state_layout`] order.
+    pub fn params(&self) -> &[f32] {
+        &self.arena.params
+    }
+
+    /// The accumulated gradients (same layout as [`Self::params`]).
+    pub fn grads(&self) -> &[f32] {
+        &self.arena.grads
+    }
+
+    /// The buffers (BatchNorm running statistics).
+    pub fn buffers(&self) -> &[f32] {
+        &self.arena.buffers
+    }
+
+    /// Parameters and gradients borrowed together, for an in-place
+    /// optimizer step or gradient correction.
+    pub fn params_and_grads_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        (&mut self.arena.params, &mut self.arena.grads)
+    }
+
+    /// Owned copy of [`Self::params`]. This and the two snapshots below
+    /// exist for the frozen `benchmark/` package; borrow instead.
     pub fn params_flat(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.root.param_count());
-        self.root.write_params(&mut out);
-        out
+        self.params().to_vec()
+    }
+
+    /// Owned copy of [`Self::grads`].
+    pub fn grads_flat(&self) -> Vec<f32> {
+        self.grads().to_vec()
+    }
+
+    /// Owned copy of [`Self::buffers`].
+    pub fn buffers_flat(&self) -> Vec<f32> {
+        self.buffers().to_vec()
     }
 
     /// Load trainable parameters from a flat vector.
@@ -97,48 +131,29 @@ impl Network {
     pub fn set_params_flat(&mut self, flat: &[f32]) {
         assert_eq!(
             flat.len(),
-            self.root.param_count(),
+            self.param_count(),
             "set_params_flat: got {} values, architecture has {}",
             flat.len(),
-            self.root.param_count()
+            self.param_count()
         );
-        let mut reader = ParamReader::new(flat);
-        self.root.read_params(&mut reader);
-        debug_assert!(reader.is_exhausted());
-    }
-
-    /// Snapshot accumulated gradients as a flat vector (same layout as
-    /// [`Self::params_flat`]).
-    pub fn grads_flat(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.root.param_count());
-        self.root.write_grads(&mut out);
-        out
-    }
-
-    /// Snapshot buffers (BatchNorm running statistics) as a flat vector.
-    pub fn buffers_flat(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.root.buffer_count());
-        self.root.write_buffers(&mut out);
-        out
+        self.arena.params.copy_from_slice(flat);
     }
 
     /// Load buffers from a flat vector.
     pub fn set_buffers_flat(&mut self, flat: &[f32]) {
         assert_eq!(
             flat.len(),
-            self.root.buffer_count(),
+            self.buffer_count(),
             "set_buffers_flat: got {} values, architecture has {}",
             flat.len(),
-            self.root.buffer_count()
+            self.buffer_count()
         );
-        let mut reader = ParamReader::new(flat);
-        self.root.read_buffers(&mut reader);
-        debug_assert!(reader.is_exhausted());
+        self.arena.buffers.copy_from_slice(flat);
     }
 
     /// Zero all accumulated gradients.
     pub fn zero_grads(&mut self) {
-        self.root.zero_grads();
+        self.arena.grads.fill(0.0);
     }
 
     /// Predicted class indices for a batch of inputs.
@@ -292,9 +307,8 @@ mod tests {
             net.zero_grads();
             let loss = net.forward_backward(x.clone(), &y);
             first_loss.get_or_insert(loss);
-            let mut p = net.params_flat();
-            opt.step(&mut p, &net.grads_flat());
-            net.set_params_flat(&p);
+            let (params, grads) = net.params_and_grads_mut();
+            opt.step(params, grads);
         }
         let acc = net.evaluate(&x, &y, &[2], 64);
         assert!(acc > 0.95, "train accuracy {acc}");
@@ -305,11 +319,8 @@ mod tests {
         let mut a = tiny_net(3);
         let (x, _) = toy_data(32, 4);
         let pa = a.predict(x.clone());
-        let flat = a.params_flat();
-        assert_eq!(flat.len(), a.param_count());
-
         let mut b = tiny_net(999);
-        b.set_params_flat(&flat);
+        b.set_params_flat(a.params());
         assert_eq!(b.predict(x), pa);
     }
 
@@ -318,9 +329,9 @@ mod tests {
         let mut net = tiny_net(5);
         let (x, y) = toy_data(16, 6);
         net.forward_backward(x, &y);
-        assert!(net.grads_flat().iter().any(|&g| g != 0.0));
+        assert!(net.grads().iter().any(|&g| g != 0.0));
         net.zero_grads();
-        assert!(net.grads_flat().iter().all(|&g| g == 0.0));
+        assert!(net.grads().iter().all(|&g| g == 0.0));
     }
 
     #[test]
@@ -465,6 +476,12 @@ mod tests {
             let build = || spec.build(10, 7);
             assert_params_only_matches_full(&format!("{spec:?}"), &build, &x_shape);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "set_buffers_flat: got 1 values, architecture has 0")]
+    fn wrong_buffer_length_panics() {
+        tiny_net(9).set_buffers_flat(&[0.0]);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Max-pooling layer.
 
+use crate::arena::State;
 use crate::layer::{Layer, Phase};
 use niid_tensor::{maxpool2d, maxpool2d_backward, Pool2dShape, Tensor};
 
@@ -31,7 +32,7 @@ impl Layer for MaxPool2d {
         "maxpool2d"
     }
 
-    fn forward(&mut self, x: Tensor, phase: Phase) -> Tensor {
+    fn forward(&mut self, x: Tensor, phase: Phase, _state: &mut State<'_>) -> Tensor {
         let input_shape = x.shape().to_vec();
         let (y, arg) = maxpool2d(&x, &self.shape);
         if phase == Phase::Train {
@@ -41,7 +42,7 @@ impl Layer for MaxPool2d {
         y
     }
 
-    fn backward(&mut self, grad_out: Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: Tensor, _state: &mut State<'_>) -> Tensor {
         let arg = self
             .cached_argmax
             .take()
@@ -79,7 +80,7 @@ impl Layer for GlobalAvgPool {
         "global_avg_pool"
     }
 
-    fn forward(&mut self, x: Tensor, _phase: Phase) -> Tensor {
+    fn forward(&mut self, x: Tensor, _phase: Phase, _state: &mut State<'_>) -> Tensor {
         assert_eq!(x.ndim(), 4, "GlobalAvgPool: input must be NCHW");
         assert_eq!(
             &x.shape()[1..],
@@ -100,7 +101,7 @@ impl Layer for GlobalAvgPool {
         Tensor::from_vec(out, &[n, self.channels, 1, 1])
     }
 
-    fn backward(&mut self, grad_out: Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: Tensor, _state: &mut State<'_>) -> Tensor {
         let n = grad_out.shape()[0];
         let spatial = self.in_h * self.in_w;
         let inv = 1.0 / spatial as f32;
@@ -116,6 +117,7 @@ impl Layer for GlobalAvgPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::Arena;
 
     #[test]
     fn global_avg_pool_means_and_backward() {
@@ -124,10 +126,13 @@ mod tests {
             vec![1.0, 2.0, 3.0, 4.0, 10.0, 10.0, 10.0, 10.0],
             &[1, 2, 2, 2],
         );
-        let y = p.forward(x, Phase::Train);
+        let y = p.forward(x, Phase::Train, &mut Arena::default().state());
         assert_eq!(y.shape(), &[1, 2, 1, 1]);
         assert_eq!(y.as_slice(), &[2.5, 10.0]);
-        let gx = p.backward(Tensor::from_vec(vec![4.0, 8.0], &[1, 2, 1, 1]));
+        let gx = p.backward(
+            Tensor::from_vec(vec![4.0, 8.0], &[1, 2, 1, 1]),
+            &mut Arena::default().state(),
+        );
         assert_eq!(gx.as_slice(), &[1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]);
     }
 
@@ -135,9 +140,9 @@ mod tests {
     fn forward_backward_shapes() {
         let mut p = MaxPool2d::square(2, 4, 4, 2);
         let x = Tensor::from_vec((0..32).map(|v| v as f32).collect(), &[1, 2, 4, 4]);
-        let y = p.forward(x, Phase::Train);
+        let y = p.forward(x, Phase::Train, &mut Arena::default().state());
         assert_eq!(y.shape(), &[1, 2, 2, 2]);
-        let gx = p.backward(Tensor::ones(y.shape()));
+        let gx = p.backward(Tensor::ones(y.shape()), &mut Arena::default().state());
         assert_eq!(gx.shape(), &[1, 2, 4, 4]);
         assert_eq!(gx.sum(), 8.0, "one unit of gradient per output element");
     }
@@ -146,6 +151,6 @@ mod tests {
     #[should_panic(expected = "without cached forward")]
     fn backward_requires_forward() {
         let mut p = MaxPool2d::square(1, 2, 2, 2);
-        p.backward(Tensor::ones(&[1, 1, 1, 1]));
+        p.backward(Tensor::ones(&[1, 1, 1, 1]), &mut Arena::default().state());
     }
 }

@@ -4,10 +4,10 @@
 //! shortcut is identity when shapes match and a 1x1 strided
 //! convolution + BN otherwise (the standard projection shortcut).
 
+use crate::arena::{Arena, State};
 use crate::batchnorm::BatchNorm2d;
 use crate::conv::Conv2d;
 use crate::layer::{Layer, Phase};
-use crate::param::ParamReader;
 use niid_stats::Pcg64;
 use niid_tensor::{relu, relu_backward, Conv2dShape, Tensor};
 
@@ -93,20 +93,22 @@ impl Layer for BasicBlock {
         "basic_block"
     }
 
-    fn forward(&mut self, x: Tensor, phase: Phase) -> Tensor {
+    fn forward(&mut self, x: Tensor, phase: Phase, state: &mut State<'_>) -> Tensor {
         let residual = match &mut self.shortcut {
             Some((conv, bn)) => {
-                let s = conv.forward(x.clone(), phase);
-                bn.forward(s, phase)
+                let s = conv.forward(x.clone(), phase, state);
+                bn.forward(s, phase, state)
             }
             None => x.clone(),
         };
-        let mid = self.bn1.forward(self.conv1.forward(x, phase), phase);
+        let mid = self.conv1.forward(x, phase, state);
+        let mid = self.bn1.forward(mid, phase, state);
         let mid_act = relu(&mid);
         if phase == Phase::Train {
             self.cached_mid = Some(mid);
         }
-        let main = self.bn2.forward(self.conv2.forward(mid_act, phase), phase);
+        let main = self.conv2.forward(mid_act, phase, state);
+        let main = self.bn2.forward(main, phase, state);
         let pre_out = main.add(&residual);
         let out = relu(&pre_out);
         if phase == Phase::Train {
@@ -115,7 +117,7 @@ impl Layer for BasicBlock {
         out
     }
 
-    fn backward(&mut self, grad_out: Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: Tensor, state: &mut State<'_>) -> Tensor {
         let pre_out = self
             .cached_pre_out
             .take()
@@ -123,110 +125,36 @@ impl Layer for BasicBlock {
         let g_sum = relu_backward(&grad_out, &pre_out);
 
         // Main branch.
-        let g_main = self.conv2.backward(self.bn2.backward(g_sum.clone()));
+        let g_main = self.bn2.backward(g_sum.clone(), state);
+        let g_main = self.conv2.backward(g_main, state);
         let mid = self
             .cached_mid
             .take()
             .expect("BasicBlock: missing mid cache");
-        let g_mid = relu_backward(&g_main, &mid);
-        let g_input_main = self.conv1.backward(self.bn1.backward(g_mid));
+        let g_mid = self.bn1.backward(relu_backward(&g_main, &mid), state);
+        let g_input_main = self.conv1.backward(g_mid, state);
 
         // Shortcut branch.
         let g_input_short = match &mut self.shortcut {
-            Some((conv, bn)) => conv.backward(bn.backward(g_sum)),
+            Some((conv, bn)) => {
+                let g = bn.backward(g_sum, state);
+                conv.backward(g, state)
+            }
             None => g_sum,
         };
         g_input_main.add(&g_input_short)
     }
 
-    fn param_count(&self) -> usize {
-        let base = self.conv1.param_count()
-            + self.bn1.param_count()
-            + self.conv2.param_count()
-            + self.bn2.param_count();
-        base + self
-            .shortcut
-            .as_ref()
-            .map_or(0, |(c, b)| c.param_count() + b.param_count())
-    }
-
-    fn buffer_count(&self) -> usize {
-        let base = self.bn1.buffer_count() + self.bn2.buffer_count();
-        base + self.shortcut.as_ref().map_or(0, |(_, b)| b.buffer_count())
-    }
-
-    fn write_params(&self, out: &mut Vec<f32>) {
-        self.conv1.write_params(out);
-        self.bn1.write_params(out);
-        self.conv2.write_params(out);
-        self.bn2.write_params(out);
-        if let Some((c, b)) = &self.shortcut {
-            c.write_params(out);
-            b.write_params(out);
-        }
-    }
-
-    fn read_params(&mut self, src: &mut ParamReader<'_>) {
-        self.conv1.read_params(src);
-        self.bn1.read_params(src);
-        self.conv2.read_params(src);
-        self.bn2.read_params(src);
+    // BatchNorm is the only buffer owner, so this one order fixes both
+    // layouts: params as listed, buffers as bn1, bn2, shortcut-bn.
+    fn bind(&mut self, prefix: &str, arena: &mut Arena) {
+        self.conv1.bind(&format!("{prefix}conv1/"), arena);
+        self.bn1.bind(&format!("{prefix}bn1/"), arena);
+        self.conv2.bind(&format!("{prefix}conv2/"), arena);
+        self.bn2.bind(&format!("{prefix}bn2/"), arena);
         if let Some((c, b)) = &mut self.shortcut {
-            c.read_params(src);
-            b.read_params(src);
-        }
-    }
-
-    fn write_grads(&self, out: &mut Vec<f32>) {
-        self.conv1.write_grads(out);
-        self.bn1.write_grads(out);
-        self.conv2.write_grads(out);
-        self.bn2.write_grads(out);
-        if let Some((c, b)) = &self.shortcut {
-            c.write_grads(out);
-            b.write_grads(out);
-        }
-    }
-
-    fn write_buffers(&self, out: &mut Vec<f32>) {
-        self.bn1.write_buffers(out);
-        self.bn2.write_buffers(out);
-        if let Some((_, b)) = &self.shortcut {
-            b.write_buffers(out);
-        }
-    }
-
-    fn read_buffers(&mut self, src: &mut ParamReader<'_>) {
-        self.bn1.read_buffers(src);
-        self.bn2.read_buffers(src);
-        if let Some((_, b)) = &mut self.shortcut {
-            b.read_buffers(src);
-        }
-    }
-
-    fn zero_grads(&mut self) {
-        self.conv1.zero_grads();
-        self.bn1.zero_grads();
-        self.conv2.zero_grads();
-        self.bn2.zero_grads();
-        if let Some((c, b)) = &mut self.shortcut {
-            c.zero_grads();
-            b.zero_grads();
-        }
-    }
-
-    // One leaf-ordered list is consistent with both traversals: convs
-    // contribute no buffers, so filtering this order down to
-    // buffer-owning leaves reproduces the write_buffers order
-    // (bn1, bn2, shortcut-bn).
-    fn state_layout(&self, prefix: &str, out: &mut Vec<crate::layer::LayerSpan>) {
-        self.conv1.state_layout(&format!("{prefix}conv1/"), out);
-        self.bn1.state_layout(&format!("{prefix}bn1/"), out);
-        self.conv2.state_layout(&format!("{prefix}conv2/"), out);
-        self.bn2.state_layout(&format!("{prefix}bn2/"), out);
-        if let Some((c, b)) = &self.shortcut {
-            c.state_layout(&format!("{prefix}shortcut/"), out);
-            b.state_layout(&format!("{prefix}shortcut/"), out);
+            c.bind(&format!("{prefix}shortcut/"), arena);
+            b.bind(&format!("{prefix}shortcut/"), arena);
         }
     }
 }
@@ -235,69 +163,73 @@ impl Layer for BasicBlock {
 mod tests {
     use super::*;
 
+    fn bound(
+        in_c: usize,
+        out_c: usize,
+        hw: usize,
+        stride: usize,
+        seed: u64,
+    ) -> (BasicBlock, Arena, Pcg64) {
+        let mut rng = Pcg64::new(seed);
+        let mut blk = BasicBlock::new(in_c, out_c, hw, hw, stride, &mut rng);
+        let arena = Arena::bind(&mut blk);
+        (blk, arena, rng)
+    }
+
     #[test]
     fn identity_block_shapes() {
-        let mut rng = Pcg64::new(40);
-        let mut blk = BasicBlock::new(4, 4, 8, 8, 1, &mut rng);
+        let (mut blk, mut arena, mut rng) = bound(4, 4, 8, 1, 40);
         assert!(
             blk.shortcut.is_none(),
             "same-shape block uses identity shortcut"
         );
         let x = Tensor::randn(&[2, 4, 8, 8], 1.0, &mut rng);
-        let y = blk.forward(x, Phase::Train);
+        let y = blk.forward(x, Phase::Train, &mut arena.state());
         assert_eq!(y.shape(), &[2, 4, 8, 8]);
-        let gx = blk.backward(Tensor::ones(y.shape()));
+        let gx = blk.backward(Tensor::ones(y.shape()), &mut arena.state());
         assert_eq!(gx.shape(), &[2, 4, 8, 8]);
     }
 
     #[test]
     fn projection_block_shapes() {
-        let mut rng = Pcg64::new(41);
-        let mut blk = BasicBlock::new(4, 8, 8, 8, 2, &mut rng);
+        let (mut blk, mut arena, mut rng) = bound(4, 8, 8, 2, 41);
         assert!(blk.shortcut.is_some(), "stride-2 block needs projection");
         assert_eq!(blk.out_hw(), (4, 4));
         let x = Tensor::randn(&[2, 4, 8, 8], 1.0, &mut rng);
-        let y = blk.forward(x, Phase::Train);
+        let y = blk.forward(x, Phase::Train, &mut arena.state());
         assert_eq!(y.shape(), &[2, 8, 4, 4]);
-        let gx = blk.backward(Tensor::ones(y.shape()));
+        let gx = blk.backward(Tensor::ones(y.shape()), &mut arena.state());
         assert_eq!(gx.shape(), &[2, 4, 8, 8]);
     }
 
     #[test]
-    fn state_round_trip() {
-        let mut rng = Pcg64::new(42);
-        let mut a = BasicBlock::new(2, 4, 6, 6, 2, &mut rng);
+    fn same_state_same_function_across_instances() {
+        let (mut a, mut arena_a, mut rng) = bound(2, 4, 6, 2, 42);
         let x = Tensor::randn(&[1, 2, 6, 6], 1.0, &mut rng);
         // Train once so BN buffers move off their defaults.
-        let _ = a.forward(x.clone(), Phase::Train);
-        let ya = a.forward(x.clone(), Phase::Eval);
+        let _ = a.forward(x.clone(), Phase::Train, &mut arena_a.state());
+        let ya = a.forward(x.clone(), Phase::Eval, &mut arena_a.state());
+        // conv1, bn1, conv2, bn2, shortcut conv, shortcut bn.
+        assert_eq!(arena_a.layout.len(), 6);
+        assert_eq!(arena_a.buffers.len(), 3 * 2 * 4);
 
-        let mut p = Vec::new();
-        a.write_params(&mut p);
-        assert_eq!(p.len(), a.param_count());
-        let mut bufs = Vec::new();
-        a.write_buffers(&mut bufs);
-        assert_eq!(bufs.len(), a.buffer_count());
-
-        let mut b = BasicBlock::new(2, 4, 6, 6, 2, &mut Pcg64::new(4242));
-        b.read_params(&mut ParamReader::new(&p));
-        b.read_buffers(&mut ParamReader::new(&bufs));
-        let yb = b.forward(x, Phase::Eval);
+        let (mut b, mut arena_b, _) = bound(2, 4, 6, 2, 4242);
+        arena_b.params.copy_from_slice(&arena_a.params);
+        arena_b.buffers.copy_from_slice(&arena_a.buffers);
+        let yb = b.forward(x, Phase::Eval, &mut arena_b.state());
         assert!(ya.max_abs_diff(&yb) < 1e-6);
     }
 
     #[test]
     fn gradient_flows_through_both_branches() {
-        // With a projection shortcut, zeroing the main branch's conv weights
-        // must still deliver gradient to the input via the shortcut.
-        let mut rng = Pcg64::new(43);
-        let mut blk = BasicBlock::new(2, 2, 4, 4, 1, &mut rng);
+        let (mut blk, mut arena, mut rng) = bound(2, 2, 4, 1, 43);
         let x = Tensor::randn(&[1, 2, 4, 4], 1.0, &mut rng);
-        let y = blk.forward(x, Phase::Train);
-        let gx = blk.backward(Tensor::ones(y.shape()));
+        let y = blk.forward(x, Phase::Train, &mut arena.state());
+        let gx = blk.backward(Tensor::ones(y.shape()), &mut arena.state());
         assert!(gx.sq_norm() > 0.0, "no gradient reached the input");
-        let mut g = Vec::new();
-        blk.write_grads(&mut g);
-        assert!(g.iter().any(|&v| v != 0.0), "no parameter gradient");
+        assert!(
+            arena.grads.iter().any(|&v| v != 0.0),
+            "no parameter gradient"
+        );
     }
 }

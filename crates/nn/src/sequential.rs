@@ -1,7 +1,7 @@
 //! Sequential composition of layers.
 
+use crate::arena::{Arena, State};
 use crate::layer::{Layer, Phase};
-use crate::param::ParamReader;
 use niid_tensor::Tensor;
 
 /// A chain of layers applied in order; itself a [`Layer`], so blocks can
@@ -50,77 +50,33 @@ impl Layer for Sequential {
         "sequential"
     }
 
-    fn forward(&mut self, x: Tensor, phase: Phase) -> Tensor {
+    fn forward(&mut self, x: Tensor, phase: Phase, state: &mut State<'_>) -> Tensor {
         self.layers
             .iter_mut()
-            .fold(x, |acc, layer| layer.forward(acc, phase))
+            .fold(x, |acc, layer| layer.forward(acc, phase, state))
     }
 
-    fn backward(&mut self, grad_out: Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: Tensor, state: &mut State<'_>) -> Tensor {
         self.layers
             .iter_mut()
             .rev()
-            .fold(grad_out, |acc, layer| layer.backward(acc))
+            .fold(grad_out, |acc, layer| layer.backward(acc, state))
     }
 
-    fn backward_params_only(&mut self, grad_out: Tensor) {
+    fn backward_params_only(&mut self, grad_out: Tensor, state: &mut State<'_>) {
         let Some((first, rest)) = self.layers.split_first_mut() else {
             return;
         };
         let grad = rest
             .iter_mut()
             .rev()
-            .fold(grad_out, |acc, layer| layer.backward(acc));
-        first.backward_params_only(grad);
+            .fold(grad_out, |acc, layer| layer.backward(acc, state));
+        first.backward_params_only(grad, state);
     }
 
-    fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.param_count()).sum()
-    }
-
-    fn buffer_count(&self) -> usize {
-        self.layers.iter().map(|l| l.buffer_count()).sum()
-    }
-
-    fn write_params(&self, out: &mut Vec<f32>) {
-        for l in &self.layers {
-            l.write_params(out);
-        }
-    }
-
-    fn read_params(&mut self, src: &mut ParamReader<'_>) {
-        for l in &mut self.layers {
-            l.read_params(src);
-        }
-    }
-
-    fn write_grads(&self, out: &mut Vec<f32>) {
-        for l in &self.layers {
-            l.write_grads(out);
-        }
-    }
-
-    fn write_buffers(&self, out: &mut Vec<f32>) {
-        for l in &self.layers {
-            l.write_buffers(out);
-        }
-    }
-
-    fn read_buffers(&mut self, src: &mut ParamReader<'_>) {
-        for l in &mut self.layers {
-            l.read_buffers(src);
-        }
-    }
-
-    fn zero_grads(&mut self) {
-        for l in &mut self.layers {
-            l.zero_grads();
-        }
-    }
-
-    fn state_layout(&self, prefix: &str, out: &mut Vec<crate::layer::LayerSpan>) {
-        for (i, l) in self.layers.iter().enumerate() {
-            l.state_layout(&format!("{prefix}{i}."), out);
+    fn bind(&mut self, prefix: &str, arena: &mut Arena) {
+        for (i, l) in self.layers.iter_mut().enumerate() {
+            l.bind(&format!("{prefix}{i}."), arena);
         }
     }
 }
@@ -132,55 +88,52 @@ mod tests {
     use crate::linear::Linear;
     use niid_stats::Pcg64;
 
+    fn two_layer(rng: &mut Pcg64) -> Sequential {
+        Sequential::new()
+            .push(Linear::new(4, 8, rng))
+            .push(Relu::new())
+            .push(Linear::new(8, 2, rng))
+    }
+
     #[test]
     fn chains_forward_and_backward() {
         let mut rng = Pcg64::new(30);
-        let mut net = Sequential::new()
-            .push(Linear::new(4, 8, &mut rng))
-            .push(Relu::new())
-            .push(Linear::new(8, 2, &mut rng));
+        let mut net = two_layer(&mut rng);
         assert_eq!(net.len(), 3);
+        let mut arena = Arena::bind(&mut net);
         let x = Tensor::randn(&[3, 4], 1.0, &mut rng);
-        let y = net.forward(x, Phase::Train);
+        let y = net.forward(x, Phase::Train, &mut arena.state());
         assert_eq!(y.shape(), &[3, 2]);
-        let gx = net.backward(Tensor::ones(&[3, 2]));
+        let gx = net.backward(Tensor::ones(&[3, 2]), &mut arena.state());
         assert_eq!(gx.shape(), &[3, 4]);
     }
 
     #[test]
-    fn param_count_aggregates() {
-        let mut rng = Pcg64::new(31);
-        let net = Sequential::new()
-            .push(Linear::new(4, 8, &mut rng))
-            .push(Relu::new())
-            .push(Linear::new(8, 2, &mut rng));
-        assert_eq!(net.param_count(), 4 * 8 + 8 + 8 * 2 + 2);
-        let mut flat = Vec::new();
-        net.write_params(&mut flat);
-        assert_eq!(flat.len(), net.param_count());
+    fn bind_lays_children_out_in_order() {
+        let mut net = two_layer(&mut Pcg64::new(31));
+        let arena = Arena::bind(&mut net);
+        assert_eq!(arena.params.len(), 4 * 8 + 8 + 8 * 2 + 2);
+        assert_eq!(arena.grads.len(), arena.params.len());
+        let spans: Vec<_> = arena
+            .layout
+            .iter()
+            .map(|s| (s.name.as_str(), s.params))
+            .collect();
+        assert_eq!(spans, [("0.linear", 40), ("2.linear", 18)]);
     }
 
     #[test]
-    fn state_round_trip_preserves_function() {
+    fn same_params_same_function_across_instances() {
         let mut rng = Pcg64::new(32);
-        let mut a = Sequential::new()
-            .push(Linear::new(5, 6, &mut rng))
-            .push(Relu::new())
-            .push(Linear::new(6, 3, &mut rng));
-        let x = Tensor::randn(&[2, 5], 1.0, &mut rng);
-        let ya = a.forward(x.clone(), Phase::Eval);
+        let mut a = two_layer(&mut rng);
+        let mut arena_a = Arena::bind(&mut a);
+        let x = Tensor::randn(&[2, 4], 1.0, &mut rng);
+        let ya = a.forward(x.clone(), Phase::Eval, &mut arena_a.state());
 
-        let mut flat = Vec::new();
-        a.write_params(&mut flat);
-        let mut rng2 = Pcg64::new(777);
-        let mut b = Sequential::new()
-            .push(Linear::new(5, 6, &mut rng2))
-            .push(Relu::new())
-            .push(Linear::new(6, 3, &mut rng2));
-        let mut reader = ParamReader::new(&flat);
-        b.read_params(&mut reader);
-        assert!(reader.is_exhausted());
-        let yb = b.forward(x, Phase::Eval);
+        let mut b = two_layer(&mut Pcg64::new(777));
+        let mut arena_b = Arena::bind(&mut b);
+        arena_b.params.copy_from_slice(&arena_a.params);
+        let yb = b.forward(x, Phase::Eval, &mut arena_b.state());
         assert!(ya.max_abs_diff(&yb) < 1e-7);
     }
 }

@@ -10,9 +10,10 @@
 //! ```
 //!
 //! The optimizer works on **flat vectors**, not on layers: the local
-//! trainers in `niid-fl` pull `grads_flat()` from the network, apply
-//! algorithm-specific corrections (FedProx proximal term, SCAFFOLD control
-//! variates), then hand the corrected gradient here.
+//! trainers in `niid-fl` borrow the network's parameter and gradient arena
+//! (`Network::params_and_grads_mut`), apply algorithm-specific corrections
+//! to the gradients in place (FedProx proximal term), then step the
+//! parameters in place here.
 //!
 //! The update itself is the fused single-pass kernel
 //! [`niid_tensor::simd::sgd_momentum_step`]: one load/store sweep over

@@ -3,7 +3,7 @@
 //! own binary: nothing else in the process runs a convolution, so the
 //! counter differences are exact.
 
-use niid_nn::{Conv2d, Layer, Phase};
+use niid_nn::{Arena, Conv2d, Layer, Phase};
 use niid_stats::Pcg64;
 use niid_tensor::{Conv2dShape, Tensor};
 
@@ -29,10 +29,11 @@ fn train_step_routes_through_expected_lowering() {
     for (s, direct) in [(narrow, true), (strided, false)] {
         let mut rng = Pcg64::new(14);
         let mut c = Conv2d::new(s, &mut rng);
+        let mut arena = Arena::bind(&mut c);
         let x = Tensor::randn(&[4, 2, 6, 6], 1.0, &mut rng);
         let before = niid_tensor::stats::snapshot();
-        let y = c.forward(x, Phase::Train);
-        c.backward(Tensor::ones(y.shape()));
+        let y = c.forward(x, Phase::Train, &mut arena.state());
+        c.backward(Tensor::ones(y.shape()), &mut arena.state());
         let d = niid_tensor::stats::snapshot().since(&before);
         let (fused, other) = if direct {
             (d.conv_direct_calls, d.conv_implicit_calls)

@@ -60,9 +60,13 @@ impl Gaussian {
 
 /// One standard-normal draw via the Box–Muller transform.
 ///
-/// The second value of each Box–Muller pair is intentionally discarded; the
-/// simplicity (statelessness) is worth more here than the factor-of-two in
-/// throughput, and sampling is nowhere near the hot path of training.
+/// The second value of each Box–Muller pair is intentionally discarded,
+/// which keeps the sampler stateless. That is not free: on the benchmark's
+/// `cross_device_topk8` workload the 864 draws behind each lazily
+/// materialised party (`partition.lazy_party_us`, 32 µs) cost more per
+/// round than its 256 SGD steps. The draws are bit-locked — a party's noise
+/// is a pure function of `(seed, party)` and the golden digests pin it — so
+/// a faster sampler is a trajectory change, not a refactor (DESIGN.md §8).
 #[inline]
 pub fn sample_standard_normal(rng: &mut Pcg64) -> f64 {
     // u1 in (0, 1] so the log is finite.

@@ -427,8 +427,8 @@ impl Drop for ConvScratch {
 
 fn check_forward_args(
     input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
+    weight: &[f32],
+    bias: Option<&[f32]>,
     s: &Conv2dShape,
 ) -> usize {
     s.validate();
@@ -442,15 +442,15 @@ fn check_forward_args(
         s
     );
     assert_eq!(
-        weight.shape(),
-        &[s.out_channels, s.col_width()],
-        "conv2d: weight shape {:?} vs expected [{}, {}]",
-        weight.shape(),
+        weight.len(),
+        s.out_channels * s.col_width(),
+        "conv2d: weight length {} vs expected [{}, {}]",
+        weight.len(),
         s.out_channels,
         s.col_width()
     );
     if let Some(b) = bias {
-        assert_eq!(b.numel(), s.out_channels, "conv2d: bias length mismatch");
+        assert_eq!(b.len(), s.out_channels, "conv2d: bias length mismatch");
     }
     n
 }
@@ -459,7 +459,7 @@ fn check_forward_args(
 /// in `scratch` for reuse by [`conv2d_backward_ws`].
 ///
 /// * `input`: `[N, C, H, W]`
-/// * `weight`: `[out_channels, C*kh*kw]`
+/// * `weight`: flat `[out_channels · C*kh*kw]`
 /// * `bias`: optional `[out_channels]`
 ///
 /// Returns the output `[N, out_c, oh, ow]`. On the AVX2 arm
@@ -470,8 +470,8 @@ fn check_forward_args(
 /// any thread count.
 pub fn conv2d_forward(
     input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
+    weight: &[f32],
+    bias: Option<&[f32]>,
     s: &Conv2dShape,
     scratch: &mut ConvScratch,
 ) -> Tensor {
@@ -497,8 +497,8 @@ fn active_lowering(s: &Conv2dShape) -> ConvLowering {
 /// [`conv2d_forward_implicit`].
 pub fn conv2d_forward_materialized(
     input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
+    weight: &[f32],
+    bias: Option<&[f32]>,
     s: &Conv2dShape,
     scratch: &mut ConvScratch,
 ) -> Tensor {
@@ -515,8 +515,6 @@ pub fn conv2d_forward_materialized(
 
     let mut out = vec![0.0f32; n * out_numel];
     let xs = input.as_slice();
-    let wv = weight.as_slice();
-    let bv = bias.map(Tensor::as_slice);
     let cols_ptr = SharedMut(scratch.cols.as_mut_ptr());
     let out_ptr = SharedMut(out.as_mut_ptr());
     // Resolved on the calling thread so per-thread kernel forcing covers
@@ -534,9 +532,9 @@ pub fn conv2d_forward_materialized(
         // nested GEMM may execute on a pool worker, so re-pin the kernel
         // resolved at entry for its dispatch.
         simd::with_forced_kernel(kern, || {
-            matmul_a_bt_slices(wv, cols_i, out_i, s.out_channels, cw, positions);
+            matmul_a_bt_slices(weight, cols_i, out_i, s.out_channels, cw, positions);
         });
-        if let Some(b) = bv {
+        if let Some(b) = bias {
             for (c, &b_c) in b.iter().enumerate() {
                 simd::add_scalar_assign(kern, &mut out_i[c * positions..(c + 1) * positions], b_c);
             }
@@ -627,8 +625,8 @@ fn pack_cols_t_tile(
 /// historical accumulation order, which the materialized path provides.
 pub fn conv2d_forward_implicit(
     input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
+    weight: &[f32],
+    bias: Option<&[f32]>,
     s: &Conv2dShape,
     scratch: &mut ConvScratch,
 ) -> Tensor {
@@ -659,8 +657,6 @@ pub fn conv2d_forward_implicit(
 
         let mut out = vec![0.0f32; n * out_numel];
         let xs = input.as_slice();
-        let wv = weight.as_slice();
-        let bv = bias.map(Tensor::as_slice);
         let out_ptr = SharedMut(out.as_mut_ptr());
         parallel_for_threshold(n, n * 2 * out_numel * cw, &|i| {
             // SAFETY: sample `i` exclusively owns its region of out.
@@ -684,7 +680,7 @@ pub fn conv2d_forward_implicit(
                         while oc < s.out_channels {
                             let rows = (s.out_channels - oc).min(tiles.mr);
                             simd::gemm_panel_nt_avx2(
-                                &wv[oc * cw + d0..],
+                                &weight[oc * cw + d0..],
                                 cw,
                                 1,
                                 rows,
@@ -701,7 +697,7 @@ pub fn conv2d_forward_implicit(
                     j0 = j1;
                 }
             });
-            if let Some(b) = bv {
+            if let Some(b) = bias {
                 for (c, &b_c) in b.iter().enumerate() {
                     simd::add_scalar_assign(
                         kern,
@@ -729,8 +725,8 @@ pub fn conv2d_forward_implicit(
 /// the kernels' reach.
 pub fn conv2d_forward_direct(
     input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
+    weight: &[f32],
+    bias: Option<&[f32]>,
     s: &Conv2dShape,
     scratch: &mut ConvScratch,
 ) -> Tensor {
@@ -755,14 +751,12 @@ pub fn conv2d_forward_direct(
         let cache = &scratch.input[..n * vin + direct::SLACK];
 
         let mut out = vec![0.0f32; n * out_numel];
-        let wv = weight.as_slice();
-        let bv = bias.map(Tensor::as_slice);
         let out_ptr = SharedMut(out.as_mut_ptr());
         parallel_for_threshold(n, flops, &|i| {
             let _sp = niid_prof::span!("conv.direct_fwd");
             // SAFETY: sample `i` exclusively owns its region of out.
             let out_i = unsafe { out_ptr.slice(i * out_numel, out_numel) };
-            direct::forward_sample(&cache[i * vin..], &v, wv, bv, out_i);
+            direct::forward_sample(&cache[i * vin..], &v, weight, bias, out_i);
         });
         Tensor::from_vec(out, &[n, s.out_channels, s.out_h(), s.out_w()])
     }
@@ -801,7 +795,7 @@ fn materialize_cols(scratch: &mut ConvScratch, s: &Conv2dShape) {
 /// `grad_bias` slices) — no intermediate gradient tensors, no extra
 /// add pass.
 ///
-/// * `weight`: `[out_c, C*kh*kw]`
+/// * `weight`: flat `[out_c · C*kh*kw]`
 /// * `grad_out`: `[N, out_c, oh, ow]`
 /// * `grad_weight`: flat `[out_c · C·kh·kw]`, accumulated (`+=`)
 /// * `grad_bias`: flat `[out_c]`, accumulated (`+=`)
@@ -816,7 +810,7 @@ fn materialize_cols(scratch: &mut ConvScratch, s: &Conv2dShape) {
 /// at any thread count.
 pub fn conv2d_backward_accum(
     scratch: &mut ConvScratch,
-    weight: &Tensor,
+    weight: &[f32],
     grad_out: &Tensor,
     s: &Conv2dShape,
     grad_weight: &mut [f32],
@@ -893,7 +887,7 @@ pub fn conv2d_backward_params_accum(
 /// the parameter half settled on (`scratch.cached`).
 fn backward_input(
     scratch: &mut ConvScratch,
-    weight: &Tensor,
+    weight: &[f32],
     grad_out: &Tensor,
     s: &Conv2dShape,
 ) -> Tensor {
@@ -966,7 +960,7 @@ fn dw_materialized(
 /// `dcols = gyᵀ · W`, then scatter-add back to the input geometry.
 fn dx_materialized(
     scratch: &mut ConvScratch,
-    weight: &Tensor,
+    weight: &[f32],
     grad_out: &Tensor,
     s: &Conv2dShape,
     grad_input: &mut [f32],
@@ -978,7 +972,6 @@ fn dx_materialized(
     let in_numel = s.input_numel();
     ConvScratch::ensure(&mut scratch.dcols, n * positions * cw);
     let go = grad_out.as_slice();
-    let wv = weight.as_slice();
     // Resolved on the calling thread; re-pinned inside pool tasks below.
     let kern = simd::active_kernel();
     let dcols_ptr = SharedMut(scratch.dcols.as_mut_ptr());
@@ -993,7 +986,7 @@ fn dx_materialized(
         // nested GEMM may run on a pool worker — re-pin the kernel.
         dcols_i.fill(0.0);
         simd::with_forced_kernel(kern, || {
-            matmul_at_b_slices(go_i, wv, dcols_i, s.out_channels, positions, cw);
+            matmul_at_b_slices(go_i, weight, dcols_i, s.out_channels, positions, cw);
         });
         col2im_into(dcols_i, s, gx_i);
     });
@@ -1086,7 +1079,7 @@ fn dw_fused(scratch: &ConvScratch, grad_out: &Tensor, s: &Conv2dShape, grad_weig
 #[cfg(target_arch = "x86_64")]
 fn dx_implicit(
     n: usize,
-    weight: &Tensor,
+    weight: &[f32],
     grad_out: &Tensor,
     s: &Conv2dShape,
     grad_input: &mut [f32],
@@ -1101,7 +1094,6 @@ fn dx_implicit(
     stats::bump(&stats::GEMM_FLOPS, flops as u64);
     let tiles = crate::dispatch::tiles_for(crate::dispatch::classify_conv(s.in_channels, cw));
     let go = grad_out.as_slice();
-    let wv = weight.as_slice();
     let gx_ptr = SharedMut(grad_input.as_mut_ptr());
     let sp = tiles.nc.min(positions);
     parallel_for_threshold(n, flops, &|i| {
@@ -1117,7 +1109,7 @@ fn dx_implicit(
                 crate::matmul::atb_rows(
                     kern,
                     go_i,
-                    wv,
+                    weight,
                     st,
                     0,
                     s.out_channels,
@@ -1139,7 +1131,7 @@ fn dx_implicit(
 #[cfg(target_arch = "x86_64")]
 fn dx_direct(
     scratch: &mut ConvScratch,
-    weight: &Tensor,
+    weight: &[f32],
     grad_out: &Tensor,
     s: &Conv2dShape,
     grad_input: &mut [f32],
@@ -1154,7 +1146,7 @@ fn dx_direct(
     let pack_len = v.in_channels * v.kernel_h * v.out_channels * direct::LANES;
     ConvScratch::ensure(&mut scratch.dcols, pack_len);
     let wpack = &mut scratch.dcols[..pack_len];
-    direct::pack_weights_kx(weight.as_slice(), &v, wpack);
+    direct::pack_weights_kx(weight, &v, wpack);
     let wpack = &*wpack;
     let go = grad_out.as_slice();
     let gx_ptr = SharedMut(grad_input.as_mut_ptr());
@@ -1251,7 +1243,7 @@ pub fn conv2d_backward_ws(
     let mut grad_bias = vec![0.0f32; s.out_channels];
     let grad_input = conv2d_backward_accum(
         scratch,
-        weight,
+        weight.as_slice(),
         grad_out,
         s,
         &mut grad_weight,
@@ -1287,7 +1279,10 @@ fn with_wrapper_scratch<R>(f: impl FnOnce(&mut ConvScratch) -> R) -> R {
 /// this with [`conv2d_backward`], which recomputes the lowering state
 /// from the input.
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, s: &Conv2dShape) -> Tensor {
-    with_wrapper_scratch(|scratch| conv2d_forward(input, weight, bias, s, scratch))
+    with_wrapper_scratch(|scratch| {
+        let bias = bias.map(Tensor::as_slice);
+        conv2d_forward(input, weight.as_slice(), bias, s, scratch)
+    })
 }
 
 /// Allocating backward convolution from the forward `input` (one-off
@@ -1554,7 +1549,7 @@ mod tests {
         assert!(fast.max_abs_diff(&slow) < 1e-4);
     }
 
-    type Forward = fn(&Tensor, &Tensor, Option<&Tensor>, &Conv2dShape, &mut ConvScratch) -> Tensor;
+    type Forward = fn(&Tensor, &[f32], Option<&[f32]>, &Conv2dShape, &mut ConvScratch) -> Tensor;
 
     /// Forward through `forward`, then the backward its scratch pairs
     /// with: `[y, gx, gw, gb]`.
@@ -1567,7 +1562,7 @@ mod tests {
         s: &Conv2dShape,
     ) -> [Tensor; 4] {
         let mut scratch = ConvScratch::new();
-        let y = forward(x, w, Some(b), s, &mut scratch);
+        let y = forward(x, w.as_slice(), Some(b.as_slice()), s, &mut scratch);
         let (gx, gw, gb) = conv2d_backward_ws(&mut scratch, w, gy, s);
         [y, gx, gw, gb]
     }
@@ -1792,7 +1787,7 @@ mod tests {
         // (never-shrunk) buffers must behave exactly like fresh ones.
         for &batch in &[5usize, 2, 7] {
             let x = Tensor::randn(&[batch, 2, 6, 6], 1.0, &mut rng);
-            let y_ws = conv2d_forward(&x, &w, Some(&b), &s, &mut scratch);
+            let y_ws = conv2d_forward(&x, w.as_slice(), Some(b.as_slice()), &s, &mut scratch);
             let gy = Tensor::ones(y_ws.shape());
             let (gx_ws, gw_ws, gb_ws) = conv2d_backward_ws(&mut scratch, &w, &gy, &s);
 
@@ -1821,14 +1816,14 @@ mod tests {
         let x = Tensor::randn(&[2, 2, 5, 5], 1.0, &mut rng);
         let w = Tensor::randn(&[3, s.col_width()], 0.3, &mut rng);
         let mut scratch = ConvScratch::new();
-        let y = conv2d_forward(&x, &w, None, &s, &mut scratch);
+        let y = conv2d_forward(&x, w.as_slice(), None, &s, &mut scratch);
         let gy = Tensor::ones(y.shape());
         let (gx_ref, gw_ref, gb_ref) = conv2d_backward_ws(&mut scratch, &w, &gy, &s);
 
         // Pre-seeded buffers: accum must add the same gradient on top.
         let mut gw = vec![1.0f32; 3 * s.col_width()];
         let mut gb = vec![2.0f32; 3];
-        let gx = conv2d_backward_accum(&mut scratch, &w, &gy, &s, &mut gw, &mut gb);
+        let gx = conv2d_backward_accum(&mut scratch, w.as_slice(), &gy, &s, &mut gw, &mut gb);
         assert_eq!(gx.as_slice(), gx_ref.as_slice());
         for (got, want) in gw.iter().zip(gw_ref.as_slice()) {
             assert!((got - (want + 1.0)).abs() < 1e-5);
@@ -1858,7 +1853,7 @@ mod tests {
         let b = Tensor::randn(&[16], 0.1, &mut rng);
         let run = || {
             let mut scratch = ConvScratch::new();
-            let y = conv2d_forward(&x, &w, Some(&b), &s, &mut scratch);
+            let y = conv2d_forward(&x, w.as_slice(), Some(b.as_slice()), &s, &mut scratch);
             let gy = Tensor::ones(y.shape());
             let (gx, gw, gb) = conv2d_backward_ws(&mut scratch, &w, &gy, &s);
             (y, gx, gw, gb)
@@ -1881,7 +1876,7 @@ mod tests {
         let x = Tensor::randn(&[2, 1, 3, 3], 1.0, &mut rng);
         let w = Tensor::randn(&[1, 4], 0.3, &mut rng);
         let mut scratch = ConvScratch::new();
-        let _ = conv2d_forward(&x, &w, None, &s, &mut scratch);
+        let _ = conv2d_forward(&x, w.as_slice(), None, &s, &mut scratch);
         // grad_out claims a different batch than the lowering.
         let gy = Tensor::ones(&[3, 1, 2, 2]);
         let _ = conv2d_backward_ws(&mut scratch, &w, &gy, &s);

@@ -14,9 +14,10 @@ use niid_bench_rs::nn::{lenet_cnn, mlp, resnet_lite, vgg9, Network, Phase};
 use niid_bench_rs::stats::Pcg64;
 use niid_bench_rs::tensor::Tensor;
 
+/// A model after one forward/backward; its parameters and gradients are
+/// read in place through `net.params()` / `net.grads()`.
 struct GradProbe {
-    params: Vec<f32>,
-    grads: Vec<f32>,
+    net: Network,
     x: Tensor,
     weighting: Tensor,
 }
@@ -28,18 +29,11 @@ fn probe(mut build: impl FnMut() -> Network, input_shape: &[usize], seed: u64) -
     let x = Tensor::randn(&shape, 0.8, &mut rng);
 
     let mut net = build();
-    let params = net.params_flat();
     net.zero_grads();
     let logits = net.forward(x.clone(), Phase::Train);
     let weighting = Tensor::randn(logits.shape(), 1.0, &mut rng);
     net.backward(weighting.clone());
-    let grads = net.grads_flat();
-    GradProbe {
-        params,
-        grads,
-        x,
-        weighting,
-    }
+    GradProbe { net, x, weighting }
 }
 
 fn loss(build: &mut impl FnMut() -> Network, p: &[f32], x: &Tensor, w: &Tensor) -> f64 {
@@ -58,7 +52,8 @@ fn check_directional(
 ) {
     let pr = probe(&mut build, input_shape, seed);
     let norm: f64 = pr
-        .grads
+        .net
+        .grads()
         .iter()
         .map(|&g| (g as f64) * (g as f64))
         .sum::<f64>()
@@ -66,9 +61,10 @@ fn check_directional(
     assert!(norm > 1e-3, "degenerate gradient (norm {norm})");
     let eps = 1e-3f64;
     let step = |sign: f64| -> Vec<f32> {
-        pr.params
+        pr.net
+            .params()
             .iter()
-            .zip(&pr.grads)
+            .zip(pr.net.grads())
             .map(|(&p, &g)| p + (sign * eps * g as f64 / norm) as f32)
             .collect()
     };
@@ -111,15 +107,15 @@ fn mlp_gradcheck_coordinates() {
     let pr = probe(&mut build, &[20], 5);
     let eps = 1e-2f32;
     for idx in [0usize, 99, 333, 700] {
-        let idx = idx % pr.params.len();
-        let mut pp = pr.params.clone();
+        let idx = idx % pr.net.param_count();
+        let mut pp = pr.net.params().to_vec();
         pp[idx] += eps;
-        let mut pm = pr.params.clone();
+        let mut pm = pr.net.params().to_vec();
         pm[idx] -= eps;
         let num = (loss(&mut build, &pp, &pr.x, &pr.weighting)
             - loss(&mut build, &pm, &pr.x, &pr.weighting))
             / (2.0 * eps as f64);
-        let ana = pr.grads[idx] as f64;
+        let ana = pr.net.grads()[idx] as f64;
         assert!(
             (num - ana).abs() < 1e-2 * (1.0 + ana.abs()),
             "param {idx}: numeric {num} vs analytic {ana}"

@@ -37,8 +37,8 @@ fn run_both(
 ) {
     let mut sc_i = ConvScratch::new();
     let mut sc_m = ConvScratch::new();
-    let yi = conv2d_forward_implicit(x, w, Some(b), s, &mut sc_i);
-    let ym = conv2d_forward_materialized(x, w, Some(b), s, &mut sc_m);
+    let yi = conv2d_forward_implicit(x, w.as_slice(), Some(b.as_slice()), s, &mut sc_i);
+    let ym = conv2d_forward_materialized(x, w.as_slice(), Some(b.as_slice()), s, &mut sc_m);
     let gy = {
         // A non-uniform upstream gradient so dW/dX actually mix values.
         let mut rng = Pcg64::new(0xBEEF);
@@ -89,7 +89,13 @@ fn implicit_matches_materialized_across_shape_sweep() {
                     if stride == 1 {
                         // The direct kernels cover every stride-1 geometry.
                         let mut sc_d = ConvScratch::new();
-                        let yd = conv2d_forward_direct(&x, &w, Some(&b), &s, &mut sc_d);
+                        let yd = conv2d_forward_direct(
+                            &x,
+                            w.as_slice(),
+                            Some(b.as_slice()),
+                            &s,
+                            &mut sc_d,
+                        );
                         assert_eq!(yd.as_slice(), ym.as_slice(), "direct forward: {tag}");
                         let gy = Tensor::randn(yd.shape(), 1.0, &mut Pcg64::new(0xBEEF));
                         let gd = conv2d_backward_ws(&mut sc_d, &w, &gy, &s);
@@ -183,9 +189,9 @@ fn dispatching_forward_matches_explicit_paths() {
     let w = Tensor::randn(&[16, s.col_width()], 0.2, &mut rng);
     let b = Tensor::randn(&[16], 0.1, &mut rng);
     let mut scratch = ConvScratch::new();
-    let y = conv2d_forward(&x, &w, Some(&b), &s, &mut scratch);
+    let y = conv2d_forward(&x, w.as_slice(), Some(b.as_slice()), &s, &mut scratch);
     let mut oracle = ConvScratch::new();
-    let ym = conv2d_forward_materialized(&x, &w, Some(&b), &s, &mut oracle);
+    let ym = conv2d_forward_materialized(&x, w.as_slice(), Some(b.as_slice()), &s, &mut oracle);
     assert_eq!(y.as_slice(), ym.as_slice());
 }
 

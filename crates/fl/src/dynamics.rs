@@ -38,6 +38,8 @@
 
 use crate::fault::{FailureKind, PartyFailure};
 use crate::local::LocalOutcome;
+use crate::metrics::RoundRecord;
+use niid_json::Json;
 use niid_metrics::registry::Registry;
 use niid_metrics::{Counter, Gauge, Histogram, JsonlExporter};
 use niid_nn::LayerSpan;
@@ -87,30 +89,20 @@ pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f64 {
     dot / (na * nb)
 }
 
-/// One BatchNorm layer's slice of the flat buffer vector. The buffer
-/// layout per BN layer is `[running_mean(C); running_var(C)]`, so the
-/// first half of the range is the mean and the second half the variance.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BnSpan {
-    /// Leaf-layer path (diagnostics).
-    pub name: String,
-    /// Range into `buffers_flat`.
-    pub range: Range<usize>,
-}
-
 /// `(‖μ_a − μ_b‖₂, ‖σ²_a − σ²_b‖₂)` across all BN layers of two flat
-/// buffer vectors.
-pub fn bn_drift(a: &[f32], b: &[f32], spans: &[BnSpan]) -> (f64, f64) {
+/// buffer vectors. Each of `spans` is one BN layer's range, laid out
+/// `[running_mean(C); running_var(C)]`: its first half is the mean, its
+/// second the variance.
+pub fn bn_drift(a: &[f32], b: &[f32], spans: &[Range<usize>]) -> (f64, f64) {
     let mut mean_sq = 0.0f64;
     let mut var_sq = 0.0f64;
     for span in spans {
-        let half = span.range.len() / 2;
-        let mid = span.range.start + half;
-        for i in span.range.start..mid {
+        let mid = span.start + span.len() / 2;
+        for i in span.start..mid {
             let d = (a[i] as f64) - (b[i] as f64);
             mean_sq += d * d;
         }
-        for i in mid..span.range.end {
+        for i in mid..span.end {
             let d = (a[i] as f64) - (b[i] as f64);
             var_sq += d * d;
         }
@@ -118,11 +110,48 @@ pub fn bn_drift(a: &[f32], b: &[f32], spans: &[BnSpan]) -> (f64, f64) {
     (mean_sq.sqrt(), var_sq.sqrt())
 }
 
+/// One party's post-training model `wᵢ = before − delta` against the
+/// aggregated model `after`, in one pass over the three vectors:
+/// `(‖wᵢ − after‖², ⟨wᵢ, after⟩, ‖wᵢ‖²)`, plus `Σ delta²` over each of
+/// `spans` into `layer_sq`. `spans` must tile `0..len` in order, so every
+/// accumulator adds its terms in element order — the bits
+/// [`l2_distance`], [`cosine_similarity`] and a per-span loop over
+/// `delta` produce on a materialized `wᵢ` (`tests/metrics_dynamics.rs`
+/// holds the published gauges to that oracle).
+fn party_geometry(
+    before: &[f32],
+    delta: &[f32],
+    after: &[f32],
+    spans: &[Range<usize>],
+    layer_sq: &mut [f64],
+) -> (f64, f64, f64) {
+    debug_assert_eq!(spans.last().map_or(0, |s| s.end), before.len());
+    let (mut dist_sq, mut dot, mut norm_sq) = (0.0f64, 0.0f64, 0.0f64);
+    for (sq, span) in layer_sq.iter_mut().zip(spans) {
+        let mut delta_sq = 0.0f64;
+        let (b, d, a) = (
+            &before[span.clone()],
+            &delta[span.clone()],
+            &after[span.clone()],
+        );
+        for ((&b, &d), &a) in b.iter().zip(d).zip(a) {
+            let (w, a, d) = ((b - d) as f64, a as f64, d as f64);
+            dist_sq += (w - a) * (w - a);
+            dot += w * a;
+            norm_sq += w * w;
+            delta_sq += d * d;
+        }
+        *sq = delta_sq;
+    }
+    (dist_sq, dot, norm_sq)
+}
+
 /// Everything the engine hands the observer at the end of a round.
 /// Slices borrow the engine's state — observers must copy what they keep.
 pub struct RoundObservation<'a> {
-    /// Round index (0-based).
-    pub round: usize,
+    /// The round's record — index, loss, accuracy, measured bytes, phase
+    /// times — exactly as the run result will carry it.
+    pub record: &'a RoundRecord,
     /// Ids of the parties that trained this round, in outcome order.
     pub selected: &'a [usize],
     /// The parties' local-training outcomes (same order as `selected`).
@@ -136,14 +165,6 @@ pub struct RoundObservation<'a> {
     pub global_after: &'a [f32],
     /// Global buffers after aggregation (empty for buffer-free models).
     pub buffers_after: &'a [f32],
-    /// Sample-weighted mean local training loss.
-    pub avg_local_loss: f64,
-    /// Test accuracy, when this round was evaluated.
-    pub test_accuracy: Option<f64>,
-    /// Measured broadcast bytes this round (server → parties).
-    pub down_bytes: usize,
-    /// Measured upload bytes this round (parties → server).
-    pub up_bytes: usize,
     /// Codec family label of the upload wire (`dense`, `topk`, ...).
     pub encoding: &'a str,
 }
@@ -166,7 +187,7 @@ const TRAIN_MS_BOUNDS: &[f64] = &[
 ];
 
 /// Per-party running aggregates for the end-of-run summary.
-#[derive(Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq)]
 struct PartyAgg {
     div_sum: f64,
     rounds: usize,
@@ -183,14 +204,8 @@ struct PartyGauges {
 }
 
 struct RecorderState {
-    rounds_seen: usize,
-    party_failures: usize,
-    degraded_rounds: usize,
-    parties: HashMap<usize, PartyAgg>,
-    bn_mean_drift_max: f64,
-    bn_var_drift_max: f64,
-    last_loss: Option<f64>,
-    last_accuracy: Option<f64>,
+    /// The end-of-run fold, fed one [`Sample`] per published value.
+    summary: DynamicsSummary,
     party_gauges: HashMap<usize, PartyGauges>,
     /// Lazily-created `{dir, encoding}` byte counters, one (down, up)
     /// pair per codec label seen — created on first observation because
@@ -208,8 +223,9 @@ struct RecorderState {
 pub struct DynamicsRecorder {
     registry: Arc<Registry>,
     grad_spans: Vec<Range<usize>>,
-    layer_names: Vec<String>,
-    bn_spans: Vec<BnSpan>,
+    /// BN buffer spans derived from the layout (empty for BN-free models
+    /// — BN drift is then skipped).
+    bn_spans: Vec<Range<usize>>,
     jsonl: Option<Arc<JsonlExporter>>,
     round_gauge: Arc<Gauge>,
     loss_gauge: Arc<Gauge>,
@@ -232,20 +248,15 @@ impl DynamicsRecorder {
         jsonl: Option<Arc<JsonlExporter>>,
     ) -> Self {
         let mut grad_spans = Vec::new();
-        let mut layer_names = Vec::new();
         let mut bn_spans = Vec::new();
         let mut p_off = 0usize;
         let mut b_off = 0usize;
         for span in layout {
             if span.params > 0 {
                 grad_spans.push(p_off..p_off + span.params);
-                layer_names.push(span.name.clone());
             }
             if span.buffers > 0 {
-                bn_spans.push(BnSpan {
-                    name: span.name.clone(),
-                    range: b_off..b_off + span.buffers,
-                });
+                bn_spans.push(b_off..b_off + span.buffers);
             }
             p_off += span.params;
             b_off += span.buffers;
@@ -284,19 +295,20 @@ impl DynamicsRecorder {
             "Rounds that aggregated a partial cohort after failures",
             &[],
         );
-        let layer_gauges = layer_names
+        let layer_gauges = layout
             .iter()
-            .map(|name| {
+            .filter(|span| span.params > 0)
+            .map(|span| {
                 (
                     registry.gauge(
                         "niid_update_norm_l2",
                         "Sample-weighted L2 norm of the aggregated-weighting local updates, per leaf layer",
-                        &[("layer", name)],
+                        &[("layer", &span.name)],
                     ),
                     registry.gauge(
                         "niid_grad_norm_l2",
                         "Sample-weighted RMS per-step data-gradient L2 norm, per leaf layer",
-                        &[("layer", name)],
+                        &[("layer", &span.name)],
                     ),
                 )
             })
@@ -304,7 +316,6 @@ impl DynamicsRecorder {
         DynamicsRecorder {
             registry,
             grad_spans,
-            layer_names,
             bn_spans,
             jsonl,
             round_gauge,
@@ -314,14 +325,7 @@ impl DynamicsRecorder {
             failure_counters,
             degraded_counter,
             state: Mutex::new(RecorderState {
-                rounds_seen: 0,
-                party_failures: 0,
-                degraded_rounds: 0,
-                parties: HashMap::new(),
-                bn_mean_drift_max: 0.0,
-                bn_var_drift_max: 0.0,
-                last_loss: None,
-                last_accuracy: None,
+                summary: DynamicsSummary::default(),
                 party_gauges: HashMap::new(),
                 comm_counters: HashMap::new(),
                 layer_gauges,
@@ -335,12 +339,6 @@ impl DynamicsRecorder {
         &self.registry
     }
 
-    /// The BN buffer spans derived from the layout (empty for BN-free
-    /// models — BN drift is then skipped).
-    pub fn bn_spans(&self) -> &[BnSpan] {
-        &self.bn_spans
-    }
-
     /// Flush the JSONL exporter, if any.
     pub fn flush(&self) {
         if let Some(j) = &self.jsonl {
@@ -348,39 +346,23 @@ impl DynamicsRecorder {
         }
     }
 
-    /// Fold the recorder's accumulated state into a printable summary.
+    /// The end-of-run summary of everything observed so far. Fault totals
+    /// are read from the registry counters (they count once, there), so
+    /// they cover every recorder publishing into this registry.
     pub fn summary(&self) -> DynamicsSummary {
         let state = self.state.lock().expect("recorder state poisoned");
-        let mut parties: Vec<(String, f64, f64)> = state
-            .parties
-            .iter()
-            .map(|(id, agg)| {
-                (
-                    id.to_string(),
-                    agg.div_sum / agg.rounds.max(1) as f64,
-                    agg.last_div,
-                )
-            })
-            .collect();
-        parties.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         let substrate = niid_tensor::stats::snapshot().since(&state.substrate_at_start);
         DynamicsSummary {
-            rounds: state.rounds_seen,
-            party_failures: state.party_failures,
-            degraded_rounds: state.degraded_rounds,
-            top_divergent: parties.into_iter().take(5).collect(),
-            bn_mean_drift_max: state.bn_mean_drift_max,
-            bn_var_drift_max: state.bn_var_drift_max,
-            last_train_loss: state.last_loss,
-            final_test_accuracy: state.last_accuracy,
-            pool_utilization: substrate.pool_utilization(),
-            gemm_gflops: substrate.gemm_flops as f64 / 1e9,
-            scratch_reuse_rate: substrate.scratch_reuse_rate(),
+            party_failures: self
+                .failure_counters
+                .iter()
+                .map(|(_, c)| c.get())
+                .sum::<u64>() as usize,
+            degraded_rounds: self.degraded_counter.get() as usize,
             simd_kernel: niid_tensor::configured_kernel().name().to_string(),
-            simd_dispatch_rate: substrate.simd_dispatch_rate(),
-            scratch_peak_bytes: substrate.conv_scratch_peak_bytes,
-            flame: niid_prof::flame(),
+            ..state.summary.clone()
         }
+        .finish(&substrate)
     }
 }
 
@@ -390,11 +372,11 @@ impl RoundObserver for DynamicsRecorder {
     }
 
     fn observe_round(&self, obs: &RoundObservation<'_>) {
-        let mut state = self.state.lock().expect("recorder state poisoned");
-        state.rounds_seen += 1;
+        let mut guard = self.state.lock().expect("recorder state poisoned");
+        let state = &mut *guard;
+        let record = obs.record;
+        state.summary.push(Sample::Round);
         if !obs.failures.is_empty() {
-            state.party_failures += obs.failures.len();
-            state.degraded_rounds += 1;
             self.degraded_counter.add(1);
             for failure in obs.failures {
                 if let Some((_, c)) = self
@@ -406,12 +388,12 @@ impl RoundObserver for DynamicsRecorder {
                 }
             }
         }
-        self.round_gauge.set(obs.round as f64);
-        self.loss_gauge.set(obs.avg_local_loss);
-        state.last_loss = Some(obs.avg_local_loss);
-        if let Some(acc) = obs.test_accuracy {
+        self.round_gauge.set(record.round as f64);
+        self.loss_gauge.set(record.avg_local_loss);
+        state.summary.push(Sample::Loss(record.avg_local_loss));
+        if let Some(acc) = record.test_accuracy {
             self.acc_gauge.set(acc);
-            state.last_accuracy = Some(acc);
+            state.summary.push(Sample::Accuracy(acc));
         }
         if !state.comm_counters.contains_key(obs.encoding) {
             let make = |dir: &str| {
@@ -426,28 +408,34 @@ impl RoundObserver for DynamicsRecorder {
                 .insert(obs.encoding.to_string(), (make("down"), make("up")));
         }
         let (down_c, up_c) = &state.comm_counters[obs.encoding];
-        down_c.add(obs.down_bytes as u64);
-        up_c.add(obs.up_bytes as u64);
+        down_c.add(record.down_bytes as u64);
+        up_c.add(record.up_bytes as u64);
 
         let total_n: f64 = obs.outcomes.iter().map(|o| o.n_samples as f64).sum();
-        let mut w_local = vec![0.0f32; obs.global_before.len()];
+        let after_norm = l2_norm(obs.global_after);
+        let mut delta_sq = vec![0.0f64; self.grad_spans.len()];
         let mut layer_update_sq = vec![0.0f64; self.grad_spans.len()];
         let mut layer_grad = vec![0.0f64; self.grad_spans.len()];
 
         for (&party_id, out) in obs.selected.iter().zip(obs.outcomes) {
             self.train_ms_hist.observe(out.wall_ms);
             // wᵢ = wᵗ − Δwᵢ (local_train returns Δw = global − local).
-            for ((w, &g), &d) in w_local.iter_mut().zip(obs.global_before).zip(&out.delta) {
-                *w = g - d;
-            }
-            let div = l2_distance(&w_local, obs.global_after);
-            let cos = cosine_similarity(&w_local, obs.global_after);
+            let (dist_sq, dot, norm_sq) = party_geometry(
+                obs.global_before,
+                &out.delta,
+                obs.global_after,
+                &self.grad_spans,
+                &mut delta_sq,
+            );
+            let div = dist_sq.sqrt();
+            let local_norm = norm_sq.sqrt();
+            let cos = if local_norm == 0.0 || after_norm == 0.0 {
+                f64::NAN // exporters skip non-finite values
+            } else {
+                dot / (local_norm * after_norm)
+            };
             let weight = out.n_samples as f64 / total_n.max(1.0);
-
-            let agg = state.parties.entry(party_id).or_default();
-            agg.div_sum += div;
-            agg.rounds += 1;
-            agg.last_div = div;
+            state.summary.push(Sample::Divergence(party_id, div));
 
             let gauges = state.party_gauges.entry(party_id).or_insert_with(|| {
                 let party = party_id.to_string();
@@ -485,16 +473,12 @@ impl RoundObserver for DynamicsRecorder {
                 let (mean_d, var_d) = bn_drift(&out.buffers, obs.buffers_after, &self.bn_spans);
                 gauges.bn_mean.set(mean_d);
                 gauges.bn_var.set(var_d);
-                state.bn_mean_drift_max = state.bn_mean_drift_max.max(mean_d);
-                state.bn_var_drift_max = state.bn_var_drift_max.max(var_d);
+                state.summary.push(Sample::BnMeanDrift(mean_d));
+                state.summary.push(Sample::BnVarDrift(var_d));
             }
 
             // Per-layer aggregates, weighted like the server's average.
-            for (l, span) in self.grad_spans.iter().enumerate() {
-                let mut s = 0.0f64;
-                for &d in &out.delta[span.clone()] {
-                    s += (d as f64) * (d as f64);
-                }
+            for (l, &s) in delta_sq.iter().enumerate() {
                 layer_update_sq[l] += weight * s;
                 if let Some(&gsq) = out.layer_grad_sq.get(l) {
                     layer_grad[l] += weight * (gsq / out.tau.max(1) as f64).sqrt();
@@ -506,11 +490,10 @@ impl RoundObserver for DynamicsRecorder {
             update_g.set(layer_update_sq[l].sqrt());
             grad_g.set(layer_grad[l]);
         }
-        debug_assert_eq!(self.layer_names.len(), state.layer_gauges.len());
-        drop(state);
+        drop(guard);
 
         if let Some(jsonl) = &self.jsonl {
-            jsonl.write_snapshot(Some(obs.round as u64), &self.registry.gather());
+            jsonl.write_snapshot(Some(record.round as u64), &self.registry.gather());
         }
     }
 }
@@ -656,11 +639,30 @@ pub fn install_prof_collector(registry: &Arc<Registry>) {
     });
 }
 
+/// One value a run published, as the end-of-run fold sees it. The live
+/// recorder pushes these as it sets the gauges; [`from_jsonl_file`]
+/// pushes the same ones as it reads the gauges back.
+///
+/// [`from_jsonl_file`]: DynamicsSummary::from_jsonl_file
+enum Sample {
+    /// A round was observed (one registry snapshot).
+    Round,
+    Loss(f64),
+    Accuracy(f64),
+    /// `niid_weight_divergence_l2{party}`.
+    Divergence(usize, f64),
+    BnMeanDrift(f64),
+    BnVarDrift(f64),
+}
+
 /// One-screen end-of-run dynamics summary — the metrics analogue of
-/// [`TraceSummary`](crate::TraceSummary).
+/// [`TraceSummary`](crate::TraceSummary). It is also the accumulator:
+/// both the live recorder and the JSONL reader build one by pushing
+/// [`Sample`]s into it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DynamicsSummary {
-    /// Rounds observed.
+    /// Rounds observed: one per snapshot, so trials and cells that
+    /// restart their round index in a shared series all count.
     pub rounds: usize,
     /// Isolated party failures across the run (all kinds).
     pub party_failures: usize,
@@ -690,154 +692,120 @@ pub struct DynamicsSummary {
     pub simd_dispatch_rate: f64,
     /// High-water mark of live conv scratch bytes over the run.
     pub scratch_peak_bytes: u64,
-    /// Span-profiler flame rows (self-time descending); empty when
-    /// profiling was off for the run.
-    pub flame: Vec<niid_prof::FlameRow>,
+    /// Per-party divergence aggregates behind `top_divergent`.
+    parties: HashMap<usize, PartyAgg>,
+}
+
+/// The string value of label `key` on one metrics JSONL line.
+fn label<'a>(line: &'a Json, key: &str) -> Option<&'a str> {
+    line.get("labels")?.get(key)?.as_str()
 }
 
 impl DynamicsSummary {
+    fn push(&mut self, sample: Sample) {
+        match sample {
+            Sample::Round => self.rounds += 1,
+            Sample::Loss(v) => self.last_train_loss = Some(v),
+            Sample::Accuracy(v) => self.final_test_accuracy = Some(v),
+            Sample::Divergence(party, div) => {
+                let agg = self.parties.entry(party).or_default();
+                agg.div_sum += div;
+                agg.rounds += 1;
+                agg.last_div = div;
+            }
+            Sample::BnMeanDrift(v) => self.bn_mean_drift_max = self.bn_mean_drift_max.max(v),
+            Sample::BnVarDrift(v) => self.bn_var_drift_max = self.bn_var_drift_max.max(v),
+        }
+    }
+
+    /// Fill the derived fields: `top_divergent` from the per-party
+    /// aggregates, the substrate lines from the window's counters.
+    fn finish(mut self, substrate: &niid_tensor::SubstrateStats) -> Self {
+        self.pool_utilization = substrate.pool_utilization();
+        self.gemm_gflops = substrate.gemm_flops as f64 / 1e9;
+        self.scratch_reuse_rate = substrate.scratch_reuse_rate();
+        self.simd_dispatch_rate = substrate.simd_dispatch_rate();
+        self.scratch_peak_bytes = substrate.conv_scratch_peak_bytes;
+        let mut top: Vec<(String, f64, f64)> = self
+            .parties
+            .iter()
+            .map(|(p, agg)| {
+                (
+                    p.to_string(),
+                    agg.div_sum / agg.rounds.max(1) as f64,
+                    agg.last_div,
+                )
+            })
+            .collect();
+        top.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        top.truncate(5);
+        self.top_divergent = top;
+        self
+    }
+
     /// Rebuild a summary from a metrics JSONL file written by
     /// [`JsonlExporter`] — what the experiment bins print after a run.
+    /// The substrate gauges and fault counters are cumulative, so those
+    /// lines keep the last value seen.
     pub fn from_jsonl_file(path: impl AsRef<Path>) -> std::io::Result<Self> {
         let text = std::fs::read_to_string(path)?;
         let lines = niid_json::parse_jsonl(&text)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let mut rounds: Vec<u64> = Vec::new();
-        let mut parties: HashMap<String, PartyAgg> = HashMap::new();
         let mut out = DynamicsSummary::default();
-        let mut last_pool_util = 0.0f64;
-        let mut last_gflops = 0.0f64;
-        let mut last_reuse: (f64, f64) = (0.0, 0.0);
-        let mut last_dispatch: HashMap<(String, String), f64> = HashMap::new();
-        let mut last_failures: HashMap<String, f64> = HashMap::new();
-        let mut last_degraded = 0.0f64;
-        let mut prof: HashMap<String, niid_prof::FlameRow> = HashMap::new();
+        let mut substrate = niid_tensor::SubstrateStats::default();
+        let mut failures: HashMap<String, f64> = HashMap::new();
         for line in &lines {
-            let name = line.get("name").and_then(niid_json::Json::as_str);
-            let value = line.get("value").and_then(niid_json::Json::as_f64);
+            let name = line.get("name").and_then(Json::as_str);
+            let value = line.get("value").and_then(Json::as_f64);
             let (Some(name), Some(value)) = (name, value) else {
                 continue;
             };
-            if let Some(r) = line.get("round").and_then(niid_json::Json::as_f64) {
-                let r = r as u64;
-                if !rounds.contains(&r) {
-                    rounds.push(r);
-                }
-            }
-            let party = line
-                .get("labels")
-                .and_then(|l| l.get("party"))
-                .and_then(niid_json::Json::as_str);
             match name {
+                // Set every round, always finite: one per snapshot.
+                "niid_round" => out.push(Sample::Round),
                 "niid_weight_divergence_l2" => {
-                    if let Some(p) = party {
-                        let agg = parties.entry(p.to_string()).or_default();
-                        agg.div_sum += value;
-                        agg.rounds += 1;
-                        agg.last_div = value;
+                    if let Some(p) = label(line, "party").and_then(|p| p.parse().ok()) {
+                        out.push(Sample::Divergence(p, value));
                     }
                 }
-                "niid_bn_mean_drift_l2" => out.bn_mean_drift_max = out.bn_mean_drift_max.max(value),
-                "niid_bn_var_drift_l2" => out.bn_var_drift_max = out.bn_var_drift_max.max(value),
-                "niid_train_loss" => out.last_train_loss = Some(value),
-                "niid_test_accuracy" => out.final_test_accuracy = Some(value),
+                "niid_bn_mean_drift_l2" => out.push(Sample::BnMeanDrift(value)),
+                "niid_bn_var_drift_l2" => out.push(Sample::BnVarDrift(value)),
+                "niid_train_loss" => out.push(Sample::Loss(value)),
+                "niid_test_accuracy" => out.push(Sample::Accuracy(value)),
                 "niid_party_failures_total" => {
-                    if let Some(k) = line
-                        .get("labels")
-                        .and_then(|l| l.get("kind"))
-                        .and_then(niid_json::Json::as_str)
-                    {
-                        last_failures.insert(k.to_string(), value);
+                    if let Some(k) = label(line, "kind") {
+                        failures.insert(k.to_string(), value);
                     }
                 }
-                "niid_rounds_degraded_total" => last_degraded = value,
-                "niid_pool_utilization" => last_pool_util = value,
-                "niid_gemm_flops" => last_gflops = value / 1e9,
-                "niid_conv_scratch_allocs" => last_reuse.0 = value,
-                "niid_conv_scratch_reuses" => last_reuse.1 = value,
-                "niid_conv_scratch_peak_bytes" => out.scratch_peak_bytes = value as u64,
-                "niid_prof_self_ns_total"
-                | "niid_prof_total_ns_total"
-                | "niid_prof_calls_total" => {
-                    if let Some(span) = line
-                        .get("labels")
-                        .and_then(|l| l.get("span"))
-                        .and_then(niid_json::Json::as_str)
-                    {
-                        let row =
-                            prof.entry(span.to_string())
-                                .or_insert_with(|| niid_prof::FlameRow {
-                                    label: span.to_string(),
-                                    calls: 0,
-                                    total_ns: 0,
-                                    self_ns: 0,
-                                    p50_ns: 0,
-                                    p99_ns: 0,
-                                });
-                        match name {
-                            "niid_prof_self_ns_total" => row.self_ns = value as u64,
-                            "niid_prof_total_ns_total" => row.total_ns = value as u64,
-                            _ => row.calls = value as u64,
-                        }
-                    }
-                }
+                "niid_rounds_degraded_total" => out.degraded_rounds = value as usize,
+                "niid_pool_tasks" => substrate.pool_tasks = value as u64,
+                "niid_pool_stolen_tasks" => substrate.pool_stolen_tasks = value as u64,
+                "niid_gemm_flops" => substrate.gemm_flops = value as u64,
+                "niid_conv_scratch_allocs" => substrate.conv_scratch_allocs = value as u64,
+                "niid_conv_scratch_reuses" => substrate.conv_scratch_reuses = value as u64,
+                "niid_conv_scratch_peak_bytes" => substrate.conv_scratch_peak_bytes = value as u64,
                 "niid_gemm_dispatch_calls" => {
-                    let labels = line.get("labels");
-                    let variant = labels
-                        .and_then(|l| l.get("variant"))
-                        .and_then(niid_json::Json::as_str);
-                    let path = labels
-                        .and_then(|l| l.get("path"))
-                        .and_then(niid_json::Json::as_str);
-                    if let (Some(v), Some(p)) = (variant, path) {
-                        last_dispatch.insert((v.to_string(), p.to_string()), value);
-                    }
+                    let calls = match (label(line, "variant"), label(line, "path")) {
+                        (Some("ab"), Some("simd")) => &mut substrate.gemm_ab_simd_calls,
+                        (Some("ab"), Some("scalar")) => &mut substrate.gemm_ab_scalar_calls,
+                        (Some("atb"), Some("simd")) => &mut substrate.gemm_atb_simd_calls,
+                        (Some("atb"), Some("scalar")) => &mut substrate.gemm_atb_scalar_calls,
+                        (Some("abt"), Some("simd")) => &mut substrate.gemm_abt_simd_calls,
+                        (Some("abt"), Some("scalar")) => &mut substrate.gemm_abt_scalar_calls,
+                        _ => continue,
+                    };
+                    *calls = value as u64;
                 }
                 "niid_simd_active_kernel" => {
-                    if let Some(k) = line
-                        .get("labels")
-                        .and_then(|l| l.get("kernel"))
-                        .and_then(niid_json::Json::as_str)
-                    {
+                    if let Some(k) = label(line, "kernel") {
                         out.simd_kernel = k.to_string();
                     }
                 }
                 _ => {}
             }
         }
-        let mut top: Vec<(String, f64, f64)> = parties
-            .into_iter()
-            .map(|(p, agg)| (p, agg.div_sum / agg.rounds.max(1) as f64, agg.last_div))
-            .collect();
-        top.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        top.truncate(5);
-        out.rounds = rounds.len();
-        out.top_divergent = top;
-        out.party_failures = last_failures.values().sum::<f64>() as usize;
-        out.degraded_rounds = last_degraded as usize;
-        out.pool_utilization = last_pool_util;
-        out.gemm_gflops = last_gflops;
-        out.scratch_reuse_rate = if last_reuse.0 + last_reuse.1 > 0.0 {
-            last_reuse.1 / (last_reuse.0 + last_reuse.1)
-        } else {
-            0.0
-        };
-        let (mut simd_calls, mut total_calls) = (0.0f64, 0.0f64);
-        for ((_, path), calls) in &last_dispatch {
-            total_calls += calls;
-            if path == "simd" {
-                simd_calls += calls;
-            }
-        }
-        out.simd_dispatch_rate = if total_calls > 0.0 {
-            simd_calls / total_calls
-        } else {
-            0.0
-        };
-        let mut flame: Vec<niid_prof::FlameRow> = prof.into_values().collect();
-        flame.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then(a.label.cmp(&b.label)));
-        out.flame = flame;
-        Ok(out)
+        out.party_failures = failures.values().sum::<f64>() as usize;
+        Ok(out.finish(&substrate))
     }
 
     /// Render the one-screen summary.
@@ -887,24 +855,6 @@ impl DynamicsSummary {
                 self.simd_dispatch_rate * 100.0
             ));
         }
-        if !self.flame.is_empty() {
-            out.push_str("  profiler flame (self-time descending):\n");
-            out.push_str(&format!(
-                "    {:<16} {:>8} {:>10} {:>10} {:>8} {:>8}\n",
-                "span", "calls", "self_ms", "total_ms", "p50_us", "p99_us"
-            ));
-            for row in self.flame.iter().take(8) {
-                out.push_str(&format!(
-                    "    {:<16} {:>8} {:>10.2} {:>10.2} {:>8.1} {:>8.1}\n",
-                    row.label,
-                    row.calls,
-                    row.self_ns as f64 / 1e6,
-                    row.total_ns as f64 / 1e6,
-                    row.p50_ns as f64 / 1e3,
-                    row.p99_ns as f64 / 1e3,
-                ));
-            }
-        }
         out
     }
 }
@@ -943,26 +893,14 @@ mod tests {
     #[test]
     fn bn_drift_splits_mean_and_var_halves() {
         // One BN layer with 2 channels: buffers = [m0, m1, v0, v1].
-        let spans = vec![BnSpan {
-            name: "bn".into(),
-            range: 0..4,
-        }];
+        let spans = [Range { start: 0, end: 4 }];
         let a = [1.0f32, 2.0, 10.0, 20.0];
         let b = [1.0f32, 0.0, 10.0, 17.0];
         let (mean_d, var_d) = bn_drift(&a, &b, &spans);
         assert!((mean_d - 2.0).abs() < 1e-12, "mean half: |2-0| = 2");
         assert!((var_d - 3.0).abs() < 1e-12, "var half: |20-17| = 3");
         // Two layers accumulate into one distance.
-        let spans2 = vec![
-            BnSpan {
-                name: "bn1".into(),
-                range: 0..2,
-            },
-            BnSpan {
-                name: "bn2".into(),
-                range: 2..4,
-            },
-        ];
+        let spans2 = [0..2, 2..4];
         let (m2, v2) = bn_drift(&a, &b, &spans2);
         // bn1: mean |1-1|, var |2-0| → mean 0, var 2; bn2: mean 0, var 3.
         assert!((m2 - 0.0).abs() < 1e-12);
@@ -994,13 +932,7 @@ mod tests {
             &[0..10, 10..14, 14..34],
             "param spans are prefix sums over the layout"
         );
-        assert_eq!(
-            rec.bn_spans(),
-            &[BnSpan {
-                name: "1.bn".into(),
-                range: 0..4
-            }]
-        );
+        assert_eq!(rec.bn_spans, vec![Range { start: 0, end: 4 }]);
     }
 
     #[test]
@@ -1020,7 +952,7 @@ mod tests {
             simd_kernel: "avx2".into(),
             simd_dispatch_rate: 0.995,
             scratch_peak_bytes: 8192,
-            flame: Vec::new(),
+            ..Default::default()
         };
         let text = s.render();
         assert!(text.contains("3 round(s)"), "{text}");
@@ -1035,37 +967,5 @@ mod tests {
         assert!(text.contains("99.5% of GEMM calls"), "{text}");
         assert!(text.contains("conv scratch peak: 8.0 KiB"), "{text}");
         assert!(text.lines().count() < 15, "must fit one screen:\n{text}");
-    }
-
-    #[test]
-    fn summary_render_includes_flame_table() {
-        let s = DynamicsSummary {
-            rounds: 1,
-            flame: vec![
-                niid_prof::FlameRow {
-                    label: "fl.train".into(),
-                    calls: 3,
-                    total_ns: 9_000_000,
-                    self_ns: 7_000_000,
-                    p50_ns: 3_000_000,
-                    p99_ns: 4_000_000,
-                },
-                niid_prof::FlameRow {
-                    label: "fl.aggregate".into(),
-                    calls: 3,
-                    total_ns: 1_000_000,
-                    self_ns: 1_000_000,
-                    p50_ns: 300_000,
-                    p99_ns: 400_000,
-                },
-            ],
-            ..Default::default()
-        };
-        let text = s.render();
-        assert!(text.contains("profiler flame"), "{text}");
-        let train = text.find("fl.train").unwrap();
-        let agg = text.find("fl.aggregate").unwrap();
-        assert!(train < agg, "rows sorted by self time:\n{text}");
-        assert!(text.contains("7.00"), "self_ms column rendered:\n{text}");
     }
 }

@@ -13,7 +13,7 @@ use crate::dynamics::{RoundObservation, RoundObserver};
 use crate::error::FlError;
 use crate::fault::{FailureKind, FaultPlan, PartyFailure};
 use crate::local::{LocalConfig, LocalOutcome};
-use crate::metrics::{RoundRecord, RunResult};
+use crate::metrics::{wall_ms, RoundRecord, RunResult};
 use crate::net::{Coordinator, NetError};
 use crate::party::{Party, PartyProvider, PartyStore};
 use crate::trace::{NoopSink, TraceEvent, TraceSink};
@@ -24,7 +24,7 @@ use niid_stats::{derive_seed, Pcg64};
 use niid_tensor::active_kernel;
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// How the server treats BatchNorm running statistics at aggregation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -398,8 +398,9 @@ impl FedSim {
     /// Per round: one `RoundStarted`, one `PartyTrained` per selected
     /// party (emitted from the training threads as each party finishes),
     /// one `Aggregated`, one `Evaluated` when the round is evaluated, and
-    /// one `RoundFinished`. The same phase timings land in each
-    /// [`RoundRecord`].
+    /// one `RoundFinished`. Each `wall_ms` is the duration of the phase's
+    /// `niid-prof` span — the number the [`RoundRecord`] carries and, with
+    /// profiling on, the one the flame table shows.
     pub fn run_traced(&self, sink: &dyn TraceSink) -> Result<RunResult, FlError> {
         self.run_with(RunOptions::new(sink))
     }
@@ -725,8 +726,10 @@ impl FedSim {
         let mut eval_model = self.model_spec.build(self.test.num_classes, 0);
 
         for round in st.round_next..stop_round {
-            let _round_sp = niid_prof::span!("fl.round");
-            let round_started = Instant::now();
+            // Every phase time below is the duration of a span (or, for
+            // comm and the round so far, a lap of this one): the record,
+            // the trace events and the profiler read one clock.
+            let round_sp = niid_prof::timed!("fl.round");
             let selected = {
                 let _sp = niid_prof::span!("fl.sample");
                 self.sample_round(round)
@@ -736,18 +739,17 @@ impl FedSim {
                 participants: selected.len(),
             });
 
-            let party_outcomes = {
-                let _sp = niid_prof::span!("fl.train");
-                let bcast = Broadcast {
-                    round,
-                    params: &st.global_params,
-                    buffers: &st.global_buffers,
-                    server_c: &st.server_c,
-                };
-                transport.train_round(&bcast, &selected, &st.client_c, &st.residuals, sink)
+            let train_sp = niid_prof::timed!("fl.train");
+            let bcast = Broadcast {
+                round,
+                params: &st.global_params,
+                buffers: &st.global_buffers,
+                server_c: &st.server_c,
             };
+            let party_outcomes =
+                transport.train_round(&bcast, &selected, &st.client_c, &st.residuals, sink);
+            let local_wall_ms = wall_ms(train_sp.close());
             debug_assert_eq!(party_outcomes.len(), selected.len());
-            let local_wall_ms = round_started.elapsed().as_secs_f64() * 1e3;
 
             // Split the cohort: survivors aggregate, failures are isolated
             // and reported.
@@ -798,7 +800,7 @@ impl FedSim {
                 });
             }
 
-            let comm_started = Instant::now();
+            let comm_started = round_sp.elapsed();
             let (traffic, outcomes, updates) =
                 self.receive_updates(st, round, selected.len(), &survivors, trained, &failures)?;
             sink.record(&TraceEvent::CommMeasured {
@@ -806,15 +808,13 @@ impl FedSim {
                 encoding: cfg.codec.label().to_string(),
                 down_bytes: traffic.down_bytes,
                 up_bytes: traffic.up_bytes,
-                wall_ms: comm_started.elapsed().as_secs_f64() * 1e3,
+                wall_ms: wall_ms(round_sp.elapsed() - comm_started),
             });
 
             // Only observed runs pay for the pre-aggregation copy.
             let global_before = observer.map(|_| st.global_params.clone());
 
-            let agg_started = Instant::now();
-            self.aggregate(st, &outcomes, &updates);
-            let aggregate_wall_ms = agg_started.elapsed().as_secs_f64() * 1e3;
+            let aggregate_wall_ms = wall_ms(self.aggregate(st, &outcomes, &updates));
             sink.record(&TraceEvent::Aggregated {
                 round,
                 wall_ms: aggregate_wall_ms,
@@ -822,8 +822,14 @@ impl FedSim {
 
             let (test_accuracy, eval_wall_ms) =
                 if (round + 1) % cfg.eval_every == 0 || round + 1 == cfg.rounds {
-                    let (acc, wall_ms) = self.evaluate(st, &mut eval_model, round, sink);
-                    (Some(acc), wall_ms)
+                    let (accuracy, took) = self.evaluate(st, &mut eval_model);
+                    let eval_wall_ms = wall_ms(took);
+                    sink.record(&TraceEvent::Evaluated {
+                        round,
+                        accuracy,
+                        wall_ms: eval_wall_ms,
+                    });
+                    (Some(accuracy), eval_wall_ms)
                 } else {
                     (None, 0.0)
                 };
@@ -837,27 +843,9 @@ impl FedSim {
                 .map(|o| o.avg_loss * o.n_samples as f64)
                 .sum::<f64>()
                 / total_n as f64;
-            if let Some(obs) = observer {
-                obs.observe_round(&RoundObservation {
-                    round,
-                    selected: &survivors,
-                    outcomes: &outcomes,
-                    failures: &failures,
-                    global_before: global_before.as_deref().unwrap_or(&st.global_params),
-                    global_after: &st.global_params,
-                    buffers_after: &st.global_buffers,
-                    avg_local_loss,
-                    test_accuracy,
-                    down_bytes: traffic.down_bytes,
-                    up_bytes: traffic.up_bytes,
-                    encoding: cfg.codec.label(),
-                });
-            }
-            sink.record(&TraceEvent::RoundFinished {
-                round,
-                wall_ms: round_started.elapsed().as_secs_f64() * 1e3,
-            });
-            st.records.push(RoundRecord {
+            // The round's one fact sheet: the observer borrows it, the
+            // run keeps it.
+            let record = RoundRecord {
                 round,
                 test_accuracy,
                 avg_local_loss,
@@ -868,7 +856,24 @@ impl FedSim {
                 aggregate_wall_ms,
                 eval_wall_ms,
                 failures: failures.len(),
+            };
+            if let Some(obs) = observer {
+                obs.observe_round(&RoundObservation {
+                    record: &record,
+                    selected: &survivors,
+                    outcomes: &outcomes,
+                    failures: &failures,
+                    global_before: global_before.as_deref().unwrap_or(&st.global_params),
+                    global_after: &st.global_params,
+                    buffers_after: &st.global_buffers,
+                    encoding: cfg.codec.label(),
+                });
+            }
+            sink.record(&TraceEvent::RoundFinished {
+                round,
+                wall_ms: wall_ms(round_sp.elapsed()),
             });
+            st.records.push(record);
             st.round_next = round + 1;
 
             if let Some(policy) = &cfg.checkpoint {
@@ -959,8 +964,14 @@ impl FedSim {
 
     /// Fold the survivors' updates into the global model, the SCAFFOLD
     /// server variate and (under [`BufferPolicy::Average`]) the buffers.
-    fn aggregate(&self, st: &mut SimState, outcomes: &[LocalOutcome], updates: &[DecodedUpdate]) {
-        let _sp = niid_prof::span!("fl.aggregate");
+    /// Returns how long that took.
+    fn aggregate(
+        &self,
+        st: &mut SimState,
+        outcomes: &[LocalOutcome],
+        updates: &[DecodedUpdate],
+    ) -> Duration {
+        let sp = niid_prof::timed!("fl.aggregate");
         let cfg = &self.config;
         let updates: Vec<UpdateRef<'_>> = updates.iter().map(UpdateRef::from).collect();
         let average = match cfg.algorithm {
@@ -976,19 +987,13 @@ impl FedSim {
                 st.global_buffers = avg;
             }
         }
+        sp.close()
     }
 
     /// Test-set accuracy of the current global model, and how long the
-    /// evaluation took in ms.
-    fn evaluate(
-        &self,
-        st: &mut SimState,
-        eval_model: &mut Network,
-        round: usize,
-        sink: &dyn TraceSink,
-    ) -> (f64, f64) {
-        let _sp = niid_prof::span!("fl.eval");
-        let eval_started = Instant::now();
+    /// evaluation took.
+    fn evaluate(&self, st: &mut SimState, eval_model: &mut Network) -> (f64, Duration) {
+        let sp = niid_prof::timed!("fl.eval");
         eval_model.set_params_flat(&st.global_params);
         if !st.global_buffers.is_empty() {
             eval_model.set_buffers_flat(&st.global_buffers);
@@ -1001,13 +1006,7 @@ impl FedSim {
         );
         st.best_accuracy = st.best_accuracy.max(accuracy);
         st.final_accuracy = accuracy;
-        let wall_ms = eval_started.elapsed().as_secs_f64() * 1e3;
-        sink.record(&TraceEvent::Evaluated {
-            round,
-            accuracy,
-            wall_ms,
-        });
-        (accuracy, wall_ms)
+        (accuracy, sp.close())
     }
 
     /// Write a checkpoint of `st` through the atomic tmp + fsync + rename

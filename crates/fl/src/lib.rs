@@ -48,10 +48,7 @@ pub(crate) mod wire;
 pub use algorithm::{Algorithm, ControlVariateUpdate};
 pub use checkpoint::{Checkpoint, CheckpointPolicy};
 pub use compress::{DecodedUpdate, UpdateCodec};
-pub use dynamics::{
-    bn_drift, cosine_similarity, l2_distance, l2_norm, BnSpan, DynamicsRecorder, DynamicsSummary,
-    RoundObservation, RoundObserver,
-};
+pub use dynamics::{DynamicsRecorder, DynamicsSummary, RoundObservation, RoundObserver};
 pub use engine::{BufferPolicy, FedSim, FlConfig, RunOptions, Start};
 pub use error::FlError;
 pub use fault::{FailureKind, FaultAction, FaultPlan, PartyFailure};
@@ -61,5 +58,5 @@ pub use net::{
     PartyHost, ServerAddr,
 };
 pub use party::{residency, OwnedParty, Party, PartyProvider, PartyRef, ResidentProvider};
-pub use trace::{JsonlSink, MemorySink, NoopSink, PhaseStats, TraceEvent, TraceSink, TraceSummary};
+pub use trace::{JsonlSink, MemorySink, NoopSink, TraceEvent, TraceSink, TraceSummary};
 pub use transport::{PartyOutcome, TrainedParty};

@@ -17,6 +17,7 @@
 //!   behaviour).
 
 use crate::algorithm::{Algorithm, ControlVariateUpdate};
+use crate::metrics::wall_ms;
 use crate::party::Party;
 use niid_nn::{Network, Sgd};
 use niid_stats::Pcg64;
@@ -54,8 +55,9 @@ pub struct LocalOutcome {
     pub buffers: Vec<f32>,
     /// SCAFFOLD's `Δc = cᵢ* - cᵢ` (empty for other algorithms).
     pub delta_c: Vec<f32>,
-    /// Wall time this party spent in local training, in milliseconds
-    /// (feeds the `party_trained` trace event and straggler histogram).
+    /// Wall time this party spent in local training, in milliseconds:
+    /// the duration of its `fl.local_train` span (feeds the
+    /// `party_trained` trace event and the straggler histograms).
     pub wall_ms: f64,
     /// Per-layer sums of squared data-gradient L2 norms across the local
     /// steps, one entry per span passed as `grad_spans`; empty when the
@@ -95,7 +97,7 @@ pub fn local_train(
     grad_spans: Option<&[std::ops::Range<usize>]>,
     rng: &mut Pcg64,
 ) -> LocalOutcome {
-    let started = std::time::Instant::now();
+    let sp = niid_prof::timed!("fl.local_train");
     assert!(cfg.epochs > 0, "local_train: epochs must be positive");
     assert!(
         cfg.batch_size > 0,
@@ -248,7 +250,7 @@ pub fn local_train(
         avg_loss: loss_sum / loss_samples.max(1) as f64,
         buffers: local_buffers,
         delta_c,
-        wall_ms: started.elapsed().as_secs_f64() * 1e3,
+        wall_ms: wall_ms(sp.close()),
         layer_grad_sq,
     }
 }

@@ -3,6 +3,14 @@
 
 use crate::wire::{put_f64, put_u64, Cursor, Malformed};
 use niid_json::{FromJson, Json, JsonError, ToJson};
+use std::time::Duration;
+
+/// A span's duration in the unit records and trace events carry. Every
+/// `*_wall_ms` below and every `wall_ms` of a trace event is what a
+/// `niid_prof::timed!` guard returned, through this.
+pub(crate) fn wall_ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
 
 /// Metrics captured at (the end of) one communication round.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,13 +29,15 @@ pub struct RoundRecord {
     pub down_bytes: usize,
     /// Parties → server bytes.
     pub up_bytes: usize,
-    /// Wall time of the local-training phase (all parties, including any
-    /// parallel scheduling overhead).
+    /// Wall time of the local-training phase — the `fl.train` span: all
+    /// parties, including any parallel scheduling overhead, and nothing
+    /// else (cohort sampling is `fl.sample`).
     pub local_wall_ms: f64,
     /// Wall time of server aggregation (averaging + control variates +
-    /// buffer policy).
+    /// buffer policy) — the `fl.aggregate` span.
     pub aggregate_wall_ms: f64,
-    /// Wall time of test-set evaluation; `0` for skipped rounds.
+    /// Wall time of test-set evaluation — the `fl.eval` span; `0` for
+    /// skipped rounds.
     pub eval_wall_ms: f64,
     /// Selected parties that failed this round (panic or injected fault);
     /// their updates were excluded from aggregation. `participants` still

@@ -22,10 +22,13 @@
 //!
 //! [`TraceSummary`] folds an event stream back into the per-phase
 //! breakdown (total/mean/max per phase, slowest-party histogram) that perf
-//! PRs diff against.
+//! PRs diff against. Every `wall_ms` an event carries is the duration of
+//! the phase's `niid-prof` span (`niid_prof::timed!`), the same number the
+//! round's [`RoundRecord`](crate::RoundRecord) keeps: events are a view
+//! of the spans, not a second clock.
 
 use niid_json::{parse_jsonl, FromJson, Json, JsonError, ToJson};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read as _, Write as _};
 use std::path::Path;
@@ -498,62 +501,11 @@ fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
-/// Worker-pool activity captured from the span profiler and substrate
-/// counters at summarize time — where round-phase tables come from the
-/// trace events, this block answers "what were the pool workers doing".
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PoolActivity {
-    /// Wall time pool workers spent executing stolen region work, ns.
-    pub steal_ns: u64,
-    /// Wall time pool workers spent parked waiting for work, ns.
-    pub idle_ns: u64,
-    /// Wall time issuing threads spent in their own region share, ns.
-    pub task_ns: u64,
-    /// Tasks claimed by pool workers (substrate counter).
-    pub stolen_tasks: u64,
-    /// Total tasks issued (substrate counter).
-    pub total_tasks: u64,
-}
-
-impl PoolActivity {
-    /// Read the pool spans (`pool.steal` / `pool.idle` / `pool.task`)
-    /// and substrate counters. `None` when the profiler recorded no pool
-    /// activity (profiling off, or a single-threaded run).
-    pub fn capture() -> Option<Self> {
-        let steal = niid_prof::label_totals("pool.steal");
-        let idle = niid_prof::label_totals("pool.idle");
-        let task = niid_prof::label_totals("pool.task");
-        if steal.is_none() && idle.is_none() && task.is_none() {
-            return None;
-        }
-        let s = niid_tensor::stats::snapshot();
-        Some(Self {
-            steal_ns: steal.map_or(0, |(_, t, _)| t),
-            idle_ns: idle.map_or(0, |(_, t, _)| t),
-            task_ns: task.map_or(0, |(_, t, _)| t),
-            stolen_tasks: s.pool_stolen_tasks,
-            total_tasks: s.pool_tasks,
-        })
-    }
-
-    /// Fraction of pool-worker wall time spent executing work rather
-    /// than parked (`steal / (steal + idle)`); 0 when nothing recorded.
-    pub fn steal_idle_ratio(&self) -> f64 {
-        let busy = self.steal_ns as f64;
-        let denom = (self.steal_ns + self.idle_ns) as f64;
-        if denom == 0.0 {
-            0.0
-        } else {
-            busy / denom
-        }
-    }
-}
-
 /// A per-phase breakdown of a traced run — the baseline future perf PRs
 /// diff against.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceSummary {
-    /// Distinct rounds seen.
+    /// Rounds seen (one per `RoundStarted`).
     pub rounds: usize,
     /// Per-party local-training times (one sample per `PartyTrained`).
     pub party_train: PhaseStats,
@@ -579,42 +531,38 @@ pub struct TraceSummary {
     pub degraded_rounds: usize,
     /// Checkpoints written (one per `CheckpointWritten`).
     pub checkpoints: usize,
-    /// Worker-pool steal/idle breakdown; populated by
-    /// [`TraceSummary::with_pool_activity`] (events alone cannot carry
-    /// it), `None` otherwise.
-    pub pool: Option<PoolActivity>,
 }
 
 impl TraceSummary {
-    /// Fold an event stream into the summary.
+    /// Fold an event stream into the summary, in one pass. A round opens
+    /// at each `RoundStarted` — not at each distinct round index, so
+    /// trials and cells that restart their counter in one file all count
+    /// — and its slowest party is booked when the next one opens.
     pub fn from_events(events: &[TraceEvent]) -> Self {
-        let mut party_train = Vec::new();
-        let mut aggregate = Vec::new();
-        let mut comm = Vec::new();
-        let mut comm_bytes = 0usize;
-        let mut eval = Vec::new();
-        let mut round_times = Vec::new();
-        let mut rounds_seen = Vec::new();
-        // (round, party_id, wall_ms) of the slowest party per round.
-        let mut slowest_by_round: Vec<(usize, usize, f64)> = Vec::new();
-        let mut party_failures = 0usize;
-        let mut degraded_rounds = 0usize;
-        let mut checkpoints = 0usize;
+        let mut s = TraceSummary::default();
+        let (mut party_train, mut aggregate, mut comm) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut eval, mut round_times) = (Vec::new(), Vec::new());
+        // (party_id, wall_ms) of the open round's slowest party so far.
+        let mut slowest: Option<(usize, f64)> = None;
+        let mut times_slowest: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut close_round = |slowest: &mut Option<(usize, f64)>| {
+            if let Some((party, _)) = slowest.take() {
+                *times_slowest.entry(party).or_default() += 1;
+            }
+        };
 
         for ev in events {
-            let r = ev.round();
-            if !rounds_seen.contains(&r) {
-                rounds_seen.push(r);
-            }
             match *ev {
+                TraceEvent::RoundStarted { .. } => {
+                    close_round(&mut slowest);
+                    s.rounds += 1;
+                }
                 TraceEvent::PartyTrained {
                     party_id, wall_ms, ..
                 } => {
                     party_train.push(wall_ms);
-                    match slowest_by_round.iter_mut().find(|(sr, _, _)| *sr == r) {
-                        Some(entry) if wall_ms > entry.2 => *entry = (r, party_id, wall_ms),
-                        Some(_) => {}
-                        None => slowest_by_round.push((r, party_id, wall_ms)),
+                    if slowest.is_none_or(|(_, ms)| wall_ms > ms) {
+                        slowest = Some((party_id, wall_ms));
                     }
                 }
                 TraceEvent::Aggregated { wall_ms, .. } => aggregate.push(wall_ms),
@@ -625,49 +573,27 @@ impl TraceSummary {
                     ..
                 } => {
                     comm.push(wall_ms);
-                    comm_bytes += down_bytes + up_bytes;
+                    s.comm_bytes += down_bytes + up_bytes;
                 }
                 TraceEvent::Evaluated { wall_ms, .. } => eval.push(wall_ms),
                 TraceEvent::RoundFinished { wall_ms, .. } => round_times.push(wall_ms),
-                TraceEvent::RoundStarted { .. } => {}
-                TraceEvent::PartyFailed { .. } => party_failures += 1,
-                TraceEvent::RoundDegraded { .. } => degraded_rounds += 1,
-                TraceEvent::CheckpointWritten { .. } => checkpoints += 1,
+                TraceEvent::PartyFailed { .. } => s.party_failures += 1,
+                TraceEvent::RoundDegraded { .. } => s.degraded_rounds += 1,
+                TraceEvent::CheckpointWritten { .. } => s.checkpoints += 1,
             }
         }
+        close_round(&mut slowest);
 
-        let mut counts: Vec<(usize, usize)> = Vec::new();
-        for &(_, party, _) in &slowest_by_round {
-            match counts.iter_mut().find(|(p, _)| *p == party) {
-                Some((_, c)) => *c += 1,
-                None => counts.push((party, 1)),
-            }
-        }
-        counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-
-        TraceSummary {
-            rounds: rounds_seen.len(),
-            party_train: PhaseStats::from_samples(&party_train),
-            aggregate: PhaseStats::from_samples(&aggregate),
-            comm: PhaseStats::from_samples(&comm),
-            comm_bytes,
-            eval: PhaseStats::from_samples(&eval),
-            round: PhaseStats::from_samples(&round_times),
-            slowest_parties: counts,
-            party_failures,
-            degraded_rounds,
-            checkpoints,
-            pool: None,
-        }
-    }
-
-    /// Attach the live worker-pool steal/idle breakdown (from the span
-    /// profiler and substrate counters of *this* process) to the
-    /// summary. Meaningful when summarizing the run that just executed;
-    /// a summary rebuilt from another process's JSONL should skip this.
-    pub fn with_pool_activity(mut self) -> Self {
-        self.pool = PoolActivity::capture();
-        self
+        s.slowest_parties = times_slowest.into_iter().collect();
+        // Most frequent first; the stable sort keeps ascending ids in ties.
+        s.slowest_parties
+            .sort_by_key(|&(_, count)| std::cmp::Reverse(count));
+        s.party_train = PhaseStats::from_samples(&party_train);
+        s.aggregate = PhaseStats::from_samples(&aggregate);
+        s.comm = PhaseStats::from_samples(&comm);
+        s.eval = PhaseStats::from_samples(&eval);
+        s.round = PhaseStats::from_samples(&round_times);
+        s
     }
 
     /// Summarize a JSONL trace file written by [`JsonlSink`].
@@ -701,17 +627,6 @@ impl TraceSummary {
         }
         if self.comm_bytes > 0 {
             out.push_str(&format!("wire bytes (measured): {}\n", self.comm_bytes));
-        }
-        if let Some(pool) = &self.pool {
-            out.push_str(&format!(
-                "pool: steal/idle ratio {:.1}% ({:.1}ms stolen work, {:.1}ms idle, \
-                 {}/{} tasks stolen)\n",
-                pool.steal_idle_ratio() * 100.0,
-                pool.steal_ns as f64 / 1e6,
-                pool.idle_ns as f64 / 1e6,
-                pool.stolen_tasks,
-                pool.total_tasks
-            ));
         }
         if !self.slowest_parties.is_empty() {
             out.push_str("slowest party per round: ");
@@ -878,24 +793,6 @@ mod tests {
         let table = TraceSummary::from_events(&sample_events()).render();
         assert!(table.contains("p50 ms"), "{table}");
         assert!(table.contains("p99 ms"), "{table}");
-    }
-
-    #[test]
-    fn pool_activity_ratio_and_render_line() {
-        let pool = PoolActivity {
-            steal_ns: 3_000_000,
-            idle_ns: 1_000_000,
-            task_ns: 2_000_000,
-            stolen_tasks: 12,
-            total_tasks: 20,
-        };
-        assert!((pool.steal_idle_ratio() - 0.75).abs() < 1e-12);
-        assert_eq!(PoolActivity::default().steal_idle_ratio(), 0.0);
-        let mut s = TraceSummary::from_events(&sample_events());
-        s.pool = Some(pool);
-        let table = s.render();
-        assert!(table.contains("steal/idle ratio 75.0%"), "{table}");
-        assert!(table.contains("12/20 tasks stolen"), "{table}");
     }
 
     #[test]

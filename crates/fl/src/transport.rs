@@ -183,7 +183,6 @@ pub(crate) fn train_party(
             }),
             _ => None,
         };
-        let _sp = niid_prof::span!("fl.local_train");
         local_train(
             model,
             &party,

@@ -9,6 +9,11 @@
 //! stay in hot kernel loops permanently (<1% overhead off; see the
 //! `disabled_span_overhead_smoke` test).
 //!
+//! `timed!("fl.aggregate")` is the same span for a scope whose duration
+//! is also a reported number (a round phase): its [`TimedGuard`] reads
+//! the clock even when recording is off and returns the duration from
+//! `close()`, so the caller keeps no second clock beside the span.
+//!
 //! Two sinks drain the recorded data on demand:
 //!
 //! * [`write_chrome_trace`] — Chrome trace-event JSON loadable in
@@ -55,7 +60,7 @@ use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Entries retained per recording thread; older entries are overwritten.
 /// 4096 × 24 B ≈ 96 KiB per thread, allocated lazily on the thread's
@@ -205,19 +210,45 @@ fn thread_buf() -> Arc<ThreadBuf> {
 /// is off at entry.
 pub struct SpanGuard(Option<ActiveSpan>);
 
+/// A span that is being recorded: opened by [`ActiveSpan::open`], booked
+/// into the label totals and the thread's ring by [`ActiveSpan::finish`].
 struct ActiveSpan {
     stat: &'static LabelStat,
     start_ns: u64,
     depth: u16,
 }
 
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        let Some(span) = self.0.take() else { return };
-        let end_ns = now_ns();
-        let dur = end_ns.saturating_sub(span.start_ns);
-        span.stat.calls.fetch_add(1, Ordering::Relaxed);
-        span.stat.total_ns.fetch_add(dur, Ordering::Relaxed);
+impl ActiveSpan {
+    /// Resolve the call site's cached [`LabelStat`] pointer (interning on
+    /// the first hit) and enter the span on this thread.
+    #[inline]
+    fn open(label: &'static str, cache: &AtomicUsize) -> Self {
+        let mut p = cache.load(Ordering::Relaxed);
+        if p == 0 {
+            p = intern(label) as *const LabelStat as usize;
+            cache.store(p, Ordering::Relaxed);
+        }
+        // SAFETY: the cache only ever holds pointers produced by `intern`,
+        // which leaks its allocations; the referent lives for the process.
+        let stat: &'static LabelStat = unsafe { &*(p as *const LabelStat) };
+        let depth = DEPTH.with(|d| {
+            let v = d.get();
+            d.set(v.saturating_add(1));
+            v
+        });
+        CHILD_NS.with(|s| s.borrow_mut().push(0));
+        ActiveSpan {
+            stat,
+            start_ns: now_ns(),
+            depth,
+        }
+    }
+
+    /// Leave the span at `end_ns`: totals, self time, ring entry.
+    fn finish(self, end_ns: u64) {
+        let dur = end_ns.saturating_sub(self.start_ns);
+        self.stat.calls.fetch_add(1, Ordering::Relaxed);
+        self.stat.total_ns.fetch_add(dur, Ordering::Relaxed);
         let child = CHILD_NS.with(|s| {
             let mut s = s.borrow_mut();
             let child = s.pop().unwrap_or(0);
@@ -226,41 +257,75 @@ impl Drop for SpanGuard {
             }
             child
         });
-        span.stat
+        self.stat
             .self_ns
             .fetch_add(dur.saturating_sub(child), Ordering::Relaxed);
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        thread_buf().record(span.stat.id, span.depth, span.start_ns, end_ns);
+        thread_buf().record(self.stat.id, self.depth, self.start_ns, end_ns);
     }
 }
 
-/// Macro back end: resolves the call site's cached [`LabelStat`] pointer
-/// (interning on first enabled hit) and opens the span. Prefer the
-/// [`span!`] macro, which supplies the per-site cache.
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        if let Some(span) = self.0.take() {
+            span.finish(now_ns());
+        }
+    }
+}
+
+/// Macro back end of [`span!`], which supplies the per-site cache.
 #[inline]
 pub fn span_guard(label: &'static str, cache: &AtomicUsize) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard(None);
+    SpanGuard(enabled().then(|| ActiveSpan::open(label, cache)))
+}
+
+/// The guard returned by [`timed!`]: a span whose duration the caller
+/// needs as a value. It reads the profiler's clock at entry and at
+/// [`close`](Self::close) whether or not recording is on, so the number
+/// a caller reports and the span the profiler records are one
+/// measurement. With recording on it feeds the label totals and the ring
+/// exactly as a [`span!`] guard does; with recording off it costs the two
+/// clock reads and records nothing. Dropped unclosed (an early return, an
+/// unwind) it still closes the span.
+pub struct TimedGuard {
+    start_ns: u64,
+    span: Option<ActiveSpan>,
+}
+
+impl TimedGuard {
+    /// Macro back end of [`timed!`], which supplies the per-site cache.
+    #[inline]
+    pub fn open(label: &'static str, cache: &AtomicUsize) -> Self {
+        let span = enabled().then(|| ActiveSpan::open(label, cache));
+        TimedGuard {
+            start_ns: span.as_ref().map_or_else(now_ns, |s| s.start_ns),
+            span,
+        }
     }
-    let mut p = cache.load(Ordering::Relaxed);
-    if p == 0 {
-        p = intern(label) as *const LabelStat as usize;
-        cache.store(p, Ordering::Relaxed);
+
+    /// Time since entry, without closing: a lap on the span's own clock,
+    /// for a stretch of the scope that has no child span of its own.
+    pub fn elapsed(&self) -> Duration {
+        Duration::from_nanos(now_ns().saturating_sub(self.start_ns))
     }
-    // SAFETY: the cache only ever holds pointers produced by `intern`,
-    // which leaks its allocations; the referent lives for the process.
-    let stat: &'static LabelStat = unsafe { &*(p as *const LabelStat) };
-    let depth = DEPTH.with(|d| {
-        let v = d.get();
-        d.set(v.saturating_add(1));
-        v
-    });
-    CHILD_NS.with(|s| s.borrow_mut().push(0));
-    SpanGuard(Some(ActiveSpan {
-        stat,
-        start_ns: now_ns(),
-        depth,
-    }))
+
+    /// Close the span and return its duration — to the nanosecond the
+    /// `end − start` of the ring entry it wrote, when recording is on.
+    pub fn close(mut self) -> Duration {
+        let end_ns = now_ns();
+        if let Some(span) = self.span.take() {
+            span.finish(end_ns);
+        }
+        Duration::from_nanos(end_ns.saturating_sub(self.start_ns))
+    }
+}
+
+impl Drop for TimedGuard {
+    fn drop(&mut self) {
+        if let Some(span) = self.span.take() {
+            span.finish(now_ns());
+        }
+    }
 }
 
 /// Open a scoped span: `let _sp = niid_prof::span!("fl.round");`.
@@ -271,6 +336,18 @@ macro_rules! span {
         static __NIID_PROF_SITE: ::std::sync::atomic::AtomicUsize =
             ::std::sync::atomic::AtomicUsize::new(0);
         $crate::span_guard($label, &__NIID_PROF_SITE)
+    }};
+}
+
+/// Open a scoped span whose duration is also a result:
+/// `let sp = niid_prof::timed!("fl.aggregate"); …; let took = sp.close();`.
+/// See [`TimedGuard`]; use [`span!`] where nothing reads the duration.
+#[macro_export]
+macro_rules! timed {
+    ($label:literal) => {{
+        static __NIID_PROF_SITE: ::std::sync::atomic::AtomicUsize =
+            ::std::sync::atomic::AtomicUsize::new(0);
+        $crate::TimedGuard::open($label, &__NIID_PROF_SITE)
     }};
 }
 
@@ -702,5 +779,47 @@ mod tests {
             per_span < 200.0,
             "disabled span costs {per_span:.1}ns, expected ~1ns"
         );
+        // A timed guard closed with recording off still measures, and
+        // still records nothing.
+        let sp = timed!("test.overhead_timed");
+        std::thread::sleep(Duration::from_millis(1));
+        assert!(sp.elapsed() >= Duration::from_millis(1));
+        assert!(sp.close() >= Duration::from_millis(1));
+        assert_eq!(label_totals("test.overhead"), None);
+        assert_eq!(label_totals("test.overhead_timed"), None);
+    }
+
+    #[test]
+    fn timed_guard_returns_the_duration_it_records() {
+        let _g = test_lock();
+        enable(true);
+        // A fresh thread owns a fresh ring: its entries are exactly these.
+        let (closed, entries) = std::thread::spawn(|| {
+            let outer = timed!("test.timed_outer");
+            let lap = outer.elapsed();
+            let inner = timed!("test.timed_inner").close();
+            {
+                // Dropped unclosed: still one completed span.
+                let _early = timed!("test.timed_dropped");
+            }
+            let outer = outer.close();
+            assert!(lap <= outer && inner <= outer);
+            let me = thread_buf().tid;
+            let mine = drain_entries().into_iter().filter(|e| e.tid == me);
+            ([outer, inner], mine.collect::<Vec<_>>())
+        })
+        .join()
+        .unwrap();
+        enable(false);
+        let dur = |label: &str| {
+            let e = entries.iter().find(|e| e.label == label).unwrap();
+            Duration::from_nanos(e.end_ns - e.start_ns)
+        };
+        assert_eq!(dur("test.timed_outer"), closed[0]);
+        assert_eq!(dur("test.timed_inner"), closed[1]);
+        let (calls, total, self_ns) = label_totals("test.timed_outer").unwrap();
+        assert_eq!((calls, total), (1, closed[0].as_nanos() as u64));
+        let children = closed[1] + dur("test.timed_dropped");
+        assert_eq!(self_ns, (closed[0] - children).as_nanos() as u64);
     }
 }

@@ -145,6 +145,167 @@ fn recorder_tracks_every_selected_party_and_finite_series() {
     assert_eq!(series("niid_weight_cosine"), 8);
 }
 
+/// The recorder computes a party's divergence, cosine and per-layer
+/// update norms in one fused pass; every gauge it publishes must carry
+/// the bits of the plain oracle — materialize `wᵢ`, then `l2_distance`,
+/// `cosine_similarity` and a loop per layer.
+#[test]
+fn published_gauges_match_the_three_walk_oracle_bitwise() {
+    use niid_bench_rs::fl::dynamics::{cosine_similarity, l2_distance};
+    use niid_bench_rs::fl::{RoundObservation, RoundObserver};
+    use std::ops::Range;
+
+    struct Checked {
+        recorder: DynamicsRecorder,
+        layers: Vec<(String, Range<usize>)>,
+    }
+    impl RoundObserver for Checked {
+        fn grad_spans(&self) -> Option<&[Range<usize>]> {
+            self.recorder.grad_spans()
+        }
+        fn observe_round(&self, obs: &RoundObservation<'_>) {
+            self.recorder.observe_round(obs);
+            let gauge = |name: &str, key: &str, value: &str| {
+                let g = self.recorder.registry().gauge(name, "", &[(key, value)]);
+                g.get().to_bits()
+            };
+            let total_n: f64 = obs.outcomes.iter().map(|o| o.n_samples as f64).sum();
+            let mut layer_sq = vec![0.0f64; self.layers.len()];
+            for (&id, out) in obs.selected.iter().zip(obs.outcomes) {
+                let w_local: Vec<f32> = obs
+                    .global_before
+                    .iter()
+                    .zip(&out.delta)
+                    .map(|(&g, &d)| g - d)
+                    .collect();
+                let (div, cos) = (
+                    l2_distance(&w_local, obs.global_after),
+                    cosine_similarity(&w_local, obs.global_after),
+                );
+                let party = id.to_string();
+                assert_eq!(
+                    gauge("niid_weight_divergence_l2", "party", &party),
+                    div.to_bits()
+                );
+                assert_eq!(gauge("niid_weight_cosine", "party", &party), cos.to_bits());
+                for (sq, (_, span)) in layer_sq.iter_mut().zip(&self.layers) {
+                    let mut s = 0.0f64;
+                    for &d in &out.delta[span.clone()] {
+                        s += (d as f64) * (d as f64);
+                    }
+                    *sq += out.n_samples as f64 / total_n * s;
+                }
+            }
+            for (sq, (name, _)) in layer_sq.iter().zip(&self.layers) {
+                assert_eq!(
+                    gauge("niid_update_norm_l2", "layer", name),
+                    sq.sqrt().to_bits()
+                );
+            }
+        }
+    }
+
+    let split = generate(DatasetId::Mnist, &GenConfig::tiny(31));
+    let part = partition(
+        &split.train,
+        5,
+        Strategy::DirichletLabelSkew { beta: 0.5 },
+        9,
+    )
+    .expect("partition");
+    let parties = build_parties(&split.train, &part, 9);
+    let model = ModelSpec::LenetCnn {
+        in_channels: 1,
+        side: 16,
+    };
+    let layout = model.build(split.test.num_classes, 0).state_layout();
+    let mut offset = 0;
+    let layers = layout
+        .iter()
+        .filter(|l| l.params > 0)
+        .map(|l| {
+            offset += l.params;
+            (l.name.clone(), offset - l.params..offset)
+        })
+        .collect();
+    let checked = Checked {
+        recorder: DynamicsRecorder::new(Arc::new(Registry::new()), &layout, None),
+        layers,
+    };
+    let sim = FedSim::new(model, parties, split.test, quick_config(19, 2)).expect("sim");
+    sim.run_observed(&NoopSink, Some(&checked)).expect("run");
+    assert_eq!(checked.recorder.summary().rounds, 2);
+}
+
+/// One fold, two feeders: what the live recorder says about a run and
+/// what its JSONL series folds back into agree on every field both can
+/// know — over two trials that restart the round index, on a BatchNorm
+/// model, and (second leg) under a fault plan.
+#[test]
+fn live_summary_and_jsonl_summary_agree() {
+    use niid_bench_rs::fl::{DynamicsSummary, FaultPlan};
+    use niid_bench_rs::metrics::JsonlExporter;
+    let split = generate(DatasetId::Mnist, &GenConfig::tiny(31));
+    let part = partition(
+        &split.train,
+        6,
+        Strategy::DirichletLabelSkew { beta: 0.5 },
+        3,
+    )
+    .expect("partition");
+    let parties = build_parties(&split.train, &part, 3);
+    let model = ModelSpec::ResNetLite {
+        in_channels: 1,
+        side: 16,
+        width: 4,
+        blocks_per_stage: 1,
+    };
+    let layout = model.build(split.test.num_classes, 0).state_layout();
+    let (trials, rounds) = (2u64, 2usize);
+    for faults in [None, Some(FaultPlan::crash_only(0.3, 5))] {
+        let faulted = faults.is_some();
+        let path = std::env::temp_dir().join(format!(
+            "niid-summary-agree-{}-{faulted}.jsonl",
+            std::process::id()
+        ));
+        let exporter = Arc::new(JsonlExporter::create(&path).expect("create series"));
+        let recorder =
+            DynamicsRecorder::new(Arc::new(Registry::new()), &layout, Some(exporter.clone()));
+        for trial in 0..trials {
+            let mut cfg = quick_config(17 + trial, rounds);
+            cfg.fault_plan = faults.clone();
+            cfg.min_quorum = 0.1;
+            let sim =
+                FedSim::new(model.clone(), parties.clone(), split.test.clone(), cfg).expect("sim");
+            sim.run_observed(&NoopSink, Some(&recorder)).expect("run");
+        }
+        recorder.flush();
+        let live = recorder.summary();
+        let file = DynamicsSummary::from_jsonl_file(&path).expect("summarize");
+        std::fs::remove_file(&path).ok();
+
+        assert_eq!(live.rounds, trials as usize * rounds);
+        assert_eq!(
+            file.rounds, live.rounds,
+            "a round per snapshot, not per index"
+        );
+        assert_eq!(file.party_failures, live.party_failures);
+        assert_eq!(file.degraded_rounds, live.degraded_rounds);
+        assert_eq!(live.party_failures > 0, faulted, "crash=0.3 over 24 cells");
+        assert_eq!(file.last_train_loss, live.last_train_loss);
+        assert_eq!(file.final_test_accuracy, live.final_test_accuracy);
+        if !faulted {
+            // A failed party keeps its last gauge value in later
+            // snapshots; only the clean leg can compare per-party series.
+            assert_eq!(live.top_divergent.len(), 5);
+            assert_eq!(file.top_divergent, live.top_divergent);
+            assert!(live.bn_mean_drift_max > 0.0 && live.bn_var_drift_max > 0.0);
+            assert_eq!(file.bn_mean_drift_max, live.bn_mean_drift_max);
+            assert_eq!(file.bn_var_drift_max, live.bn_var_drift_max);
+        }
+    }
+}
+
 #[test]
 fn experiment_runner_emits_jsonl_and_serves_live_metrics() {
     let dir = std::env::temp_dir().join(format!("niid-metrics-test-{}", std::process::id()));

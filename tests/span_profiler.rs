@@ -106,6 +106,67 @@ fn fedsim_trajectory_bit_identical_with_profiling_on_and_off() {
     }
 }
 
+/// One clock: with recording on, a phase time in the `RoundRecord`
+/// stream is the duration of that phase's span, and a party's
+/// `PartyTrained.wall_ms` is the duration of its `fl.local_train` ring
+/// entry — to the nanosecond, at both thread counts.
+#[test]
+fn record_and_event_times_are_the_span_durations() {
+    use niid_bench_rs::fl::{MemorySink, TraceEvent};
+    let _g = prof_lock();
+    let ns = |ms: f64| (ms * 1e6).round() as u64;
+    let total_ns = |label: &str| prof::label_totals(label).map_or(0, |(_, total, _)| total);
+    for threads in [1usize, 4] {
+        let phases = ["fl.train", "fl.aggregate", "fl.eval"];
+        let before = phases.map(total_ns);
+        let (parties, test) = skewed_setup(&[40, 30, 50, 40, 20, 40], 71);
+        let sim = FedSim::new(
+            ModelSpec::Mlp { in_dim: 4 },
+            parties,
+            test,
+            config(threads, 72),
+        )
+        .unwrap();
+        let sink = MemorySink::new();
+        prof::enable(true);
+        let result = sim.run_traced(&sink).unwrap();
+        prof::enable(false);
+
+        let summed = [
+            result
+                .rounds
+                .iter()
+                .map(|r| ns(r.local_wall_ms))
+                .sum::<u64>(),
+            result.rounds.iter().map(|r| ns(r.aggregate_wall_ms)).sum(),
+            result.rounds.iter().map(|r| ns(r.eval_wall_ms)).sum(),
+        ];
+        for i in 0..phases.len() {
+            let span = total_ns(phases[i]) - before[i];
+            assert_eq!(summed[i], span, "{} @{threads} threads", phases[i]);
+        }
+
+        // Other tests' entries may sit in the rings too, so: every event
+        // finds its own ring entry.
+        let mut ring: Vec<u64> = prof::drain_entries()
+            .iter()
+            .filter(|e| e.label == "fl.local_train")
+            .map(|e| e.end_ns - e.start_ns)
+            .collect();
+        let mut trained = 0;
+        for ev in sink.events() {
+            if let TraceEvent::PartyTrained { wall_ms, .. } = ev {
+                let at = ring.iter().position(|&d| d == ns(wall_ms));
+                ring.swap_remove(at.unwrap_or_else(|| {
+                    panic!("no fl.local_train entry of {wall_ms} ms @{threads} threads")
+                }));
+                trained += 1;
+            }
+        }
+        assert_eq!(trained, 6 * result.rounds.len());
+    }
+}
+
 /// A profiled multi-threaded run must export parseable Chrome trace JSON:
 /// a `traceEvents` array whose complete events carry monotonically
 /// non-decreasing timestamps per thread, with thread-name metadata for

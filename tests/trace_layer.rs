@@ -194,12 +194,17 @@ fn phase_timings_are_non_negative_and_bounded_by_round_wall() {
 
 #[test]
 fn jsonl_trace_round_trips_into_a_summary() {
-    let rounds = 3;
+    // Two cells appended to one file, as `exp` writes a sweep: the second
+    // restarts its round index at 0 and must still count.
+    let (cells, rounds_per_cell) = (2, 3);
+    let rounds = cells * rounds_per_cell;
     let path = std::env::temp_dir().join(format!("niid_trace_{}.jsonl", std::process::id()));
+    std::fs::remove_file(&path).ok();
     let (model, parties, split) = setup();
-    let sim = FedSim::new(model, parties, split.test, config(rounds, 1.0, 1)).expect("sim");
-    {
-        let sink = JsonlSink::create(&path).expect("create trace file");
+    let sim =
+        FedSim::new(model, parties, split.test, config(rounds_per_cell, 1.0, 1)).expect("sim");
+    for _ in 0..cells {
+        let sink = JsonlSink::append(&path).expect("open trace file");
         sim.run_traced(&sink).expect("run");
         sink.flush().expect("flush");
     }

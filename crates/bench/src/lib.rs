@@ -287,14 +287,14 @@ pub fn print_header(what: &str, args: &Args) {
 }
 
 /// The end-of-run reports, each printed only when its flag was given: the
-/// `--trace` file folded into a per-phase timing table, the
-/// `--metrics-dir` series folded into the training-dynamics summary, and
-/// the `--profile` Chrome trace plus flame table (the only place span
-/// totals — `pool.*` included — are printed).
+/// `--trace` file folded into a per-phase timing table (with this
+/// process's pool steal/idle line), the `--metrics-dir` series folded
+/// into the training-dynamics summary, and the `--profile` Chrome trace
+/// plus flame table.
 pub fn print_epilogue(args: &Args) {
     if let Some(path) = &args.trace {
         match TraceSummary::from_jsonl_file(path) {
-            Ok(summary) => print!("\n{}", summary.render()),
+            Ok(summary) => print!("\n{}", summary.with_pool_activity().render()),
             Err(e) => eprintln!("warning: cannot summarize trace {path}: {e}"),
         }
     }

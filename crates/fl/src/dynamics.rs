@@ -204,7 +204,7 @@ struct PartyGauges {
 }
 
 struct RecorderState {
-    /// The end-of-run fold, fed one [`Sample`] per published value.
+    /// The end-of-run fold, updated as each value is published.
     summary: DynamicsSummary,
     party_gauges: HashMap<usize, PartyGauges>,
     /// Lazily-created `{dir, encoding}` byte counters, one (down, up)
@@ -233,6 +233,10 @@ pub struct DynamicsRecorder {
     train_ms_hist: Arc<Histogram>,
     failure_counters: Vec<(FailureKind, Arc<Counter>)>,
     degraded_counter: Arc<Counter>,
+    /// `(party failures, degraded rounds)` the registry's counters already
+    /// held at construction: on a shared registry earlier recorders'
+    /// faults are not this recorder's.
+    faults_at_start: (u64, u64),
     state: Mutex<RecorderState>,
 }
 
@@ -289,12 +293,13 @@ impl DynamicsRecorder {
                     ),
                 )
             })
-            .collect();
+            .collect::<Vec<_>>();
         let degraded_counter = registry.counter(
             "niid_rounds_degraded_total",
             "Rounds that aggregated a partial cohort after failures",
             &[],
         );
+        let faults_at_start = fault_totals(&failure_counters, &degraded_counter);
         let layer_gauges = layout
             .iter()
             .filter(|span| span.params > 0)
@@ -324,6 +329,7 @@ impl DynamicsRecorder {
             train_ms_hist,
             failure_counters,
             degraded_counter,
+            faults_at_start,
             state: Mutex::new(RecorderState {
                 summary: DynamicsSummary::default(),
                 party_gauges: HashMap::new(),
@@ -347,23 +353,27 @@ impl DynamicsRecorder {
     }
 
     /// The end-of-run summary of everything observed so far. Fault totals
-    /// are read from the registry counters (they count once, there), so
-    /// they cover every recorder publishing into this registry.
+    /// are read from the registry counters (they count once, there) as
+    /// the increase since this recorder was built — the same window as
+    /// `rounds` and the substrate lines, also on a shared registry.
     pub fn summary(&self) -> DynamicsSummary {
         let state = self.state.lock().expect("recorder state poisoned");
         let substrate = niid_tensor::stats::snapshot().since(&state.substrate_at_start);
+        let (failures, degraded) = fault_totals(&self.failure_counters, &self.degraded_counter);
         DynamicsSummary {
-            party_failures: self
-                .failure_counters
-                .iter()
-                .map(|(_, c)| c.get())
-                .sum::<u64>() as usize,
-            degraded_rounds: self.degraded_counter.get() as usize,
+            party_failures: (failures - self.faults_at_start.0) as usize,
+            degraded_rounds: (degraded - self.faults_at_start.1) as usize,
             simd_kernel: niid_tensor::configured_kernel().name().to_string(),
             ..state.summary.clone()
         }
         .finish(&substrate)
     }
+}
+
+/// `(party failures of every kind, degraded rounds)` as the registry's
+/// counters hold them now.
+fn fault_totals(failures: &[(FailureKind, Arc<Counter>)], degraded: &Counter) -> (u64, u64) {
+    (failures.iter().map(|(_, c)| c.get()).sum(), degraded.get())
 }
 
 impl RoundObserver for DynamicsRecorder {
@@ -375,7 +385,7 @@ impl RoundObserver for DynamicsRecorder {
         let mut guard = self.state.lock().expect("recorder state poisoned");
         let state = &mut *guard;
         let record = obs.record;
-        state.summary.push(Sample::Round);
+        state.summary.rounds += 1;
         if !obs.failures.is_empty() {
             self.degraded_counter.add(1);
             for failure in obs.failures {
@@ -390,10 +400,10 @@ impl RoundObserver for DynamicsRecorder {
         }
         self.round_gauge.set(record.round as f64);
         self.loss_gauge.set(record.avg_local_loss);
-        state.summary.push(Sample::Loss(record.avg_local_loss));
+        state.summary.last_train_loss = Some(record.avg_local_loss);
         if let Some(acc) = record.test_accuracy {
             self.acc_gauge.set(acc);
-            state.summary.push(Sample::Accuracy(acc));
+            state.summary.final_test_accuracy = Some(acc);
         }
         if !state.comm_counters.contains_key(obs.encoding) {
             let make = |dir: &str| {
@@ -435,7 +445,7 @@ impl RoundObserver for DynamicsRecorder {
                 dot / (local_norm * after_norm)
             };
             let weight = out.n_samples as f64 / total_n.max(1.0);
-            state.summary.push(Sample::Divergence(party_id, div));
+            state.summary.observe_divergence(party_id, div);
 
             let gauges = state.party_gauges.entry(party_id).or_insert_with(|| {
                 let party = party_id.to_string();
@@ -473,8 +483,9 @@ impl RoundObserver for DynamicsRecorder {
                 let (mean_d, var_d) = bn_drift(&out.buffers, obs.buffers_after, &self.bn_spans);
                 gauges.bn_mean.set(mean_d);
                 gauges.bn_var.set(var_d);
-                state.summary.push(Sample::BnMeanDrift(mean_d));
-                state.summary.push(Sample::BnVarDrift(var_d));
+                let s = &mut state.summary;
+                s.bn_mean_drift_max = s.bn_mean_drift_max.max(mean_d);
+                s.bn_var_drift_max = s.bn_var_drift_max.max(var_d);
             }
 
             // Per-layer aggregates, weighted like the server's average.
@@ -639,26 +650,11 @@ pub fn install_prof_collector(registry: &Arc<Registry>) {
     });
 }
 
-/// One value a run published, as the end-of-run fold sees it. The live
-/// recorder pushes these as it sets the gauges; [`from_jsonl_file`]
-/// pushes the same ones as it reads the gauges back.
-///
-/// [`from_jsonl_file`]: DynamicsSummary::from_jsonl_file
-enum Sample {
-    /// A round was observed (one registry snapshot).
-    Round,
-    Loss(f64),
-    Accuracy(f64),
-    /// `niid_weight_divergence_l2{party}`.
-    Divergence(usize, f64),
-    BnMeanDrift(f64),
-    BnVarDrift(f64),
-}
-
 /// One-screen end-of-run dynamics summary — the metrics analogue of
 /// [`TraceSummary`](crate::TraceSummary). It is also the accumulator:
-/// both the live recorder and the JSONL reader build one by pushing
-/// [`Sample`]s into it.
+/// the live recorder updates one as it sets the gauges, and
+/// [`from_jsonl_file`](Self::from_jsonl_file) updates one the same way as
+/// it reads the gauges back.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DynamicsSummary {
     /// Rounds observed: one per snapshot, so trials and cells that
@@ -702,20 +698,12 @@ fn label<'a>(line: &'a Json, key: &str) -> Option<&'a str> {
 }
 
 impl DynamicsSummary {
-    fn push(&mut self, sample: Sample) {
-        match sample {
-            Sample::Round => self.rounds += 1,
-            Sample::Loss(v) => self.last_train_loss = Some(v),
-            Sample::Accuracy(v) => self.final_test_accuracy = Some(v),
-            Sample::Divergence(party, div) => {
-                let agg = self.parties.entry(party).or_default();
-                agg.div_sum += div;
-                agg.rounds += 1;
-                agg.last_div = div;
-            }
-            Sample::BnMeanDrift(v) => self.bn_mean_drift_max = self.bn_mean_drift_max.max(v),
-            Sample::BnVarDrift(v) => self.bn_var_drift_max = self.bn_var_drift_max.max(v),
-        }
+    /// One `niid_weight_divergence_l2{party}` value.
+    fn observe_divergence(&mut self, party: usize, div: f64) {
+        let agg = self.parties.entry(party).or_default();
+        agg.div_sum += div;
+        agg.rounds += 1;
+        agg.last_div = div;
     }
 
     /// Fill the derived fields: `top_divergent` from the per-party
@@ -762,16 +750,16 @@ impl DynamicsSummary {
             };
             match name {
                 // Set every round, always finite: one per snapshot.
-                "niid_round" => out.push(Sample::Round),
+                "niid_round" => out.rounds += 1,
                 "niid_weight_divergence_l2" => {
                     if let Some(p) = label(line, "party").and_then(|p| p.parse().ok()) {
-                        out.push(Sample::Divergence(p, value));
+                        out.observe_divergence(p, value);
                     }
                 }
-                "niid_bn_mean_drift_l2" => out.push(Sample::BnMeanDrift(value)),
-                "niid_bn_var_drift_l2" => out.push(Sample::BnVarDrift(value)),
-                "niid_train_loss" => out.push(Sample::Loss(value)),
-                "niid_test_accuracy" => out.push(Sample::Accuracy(value)),
+                "niid_bn_mean_drift_l2" => out.bn_mean_drift_max = out.bn_mean_drift_max.max(value),
+                "niid_bn_var_drift_l2" => out.bn_var_drift_max = out.bn_var_drift_max.max(value),
+                "niid_train_loss" => out.last_train_loss = Some(value),
+                "niid_test_accuracy" => out.final_test_accuracy = Some(value),
                 "niid_party_failures_total" => {
                     if let Some(k) = label(line, "kind") {
                         failures.insert(k.to_string(), value);

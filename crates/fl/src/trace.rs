@@ -501,6 +501,57 @@ fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
+/// Worker-pool activity captured from the span profiler and substrate
+/// counters at summarize time — where round-phase tables come from the
+/// trace events, this block answers "what were the pool workers doing".
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct PoolActivity {
+    /// Wall time pool workers spent executing stolen region work, ns.
+    pub steal_ns: u64,
+    /// Wall time pool workers spent parked waiting for work, ns.
+    pub idle_ns: u64,
+    /// Wall time issuing threads spent in their own region share, ns.
+    pub task_ns: u64,
+    /// Tasks claimed by pool workers (substrate counter).
+    pub stolen_tasks: u64,
+    /// Total tasks issued (substrate counter).
+    pub total_tasks: u64,
+}
+
+impl PoolActivity {
+    /// Read the pool spans (`pool.steal` / `pool.idle` / `pool.task`)
+    /// and substrate counters. `None` when the profiler recorded no pool
+    /// activity (profiling off, or a single-threaded run).
+    pub fn capture() -> Option<Self> {
+        let steal = niid_prof::label_totals("pool.steal");
+        let idle = niid_prof::label_totals("pool.idle");
+        let task = niid_prof::label_totals("pool.task");
+        if steal.is_none() && idle.is_none() && task.is_none() {
+            return None;
+        }
+        let s = niid_tensor::stats::snapshot();
+        Some(Self {
+            steal_ns: steal.map_or(0, |(_, t, _)| t),
+            idle_ns: idle.map_or(0, |(_, t, _)| t),
+            task_ns: task.map_or(0, |(_, t, _)| t),
+            stolen_tasks: s.pool_stolen_tasks,
+            total_tasks: s.pool_tasks,
+        })
+    }
+
+    /// Fraction of pool-worker wall time spent executing work rather
+    /// than parked (`steal / (steal + idle)`); 0 when nothing recorded.
+    pub fn steal_idle_ratio(&self) -> f64 {
+        let busy = self.steal_ns as f64;
+        let denom = (self.steal_ns + self.idle_ns) as f64;
+        if denom == 0.0 {
+            0.0
+        } else {
+            busy / denom
+        }
+    }
+}
+
 /// A per-phase breakdown of a traced run — the baseline future perf PRs
 /// diff against.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -531,6 +582,10 @@ pub struct TraceSummary {
     pub degraded_rounds: usize,
     /// Checkpoints written (one per `CheckpointWritten`).
     pub checkpoints: usize,
+    /// Worker-pool steal/idle breakdown; populated by
+    /// [`TraceSummary::with_pool_activity`] (events alone cannot carry
+    /// it), `None` otherwise.
+    pub pool: Option<PoolActivity>,
 }
 
 impl TraceSummary {
@@ -561,7 +616,10 @@ impl TraceSummary {
                     party_id, wall_ms, ..
                 } => {
                     party_train.push(wall_ms);
-                    if slowest.is_none_or(|(_, ms)| wall_ms > ms) {
+                    // A stream cut mid-round (ring wrap, truncated file)
+                    // times its leading parties but has no round to
+                    // book a straggler against.
+                    if s.rounds > 0 && slowest.is_none_or(|(_, ms)| wall_ms > ms) {
                         slowest = Some((party_id, wall_ms));
                     }
                 }
@@ -596,6 +654,15 @@ impl TraceSummary {
         s
     }
 
+    /// Attach the live worker-pool steal/idle breakdown (from the span
+    /// profiler and substrate counters of *this* process) to the
+    /// summary. Meaningful when summarizing the run that just executed;
+    /// a summary rebuilt from another process's JSONL should skip this.
+    pub fn with_pool_activity(mut self) -> Self {
+        self.pool = PoolActivity::capture();
+        self
+    }
+
     /// Summarize a JSONL trace file written by [`JsonlSink`].
     pub fn from_jsonl_file(path: impl AsRef<Path>) -> std::io::Result<Self> {
         let mut text = String::new();
@@ -627,6 +694,17 @@ impl TraceSummary {
         }
         if self.comm_bytes > 0 {
             out.push_str(&format!("wire bytes (measured): {}\n", self.comm_bytes));
+        }
+        if let Some(pool) = &self.pool {
+            out.push_str(&format!(
+                "pool: steal/idle ratio {:.1}% ({:.1}ms stolen work, {:.1}ms idle, \
+                 {}/{} tasks stolen)\n",
+                pool.steal_idle_ratio() * 100.0,
+                pool.steal_ns as f64 / 1e6,
+                pool.idle_ns as f64 / 1e6,
+                pool.stolen_tasks,
+                pool.total_tasks
+            ));
         }
         if !self.slowest_parties.is_empty() {
             out.push_str("slowest party per round: ");
@@ -796,6 +874,24 @@ mod tests {
     }
 
     #[test]
+    fn pool_activity_ratio_and_render_line() {
+        let pool = PoolActivity {
+            steal_ns: 3_000_000,
+            idle_ns: 1_000_000,
+            task_ns: 2_000_000,
+            stolen_tasks: 12,
+            total_tasks: 20,
+        };
+        assert!((pool.steal_idle_ratio() - 0.75).abs() < 1e-12);
+        assert_eq!(PoolActivity::default().steal_idle_ratio(), 0.0);
+        let mut s = TraceSummary::from_events(&sample_events());
+        s.pool = Some(pool);
+        let table = s.render();
+        assert!(table.contains("steal/idle ratio 75.0%"), "{table}");
+        assert!(table.contains("12/20 tasks stolen"), "{table}");
+    }
+
+    #[test]
     fn unknown_event_tag_is_rejected() {
         assert!(TraceEvent::from_json_str("{\"event\":\"warp\",\"round\":0}").is_err());
         assert!(TraceEvent::from_json_str("{\"round\":0}").is_err());
@@ -855,6 +951,13 @@ mod tests {
         let table = s.render();
         assert!(table.contains("party_train"), "{table}");
         assert!(table.contains("#1 (2/2)"), "{table}");
+        // A stream that starts mid-round (its `RoundStarted` was dropped)
+        // keeps the leading party's time but books no straggler for a
+        // round it never counted: the histogram still sums to `rounds`.
+        let cut = TraceSummary::from_events(&sample_events()[1..]);
+        assert_eq!(cut.rounds, 1);
+        assert_eq!(cut.party_train.count, 4);
+        assert_eq!(cut.slowest_parties, vec![(1, 1)]);
     }
 
     #[test]

@@ -785,6 +785,25 @@ mod tests {
         std::thread::sleep(Duration::from_millis(1));
         assert!(sp.elapsed() >= Duration::from_millis(1));
         assert!(sp.close() >= Duration::from_millis(1));
+        // What the guard costs beyond the two clock reads it replaced (a
+        // raw `Instant` pair): the enabled-flag load and the label cache.
+        // `--nocapture` prints both; a round opens 4 + |S_t| guards.
+        let n = 200_000u32;
+        let t0 = Instant::now();
+        for _ in 0..n {
+            std::hint::black_box(Instant::now().elapsed());
+        }
+        let per_pair = t0.elapsed().as_nanos() as f64 / n as f64;
+        let t0 = Instant::now();
+        for _ in 0..n {
+            std::hint::black_box(timed!("test.overhead_timed").close());
+        }
+        let per_guard = t0.elapsed().as_nanos() as f64 / n as f64;
+        println!("Instant pair {per_pair:.1}ns, timed! open+close {per_guard:.1}ns");
+        assert!(
+            per_guard < per_pair + 200.0,
+            "timed! costs {per_guard:.1}ns against {per_pair:.1}ns for an Instant pair"
+        );
         assert_eq!(label_totals("test.overhead"), None);
         assert_eq!(label_totals("test.overhead_timed"), None);
     }

@@ -282,7 +282,32 @@ fn live_summary_and_jsonl_summary_agree() {
         recorder.flush();
         let live = recorder.summary();
         let file = DynamicsSummary::from_jsonl_file(&path).expect("summarize");
+
+        // A later cell on the same registry and series, as
+        // `niid_core::experiment` runs a sweep: its summary covers its
+        // own rounds and its own faults, and the file holds both cells.
+        let second = DynamicsRecorder::new(recorder.registry().clone(), &layout, Some(exporter));
+        let mut cfg = quick_config(23, rounds);
+        cfg.fault_plan = faults.clone();
+        cfg.min_quorum = 0.1;
+        let sim =
+            FedSim::new(model.clone(), parties.clone(), split.test.clone(), cfg).expect("sim");
+        sim.run_observed(&NoopSink, Some(&second)).expect("run");
+        second.flush();
+        let later = second.summary();
+        let both = DynamicsSummary::from_jsonl_file(&path).expect("summarize");
         std::fs::remove_file(&path).ok();
+        assert_eq!(later.rounds, rounds);
+        assert_eq!(later.party_failures > 0, faulted, "crash=0.3 over 12 cells");
+        assert_eq!(both.rounds, live.rounds + later.rounds);
+        assert_eq!(
+            both.party_failures,
+            live.party_failures + later.party_failures
+        );
+        assert_eq!(
+            both.degraded_rounds,
+            live.degraded_rounds + later.degraded_rounds
+        );
 
         assert_eq!(live.rounds, trials as usize * rounds);
         assert_eq!(

@@ -194,6 +194,14 @@ struct PartyAgg {
     last_div: f64,
 }
 
+/// Families of the [`PartyGauges`], labelled by `party`.
+const PARTY_GAUGES: [&str; 4] = [
+    "niid_weight_divergence_l2",
+    "niid_weight_cosine",
+    "niid_bn_mean_drift_l2",
+    "niid_bn_var_drift_l2",
+];
+
 /// The four per-party gauge handles, cached so hot-path observation
 /// never re-walks the registry's family lists.
 struct PartyGauges {
@@ -504,7 +512,20 @@ impl RoundObserver for DynamicsRecorder {
         drop(guard);
 
         if let Some(jsonl) = &self.jsonl {
-            jsonl.write_snapshot(Some(record.round as u64), &self.registry.gather());
+            // A per-party gauge keeps the value of the last round its
+            // party trained in; the series carries only this round's
+            // parties (the live registry still serves every one).
+            let mut families = self.registry.gather();
+            for family in &mut families {
+                if PARTY_GAUGES.contains(&family.name.as_str()) {
+                    family.samples.retain(|sample| {
+                        sample.labels.iter().any(|(k, v)| {
+                            k == "party" && v.parse().is_ok_and(|id| obs.selected.contains(&id))
+                        })
+                    });
+                }
+            }
+            jsonl.write_snapshot(Some(record.round as u64), &families);
         }
     }
 }

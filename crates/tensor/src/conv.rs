@@ -13,73 +13,78 @@
 //! Padding is zero-padding; stride is symmetric. Dilation and grouped
 //! convolution are not implemented — no model in the paper needs them.
 //!
-//! ## Three lowerings, one result
+//! ## One padded source, one coordinate map, three lowerings
 //!
-//! The materialized path ([`conv2d_forward_materialized`]) writes the full
-//! im2col matrix into [`ConvScratch`] and hands it to the GEMM — the
-//! historical pipeline, kept verbatim as the scalar arm (part of the
-//! `NIID_SIMD=scalar` bit-exact replay contract) and as the oracle the
-//! other two are validated against.
+//! Every forward pads its batch exactly once into [`ConvScratch`] (a plain
+//! copy at `padding = 0`), and every lowering then runs on
+//! [`Conv2dShape::padded_view`]: a padded tap reads a stored `0.0`, so no
+//! lowering has a padding branch. `Im2colMap` is the only place a lowered
+//! coordinate meets a plane offset; the three lowerings differ only in
+//! what they do with the operand it addresses:
 //!
-//! The implicit path ([`conv2d_forward_implicit`]) evaluates the im2col
-//! index mapping
+//! * the **materialized** path ([`conv2d_forward_materialized`]) gathers
+//!   the full im2col matrix into [`ConvScratch`] and hands it to the GEMM
+//!   — the historical pipeline, kept as the scalar arm (part of the
+//!   `NIID_SIMD=scalar` bit-exact replay contract) and as the oracle the
+//!   other two are validated against;
+//! * the **implicit** path ([`conv2d_forward_implicit`]) gathers
+//!   transposed `[depth, width]` tiles *inside the GEMM panel pack*
+//!   ([`pack_cols_t_tile`]) into a thread-local arena
+//!   ([`crate::parallel::with_scratch`]) that
+//!   [`crate::simd::gemm_panel_nt_avx2`] consumes; its weight gradient
+//!   regenerates im2col row windows on the fly ([`im2col_rows`]) and its
+//!   data gradient scatters each position strip of
+//!   [`crate::matmul::atb_rows`] at once ([`col2im_scatter_rows`]) — no
+//!   `[batch·positions, C·kh·kw]` buffer ever exists;
+//! * the **direct** path ([`conv2d_forward_direct`], kernels in
+//!   [`crate::conv_direct`]) lowers nothing: forward, dW and dX read row
+//!   segments of the padded planes, at the map's offsets, with unaligned
+//!   vector loads. It serves the stride-1 shapes of the paper CNN, where
+//!   packing and regenerating the lowered operand cost more than the FMAs
+//!   they feed; [`crate::dispatch::conv_lowering`] picks the path from
+//!   the geometry alone.
 //!
-//! ```text
-//! row p -> (oy, ox) = (p / out_w, p % out_w)
-//! col d -> (c, ky, kx) = (d / (kh·kw), (d % (kh·kw)) / kw, d % kw)
-//! value = input[c][oy·stride + ky − pad][ox·stride + kx − pad]   (0 if OOB)
-//! ```
-//!
-//! *inside the GEMM panel pack*: [`pack_cols_t_tile`] writes a transposed
-//! `[depth, width]` tile of the lowered matrix straight from the NCHW
-//! planes into a thread-local arena ([`crate::parallel::with_scratch`])
-//! and [`crate::simd::gemm_panel_nt_avx2`] consumes it — no
-//! `[batch·positions, C·kh·kw]` buffer ever exists. The backward pass
-//! mirrors the fusion: the weight gradient regenerates im2col row windows
-//! on the fly ([`im2col_rows`]), and the data gradient runs position
-//! strips through the shared [`crate::matmul::atb_rows`] kernel and
-//! scatters each strip immediately ([`col2im_scatter_rows`]).
-//!
-//! The direct path ([`conv2d_forward_direct`], kernels in
-//! [`crate::conv_direct`]) lowers nothing at all: forward, dW and dX read
-//! row segments of the (zero-padded) NCHW planes with unaligned vector
-//! loads. It serves the stride-1 shapes of the paper CNN, where packing
-//! and regenerating the lowered operand cost more than the FMAs they
-//! feed; [`crate::dispatch::conv_lowering`] picks the path from the
-//! geometry alone.
+//! One forward driver (`forward_samples`) and one data-gradient driver
+//! (`backward_input`) run the per-sample bodies of all three. The dX
+//! driver accumulates each sample's gradient onto a zeroed padded plane —
+//! padding taps land in its border — and copies the interior out.
 //!
 //! Per output element all three run the same depth-ascending FMA chain
 //! over the same operand values — tile splits are bits-neutral (see
 //! [`crate::dispatch`]), and both fused weight gradients replicate
 //! `matmul_at_b_slices`' branch and `ATB_BLOCK_M` partial-sum split — so
 //! under the same SIMD kernel they are **bit-identical**; tests assert
-//! exactly this.
+//! exactly this, and `tests/golden_conv.rs` pins the bits themselves.
 //!
 //! ## Workspace reuse
 //!
 //! The hot path is [`conv2d_forward`] / [`conv2d_backward_accum`], which
 //! operate on a caller-owned [`ConvScratch`]: buffers persist across
 //! batches, so a training step performs no per-sample allocation. The
-//! forward pass records which lowering ran; the materialized path fills
-//! `cols` while the fused paths cache the `input` (raw for the implicit
-//! path, zero-padded for the direct one — the backward weight pass
-//! re-reads it) and leave `cols` unmaterialized. Samples are
-//! processed in parallel (each owns disjoint regions of every buffer),
-//! which keeps results bit-identical at any thread count. The allocating
-//! [`conv2d`] / [`conv2d_backward`] wrappers route through a reused
-//! **thread-local** scratch, so one-off callers no longer pay a fresh
-//! lowering allocation per call. Bias broadcast and the bias-gradient
-//! reduction dispatch through [`crate::simd`].
+//! forward pass records which lowering ran and leaves the padded batch
+//! behind for the backward weight pass; only the materialized path also
+//! fills `cols`. Samples are processed in parallel (each owns disjoint
+//! regions of every buffer), which keeps results bit-identical at any
+//! thread count. The allocating [`conv2d`] / [`conv2d_backward`] wrappers
+//! route through a reused **thread-local** scratch, so one-off callers no
+//! longer pay a fresh lowering allocation per call. Bias broadcast and
+//! the bias-gradient reduction dispatch through [`crate::simd`].
 
 #[cfg(target_arch = "x86_64")]
 use crate::conv_direct as direct;
 use crate::dispatch::ConvLowering;
 use crate::matmul::{matmul_a_bt_slices, matmul_at_b_slices};
-use crate::parallel::{parallel_for_threshold, SharedMut};
-use crate::simd;
+use crate::parallel::{parallel_for_threshold, with_scratch, SharedMut};
+use crate::simd::{self, Kernel};
 use crate::stats;
 use crate::tensor::Tensor;
 use std::cell::RefCell;
+use std::sync::atomic::AtomicU64;
+
+/// Floats the padded batch and the dX plane extend past their last
+/// sample: the direct kernels' segment loads read (and their dX add
+/// rewrites) a full vector where as few as one float is meaningful.
+pub(crate) const SLACK: usize = 8;
 
 /// Static geometry of a conv layer applied to a fixed input size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,7 +149,7 @@ impl Conv2dShape {
     /// The same convolution seen from its zero-padded input: planes of
     /// `[in_h + 2·padding, in_w + 2·padding]` and `padding = 0`. Lowering
     /// the padded planes through this view yields the identical im2col
-    /// matrix, which is what lets the direct kernels ignore padding.
+    /// matrix, which is what lets every lowering ignore padding.
     pub fn padded_view(&self) -> Conv2dShape {
         Conv2dShape {
             in_h: self.in_h + 2 * self.padding,
@@ -173,164 +178,196 @@ impl Conv2dShape {
     }
 }
 
-/// Lower rows `p0..p1` of one sample's im2col matrix into `rows`
-/// (relative: row `p` lands at `(p - p0) * col_width()`).
+/// The im2col lowering of a padding-0 view as one coordinate map — the
+/// only place `(oy, ox, c, ky, kx)` becomes a plane offset:
 ///
-/// The inner loop is the historical `im2col_into` body, so delegating the
-/// full range reproduces the complete lowering bit for bit, and any
-/// row-window chunking of the range concatenates to the same buffer — the
-/// backward weight pass relies on this to regenerate windows on the fly.
-pub fn im2col_rows(input: &[f32], s: &Conv2dShape, p0: usize, p1: usize, rows: &mut [f32]) {
-    let ow = s.out_w();
-    let cw = s.col_width();
-    debug_assert!(p1 <= s.out_positions(), "im2col_rows: row range OOB");
-    assert_eq!(
-        input.len(),
-        s.input_numel(),
-        "im2col_rows: bad input length"
-    );
-    assert!(
-        rows.len() >= (p1 - p0) * cw,
-        "im2col_rows: rows buffer too small"
-    );
-    let (ih, iw) = (s.in_h as isize, s.in_w as isize);
-    for p in p0..p1 {
-        let (oy, ox) = (p / ow, p % ow);
-        let base = (p - p0) * cw;
-        let y0 = (oy * s.stride) as isize - s.padding as isize;
-        let x0 = (ox * s.stride) as isize - s.padding as isize;
-        let mut k = 0usize;
-        for c in 0..s.in_channels {
-            let plane = &input[c * s.in_h * s.in_w..(c + 1) * s.in_h * s.in_w];
-            for ky in 0..s.kernel_h {
-                let y = y0 + ky as isize;
-                if y < 0 || y >= ih {
-                    rows[base + k..base + k + s.kernel_w]
-                        .iter_mut()
-                        .for_each(|v| *v = 0.0);
-                    k += s.kernel_w;
-                    continue;
-                }
-                for kx in 0..s.kernel_w {
-                    let x = x0 + kx as isize;
-                    rows[base + k] = if x < 0 || x >= iw {
-                        0.0
-                    } else {
-                        plane[y as usize * s.in_w + x as usize]
-                    };
-                    k += 1;
-                }
+/// ```text
+/// row p -> (oy, ox) = (p / out_w, p % out_w)     pos(p) = (oy·W + ox)·stride
+/// col d -> (q, kx)  = (d / kw, d % kw),  q = c·kh + ky
+///                                                tap(q) = c·H·W + ky·W
+/// lowered[p][d] = planes[pos(p) + tap(d / kw) + d % kw]
+/// ```
+///
+/// For a fixed `(p, q)` the `kernel_w` taps are one contiguous run at any
+/// stride, and neighbouring positions of one output row sit `stride`
+/// apart. The im2col gather, the col2im scatter, the transposed pack and
+/// the direct kernels' base offsets all read through it; callers that
+/// already walk output rows use `at(oy, ox)` and the division-free
+/// `taps()`, because the direct kernels' tiles are too small to pay for a
+/// division per tap or per tile.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Im2colMap {
+    out_w: usize,
+    stride: usize,
+    in_w: usize,
+    plane: usize,
+    channels: usize,
+    kernel_h: usize,
+}
+
+impl Im2colMap {
+    pub(crate) fn new(v: &Conv2dShape) -> Self {
+        assert_eq!(v.padding, 0, "Im2colMap needs a padded view, got {v:?}");
+        Self {
+            out_w: v.out_w(),
+            stride: v.stride,
+            in_w: v.in_w,
+            plane: v.in_h * v.in_w,
+            channels: v.in_channels,
+            kernel_h: v.kernel_h,
+        }
+    }
+
+    /// Plane offset of output position `p`'s window origin.
+    #[inline]
+    pub(crate) fn pos(&self, p: usize) -> usize {
+        self.at(p / self.out_w, p % self.out_w)
+    }
+
+    /// [`Self::pos`] of the position at output row `oy`, column `ox`.
+    #[inline]
+    pub(crate) fn at(&self, oy: usize, ox: usize) -> usize {
+        (oy * self.in_w + ox) * self.stride
+    }
+
+    /// Offset of tap row `q = c·kernel_h + ky` from a window origin.
+    #[inline]
+    pub(crate) fn tap(&self, q: usize) -> usize {
+        q / self.kernel_h * self.plane + q % self.kernel_h * self.in_w
+    }
+
+    /// `tap(q)` for every `q` in ascending order, without a division:
+    /// `ky` steps one plane row, the step past the last `ky` lands on the
+    /// next channel's plane. A flat walk, because a nested `flat_map`
+    /// measured ~25 % slower on the direct forward of the paper CNN's
+    /// narrow layers, where each tap feeds only `kernel_w` FMA groups.
+    #[inline]
+    pub(crate) fn taps(&self) -> impl Iterator<Item = usize> {
+        let (kh, in_w) = (self.kernel_h, self.in_w);
+        let next_plane = self.plane - (kh - 1) * in_w;
+        let (mut tap, mut ky) = (0, 0);
+        (0..self.channels * kh).map(move |_| {
+            let at = tap;
+            ky += 1;
+            if ky == kh {
+                ky = 0;
+                tap += next_plane;
+            } else {
+                tap += in_w;
             }
+            at
+        })
+    }
+}
+
+/// Copy a batch of `[C, H, W]` samples into zero-padded
+/// `[C, H+2p, W+2p]` planes (`out` holds exactly `n` padded samples).
+pub(crate) fn pad_batch(xs: &[f32], s: &Conv2dShape, n: usize, out: &mut [f32]) {
+    let v = s.padded_view();
+    assert_eq!(xs.len(), n * s.input_numel(), "pad_batch: bad input length");
+    assert_eq!(
+        out.len(),
+        n * v.input_numel(),
+        "pad_batch: bad output length"
+    );
+    if s.padding == 0 {
+        out.copy_from_slice(xs);
+        return;
+    }
+    let p = s.padding;
+    let src_planes = xs.chunks_exact(s.in_h * s.in_w);
+    let dst_planes = out.chunks_exact_mut(v.in_h * v.in_w);
+    for (src, dst) in src_planes.zip(dst_planes) {
+        dst[..p * v.in_w].fill(0.0);
+        dst[(p + s.in_h) * v.in_w..].fill(0.0);
+        for (y, row) in src.chunks_exact(s.in_w).enumerate() {
+            let d = &mut dst[(p + y) * v.in_w..(p + y + 1) * v.in_w];
+            d[..p].fill(0.0);
+            d[p..p + s.in_w].copy_from_slice(row);
+            d[p + s.in_w..].fill(0.0);
         }
     }
 }
 
-/// Lower one input sample `[C, H, W]` (given as a flat slice) into the
-/// im2col matrix `[out_h*out_w, C*kh*kw]`, writing into `cols`.
-///
-/// `cols` must have exactly `out_positions * col_width` elements.
-pub fn im2col_into(input: &[f32], s: &Conv2dShape, cols: &mut [f32]) {
-    s.validate();
-    assert_eq!(input.len(), s.input_numel(), "im2col: bad input length");
-    assert_eq!(
-        cols.len(),
-        s.out_positions() * s.col_width(),
-        "im2col: bad cols length"
-    );
-    im2col_rows(input, s, 0, s.out_positions(), cols);
+/// Copy the interior of one padded `[C, H+2p, W+2p]` gradient plane set
+/// back out to `[C, H, W]`.
+pub(crate) fn unpad_sample(plane: &[f32], s: &Conv2dShape, out: &mut [f32]) {
+    let v = s.padded_view();
+    assert!(plane.len() >= v.input_numel(), "unpad_sample: plane short");
+    assert_eq!(out.len(), s.input_numel(), "unpad_sample: bad output");
+    let p = s.padding;
+    for (i, row) in out.chunks_exact_mut(s.in_w).enumerate() {
+        let (c, y) = (i / s.in_h, i % s.in_h);
+        let src = (c * v.in_h + p + y) * v.in_w + p;
+        row.copy_from_slice(&plane[src..src + s.in_w]);
+    }
 }
 
-/// Allocating wrapper over [`im2col_into`], returning `[oh*ow, C*kh*kw]`.
-pub fn im2col(input: &[f32], s: &Conv2dShape) -> Tensor {
-    let mut cols = vec![0.0f32; s.out_positions() * s.col_width()];
-    im2col_into(input, s, &mut cols);
-    Tensor::from_vec(cols, &[s.out_positions(), s.col_width()])
+/// Lower rows `p0..p1` of one padded sample's im2col matrix into `rows`
+/// (relative: row `p` lands at `(p - p0) * col_width()`), one contiguous
+/// `kernel_w` run per `(p, c, ky)`. `v` is a padding-0 view.
+///
+/// Any row-window chunking of the range concatenates to the full lowering
+/// — the backward weight pass relies on this to regenerate windows on the
+/// fly. Values are copied, never combined, so NaN/±∞ travel bit-intact.
+pub(crate) fn im2col_rows(x: &[f32], v: &Conv2dShape, p0: usize, p1: usize, rows: &mut [f32]) {
+    let map = Im2colMap::new(v);
+    let (kw, cw) = (v.kernel_w, v.col_width());
+    debug_assert!(p1 <= v.out_positions(), "im2col_rows: row range OOB");
+    assert_eq!(x.len(), v.input_numel(), "im2col_rows: bad input length");
+    assert!(
+        rows.len() >= (p1 - p0) * cw,
+        "im2col_rows: rows buffer too small"
+    );
+    for (p, row) in (p0..p1).zip(rows.chunks_exact_mut(cw)) {
+        let origin = map.pos(p);
+        for (run, tap) in row.chunks_exact_mut(kw).zip(map.taps()) {
+            run.copy_from_slice(&x[origin + tap..origin + tap + kw]);
+        }
+    }
 }
 
 /// Scatter-add rows `p0..p1` of a lowered-gradient buffer back onto one
-/// sample's `[C, H, W]` planes. `cols_rows` is relative like
-/// [`im2col_rows`]; `out` is **not** zeroed — callers own the clear.
+/// sample's padded planes (`v` is a padding-0 view). `cols_rows` is
+/// relative like [`im2col_rows`]; `out` is **not** zeroed — callers own
+/// the clear.
 ///
-/// The global scatter order (ascending `p`, then ascending `k`) is the
-/// historical `col2im_into` order regardless of how the position range is
+/// The global scatter order (ascending `p`, then ascending column) is the
+/// historical `col2im` order regardless of how the position range is
 /// chunked, so each input element accumulates its contributions in the
 /// identical sequence — strip-wise scatter is bit-identical to the full
-/// scatter.
-pub fn col2im_scatter_rows(
+/// scatter, and a padding tap only ever lands in the dropped border.
+pub(crate) fn col2im_scatter_rows(
     cols_rows: &[f32],
-    s: &Conv2dShape,
+    v: &Conv2dShape,
     p0: usize,
     p1: usize,
     out: &mut [f32],
 ) {
     let _sp = niid_prof::span!("conv.col2im");
-    let ow = s.out_w();
-    let cw = s.col_width();
+    let map = Im2colMap::new(v);
+    let (kw, cw) = (v.kernel_w, v.col_width());
     debug_assert!(
-        p1 <= s.out_positions(),
+        p1 <= v.out_positions(),
         "col2im_scatter_rows: row range OOB"
     );
     assert!(
         cols_rows.len() >= (p1 - p0) * cw,
         "col2im_scatter_rows: cols buffer too small"
     );
-    assert_eq!(
-        out.len(),
-        s.input_numel(),
-        "col2im_scatter_rows: bad output length"
+    assert!(
+        out.len() >= v.input_numel(),
+        "col2im_scatter_rows: output short"
     );
-    let (ih, iw) = (s.in_h as isize, s.in_w as isize);
-    for p in p0..p1 {
-        let (oy, ox) = (p / ow, p % ow);
-        let base = (p - p0) * cw;
-        let y0 = (oy * s.stride) as isize - s.padding as isize;
-        let x0 = (ox * s.stride) as isize - s.padding as isize;
-        let mut k = 0usize;
-        for c in 0..s.in_channels {
-            let plane_off = c * s.in_h * s.in_w;
-            for ky in 0..s.kernel_h {
-                let y = y0 + ky as isize;
-                if y < 0 || y >= ih {
-                    k += s.kernel_w;
-                    continue;
-                }
-                for kx in 0..s.kernel_w {
-                    let x = x0 + kx as isize;
-                    if x >= 0 && x < iw {
-                        out[plane_off + y as usize * s.in_w + x as usize] += cols_rows[base + k];
-                    }
-                    k += 1;
-                }
+    for (p, row) in (p0..p1).zip(cols_rows.chunks_exact(cw)) {
+        let origin = map.pos(p);
+        for (run, tap) in row.chunks_exact(kw).zip(map.taps()) {
+            let dst = &mut out[origin + tap..origin + tap + kw];
+            for (o, &g) in dst.iter_mut().zip(run) {
+                *o += g;
             }
         }
     }
-}
-
-/// Inverse of im2col for gradients: scatter-add the columns matrix
-/// (`[out_positions, col_width]`, flat) into an input-shaped buffer
-/// `[C, H, W]`. `out` is overwritten (zeroed first).
-pub fn col2im_into(cols: &[f32], s: &Conv2dShape, out: &mut [f32]) {
-    s.validate();
-    assert_eq!(
-        cols.len(),
-        s.out_positions() * s.col_width(),
-        "col2im: bad cols length"
-    );
-    assert_eq!(out.len(), s.input_numel(), "col2im: bad output length");
-    out.fill(0.0);
-    col2im_scatter_rows(cols, s, 0, s.out_positions(), out);
-}
-
-/// Allocating wrapper over [`col2im_into`].
-pub fn col2im(cols: &Tensor, s: &Conv2dShape) -> Vec<f32> {
-    assert_eq!(
-        cols.shape(),
-        &[s.out_positions(), s.col_width()],
-        "col2im: bad cols shape"
-    );
-    let mut out = vec![0.0f32; s.input_numel()];
-    col2im_into(cols.as_slice(), s, &mut out);
-    out
 }
 
 /// Reusable convolution workspace: every buffer a forward/backward pass
@@ -341,20 +378,19 @@ pub struct ConvScratch {
     /// im2col lowering of the last forward batch: `[batch·positions, cw]`.
     /// Only filled by the materialized path (`cached` tracks this).
     cols: Vec<f32>,
-    /// Backward scratch: per-sample column gradients (same extent) on
-    /// the materialized path, the `kx`-lane weight pack on the direct one.
-    dcols: Vec<f32>,
+    /// The direct data gradient's `kx`-lane weight pack.
+    wpack: Vec<f32>,
     /// Output gradients transposed to `[batch·positions, out_channels]`
-    /// so the weight gradient is one tall GEMM.
+    /// so the materialized weight gradient is one tall GEMM.
     gy_t: Vec<f32>,
-    /// Forward input cached by the fused paths for the backward weight
-    /// pass: raw `[batch, C·H·W]` after an implicit forward, zero-padded
-    /// `[batch, C·(H+2p)·(W+2p)]` plus lane slack after a direct one.
+    /// The last forward batch, zero-padded once:
+    /// `[batch, C·(H+2p)·(W+2p)]` plus [`SLACK`] — the one source every
+    /// lowering reads.
     input: Vec<f32>,
     /// Samples lowered by the last forward pass.
     batch: usize,
-    /// What the last forward left behind for `batch` samples: `cols`
-    /// (`Materialized`) or one of the two `input` layouts.
+    /// The lowering the last forward ran, which the backward pairs with
+    /// (`Materialized` also means `cols` holds the lowering).
     cached: ConvLowering,
 }
 
@@ -385,24 +421,17 @@ impl ConvScratch {
         &self.cols[..self.batch * s.out_positions() * s.col_width()]
     }
 
-    /// Cache a forward input for the fused backward named by `lowering`
-    /// (`Direct` pads, anything else keeps the raw layout).
-    fn cache_input(&mut self, xs: &[f32], n: usize, s: &Conv2dShape, lowering: ConvLowering) {
-        match lowering {
-            #[cfg(target_arch = "x86_64")]
-            ConvLowering::Direct => {
-                let padded = n * s.padded_view().input_numel();
-                Self::ensure(&mut self.input, padded + direct::SLACK);
-                direct::pad_batch(xs, s, n, &mut self.input[..padded]);
-            }
-            _ => {
-                debug_assert_eq!(xs.len(), n * s.input_numel());
-                Self::ensure(&mut self.input, xs.len());
-                self.input[..xs.len()].copy_from_slice(xs);
-            }
-        }
+    /// Pad a forward batch into `input` and leave behind what the
+    /// backward of `lowering` reads (the materialized one also `cols`).
+    fn prime(&mut self, xs: &[f32], n: usize, s: &Conv2dShape, lowering: ConvLowering) {
+        let padded = n * s.padded_view().input_numel();
+        Self::ensure(&mut self.input, padded + SLACK);
+        pad_batch(xs, s, n, &mut self.input[..padded]);
         self.batch = n;
         self.cached = lowering;
+        if lowering == ConvLowering::Materialized {
+            materialize_cols(self, s);
+        }
     }
 
     fn ensure(buf: &mut Vec<f32>, len: usize) {
@@ -418,7 +447,7 @@ impl ConvScratch {
 
 impl Drop for ConvScratch {
     fn drop(&mut self) {
-        let resident = self.cols.len() + self.dcols.len() + self.gy_t.len() + self.input.len();
+        let resident = self.cols.len() + self.wpack.len() + self.gy_t.len() + self.input.len();
         if resident > 0 {
             stats::scratch_freed((resident * std::mem::size_of::<f32>()) as u64);
         }
@@ -453,6 +482,57 @@ fn check_forward_args(
         assert_eq!(b.len(), s.out_channels, "conv2d: bias length mismatch");
     }
     n
+}
+
+/// The call counter of `lowering` (forward and fused dW each count one).
+fn calls(lowering: ConvLowering) -> &'static AtomicU64 {
+    match lowering {
+        ConvLowering::Materialized => &stats::CONV_MATERIALIZED_CALLS,
+        ConvLowering::Implicit => &stats::CONV_IMPLICIT_CALLS,
+        ConvLowering::Direct => &stats::CONV_DIRECT_CALLS,
+    }
+}
+
+/// The one forward skeleton every lowering runs: check the arguments,
+/// count the call, pad the batch into `scratch` once, then run
+/// `sample(scratch, i, out_i)` for every sample over its own region of
+/// the output — samples in parallel over disjoint regions, so results are
+/// bit-identical at any thread count.
+fn forward_samples(
+    input: &Tensor,
+    weight: &[f32],
+    bias: Option<&[f32]>,
+    s: &Conv2dShape,
+    scratch: &mut ConvScratch,
+    lowering: ConvLowering,
+    sample: &(dyn Fn(&ConvScratch, usize, &mut [f32]) + Sync),
+) -> Tensor {
+    let n = check_forward_args(input, weight, bias, s);
+    let out_numel = s.output_numel();
+    let flops = n * 2 * out_numel * s.col_width();
+    stats::bump(calls(lowering), 1);
+    if lowering != ConvLowering::Materialized {
+        // The fused GEMM work bypasses `matmul_a_bt_slices`, so account
+        // for its flops here (the materialized path counts them there).
+        stats::bump(&stats::GEMM_FLOPS, flops as u64);
+    }
+    scratch.prime(input.as_slice(), n, s, lowering);
+    let scratch = &*scratch;
+    let mut out = vec![0.0f32; n * out_numel];
+    let out_ptr = SharedMut(out.as_mut_ptr());
+    parallel_for_threshold(n, flops, &|i| {
+        // SAFETY: sample `i` exclusively owns its region of out.
+        let out_i = unsafe { out_ptr.slice(i * out_numel, out_numel) };
+        sample(scratch, i, out_i);
+    });
+    Tensor::from_vec(out, &[n, s.out_channels, s.out_h(), s.out_w()])
+}
+
+/// `out_i[c][..] += bias[c]` over one sample's `[out_c, positions]`.
+fn add_bias(kern: Kernel, bias: Option<&[f32]>, out_i: &mut [f32], positions: usize) {
+    for (row, &b_c) in out_i.chunks_exact_mut(positions).zip(bias.unwrap_or(&[])) {
+        simd::add_scalar_assign(kern, row, b_c);
+    }
 }
 
 /// Forward convolution over a batch, caching what the backward pass needs
@@ -492,9 +572,8 @@ fn active_lowering(s: &Conv2dShape) -> ConvLowering {
 }
 
 /// Forward convolution through the materialized im2col lowering — the
-/// historical pipeline, kept verbatim: the scalar arm of the
-/// `NIID_SIMD=scalar` replay contract and the bit-exactness oracle for
-/// [`conv2d_forward_implicit`].
+/// historical pipeline: the scalar arm of the `NIID_SIMD=scalar` replay
+/// contract and the bit-exactness oracle for the fused lowerings.
 pub fn conv2d_forward_materialized(
     input: &Tensor,
     weight: &[f32],
@@ -502,109 +581,61 @@ pub fn conv2d_forward_materialized(
     s: &Conv2dShape,
     scratch: &mut ConvScratch,
 ) -> Tensor {
-    let n = check_forward_args(input, weight, bias, s);
-    stats::bump(&stats::CONV_MATERIALIZED_CALLS, 1);
-
-    let positions = s.out_positions();
-    let cw = s.col_width();
-    let in_numel = s.input_numel();
-    let out_numel = s.output_numel();
-    ConvScratch::ensure(&mut scratch.cols, n * positions * cw);
-    scratch.batch = n;
-    scratch.cached = ConvLowering::Materialized;
-
-    let mut out = vec![0.0f32; n * out_numel];
-    let xs = input.as_slice();
-    let cols_ptr = SharedMut(scratch.cols.as_mut_ptr());
-    let out_ptr = SharedMut(out.as_mut_ptr());
     // Resolved on the calling thread so per-thread kernel forcing covers
     // every sample regardless of which pool worker runs it.
     let kern = simd::active_kernel();
-    parallel_for_threshold(n, n * 2 * out_numel * cw, &|i| {
-        // SAFETY: sample `i` exclusively owns its regions of cols/out.
-        let cols_i = unsafe { cols_ptr.slice(i * positions * cw, positions * cw) };
-        let out_i = unsafe { out_ptr.slice(i * out_numel, out_numel) };
-        {
-            let _sp = niid_prof::span!("conv.im2col");
-            im2col_into(&xs[i * in_numel..(i + 1) * in_numel], s, cols_i);
-        }
+    let cw = s.col_width();
+    let lowering = ConvLowering::Materialized;
+    let sample = |sc: &ConvScratch, i: usize, out_i: &mut [f32]| {
+        let positions = s.out_positions();
+        let cols_i = &sc.cols[i * positions * cw..(i + 1) * positions * cw];
         // W [outc, cw] · colsᵀ [cw, positions] = [outc, positions]. The
         // nested GEMM may execute on a pool worker, so re-pin the kernel
         // resolved at entry for its dispatch.
         simd::with_forced_kernel(kern, || {
             matmul_a_bt_slices(weight, cols_i, out_i, s.out_channels, cw, positions);
         });
-        if let Some(b) = bias {
-            for (c, &b_c) in b.iter().enumerate() {
-                simd::add_scalar_assign(kern, &mut out_i[c * positions..(c + 1) * positions], b_c);
-            }
-        }
-    });
-    Tensor::from_vec(out, &[n, s.out_channels, s.out_h(), s.out_w()])
+        add_bias(kern, bias, out_i, positions);
+    };
+    forward_samples(input, weight, bias, s, scratch, lowering, &sample)
 }
 
-/// Pack the transposed tile `cols[j0..j1, d0..d1]ᵀ` of one sample's
-/// im2col matrix straight from the NCHW planes — the heart of the
+/// Pack the transposed tile `cols[j0..j1, d0..d1]ᵀ` of one padded
+/// sample's im2col matrix straight from its planes — the heart of the
 /// implicit lowering. `out[..(d1-d0)*(j1-j0)]` receives
 /// [`crate::simd::pack_bt_panel`] layout: `out[t·width + j] = cols[j0+j][d0+t]`.
 ///
-/// For a fixed lowered column `d = (c, ky, kx)` the positions `j0..j1`
-/// decompose into per-output-row runs of consecutive input pixels; with
-/// `stride == 1` each run is one `copy_from_slice` bracketed by zero
-/// fills for the padded margins, otherwise a strided per-element loop.
+/// For a fixed lowered column `d` the positions `j0..j1` decompose into
+/// per-output-row runs that sit `stride` apart in the plane: one
+/// `copy_from_slice` at stride 1, a strided per-element loop otherwise.
 /// Values are copied, never combined, so NaN/±∞ payloads travel through
 /// bit-intact exactly as in the materialized lowering.
 #[cfg(target_arch = "x86_64")]
 fn pack_cols_t_tile(
     x: &[f32],
-    s: &Conv2dShape,
+    v: &Conv2dShape,
     j0: usize,
     j1: usize,
     d0: usize,
     d1: usize,
     out: &mut [f32],
 ) {
-    let ow = s.out_w();
+    let map = Im2colMap::new(v);
+    let (ow, kw, stride) = (v.out_w(), v.kernel_w, v.stride);
     let width = j1 - j0;
-    let (kh, kw) = (s.kernel_h, s.kernel_w);
-    let khw = kh * kw;
     debug_assert!(out.len() >= (d1 - d0) * width);
-    for d in d0..d1 {
-        let c = d / khw;
-        let ky = (d % khw) / kw;
-        let kx = d % kw;
-        let plane = &x[c * s.in_h * s.in_w..(c + 1) * s.in_h * s.in_w];
-        let drow = &mut out[(d - d0) * width..(d - d0) * width + width];
+    for (d, drow) in (d0..d1).zip(out.chunks_exact_mut(width)) {
+        let tap = map.tap(d / kw) + d % kw;
         let mut p = j0;
         while p < j1 {
-            let oy = p / ow;
-            let ox0 = p % ow;
-            let len = (ow - ox0).min(j1 - p);
-            let seg = &mut drow[p - j0..p - j0 + len];
-            let y = (oy * s.stride + ky) as isize - s.padding as isize;
-            if y < 0 || y as usize >= s.in_h {
-                seg.fill(0.0);
-            } else if s.stride == 1 {
-                let base = y as usize * s.in_w;
-                let x_first = ox0 as isize + kx as isize - s.padding as isize;
-                let lead = (-x_first).clamp(0, len as isize) as usize;
-                let valid = (s.in_w as isize - x_first).clamp(0, len as isize) as usize;
-                seg[..lead].fill(0.0);
-                if valid > lead {
-                    let src0 = (x_first + lead as isize) as usize;
-                    seg[lead..valid]
-                        .copy_from_slice(&plane[base + src0..base + src0 + valid - lead]);
-                }
-                seg[valid.max(lead)..].fill(0.0);
+            let (oy, ox) = (p / ow, p % ow);
+            let len = (ow - ox).min(j1 - p);
+            let (seg, src) = (&mut drow[p - j0..p - j0 + len], map.at(oy, ox) + tap);
+            if stride == 1 {
+                seg.copy_from_slice(&x[src..src + len]);
             } else {
-                let base = y as usize * s.in_w;
-                for (off, slot) in seg.iter_mut().enumerate() {
-                    let xc = ((ox0 + off) * s.stride + kx) as isize - s.padding as isize;
-                    *slot = if xc >= 0 && (xc as usize) < s.in_w {
-                        plane[base + xc as usize]
-                    } else {
-                        0.0
-                    };
+                for (o, slot) in seg.iter_mut().enumerate() {
+                    *slot = x[src + o * stride];
                 }
             }
             p += len;
@@ -639,30 +670,13 @@ pub fn conv2d_forward_implicit(
     unreachable!("SIMD kernel selected on non-x86_64");
     #[cfg(target_arch = "x86_64")]
     {
-        let n = check_forward_args(input, weight, bias, s);
-        let positions = s.out_positions();
-        let cw = s.col_width();
-        let in_numel = s.input_numel();
-        let out_numel = s.output_numel();
-        stats::bump(&stats::CONV_IMPLICIT_CALLS, 1);
-        // The GEMM work bypasses `matmul_a_bt_slices`, so account for its
-        // flops here (the materialized path counts them inside matmul).
-        stats::bump(&stats::GEMM_FLOPS, (n * 2 * out_numel * cw) as u64);
+        let (v, cw) = (s.padded_view(), s.col_width());
         let tiles = crate::dispatch::tiles_for(crate::dispatch::classify_conv(s.in_channels, cw));
-
-        // Cache the raw input: the fused backward weight pass regenerates
-        // im2col row windows from it (and the scalar-arm fallback
-        // re-materializes `cols` from it, bit-identically).
-        scratch.cache_input(input.as_slice(), n, s, ConvLowering::Implicit);
-
-        let mut out = vec![0.0f32; n * out_numel];
-        let xs = input.as_slice();
-        let out_ptr = SharedMut(out.as_mut_ptr());
-        parallel_for_threshold(n, n * 2 * out_numel * cw, &|i| {
-            // SAFETY: sample `i` exclusively owns its region of out.
-            let out_i = unsafe { out_ptr.slice(i * out_numel, out_numel) };
-            let x_i = &xs[i * in_numel..(i + 1) * in_numel];
-            crate::parallel::with_scratch(tiles.nc * tiles.kc, |pack| {
+        let lowering = ConvLowering::Implicit;
+        let sample = |sc: &ConvScratch, i: usize, out_i: &mut [f32]| {
+            let (positions, vin) = (s.out_positions(), v.input_numel());
+            let x_i = &sc.input[i * vin..(i + 1) * vin];
+            with_scratch(tiles.nc * tiles.kc, |pack| {
                 let mut j0 = 0;
                 while j0 < positions {
                     let j1 = (j0 + tiles.nc).min(positions);
@@ -673,7 +687,7 @@ pub fn conv2d_forward_implicit(
                         let depth = d1 - d0;
                         {
                             let _sp = niid_prof::span!("conv.pack_cols");
-                            pack_cols_t_tile(x_i, s, j0, j1, d0, d1, &mut pack[..depth * wj]);
+                            pack_cols_t_tile(x_i, &v, j0, j1, d0, d1, &mut pack[..depth * wj]);
                         }
                         let _sp = niid_prof::span!("conv.kernel_nt");
                         let mut oc = 0;
@@ -697,21 +711,13 @@ pub fn conv2d_forward_implicit(
                     j0 = j1;
                 }
             });
-            if let Some(b) = bias {
-                for (c, &b_c) in b.iter().enumerate() {
-                    simd::add_scalar_assign(
-                        kern,
-                        &mut out_i[c * positions..(c + 1) * positions],
-                        b_c,
-                    );
-                }
-            }
-        });
-        Tensor::from_vec(out, &[n, s.out_channels, s.out_h(), s.out_w()])
+            add_bias(kern, bias, out_i, positions);
+        };
+        forward_samples(input, weight, bias, s, scratch, lowering, &sample)
     }
 }
 
-/// Forward convolution straight from the NCHW planes — nothing is
+/// Forward convolution straight from the padded planes — nothing is
 /// lowered, packed or regenerated (kernels and the bit-identity argument
 /// live in [`crate::conv_direct`]). AVX2-arm only; needs `stride == 1`
 /// and `kernel_w <= 8`.
@@ -738,53 +744,34 @@ pub fn conv2d_forward_direct(
     unreachable!("SIMD kernel selected on non-x86_64");
     #[cfg(target_arch = "x86_64")]
     {
-        let n = check_forward_args(input, weight, bias, s);
-        let out_numel = s.output_numel();
-        let flops = n * 2 * out_numel * s.col_width();
-        stats::bump(&stats::CONV_DIRECT_CALLS, 1);
-        stats::bump(&stats::GEMM_FLOPS, flops as u64);
-        // Padded once up front, so the kernels only ever read the cache
-        // (their slack lanes may look into a neighbouring sample).
-        scratch.cache_input(input.as_slice(), n, s, ConvLowering::Direct);
         let v = s.padded_view();
-        let vin = v.input_numel();
-        let cache = &scratch.input[..n * vin + direct::SLACK];
-
-        let mut out = vec![0.0f32; n * out_numel];
-        let out_ptr = SharedMut(out.as_mut_ptr());
-        parallel_for_threshold(n, flops, &|i| {
+        let lowering = ConvLowering::Direct;
+        let sample = |sc: &ConvScratch, i: usize, out_i: &mut [f32]| {
             let _sp = niid_prof::span!("conv.direct_fwd");
-            // SAFETY: sample `i` exclusively owns its region of out.
-            let out_i = unsafe { out_ptr.slice(i * out_numel, out_numel) };
-            direct::forward_sample(&cache[i * vin..], &v, weight, bias, out_i);
-        });
-        Tensor::from_vec(out, &[n, s.out_channels, s.out_h(), s.out_w()])
+            // The kernels' slack lanes may look into the next sample.
+            let x_i = &sc.input[i * v.input_numel()..];
+            direct::forward_sample(x_i, &v, weight, bias, out_i);
+        };
+        forward_samples(input, weight, bias, s, scratch, lowering, &sample)
     }
 }
 
-/// Re-materialize `cols` from the input cached by a fused forward.
-/// im2col is a pure function of the input (and lowering the zero-padded
-/// planes through [`Conv2dShape::padded_view`] yields the same matrix),
-/// so the result is bit-identical to a materialized forward's lowering —
-/// this is how a forced-scalar backward after a fused forward stays on
-/// the scalar arm's historical accumulation order.
+/// Lower the padded batch cached in `scratch` into `cols`. im2col is a
+/// pure function of the input, so this is both the materialized
+/// forward's lowering and how a forced-scalar backward after a fused
+/// forward returns to the scalar arm's historical accumulation order.
 fn materialize_cols(scratch: &mut ConvScratch, s: &Conv2dShape) {
-    let n = scratch.batch;
-    let positions = s.out_positions();
-    let cw = s.col_width();
-    let src = match scratch.cached {
-        ConvLowering::Direct => s.padded_view(),
-        _ => *s,
-    };
-    let in_numel = src.input_numel();
+    let (n, v) = (scratch.batch, s.padded_view());
+    let (positions, vin) = (s.out_positions(), v.input_numel());
+    let len = positions * s.col_width();
     let ConvScratch { cols, input, .. } = scratch;
-    ConvScratch::ensure(cols, n * positions * cw);
-    let xs = &input[..n * in_numel];
+    ConvScratch::ensure(cols, n * len);
     let cols_ptr = SharedMut(cols.as_mut_ptr());
-    parallel_for_threshold(n, n * positions * cw, &|i| {
+    parallel_for_threshold(n, n * len, &|i| {
+        let _sp = niid_prof::span!("conv.im2col");
         // SAFETY: sample `i` exclusively owns its cols region.
-        let cols_i = unsafe { cols_ptr.slice(i * positions * cw, positions * cw) };
-        im2col_into(&xs[i * in_numel..(i + 1) * in_numel], &src, cols_i);
+        let cols_i = unsafe { cols_ptr.slice(i * len, len) };
+        im2col_rows(&input[i * vin..(i + 1) * vin], &v, 0, positions, cols_i);
     });
     scratch.cached = ConvLowering::Materialized;
 }
@@ -883,8 +870,11 @@ pub fn conv2d_backward_params_accum(
     }
 }
 
-/// The data-gradient half of [`conv2d_backward_accum`], for the lowering
-/// the parameter half settled on (`scratch.cached`).
+/// The data-gradient half of [`conv2d_backward_accum`], one skeleton for
+/// whichever lowering the parameter half settled on (`scratch.cached`):
+/// per sample, the lowering accumulates its gradient onto a zeroed padded
+/// plane through the padded view, and the interior is copied out. The
+/// plane and the lowering's strip (if any) are one thread-local region.
 fn backward_input(
     scratch: &mut ConvScratch,
     weight: &[f32],
@@ -892,19 +882,57 @@ fn backward_input(
     s: &Conv2dShape,
 ) -> Tensor {
     let _sp = niid_prof::span!("conv.dx");
-    let n = scratch.batch;
-    let mut grad_input = vec![0.0f32; n * s.input_numel()];
-    match scratch.cached {
-        ConvLowering::Materialized => {
-            dx_materialized(scratch, weight, grad_out, s, &mut grad_input)
+    let (n, v, lowering) = (scratch.batch, s.padded_view(), scratch.cached);
+    let (positions, cw) = (s.out_positions(), s.col_width());
+    let (in_numel, out_numel) = (s.input_numel(), s.output_numel());
+    let plane_len = v.input_numel() + SLACK;
+    let flops = n * 2 * out_numel * cw;
+    // Resolved on the calling thread; re-pinned inside pool tasks below.
+    let kern = simd::active_kernel();
+    let strip_rows = match lowering {
+        ConvLowering::Materialized => positions,
+        ConvLowering::Implicit => {
+            let class = crate::dispatch::classify_conv(s.in_channels, cw);
+            crate::dispatch::tiles_for(class).nc.min(positions)
         }
-        #[cfg(target_arch = "x86_64")]
-        ConvLowering::Implicit => dx_implicit(n, weight, grad_out, s, &mut grad_input),
-        #[cfg(target_arch = "x86_64")]
-        ConvLowering::Direct => dx_direct(scratch, weight, grad_out, s, &mut grad_input),
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("fused conv lowering on non-x86_64"),
+        ConvLowering::Direct => 0,
+    };
+    if lowering != ConvLowering::Materialized {
+        // The dX GEMM flops, normally counted inside matmul_at_b_slices.
+        stats::bump(&stats::GEMM_FLOPS, flops as u64);
     }
+    #[cfg(target_arch = "x86_64")]
+    let wpack: &[f32] = if lowering == ConvLowering::Direct {
+        let len = v.in_channels * v.kernel_h * v.out_channels * direct::LANES;
+        ConvScratch::ensure(&mut scratch.wpack, len);
+        direct::pack_weights_kx(weight, &v, &mut scratch.wpack[..len]);
+        &scratch.wpack[..len]
+    } else {
+        &[]
+    };
+    let go = grad_out.as_slice();
+    let mut grad_input = vec![0.0f32; n * in_numel];
+    let gx_ptr = SharedMut(grad_input.as_mut_ptr());
+    parallel_for_threshold(n, flops, &|i| {
+        let go_i = &go[i * out_numel..(i + 1) * out_numel];
+        with_scratch(plane_len + strip_rows * cw, |buf| {
+            let (plane, strip) = buf.split_at_mut(plane_len);
+            plane.fill(0.0);
+            match lowering {
+                ConvLowering::Materialized => dx_materialized(kern, go_i, weight, &v, strip, plane),
+                ConvLowering::Implicit => dx_implicit(kern, go_i, weight, &v, strip, plane),
+                #[cfg(target_arch = "x86_64")]
+                ConvLowering::Direct => {
+                    let _sp = niid_prof::span!("conv.direct_dx");
+                    direct::dx_sample(go_i, wpack, &v, plane);
+                }
+                #[cfg(not(target_arch = "x86_64"))]
+                ConvLowering::Direct => unreachable!("direct conv on non-x86_64"),
+            }
+            // SAFETY: sample `i` exclusively owns its grad_input region.
+            unpad_sample(plane, s, unsafe { gx_ptr.slice(i * in_numel, in_numel) });
+        });
+    });
     Tensor::from_vec(grad_input, &[n, s.in_channels, s.in_h, s.in_w])
 }
 
@@ -956,84 +984,96 @@ fn dw_materialized(
     );
 }
 
-/// The historical materialized data-gradient body, verbatim: per sample,
-/// `dcols = gyᵀ · W`, then scatter-add back to the input geometry.
+/// The historical materialized data-gradient body: one sample's
+/// `dcols = gyᵀ · W` into the full-height `dcols` strip, then scatter-add
+/// onto the padded `plane`.
 fn dx_materialized(
-    scratch: &mut ConvScratch,
+    kern: Kernel,
+    go_i: &[f32],
     weight: &[f32],
-    grad_out: &Tensor,
-    s: &Conv2dShape,
-    grad_input: &mut [f32],
+    v: &Conv2dShape,
+    dcols: &mut [f32],
+    plane: &mut [f32],
 ) {
-    let n = scratch.batch;
-    let positions = s.out_positions();
-    let cw = s.col_width();
-    let out_numel = s.output_numel();
-    let in_numel = s.input_numel();
-    ConvScratch::ensure(&mut scratch.dcols, n * positions * cw);
-    let go = grad_out.as_slice();
-    // Resolved on the calling thread; re-pinned inside pool tasks below.
-    let kern = simd::active_kernel();
-    let dcols_ptr = SharedMut(scratch.dcols.as_mut_ptr());
-    let gx_ptr = SharedMut(grad_input.as_mut_ptr());
-    parallel_for_threshold(n, n * 2 * out_numel * cw, &|i| {
-        let go_i = &go[i * out_numel..(i + 1) * out_numel];
-        // SAFETY: sample `i` exclusively owns its dcols/grad_input regions.
-        let dcols_i = unsafe { dcols_ptr.slice(i * positions * cw, positions * cw) };
-        let gx_i = unsafe { gx_ptr.slice(i * in_numel, in_numel) };
-        // dcols [pos, cw] = gy_iᵀ [pos, outc] · W [outc, cw]; the GEMM
-        // accumulates, so clear the reused scratch region first. The
-        // nested GEMM may run on a pool worker — re-pin the kernel.
-        dcols_i.fill(0.0);
-        simd::with_forced_kernel(kern, || {
-            matmul_at_b_slices(go_i, weight, dcols_i, s.out_channels, positions, cw);
-        });
-        col2im_into(dcols_i, s, gx_i);
+    let (positions, cw) = (v.out_positions(), v.col_width());
+    // dcols [pos, cw] = gy_iᵀ [pos, outc] · W [outc, cw]; the GEMM
+    // accumulates, so clear the reused strip first. The nested GEMM may
+    // run on a pool worker — re-pin the kernel.
+    dcols.fill(0.0);
+    simd::with_forced_kernel(kern, || {
+        matmul_at_b_slices(go_i, weight, dcols, v.out_channels, positions, cw);
     });
+    col2im_scatter_rows(dcols, v, 0, positions, plane);
+}
+
+/// Implicit data gradient of one sample: strips of positions through
+/// [`crate::matmul::atb_rows`] (the identical kernel the materialized
+/// path runs on full dcols), scattered onto the padded `plane` at once.
+/// Strip length is bits-free: every strip element is computed in one
+/// full-depth (outc) chain, and the global scatter order matches the
+/// full scatter.
+fn dx_implicit(
+    kern: Kernel,
+    go_i: &[f32],
+    weight: &[f32],
+    v: &Conv2dShape,
+    strip: &mut [f32],
+    plane: &mut [f32],
+) {
+    let (positions, cw) = (v.out_positions(), v.col_width());
+    let sp = strip.len() / cw;
+    let mut p0 = 0;
+    while p0 < positions {
+        let p1 = (p0 + sp).min(positions);
+        let st = &mut strip[..(p1 - p0) * cw];
+        st.fill(0.0);
+        crate::matmul::atb_rows(
+            kern,
+            go_i,
+            weight,
+            st,
+            0,
+            v.out_channels,
+            p0,
+            p1,
+            positions,
+            cw,
+        );
+        col2im_scatter_rows(st, v, p0, p1, plane);
+        p0 = p1;
+    }
 }
 
 /// Fused weight gradient, shared by the implicit and direct lowerings:
 /// `matmul_at_b_slices`' branch and task split replicated exactly over
 /// (`k = out_channels`, `m = batch·positions`), with the lowered operand
-/// supplied per row range by [`dw_rows_implicit`] (im2col windows
-/// regenerated on the fly) or [`direct::dw_rows`] (read from the padded
-/// planes in place). Bit-identical to [`dw_materialized`] under the same
-/// SIMD kernel: every per-element FMA chain visits the same values in the
+/// supplied per row range from the padded batch by [`dw_rows_implicit`]
+/// (im2col windows regenerated on the fly) or [`direct::dw_rows`] (read
+/// in place). Bit-identical to [`dw_materialized`] under the same SIMD
+/// kernel: every per-element FMA chain visits the same values in the
 /// same order, with the same `ATB_BLOCK_M` partial-sum boundaries.
 #[cfg(target_arch = "x86_64")]
 fn dw_fused(scratch: &ConvScratch, grad_out: &Tensor, s: &Conv2dShape, grad_weight: &mut [f32]) {
     use crate::matmul::{ATB_BLOCK_M, KB};
-    let n = scratch.batch;
+    let (n, v) = (scratch.batch, s.padded_view());
     let cw = s.col_width();
     let outc = s.out_channels;
     let m = n * s.out_positions();
     let flops = 2 * m * outc * cw;
     let direct = scratch.cached == ConvLowering::Direct;
-    stats::bump(
-        if direct {
-            &stats::CONV_DIRECT_CALLS
-        } else {
-            &stats::CONV_IMPLICIT_CALLS
-        },
-        1,
-    );
+    stats::bump(calls(scratch.cached), 1);
     // The dW GEMM flops, normally counted inside matmul_at_b_slices.
     stats::bump(&stats::GEMM_FLOPS, flops as u64);
     let tiles = crate::dispatch::tiles_for(crate::dispatch::classify_conv(s.in_channels, cw));
     let go = grad_out.as_slice();
-    let view = s.padded_view();
-    let xs = if direct {
-        &scratch.input[..n * view.input_numel() + direct::SLACK]
-    } else {
-        &scratch.input[..n * s.input_numel()]
-    };
+    let xs = &scratch.input[..n * v.input_numel() + SLACK];
     // dW rows `kk0..kk1` accumulated over lowered rows `r0..r1`.
     let rows = |c_rows: &mut [f32], kk0: usize, kk1: usize, r0: usize, r1: usize| {
         if direct {
             let _sp = niid_prof::span!("conv.direct_dw");
-            direct::dw_rows(xs, go, c_rows, &view, kk0, kk1, r0, r1);
+            direct::dw_rows(xs, go, c_rows, &v, kk0, kk1, r0, r1);
         } else {
-            dw_rows_implicit(xs, go, c_rows, s, kk0, kk1, r0, r1, tiles.kc, tiles.mr);
+            dw_rows_implicit(xs, go, c_rows, &v, kk0, kk1, r0, r1, tiles.kc, tiles.mr);
         }
     };
 
@@ -1071,114 +1111,23 @@ fn dw_fused(scratch: &ConvScratch, grad_out: &Tensor, s: &Conv2dShape, grad_weig
     }
 }
 
-/// Implicit data gradient: per sample, strips of positions through
-/// [`crate::matmul::atb_rows`] (the identical kernel the materialized
-/// path runs on full dcols), scattered immediately. Strip length is
-/// bits-free: every strip element is computed in one full-depth (outc)
-/// chain, and the global scatter order matches `col2im_into`.
-#[cfg(target_arch = "x86_64")]
-fn dx_implicit(
-    n: usize,
-    weight: &[f32],
-    grad_out: &Tensor,
-    s: &Conv2dShape,
-    grad_input: &mut [f32],
-) {
-    let positions = s.out_positions();
-    let cw = s.col_width();
-    let out_numel = s.output_numel();
-    let in_numel = s.input_numel();
-    let kern = simd::active_kernel();
-    let flops = n * 2 * out_numel * cw;
-    // The dX GEMM flops, normally counted inside matmul_at_b_slices.
-    stats::bump(&stats::GEMM_FLOPS, flops as u64);
-    let tiles = crate::dispatch::tiles_for(crate::dispatch::classify_conv(s.in_channels, cw));
-    let go = grad_out.as_slice();
-    let gx_ptr = SharedMut(grad_input.as_mut_ptr());
-    let sp = tiles.nc.min(positions);
-    parallel_for_threshold(n, flops, &|i| {
-        // SAFETY: sample `i` exclusively owns its grad_input region.
-        let gx_i = unsafe { gx_ptr.slice(i * in_numel, in_numel) };
-        let go_i = &go[i * out_numel..(i + 1) * out_numel];
-        crate::parallel::with_scratch(sp * cw, |strip| {
-            let mut p0 = 0;
-            while p0 < positions {
-                let p1 = (p0 + sp).min(positions);
-                let st = &mut strip[..(p1 - p0) * cw];
-                st.fill(0.0);
-                crate::matmul::atb_rows(
-                    kern,
-                    go_i,
-                    weight,
-                    st,
-                    0,
-                    s.out_channels,
-                    p0,
-                    p1,
-                    positions,
-                    cw,
-                );
-                col2im_scatter_rows(st, s, p0, p1, gx_i);
-                p0 = p1;
-            }
-        });
-    });
-}
-
-/// Direct data gradient: per sample, [`direct::dx_sample`] accumulates
-/// onto zeroed padded planes in a thread-local buffer, whose interior is
-/// then copied out. The `kx`-lane weight pack is built once per call.
-#[cfg(target_arch = "x86_64")]
-fn dx_direct(
-    scratch: &mut ConvScratch,
-    weight: &[f32],
-    grad_out: &Tensor,
-    s: &Conv2dShape,
-    grad_input: &mut [f32],
-) {
-    let n = scratch.batch;
-    let out_numel = s.output_numel();
-    let in_numel = s.input_numel();
-    let flops = n * 2 * out_numel * s.col_width();
-    // The dX GEMM flops, normally counted inside matmul_at_b_slices.
-    stats::bump(&stats::GEMM_FLOPS, flops as u64);
-    let v = s.padded_view();
-    let pack_len = v.in_channels * v.kernel_h * v.out_channels * direct::LANES;
-    ConvScratch::ensure(&mut scratch.dcols, pack_len);
-    let wpack = &mut scratch.dcols[..pack_len];
-    direct::pack_weights_kx(weight, &v, wpack);
-    let wpack = &*wpack;
-    let go = grad_out.as_slice();
-    let gx_ptr = SharedMut(grad_input.as_mut_ptr());
-    parallel_for_threshold(n, flops, &|i| {
-        let _sp = niid_prof::span!("conv.direct_dx");
-        // SAFETY: sample `i` exclusively owns its grad_input region.
-        let gx_i = unsafe { gx_ptr.slice(i * in_numel, in_numel) };
-        let go_i = &go[i * out_numel..(i + 1) * out_numel];
-        crate::parallel::with_scratch(v.input_numel() + direct::SLACK, |plane| {
-            plane.fill(0.0);
-            direct::dx_sample(go_i, wpack, &v, plane);
-            direct::unpad_sample(plane, s, gx_i);
-        });
-    });
-}
-
-/// Accumulate dW output rows `kk0..kk1` over lowered rows `r0..r1`
-/// without a materialized cols buffer: im2col row windows (`rw` rows at a
-/// time, clipped to sample boundaries) are regenerated into a
-/// thread-local tile and fed to the same `gemm_panel` chain
-/// `matmul_at_b_slices` runs, with alphas read **directly from
-/// `grad_out`** (`rs = positions, ts = 1` walks a channel row) instead of
-/// the materialized path's transposed `gy_t` copy. Depth order (lowered
-/// row ascending) and per-element chains are therefore identical — bit
-/// for bit — while skipping both the transpose pass and the lowering.
+/// Accumulate dW output rows `kk0..kk1` over lowered rows `r0..r1` of the
+/// padded batch `xs` (`v` is the padded view) without a materialized cols
+/// buffer: im2col row windows (`rw` rows at a time, clipped to sample
+/// boundaries) are regenerated into a thread-local tile and fed to the
+/// same `gemm_panel` chain `matmul_at_b_slices` runs, with alphas read
+/// **directly from `grad_out`** (`rs = positions, ts = 1` walks a channel
+/// row) instead of the materialized path's transposed `gy_t` copy. Depth
+/// order (lowered row ascending) and per-element chains are therefore
+/// identical — bit for bit — while skipping both the transpose pass and
+/// the lowering.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
 fn dw_rows_implicit(
     xs: &[f32],
     go: &[f32],
     c_rows: &mut [f32],
-    s: &Conv2dShape,
+    v: &Conv2dShape,
     kk0: usize,
     kk1: usize,
     r0: usize,
@@ -1186,11 +1135,11 @@ fn dw_rows_implicit(
     rw: usize,
     mr: usize,
 ) {
-    let positions = s.out_positions();
-    let cw = s.col_width();
-    let in_numel = s.input_numel();
-    let out_numel = s.output_numel();
-    crate::parallel::with_scratch(rw * cw, |buf| {
+    let positions = v.out_positions();
+    let cw = v.col_width();
+    let in_numel = v.input_numel();
+    let out_numel = v.output_numel();
+    with_scratch(rw * cw, |buf| {
         let mut r = r0;
         while r < r1 {
             let i = r / positions;
@@ -1199,7 +1148,7 @@ fn dw_rows_implicit(
             let rows_here = p1 - p0;
             im2col_rows(
                 &xs[i * in_numel..(i + 1) * in_numel],
-                s,
+                v,
                 p0,
                 p1,
                 &mut buf[..rows_here * cw],
@@ -1288,10 +1237,10 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, s: &Conv2d
 /// Allocating backward convolution from the forward `input` (one-off
 /// callers; training loops use [`conv2d_backward_accum`]).
 ///
-/// Primes the thread-local scratch from `input` — the lowering is a pure
-/// function of the input, so the gradients are bit-identical to a
-/// forward-primed scratch — and returns
-/// `(grad_input [N,C,H,W], grad_weight, grad_bias)`.
+/// Primes the thread-local scratch from `input` exactly as
+/// [`conv2d_forward`] would — the lowering is a pure function of the
+/// input, so the gradients are bit-identical to a forward-primed scratch
+/// — and returns `(grad_input [N,C,H,W], grad_weight, grad_bias)`.
 pub fn conv2d_backward(
     input: &Tensor,
     weight: &Tensor,
@@ -1309,13 +1258,7 @@ pub fn conv2d_backward(
         s
     );
     with_wrapper_scratch(|scratch| {
-        // Leave behind what `conv2d_forward` would have; a shape (or
-        // kernel) with no fused backward re-materializes from it.
-        let lowering = match active_lowering(s) {
-            ConvLowering::Direct => ConvLowering::Direct,
-            _ => ConvLowering::Implicit,
-        };
-        scratch.cache_input(input.as_slice(), n, s, lowering);
+        scratch.prime(input.as_slice(), n, s, active_lowering(s));
         conv2d_backward_ws(scratch, weight, grad_out, s)
     })
 }
@@ -1325,6 +1268,28 @@ mod tests {
     use super::*;
     use crate::parallel::with_thread_budget;
     use niid_stats::Pcg64;
+
+    /// One sample's full im2col matrix `[oh*ow, C*kh*kw]`: pad, then
+    /// lower through the padded view, as every lowering does.
+    fn im2col(input: &[f32], s: &Conv2dShape) -> Tensor {
+        let (positions, v) = (s.out_positions(), s.padded_view());
+        let mut padded = vec![0.0f32; v.input_numel()];
+        pad_batch(input, s, 1, &mut padded);
+        let mut cols = vec![0.0f32; positions * s.col_width()];
+        im2col_rows(&padded, &v, 0, positions, &mut cols);
+        Tensor::from_vec(cols, &[positions, s.col_width()])
+    }
+
+    /// Inverse of [`im2col`] for gradients: scatter-add a full lowered
+    /// buffer onto zeroed padded planes and return their interior.
+    fn col2im(cols: &[f32], s: &Conv2dShape) -> Vec<f32> {
+        let v = s.padded_view();
+        let mut plane = vec![0.0f32; v.input_numel()];
+        col2im_scatter_rows(cols, &v, 0, s.out_positions(), &mut plane);
+        let mut out = vec![0.0f32; s.input_numel()];
+        unpad_sample(&plane, s, &mut out);
+        out
+    }
 
     fn shape_3x3() -> Conv2dShape {
         Conv2dShape {
@@ -1403,13 +1368,16 @@ mod tests {
         let full = im2col(x.as_slice(), &s);
         let positions = s.out_positions();
         let cw = s.col_width();
+        let v = s.padded_view();
+        let mut padded = vec![0.0f32; v.input_numel()];
+        pad_batch(x.as_slice(), &s, 1, &mut padded);
         for chunk in [1usize, 2, 3, positions] {
             let mut p0 = 0;
             while p0 < positions {
                 let p1 = (p0 + chunk).min(positions);
                 // Poisoned buffer: every cell must be overwritten.
                 let mut rows = vec![7.0f32; (p1 - p0) * cw];
-                im2col_rows(x.as_slice(), &s, p0, p1, &mut rows);
+                im2col_rows(&padded, &v, p0, p1, &mut rows);
                 assert_eq!(&rows[..], &full.as_slice()[p0 * cw..p1 * cw]);
                 p0 = p1;
             }
@@ -1431,16 +1399,18 @@ mod tests {
         let positions = s.out_positions();
         let cw = s.col_width();
         let cols: Vec<f32> = (0..positions * cw).map(|v| (v as f32).sin()).collect();
-        let mut full = vec![0.0f32; s.input_numel()];
-        col2im_into(&cols, &s, &mut full);
+        let full = col2im(&cols, &s);
+        let v = s.padded_view();
         for chunk in [1usize, 3, 5, positions] {
-            let mut out = vec![0.0f32; s.input_numel()];
+            let mut plane = vec![0.0f32; v.input_numel()];
             let mut p0 = 0;
             while p0 < positions {
                 let p1 = (p0 + chunk).min(positions);
-                col2im_scatter_rows(&cols[p0 * cw..p1 * cw], &s, p0, p1, &mut out);
+                col2im_scatter_rows(&cols[p0 * cw..p1 * cw], &v, p0, p1, &mut plane);
                 p0 = p1;
             }
+            let mut out = vec![0.0f32; s.input_numel()];
+            unpad_sample(&plane, &s, &mut out);
             assert_eq!(out, full);
         }
     }
@@ -1700,7 +1670,7 @@ mod tests {
         // each input pixel; with 2x2/stride1 on 3x3, the center is hit 4x.
         let s = shape_3x3();
         let cols = Tensor::ones(&[4, 4]);
-        let img = col2im(&cols, &s);
+        let img = col2im(cols.as_slice(), &s);
         assert_eq!(img[4], 4.0, "center pixel covered by all 4 patches");
         assert_eq!(img[0], 1.0, "corner covered once");
         assert_eq!(img[1], 2.0, "edge covered twice");

@@ -19,9 +19,10 @@
 //!   input-gradient row it scatters to.
 //!
 //! All three run on the zero-padded, `padding = 0` view of the geometry
-//! ([`Conv2dShape::padded_view`]): the planes are copied once into
-//! `[C, H+2p, W+2p]` buffers, so a padded tap multiplies a stored `0.0`
-//! exactly as the materialized lowering does.
+//! ([`Conv2dShape::padded_view`]) over the batch the forward padded once
+//! into the conv scratch, so a padded tap multiplies a stored `0.0`
+//! exactly as the materialized lowering does. Every base offset into the
+//! planes comes from the same [`Im2colMap`] the lowerings gather through.
 //!
 //! ## Why the bits match the materialized oracle
 //!
@@ -31,66 +32,22 @@
 //! caller replicates `matmul_at_b_slices`' `ATB_BLOCK_M` partial-sum
 //! split); dX computes each lowered value as one out-channel-ascending
 //! chain from `0.0` and adds it to its input element in ascending
-//! position order — `col2im_into`'s order, because for a fixed element
-//! every position contributes at most once. Lanes never interact, tile
-//! sizes only choose which elements share registers, and the stray `+0.0`
-//! a full-width add puts on neighbouring dX elements is the identity on
-//! every value a sum started at `+0.0` can hold (it is never `-0.0`).
+//! position order — the full col2im scatter's order, because for a fixed
+//! element every position contributes at most once. Lanes never interact,
+//! tile sizes only choose which elements share registers, and the stray
+//! `+0.0` a full-width add puts on neighbouring dX elements is the
+//! identity on every value a sum started at `+0.0` can hold (it is never
+//! `-0.0`).
 
-use crate::conv::Conv2dShape;
+use crate::conv::{Conv2dShape, Im2colMap, SLACK};
 use std::arch::x86_64::*;
 
 /// f32 lanes per vector; also the widest `kernel_w` the `kx`-lane
 /// kernels cover.
 pub(crate) const LANES: usize = 8;
 
-/// Floats every padded plane buffer must extend past its last sample:
-/// segment loads read (and the dX add rewrites) [`LANES`] floats where
-/// as few as one is meaningful.
-pub(crate) const SLACK: usize = LANES;
-
-/// Copy a batch of `[C, H, W]` samples into zero-padded
-/// `[C, H+2p, W+2p]` planes (`out` holds exactly `n` padded samples).
-pub(crate) fn pad_batch(xs: &[f32], s: &Conv2dShape, n: usize, out: &mut [f32]) {
-    let v = s.padded_view();
-    assert_eq!(xs.len(), n * s.input_numel(), "pad_batch: bad input length");
-    assert_eq!(
-        out.len(),
-        n * v.input_numel(),
-        "pad_batch: bad output length"
-    );
-    if s.padding == 0 {
-        out.copy_from_slice(xs);
-        return;
-    }
-    let p = s.padding;
-    let src_planes = xs.chunks_exact(s.in_h * s.in_w);
-    let dst_planes = out.chunks_exact_mut(v.in_h * v.in_w);
-    for (src, dst) in src_planes.zip(dst_planes) {
-        dst[..p * v.in_w].fill(0.0);
-        dst[(p + s.in_h) * v.in_w..].fill(0.0);
-        for (y, row) in src.chunks_exact(s.in_w).enumerate() {
-            let d = &mut dst[(p + y) * v.in_w..(p + y + 1) * v.in_w];
-            d[..p].fill(0.0);
-            d[p..p + s.in_w].copy_from_slice(row);
-            d[p + s.in_w..].fill(0.0);
-        }
-    }
-}
-
-/// Copy the interior of one padded `[C, H+2p, W+2p]` gradient plane set
-/// back out to `[C, H, W]`.
-pub(crate) fn unpad_sample(plane: &[f32], s: &Conv2dShape, out: &mut [f32]) {
-    let v = s.padded_view();
-    assert!(plane.len() >= v.input_numel(), "unpad_sample: plane short");
-    assert_eq!(out.len(), s.input_numel(), "unpad_sample: bad output");
-    let p = s.padding;
-    for (i, row) in out.chunks_exact_mut(s.in_w).enumerate() {
-        let (c, y) = (i / s.in_h, i % s.in_h);
-        let src = (c * v.in_h + p + y) * v.in_w + p;
-        row.copy_from_slice(&plane[src..src + s.in_w]);
-    }
-}
+// Segment loads read (and the dX add rewrites) a full vector.
+const _: () = assert!(SLACK >= LANES);
 
 /// Re-lay the flat `[out_c, C·kh·kw]` weights for the dX kernel:
 /// `out[(q·out_c + oc)·LANES + kx] = w[oc][q·kw + kx]` with
@@ -109,16 +66,18 @@ pub(crate) fn pack_weights_kx(w: &[f32], v: &Conv2dShape, out: &mut [f32]) {
 }
 
 /// The preconditions every kernel entry shares: the CPU runs the
-/// instructions, and the geometry is the stride-1 padded view.
-fn check_view(v: &Conv2dShape) {
+/// instructions, and the geometry is the stride-1 padded view (the map
+/// rejects any other). Returns the view's coordinate map.
+fn check_view(v: &Conv2dShape) -> Im2colMap {
     assert!(
         crate::simd::Kernel::Avx2.available(),
         "direct conv kernels need avx2+fma"
     );
     assert!(
-        v.stride == 1 && v.padding == 0 && v.kernel_w <= LANES,
-        "direct conv kernels need the stride-1 padded view with kernel_w <= {LANES}, got {v:?}"
+        v.stride == 1 && v.kernel_w <= LANES,
+        "direct conv kernels need stride 1 and kernel_w <= {LANES}, got {v:?}"
     );
+    Im2colMap::new(v)
 }
 
 /// Forward pass of one sample: `out[oc][oy][ox]` (plus `bias[oc]`) from
@@ -131,7 +90,7 @@ pub(crate) fn forward_sample(
     bias: Option<&[f32]>,
     out: &mut [f32],
 ) {
-    check_view(v);
+    let map = check_view(v);
     let (oh, ow) = (v.out_h(), v.out_w());
     assert!(
         x.len() >= v.input_numel() + SLACK,
@@ -169,7 +128,7 @@ pub(crate) fn forward_sample(
                 // rows `oy..oy + rows`, channels `oc..oc + r`. `check_view`
                 // established AVX2+FMA.
                 unsafe {
-                    fwd_tile_dispatch(r, rows, x, v, w, bias, out, oc, oy, ox0, lanes);
+                    fwd_tile_dispatch(r, rows, x, v, &map, w, bias, out, oc, oy, ox0, lanes);
                 }
                 ox += LANES;
                 if ox >= ow {
@@ -189,6 +148,7 @@ unsafe fn fwd_tile_dispatch(
     rows: usize,
     x: &[f32],
     v: &Conv2dShape,
+    map: &Im2colMap,
     w: &[f32],
     bias: Option<&[f32]>,
     out: &mut [f32],
@@ -199,7 +159,7 @@ unsafe fn fwd_tile_dispatch(
 ) {
     macro_rules! go {
         ($r:literal, $v:literal) => {
-            fwd_tile::<$r, $v>(x, v, w, bias, out, oc, oy, ox0, lanes)
+            fwd_tile::<$r, $v>(x, v, map, w, bias, out, oc, oy, ox0, lanes)
         };
     }
     match (r, rows) {
@@ -223,6 +183,7 @@ unsafe fn fwd_tile_dispatch(
 unsafe fn fwd_tile<const R: usize, const V: usize>(
     x: &[f32],
     v: &Conv2dShape,
+    map: &Im2colMap,
     w: &[f32],
     bias: Option<&[f32]>,
     out: &mut [f32],
@@ -231,28 +192,26 @@ unsafe fn fwd_tile<const R: usize, const V: usize>(
     ox0: usize,
     lanes: usize,
 ) {
-    let (iw, plane) = (v.in_w, v.in_h * v.in_w);
+    let iw = v.in_w;
     let (ow, positions, cw) = (v.out_w(), v.out_positions(), v.col_width());
-    let xp = x.as_ptr().add(oy * iw + ox0);
+    let xp = x.as_ptr().add(map.at(oy, ox0));
     let wp = w.as_ptr().add(oc * cw);
     let mut acc = [[_mm256_setzero_ps(); V]; R];
     let mut d = 0;
-    for c in 0..v.in_channels {
-        for ky in 0..v.kernel_h {
-            let row = xp.add(c * plane + ky * iw);
-            for kx in 0..v.kernel_w {
-                let mut xv = [_mm256_setzero_ps(); V];
-                for j in 0..V {
-                    xv[j] = _mm256_loadu_ps(row.add(j * iw + kx));
-                }
-                for r in 0..R {
-                    let wv = _mm256_broadcast_ss(&*wp.add(r * cw + d));
-                    for j in 0..V {
-                        acc[r][j] = _mm256_fmadd_ps(wv, xv[j], acc[r][j]);
-                    }
-                }
-                d += 1;
+    for tap in map.taps() {
+        let row = xp.add(tap);
+        for kx in 0..v.kernel_w {
+            let mut xv = [_mm256_setzero_ps(); V];
+            for j in 0..V {
+                xv[j] = _mm256_loadu_ps(row.add(j * iw + kx));
             }
+            for r in 0..R {
+                let wv = _mm256_broadcast_ss(&*wp.add(r * cw + d));
+                for j in 0..V {
+                    acc[r][j] = _mm256_fmadd_ps(wv, xv[j], acc[r][j]);
+                }
+            }
+            d += 1;
         }
     }
     let mask = lane_mask(lanes);
@@ -283,7 +242,7 @@ pub(crate) fn dw_rows(
     r0: usize,
     r1: usize,
 ) {
-    check_view(v);
+    let map = check_view(v);
     if r0 >= r1 {
         return;
     }
@@ -310,7 +269,7 @@ pub(crate) fn dw_rows(
             // `LANES - 1` floats past the last sample the row range
             // touches, accumulators stay inside `c_rows`; `check_view`
             // established AVX2+FMA.
-            unsafe { dw_tile_dispatch(r, t, xs, go, c_rows, v, kk, kk - kk0, q, r0, r1) };
+            unsafe { dw_tile_dispatch(r, t, xs, go, c_rows, v, &map, kk, kk - kk0, q, r0, r1) };
             q += t;
         }
         kk += r;
@@ -326,6 +285,7 @@ unsafe fn dw_tile_dispatch(
     go: &[f32],
     c_rows: &mut [f32],
     v: &Conv2dShape,
+    map: &Im2colMap,
     oc: usize,
     c_row: usize,
     q: usize,
@@ -334,7 +294,7 @@ unsafe fn dw_tile_dispatch(
 ) {
     macro_rules! go {
         ($r:literal, $t:literal) => {
-            dw_tile::<$r, $t>(xs, go, c_rows, v, oc, c_row, q, r0, r1)
+            dw_tile::<$r, $t>(xs, go, c_rows, v, map, oc, c_row, q, r0, r1)
         };
     }
     match (r, t) {
@@ -361,20 +321,20 @@ unsafe fn dw_tile<const R: usize, const T: usize>(
     go: &[f32],
     c_rows: &mut [f32],
     v: &Conv2dShape,
+    map: &Im2colMap,
     oc: usize,
     c_row: usize,
     q: usize,
     r0: usize,
     r1: usize,
 ) {
-    let (iw, plane, kh, kw) = (v.in_w, v.in_h * v.in_w, v.kernel_h, v.kernel_w);
-    let (oh, ow, cw) = (v.out_h(), v.out_w(), v.col_width());
+    let (kw, oh, ow, cw) = (v.kernel_w, v.out_h(), v.out_w(), v.col_width());
     let (positions, in_numel, out_numel) = (oh * ow, v.input_numel(), v.output_numel());
     let mask = lane_mask(kw);
     let cp = c_rows.as_mut_ptr().add(c_row * cw + q * kw);
     let mut xoff = [0usize; T];
     for t in 0..T {
-        xoff[t] = (q + t) / kh * plane + (q + t) % kh * iw;
+        xoff[t] = map.tap(q + t);
     }
     let mut acc = [[_mm256_setzero_ps(); T]; R];
     for r in 0..R {
@@ -386,7 +346,7 @@ unsafe fn dw_tile<const R: usize, const T: usize>(
     let mut row = r0;
     while row < r1 {
         let len = (ow - ox).min(r1 - row);
-        let xp = xs.as_ptr().add(i * in_numel + oy * iw + ox);
+        let xp = xs.as_ptr().add(i * in_numel + map.at(oy, ox));
         let gp = go
             .as_ptr()
             .add(i * out_numel + oc * positions + oy * ow + ox);
@@ -422,7 +382,7 @@ unsafe fn dw_tile<const R: usize, const T: usize>(
 /// them). `go_i` is the sample's `[out_c, oh, ow]` gradient, `wpack` the
 /// [`pack_weights_kx`] layout.
 pub(crate) fn dx_sample(go_i: &[f32], wpack: &[f32], v: &Conv2dShape, plane: &mut [f32]) {
-    check_view(v);
+    let map = check_view(v);
     let nq = v.in_channels * v.kernel_h;
     assert_eq!(go_i.len(), v.output_numel(), "dx_sample: go");
     assert_eq!(wpack.len(), nq * v.out_channels * LANES, "dx_sample: w");
@@ -444,7 +404,7 @@ pub(crate) fn dx_sample(go_i: &[f32], wpack: &[f32], v: &Conv2dShape, plane: &mu
             unsafe {
                 macro_rules! go {
                     ($t:literal) => {
-                        dx_tile::<$t>(go_i, wpack, v, plane, q, oy)
+                        dx_tile::<$t>(go_i, wpack, v, &map, plane, q, oy)
                     };
                 }
                 match t {
@@ -475,18 +435,17 @@ unsafe fn dx_tile<const T: usize>(
     go_i: &[f32],
     wpack: &[f32],
     v: &Conv2dShape,
+    map: &Im2colMap,
     plane: &mut [f32],
     q: usize,
     oy: usize,
 ) {
-    let (iw, kh, outc) = (v.in_w, v.kernel_h, v.out_channels);
-    let ow = v.out_w();
-    let positions = v.out_h() * ow;
+    let (outc, ow, positions) = (v.out_channels, v.out_w(), v.out_positions());
     let live = _mm256_castsi256_ps(lane_mask(v.kernel_w));
     let wp = wpack.as_ptr().add(q * outc * LANES);
     let mut poff = [0usize; T];
     for t in 0..T {
-        poff[t] = (q + t) / kh * v.in_h * iw + ((q + t) % kh + oy) * iw;
+        poff[t] = map.at(oy, 0) + map.tap(q + t);
     }
     let pp = plane.as_mut_ptr();
     for ox in 0..ow {

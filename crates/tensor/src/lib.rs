@@ -24,6 +24,11 @@
 //! The tensor is row-major over a `Vec<f32>` with an explicit shape; there
 //! are no strides or views. That costs some copies but removes an entire
 //! class of aliasing bugs from hand-written backward passes.
+//!
+//! Every `unsafe` block and `unsafe impl` states the invariant it relies
+//! on in a `// SAFETY:` comment; the lint below keeps it that way.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod conv;
 #[cfg(target_arch = "x86_64")]
@@ -39,9 +44,9 @@ pub mod stats;
 pub mod tensor;
 
 pub use conv::{
-    col2im, col2im_into, conv2d, conv2d_backward, conv2d_backward_accum,
-    conv2d_backward_params_accum, conv2d_backward_ws, conv2d_forward, conv2d_forward_direct,
-    conv2d_forward_implicit, conv2d_forward_materialized, im2col, Conv2dShape, ConvScratch,
+    conv2d, conv2d_backward, conv2d_backward_accum, conv2d_backward_params_accum,
+    conv2d_backward_ws, conv2d_forward, conv2d_forward_direct, conv2d_forward_implicit,
+    conv2d_forward_materialized, Conv2dShape, ConvScratch,
 };
 pub use dispatch::{
     classify_conv, classify_gemm, tiles_for, tuned_entries, validate_tiles, with_forced_tiles,

@@ -110,6 +110,8 @@ struct Region {
 // SAFETY: `body` is only dereferenced while the issuing `parallel_for`
 // frame is blocked, and all other fields are synchronized.
 unsafe impl Send for Region {}
+// SAFETY: as for `Send` — the borrowed body is `Sync` and outlives every
+// shared use; the counters, mutex and condvar synchronize themselves.
 unsafe impl Sync for Region {}
 
 impl Region {
@@ -287,7 +289,12 @@ pub(crate) fn parallel_for_threshold(tasks: usize, flops: usize, body: &(dyn Fn(
 /// crate: each task owns an exclusive row range of the output).
 pub(crate) struct SharedMut(pub *mut f32);
 
+// SAFETY: the pointer is only turned into slices through `slice`, whose
+// callers guarantee in-bounds, non-overlapping ranges per task and a
+// buffer that outlives the parallel region.
 unsafe impl Send for SharedMut {}
+// SAFETY: sharing the wrapper shares only the address; every write goes
+// through a task-exclusive `slice` range, as for `Send`.
 unsafe impl Sync for SharedMut {}
 
 impl SharedMut {
@@ -421,6 +428,7 @@ mod tests {
         let mut buf = vec![0.0f32; 64];
         let ptr = SharedMut(buf.as_mut_ptr());
         parallel_for(8, &|t| {
+            // SAFETY: task `t` owns elements `8t..8t + 8` of the 64.
             let chunk = unsafe { ptr.slice(t * 8, 8) };
             for (j, v) in chunk.iter_mut().enumerate() {
                 *v = (t * 8 + j) as f32;

@@ -28,11 +28,38 @@ fn check(id: &str) {
     let want = std::fs::read(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
     if out.stdout != want {
         panic!(
-            "{id}: stdout differs from {path}\n--- expected\n{}\n--- got\n{}",
-            String::from_utf8_lossy(&want),
-            String::from_utf8_lossy(&out.stdout)
+            "{id}: stdout differs from {path}\n{}",
+            line_diff(
+                &String::from_utf8_lossy(&want),
+                &String::from_utf8_lossy(&out.stdout)
+            )
         );
     }
+}
+
+/// Only the lines that differ, numbered from 1, so a re-pin reads as a
+/// short diff in a CI log instead of two full dumps. A line missing on
+/// one side prints as `<none>`.
+fn line_diff(want: &str, got: &str) -> String {
+    let (want, got): (Vec<&str>, Vec<&str>) = (want.lines().collect(), got.lines().collect());
+    let mut out = String::new();
+    for i in 0..want.len().max(got.len()) {
+        let (w, g) = (want.get(i), got.get(i));
+        if w != g {
+            let show = |l: Option<&&str>| l.map_or("<none>".to_string(), |l| format!("{l:?}"));
+            out += &format!(
+                "line {}:\n  expected {}\n  got      {}\n",
+                i + 1,
+                show(w),
+                show(g)
+            );
+        }
+    }
+    if out.is_empty() {
+        // Same lines, different bytes: line endings or a trailing newline.
+        out += "lines match; the difference is in line endings or the final newline\n";
+    }
+    out
 }
 
 macro_rules! golden {

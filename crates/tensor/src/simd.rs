@@ -781,30 +781,35 @@ pub fn topk_select(k: Kernel, xs: &[f32], count: usize) -> Vec<u32> {
         return (0..n as u32).collect();
     }
     let key = |v: f32| v.to_bits() & 0x7FFF_FFFF;
-    // Strided sample (deterministic positions), sorted descending.
+    // Strided sample (deterministic positions).
     let stride = n.div_ceil(512);
     let mut sample: Vec<u32> = xs.iter().step_by(stride).map(|&v| key(v)).collect();
-    sample.sort_unstable_by(|a, b| b.cmp(a));
     // Aim low — roughly the 2k-th magnitude plus slack — so the candidate
     // pass overshoots `count` and the fix-up only ever has to trim. An
     // adversarial distribution can still undershoot; each retry doubles
     // the rank until the threshold bottoms out at 0 (collect everything).
     let mut rank = (2 * count) / stride + 8;
     loop {
+        // The rank-th largest sampled key.
         let threshold = if rank >= sample.len() {
             0
         } else {
-            sample[rank]
+            let at = sample.len() - 1 - rank;
+            *sample.select_nth_unstable(at).1
         };
         let mut cands = collect_candidates(k, xs, threshold);
         if cands.len() >= count {
             if cands.len() > count {
-                cands.select_nth_unstable_by(count - 1, |&a, &b| {
-                    let (ka, kb) = (key(xs[a as usize]), key(xs[b as usize]));
-                    kb.cmp(&ka).then(a.cmp(&b))
-                });
-                cands.truncate(count);
-                cands.sort_unstable();
+                // `(key << 32) | (u32::MAX − index)` orders by (|x| desc,
+                // index asc) in one u64 compare, and is unique per index,
+                // so exactly `count` candidates pack at or above the
+                // count-th largest. `cands` is already ascending.
+                let pack =
+                    |i: u32| (u64::from(key(xs[i as usize])) << 32) | u64::from(u32::MAX - i);
+                let mut packed: Vec<u64> = cands.iter().map(|&i| pack(i)).collect();
+                let at = packed.len() - count;
+                let cutoff = *packed.select_nth_unstable(at).1;
+                cands.retain(|&i| pack(i) >= cutoff);
             }
             return cands;
         }
@@ -1908,6 +1913,72 @@ mod tests {
                     want.sort_unstable();
                     assert_eq!(got, want, "topk {k:?} n {n} count {count}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn topk_select_matches_brute_force_oracle() {
+        // Differential test of the threshold-select + packed fix-up
+        // against a full sort: random, tie-heavy and NaN/±∞ inputs,
+        // `count` at both ends, `n` straddling SCAN_BLOCK.
+        let oracle = |x: &[f32], count: usize| {
+            let mut order: Vec<u32> = (0..x.len() as u32).collect();
+            order.sort_by(|&a, &b| {
+                let ka = x[a as usize].to_bits() & 0x7FFF_FFFF;
+                let kb = x[b as usize].to_bits() & 0x7FFF_FFFF;
+                kb.cmp(&ka).then(a.cmp(&b))
+            });
+            order.truncate(count);
+            order.sort_unstable();
+            order
+        };
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+        ];
+        let sizes = [
+            2,
+            3,
+            9,
+            64,
+            513,
+            2442,
+            SCAN_BLOCK - 1,
+            SCAN_BLOCK,
+            SCAN_BLOCK + 1,
+        ];
+        let mut rng = Pcg64::new(2442);
+        for case in 0..3000usize {
+            let n = if case % 50 == 0 {
+                sizes[case / 50 % sizes.len()]
+            } else {
+                2 + rng.next_below(600)
+            };
+            let x: Vec<f32> = (0..n)
+                .map(|_| match case % 3 {
+                    0 => rng.next_f32() * 2.0 - 1.0,
+                    // Tie-heavy: eight distinct magnitudes, both signs.
+                    1 => (rng.next_below(8) as f32 - 4.0) * 0.25,
+                    _ if rng.next_below(8) == 0 => specials[rng.next_below(specials.len())],
+                    _ => rng.next_f32() * 4.0 - 2.0,
+                })
+                .collect();
+            let count = match case % 4 {
+                0 => 1,
+                1 => n - 1,
+                _ => 1 + rng.next_below(n),
+            };
+            for k in Kernel::available_kernels() {
+                assert_eq!(
+                    topk_select(k, &x, count),
+                    oracle(&x, count),
+                    "case {case}: {k:?} n {n} count {count}"
+                );
             }
         }
     }

@@ -196,6 +196,7 @@ impl PartySource for Box<dyn PartyProvider> {
     }
 
     fn party(&self, id: usize) -> PartyRef<'_> {
+        let _sp = niid_prof::span!("party.materialize");
         PartyRef::Owned(OwnedParty::new(self.materialize(id)))
     }
 }

@@ -1,11 +1,12 @@
 //! Partitioning-strategy throughput: all six NIID-Bench strategies (plus
-//! IID) over a 10k-sample dataset, and skew analysis.
+//! IID) over a 10k-sample dataset, skew analysis, and the two
+//! standard-normal samplers at one cross-device party's draw count.
 
 use niid_bench::harness::{black_box, Harness};
 use niid_core::partition::{partition, Strategy};
 use niid_core::skew::analyze;
 use niid_data::{generate, generate_fcube, Dataset, DatasetId, GenConfig};
-use niid_stats::Pcg64;
+use niid_stats::{sample_standard_normal, sample_standard_normal_ziggurat, Pcg64};
 use niid_tensor::Tensor;
 
 fn labelled_dataset(n: usize, classes: usize) -> Dataset {
@@ -62,6 +63,19 @@ fn main() {
     h.bench("partition_by_writer_5k", |bench| {
         bench.iter(|| black_box(partition(&fem.train, 10, Strategy::ByWriter, 1)))
     });
+
+    // 864 draws: one `cross_device_topk8` party's feature noise.
+    type Sampler = fn(&mut Pcg64) -> f64;
+    let samplers: [(&str, Sampler); 2] = [
+        ("box_muller", sample_standard_normal),
+        ("ziggurat", sample_standard_normal_ziggurat),
+    ];
+    for (name, draw) in samplers {
+        h.bench(&format!("normal_864/{name}"), |bench| {
+            let mut rng = Pcg64::new(42);
+            bench.iter(|| black_box((0..864).map(|_| draw(&mut rng)).sum::<f64>()))
+        });
+    }
 
     let p = partition(&d, 10, Strategy::DirichletLabelSkew { beta: 0.5 }, 3).unwrap();
     h.bench("skew_analyze_10k", |bench| {

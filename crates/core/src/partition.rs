@@ -560,21 +560,34 @@ pub fn build_parties(train: &Dataset, part: &Partition, seed: u64) -> Vec<Party>
     part.assignments
         .iter()
         .enumerate()
-        .map(|(id, rows)| {
-            let local = train.subset(rows);
-            let local = match part.strategy {
-                Strategy::NoiseFeatureSkew { sigma } => {
-                    // Party P_i gets Gau(σ·(i+1)/N): the paper's 1-based
-                    // party index, so every party has non-zero (and
-                    // distinct) noise except in the degenerate σ=0 case.
-                    let variance = sigma * (id + 1) as f64 / n_parties as f64;
-                    add_gaussian_noise(&local, variance, derive_seed(seed, 0xA05E + id as u64))
-                }
-                _ => local,
-            };
-            Party::new(id, local)
-        })
+        .map(|(id, rows)| party_from_rows(train, rows, part.strategy, id, n_parties, seed))
         .collect()
+}
+
+/// Party `id`'s dataset: its rows of `train`, then the strategy's
+/// per-party feature transform. The one transform both the resident
+/// ([`build_parties`]) and the on-demand ([`LazyPartition`]) paths run,
+/// which is what keeps their parties bit-identical.
+fn party_from_rows(
+    train: &Dataset,
+    rows: &[usize],
+    strategy: Strategy,
+    id: usize,
+    n_parties: usize,
+    seed: u64,
+) -> Party {
+    let local = train.subset(rows);
+    let local = match strategy {
+        Strategy::NoiseFeatureSkew { sigma } => {
+            // Party P_i gets Gau(σ·(i+1)/N): the paper's 1-based party
+            // index, so every party has non-zero (and distinct) noise
+            // except in the degenerate σ=0 case.
+            let variance = sigma * (id + 1) as f64 / n_parties as f64;
+            add_gaussian_noise(local, variance, derive_seed(seed, 0xA05E + id as u64))
+        }
+        _ => local,
+    };
+    Party::new(id, local)
 }
 
 /// A seeded format-preserving permutation over `[0, n)`: a 4-round
@@ -738,17 +751,14 @@ impl PartyProvider for LazyPartition {
 
     fn materialize(&self, id: usize) -> Party {
         let rows = self.party_rows(id);
-        let local = self.train.subset(&rows);
-        let local = match self.strategy {
-            Strategy::NoiseFeatureSkew { sigma } => {
-                // Same per-party noise schedule (and seed derivation) as
-                // the resident `build_parties` path.
-                let variance = sigma * (id + 1) as f64 / self.n_parties as f64;
-                add_gaussian_noise(&local, variance, derive_seed(self.seed, 0xA05E + id as u64))
-            }
-            _ => local,
-        };
-        Party::new(id, local)
+        party_from_rows(
+            &self.train,
+            &rows,
+            self.strategy,
+            id,
+            self.n_parties,
+            self.seed,
+        )
     }
 }
 

@@ -6,41 +6,36 @@
 //! decides the level; this module performs the deterministic application.
 
 use crate::dataset::Dataset;
-use niid_stats::{Gaussian, Pcg64};
-use niid_tensor::Tensor;
+use niid_stats::{sample_standard_normal_ziggurat, Pcg64};
 
-/// Return a copy of `data` with zero-mean Gaussian noise of the given
-/// **variance** added to every feature (the paper parameterizes noise by
-/// variance). `variance == 0` returns an unmodified copy.
-pub fn add_gaussian_noise(data: &Dataset, variance: f64, seed: u64) -> Dataset {
+/// Add zero-mean Gaussian noise of the given **variance** (the paper
+/// parameterizes noise by variance) to every feature of `data`, in place,
+/// and hand it back. `variance == 0` returns `data` untouched.
+///
+/// The draws come from the ziggurat sampler
+/// ([`sample_standard_normal_ziggurat`]): the noise on feature `j` is a
+/// pure function of `(seed, j)`, so the resident and on-demand party
+/// paths, which both call this, stay bit-identical.
+pub fn add_gaussian_noise(mut data: Dataset, variance: f64, seed: u64) -> Dataset {
     assert!(
         variance.is_finite() && variance >= 0.0,
         "add_gaussian_noise: bad variance {variance}"
     );
     if variance == 0.0 {
-        return data.clone();
+        return data;
     }
     let mut rng = Pcg64::new(seed);
-    let g = Gaussian::new(0.0, variance);
-    let noisy: Vec<f32> = data
-        .features
-        .as_slice()
-        .iter()
-        .map(|&v| v + g.sample(&mut rng) as f32)
-        .collect();
-    Dataset::new(
-        data.name.clone(),
-        Tensor::from_vec(noisy, data.features.shape()),
-        data.labels.clone(),
-        data.num_classes,
-        data.input_shape.clone(),
-        data.writer_ids.clone(),
-    )
+    let sd = variance.sqrt();
+    for v in data.features.as_mut_slice() {
+        *v += (sd * sample_standard_normal_ziggurat(&mut rng)) as f32;
+    }
+    data
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use niid_tensor::Tensor;
 
     fn toy() -> Dataset {
         Dataset::new(
@@ -60,14 +55,14 @@ mod tests {
     #[test]
     fn zero_variance_is_identity() {
         let d = toy();
-        let out = add_gaussian_noise(&d, 0.0, 1);
+        let out = add_gaussian_noise(d.clone(), 0.0, 1);
         assert_eq!(out.features.as_slice(), d.features.as_slice());
     }
 
     #[test]
     fn noise_has_requested_variance() {
         let d = toy();
-        let out = add_gaussian_noise(&d, 0.25, 2);
+        let out = add_gaussian_noise(d.clone(), 0.25, 2);
         let vals = out.features.as_slice();
         let mean: f64 = vals.iter().map(|&v| v as f64).sum::<f64>() / vals.len() as f64;
         let var: f64 = vals
@@ -82,7 +77,7 @@ mod tests {
     #[test]
     fn labels_and_shape_preserved() {
         let d = toy();
-        let out = add_gaussian_noise(&d, 0.1, 3);
+        let out = add_gaussian_noise(d.clone(), 0.1, 3);
         assert_eq!(out.labels, d.labels);
         assert_eq!(out.input_shape, d.input_shape);
         assert_eq!(out.features.shape(), d.features.shape());
@@ -91,9 +86,9 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let d = toy();
-        let a = add_gaussian_noise(&d, 0.1, 4);
-        let b = add_gaussian_noise(&d, 0.1, 4);
-        let c = add_gaussian_noise(&d, 0.1, 5);
+        let a = add_gaussian_noise(d.clone(), 0.1, 4);
+        let b = add_gaussian_noise(d.clone(), 0.1, 4);
+        let c = add_gaussian_noise(d.clone(), 0.1, 5);
         assert_eq!(a.features.as_slice(), b.features.as_slice());
         assert_ne!(a.features.as_slice(), c.features.as_slice());
     }

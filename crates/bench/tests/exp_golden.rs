@@ -42,11 +42,11 @@ fn check(id: &str) {
 /// one side prints as `<none>`.
 fn line_diff(want: &str, got: &str) -> String {
     let (want, got): (Vec<&str>, Vec<&str>) = (want.lines().collect(), got.lines().collect());
+    let show = |l: Option<&&str>| l.map_or("<none>".to_string(), |l| format!("{l:?}"));
     let mut out = String::new();
     for i in 0..want.len().max(got.len()) {
         let (w, g) = (want.get(i), got.get(i));
         if w != g {
-            let show = |l: Option<&&str>| l.map_or("<none>".to_string(), |l| format!("{l:?}"));
             out += &format!(
                 "line {}:\n  expected {}\n  got      {}\n",
                 i + 1,

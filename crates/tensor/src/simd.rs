@@ -1902,37 +1902,35 @@ mod tests {
                 }
                 for &count in &[0usize, 1, 3, n / 10, n / 2, n, n + 5] {
                     let got = topk_select(k, &x, count);
-                    // Reference: full sort by (|x| desc, index asc).
-                    let mut order: Vec<u32> = (0..n as u32).collect();
-                    order.sort_by(|&a, &b| {
-                        let ka = x[a as usize].to_bits() & 0x7FFF_FFFF;
-                        let kb = x[b as usize].to_bits() & 0x7FFF_FFFF;
-                        kb.cmp(&ka).then(a.cmp(&b))
-                    });
-                    let mut want: Vec<u32> = order.into_iter().take(count.min(n)).collect();
-                    want.sort_unstable();
-                    assert_eq!(got, want, "topk {k:?} n {n} count {count}");
+                    assert_eq!(
+                        got,
+                        topk_oracle(&x, count),
+                        "topk {k:?} n {n} count {count}"
+                    );
                 }
             }
         }
     }
 
+    /// Brute-force top-k: full sort by (|x| desc, index asc), keep
+    /// `count`, return ascending.
+    fn topk_oracle(x: &[f32], count: usize) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..x.len() as u32).collect();
+        order.sort_by(|&a, &b| {
+            let ka = x[a as usize].to_bits() & 0x7FFF_FFFF;
+            let kb = x[b as usize].to_bits() & 0x7FFF_FFFF;
+            kb.cmp(&ka).then(a.cmp(&b))
+        });
+        order.truncate(count);
+        order.sort_unstable();
+        order
+    }
+
     #[test]
     fn topk_select_matches_brute_force_oracle() {
-        // Differential test of the threshold-select + packed fix-up
-        // against a full sort: random, tie-heavy and NaN/±∞ inputs,
-        // `count` at both ends, `n` straddling SCAN_BLOCK.
-        let oracle = |x: &[f32], count: usize| {
-            let mut order: Vec<u32> = (0..x.len() as u32).collect();
-            order.sort_by(|&a, &b| {
-                let ka = x[a as usize].to_bits() & 0x7FFF_FFFF;
-                let kb = x[b as usize].to_bits() & 0x7FFF_FFFF;
-                kb.cmp(&ka).then(a.cmp(&b))
-            });
-            order.truncate(count);
-            order.sort_unstable();
-            order
-        };
+        // Differential test of the threshold-select + packed fix-up:
+        // random, tie-heavy and NaN/±∞ inputs, `count` at both ends,
+        // `n` straddling SCAN_BLOCK.
         let specials = [
             f32::NAN,
             -f32::NAN,
@@ -1976,7 +1974,7 @@ mod tests {
             for k in Kernel::available_kernels() {
                 assert_eq!(
                     topk_select(k, &x, count),
-                    oracle(&x, count),
+                    topk_oracle(&x, count),
                     "case {case}: {k:?} n {n} count {count}"
                 );
             }

@@ -1,7 +1,7 @@
-//! Communication-payload benchmarks: encoding/decoding model updates at
-//! the sizes the paper's models actually ship per round, demonstrating
-//! SCAFFOLD's 2x payload (§3.3) and the wire-codec throughput of the
-//! compression pipeline.
+//! Communication-payload benchmarks: the wire-codec throughput of the
+//! compression pipeline at the update sizes the paper's models actually
+//! ship per round, plus SCAFFOLD's 2x payload (§3.3) in the traffic
+//! accounting.
 //!
 //! Codec rows set `flops` to the *dense-equivalent* byte count (4·n), so
 //! the harness's `gflops` column reads directly as GB/s of model-update
@@ -13,24 +13,10 @@
 //! included — with `flops` set to the file's byte count.
 
 use niid_bench::harness::{black_box, BenchMeta, Harness};
-use niid_fl::comm::{decode_update, encode_update, RoundTraffic};
+use niid_fl::comm::RoundTraffic;
 use niid_fl::{Checkpoint, CheckpointPolicy, RoundRecord, UpdateCodec};
 use niid_stats::Pcg64;
 use niid_tensor::active_kernel;
-
-/// The pre-bulk-copy `encode_update` body: one `to_le_bytes` call per f32.
-/// Kept as a reference row so the bulk-copy win stays visible in
-/// `BENCH_comm.json` instead of silently regressing.
-fn encode_update_per_f32(round: usize, party: usize, delta: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + 4 * delta.len());
-    out.extend_from_slice(&(round as u32).to_le_bytes());
-    out.extend_from_slice(&(party as u32).to_le_bytes());
-    out.extend_from_slice(&(delta.len() as u64).to_le_bytes());
-    for v in delta {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
 
 fn main() {
     let mut h = Harness::from_args("comm_payload");
@@ -50,29 +36,6 @@ fn main() {
     // (~40k), a mid-size conv net (~400k).
     for &n in &[4_096usize, 40_960, 409_600] {
         let delta: Vec<f32> = (0..n).map(|_| rng.next_f32() - 0.5).collect();
-        let framed = encode_update(7, 42, &delta);
-        let frame_bytes = framed.len() as u64;
-        h.bench_meta(
-            &format!("encode/{n}"),
-            BenchMeta::op("comm/encode_update", format!("n{n}"), threads, frame_bytes),
-            |bench| bench.iter(|| black_box(encode_update(7, 42, &delta))),
-        );
-        h.bench_meta(
-            &format!("encode_per_f32/{n}"),
-            BenchMeta::op(
-                "comm/encode_update_per_f32",
-                format!("n{n}"),
-                threads,
-                frame_bytes,
-            ),
-            |bench| bench.iter(|| black_box(encode_update_per_f32(7, 42, &delta))),
-        );
-        h.bench_meta(
-            &format!("decode/{n}"),
-            BenchMeta::op("comm/decode_update", format!("n{n}"), threads, frame_bytes),
-            |bench| bench.iter(|| black_box(decode_update(&framed).expect("decode"))),
-        );
-
         // Codec throughput: encode/decode GB/s at dense-equivalent bytes,
         // plus the achieved compression ratio.
         let dense_bytes = 4 * n as u64;

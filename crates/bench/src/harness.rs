@@ -214,11 +214,6 @@ impl Harness {
         }
     }
 
-    /// Whether `--short` was passed (benches may also shrink workloads).
-    pub fn is_short(&self) -> bool {
-        self.short
-    }
-
     /// Run one benchmark (skipped unless its name matches the filter).
     pub fn bench<F: FnMut(&mut Bencher)>(&mut self, name: &str, f: F) -> Option<Measurement> {
         self.bench_meta(name, BenchMeta::default(), f)

@@ -170,6 +170,9 @@ impl Args {
         if out.trials == Some(0) {
             fail("bad --trials: must be at least 1");
         }
+        if out.checkpoint_every == Some(0) {
+            fail("bad --checkpoint-every: must be at least 1");
+        }
         let env_dir = std::env::var("NIID_CHECKPOINT").is_ok_and(|d| !d.is_empty());
         if out.resume && out.checkpoint_dir.is_none() && !env_dir {
             fail("--resume needs --checkpoint-dir DIR (or NIID_CHECKPOINT) to resume from");

@@ -116,6 +116,8 @@ fn unknown_id_is_refused_and_points_at_list() {
 #[test]
 fn zero_trials_and_resume_without_a_directory_are_refused_at_parse() {
     assert!(refused(&["fig8", "--quick", "--trials", "0"]).contains("--trials"));
+    let err = refused(&["fig8", "--quick", "--checkpoint-every", "0"]);
+    assert!(err.contains("--checkpoint-every"), "{err}");
     assert!(refused(&["fig8", "--quick", "--resume"]).contains("--checkpoint-dir"));
 }
 

@@ -112,6 +112,7 @@ pub struct ExperimentSpec {
     /// checkpointing.
     pub checkpoint_dir: Option<String>,
     /// Checkpoint cadence in rounds (the final round is always written).
+    /// Zero is refused by the engine as an invalid `checkpoint.every`.
     pub checkpoint_every: usize,
     /// Resume each trial from its checkpoint when one exists (fresh start
     /// otherwise). Requires `checkpoint_dir`.
@@ -201,7 +202,7 @@ impl ExperimentSpec {
                 .collect();
             CheckpointPolicy::new(
                 PathBuf::from(dir).join(slug).join(format!("trial{trial}")),
-                self.checkpoint_every.max(1),
+                self.checkpoint_every,
             )
         })
     }

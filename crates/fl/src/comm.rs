@@ -2,8 +2,8 @@
 //!
 //! §3.3 observes that "SCAFFOLD doubles the communication size per round
 //! due to the additional control variates". The engine tracks exact byte
-//! counts per round so that the claim is measurable, and provides the
-//! payload serialization used by the `comm` bench.
+//! counts per round so that the claim is measurable. The byte layout of
+//! what is counted lives in the crate's `wire` module.
 
 /// Bytes needed to ship `n` f32 values.
 pub const fn f32_payload_bytes(n: usize) -> usize {
@@ -68,118 +68,6 @@ impl RoundTraffic {
     }
 }
 
-/// Append `xs` to `buf` as little-endian `f32` bytes.
-///
-/// On little-endian targets the in-memory representation *is* the wire
-/// format, so the whole slice lands in one bulk copy instead of a
-/// per-element `extend_from_slice` loop; big-endian targets fall back to
-/// the portable per-element swap.
-pub fn write_f32_le(buf: &mut Vec<u8>, xs: &[f32]) {
-    #[cfg(target_endian = "little")]
-    {
-        // Safety: any f32 bit pattern is a valid byte sequence and u8 has
-        // alignment 1, so viewing the slice as raw bytes is always sound.
-        let bytes = unsafe {
-            std::slice::from_raw_parts(xs.as_ptr().cast::<u8>(), std::mem::size_of_val(xs))
-        };
-        buf.extend_from_slice(bytes);
-    }
-    #[cfg(not(target_endian = "little"))]
-    for &v in xs {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Append `xs` to `buf` as little-endian `u32` bytes (bulk copy on
-/// little-endian, portable fallback elsewhere).
-pub fn write_u32_le(buf: &mut Vec<u8>, xs: &[u32]) {
-    #[cfg(target_endian = "little")]
-    {
-        // Safety: as in `write_f32_le`.
-        let bytes = unsafe {
-            std::slice::from_raw_parts(xs.as_ptr().cast::<u8>(), std::mem::size_of_val(xs))
-        };
-        buf.extend_from_slice(bytes);
-    }
-    #[cfg(not(target_endian = "little"))]
-    for &v in xs {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Decode little-endian `f32` bytes. `bytes.len()` must be a multiple of 4
-/// (callers validate payload lengths before handing bytes over).
-pub fn read_f32_le(bytes: &[u8]) -> Vec<f32> {
-    let n = bytes.len() / 4;
-    debug_assert_eq!(bytes.len(), 4 * n, "byte count not a multiple of 4");
-    #[cfg(target_endian = "little")]
-    {
-        let mut out = vec![0f32; n];
-        // Safety: `out` owns 4·n writable bytes and the ranges cannot
-        // overlap; bit patterns are preserved exactly.
-        unsafe {
-            std::ptr::copy_nonoverlapping(bytes.as_ptr(), out.as_mut_ptr().cast::<u8>(), 4 * n);
-        }
-        out
-    }
-    #[cfg(not(target_endian = "little"))]
-    bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().expect("chunk of 4")))
-        .collect()
-}
-
-/// Decode little-endian `u32` bytes (same contract as [`read_f32_le`]).
-pub fn read_u32_le(bytes: &[u8]) -> Vec<u32> {
-    let n = bytes.len() / 4;
-    debug_assert_eq!(bytes.len(), 4 * n, "byte count not a multiple of 4");
-    #[cfg(target_endian = "little")]
-    {
-        let mut out = vec![0u32; n];
-        // Safety: as in `read_f32_le`.
-        unsafe {
-            std::ptr::copy_nonoverlapping(bytes.as_ptr(), out.as_mut_ptr().cast::<u8>(), 4 * n);
-        }
-        out
-    }
-    #[cfg(not(target_endian = "little"))]
-    bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("chunk of 4")))
-        .collect()
-}
-
-/// Serialize a flat update into a length-prefixed wire payload (used by the
-/// serialization bench; the in-process simulator skips this on the hot
-/// path).
-pub fn encode_update(party_id: u32, tau: u32, delta: &[f32]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(12 + 4 * delta.len());
-    buf.extend_from_slice(&party_id.to_le_bytes());
-    buf.extend_from_slice(&tau.to_le_bytes());
-    buf.extend_from_slice(&(delta.len() as u32).to_le_bytes());
-    write_f32_le(&mut buf, delta);
-    buf
-}
-
-/// Decode a payload produced by [`encode_update`].
-///
-/// Returns `None` on malformed input (truncated or inconsistent lengths).
-pub fn decode_update(payload: &[u8]) -> Option<(u32, u32, Vec<f32>)> {
-    if payload.len() < 12 {
-        return None;
-    }
-    let party_id = u32::from_le_bytes(payload[0..4].try_into().ok()?);
-    let tau = u32::from_le_bytes(payload[4..8].try_into().ok()?);
-    let len = u32::from_le_bytes(payload[8..12].try_into().ok()?) as usize;
-    let body = &payload[12..];
-    // checked_mul: a hostile length prefix near u32::MAX must fail the
-    // consistency check, not overflow the byte count (usize may be 32-bit).
-    if Some(body.len()) != len.checked_mul(4) {
-        return None;
-    }
-    Some((party_id, tau, read_f32_le(body)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,111 +127,5 @@ mod tests {
         // SCAFFOLD's control variate rides on dropped uploads too.
         let cv = RoundTraffic::for_round_faulted(4, 2, 2, 100, 0, true);
         assert_eq!(cv.up_bytes, 4 * 2 * f32_payload_bytes(100));
-    }
-
-    #[test]
-    fn encode_decode_round_trip() {
-        let delta = vec![1.5f32, -2.25, 0.0, f32::MIN_POSITIVE];
-        let payload = encode_update(7, 42, &delta);
-        let (id, tau, back) = decode_update(&payload).unwrap();
-        assert_eq!(id, 7);
-        assert_eq!(tau, 42);
-        assert_eq!(back, delta);
-    }
-
-    #[test]
-    fn encode_decode_round_trips_awkward_values() {
-        // Empty update, extreme ids, and non-finite / denormal floats all
-        // survive the wire format bit-for-bit.
-        let (id, tau, back) = decode_update(&encode_update(0, 0, &[])).unwrap();
-        assert_eq!((id, tau), (0, 0));
-        assert!(back.is_empty());
-
-        let delta = vec![
-            f32::NAN,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            -0.0,
-            f32::MIN_POSITIVE / 2.0, // subnormal
-            f32::MAX,
-        ];
-        let payload = encode_update(u32::MAX, u32::MAX, &delta);
-        assert_eq!(payload.len(), 12 + 4 * delta.len());
-        let (id, tau, back) = decode_update(&payload).unwrap();
-        assert_eq!((id, tau), (u32::MAX, u32::MAX));
-        assert_eq!(back.len(), delta.len());
-        for (a, b) in back.iter().zip(&delta) {
-            assert_eq!(a.to_bits(), b.to_bits(), "wire format altered bits");
-        }
-    }
-
-    #[test]
-    fn bulk_le_helpers_match_portable_byte_order() {
-        // The little-endian bulk copy must emit exactly what the portable
-        // per-element `to_le_bytes` loop would, including NaN payload bits.
-        let xs = vec![
-            1.5f32,
-            -0.0,
-            f32::NAN,
-            f32::from_bits(0x7FC0_1234),
-            f32::MAX,
-        ];
-        let mut bulk = vec![0xAAu8]; // pre-existing bytes survive the append
-        write_f32_le(&mut bulk, &xs);
-        let mut portable = vec![0xAAu8];
-        for &v in &xs {
-            portable.extend_from_slice(&v.to_le_bytes());
-        }
-        assert_eq!(bulk, portable);
-        let back = read_f32_le(&bulk[1..]);
-        for (a, b) in back.iter().zip(&xs) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-
-        let us = vec![0u32, 1, 0xDEAD_BEEF, u32::MAX];
-        let mut bulk = Vec::new();
-        write_u32_le(&mut bulk, &us);
-        let mut portable = Vec::new();
-        for &v in &us {
-            portable.extend_from_slice(&v.to_le_bytes());
-        }
-        assert_eq!(bulk, portable);
-        assert_eq!(read_u32_le(&bulk), us);
-    }
-
-    #[test]
-    fn decode_rejects_truncated() {
-        let payload = encode_update(1, 1, &[1.0, 2.0]);
-        // Every strict prefix of a valid payload must be rejected.
-        for cut in 0..payload.len() {
-            assert!(decode_update(&payload[..cut]).is_none(), "prefix {cut}");
-        }
-        assert!(decode_update(&[]).is_none());
-        // ... and so must a payload with trailing garbage.
-        let mut long = payload.clone();
-        long.extend_from_slice(&[0, 0, 0, 0]);
-        assert!(decode_update(&long).is_none());
-    }
-
-    #[test]
-    fn decode_rejects_inconsistent_length() {
-        let mut bad = encode_update(1, 1, &[1.0]).to_vec();
-        bad[8] = 9; // claim 9 floats, supply 1
-        assert!(decode_update(&bad).is_none());
-    }
-
-    #[test]
-    fn decode_rejects_length_prefix_overflow() {
-        // A hostile prefix claiming u32::MAX floats: `len * 4` would wrap
-        // on 32-bit usize (and previously compared against a tiny body
-        // only by luck). The checked multiply must reject it outright.
-        let mut bad = encode_update(1, 1, &[1.0]).to_vec();
-        bad[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_update(&bad).is_none());
-        // The 32-bit wrap case specifically: len = 2^30 makes len*4 == 0
-        // mod 2^32; an empty body must still be rejected.
-        let mut wrap = encode_update(1, 1, &[]).to_vec();
-        wrap[8..12].copy_from_slice(&(1u32 << 30).to_le_bytes());
-        assert!(decode_update(&wrap).is_none());
     }
 }

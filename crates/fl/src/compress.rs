@@ -29,7 +29,8 @@
 //! bit-identical across SIMD arms and thread counts (the dither is a
 //! counter-based integer hash, see `niid_tensor::simd`).
 
-use crate::comm::{read_f32_le, read_u32_le, write_f32_le, write_u32_le};
+use crate::net::NetError;
+use crate::wire::{put_len, put_u32, write_le, Cursor, Malformed};
 use niid_tensor::simd::{self, Kernel};
 use std::fmt;
 use std::str::FromStr;
@@ -131,23 +132,23 @@ impl UpdateCodec {
         match *self {
             UpdateCodec::DenseF32 => {
                 let mut buf = Vec::with_capacity(4 * n);
-                write_f32_le(&mut buf, delta);
+                write_le(&mut buf, delta);
                 buf
             }
             UpdateCodec::TopK { fraction } => {
                 let idx = simd::topk_select(kern, delta, k_for(fraction, n));
                 let vals: Vec<f32> = idx.iter().map(|&i| delta[i as usize]).collect();
                 let mut buf = Vec::with_capacity(4 + 8 * idx.len());
-                buf.extend_from_slice(&(idx.len() as u32).to_le_bytes());
-                write_u32_le(&mut buf, &idx);
-                write_f32_le(&mut buf, &vals);
+                put_len(&mut buf, idx.len());
+                write_le(&mut buf, &idx);
+                write_le(&mut buf, &vals);
                 buf
             }
             UpdateCodec::Int8Q { levels } => {
                 let mut qs = vec![0i8; n];
                 let scale = simd::quantize_stochastic_i8(kern, delta, levels, seed, &mut qs);
                 let mut buf = Vec::with_capacity(4 + n);
-                buf.extend_from_slice(&scale.to_le_bytes());
+                put_u32(&mut buf, scale.to_bits());
                 buf.extend_from_slice(i8_as_u8(&qs));
                 buf
             }
@@ -157,105 +158,109 @@ impl UpdateCodec {
                 let mut qs = vec![0i8; idx.len()];
                 let scale = simd::quantize_stochastic_i8(kern, &vals, levels, seed, &mut qs);
                 let mut buf = Vec::with_capacity(8 + 5 * idx.len());
-                buf.extend_from_slice(&(idx.len() as u32).to_le_bytes());
-                buf.extend_from_slice(&scale.to_le_bytes());
-                write_u32_le(&mut buf, &idx);
+                put_len(&mut buf, idx.len());
+                put_u32(&mut buf, scale.to_bits());
+                write_le(&mut buf, &idx);
                 buf.extend_from_slice(i8_as_u8(&qs));
                 buf
             }
         }
     }
 
-    /// Decode a wire body for an `n`-element update.
+    /// Decode a wire body for an `n`-element update through the one
+    /// [`Cursor`].
     ///
-    /// Returns `None` on malformed or hostile input: truncated payloads,
-    /// trailing garbage, an index count exceeding `n`, indices that are
-    /// out of range or not strictly increasing, non-finite or negative
-    /// scales, and quantized magnitudes beyond `levels - 1`.
-    pub fn decode(&self, kern: Kernel, payload: &[u8], n: usize) -> Option<DecodedUpdate> {
+    /// Malformed or hostile input is a [`NetError::Malformed`] naming the
+    /// failed check: a truncated payload, trailing garbage, an index count
+    /// exceeding `n`, an index out of range or not strictly increasing, a
+    /// non-finite or negative scale, or a quantized magnitude beyond
+    /// `levels - 1`.
+    pub fn decode(
+        &self,
+        kern: Kernel,
+        payload: &[u8],
+        n: usize,
+    ) -> Result<DecodedUpdate, NetError> {
         let _sp = niid_prof::span!("comm.decode");
-        match *self {
-            UpdateCodec::DenseF32 => {
-                if Some(payload.len()) != n.checked_mul(4) {
-                    return None;
-                }
-                Some(DecodedUpdate::Dense(read_f32_le(payload)))
-            }
+        let mut r = Cursor::new(payload);
+        let decoded = match *self {
+            UpdateCodec::DenseF32 => DecodedUpdate::Dense(r.f32s(n, "dense values")?),
             UpdateCodec::TopK { .. } => {
-                let (k, rest) = read_count(payload, n)?;
-                if Some(rest.len()) != k.checked_mul(8) {
-                    return None;
-                }
-                let indices = read_u32_le(&rest[..4 * k]);
-                check_indices(&indices, n)?;
-                let values = read_f32_le(&rest[4 * k..]);
-                Some(DecodedUpdate::Sparse { indices, values })
+                let k = sparse_count(&mut r, n)?;
+                let indices = sparse_indices(&mut r, k, n)?;
+                let values = r.f32s(k, "top-k values")?;
+                DecodedUpdate::Sparse { indices, values }
             }
             UpdateCodec::Int8Q { levels } => {
-                if Some(payload.len()) != n.checked_add(4) {
-                    return None;
-                }
-                let scale = read_scale(payload)?;
-                let qs = u8_as_i8(&payload[4..]);
-                check_magnitudes(qs, levels)?;
+                let scale = quant_scale(&mut r)?;
+                let qs = quant_values(&mut r, n, levels)?;
                 let mut out = vec![0f32; n];
                 simd::dequantize_i8(kern, qs, scale, levels, &mut out);
-                Some(DecodedUpdate::Dense(out))
+                DecodedUpdate::Dense(out)
             }
             UpdateCodec::TopKInt8 { levels, .. } => {
-                let (k, rest) = read_count(payload, n)?;
-                if Some(rest.len()) != k.checked_mul(5).and_then(|b| b.checked_add(4)) {
-                    return None;
-                }
-                let scale = read_scale(rest)?;
-                let indices = read_u32_le(&rest[4..4 + 4 * k]);
-                check_indices(&indices, n)?;
-                let qs = u8_as_i8(&rest[4 + 4 * k..]);
-                check_magnitudes(qs, levels)?;
+                let k = sparse_count(&mut r, n)?;
+                let scale = quant_scale(&mut r)?;
+                let indices = sparse_indices(&mut r, k, n)?;
+                let qs = quant_values(&mut r, k, levels)?;
                 let mut values = vec![0f32; k];
                 simd::dequantize_i8(kern, qs, scale, levels, &mut values);
-                Some(DecodedUpdate::Sparse { indices, values })
+                DecodedUpdate::Sparse { indices, values }
             }
-        }
+        };
+        r.finish("the update payload")?;
+        Ok(decoded)
     }
 
-    /// Party-side encode with error feedback.
+    /// Party-side encode with error feedback; returns the payload.
     ///
     /// For lossy codecs the wire carries `delta + residual` and the
     /// residual is replaced by what the wire dropped (the compensated
     /// vector minus the decoded reconstruction); dense codecs bypass the
-    /// residual entirely (it stays empty). Returns the payload plus the
-    /// server-side reconstruction so the caller never decodes twice.
+    /// residual entirely (it stays empty) and decode nothing.
     pub fn encode_with_feedback(
         &self,
         kern: Kernel,
         delta: &[f32],
         residual: &mut Vec<f32>,
         seed: u64,
-    ) -> (Vec<u8>, DecodedUpdate) {
+    ) -> Vec<u8> {
         if !self.is_lossy() {
-            let payload = self.encode(kern, delta, seed);
-            let decoded = self
-                .decode(kern, &payload, delta.len())
-                .expect("self-encoded dense payload decodes");
-            return (payload, decoded);
+            return self.encode(kern, delta, seed);
         }
         if residual.is_empty() {
             residual.resize(delta.len(), 0.0);
         }
         assert_eq!(residual.len(), delta.len(), "residual length drifted");
-        let comp: Vec<f32> = delta
-            .iter()
-            .zip(residual.iter())
-            .map(|(d, r)| d + r)
-            .collect();
-        let payload = self.encode(kern, &comp, seed);
-        let decoded = self
-            .decode(kern, &payload, comp.len())
-            .expect("self-encoded payload decodes");
-        residual.copy_from_slice(&comp);
-        decoded.subtract_from(residual);
-        (payload, decoded)
+        for (r, d) in residual.iter_mut().zip(delta) {
+            *r += d;
+        }
+        let payload = self.encode(kern, residual, seed);
+        self.decode(kern, &payload, residual.len())
+            .expect("self-encoded payload decodes")
+            .subtract_from(residual);
+        payload
+    }
+
+    /// The parameter ranges every codec must satisfy — `fraction` in
+    /// `(0, 1]`, `levels` in `2..=128` — checked by the spec parser and by
+    /// [`FedSim`](crate::engine::FedSim) for hand-built codecs alike.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            UpdateCodec::TopK { fraction } | UpdateCodec::TopKInt8 { fraction, .. }
+                if !(fraction > 0.0 && fraction <= 1.0) =>
+            {
+                Err(format!("top-k fraction must be in (0, 1], got {fraction}"))
+            }
+            UpdateCodec::Int8Q { levels } | UpdateCodec::TopKInt8 { levels, .. }
+                if !(2..=128).contains(&levels) =>
+            {
+                Err(format!(
+                    "quantization levels must be in 2..=128, got {levels}"
+                ))
+            }
+            _ => Ok(()),
+        }
     }
 }
 
@@ -285,50 +290,32 @@ impl FromStr for UpdateCodec {
         if it.next().is_some() {
             return Err(bad("too many ':' fields"));
         }
-        let parse_fraction = |v: &str| {
-            let f: f64 = v.parse().map_err(|_| bad("fraction is not a number"))?;
-            if f > 0.0 && f <= 1.0 {
-                Ok(f)
-            } else {
-                Err(bad("fraction must be in (0, 1]"))
+        let fraction = |v: Option<&str>| match v {
+            None => Ok(DEFAULT_TOPK_FRACTION),
+            Some(v) => v.parse().map_err(|_| bad("fraction is not a number")),
+        };
+        let levels = |v: Option<&str>| match v {
+            None => Ok(DEFAULT_INT8_LEVELS),
+            Some(v) => v.parse().map_err(|_| bad("levels is not an integer")),
+        };
+        let codec = match (head, a, b) {
+            ("dense", None, None) => UpdateCodec::DenseF32,
+            ("topk", f, None) => UpdateCodec::TopK {
+                fraction: fraction(f)?,
+            },
+            ("int8", l, None) => UpdateCodec::Int8Q { levels: levels(l)? },
+            ("topk8", f, l) => UpdateCodec::TopKInt8 {
+                fraction: fraction(f)?,
+                levels: levels(l)?,
+            },
+            _ => {
+                return Err(bad(
+                    "expected dense | topk[:f] | int8[:levels] | topk8[:f[:levels]]",
+                ))
             }
         };
-        let parse_levels = |v: &str| {
-            let l: u16 = v.parse().map_err(|_| bad("levels is not an integer"))?;
-            if (2..=128).contains(&l) {
-                Ok(l)
-            } else {
-                Err(bad("levels must be in 2..=128"))
-            }
-        };
-        match (head, a, b) {
-            ("dense", None, None) => Ok(UpdateCodec::DenseF32),
-            ("topk", f, None) => Ok(UpdateCodec::TopK {
-                fraction: f
-                    .map(parse_fraction)
-                    .transpose()?
-                    .unwrap_or(DEFAULT_TOPK_FRACTION),
-            }),
-            ("int8", l, None) => Ok(UpdateCodec::Int8Q {
-                levels: l
-                    .map(parse_levels)
-                    .transpose()?
-                    .unwrap_or(DEFAULT_INT8_LEVELS),
-            }),
-            ("topk8", f, l) => Ok(UpdateCodec::TopKInt8 {
-                fraction: f
-                    .map(parse_fraction)
-                    .transpose()?
-                    .unwrap_or(DEFAULT_TOPK_FRACTION),
-                levels: l
-                    .map(parse_levels)
-                    .transpose()?
-                    .unwrap_or(DEFAULT_INT8_LEVELS),
-            }),
-            _ => Err(bad(
-                "expected dense | topk[:f] | int8[:levels] | topk8[:f[:levels]]",
-            )),
-        }
+        codec.validate().map_err(|m| bad(&m))?;
+        Ok(codec)
     }
 }
 
@@ -348,23 +335,6 @@ pub enum DecodedUpdate {
 }
 
 impl DecodedUpdate {
-    /// Materialize as a full `n`-vector (zeros where nothing arrived).
-    pub fn densify(&self, n: usize) -> Vec<f32> {
-        match self {
-            DecodedUpdate::Dense(v) => {
-                debug_assert_eq!(v.len(), n);
-                v.clone()
-            }
-            DecodedUpdate::Sparse { indices, values } => {
-                let mut out = vec![0f32; n];
-                for (&i, &v) in indices.iter().zip(values) {
-                    out[i as usize] = v;
-                }
-                out
-            }
-        }
-    }
-
     /// Subtract the reconstructed entries from `residual` in place. With
     /// `residual` holding the compensated vector, this leaves exactly what
     /// the wire failed to deliver — the next round's memory.
@@ -385,50 +355,65 @@ impl DecodedUpdate {
     }
 }
 
-/// Read the leading `u32` element count; reject counts beyond `n`.
-fn read_count(payload: &[u8], n: usize) -> Option<(usize, &[u8])> {
-    if payload.len() < 4 {
-        return None;
-    }
-    let k = u32::from_le_bytes(payload[0..4].try_into().ok()?) as usize;
+/// A sparse payload's leading element count; at most `n`.
+fn sparse_count(r: &mut Cursor<'_>, n: usize) -> Result<usize, Malformed> {
+    let k = r.u32("sparse count")? as usize;
     if k > n {
-        return None;
+        return Err(Malformed(format!(
+            "sparse count {k} exceeds the {n} coordinates"
+        )));
     }
-    Some((k, &payload[4..]))
+    Ok(k)
 }
 
-/// Read the leading `f32` scale; reject non-finite or negative values.
-fn read_scale(payload: &[u8]) -> Option<f32> {
-    let scale = f32::from_le_bytes(payload[0..4].try_into().ok()?);
-    if scale.is_finite() && scale >= 0.0 {
-        Some(scale)
-    } else {
-        None
-    }
-}
-
-/// Indices must be strictly increasing (hence unique) and in range — the
+/// `k` indices, strictly increasing (hence unique) and in range — the
 /// sparse aggregation merge relies on sortedness.
-fn check_indices(indices: &[u32], n: usize) -> Option<()> {
-    let mut prev: Option<u32> = None;
-    for &i in indices {
-        if i as usize >= n || prev.is_some_and(|p| i <= p) {
-            return None;
+fn sparse_indices(r: &mut Cursor<'_>, k: usize, n: usize) -> Result<Vec<u32>, Malformed> {
+    let indices = r.u32s(k, "sparse indices")?;
+    // The smallest index allowed next: one past the previous one.
+    let mut next = 0;
+    for &i in &indices {
+        let i = i as usize;
+        if i < next || i >= n {
+            return Err(Malformed(if i >= n {
+                format!("sparse index {i} out of range for {n} coordinates")
+            } else {
+                format!(
+                    "sparse index {i} after {}: indices must strictly increase",
+                    next - 1
+                )
+            }));
         }
-        prev = Some(i);
+        next = i + 1;
     }
-    Some(())
+    Ok(indices)
 }
 
-/// Quantized magnitudes must fit the declared level count — a hostile
-/// `q = 127` with `levels = 16` would reconstruct far beyond the scale.
-fn check_magnitudes(qs: &[i8], levels: u16) -> Option<()> {
-    let qmax = u32::from(levels) - 1;
-    if qs.iter().all(|&q| u32::from(q.unsigned_abs()) <= qmax) {
-        Some(())
+/// The quantization scale: finite and non-negative.
+fn quant_scale(r: &mut Cursor<'_>) -> Result<f32, Malformed> {
+    let scale = r.f32("quantization scale")?;
+    if scale.is_finite() && scale >= 0.0 {
+        Ok(scale)
     } else {
-        None
+        Err(Malformed(format!(
+            "quantization scale {scale} is not finite and non-negative"
+        )))
     }
+}
+
+/// `len` quantized values whose magnitudes fit the declared level count —
+/// a hostile `q = 127` with `levels = 16` would reconstruct far beyond the
+/// scale.
+fn quant_values<'a>(r: &mut Cursor<'a>, len: usize, levels: u16) -> Result<&'a [i8], Malformed> {
+    let qs = u8_as_i8(r.take(len, "quantized values")?);
+    let qmax = u32::from(levels) - 1;
+    if qs.iter().all(|q| u32::from(q.unsigned_abs()) <= qmax) {
+        return Ok(qs);
+    }
+    let worst = qs.iter().map(|q| q.unsigned_abs()).max().unwrap_or(0);
+    Err(Malformed(format!(
+        "quantized magnitude {worst} exceeds levels - 1 = {qmax}"
+    )))
 }
 
 #[cfg(test)]
@@ -616,6 +601,11 @@ mod tests {
     fn decode_rejects_truncated_and_hostile_sparse_payloads() {
         let n = 64;
         let delta = random_delta(n, 17);
+        // Every rejection is a typed `Malformed` naming the failed check.
+        let reason = |codec: UpdateCodec, bytes: &[u8]| match codec.decode(kern(), bytes, n) {
+            Err(NetError::Malformed(why)) => why,
+            other => panic!("{codec}: expected a malformed-payload error, got {other:?}"),
+        };
         for codec in [
             UpdateCodec::TopK { fraction: 0.25 },
             UpdateCodec::Int8Q { levels: 128 },
@@ -627,14 +617,13 @@ mod tests {
             let payload = codec.encode(kern(), &delta, 5);
             // Every strict prefix must be rejected, as must trailing garbage.
             for cut in 0..payload.len() {
-                assert!(
-                    codec.decode(kern(), &payload[..cut], n).is_none(),
-                    "{codec}: prefix {cut}"
-                );
+                let why = reason(codec, &payload[..cut]);
+                assert!(why.contains("truncated"), "{codec}: prefix {cut}: {why}");
             }
             let mut long = payload.clone();
             long.push(0);
-            assert!(codec.decode(kern(), &long, n).is_none(), "{codec}: garbage");
+            let why = reason(codec, &long);
+            assert!(why.contains("1 trailing bytes"), "{codec}: garbage: {why}");
         }
 
         let topk = UpdateCodec::TopK { fraction: 0.25 };
@@ -644,17 +633,19 @@ mod tests {
         let mut big = Vec::new();
         big.extend_from_slice(&(n as u32 + 1).to_le_bytes());
         big.resize(4 + 8 * (n + 1), 0);
-        assert!(topk.decode(kern(), &big, n).is_none(), "k > n");
+        let why = reason(topk, &big);
+        assert!(why.contains("sparse count 65 exceeds"), "k > n: {why}");
 
         // Count inconsistent with the body.
         let mut short_count = good.clone();
         short_count[0..4].copy_from_slice(&2u32.to_le_bytes());
-        assert!(topk.decode(kern(), &short_count, n).is_none());
+        assert!(reason(topk, &short_count).contains("trailing"));
 
         // Out-of-range index.
         let mut oob = good.clone();
         oob[4..8].copy_from_slice(&(n as u32).to_le_bytes());
-        assert!(topk.decode(kern(), &oob, n).is_none(), "index == n");
+        let why = reason(topk, &oob);
+        assert!(why.contains("index 64 out of range"), "index == n: {why}");
 
         // Duplicate / non-increasing indices.
         let k = u32::from_le_bytes(good[0..4].try_into().unwrap()) as usize;
@@ -662,7 +653,8 @@ mod tests {
         let mut dup = good.clone();
         let first = dup[4..8].to_vec();
         dup[8..12].copy_from_slice(&first);
-        assert!(topk.decode(kern(), &dup, n).is_none(), "duplicate index");
+        let why = reason(topk, &dup);
+        assert!(why.contains("must strictly increase"), "duplicate: {why}");
 
         // Hostile scale and inflated magnitudes on the quantized codecs.
         let int8 = UpdateCodec::Int8Q { levels: 16 };
@@ -670,17 +662,17 @@ mod tests {
         for bad_scale in [f32::NAN, f32::INFINITY, -1.0f32] {
             let mut bs = qgood.clone();
             bs[0..4].copy_from_slice(&bad_scale.to_le_bytes());
-            assert!(int8.decode(kern(), &bs, n).is_none(), "scale {bad_scale}");
+            let why = reason(int8, &bs);
+            assert!(why.contains("quantization scale"), "{bad_scale}: {why}");
         }
         let mut inflated = qgood.clone();
         inflated[4] = 127u8; // |q| = 127 > levels - 1 = 15
-        assert!(
-            int8.decode(kern(), &inflated, n).is_none(),
-            "q beyond levels"
-        );
+        let why = reason(int8, &inflated);
+        assert!(why.contains("magnitude 127 exceeds"), "{why}");
         let mut neg = qgood;
         neg[4] = 0x80; // q = -128 is never emitted at any level count
-        assert!(int8.decode(kern(), &neg, n).is_none(), "q = -128");
+        let why = reason(int8, &neg);
+        assert!(why.contains("magnitude 128 exceeds"), "q = -128: {why}");
     }
 
     #[test]
@@ -696,11 +688,13 @@ mod tests {
         // to clear the threshold; 400 gives every coordinate headroom.
         let rounds = 400;
         for r in 0..rounds {
-            let (_, decoded) = codec.encode_with_feedback(kern(), &delta, &mut residual, r);
-            let DecodedUpdate::Sparse { indices, values } = &decoded else {
+            let payload = codec.encode_with_feedback(kern(), &delta, &mut residual, r);
+            let DecodedUpdate::Sparse { indices, values } =
+                codec.decode(kern(), &payload, n).unwrap()
+            else {
                 panic!("topk is sparse")
             };
-            for (&i, &v) in indices.iter().zip(values) {
+            for (&i, &v) in indices.iter().zip(&values) {
                 seen[i as usize] = true;
                 cumulative[i as usize] += f64::from(v);
             }
@@ -732,13 +726,14 @@ mod tests {
     fn dense_feedback_path_is_lossless_and_keeps_no_residual() {
         let delta = random_delta(50, 23);
         let mut residual = Vec::new();
-        let (payload, decoded) =
-            UpdateCodec::DenseF32.encode_with_feedback(kern(), &delta, &mut residual, 0);
+        let codec = UpdateCodec::DenseF32;
+        let payload = codec.encode_with_feedback(kern(), &delta, &mut residual, 0);
         assert!(
             residual.is_empty(),
             "dense codec must not grow residual state"
         );
         assert_eq!(payload.len(), 4 * delta.len());
+        let decoded = codec.decode(kern(), &payload, delta.len()).unwrap();
         assert_eq!(decoded, DecodedUpdate::Dense(delta));
     }
 
@@ -751,7 +746,13 @@ mod tests {
         };
         let payload = codec.encode(kern(), &delta, 3);
         let decoded = codec.decode(kern(), &payload, delta.len()).unwrap();
-        let dense = decoded.densify(delta.len());
+        let DecodedUpdate::Sparse { indices, values } = &decoded else {
+            panic!("topk8 decodes sparse")
+        };
+        let mut dense = vec![0f32; delta.len()];
+        for (&i, &v) in indices.iter().zip(values) {
+            dense[i as usize] = v;
+        }
         let mut probe = vec![0f32; delta.len()];
         decoded.subtract_from(&mut probe);
         for (d, p) in dense.iter().zip(&probe) {

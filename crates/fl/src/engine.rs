@@ -15,7 +15,7 @@ use crate::fault::{FailureKind, FaultPlan, PartyFailure};
 use crate::local::{LocalConfig, LocalOutcome};
 use crate::metrics::{wall_ms, RoundRecord, RunResult};
 use crate::net::{Coordinator, NetError};
-use crate::party::{Party, PartyProvider, PartyStore};
+use crate::party::{Party, PartyProvider, ResidentProvider};
 use crate::trace::{NoopSink, TraceEvent, TraceSink};
 use crate::transport::{Broadcast, LocalPool, PartyEnv, PartyOutcome, TrainedParty, Transport};
 use niid_data::Dataset;
@@ -119,7 +119,7 @@ impl FlConfig {
 /// set.
 pub struct FedSim {
     model_spec: ModelSpec,
-    parties: PartyStore,
+    parties: Box<dyn PartyProvider>,
     test: Dataset,
     config: FlConfig,
 }
@@ -203,17 +203,22 @@ struct SimState {
 }
 
 impl FedSim {
-    /// Validate and build a simulation.
+    /// Validate and build a simulation over resident parties: each
+    /// party is checked here, then the population is lent to the engine
+    /// through a [`ResidentProvider`].
     pub fn new(
         model_spec: ModelSpec,
         parties: Vec<Party>,
         test: Dataset,
         config: FlConfig,
     ) -> Result<Self, FlError> {
-        if parties.is_empty() {
-            return Err(FlError::NoParties);
-        }
-        for p in &parties {
+        for (i, p) in parties.iter().enumerate() {
+            if p.id != i {
+                return Err(FlError::InconsistentParties(format!(
+                    "party at position {i} has id {}",
+                    p.id
+                )));
+            }
             if p.data.is_empty() {
                 return Err(FlError::EmptyParty(p.id));
             }
@@ -230,12 +235,13 @@ impl FedSim {
                 )));
             }
         }
-        Self::with_store(model_spec, PartyStore::Resident(parties), test, config)
+        let provider = Box::new(ResidentProvider::new(parties));
+        Self::with_provider(model_spec, provider, test, config)
     }
 
-    /// Build a cohort-on-demand simulation over a [`PartyProvider`]
-    /// (cross-device scale: party datasets are materialized only while
-    /// their round's worker trains them).
+    /// Validate and build a simulation over a [`PartyProvider`]
+    /// (cross-device scale: a lazy provider's party datasets are
+    /// materialized only while their round's worker trains them).
     ///
     /// Per-party validation is the provider's contract — the engine
     /// checks the provider-wide shape metadata once instead of touching
@@ -263,16 +269,6 @@ impl FedSim {
                 test.num_classes
             )));
         }
-        Self::with_store(model_spec, PartyStore::OnDemand(provider), test, config)
-    }
-
-    /// Shared model/config validation behind both constructors.
-    fn with_store(
-        model_spec: ModelSpec,
-        parties: PartyStore,
-        test: Dataset,
-        config: FlConfig,
-    ) -> Result<Self, FlError> {
         if model_spec.input_shape() != test.input_shape {
             return Err(FlError::InconsistentParties(format!(
                 "model input shape {:?} vs data {:?}",
@@ -330,31 +326,15 @@ impl FedSim {
         if let Some(policy) = &config.checkpoint {
             check_pos("checkpoint.every", policy.every)?;
         }
-        let (codec_fraction, codec_levels) = match config.codec {
-            UpdateCodec::DenseF32 => (None, None),
-            UpdateCodec::TopK { fraction } => (Some(fraction), None),
-            UpdateCodec::Int8Q { levels } => (None, Some(levels)),
-            UpdateCodec::TopKInt8 { fraction, levels } => (Some(fraction), Some(levels)),
-        };
-        if let Some(f) = codec_fraction {
-            if !(f > 0.0 && f <= 1.0) {
-                return Err(FlError::InvalidConfig {
-                    field: "codec",
-                    message: format!("top-k fraction must be in (0, 1], got {f}"),
-                });
-            }
-        }
-        if let Some(l) = codec_levels {
-            if !(2..=128).contains(&l) {
-                return Err(FlError::InvalidConfig {
-                    field: "codec",
-                    message: format!("quantization levels must be in 2..=128, got {l}"),
-                });
-            }
+        if let Err(message) = config.codec.validate() {
+            return Err(FlError::InvalidConfig {
+                field: "codec",
+                message,
+            });
         }
         Ok(Self {
             model_spec,
-            parties,
+            parties: provider,
             test,
             config,
         })
@@ -362,7 +342,7 @@ impl FedSim {
 
     /// Total party count `N`.
     pub fn n_parties(&self) -> usize {
-        self.parties.len()
+        self.parties.n_parties()
     }
 
     /// Sample the round's participants (Algorithm 1 line 4): all parties
@@ -374,7 +354,7 @@ impl FedSim {
     /// picks the historical dense sampler produced (replay-pinned in
     /// `niid-stats`).
     fn sample_round(&self, round: usize) -> Vec<usize> {
-        let n = self.parties.len();
+        let n = self.parties.n_parties();
         if self.config.sample_fraction >= 1.0 {
             return (0..n).collect();
         }
@@ -530,7 +510,7 @@ impl FedSim {
         LocalPool::new(PartyEnv {
             cfg: &self.config,
             model_spec: &self.model_spec,
-            parties: &self.parties,
+            parties: self.parties.as_ref(),
             classes: self.test.num_classes,
             grad_spans,
         })
@@ -539,7 +519,7 @@ impl FedSim {
     /// The canonical config JSON both sides of a distributed run compare
     /// at handshake time (see [`crate::net::config_fingerprint`]).
     pub fn fingerprint(&self) -> String {
-        crate::net::config_fingerprint(&self.model_spec, self.parties.len(), &self.config)
+        crate::net::config_fingerprint(&self.model_spec, self.parties.n_parties(), &self.config)
     }
 
     /// Fresh server-side state for round 0.
@@ -593,10 +573,10 @@ impl FedSim {
                 ck.algorithm.clone(),
             );
         }
-        if ck.n_parties != self.parties.len() {
+        if ck.n_parties != self.parties.n_parties() {
             return mismatch(
                 "n_parties",
-                self.parties.len().to_string(),
+                self.parties.n_parties().to_string(),
                 ck.n_parties.to_string(),
             );
         }
@@ -661,10 +641,10 @@ impl FedSim {
         }
         let mut client_c = BTreeMap::new();
         for (id, c) in ck.client_c {
-            if id >= self.parties.len() {
+            if id >= self.parties.n_parties() {
                 return mismatch(
                     "client_c party id",
-                    format!("below {}", self.parties.len()),
+                    format!("below {}", self.parties.n_parties()),
                     id.to_string(),
                 );
             }
@@ -679,10 +659,10 @@ impl FedSim {
         }
         let mut residuals = BTreeMap::new();
         for (id, r) in ck.residuals {
-            if id >= self.parties.len() {
+            if id >= self.parties.n_parties() {
                 return mismatch(
                     "residuals party id",
-                    format!("below {}", self.parties.len()),
+                    format!("below {}", self.parties.n_parties()),
                     id.to_string(),
                 );
             }
@@ -922,7 +902,7 @@ impl FedSim {
                 )))
             };
             let decoded = codec.decode(kern, &t.payload, p_len);
-            updates.push(decoded.ok_or_else(|| malformed("an undecodable update"))?);
+            updates.push(decoded.map_err(|e| malformed(&format!("an undecodable update ({e})")))?);
             if t.residual.len() != r_len
                 || t.client_c.len() != c_len
                 || t.outcome.delta_c.len() != c_len
@@ -980,7 +960,7 @@ impl FedSim {
         };
         average(&mut st.global_params, outcomes, &updates, cfg.server_lr);
         if cfg.algorithm.uses_control_variates() {
-            scaffold_update_c(&mut st.server_c, outcomes, self.parties.len());
+            scaffold_update_c(&mut st.server_c, outcomes, self.parties.n_parties());
         }
         if cfg.buffer_policy == BufferPolicy::Average {
             if let Some(avg) = average_buffers(outcomes) {
@@ -1027,7 +1007,7 @@ impl FedSim {
             round_next: st.round_next,
             seed: cfg.seed,
             algorithm: cfg.algorithm.name().to_string(),
-            n_parties: self.parties.len(),
+            n_parties: self.parties.n_parties(),
             sample_fraction: cfg.sample_fraction,
             min_quorum: cfg.min_quorum,
             fault_plan: cfg.fault_plan.as_ref().map(ToString::to_string),
@@ -1261,6 +1241,19 @@ mod tests {
             Err(FlError::NoParties)
         ));
 
+        // Parties out of id order cannot be lent by position.
+        let mut swapped = parties.clone();
+        swapped.swap(0, 1);
+        assert!(matches!(
+            FedSim::new(
+                spec(),
+                swapped,
+                test.clone(),
+                quick_config(Algorithm::FedAvg, 16)
+            ),
+            Err(FlError::InconsistentParties(_))
+        ));
+
         // Model/data mismatch.
         assert!(FedSim::new(
             ModelSpec::Mlp { in_dim: 99 },
@@ -1269,6 +1262,31 @@ mod tests {
             quick_config(Algorithm::FedAvg, 16)
         )
         .is_err());
+    }
+
+    /// A codec built by hand, not parsed from a spec, meets the same
+    /// parameter rules.
+    #[test]
+    fn hand_built_codecs_are_validated_like_parsed_ones() {
+        let (parties, test) = toy_setup(2, 8, 37);
+        for codec in [
+            UpdateCodec::TopKInt8 {
+                fraction: 0.5,
+                levels: 1,
+            },
+            UpdateCodec::TopK { fraction: 0.0 },
+            UpdateCodec::Int8Q { levels: 129 },
+        ] {
+            let mut cfg = quick_config(Algorithm::FedAvg, 38);
+            cfg.codec = codec;
+            assert!(
+                matches!(
+                    FedSim::new(spec(), parties.clone(), test.clone(), cfg),
+                    Err(FlError::InvalidConfig { field: "codec", .. })
+                ),
+                "{codec}"
+            );
+        }
     }
 
     #[test]
@@ -1712,13 +1730,22 @@ mod tests {
     #[test]
     fn a_malformed_upload_is_a_typed_error_and_commits_nothing() {
         type Tamper = fn(&mut TrainedParty);
-        let tamperings: [(&str, Tamper); 4] = [
-            ("undecodable payload", |t| t.payload.push(0)),
-            ("short residual", |t| t.residual.truncate(1)),
-            ("long client_c", |t| t.client_c.push(0.0)),
-            ("missing delta_c", |t| t.outcome.delta_c.clear()),
+        // Each tampering, and what the typed error must say about it.
+        let tamperings: [(&str, Tamper, &str); 4] = [
+            (
+                "undecodable payload",
+                |t| t.payload.push(0),
+                "undecodable update (malformed message: 1 trailing bytes",
+            ),
+            ("short residual", |t| t.residual.truncate(1), "wrong shape"),
+            ("long client_c", |t| t.client_c.push(0.0), "wrong shape"),
+            (
+                "missing delta_c",
+                |t| t.outcome.delta_c.clear(),
+                "wrong shape",
+            ),
         ];
-        for (what, tamper) in tamperings {
+        for (what, tamper, reason) in tamperings {
             let (sim, mut st) = stateful_sim(None);
             let before = (
                 st.client_c.clone(),
@@ -1735,7 +1762,7 @@ mod tests {
                 .drive(&mut st, &NoopSink, None, 3, &mut transport)
                 .unwrap_err();
             assert!(
-                matches!(err, FlError::Net(NetError::Malformed(_))),
+                matches!(&err, FlError::Net(NetError::Malformed(m)) if m.contains(reason)),
                 "{what}: {err:?}"
             );
             let after = (

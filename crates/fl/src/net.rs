@@ -16,15 +16,18 @@
 //!
 //! ## Messages
 //!
-//! * `Hello` (party → server, JSON): config fingerprint + hosted party
-//!   ids. Answered by `Ack` (JSON). A mismatched fingerprint is rejected
-//!   at handshake time instead of diverging mid-run.
-//! * `Broadcast` (server → party, binary): the round's global parameters,
+//! Every payload is binary, in the byte layout of the crate's `wire`
+//! module, and parses through its one `Cursor`.
+//!
+//! * `Hello` (party → server): config fingerprint + hosted party ids.
+//!   Answered by `Ack`. A mismatched fingerprint is rejected at handshake
+//!   time instead of diverging mid-run.
+//! * `Broadcast` (server → party): the round's global parameters,
 //!   buffers, and SCAFFOLD server variate — the same dense vectors the
 //!   in-process engine hands its workers.
-//! * `RoundAssign` (server → party, binary): which hosted parties train
+//! * `RoundAssign` (server → party): which hosted parties train
 //!   this round, each with its `client_c` and error-feedback residual.
-//! * `Update` (party → server, binary, one per assigned party): either a
+//! * `Update` (party → server, one per assigned party): either a
 //!   trained update — whose delta payload **is** the configured
 //!   [`UpdateCodec`](crate::compress::UpdateCodec) byte stream, encoded
 //!   party-side with error feedback — or a typed
@@ -51,7 +54,6 @@ use crate::transport::{
     record_trained, train_party, Broadcast, PartyEnv, PartyOutcome, TrainedParty, Transport,
 };
 use crate::wire::{put_bytes, put_f32s, put_f64, put_len, put_str, put_u64, Cursor, Malformed};
-use niid_json::{FromJson, Json, JsonError, ToJson};
 use niid_metrics::Deadline;
 use niid_nn::ModelSpec;
 use std::collections::{BTreeMap, BTreeSet};
@@ -62,8 +64,8 @@ use std::time::Duration;
 
 /// First two bytes of every frame.
 pub const FRAME_MAGIC: [u8; 2] = *b"NF";
-/// Protocol version carried in every frame header.
-pub const PROTOCOL_VERSION: u16 = 1;
+/// Protocol version carried in every frame header (2: binary Hello/Ack).
+pub const PROTOCOL_VERSION: u16 = 2;
 /// Frame header size in bytes: magic(2) + version(2) + kind(1) +
 /// flags(1) + len(4).
 pub const FRAME_HEADER_LEN: usize = 10;
@@ -75,15 +77,15 @@ pub const DEFAULT_MAX_FRAME: u32 = 256 * 1024 * 1024;
 /// Message discriminant carried in the frame header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MsgKind {
-    /// Party → server: fingerprint + hosted ids (JSON payload).
+    /// Party → server: fingerprint + hosted ids.
     Hello = 1,
-    /// Server → party: this round's cohort assignments (binary payload).
+    /// Server → party: this round's cohort assignments.
     RoundAssign = 2,
-    /// Server → party: the round's global model state (binary payload).
+    /// Server → party: the round's global model state.
     Broadcast = 3,
     /// Party → server: one party's trained update or typed failure.
     Update = 4,
-    /// Server → party: handshake answer (JSON payload).
+    /// Server → party: handshake answer.
     Ack = 5,
     /// Server → party: the run is over; disconnect cleanly.
     Shutdown = 6,
@@ -361,10 +363,6 @@ impl From<Malformed> for NetError {
     }
 }
 
-fn json_err(what: &str, e: JsonError) -> NetError {
-    NetError::Malformed(format!("{what}: {e}"))
-}
-
 /// Handshake: what a party host announces when it connects.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HelloMsg {
@@ -376,30 +374,29 @@ pub struct HelloMsg {
 }
 
 impl HelloMsg {
-    /// JSON payload bytes.
+    /// Binary payload bytes: the fingerprint, then a `u32` id count and
+    /// the ids as `u64`s.
     pub fn encode(&self) -> Vec<u8> {
-        Json::obj(vec![
-            ("fingerprint", Json::Str(self.fingerprint.clone())),
-            ("party_ids", self.party_ids.to_json()),
-        ])
-        .to_json_string()
-        .into_bytes()
+        let mut buf = Vec::with_capacity(8 + self.fingerprint.len() + 8 * self.party_ids.len());
+        put_str(&mut buf, &self.fingerprint);
+        put_len(&mut buf, self.party_ids.len());
+        for &id in &self.party_ids {
+            put_u64(&mut buf, id as u64);
+        }
+        buf
     }
 
     /// Parse a `Hello` payload.
     pub fn decode(payload: &[u8]) -> Result<Self, NetError> {
-        let text = std::str::from_utf8(payload)
-            .map_err(|_| NetError::Malformed("Hello is not UTF-8".into()))?;
-        let v = Json::from_json_str(text).map_err(|e| json_err("Hello", e))?;
-        let fingerprint = v
-            .get("fingerprint")
-            .and_then(Json::as_str)
-            .ok_or_else(|| NetError::Malformed("Hello missing fingerprint".into()))?
-            .to_string();
-        let party_ids = v
-            .get("party_ids")
-            .ok_or_else(|| NetError::Malformed("Hello missing party_ids".into()))
-            .and_then(|ids| Vec::<usize>::from_json(ids).map_err(|e| json_err("Hello", e)))?;
+        let mut r = Cursor::new(payload);
+        let fingerprint = r.string("Hello fingerprint")?;
+        let count = r.u32("Hello party count")?;
+        // Grow as we parse: a hostile count cannot pre-reserve memory.
+        let mut party_ids = Vec::new();
+        for _ in 0..count {
+            party_ids.push(r.usize("Hello party id")?);
+        }
+        r.finish("Hello")?;
         Ok(HelloMsg {
             fingerprint,
             party_ids,
@@ -417,35 +414,26 @@ pub struct AckMsg {
 }
 
 impl AckMsg {
-    /// JSON payload bytes.
+    /// Binary payload bytes: the `ok` flag as one byte, then the message.
     pub fn encode(&self) -> Vec<u8> {
-        Json::obj(vec![
-            ("ok", self.ok.to_json()),
-            ("message", Json::Str(self.message.clone())),
-        ])
-        .to_json_string()
-        .into_bytes()
+        let mut buf = vec![u8::from(self.ok)];
+        put_str(&mut buf, &self.message);
+        buf
     }
 
     /// Parse an `Ack` payload.
     pub fn decode(payload: &[u8]) -> Result<Self, NetError> {
-        let text = std::str::from_utf8(payload)
-            .map_err(|_| NetError::Malformed("Ack is not UTF-8".into()))?;
-        let v = Json::from_json_str(text).map_err(|e| json_err("Ack", e))?;
-        let ok = v
-            .get("ok")
-            .ok_or_else(|| NetError::Malformed("Ack missing ok".into()))
-            .and_then(|b| bool::from_json(b).map_err(|e| json_err("Ack", e)))?;
-        let message = v
-            .get("message")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string();
-        Ok(AckMsg { ok, message })
+        let mut r = Cursor::new(payload);
+        let msg = AckMsg {
+            ok: r.bool("Ack ok")?,
+            message: r.string("Ack message")?,
+        };
+        r.finish("Ack")?;
+        Ok(msg)
     }
 }
 
-/// The round's global state, server → party (binary).
+/// The round's global state, server → party.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BroadcastMsg {
     /// Round index.
@@ -496,7 +484,7 @@ pub struct PartyAssignment {
     pub residual: Vec<f32>,
 }
 
-/// The round's cohort assignments for one host, server → party (binary).
+/// The round's cohort assignments for one host, server → party.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AssignMsg {
     /// Round index (must match the preceding `Broadcast`).
@@ -555,7 +543,7 @@ fn failure_kind_from_tag(tag: u8) -> Option<FailureKind> {
     }
 }
 
-/// What one party produced, party → server (binary).
+/// What one party produced, party → server.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UpdateMsg {
     /// Round index.
@@ -741,6 +729,7 @@ impl UpdateMsg {
 /// would change the trajectory (seed, algorithm, codec, fault schedule,
 /// model, population) must agree before a single round runs.
 pub fn config_fingerprint(model_spec: &ModelSpec, n_parties: usize, cfg: &FlConfig) -> String {
+    use niid_json::{Json, ToJson};
     let fault = match &cfg.fault_plan {
         Some(p) => Json::Str(p.to_string()),
         None => Json::Null,
@@ -1255,7 +1244,7 @@ pub fn run_party_client(cfg: &PartyClientConfig, host: &PartyHost) -> Result<(),
         cfg: &host.config,
         model_spec: &host.model_spec,
         classes: host.provider.num_classes(),
-        parties: &host.provider,
+        parties: host.provider.as_ref(),
         grad_spans: None,
     };
     let hello = HelloMsg {
@@ -1492,19 +1481,22 @@ mod tests {
     }
 
     #[test]
-    fn hello_and_ack_round_trip_as_json() {
+    fn hello_and_ack_round_trip_in_binary() {
         let hello = HelloMsg {
             fingerprint: "{\"seed\":\"42\"}".into(),
             party_ids: vec![0, 3, 6],
         };
         assert_eq!(HelloMsg::decode(&hello.encode()).unwrap(), hello);
-        let ack = AckMsg {
-            ok: false,
-            message: "config fingerprint mismatch".into(),
-        };
-        assert_eq!(AckMsg::decode(&ack.encode()).unwrap(), ack);
-        assert!(HelloMsg::decode(b"not json").is_err());
+        for ok in [false, true] {
+            let ack = AckMsg {
+                ok,
+                message: "config fingerprint mismatch".into(),
+            };
+            assert_eq!(AckMsg::decode(&ack.encode()).unwrap(), ack);
+        }
+        // The protocol-1 JSON bodies are not Hello/Ack payloads any more.
         assert!(HelloMsg::decode(b"{\"party_ids\":[0]}").is_err());
+        assert!(AckMsg::decode(b"{\"ok\":true}").is_err());
     }
 
     #[test]
@@ -1621,6 +1613,47 @@ mod tests {
         .encode();
         for cut in 0..b.len() {
             assert!(BroadcastMsg::decode(&b[..cut]).is_err());
+        }
+
+        // Hello/Ack: every strict prefix and trailing garbage.
+        let hello = HelloMsg {
+            fingerprint: "fp".into(),
+            party_ids: vec![1, 4],
+        }
+        .encode();
+        let ack = AckMsg {
+            ok: true,
+            message: "welcome".into(),
+        }
+        .encode();
+        let hostile = |name: &str, bytes: &[u8], decode: &dyn Fn(&[u8]) -> Result<(), NetError>| {
+            for cut in 0..bytes.len() {
+                assert!(
+                    matches!(decode(&bytes[..cut]), Err(NetError::Malformed(_))),
+                    "{name} prefix {cut} decoded"
+                );
+            }
+            let mut padded = bytes.to_vec();
+            padded.push(0);
+            assert!(decode(&padded).is_err(), "{name} with trailing garbage");
+        };
+        hostile("Hello", &hello, &|b| HelloMsg::decode(b).map(drop));
+        hostile("Ack", &ack, &|b| AckMsg::decode(b).map(drop));
+        // An Ack presence byte other than 0 or 1.
+        let mut two = ack;
+        two[0] = 2;
+        match AckMsg::decode(&two) {
+            Err(NetError::Malformed(m)) => assert!(m.contains("must be 0 or 1"), "{m}"),
+            other => panic!("presence byte 2 gave {other:?}"),
+        }
+        // A Hello id count larger than the bytes behind it.
+        let mut liar = Vec::new();
+        put_str(&mut liar, "fp");
+        put_len(&mut liar, u32::MAX as usize);
+        put_u64(&mut liar, 0);
+        match HelloMsg::decode(&liar) {
+            Err(NetError::Malformed(m)) => assert!(m.contains("truncated Hello party id"), "{m}"),
+            other => panic!("lying id count gave {other:?}"),
         }
     }
 

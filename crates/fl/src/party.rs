@@ -68,6 +68,14 @@ pub trait PartyProvider: Send + Sync {
     fn num_classes(&self) -> usize;
     /// Build party `id`'s dataset view. Called only for sampled parties.
     fn materialize(&self, id: usize) -> Party;
+    /// Lend party `id` for the duration of one training. The default
+    /// materializes it under a `party.materialize` span and owns it,
+    /// charging the [`residency`] gauge until the handle drops; a
+    /// provider that already holds its parties lends them instead.
+    fn party(&self, id: usize) -> PartyRef<'_> {
+        let _sp = niid_prof::span!("party.materialize");
+        PartyRef::Owned(OwnedParty::new(self.materialize(id)))
+    }
 }
 
 /// Bytes of party-resident state currently materialized on demand.
@@ -77,8 +85,8 @@ static RESIDENT_PEAK: AtomicUsize = AtomicUsize::new(0);
 
 /// Process-wide gauge of on-demand party residency — the "resident-set
 /// proxy" the `exp scale` sweep reports. Only parties materialized
-/// through a [`PartyProvider`] count; a fully resident `Vec<Party>`
-/// simulation contributes nothing (its residency is trivially `N`).
+/// on demand count; parties lent by a [`ResidentProvider`] contribute
+/// nothing (their residency is trivially `N`).
 pub mod residency {
     use super::{Ordering, RESIDENT_BYTES, RESIDENT_PEAK};
 
@@ -114,11 +122,11 @@ fn party_bytes(p: &Party) -> usize {
         + p.data.labels.len() * std::mem::size_of::<usize>()
 }
 
-/// A party handle that is either borrowed from a resident `Vec<Party>`
-/// or owned because a [`PartyProvider`] just materialized it. Owned
-/// parties register with the [`residency`] gauge for their lifetime.
+/// A party handle that is either borrowed from a provider's resident
+/// storage or owned because a [`PartyProvider`] just materialized it.
+/// Owned parties register with the [`residency`] gauge for their lifetime.
 pub enum PartyRef<'a> {
-    /// Borrowed from resident storage (classic cross-silo runs).
+    /// Borrowed from resident storage ([`ResidentProvider`]).
     Borrowed(&'a Party),
     /// Materialized on demand; dropped (and its bytes released) as soon
     /// as the worker finishes the party's local training.
@@ -157,71 +165,13 @@ impl std::ops::Deref for PartyRef<'_> {
     }
 }
 
-/// Where party datasets live for the run's lifetime.
-///
-/// Cross-silo runs (tens of parties) keep every dataset resident, exactly
-/// as before. Cross-device runs hand the engine a [`PartyProvider`]
-/// instead, and a party's dataset view exists only while a worker is
-/// training it — peak party-resident memory is `O(workers)` datasets,
-/// not `O(N)`.
-pub(crate) enum PartyStore {
-    /// Every party's dataset held in memory for the whole run.
-    Resident(Vec<Party>),
-    /// Parties materialized per cohort and dropped after training.
-    OnDemand(Box<dyn PartyProvider>),
-}
-
-impl PartyStore {
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            PartyStore::Resident(v) => v.len(),
-            PartyStore::OnDemand(p) => p.n_parties(),
-        }
-    }
-}
-
-/// What a trainer needs of its parties, whether it is a pool worker over
-/// the simulation's [`PartyStore`] or a party process over the provider
-/// it hosts.
-pub(crate) trait PartySource: Sync {
-    /// `|Dᵢ|` without materializing anything.
-    fn num_samples(&self, id: usize) -> usize;
-    /// Borrow (resident) or materialize (on-demand) party `id`.
-    fn party(&self, id: usize) -> PartyRef<'_>;
-}
-
-impl PartySource for Box<dyn PartyProvider> {
-    fn num_samples(&self, id: usize) -> usize {
-        (**self).num_samples(id)
-    }
-
-    fn party(&self, id: usize) -> PartyRef<'_> {
-        let _sp = niid_prof::span!("party.materialize");
-        PartyRef::Owned(OwnedParty::new(self.materialize(id)))
-    }
-}
-
-impl PartySource for PartyStore {
-    fn num_samples(&self, id: usize) -> usize {
-        match self {
-            PartyStore::Resident(v) => v[id].num_samples(),
-            PartyStore::OnDemand(p) => p.num_samples(id),
-        }
-    }
-
-    fn party(&self, id: usize) -> PartyRef<'_> {
-        match self {
-            PartyStore::Resident(v) => PartyRef::Borrowed(&v[id]),
-            PartyStore::OnDemand(p) => p.party(id),
-        }
-    }
-}
-
-/// A [`PartyProvider`] over fully resident parties — the adapter that
-/// lets anything wanting a provider (a distributed
-/// [`PartyHost`](crate::net::PartyHost), a cohort-on-demand test) host a
-/// classic `Vec<Party>` population. Materialization clones the party, so
-/// the provider contract (deterministic, repeatable) holds trivially.
+/// A [`PartyProvider`] over fully resident parties — how a classic
+/// `Vec<Party>` population reaches the engine
+/// ([`FedSim::new`](crate::engine::FedSim::new)) or a distributed
+/// [`PartyHost`](crate::net::PartyHost). [`party`](PartyProvider::party)
+/// lends the resident dataset without copying or touching the
+/// [`residency`] gauge; `materialize` clones, so the provider contract
+/// (deterministic, repeatable) holds trivially.
 pub struct ResidentProvider {
     parties: Vec<Party>,
 }
@@ -257,6 +207,10 @@ impl PartyProvider for ResidentProvider {
 
     fn materialize(&self, id: usize) -> Party {
         self.parties[id].clone()
+    }
+
+    fn party(&self, id: usize) -> PartyRef<'_> {
+        PartyRef::Borrowed(&self.parties[id])
     }
 }
 

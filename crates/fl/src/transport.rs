@@ -22,7 +22,7 @@ use crate::compress::SEED_COMPRESS_BASE;
 use crate::engine::FlConfig;
 use crate::fault::{self, FailureKind, FaultAction, PartyFailure};
 use crate::local::{local_train, LocalOutcome, ScaffoldCtx};
-use crate::party::PartySource;
+use crate::party::PartyProvider;
 use crate::trace::{TraceEvent, TraceSink};
 use niid_nn::{ModelSpec, Network};
 use niid_stats::{derive_seed, Pcg64};
@@ -113,7 +113,7 @@ pub(crate) struct PartyEnv<'a> {
     pub classes: usize,
     /// Lends each party's dataset for the duration of its training (a
     /// materialized one is dropped as soon as the party has trained).
-    pub parties: &'a dyn PartySource,
+    pub parties: &'a dyn PartyProvider,
     /// Per-layer gradient-norm probe ranges (round observers only).
     pub grad_spans: Option<&'a [Range<usize>]>,
 }
@@ -201,7 +201,7 @@ pub(crate) fn train_party(
                 cfg.seed,
                 SEED_COMPRESS_BASE ^ ((round << 24) ^ party_id as u64),
             );
-            let (payload, _) = cfg.codec.encode_with_feedback(
+            let payload = cfg.codec.encode_with_feedback(
                 active_kernel(),
                 &outcome.delta,
                 &mut residual,

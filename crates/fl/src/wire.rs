@@ -1,15 +1,65 @@
 //! The exact-bits byte encoding shared by the wire messages
-//! ([`crate::net`]) and the checkpoint container ([`crate::checkpoint`]):
-//! little-endian scalars, and an `f32` vector as a `u32` count followed
-//! by [`write_f32_le`] bytes. [`Cursor`] is the one decoder, so hostile
-//! or torn input ends in a typed [`Malformed`], never a panic or an
-//! allocation sized by a lying prefix.
-
-use crate::comm::{read_f32_le, write_f32_le};
+//! ([`crate::net`]), the codec payloads ([`crate::compress`]) and the
+//! checkpoint container ([`crate::checkpoint`]): little-endian scalars,
+//! and an `f32` vector as a `u32` count followed by [`write_le`] bytes.
+//! [`Cursor`] is the one decoder, so hostile or torn input ends in a
+//! typed [`Malformed`], never a panic or an allocation sized by a lying
+//! prefix.
 
 /// A decode failure: what was being read and why it cannot be.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Malformed(pub(crate) String);
+
+/// A 4-byte scalar the wire carries as its exact little-endian bits.
+///
+/// # Safety
+/// Implementors are 4 bytes wide with no padding, and every bit pattern
+/// is a valid value, so a slice of them may be read and written as bytes.
+pub(crate) unsafe trait Word: Copy + Default {}
+
+// SAFETY: `f32` and `u32` are 4-byte plain values; any bits are valid.
+unsafe impl Word for f32 {}
+// SAFETY: as for `f32`.
+unsafe impl Word for u32 {}
+
+fn as_bytes<T: Word>(xs: &[T]) -> &[u8] {
+    // SAFETY: `T: Word` has no padding, so all `size_of_val(xs)` bytes are
+    // initialized, and `u8` has alignment 1.
+    unsafe { std::slice::from_raw_parts(xs.as_ptr().cast::<u8>(), std::mem::size_of_val(xs)) }
+}
+
+fn as_bytes_mut<T: Word>(xs: &mut [T]) -> &mut [u8] {
+    // SAFETY: as in `as_bytes`; any bytes written are a valid `T` (`Word`).
+    unsafe {
+        std::slice::from_raw_parts_mut(xs.as_mut_ptr().cast::<u8>(), std::mem::size_of_val(xs))
+    }
+}
+
+/// On a big-endian target, turn native words into little-endian ones (or
+/// back) in place; on little-endian targets memory order *is* wire order.
+fn swap_to_le(bytes: &mut [u8]) {
+    if cfg!(target_endian = "big") {
+        bytes.chunks_exact_mut(4).for_each(<[u8]>::reverse);
+    }
+}
+
+/// Append `xs` to `buf` as little-endian bytes: one bulk copy of the
+/// slice, not a per-element `to_le_bytes` loop.
+pub(crate) fn write_le<T: Word>(buf: &mut Vec<u8>, xs: &[T]) {
+    let start = buf.len();
+    buf.extend_from_slice(as_bytes(xs));
+    swap_to_le(&mut buf[start..]);
+}
+
+/// Decode little-endian bytes into words, one bulk copy. `bytes.len()`
+/// is a multiple of 4 ([`Cursor`] takes exactly `4·n` bytes).
+fn read_le<T: Word>(bytes: &[u8]) -> Vec<T> {
+    let mut out = vec![T::default(); bytes.len() / 4];
+    let dst = as_bytes_mut(&mut out);
+    dst.copy_from_slice(bytes);
+    swap_to_le(dst);
+    out
+}
 
 /// A `u32` length prefix; one that does not fit is this program's bug.
 pub(crate) fn put_len(buf: &mut Vec<u8>, n: usize) {
@@ -30,7 +80,7 @@ pub(crate) fn put_f64(buf: &mut Vec<u8>, v: f64) {
 
 pub(crate) fn put_f32s(buf: &mut Vec<u8>, xs: &[f32]) {
     put_len(buf, xs.len());
-    write_f32_le(buf, xs);
+    write_le(buf, xs);
 }
 
 pub(crate) fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
@@ -90,6 +140,10 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
     }
 
+    pub(crate) fn f32(&mut self, what: &str) -> Result<f32, Malformed> {
+        Ok(f32::from_bits(self.u32(what)?))
+    }
+
     pub(crate) fn f64(&mut self, what: &str) -> Result<f64, Malformed> {
         Ok(f64::from_bits(self.u64(what)?))
     }
@@ -100,10 +154,21 @@ impl<'a> Cursor<'a> {
         usize::try_from(v).map_err(|_| Malformed(format!("{what} {v} exceeds usize")))
     }
 
+    /// `n` `f32`s whose count the caller already knows (no prefix).
+    /// Saturating: a count whose byte size overflows cannot fit either.
+    pub(crate) fn f32s(&mut self, n: usize, what: &str) -> Result<Vec<f32>, Malformed> {
+        Ok(read_le(self.take(n.saturating_mul(4), what)?))
+    }
+
+    /// `n` `u32`s whose count the caller already knows (no prefix).
+    pub(crate) fn u32s(&mut self, n: usize, what: &str) -> Result<Vec<u32>, Malformed> {
+        Ok(read_le(self.take(n.saturating_mul(4), what)?))
+    }
+
+    /// A `u32` count, then that many `f32`s.
     pub(crate) fn f32_vec(&mut self, what: &str) -> Result<Vec<f32>, Malformed> {
-        // Saturating: a count whose byte size overflows cannot fit either.
-        let bytes = (self.u32(what)? as usize).saturating_mul(4);
-        Ok(read_f32_le(self.take(bytes, what)?))
+        let n = self.u32(what)? as usize;
+        self.f32s(n, what)
     }
 
     pub(crate) fn bytes_vec(&mut self, what: &str) -> Result<Vec<u8>, Malformed> {
@@ -152,6 +217,44 @@ mod tests {
         c.finish("buffer").unwrap();
     }
 
+    #[test]
+    fn bulk_le_helpers_match_portable_byte_order() {
+        // The little-endian bulk copy must emit exactly what the portable
+        // per-element `to_le_bytes` loop would, including NaN payload bits.
+        let xs = vec![
+            1.5f32,
+            -0.0,
+            f32::NAN,
+            f32::from_bits(0x7FC0_1234),
+            f32::MAX,
+        ];
+        let mut bulk = vec![0xAAu8]; // pre-existing bytes survive the append
+        write_le(&mut bulk, &xs);
+        let mut portable = vec![0xAAu8];
+        for &v in &xs {
+            portable.extend_from_slice(&v.to_le_bytes());
+        }
+        assert_eq!(bulk, portable);
+        let back: Vec<f32> = read_le(&bulk[1..]);
+        assert_eq!(back.len(), xs.len());
+        for (a, b) in back.iter().zip(&xs) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+
+        let us = vec![0u32, 1, 0xDEAD_BEEF, u32::MAX];
+        let mut bulk = Vec::new();
+        write_le(&mut bulk, &us);
+        let mut portable = Vec::new();
+        for &v in &us {
+            portable.extend_from_slice(&v.to_le_bytes());
+        }
+        assert_eq!(bulk, portable);
+        assert_eq!(read_le::<u32>(&bulk), us);
+        let mut c = Cursor::new(&bulk);
+        assert_eq!(c.u32s(us.len(), "u").unwrap(), us);
+        c.finish("u").unwrap();
+    }
+
     /// A count is judged against the bytes behind it before the vector
     /// is allocated: `u32::MAX` floats or bytes over an empty tail.
     #[test]
@@ -160,6 +263,7 @@ mod tests {
         put_u32(&mut buf, u32::MAX);
         assert!(Cursor::new(&buf).f32_vec("v").is_err());
         assert!(Cursor::new(&buf).bytes_vec("v").is_err());
+        assert!(Cursor::new(&buf).u32s(usize::MAX, "v").is_err());
         // One float promised, three bytes supplied.
         let mut short = Vec::new();
         put_u32(&mut short, 1);
@@ -183,6 +287,7 @@ mod tests {
         put_bytes(&mut buf, &[0xFF, 0xFE]);
         assert!(Cursor::new(&buf).string("s").is_err());
         assert!(Cursor::new(&[1, 2, 3]).u32("x").is_err());
+        assert!(Cursor::new(&[1, 2, 3]).f32("x").is_err());
         assert!(Cursor::new(&[0; 7]).u64("x").is_err());
         assert!(Cursor::new(&[]).u8("x").is_err());
     }

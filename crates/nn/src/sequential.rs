@@ -22,12 +22,6 @@ impl Sequential {
         self
     }
 
-    /// Push a boxed layer.
-    pub fn push_boxed(mut self, layer: Box<dyn Layer>) -> Self {
-        self.layers.push(layer);
-        self
-    }
-
     /// Number of layers in the chain.
     pub fn len(&self) -> usize {
         self.layers.len()

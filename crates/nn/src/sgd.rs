@@ -60,12 +60,6 @@ impl Sgd {
         self.lr
     }
 
-    /// Replace the learning rate (schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr.is_finite() && lr > 0.0, "SGD: lr must be positive");
-        self.lr = lr;
-    }
-
     /// Reset momentum state (each federated round starts local training
     /// fresh, as the reference implementation re-creates the optimizer).
     pub fn reset(&mut self) {

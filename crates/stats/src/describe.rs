@@ -48,12 +48,6 @@ impl Summary {
         }
     }
 
-    /// Compute summary statistics over f32 values.
-    pub fn of_f32(xs: &[f32]) -> Self {
-        let as64: Vec<f64> = xs.iter().map(|&x| x as f64).collect();
-        Self::of(&as64)
-    }
-
     /// Format as the paper's `mean%±std%` accuracy cell (inputs in [0, 1]).
     pub fn accuracy_cell(&self) -> String {
         format!(

@@ -37,12 +37,6 @@ pub struct Gaussian {
 }
 
 impl Gaussian {
-    /// Standard normal: mean 0, variance 1.
-    pub const STANDARD: Gaussian = Gaussian {
-        mean: 0.0,
-        variance: 1.0,
-    };
-
     /// Create a Gaussian with the given mean and variance.
     ///
     /// # Panics

@@ -302,13 +302,6 @@ impl Tensor {
         }
     }
 
-    /// Apply a function to every element in place.
-    pub fn map_assign(&mut self, f: impl Fn(f32) -> f32) {
-        for a in &mut self.data {
-            *a = f(*a);
-        }
-    }
-
     /// Fill with zeros, keeping the allocation.
     pub fn zero_(&mut self) {
         self.data.iter_mut().for_each(|a| *a = 0.0);

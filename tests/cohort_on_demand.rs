@@ -10,7 +10,9 @@ use niid_bench_rs::core::partition::{LazyPartition, Strategy};
 use niid_bench_rs::data::Dataset;
 use niid_bench_rs::fl::engine::{BufferPolicy, FedSim, FlConfig};
 use niid_bench_rs::fl::local::LocalConfig;
-use niid_bench_rs::fl::{residency, Algorithm, ControlVariateUpdate, PartyProvider};
+use niid_bench_rs::fl::{
+    residency, Algorithm, ControlVariateUpdate, Party, PartyProvider, PartyRef, ResidentProvider,
+};
 use niid_bench_rs::nn::ModelSpec;
 use niid_bench_rs::stats::Pcg64;
 use niid_bench_rs::tensor::Tensor;
@@ -167,5 +169,44 @@ fn lazy_residency_peak_tracks_cohort_not_population() {
     assert!(
         peak < population_bytes / 50,
         "peak residency {peak} B is population-scale ({population_bytes} B total)"
+    );
+}
+
+/// One party source, two lending modes: a resident provider lends the
+/// party it holds (no copy, so nothing for the residency gauge), while a
+/// lazy provider materializes and owns one, charged to the gauge until
+/// the handle drops.
+#[test]
+fn resident_parties_are_lent_and_lazy_parties_are_charged() {
+    let parties: Vec<Party> = (0..3)
+        .map(|id| Party::new(id, synth(4, 0x1E0 + id as u64, "held")))
+        .collect();
+    let held_at = parties[2].data.features.as_slice().as_ptr();
+    let resident = ResidentProvider::new(parties);
+    match resident.party(2) {
+        PartyRef::Borrowed(p) => assert_eq!(
+            p.data.features.as_slice().as_ptr(),
+            held_at,
+            "lent a copy, not the held party"
+        ),
+        PartyRef::Owned(_) => panic!("a resident party was materialized"),
+    }
+
+    let lazy = LazyPartition::new(
+        Arc::new(synth(40, 0x1E1, "lazy")),
+        10,
+        Strategy::Homogeneous,
+        3,
+    )
+    .expect("homogeneous lazy partition");
+    let party = lazy.party(7);
+    assert!(matches!(party, PartyRef::Owned(_)), "a lazy party is owned");
+    let bytes = party.data.features.numel() * std::mem::size_of::<f32>()
+        + party.data.labels.len() * std::mem::size_of::<usize>();
+    // Other tests in this binary move the process-wide gauge concurrently,
+    // so only the lower bound is exact.
+    assert!(
+        residency::current_bytes() >= bytes,
+        "owned party not charged"
     );
 }

@@ -167,8 +167,8 @@ impl UpdateCodec {
         }
     }
 
-    /// Decode a wire body for an `n`-element update through the one
-    /// [`Cursor`].
+    /// Decode a wire body for an `n`-element update through the crate's
+    /// one byte cursor (`wire::Cursor`).
     ///
     /// Malformed or hostile input is a [`NetError::Malformed`] naming the
     /// failed check: a truncated payload, trailing garbage, an index count

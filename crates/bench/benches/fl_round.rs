@@ -83,7 +83,8 @@ fn main() {
         );
     }
 
-    // FedAvg swept over the work-stealing scheduler's party-thread count.
+    // FedAvg swept over the party-level width: the cohort's tasks on the
+    // kernel pool, capped at NIID_THREADS.
     for threads in [2usize, 4] {
         h.bench_meta(
             &format!("FedAvg/t{threads}"),

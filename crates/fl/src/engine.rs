@@ -60,11 +60,12 @@ pub struct FlConfig {
     pub server_lr: f32,
     /// Master seed for the run.
     pub seed: u64,
-    /// Worker threads for parallel local training (0 = the global thread
-    /// configuration: `NIID_THREADS` if set, else one per CPU core; always
-    /// capped by the number of sampled parties). Each worker's kernel-level
-    /// parallelism is budgeted to `configured / threads` so party × kernel
-    /// threads never oversubscribe the machine.
+    /// How many parties train at once (0 = the global thread
+    /// configuration: `NIID_THREADS` if set, else one per CPU core). Parties
+    /// are tasks of the one kernel pool, the calling thread included, so
+    /// the width is capped at `NIID_THREADS` and at the number of sampled
+    /// parties; a party task's kernels run inline on its thread. At 1 every
+    /// party trains on the caller with the caller's full kernel budget.
     pub threads: usize,
     /// Minimum fraction of a round's *selected* parties that must produce
     /// a usable update for the round to aggregate (in `(0, 1]`, at least
@@ -1668,36 +1669,47 @@ mod tests {
         }
     }
 
-    /// The pool's worker models live as long as the pool, not one round:
-    /// a slot swapped for the wrong architecture is still there next round
-    /// (its first party panics on the length check), and that panic tears
-    /// the slot down so the next party rebuilds it.
+    /// The pool's models live as long as the pool, not one round: a model
+    /// swapped for the wrong architecture is still there next round (the
+    /// first party to take it panics on the length check), and that panic
+    /// tears it down so the round after trains every party. The pool never
+    /// holds more models than its region is wide.
     #[test]
     fn local_pool_keeps_worker_models_across_rounds() {
-        let (parties, test) = toy_setup(3, 16, 61);
-        let mut cfg = quick_config(Algorithm::FedAvg, 62);
-        cfg.threads = 1;
-        let sim = FedSim::new(spec(), parties, test, cfg).unwrap();
-        let st = sim.initial_state();
-        let mut pool = sim.local_pool(None);
-        let round = |pool: &mut LocalPool<'_>, round: usize| {
-            let bcast = Broadcast {
-                round,
-                params: &st.global_params,
-                buffers: &st.global_buffers,
-                server_c: &[],
+        for threads in [1, 2] {
+            let (parties, test) = toy_setup(3, 16, 61);
+            let mut cfg = quick_config(Algorithm::FedAvg, 62);
+            cfg.threads = threads;
+            let sim = FedSim::new(spec(), parties, test, cfg).unwrap();
+            let st = sim.initial_state();
+            let mut pool = sim.local_pool(None);
+            let width = threads.min(niid_tensor::configured_threads());
+            let round = |pool: &mut LocalPool<'_>, round: usize| {
+                let bcast = Broadcast {
+                    round,
+                    params: &st.global_params,
+                    buffers: &st.global_buffers,
+                    server_c: &[],
+                };
+                let (c, r) = (BTreeMap::new(), BTreeMap::new());
+                let trained = pool
+                    .train_round(&bcast, &[0, 1, 2], &c, &r, &NoopSink)
+                    .iter()
+                    .map(|o| matches!(o, PartyOutcome::Trained(_)))
+                    .collect::<Vec<_>>();
+                assert!((1..=width).contains(&pool.models.len()), "@{threads}");
+                trained
             };
-            let (c, r) = (BTreeMap::new(), BTreeMap::new());
-            pool.train_round(&bcast, &[0, 1, 2], &c, &r, &NoopSink)
-                .iter()
-                .map(|o| matches!(o, PartyOutcome::Trained(_)))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(round(&mut pool, 0), [true, true, true]);
-        assert_eq!(pool.models.len(), 1);
-        pool.models[0] = Some(ModelSpec::Mlp { in_dim: 5 }.build(2, 0));
-        assert_eq!(round(&mut pool, 1), [false, true, true]);
-        assert_eq!(round(&mut pool, 2), [true, true, true]);
+            assert_eq!(round(&mut pool, 0), [true, true, true], "@{threads}");
+            // The last free model is the next one taken.
+            *pool.models.last_mut().unwrap() = ModelSpec::Mlp { in_dim: 5 }.build(2, 0);
+            let trained = round(&mut pool, 1);
+            assert_eq!(trained.iter().filter(|&&t| !t).count(), 1, "@{threads}");
+            if threads == 1 {
+                assert_eq!(trained, [false, true, true]);
+            }
+            assert_eq!(round(&mut pool, 2), [true, true, true], "@{threads}");
+        }
     }
 
     /// SCAFFOLD + int8 over four parties, two clean rounds in: every

@@ -5,7 +5,7 @@
 //! selected party back; it does not know whether they trained on the
 //! in-process pool ([`LocalPool`]) or across sockets
 //! ([`Coordinator`](crate::net::Coordinator)). Both run the *same*
-//! [`train_party`] — the pool worker calls it directly, a party process
+//! [`train_party`] — a pool task calls it directly, a party process
 //! calls it from [`run_party_client`](crate::net::run_party_client) — so
 //! the fault schedule, the derived RNG and codec seeds, panic isolation
 //! and error-feedback encoding exist once, and bit-identity between the
@@ -26,11 +26,13 @@ use crate::party::PartyProvider;
 use crate::trace::{TraceEvent, TraceSink};
 use niid_nn::{ModelSpec, Network};
 use niid_stats::{derive_seed, Pcg64};
-use niid_tensor::{active_kernel, configured_threads, set_thread_budget, with_forced_kernel};
+use niid_tensor::{
+    active_kernel, configured_threads, parallel_for, with_forced_kernel, with_thread_budget,
+};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
 /// A party that finished local training: what it reports, as it would
@@ -122,8 +124,8 @@ pub(crate) struct PartyEnv<'a> {
 /// action first (delays are real sleeps, crashes real panics), local
 /// training under a panic boundary with the RNG derived from
 /// `(seed, round, party)`, then the error-feedback encode with the codec
-/// seed derived the same way. `model_slot` is the calling worker's
-/// reusable model; a panic tears it down.
+/// seed derived the same way. `model_slot` is the caller's reusable
+/// model; a panic tears it down.
 ///
 /// `client_c` and `residual` are the party's own state, by value: the
 /// refreshed ones come back in the outcome, and on failure they are
@@ -164,7 +166,7 @@ pub(crate) fn train_party(
     }
     let inject_crash = action == FaultAction::Crash;
     let mut rng = Pcg64::new(derive_seed(cfg.seed, (round << 24) ^ (party_id as u64 + 1)));
-    // The closure mutates only this party's own variate and the worker's
+    // The closure mutates only this party's own variate and the task's
     // model slot. `local_train` commits the variate refresh at its very
     // end and the half-trained model is torn down below, so nothing
     // half-updated survives an unwind — which is what makes the
@@ -237,13 +239,18 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The in-process transport: the cohort trains on a work-stealing pool
-/// of threads inside this process.
+/// The in-process transport: the cohort trains as tasks of the one
+/// kernel pool ([`parallel_for`]), the calling thread among them, so no
+/// thread is created per round. The region is `min(FlConfig::threads,
+/// NIID_THREADS, cohort)` wide, and a party task's own kernels run inline
+/// on its thread by the pool's one-level nesting rule.
 pub(crate) struct LocalPool<'a> {
     env: PartyEnv<'a>,
-    /// One reusable model per worker, built on first use and kept across
-    /// rounds (a worker whose party panicked rebuilds its own).
-    pub models: Vec<Option<Network>>,
+    /// Free reusable models, kept across rounds. A task takes one (or
+    /// builds one when none is free) and puts it back after its party, so
+    /// there are never more than the region is wide; a party that
+    /// panicked tears its model down instead.
+    pub models: Vec<Network>,
 }
 
 impl<'a> LocalPool<'a> {
@@ -264,88 +271,60 @@ impl Transport for LocalPool<'_> {
         residuals: &BTreeMap<usize, Vec<f32>>,
         sink: &dyn TraceSink,
     ) -> Vec<PartyOutcome> {
-        let (env, models) = (&self.env, &mut self.models);
+        let env = &self.env;
         // `(slot in selected, party id)`, longest-processing-time-first:
         // under quantity skew one party can hold most of the data, so
-        // workers should start the big parties first and backfill with
+        // tasks should start the big parties first and backfill with
         // small ones. Party id breaks ties so the queue order is
         // deterministic. `num_samples` never materializes a dataset, so
         // this stays O(m) work even on the on-demand path.
         let mut queue: Vec<(usize, usize)> = selected.iter().copied().enumerate().collect();
         queue.sort_by_key(|&(_, id)| (std::cmp::Reverse(env.parties.num_samples(id)), id));
 
-        let threads = match env.cfg.threads {
+        let width = match env.cfg.threads {
             0 => configured_threads(),
-            t => t,
+            t => t.min(configured_threads()),
         }
-        .min(queue.len())
-        .max(1);
-        if models.len() < threads {
-            models.resize_with(threads, || None);
-        }
-
-        let run_job = |party_id: usize, model_slot: &mut Option<Network>| -> PartyOutcome {
+        .min(queue.len());
+        const POISONED: &str = "no task panics while holding the free models";
+        let free = Mutex::new(std::mem::take(&mut self.models));
+        let done: Vec<OnceLock<PartyOutcome>> = queue.iter().map(|_| OnceLock::new()).collect();
+        // The SIMD micro-kernel is resolved once per round on the calling
+        // thread and pinned into every task, so a round running under
+        // `with_forced_kernel` (determinism tests) uses that kernel for
+        // all parties whichever thread trains them.
+        let kern = active_kernel();
+        let run = |task: usize| {
+            let (slot, party_id) = queue[task];
             // A party absent from a sparse map has the implicit all-zero
             // state (an empty Vec means the same downstream).
             let own = |map: &BTreeMap<usize, Vec<f32>>| map.get(&party_id).cloned();
-            let outcome = train_party(
-                env,
-                bcast,
-                model_slot,
-                party_id,
-                own(client_c).unwrap_or_default(),
-                own(residuals).unwrap_or_default(),
-            );
+            let mut model = free.lock().expect(POISONED).pop();
+            let outcome = with_forced_kernel(kern, || {
+                train_party(
+                    env,
+                    bcast,
+                    &mut model,
+                    party_id,
+                    own(client_c).unwrap_or_default(),
+                    own(residuals).unwrap_or_default(),
+                )
+            });
+            free.lock().expect(POISONED).extend(model);
             record_trained(sink, bcast.round, party_id, &outcome);
-            outcome
+            let _ = done[slot].set(outcome);
         };
-
-        let mut done: Vec<(usize, PartyOutcome)> = if threads <= 1 {
-            let model = &mut models[0];
-            let run = |&(slot, party_id)| (slot, run_job(party_id, model));
-            queue.iter().map(run).collect()
+        if width > 1 {
+            with_thread_budget(width, || parallel_for(queue.len(), &run));
         } else {
-            // Work-stealing over the LPT-ordered queue: workers claim jobs
-            // one at a time through an atomic cursor, so a worker that draws
-            // a huge party under quantity skew doesn't also get stuck with a
-            // pre-assigned chunk of stragglers behind it. Each worker owns one
-            // reusable model slot and caps its kernel-level parallelism
-            // so party × kernel threads never oversubscribe the configured
-            // budget.
-            let cursor = AtomicUsize::new(0);
-            let kernel_budget = (configured_threads() / threads).max(1);
-            // The SIMD micro-kernel is resolved once per round on the
-            // calling thread and pinned into every worker, so a round
-            // running under `with_forced_kernel` (determinism tests) uses
-            // that kernel for all parties regardless of thread count.
-            let kern = active_kernel();
-            let (run_job, queue, cursor) = (&run_job, &queue, &cursor);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = models[..threads]
-                    .iter_mut()
-                    .map(|model| {
-                        s.spawn(move || {
-                            set_thread_budget(kernel_budget);
-                            with_forced_kernel(kern, || {
-                                let mut done = Vec::new();
-                                while let Some(&(slot, party_id)) =
-                                    queue.get(cursor.fetch_add(1, Ordering::Relaxed))
-                                {
-                                    done.push((slot, run_job(party_id, model)));
-                                }
-                                done
-                            })
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("local-training worker panicked"))
-                    .collect()
-            })
-        };
+            // One party at a time on the caller, whose kernels keep the
+            // caller's full budget.
+            (0..queue.len()).for_each(run);
+        }
+        self.models = free.into_inner().expect(POISONED);
         // Back into `selected` order, whatever the scheduling was.
-        done.sort_by_key(|&(slot, _)| slot);
-        done.into_iter().map(|(_, outcome)| outcome).collect()
+        done.into_iter()
+            .map(|o| o.into_inner().expect("every queued party reported"))
+            .collect()
     }
 }

@@ -17,13 +17,16 @@
 //!
 //! The pool is created once, sized to `NIID_THREADS` (or the machine's
 //! core count) minus one — the caller is always the extra worker. Layers
-//! that parallelize *above* the kernels (party-level training in
-//! `niid-fl`) divide the core budget among their workers via
-//! [`set_thread_budget`], a thread-local cap, so party-parallelism times
-//! kernel-parallelism never exceeds the configured core count. A nested
-//! `parallel_for` issued from inside a pool task always runs inline: one
-//! level of data-parallelism is the maximum, which also makes the pool
-//! deadlock-free.
+//! that parallelize *above* the kernels use the same pool: party-level
+//! training in `niid-fl` runs each round's cohort as one `parallel_for`
+//! region (at most `NIID_THREADS` wide, narrowed with
+//! [`with_thread_budget`]), so it creates no threads of its own. A nested
+//! `parallel_for` issued from inside a pool task always runs inline — a
+//! party task's kernels run on that task's thread — so one level of
+//! data-parallelism is the maximum, the two levels never oversubscribe
+//! the configured core count, and the pool is deadlock-free.
+//! [`set_thread_budget`] remains the thread-local cap for threads outside
+//! the pool that should keep their kernels narrow.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -225,6 +225,35 @@ fn multithreaded_chrome_trace_is_well_formed() {
     }
 }
 
+/// A pooled run trains on threads that already exist, so the rings stay
+/// bounded: a second `threads = 2` run registers no ring the first did
+/// not. (Any thread spawned on the round path would leave a ring behind.)
+#[test]
+fn pooled_runs_register_no_new_rings() {
+    use niid_bench_rs::tensor::{configured_threads, parallel_for};
+    let _g = prof_lock();
+    prof::enable(true);
+    // Every pool worker records a span first: a full-width region whose
+    // tasks each hold their thread at the barrier until all are taken, so
+    // no worker can get its first ring from the runs below.
+    let all = std::sync::Barrier::new(configured_threads());
+    parallel_for(configured_threads(), &|_| {
+        all.wait();
+    });
+    let run = || {
+        let (parties, test) = skewed_setup(&[40, 30, 50, 40, 20, 40], 71);
+        let mut cfg = config(2, 72);
+        cfg.rounds = 5;
+        let sim = FedSim::new(ModelSpec::Mlp { in_dim: 4 }, parties, test, cfg).unwrap();
+        sim.run().unwrap();
+        prof::ring_stats().len()
+    };
+    let first = run();
+    let second = run();
+    prof::enable(false);
+    assert_eq!(second, first, "a pooled run registered new span rings");
+}
+
 /// Wrap accounting through the facade: a burst larger than the ring keeps
 /// exact recorded/dropped counters and `retained == RING_CAPACITY`.
 #[test]

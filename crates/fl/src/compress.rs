@@ -84,11 +84,16 @@ fn k_for(fraction: f64, n: usize) -> usize {
 /// Reinterpret an `i8` slice as bytes (identical size/alignment, every bit
 /// pattern valid for both).
 fn i8_as_u8(xs: &[i8]) -> &[u8] {
+    // SAFETY: `i8` and `u8` have the same size (1) and alignment (1) and
+    // every bit pattern is valid for both, so the same `xs.len()`
+    // initialized bytes, borrowed for the same lifetime, are a valid
+    // `[u8]`.
     unsafe { std::slice::from_raw_parts(xs.as_ptr().cast::<u8>(), xs.len()) }
 }
 
 /// Reinterpret a byte slice as `i8` (see [`i8_as_u8`]).
 fn u8_as_i8(xs: &[u8]) -> &[i8] {
+    // SAFETY: as in `i8_as_u8`, with the roles of the two types swapped.
     unsafe { std::slice::from_raw_parts(xs.as_ptr().cast::<i8>(), xs.len()) }
 }
 

@@ -27,6 +27,11 @@
 //! drops and delays; the engine isolates party failures (panics included),
 //! aggregates the surviving quorum, and checkpoints round-granular state
 //! ([`checkpoint`]) so an interrupted run resumes bit-for-bit.
+//!
+//! Every `unsafe` block and `unsafe impl` states the invariant it relies
+//! on in a `// SAFETY:` comment; the lint below keeps it that way.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod aggregate;
 pub mod algorithm;

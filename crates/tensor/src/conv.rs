@@ -76,10 +76,9 @@ use crate::dispatch::ConvLowering;
 use crate::matmul::{matmul_a_bt_slices, matmul_at_b_slices};
 use crate::parallel::{parallel_for_threshold, with_scratch, SharedMut};
 use crate::simd::{self, Kernel};
-use crate::stats;
+use crate::stats::{self, Counter};
 use crate::tensor::Tensor;
 use std::cell::RefCell;
-use std::sync::atomic::AtomicU64;
 
 /// Floats the padded batch and the dX plane extend past their last
 /// sample: the direct kernels' segment loads read (and their dX add
@@ -436,11 +435,11 @@ impl ConvScratch {
 
     fn ensure(buf: &mut Vec<f32>, len: usize) {
         if buf.len() < len {
-            stats::bump(&stats::CONV_SCRATCH_ALLOCS, 1);
+            stats::bump(Counter::ConvScratchAllocs, 1);
             stats::scratch_grew(((len - buf.len()) * std::mem::size_of::<f32>()) as u64);
             buf.resize(len, 0.0);
         } else if len > 0 {
-            stats::bump(&stats::CONV_SCRATCH_REUSES, 1);
+            stats::bump(Counter::ConvScratchReuses, 1);
         }
     }
 }
@@ -485,11 +484,11 @@ fn check_forward_args(
 }
 
 /// The call counter of `lowering` (forward and fused dW each count one).
-fn calls(lowering: ConvLowering) -> &'static AtomicU64 {
+fn calls(lowering: ConvLowering) -> Counter {
     match lowering {
-        ConvLowering::Materialized => &stats::CONV_MATERIALIZED_CALLS,
-        ConvLowering::Implicit => &stats::CONV_IMPLICIT_CALLS,
-        ConvLowering::Direct => &stats::CONV_DIRECT_CALLS,
+        ConvLowering::Materialized => Counter::ConvMaterializedCalls,
+        ConvLowering::Implicit => Counter::ConvImplicitCalls,
+        ConvLowering::Direct => Counter::ConvDirectCalls,
     }
 }
 
@@ -514,7 +513,7 @@ fn forward_samples(
     if lowering != ConvLowering::Materialized {
         // The fused GEMM work bypasses `matmul_a_bt_slices`, so account
         // for its flops here (the materialized path counts them there).
-        stats::bump(&stats::GEMM_FLOPS, flops as u64);
+        stats::bump(Counter::GemmFlops, flops as u64);
     }
     scratch.prime(input.as_slice(), n, s, lowering);
     let scratch = &*scratch;
@@ -899,7 +898,7 @@ fn backward_input(
     };
     if lowering != ConvLowering::Materialized {
         // The dX GEMM flops, normally counted inside matmul_at_b_slices.
-        stats::bump(&stats::GEMM_FLOPS, flops as u64);
+        stats::bump(Counter::GemmFlops, flops as u64);
     }
     #[cfg(target_arch = "x86_64")]
     let wpack: &[f32] = if lowering == ConvLowering::Direct {
@@ -1063,7 +1062,7 @@ fn dw_fused(scratch: &ConvScratch, grad_out: &Tensor, s: &Conv2dShape, grad_weig
     let direct = scratch.cached == ConvLowering::Direct;
     stats::bump(calls(scratch.cached), 1);
     // The dW GEMM flops, normally counted inside matmul_at_b_slices.
-    stats::bump(&stats::GEMM_FLOPS, flops as u64);
+    stats::bump(Counter::GemmFlops, flops as u64);
     let tiles = crate::dispatch::tiles_for(crate::dispatch::classify_conv(s.in_channels, cw));
     let go = grad_out.as_slice();
     let xs = &scratch.input[..n * v.input_numel() + SLACK];

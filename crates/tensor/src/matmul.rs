@@ -76,7 +76,7 @@
 use crate::dispatch::{self, GemmOp, TileParams};
 use crate::parallel::{parallel_for_threshold as maybe_parallel, SharedMut};
 use crate::simd::{self, Kernel};
-use crate::stats;
+use crate::stats::{self, Counter};
 use crate::tensor::Tensor;
 
 /// Rows of `C` per parallel task in [`matmul`] / [`matmul_a_bt`].
@@ -104,10 +104,7 @@ pub(crate) const ATB_BLOCK_M: usize = 1024;
 /// operation no matter which worker executes a tile, and the dispatch
 /// decision never sits in an inner loop.
 #[inline]
-fn dispatch_kernel(
-    simd_ctr: &'static std::sync::atomic::AtomicU64,
-    scalar_ctr: &'static std::sync::atomic::AtomicU64,
-) -> Kernel {
+fn dispatch_kernel(simd_ctr: Counter, scalar_ctr: Counter) -> Kernel {
     let kern = simd::active_kernel();
     stats::bump(if kern.is_simd() { simd_ctr } else { scalar_ctr }, 1);
     kern
@@ -123,9 +120,9 @@ pub fn matmul_slices(av: &[f32], bv: &[f32], c: &mut [f32], m: usize, k: usize, 
     if m == 0 || k == 0 || n == 0 {
         return;
     }
-    stats::bump(&stats::GEMM_AB_CALLS, 1);
-    stats::bump(&stats::GEMM_FLOPS, (2 * m * k * n) as u64);
-    let kern = dispatch_kernel(&stats::GEMM_AB_SIMD_CALLS, &stats::GEMM_AB_SCALAR_CALLS);
+    stats::bump(Counter::GemmAbCalls, 1);
+    stats::bump(Counter::GemmFlops, (2 * m * k * n) as u64);
+    let kern = dispatch_kernel(Counter::GemmAbSimdCalls, Counter::GemmAbScalarCalls);
     // Tiles are resolved once per call on the calling thread, like the
     // kernel itself. The scalar arm is pinned to the historical constants
     // — the tuned table must never reach it.
@@ -264,9 +261,9 @@ pub fn matmul_at_b_slices(av: &[f32], bv: &[f32], c: &mut [f32], m: usize, k: us
         return;
     }
     let flops = 2 * m * k * n;
-    stats::bump(&stats::GEMM_ATB_CALLS, 1);
-    stats::bump(&stats::GEMM_FLOPS, flops as u64);
-    let kern = dispatch_kernel(&stats::GEMM_ATB_SIMD_CALLS, &stats::GEMM_ATB_SCALAR_CALLS);
+    stats::bump(Counter::GemmAtbCalls, 1);
+    stats::bump(Counter::GemmFlops, flops as u64);
+    let kern = dispatch_kernel(Counter::GemmAtbSimdCalls, Counter::GemmAtbScalarCalls);
     // Wide outputs: split the k output rows across tasks; each task sweeps
     // all m input rows but touches only its own rows of C, so per-element
     // accumulation order (ascending input row) matches the sequential
@@ -405,9 +402,9 @@ pub fn matmul_a_bt_slices(av: &[f32], bv: &[f32], c: &mut [f32], m: usize, n: us
         c.fill(0.0);
         return;
     }
-    stats::bump(&stats::GEMM_ABT_CALLS, 1);
-    stats::bump(&stats::GEMM_FLOPS, (2 * m * k * n) as u64);
-    let kern = dispatch_kernel(&stats::GEMM_ABT_SIMD_CALLS, &stats::GEMM_ABT_SCALAR_CALLS);
+    stats::bump(Counter::GemmAbtCalls, 1);
+    stats::bump(Counter::GemmFlops, (2 * m * k * n) as u64);
+    let kern = dispatch_kernel(Counter::GemmAbtSimdCalls, Counter::GemmAbtScalarCalls);
     if kern.is_simd() {
         #[cfg(target_arch = "x86_64")]
         {

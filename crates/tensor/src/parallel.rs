@@ -33,7 +33,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 
-use crate::stats;
+use crate::stats::{self, Counter};
 
 /// Environment variable overriding the detected core count.
 pub const ENV_THREADS: &str = "NIID_THREADS";
@@ -168,7 +168,7 @@ impl ThreadPool {
                     let _steal = niid_prof::span!("pool.steal");
                     let claimed = region.work();
                     if claimed > 0 {
-                        stats::bump(&stats::POOL_STOLEN_TASKS, claimed as u64);
+                        stats::bump(Counter::PoolStolenTasks, claimed as u64);
                     }
                     let mut rem = region.remaining.lock().unwrap();
                     *rem -= 1;
@@ -211,8 +211,8 @@ pub fn parallel_for(tasks: usize, body: &(dyn Fn(usize) + Sync)) {
     let width = thread_budget();
     let nested = IN_REGION.with(Cell::get);
     if tasks == 1 || width <= 1 || nested {
-        stats::bump(&stats::POOL_INLINE_REGIONS, 1);
-        stats::bump(&stats::POOL_TASKS, tasks as u64);
+        stats::bump(Counter::PoolInlineRegions, 1);
+        stats::bump(Counter::PoolTasks, tasks as u64);
         for i in 0..tasks {
             body(i);
         }
@@ -221,15 +221,15 @@ pub fn parallel_for(tasks: usize, body: &(dyn Fn(usize) + Sync)) {
     let pool = pool();
     let helpers = (width - 1).min(tasks - 1).min(pool.workers);
     if helpers == 0 {
-        stats::bump(&stats::POOL_INLINE_REGIONS, 1);
-        stats::bump(&stats::POOL_TASKS, tasks as u64);
+        stats::bump(Counter::PoolInlineRegions, 1);
+        stats::bump(Counter::PoolTasks, tasks as u64);
         for i in 0..tasks {
             body(i);
         }
         return;
     }
-    stats::bump(&stats::POOL_REGIONS, 1);
-    stats::bump(&stats::POOL_TASKS, tasks as u64);
+    stats::bump(Counter::PoolRegions, 1);
+    stats::bump(Counter::PoolTasks, tasks as u64);
     // SAFETY: the borrow outlives the region because this frame blocks on
     // `remaining == 0` before returning.
     let body_static: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(body) };
@@ -275,8 +275,8 @@ pub(crate) fn parallel_for_threshold(tasks: usize, flops: usize, body: &(dyn Fn(
     if flops >= PAR_MIN_FLOPS && tasks > 1 {
         parallel_for(tasks, body);
     } else {
-        stats::bump(&stats::POOL_INLINE_REGIONS, 1);
-        stats::bump(&stats::POOL_TASKS, tasks as u64);
+        stats::bump(Counter::PoolInlineRegions, 1);
+        stats::bump(Counter::PoolTasks, tasks as u64);
         for t in 0..tasks {
             body(t);
         }

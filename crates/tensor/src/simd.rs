@@ -40,7 +40,8 @@
 //! |-----------------------------------|----------------|
 //! | `add_assign`, `add_scalar_assign`, `scale_assign`, `relu_*` | bit-identical (lane ops have scalar IEEE semantics) |
 //! | `sum_sq_f64`                      | bit-identical (4 f64 lanes mirror the scalar 4-accumulator loop) |
-//! | `max_abs`, `quantize_stochastic_i8`, `dequantize_i8`, `topk_select` | bit-identical (max/compare/convert are exact; the dither hash is integer) |
+//! | `max_abs`, `quantize_stochastic_i8`, `dequantize_i8` | bit-identical (max/compare/convert are exact; the dither hash is integer) |
+//! | `topk_select`                     | identical (one integer radix select serves both arms) |
 //! | `axpy`, `dot`, `sum`, `sgd_momentum_step` | tolerance-bounded (FMA contraction and/or lane-reduction reassociation) |
 //!
 //! NaN/∞ propagation matches the scalar kernels everywhere: FMA and lane
@@ -746,28 +747,49 @@ pub fn dequantize_i8(k: Kernel, qs: &[i8], scale: f32, levels: u16, out: &mut [f
     }
 }
 
-/// Fixed scan-block width for [`topk_select`]'s candidate pass. Like
-/// [`REDUCE_BLOCK`](crate::parallel) this is a constant of the wire
-/// format's determinism story, not a tuning knob: candidates concatenate
-/// in block order, so the output is a function of the data alone.
+/// Fixed block width for [`topk_select`]'s passes over the input. Like
+/// the aggregation's `REDUCE_BLOCK` in `niid-fl` this is a constant of
+/// the wire format's determinism story, not a tuning knob: block
+/// histograms sum in any order and block candidates concatenate in block
+/// order, so the output is a function of the data alone. It also bounds
+/// a block's bucket counts, which is what lets them be `u16`.
 const SCAN_BLOCK: usize = 8192;
+
+/// The first radix digit is `|x|.to_bits() >> DIGIT_SHIFT`: the exponent
+/// byte plus the top three mantissa bits, so even a vector whose
+/// magnitudes share one exponent spreads over eight buckets.
+const DIGIT_SHIFT: u32 = 20;
+
+/// Number of first-digit buckets (the magnitude key has 31 bits).
+const BUCKETS: usize = 1 << (31 - DIGIT_SHIFT);
+
+/// A boundary bucket with more members than this is narrowed by the next
+/// mantissa byte before the final `select_nth_unstable`, which costs
+/// several times a histogram pass per element.
+const REFINE_ABOVE: usize = 48;
 
 /// Indices (ascending) of the `count` largest-magnitude elements of `xs`
 /// — the top-k sparsifier's selection pass.
 ///
-/// Threshold-select, not a sort: a strided sample estimates the k-th
-/// magnitude, one pass over fixed [`SCAN_BLOCK`] blocks (parallelized on
-/// the work-stealing pool) collects every candidate at or above the
-/// deliberately-low estimate, and an exact fix-up keeps precisely
-/// `count` of them by `(|x| desc, index asc)` — ties broken toward the
-/// lower index. Magnitudes compare via their IEEE bit patterns
-/// (monotonic in `|x|`, NaN ranking above ∞), so the selected set is
-/// exact, identical on both arms, and bit-identical at any thread count.
+/// An exact radix select on the magnitude key `|x|.to_bits()`, which
+/// orders like `|x|` with NaN above ∞, reading the input twice: one
+/// histogram of the key's top 11 bits (the exponent byte and three
+/// mantissa bits) finds the bucket holding the `count`-th largest key,
+/// then one branch-free pass collects every element in or above that
+/// bucket as a packed `(|x|, index)` key. The rest works on those
+/// candidates only: the boundary bucket's members, narrowed by the next
+/// mantissa byte when there are more than `REFINE_ABOVE` of them, give
+/// the cutoff key through one `select_nth_unstable`, and a branch-free
+/// filter keeps the candidates at or above it. Ties go to the lower
+/// index. Both passes split into fixed [`SCAN_BLOCK`] blocks (on the
+/// pool when there are several), and all of it is integer code shared by
+/// both kernel arms (`_k` selects nothing), so the output is identical
+/// on either arm and at any thread count.
 ///
 /// # Panics
 /// Panics when `xs.len()` does not fit `u32` (the sparse wire format's
 /// index type).
-pub fn topk_select(k: Kernel, xs: &[f32], count: usize) -> Vec<u32> {
+pub fn topk_select(_k: Kernel, xs: &[f32], count: usize) -> Vec<u32> {
     assert!(
         u32::try_from(xs.len()).is_ok(),
         "topk_select: length {} exceeds the u32 index space",
@@ -780,85 +802,181 @@ pub fn topk_select(k: Kernel, xs: &[f32], count: usize) -> Vec<u32> {
     if count >= n {
         return (0..n as u32).collect();
     }
-    let key = |v: f32| v.to_bits() & 0x7FFF_FFFF;
-    // Strided sample (deterministic positions).
-    let stride = n.div_ceil(512);
-    let mut sample: Vec<u32> = xs.iter().step_by(stride).map(|&v| key(v)).collect();
-    // Aim low — roughly the 2k-th magnitude plus slack — so the candidate
-    // pass overshoots `count` and the fix-up only ever has to trim. An
-    // adversarial distribution can still undershoot; each retry doubles
-    // the rank until the threshold bottoms out at 0 (collect everything).
-    let mut rank = (2 * count) / stride + 8;
-    loop {
-        // The rank-th largest sampled key.
-        let threshold = if rank >= sample.len() {
-            0
-        } else {
-            let at = sample.len() - 1 - rank;
-            *sample.select_nth_unstable(at).1
-        };
-        let mut cands = collect_candidates(k, xs, threshold);
-        if cands.len() >= count {
-            if cands.len() > count {
-                // `(key << 32) | (u32::MAX − index)` orders by (|x| desc,
-                // index asc) in one u64 compare, and is unique per index,
-                // so exactly `count` candidates pack at or above the
-                // count-th largest. `cands` is already ascending.
-                let pack =
-                    |i: u32| (u64::from(key(xs[i as usize])) << 32) | u64::from(u32::MAX - i);
-                let mut packed: Vec<u64> = cands.iter().map(|&i| pack(i)).collect();
-                let at = packed.len() - count;
-                let cutoff = *packed.select_nth_unstable(at).1;
-                cands.retain(|&i| pack(i) >= cutoff);
-            }
-            return cands;
-        }
-        debug_assert!(threshold > 0, "threshold 0 collects every index");
-        rank = rank * 2 + 8;
-    }
-}
-
-/// The candidate pass of [`topk_select`]: every index whose abs-bits key
-/// is `>= threshold`, ascending. Blocks scan independently and
-/// concatenate in block order, so the result does not depend on the
-/// thread count.
-fn collect_candidates(k: Kernel, xs: &[f32], threshold: u32) -> Vec<u32> {
-    let nblocks = xs.len().div_ceil(SCAN_BLOCK);
-    if nblocks <= 1 {
-        let mut out = Vec::new();
-        scan_block(k, xs, 0, threshold, &mut out);
-        return out;
-    }
-    let parts: Vec<Mutex<Vec<u32>>> = (0..nblocks).map(|_| Mutex::new(Vec::new())).collect();
-    crate::parallel::parallel_for(nblocks, &|b| {
-        let lo = b * SCAN_BLOCK;
-        let hi = (lo + SCAN_BLOCK).min(xs.len());
-        let mut out = parts[b].lock().expect("scan block poisoned");
-        scan_block(k, &xs[lo..hi], lo as u32, threshold, &mut out);
+    let blocks = n.div_ceil(SCAN_BLOCK);
+    let block = |b: usize| {
+        (
+            b * SCAN_BLOCK,
+            &xs[b * SCAN_BLOCK..n.min((b + 1) * SCAN_BLOCK)],
+        )
+    };
+    let hists = in_blocks(blocks, &|b| histogram(block(b).1));
+    let (digit, need) = boundary(BUCKETS, count, |lo, hi| {
+        hists.iter().map(|h| sum_u16(&h[lo..hi])).sum()
     });
-    let mut all = Vec::new();
-    for p in parts {
-        all.extend(p.into_inner().expect("scan block poisoned"));
-    }
-    all
+    let floor = (digit as u32) << DIGIT_SHIFT;
+    let candidates: Vec<u64> = in_blocks(blocks, &|b| {
+        let (base, xs) = block(b);
+        let mut out = Vec::with_capacity(sum_u16(&hists[b][digit..]));
+        for_each_kept(
+            xs,
+            |v| magnitude(v) >= floor,
+            |j| {
+                out.push(pack(xs[j], (base + j) as u32));
+            },
+        );
+        out
+    })
+    .concat();
+    let in_bucket = |p: u64| (p >> (32 + DIGIT_SHIFT)) as usize == digit;
+    let mut bucket = Vec::with_capacity(hists.iter().map(|h| usize::from(h[digit])).sum());
+    for_each_kept(&candidates, in_bucket, |j| bucket.push(candidates[j]));
+    let cutoff = cutoff_key(bucket, need);
+    let mut out = Vec::with_capacity(count);
+    for_each_kept(
+        &candidates,
+        |p| p >= cutoff,
+        |j| out.push(!(candidates[j] as u32)),
+    );
+    out
 }
 
-/// Scan one block for keys `>= threshold`, pushing `base + offset`
-/// indices in ascending order.
-fn scan_block(k: Kernel, xs: &[f32], base: u32, threshold: u32, out: &mut Vec<u32>) {
-    match k {
-        Kernel::Scalar => {
-            for (j, &v) in xs.iter().enumerate() {
-                if v.to_bits() & 0x7FFF_FFFF >= threshold {
-                    out.push(base + j as u32);
-                }
+/// The magnitude key: `|x|`'s IEEE bits, monotonic in `|x|`.
+#[inline]
+fn magnitude(v: f32) -> u32 {
+    v.to_bits() & 0x7FFF_FFFF
+}
+
+/// `(magnitude << 32) | !index`: one `u64` compare orders by (|x| desc,
+/// index asc), and the key is unique per index.
+#[inline]
+fn pack(v: f32, i: u32) -> u64 {
+    (u64::from(magnitude(v)) << 32) | u64::from(!i)
+}
+
+/// The `need`-th largest of one bucket's packed keys. More than
+/// `REFINE_ABOVE` of them are first narrowed to the sub-bucket of the
+/// next mantissa byte (magnitude bits 19..12) that holds that rank.
+fn cutoff_key(mut bucket: Vec<u64>, mut need: usize) -> u64 {
+    if bucket.len() > REFINE_ABOVE {
+        let digit = |p: u64| usize::from((p >> (32 + DIGIT_SHIFT - 8)) as u8);
+        let mut hist = [0u32; 256];
+        for &p in &bucket {
+            hist[digit(p)] += 1;
+        }
+        let (sub, rank) = boundary(256, need, |lo, hi| {
+            hist[lo..hi].iter().map(|&c| c as usize).sum()
+        });
+        bucket.retain(|&p| digit(p) == sub);
+        need = rank;
+    }
+    let at = bucket.len() - need;
+    *bucket.select_nth_unstable(at).1
+}
+
+/// Run `f(b)` for every `b in 0..blocks`, on the pool when there are
+/// several, and return the results in block order.
+fn in_blocks<T: Send>(blocks: usize, f: &(dyn Fn(usize) -> T + Sync)) -> Vec<T> {
+    if blocks == 1 {
+        return vec![f(0)];
+    }
+    let slots: Vec<Mutex<Option<T>>> = (0..blocks).map(|_| Mutex::new(None)).collect();
+    crate::parallel::parallel_for(blocks, &|b| {
+        *slots[b].lock().expect("select block poisoned") = Some(f(b));
+    });
+    slots
+        .into_iter()
+        .map(|s| {
+            s.into_inner()
+                .expect("select block poisoned")
+                .expect("parallel_for runs every block")
+        })
+        .collect()
+}
+
+/// First-digit counts of one block. Two interleaved tables keep a run of
+/// equal digits (exact zeros, say) from serializing on one counter's
+/// store-to-load latency.
+fn histogram(xs: &[f32]) -> [u16; BUCKETS] {
+    debug_assert!(xs.len() <= SCAN_BLOCK);
+    let [mut even, mut odd] = [[0u16; BUCKETS]; 2];
+    let mut pairs = xs.chunks_exact(2);
+    for p in pairs.by_ref() {
+        even[(magnitude(p[0]) >> DIGIT_SHIFT) as usize] += 1;
+        odd[(magnitude(p[1]) >> DIGIT_SHIFT) as usize] += 1;
+    }
+    for &x in pairs.remainder() {
+        even[(magnitude(x) >> DIGIT_SHIFT) as usize] += 1;
+    }
+    for (e, &o) in even.iter_mut().zip(&odd) {
+        *e += o;
+    }
+    even
+}
+
+fn sum_u16(counts: &[u16]) -> usize {
+    counts.iter().map(|&c| usize::from(c)).sum()
+}
+
+/// The bucket below `buckets` holding the `need`-th largest key, and that
+/// key's rank within it, given `count(lo, hi)` = keys in buckets
+/// `lo..hi`. Runs of 64 buckets (mostly the empty top of the range) are
+/// skipped whole.
+fn boundary(
+    buckets: usize,
+    mut need: usize,
+    count: impl Fn(usize, usize) -> usize,
+) -> (usize, usize) {
+    let mut hi = buckets;
+    loop {
+        let c = count(hi - 64, hi);
+        if need <= c {
+            break;
+        }
+        need -= c;
+        hi -= 64;
+    }
+    for d in (hi - 64..hi).rev() {
+        let c = count(d, d + 1);
+        if need <= c {
+            return (d, need);
+        }
+        need -= c;
+    }
+    unreachable!("topk_select: rank beyond the histogram total")
+}
+
+/// Call `hit(j)`, in ascending order, for every `j` with `keep(xs[j])`.
+/// The predicate is evaluated for a whole 64-element chunk into byte
+/// flags (a loop the compiler vectorizes) that fold into one bitmask, so
+/// the per-element work has no data-dependent branch; only set bits are
+/// visited.
+fn for_each_kept<T: Copy>(xs: &[T], keep: impl Fn(T) -> bool, mut hit: impl FnMut(usize)) {
+    for (c, chunk) in xs.chunks(64).enumerate() {
+        let mut flags = [0u8; 64];
+        // Sixteen at a time, so the flags land as whole 16-byte stores
+        // that the 8-byte reads below can forward from; narrower stores
+        // stall every read.
+        let mut groups = chunk.chunks_exact(16);
+        for (fs, xs) in flags.chunks_exact_mut(16).zip(groups.by_ref()) {
+            for (f, &x) in fs.iter_mut().zip(xs) {
+                *f = u8::from(keep(x));
             }
         }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only selectable when avx2+fma are detected.
-        Kernel::Avx2 => unsafe { avx2::collect_ge_keys(xs, base, threshold, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Avx2 => unreachable!("avx2 kernel on non-x86_64"),
+        let tail = groups.remainder();
+        for (f, &x) in flags[chunk.len() - tail.len()..].iter_mut().zip(tail) {
+            *f = u8::from(keep(x));
+        }
+        let mut mask = 0u64;
+        for (i, bytes) in flags.chunks_exact(8).enumerate() {
+            // Eight 0/1 bytes to eight bits: the product's top byte
+            // collects byte b's low bit at bit b, carry-free.
+            let v = u64::from_le_bytes(bytes.try_into().expect("eight flags"));
+            mask |= (v.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i);
+        }
+        while mask != 0 {
+            hit(c * 64 + mask.trailing_zeros() as usize);
+            mask &= mask - 1;
+        }
     }
 }
 
@@ -1451,37 +1569,6 @@ mod avx2 {
             i += 1;
         }
     }
-
-    /// Candidate pass of [`super::topk_select`]: push `base + j` for
-    /// every lane whose abs-bits key is `>= threshold`, ascending.
-    /// Abs bit patterns are non-negative i32s, so one signed
-    /// `cmpgt(key, threshold − 1)` implements the unsigned `>=`
-    /// (`threshold == 0` wraps to −1: everything passes, as it must).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn collect_ge_keys(xs: &[f32], base: u32, threshold: u32, out: &mut Vec<u32>) {
-        let n = xs.len();
-        let xp = xs.as_ptr();
-        let absmask = _mm256_set1_epi32(0x7FFF_FFFF);
-        let vt = _mm256_set1_epi32(threshold.wrapping_sub(1) as i32);
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let bits = _mm256_and_si256(_mm256_loadu_si256(xp.add(i) as *const __m256i), absmask);
-            let gt = _mm256_cmpgt_epi32(bits, vt);
-            let mut mask = _mm256_movemask_ps(_mm256_castsi256_ps(gt)) as u32;
-            while mask != 0 {
-                let j = mask.trailing_zeros();
-                out.push(base + i as u32 + j);
-                mask &= mask - 1;
-            }
-            i += 8;
-        }
-        while i < n {
-            if (*xp.add(i)).to_bits() & 0x7FFF_FFFF >= threshold {
-                out.push(base + i as u32);
-            }
-            i += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1928,9 +2015,11 @@ mod tests {
 
     #[test]
     fn topk_select_matches_brute_force_oracle() {
-        // Differential test of the threshold-select + packed fix-up:
-        // random, tie-heavy and NaN/±∞ inputs, `count` at both ends,
-        // `n` straddling SCAN_BLOCK.
+        // Differential test of the radix select: random, tie-heavy and
+        // NaN/±∞ inputs, magnitudes crowded into one exponent, an
+        // update-shaped spread over sixteen octaves with exact zeros, and
+        // subnormals; `count` at both ends, `n` from 1 to past two
+        // SCAN_BLOCKs.
         let specials = [
             f32::NAN,
             -f32::NAN,
@@ -1940,6 +2029,7 @@ mod tests {
             -0.0,
         ];
         let sizes = [
+            1,
             2,
             3,
             9,
@@ -1949,21 +2039,33 @@ mod tests {
             SCAN_BLOCK - 1,
             SCAN_BLOCK,
             SCAN_BLOCK + 1,
+            2 * SCAN_BLOCK + 1,
         ];
         let mut rng = Pcg64::new(2442);
         for case in 0..3000usize {
-            let n = if case % 50 == 0 {
+            // Six consecutive cases per fixed size: every input shape.
+            let n = if case % 50 < 6 {
                 sizes[case / 50 % sizes.len()]
             } else {
                 2 + rng.next_below(600)
             };
             let x: Vec<f32> = (0..n)
-                .map(|_| match case % 3 {
-                    0 => rng.next_f32() * 2.0 - 1.0,
-                    // Tie-heavy: eight distinct magnitudes, both signs.
-                    1 => (rng.next_below(8) as f32 - 4.0) * 0.25,
-                    _ if rng.next_below(8) == 0 => specials[rng.next_below(specials.len())],
-                    _ => rng.next_f32() * 4.0 - 2.0,
+                .map(|_| {
+                    let sign = if rng.next_below(2) == 0 { 1.0 } else { -1.0 };
+                    match case % 6 {
+                        0 => rng.next_f32() * 2.0 - 1.0,
+                        // Tie-heavy: eight distinct magnitudes, both signs.
+                        1 => (rng.next_below(8) as f32 - 4.0) * 0.25,
+                        2 if rng.next_below(8) == 0 => specials[rng.next_below(specials.len())],
+                        2 => rng.next_f32() * 4.0 - 2.0,
+                        // One exponent: |x| in [0.5, 1).
+                        3 => sign * (0.5 + 0.5 * rng.next_f32()),
+                        // Update-shaped: |x| = 2^-u, u in [4, 20], and zeros.
+                        4 if rng.next_below(10) == 0 => 0.0,
+                        4 => sign * (-(4.0 + 16.0 * rng.next_f32())).exp2(),
+                        // Subnormals, with the smallest normals above them.
+                        _ => sign * f32::from_bits(rng.next_below(1 << 24) as u32),
+                    }
                 })
                 .collect();
             let count = match case % 4 {

@@ -1,40 +1,114 @@
-//! Process-wide substrate counters: worker-pool activity, GEMM kernel
-//! dispatch and FLOP totals, and conv-scratch reuse.
+//! Substrate counters: worker-pool activity, GEMM kernel dispatch and
+//! FLOP totals, and conv-scratch reuse.
 //!
 //! `niid-tensor` sits at the bottom of the workspace and stays
 //! dependency-free, so instead of talking to the metrics registry
-//! directly it exposes these plain relaxed atomics; `niid-fl` mirrors a
+//! directly it keeps these plain counters; `niid-fl` mirrors a
 //! [`snapshot`] into `niid-metrics` gauges via a registry collector.
 //! Counters are cumulative for the process — consumers that need rates
 //! should difference successive snapshots.
+//!
+//! Counting is per thread: a thread bumps only its own cache-line-aligned
+//! shard, so two party tasks running GEMMs at once never write the same
+//! cache line. [`snapshot`] sums the live shards plus the totals of
+//! threads that have exited, which fold their shard in as they go. The
+//! two conv-scratch byte gauges are levels, not counts, and stay
+//! process-wide atomics.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-pub(crate) static POOL_REGIONS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static POOL_INLINE_REGIONS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static POOL_TASKS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static POOL_STOLEN_TASKS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static GEMM_AB_CALLS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static GEMM_ATB_CALLS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static GEMM_ABT_CALLS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static GEMM_FLOPS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static GEMM_AB_SIMD_CALLS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static GEMM_AB_SCALAR_CALLS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static GEMM_ATB_SIMD_CALLS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static GEMM_ATB_SCALAR_CALLS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static GEMM_ABT_SIMD_CALLS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static GEMM_ABT_SCALAR_CALLS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static CONV_SCRATCH_ALLOCS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static CONV_SCRATCH_REUSES: AtomicU64 = AtomicU64::new(0);
+/// One cumulative counter; its discriminant indexes a [`Shard`].
+#[derive(Clone, Copy)]
+pub(crate) enum Counter {
+    PoolRegions,
+    PoolInlineRegions,
+    PoolTasks,
+    PoolStolenTasks,
+    GemmAbCalls,
+    GemmAtbCalls,
+    GemmAbtCalls,
+    GemmFlops,
+    GemmAbSimdCalls,
+    GemmAbScalarCalls,
+    GemmAtbSimdCalls,
+    GemmAtbScalarCalls,
+    GemmAbtSimdCalls,
+    GemmAbtScalarCalls,
+    ConvScratchAllocs,
+    ConvScratchReuses,
+    ConvImplicitCalls,
+    ConvMaterializedCalls,
+    ConvDirectCalls,
+}
+
+const COUNTERS: usize = Counter::ConvDirectCalls as usize + 1;
+
+/// One thread's counters, on cache lines of their own.
+#[repr(align(64))]
+#[derive(Default)]
+struct Shard([AtomicU64; COUNTERS]);
+
+/// The live shards, what exited threads folded in, and the totals
+/// [`reset`] subtracts from every later snapshot.
+struct Registry {
+    live: Vec<Arc<Shard>>,
+    retired: [u64; COUNTERS],
+    baseline: [u64; COUNTERS],
+}
+
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
+    live: Vec::new(),
+    retired: [0; COUNTERS],
+    baseline: [0; COUNTERS],
+});
+
+fn registry() -> MutexGuard<'static, Registry> {
+    // Every update under the lock leaves whole counts behind, so a guard
+    // poisoned by a panicking holder is still consistent.
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The current thread's shard; dropping it at thread exit folds the
+/// counts into the registry's retired totals.
+struct Local(Arc<Shard>);
+
+impl Drop for Local {
+    fn drop(&mut self) {
+        let mut reg = registry();
+        for (r, c) in reg.retired.iter_mut().zip(&self.0 .0) {
+            *r = r.wrapping_add(c.load(Ordering::Relaxed));
+        }
+        reg.live.retain(|s| !Arc::ptr_eq(s, &self.0));
+    }
+}
+
+thread_local! {
+    static LOCAL: Local = {
+        let shard = Arc::new(Shard::default());
+        registry().live.push(Arc::clone(&shard));
+        Local(shard)
+    };
+}
+
 pub(crate) static CONV_SCRATCH_BYTES: AtomicU64 = AtomicU64::new(0);
 pub(crate) static CONV_SCRATCH_PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
-pub(crate) static CONV_IMPLICIT_CALLS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static CONV_MATERIALIZED_CALLS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static CONV_DIRECT_CALLS: AtomicU64 = AtomicU64::new(0);
 
+/// Add `n` to `counter` on the current thread's shard.
 #[inline]
-pub(crate) fn bump(counter: &AtomicU64, n: u64) {
-    counter.fetch_add(n, Ordering::Relaxed);
+pub(crate) fn bump(counter: Counter, n: u64) {
+    // Only the owning thread writes a shard, so load + store is an exact
+    // increment without a locked read-modify-write; readers see some
+    // recent value.
+    let owned = LOCAL.try_with(|local| {
+        let c = &local.0 .0[counter as usize];
+        c.store(c.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+    });
+    if owned.is_err() {
+        // This thread's storage is already torn down (a destructor
+        // running at thread exit): count straight into the totals.
+        registry().retired[counter as usize] += n;
+    }
 }
 
 /// Account `delta` bytes of freshly grown conv scratch and advance the
@@ -197,31 +271,47 @@ impl SubstrateStats {
     }
 }
 
-/// Read every counter. Cheap (a handful of relaxed loads) and safe to
-/// call from any thread at any time.
+/// Every cumulative counter's process total: live shards plus retired
+/// threads, read under the registry lock so an exiting thread is counted
+/// exactly once.
+fn totals(reg: &Registry) -> [u64; COUNTERS] {
+    let mut sum = reg.retired;
+    for shard in &reg.live {
+        for (s, c) in sum.iter_mut().zip(&shard.0) {
+            *s = s.wrapping_add(c.load(Ordering::Relaxed));
+        }
+    }
+    sum
+}
+
+/// Read every counter. Cheap (one lock and a pass over the live threads'
+/// shards) and safe to call from any thread at any time.
 pub fn snapshot() -> SubstrateStats {
+    let reg = registry();
+    let t = totals(&reg);
+    let c = |counter: Counter| t[counter as usize].saturating_sub(reg.baseline[counter as usize]);
     SubstrateStats {
-        pool_regions: POOL_REGIONS.load(Ordering::Relaxed),
-        pool_inline_regions: POOL_INLINE_REGIONS.load(Ordering::Relaxed),
-        pool_tasks: POOL_TASKS.load(Ordering::Relaxed),
-        pool_stolen_tasks: POOL_STOLEN_TASKS.load(Ordering::Relaxed),
-        gemm_ab_calls: GEMM_AB_CALLS.load(Ordering::Relaxed),
-        gemm_atb_calls: GEMM_ATB_CALLS.load(Ordering::Relaxed),
-        gemm_abt_calls: GEMM_ABT_CALLS.load(Ordering::Relaxed),
-        gemm_flops: GEMM_FLOPS.load(Ordering::Relaxed),
-        gemm_ab_simd_calls: GEMM_AB_SIMD_CALLS.load(Ordering::Relaxed),
-        gemm_ab_scalar_calls: GEMM_AB_SCALAR_CALLS.load(Ordering::Relaxed),
-        gemm_atb_simd_calls: GEMM_ATB_SIMD_CALLS.load(Ordering::Relaxed),
-        gemm_atb_scalar_calls: GEMM_ATB_SCALAR_CALLS.load(Ordering::Relaxed),
-        gemm_abt_simd_calls: GEMM_ABT_SIMD_CALLS.load(Ordering::Relaxed),
-        gemm_abt_scalar_calls: GEMM_ABT_SCALAR_CALLS.load(Ordering::Relaxed),
-        conv_scratch_allocs: CONV_SCRATCH_ALLOCS.load(Ordering::Relaxed),
-        conv_scratch_reuses: CONV_SCRATCH_REUSES.load(Ordering::Relaxed),
+        pool_regions: c(Counter::PoolRegions),
+        pool_inline_regions: c(Counter::PoolInlineRegions),
+        pool_tasks: c(Counter::PoolTasks),
+        pool_stolen_tasks: c(Counter::PoolStolenTasks),
+        gemm_ab_calls: c(Counter::GemmAbCalls),
+        gemm_atb_calls: c(Counter::GemmAtbCalls),
+        gemm_abt_calls: c(Counter::GemmAbtCalls),
+        gemm_flops: c(Counter::GemmFlops),
+        gemm_ab_simd_calls: c(Counter::GemmAbSimdCalls),
+        gemm_ab_scalar_calls: c(Counter::GemmAbScalarCalls),
+        gemm_atb_simd_calls: c(Counter::GemmAtbSimdCalls),
+        gemm_atb_scalar_calls: c(Counter::GemmAtbScalarCalls),
+        gemm_abt_simd_calls: c(Counter::GemmAbtSimdCalls),
+        gemm_abt_scalar_calls: c(Counter::GemmAbtScalarCalls),
+        conv_scratch_allocs: c(Counter::ConvScratchAllocs),
+        conv_scratch_reuses: c(Counter::ConvScratchReuses),
         conv_scratch_bytes: CONV_SCRATCH_BYTES.load(Ordering::Relaxed),
         conv_scratch_peak_bytes: CONV_SCRATCH_PEAK_BYTES.load(Ordering::Relaxed),
-        conv_implicit_calls: CONV_IMPLICIT_CALLS.load(Ordering::Relaxed),
-        conv_materialized_calls: CONV_MATERIALIZED_CALLS.load(Ordering::Relaxed),
-        conv_direct_calls: CONV_DIRECT_CALLS.load(Ordering::Relaxed),
+        conv_implicit_calls: c(Counter::ConvImplicitCalls),
+        conv_materialized_calls: c(Counter::ConvMaterializedCalls),
+        conv_direct_calls: c(Counter::ConvDirectCalls),
     }
 }
 
@@ -229,31 +319,12 @@ pub fn snapshot() -> SubstrateStats {
 /// benchmark prologues; concurrent updates from other threads may land
 /// before or after the reset, so tests should difference snapshots via
 /// [`SubstrateStats::since`] instead. The scratch byte gauges track live
-/// allocations and are deliberately left untouched.
+/// allocations and are deliberately left untouched. Shards stay
+/// owner-written: the reset records the current totals, which later
+/// snapshots subtract.
 pub fn reset() {
-    for c in [
-        &POOL_REGIONS,
-        &POOL_INLINE_REGIONS,
-        &POOL_TASKS,
-        &POOL_STOLEN_TASKS,
-        &GEMM_AB_CALLS,
-        &GEMM_ATB_CALLS,
-        &GEMM_ABT_CALLS,
-        &GEMM_FLOPS,
-        &GEMM_AB_SIMD_CALLS,
-        &GEMM_AB_SCALAR_CALLS,
-        &GEMM_ATB_SIMD_CALLS,
-        &GEMM_ATB_SCALAR_CALLS,
-        &GEMM_ABT_SIMD_CALLS,
-        &GEMM_ABT_SCALAR_CALLS,
-        &CONV_SCRATCH_ALLOCS,
-        &CONV_SCRATCH_REUSES,
-        &CONV_IMPLICIT_CALLS,
-        &CONV_MATERIALIZED_CALLS,
-        &CONV_DIRECT_CALLS,
-    ] {
-        c.store(0, Ordering::Relaxed);
-    }
+    let mut reg = registry();
+    reg.baseline = totals(&reg);
 }
 
 #[cfg(test)]

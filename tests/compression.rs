@@ -56,7 +56,7 @@ fn config(codec: UpdateCodec, rounds: usize, threads: usize, seed: u64) -> FlCon
     }
 }
 
-/// The seeded stochastic-rounding and threshold-select paths must make
+/// The seeded stochastic-rounding and top-k selection paths must make
 /// lossy runs a pure function of the run seed: one worker thread and four
 /// must produce the same metrics to the last bit.
 #[test]

@@ -13,8 +13,12 @@
 //! preserves the paper's cross-dataset difficulty ordering.
 
 use crate::dataset::Dataset;
-use niid_stats::{sample_standard_normal, Pcg64};
+use crate::rows::{fill_rows, RowGen};
+use niid_stats::{sample_standard_normal, Pcg64, STANDARD_NORMAL_DRAWS};
 use niid_tensor::Tensor;
+
+/// Coarse grid side of the smooth per-sample deformation field.
+const DEFORM_GRID: usize = 3;
 
 /// Difficulty/shape profile of a synthetic image task.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,35 +130,64 @@ impl ImageTask {
         &self.spec
     }
 
-    /// Draw `n` samples with (approximately) balanced classes.
+    /// Draw `n` samples with (approximately) balanced classes, filled in
+    /// chunks on the kernel pool; the bits are those of the sequential row
+    /// loop at any thread count.
     pub fn sample(&self, n: usize, name: &str, rng: &mut Pcg64) -> Dataset {
         let spec = &self.spec;
-        let dim = spec.dim();
         let mut labels: Vec<usize> = (0..n).map(|i| i % spec.classes).collect();
         rng.shuffle(&mut labels);
-        let mut features = Vec::with_capacity(n * dim);
-        for y in labels.iter_mut() {
-            // Features are always drawn from the *true* class; the label
-            // may then be corrupted, creating irreducible error.
-            let mode = rng.next_below(spec.modes);
-            let proto = &self.prototypes[*y * spec.modes + mode];
-            let deform = smooth_pattern(spec.channels, spec.side, 3, rng);
-            for i in 0..dim {
-                let noise = sample_standard_normal(rng) as f32 * spec.pixel_noise;
-                features.push(proto[i] + spec.deformation * deform[i] + noise);
-            }
-            if spec.label_noise > 0.0 && rng.next_f32() < spec.label_noise {
-                *y = rng.next_below(spec.classes);
-            }
-        }
+        let features = fill_rows(self, &mut labels, rng);
         Dataset::new(
             name,
-            Tensor::from_vec(features, &[n, dim]),
+            Tensor::from_vec(features, &[n, spec.dim()]),
             labels,
             spec.classes,
             vec![spec.channels, spec.side, spec.side],
             None,
         )
+    }
+
+    /// The label-noise draws of one row: `label` is replaced by a uniform
+    /// class with probability `label_noise`.
+    fn corrupt_label(&self, rng: &mut Pcg64, label: &mut usize) {
+        if self.spec.label_noise > 0.0 && rng.next_f32() < self.spec.label_noise {
+            *label = rng.next_below(self.spec.classes);
+        }
+    }
+}
+
+impl RowGen for ImageTask {
+    fn dim(&self) -> usize {
+        self.spec.dim()
+    }
+
+    /// `label` comes in as the row's true class: features are always
+    /// drawn from it, then the label may be corrupted, creating
+    /// irreducible error.
+    fn fill(&self, rng: &mut Pcg64, row: &mut [f32], label: &mut usize) {
+        let spec = &self.spec;
+        let mode = rng.next_below(spec.modes);
+        let proto = &self.prototypes[*label * spec.modes + mode];
+        let deform = smooth_pattern(spec.channels, spec.side, DEFORM_GRID, rng);
+        for ((v, &p), &d) in row.iter_mut().zip(proto).zip(&deform) {
+            let noise = sample_standard_normal(rng) as f32 * spec.pixel_noise;
+            *v = p + spec.deformation * d + noise;
+        }
+        self.corrupt_label(rng, label);
+    }
+
+    /// Evaluates the draws whose count varies (the mode pick and the label
+    /// noise) and jumps the deformation grid's and the pixels' normals.
+    fn skip(&self, rng: &mut Pcg64, rows: usize) {
+        let spec = &self.spec;
+        let normals = (spec.channels * DEFORM_GRID * DEFORM_GRID + spec.dim()) as u64;
+        let mut label = 0;
+        for _ in 0..rows {
+            rng.next_below(spec.modes);
+            rng.advance(normals * STANDARD_NORMAL_DRAWS);
+            self.corrupt_label(rng, &mut label);
+        }
     }
 }
 

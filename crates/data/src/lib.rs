@@ -21,6 +21,7 @@ pub mod fcube;
 pub mod femnist;
 pub mod images;
 pub mod registry;
+mod rows;
 pub mod tabular;
 pub mod transform;
 

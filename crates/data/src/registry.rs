@@ -305,8 +305,10 @@ fn tabular_spec(id: DatasetId, cfg: &GenConfig) -> TabularTaskSpec {
 ///
 /// Prototypes/teachers derive from `cfg.seed` and the dataset identity, so
 /// the same config always produces the same data and the train and test
-/// splits always share a distribution.
+/// splits always share a distribution. Rows are filled on the kernel pool
+/// and are bit-identical at any thread count.
 pub fn generate(id: DatasetId, cfg: &GenConfig) -> Split {
+    let _sp = niid_prof::span!("data.generate");
     let dataset_seed = derive_seed(cfg.seed, id as u64 + 1);
     let train_n = cfg.train_n(id);
     let test_n = cfg.test_n(id);

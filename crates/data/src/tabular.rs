@@ -12,7 +12,8 @@
 //! * **covtype** — dense, strongly non-linear (interaction-dominated).
 
 use crate::dataset::Dataset;
-use niid_stats::{sample_standard_normal, Pcg64};
+use crate::rows::{fill_rows, RowGen};
+use niid_stats::{sample_standard_normal, Pcg64, STANDARD_NORMAL_DRAWS};
 use niid_tensor::Tensor;
 
 /// Configuration of a synthetic tabular task.
@@ -90,33 +91,60 @@ impl TabularTask {
         (1.0 - self.spec.interaction_weight) * linear + self.spec.interaction_weight * inter
     }
 
-    /// Draw `n` samples.
+    /// Draw `n` samples, filled in chunks on the kernel pool; the bits
+    /// are those of the sequential row loop at any thread count.
     pub fn sample(&self, n: usize, name: &str, rng: &mut Pcg64) -> Dataset {
-        let spec = &self.spec;
-        let mut features = Vec::with_capacity(n * spec.dim);
-        let mut labels = Vec::with_capacity(n);
-        for _ in 0..n {
-            let start = features.len();
-            for _ in 0..spec.dim {
-                let keep = rng.next_f32() >= spec.sparsity;
-                features.push(if keep {
-                    sample_standard_normal(rng) as f32
-                } else {
-                    0.0
-                });
-            }
-            let s = self.score(&features[start..])
-                + sample_standard_normal(rng) as f32 * spec.margin_noise;
-            labels.push(usize::from(s > spec.bias));
-        }
+        let dim = self.spec.dim;
+        let mut labels = vec![0; n];
+        let features = fill_rows(self, &mut labels, rng);
         Dataset::new(
             name,
-            Tensor::from_vec(features, &[n, spec.dim]),
+            Tensor::from_vec(features, &[n, dim]),
             labels,
             2,
-            vec![spec.dim],
+            vec![dim],
             None,
         )
+    }
+}
+
+impl RowGen for TabularTask {
+    fn dim(&self) -> usize {
+        self.spec.dim
+    }
+
+    fn fill(&self, rng: &mut Pcg64, row: &mut [f32], label: &mut usize) {
+        let spec = &self.spec;
+        for v in row.iter_mut() {
+            let keep = rng.next_f32() >= spec.sparsity;
+            *v = if keep {
+                sample_standard_normal(rng) as f32
+            } else {
+                0.0
+            };
+        }
+        let s = self.score(row) + sample_standard_normal(rng) as f32 * spec.margin_noise;
+        *label = usize::from(s > spec.bias);
+    }
+
+    /// A dense row is always `dim` keep draws, `dim` normals and the
+    /// margin normal, so `rows` rows are one jump; a sparse row evaluates
+    /// its keep draws and jumps the normal of each kept feature.
+    fn skip(&self, rng: &mut Pcg64, rows: usize) {
+        let spec = &self.spec;
+        if spec.sparsity == 0.0 {
+            let per_row = (1 + STANDARD_NORMAL_DRAWS) * spec.dim as u64 + STANDARD_NORMAL_DRAWS;
+            rng.advance(per_row.wrapping_mul(rows as u64));
+            return;
+        }
+        for _ in 0..rows {
+            for _ in 0..spec.dim {
+                if rng.next_f32() >= spec.sparsity {
+                    rng.advance(STANDARD_NORMAL_DRAWS);
+                }
+            }
+            rng.advance(STANDARD_NORMAL_DRAWS);
+        }
     }
 }
 

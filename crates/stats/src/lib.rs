@@ -27,5 +27,5 @@ pub use distance::{emd_1d, gini, js_divergence, kl_divergence, total_variation};
 pub use rng::{derive_seed, Pcg64, SeedStream};
 pub use sample::{
     sample_categorical, sample_dirichlet, sample_gamma, sample_standard_normal,
-    sample_standard_normal_ziggurat, Dirichlet, Gaussian,
+    sample_standard_normal_ziggurat, Dirichlet, Gaussian, STANDARD_NORMAL_DRAWS,
 };

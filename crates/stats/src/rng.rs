@@ -116,6 +116,33 @@ impl Pcg64 {
         }
     }
 
+    /// Jump the generator `delta` raw 32-bit draws ahead in `O(log δ)`
+    /// time: afterwards it is in exactly the state `delta` calls to
+    /// [`next_u32`](Self::next_u32) would have left it in.
+    ///
+    /// Brown's arbitrary-stride LCG jump ("Random Number Generation with
+    /// Arbitrary Strides", Trans. Am. Nucl. Soc., 1994), as in O'Neill's
+    /// reference `pcg_advance_lcg_64`: the state map `s ↦ a·s + c` is
+    /// composed with itself by repeated squaring, `(a, c) ↦ (a², (a + 1)·c)`,
+    /// and the powers picked out by the bits of `delta` are accumulated.
+    /// The period is 2⁶⁴, so `delta` wraps: `advance(a)` then `advance(b)`
+    /// equals `advance(a.wrapping_add(b))`.
+    pub fn advance(&mut self, delta: u64) {
+        let (mut acc_mult, mut acc_plus) = (1u64, 0u64);
+        let (mut cur_mult, mut cur_plus) = (PCG_MULT, self.inc);
+        let mut delta = delta;
+        while delta > 0 {
+            if delta & 1 == 1 {
+                acc_mult = acc_mult.wrapping_mul(cur_mult);
+                acc_plus = acc_plus.wrapping_mul(cur_mult).wrapping_add(cur_plus);
+            }
+            cur_plus = cur_mult.wrapping_add(1).wrapping_mul(cur_plus);
+            cur_mult = cur_mult.wrapping_mul(cur_mult);
+            delta >>= 1;
+        }
+        self.state = acc_mult.wrapping_mul(self.state).wrapping_add(acc_plus);
+    }
+
     #[inline]
     fn next_u32_impl(&mut self) -> u32 {
         let old = self.state;
@@ -342,6 +369,47 @@ mod tests {
         uniq.dedup();
         assert_eq!(uniq.len(), 1000, "sparse sample repeated an index");
         assert!(picked.iter().all(|&i| i < 1_000_000));
+    }
+
+    #[test]
+    fn advance_matches_stepping_draw_by_draw() {
+        for seed in [0u64, 42, 0xDEAD_BEEF] {
+            for k in [0u64, 1, 2, 3, 274, 65_537, 1_000_003] {
+                let mut stepped = Pcg64::new(seed);
+                for _ in 0..k {
+                    stepped.next_u32();
+                }
+                let mut jumped = Pcg64::new(seed);
+                jumped.advance(k);
+                assert_eq!(jumped.state, stepped.state, "seed={seed} k={k}");
+                assert_eq!(jumped.next_u64(), stepped.next_u64(), "seed={seed} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn advance_composes_across_wrap_around() {
+        let half = 1u64 << 63;
+        for (a, b) in [
+            (half, half),
+            (half - 1, half + 3),
+            (half + 12_345, half - 1),
+            (u64::MAX, 1),
+            (u64::MAX, u64::MAX),
+        ] {
+            let mut split = Pcg64::new(9);
+            split.advance(a);
+            split.advance(b);
+            let mut whole = Pcg64::new(9);
+            whole.advance(a.wrapping_add(b));
+            assert_eq!(split.state, whole.state, "a={a} b={b}");
+        }
+        // A full period is the identity.
+        let mut full = Pcg64::new(10);
+        let before = full.state;
+        full.advance(half);
+        full.advance(half);
+        assert_eq!(full.state, before);
     }
 
     #[test]

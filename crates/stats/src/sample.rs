@@ -63,6 +63,11 @@ impl Gaussian {
     }
 }
 
+/// Raw 32-bit draws one [`sample_standard_normal`] consumes, always:
+/// two `next_f64`s of two `next_u32`s each. A generator that skips
+/// normals with [`Pcg64::advance`] jumps this many draws per normal.
+pub const STANDARD_NORMAL_DRAWS: u64 = 4;
+
 /// One standard-normal draw via the Box–Muller transform.
 ///
 /// The second value of each Box–Muller pair is intentionally discarded,
@@ -316,6 +321,17 @@ mod tests {
         let (mean, var) = mean_and_var(&xs);
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.03, "variance {var}");
+    }
+
+    #[test]
+    fn standard_normal_consumes_its_declared_draws() {
+        let mut sampled = Pcg64::new(101);
+        let mut jumped = sampled.clone();
+        for _ in 0..1000 {
+            sample_standard_normal(&mut sampled);
+        }
+        jumped.advance(1000 * STANDARD_NORMAL_DRAWS);
+        assert_eq!(sampled.next_u64(), jumped.next_u64());
     }
 
     /// Draws enough that each bound below sits ≈ 5 standard errors out.

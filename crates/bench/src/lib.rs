@@ -7,6 +7,8 @@
 //! scale flag) is the `bench` scale recorded in EXPERIMENTS.md, at each
 //! experiment's own `bench_rounds` budget.
 
+#![forbid(unsafe_code)]
+
 pub mod dist;
 pub mod experiments;
 mod experiments_scale;

@@ -22,6 +22,8 @@
 //!   repository's public leaderboard does,
 //! * [`table`] — plain-text table rendering for the bench binaries.
 
+#![forbid(unsafe_code)]
+
 pub mod experiment;
 pub mod leaderboard;
 pub mod partition;

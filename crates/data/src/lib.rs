@@ -16,6 +16,8 @@
 //! exercise end-to-end. Absolute accuracies differ from the paper; the
 //! orderings and degradation patterns are what the benchmark reproduces.
 
+#![forbid(unsafe_code)]
+
 pub mod dataset;
 pub mod fcube;
 pub mod femnist;

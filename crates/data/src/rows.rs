@@ -13,8 +13,7 @@
 //! the bits).
 
 use niid_stats::Pcg64;
-use niid_tensor::parallel_for;
-use std::sync::Mutex;
+use niid_tensor::parallel_chunks_mut;
 
 /// Features per chunk task.
 pub(crate) const CHUNK_ELEMS: usize = 1 << 18;
@@ -51,22 +50,17 @@ pub(crate) fn fill_rows(gen: &impl RowGen, labels: &mut [usize], rng: &mut Pcg64
         })
         .collect();
     let mut features = vec![0.0f32; n * dim];
-    // One mutex per chunk hands each task exclusive ownership of its rows;
-    // a task locks its chunk exactly once, so nothing contends.
-    let chunks: Vec<Mutex<(&mut [f32], &mut [usize])>> = features
+    let mut chunks: Vec<(&mut [f32], &mut [usize])> = features
         .chunks_mut(chunk_rows * dim)
         .zip(labels.chunks_mut(chunk_rows))
-        .map(Mutex::new)
         .collect();
-    parallel_for(chunks.len(), &|c| {
+    parallel_chunks_mut(&mut chunks, 1, &|c, chunk| {
         let _sp = niid_prof::span!("data.rows");
-        let mut chunk = chunks[c].lock().expect("row chunk poisoned");
-        let (rows, labels) = &mut *chunk;
+        let (rows, labels) = &mut chunk[0];
         let mut rng = starts[c].clone();
         for (row, label) in rows.chunks_exact_mut(dim).zip(labels.iter_mut()) {
             gen.fill(&mut rng, row, label);
         }
     });
-    drop(chunks);
     features
 }

@@ -20,8 +20,7 @@
 
 use crate::compress::DecodedUpdate;
 use crate::local::LocalOutcome;
-use niid_tensor::parallel_for;
-use std::sync::Mutex;
+use niid_tensor::parallel_chunks_mut;
 
 /// Elements per reduction block. Fixed (never derived from the thread
 /// count) so the work decomposition — and therefore scheduling — is
@@ -95,13 +94,7 @@ fn blocked_fold(out: &mut [f32], terms: &[(f32, UpdateRef<'_>)]) {
         return;
     }
     let _sp = niid_prof::span!("agg.sparse_merge");
-    // One mutex per block hands each pool task exclusive ownership of its
-    // slice; a task locks its block exactly once, so there is no
-    // contention — the mutex is only the safe conduit for `&mut` across
-    // the fork-join region.
-    let blocks: Vec<Mutex<&mut [f32]>> = out.chunks_mut(REDUCE_BLOCK).map(Mutex::new).collect();
-    parallel_for(blocks.len(), &|b| {
-        let mut chunk = blocks[b].lock().expect("reduce block poisoned");
+    parallel_chunks_mut(out, REDUCE_BLOCK, &|b, chunk| {
         let off = b * REDUCE_BLOCK;
         let len = chunk.len();
         for &(w, u) in terms {

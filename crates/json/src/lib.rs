@@ -15,6 +15,8 @@
 //! * struct variants as a single-key object: `{"FedProx":{"mu":0.01}}`,
 //! * `Option<T>` as `null` or the value itself.
 
+#![forbid(unsafe_code)]
+
 mod parse;
 mod value;
 mod write;

@@ -23,6 +23,8 @@
 //! The [`shutdown`] module is the small "flush on Ctrl-C" guard the
 //! experiment bins install so partial runs still leave valid JSONL.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod deadline;
 pub mod expo;
 pub mod http;

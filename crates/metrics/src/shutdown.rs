@@ -66,6 +66,12 @@ mod imp {
     }
 
     pub fn install_handlers() {
+        // SAFETY: the declaration matches libc's `signal(int, sighandler_t)`
+        // on unix targets (`int` is 32-bit, `sighandler_t` a pointer-sized
+        // function address), SIGINT and SIGTERM are valid signal numbers,
+        // and `on_signal` is an `extern "C" fn(i32)` that lives for the
+        // process and does only an async-signal-safe atomic store. The
+        // previous handler returned is deliberately dropped.
         unsafe {
             signal(SIGINT, on_signal as *const () as usize);
             signal(SIGTERM, on_signal as *const () as usize);

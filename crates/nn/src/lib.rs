@@ -17,6 +17,8 @@
 //! The paper's architectures are provided in [`models`]: the LeNet-style
 //! CNN, the 32/16/8 MLP for tabular data, VGG-9 and a BatchNorm ResNet.
 
+#![forbid(unsafe_code)]
+
 pub mod activation;
 pub mod arena;
 pub mod batchnorm;

@@ -56,6 +56,8 @@
 //! trajectories are bit-identical with profiling on or off (covered by
 //! `tests/span_profiler.rs`).
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};

@@ -17,6 +17,8 @@
 //! Everything is seeded explicitly: the same `u64` seed always yields the
 //! same partition, the same synthetic dataset, and the same training run.
 
+#![forbid(unsafe_code)]
+
 pub mod describe;
 pub mod distance;
 pub mod rng;

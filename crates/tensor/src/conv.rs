@@ -74,7 +74,7 @@
 use crate::conv_direct as direct;
 use crate::dispatch::ConvLowering;
 use crate::matmul::{matmul_a_bt_slices, matmul_at_b_slices};
-use crate::parallel::{parallel_for_threshold, with_scratch, SharedMut};
+use crate::parallel::{parallel_chunks_mut_threshold, with_scratch};
 use crate::simd::{self, Kernel};
 use crate::stats::{self, Counter};
 use crate::tensor::Tensor;
@@ -160,6 +160,10 @@ impl Conv2dShape {
 
     fn validate(&self) {
         assert!(self.stride > 0, "conv stride must be positive");
+        assert!(
+            self.in_channels > 0 && self.out_channels > 0,
+            "conv channels must be positive"
+        );
         assert!(
             self.kernel_h > 0 && self.kernel_w > 0,
             "conv kernel must be non-empty"
@@ -518,10 +522,7 @@ fn forward_samples(
     scratch.prime(input.as_slice(), n, s, lowering);
     let scratch = &*scratch;
     let mut out = vec![0.0f32; n * out_numel];
-    let out_ptr = SharedMut(out.as_mut_ptr());
-    parallel_for_threshold(n, flops, &|i| {
-        // SAFETY: sample `i` exclusively owns its region of out.
-        let out_i = unsafe { out_ptr.slice(i * out_numel, out_numel) };
+    parallel_chunks_mut_threshold(&mut out, out_numel, flops, &|i, out_i| {
         sample(scratch, i, out_i);
     });
     Tensor::from_vec(out, &[n, s.out_channels, s.out_h(), s.out_w()])
@@ -765,11 +766,8 @@ fn materialize_cols(scratch: &mut ConvScratch, s: &Conv2dShape) {
     let len = positions * s.col_width();
     let ConvScratch { cols, input, .. } = scratch;
     ConvScratch::ensure(cols, n * len);
-    let cols_ptr = SharedMut(cols.as_mut_ptr());
-    parallel_for_threshold(n, n * len, &|i| {
+    parallel_chunks_mut_threshold(&mut cols[..n * len], len, n * len, &|i, cols_i| {
         let _sp = niid_prof::span!("conv.im2col");
-        // SAFETY: sample `i` exclusively owns its cols region.
-        let cols_i = unsafe { cols_ptr.slice(i * len, len) };
         im2col_rows(&input[i * vin..(i + 1) * vin], &v, 0, positions, cols_i);
     });
     scratch.cached = ConvLowering::Materialized;
@@ -911,8 +909,7 @@ fn backward_input(
     };
     let go = grad_out.as_slice();
     let mut grad_input = vec![0.0f32; n * in_numel];
-    let gx_ptr = SharedMut(grad_input.as_mut_ptr());
-    parallel_for_threshold(n, flops, &|i| {
+    parallel_chunks_mut_threshold(&mut grad_input, in_numel, flops, &|i, gx_i| {
         let go_i = &go[i * out_numel..(i + 1) * out_numel];
         with_scratch(plane_len + strip_rows * cw, |buf| {
             let (plane, strip) = buf.split_at_mut(plane_len);
@@ -928,8 +925,7 @@ fn backward_input(
                 #[cfg(not(target_arch = "x86_64"))]
                 ConvLowering::Direct => unreachable!("direct conv on non-x86_64"),
             }
-            // SAFETY: sample `i` exclusively owns its grad_input region.
-            unpad_sample(plane, s, unsafe { gx_ptr.slice(i * in_numel, in_numel) });
+            unpad_sample(plane, s, gx_i);
         });
     });
     Tensor::from_vec(grad_input, &[n, s.in_channels, s.in_h, s.in_w])
@@ -954,21 +950,19 @@ fn dw_materialized(
 
     // Transpose each sample's [outc, positions] gradient to
     // [positions, outc] so dW becomes one tall Aᵀ·B GEMM below.
-    {
-        let gy_t_ptr = SharedMut(gy_t.as_mut_ptr());
-        parallel_for_threshold(n, n * out_numel, &|i| {
+    parallel_chunks_mut_threshold(
+        &mut gy_t[..n * out_numel],
+        out_numel,
+        n * out_numel,
+        &|i, gy_t_i| {
             let go_i = &go[i * out_numel..(i + 1) * out_numel];
-            // SAFETY: sample `i` exclusively owns its gy_t region.
-            let gy_t_i = unsafe {
-                gy_t_ptr.slice(i * positions * s.out_channels, positions * s.out_channels)
-            };
             for c in 0..s.out_channels {
                 for (p, &g) in go_i[c * positions..(c + 1) * positions].iter().enumerate() {
                     gy_t_i[p * s.out_channels + c] = g;
                 }
             }
-        });
-    }
+        },
+    );
 
     // dW[outc, cw] += gy_tᵀ [outc, N·pos] · cols [N·pos, cw]: one GEMM
     // over the whole batch, accumulating input rows in ascending order
@@ -1079,13 +1073,9 @@ fn dw_fused(scratch: &ConvScratch, grad_out: &Tensor, s: &Conv2dShape, grad_weig
     if outc >= 2 * KB || m < ATB_BLOCK_M {
         // Row-split path: each task owns KB output rows of dW and sweeps
         // every lowered row.
-        let tasks = outc.div_ceil(KB);
-        let gw_ptr = SharedMut(grad_weight.as_mut_ptr());
-        parallel_for_threshold(tasks, flops, &|t| {
+        parallel_chunks_mut_threshold(grad_weight, KB * cw, flops, &|t, gw_rows| {
             let kk0 = t * KB;
             let kk1 = (kk0 + KB).min(outc);
-            // SAFETY: task `t` exclusively owns dW rows kk0..kk1.
-            let gw_rows = unsafe { gw_ptr.slice(kk0 * cw, (kk1 - kk0) * cw) };
             rows(gw_rows, kk0, kk1, 0, m);
         });
         return;
@@ -1094,16 +1084,11 @@ fn dw_fused(scratch: &ConvScratch, grad_out: &Tensor, s: &Conv2dShape, grad_weig
     // in ascending block order, exactly like matmul_at_b_slices.
     let blocks = m.div_ceil(ATB_BLOCK_M);
     let mut partials = vec![0.0f32; blocks * outc * cw];
-    {
-        let pptr = SharedMut(partials.as_mut_ptr());
-        parallel_for_threshold(blocks, flops, &|blk| {
-            let r0 = blk * ATB_BLOCK_M;
-            let r1 = (r0 + ATB_BLOCK_M).min(m);
-            // SAFETY: block `blk` exclusively owns its partial buffer.
-            let part = unsafe { pptr.slice(blk * outc * cw, outc * cw) };
-            rows(part, 0, outc, r0, r1);
-        });
-    }
+    parallel_chunks_mut_threshold(&mut partials, outc * cw, flops, &|blk, part| {
+        let r0 = blk * ATB_BLOCK_M;
+        let r1 = (r0 + ATB_BLOCK_M).min(m);
+        rows(part, 0, outc, r0, r1);
+    });
     let kern = simd::active_kernel();
     for part in partials.chunks_exact(outc * cw) {
         simd::add_assign(kern, grad_weight, part);

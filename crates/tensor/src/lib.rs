@@ -57,8 +57,8 @@ pub use matmul::{
 };
 pub use ops::{argmax_rows, log_softmax_rows, relu, relu_assign, relu_backward, softmax_rows};
 pub use parallel::{
-    configured_threads, parallel_for, set_thread_budget, thread_budget, with_thread_budget,
-    ENV_THREADS,
+    configured_threads, parallel_chunks_mut, parallel_for, set_thread_budget, thread_budget,
+    with_thread_budget, ENV_THREADS,
 };
 pub use pool::{maxpool2d, maxpool2d_backward, Pool2dShape};
 pub use simd::{

@@ -74,7 +74,7 @@
 //! without needing any finiteness bookkeeping.
 
 use crate::dispatch::{self, GemmOp, TileParams};
-use crate::parallel::{parallel_for_threshold as maybe_parallel, SharedMut};
+use crate::parallel::parallel_chunks_mut_threshold as maybe_parallel;
 use crate::simd::{self, Kernel};
 use crate::stats::{self, Counter};
 use crate::tensor::Tensor;
@@ -135,13 +135,9 @@ pub fn matmul_slices(av: &[f32], bv: &[f32], c: &mut [f32], m: usize, k: usize, 
             mr: 4,
         }
     };
-    let tasks = m.div_ceil(MB);
-    let cptr = SharedMut(c.as_mut_ptr());
-    maybe_parallel(tasks, 2 * m * k * n, &|t| {
+    maybe_parallel(c, MB * n, 2 * m * k * n, &|t, c_rows| {
         let r0 = t * MB;
         let r1 = (r0 + MB).min(m);
-        // SAFETY: task `t` exclusively owns rows `r0..r1` of `C`.
-        let c_rows = unsafe { cptr.slice(r0 * n, (r1 - r0) * n) };
         mm_row_block(kern, av, bv, c_rows, r0, r1, k, n, tiles);
     });
 }
@@ -269,13 +265,9 @@ pub fn matmul_at_b_slices(av: &[f32], bv: &[f32], c: &mut [f32], m: usize, k: us
     // accumulation order (ascending input row) matches the sequential
     // kernel bit-for-bit.
     if k >= 2 * KB || m < ATB_BLOCK_M {
-        let tasks = k.div_ceil(KB);
-        let cptr = SharedMut(c.as_mut_ptr());
-        maybe_parallel(tasks, flops, &|t| {
+        maybe_parallel(c, KB * n, flops, &|t, c_rows| {
             let kk0 = t * KB;
             let kk1 = (kk0 + KB).min(k);
-            // SAFETY: task `t` exclusively owns output rows `kk0..kk1`.
-            let c_rows = unsafe { cptr.slice(kk0 * n, (kk1 - kk0) * n) };
             atb_rows(kern, av, bv, c_rows, 0, m, kk0, kk1, k, n);
         });
         return;
@@ -286,12 +278,9 @@ pub fn matmul_at_b_slices(av: &[f32], bv: &[f32], c: &mut [f32], m: usize, k: us
     // result is still thread-count invariant.
     let blocks = m.div_ceil(ATB_BLOCK_M);
     let mut partials = vec![0.0f32; blocks * k * n];
-    let pptr = SharedMut(partials.as_mut_ptr());
-    maybe_parallel(blocks, flops, &|blk| {
+    maybe_parallel(&mut partials, k * n, flops, &|blk, part| {
         let r0 = blk * ATB_BLOCK_M;
         let r1 = (r0 + ATB_BLOCK_M).min(m);
-        // SAFETY: block `blk` exclusively owns its partial buffer.
-        let part = unsafe { pptr.slice(blk * k * n, k * n) };
         atb_rows(kern, av, bv, part, r0, r1, 0, k, k, n);
     });
     for blk in 0..blocks {
@@ -416,13 +405,9 @@ pub fn matmul_a_bt_slices(av: &[f32], bv: &[f32], c: &mut [f32], m: usize, n: us
     }
     // Scalar arm: the historical register-blocked dot kernel, verbatim —
     // part of the `NIID_SIMD=scalar` bit-exact replay contract.
-    let tasks = m.div_ceil(MB);
-    let cptr = SharedMut(c.as_mut_ptr());
-    maybe_parallel(tasks, 2 * m * k * n, &|t| {
+    maybe_parallel(c, MB * k, 2 * m * k * n, &|t, c_rows| {
         let r0 = t * MB;
         let r1 = (r0 + MB).min(m);
-        // SAFETY: task `t` exclusively owns rows `r0..r1` of `C`.
-        let c_rows = unsafe { cptr.slice(r0 * k, (r1 - r0) * k) };
         // `j` outer / `i` inner: one load of `b_row` serves the whole
         // row-block, whose `A` rows stay cached.
         for j in 0..k {
@@ -455,15 +440,10 @@ fn abt_nt(av: &[f32], bv: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
     let tiles = dispatch::tiles_for(dispatch::classify_gemm(GemmOp::ABt, m, k, n));
     let flops = 2 * m * k * n;
     crate::parallel::with_scratch(k * n, |pack| {
-        let jtiles = k.div_ceil(tiles.nc);
-        let pptr = SharedMut(pack.as_mut_ptr());
-        maybe_parallel(jtiles, flops, &|jt| {
+        maybe_parallel(pack, tiles.nc * n, flops, &|jt, region| {
             let _sp = niid_prof::span!("gemm.pack_bt");
             let j0 = jt * tiles.nc;
-            let j1 = (j0 + tiles.nc).min(k);
-            let wj = j1 - j0;
-            // SAFETY: jj-tile `jt` exclusively owns `[j0·n, j0·n + wj·n)`.
-            let region = unsafe { pptr.slice(j0 * n, wj * n) };
+            let wj = (j0 + tiles.nc).min(k) - j0;
             let mut kk0 = 0;
             while kk0 < n {
                 let kk1 = (kk0 + tiles.kc).min(n);
@@ -480,14 +460,10 @@ fn abt_nt(av: &[f32], bv: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
             }
         });
         let pack: &[f32] = pack;
-        let tasks = m.div_ceil(MB);
-        let cptr = SharedMut(c.as_mut_ptr());
-        maybe_parallel(tasks, flops, &|t| {
+        maybe_parallel(c, MB * k, flops, &|t, c_rows| {
             let _sp = niid_prof::span!("gemm.kernel_nt");
             let r0 = t * MB;
             let r1 = (r0 + MB).min(m);
-            // SAFETY: task `t` exclusively owns rows `r0..r1` of `C`.
-            let c_rows = unsafe { cptr.slice(r0 * k, (r1 - r0) * k) };
             c_rows.fill(0.0);
             let mut j0 = 0;
             while j0 < k {

@@ -8,10 +8,12 @@
 //!
 //! `parallel_for(tasks, body)` promises only that `body(i)` runs exactly
 //! once for every `i` in `0..tasks`, on *some* thread. Kernels built on it
-//! must therefore (a) give each task an exclusive slice of the output and
-//! (b) keep every floating-point accumulation order a function of the
-//! *shape* alone, never of the thread count. All kernels in this crate
-//! follow that rule, so results are bit-identical for any `NIID_THREADS`.
+//! must therefore (a) give each task an exclusive slice of the output —
+//! [`parallel_chunks_mut`] hands task `t` the `t`-th chunk of one buffer,
+//! the only route by which pool tasks write shared output — and (b) keep
+//! every floating-point accumulation order a function of the *shape*
+//! alone, never of the thread count. All kernels in this crate follow
+//! that rule, so results are bit-identical for any `NIID_THREADS`.
 //!
 //! ## Sizing and the oversubscription rule
 //!
@@ -28,9 +30,10 @@
 //! [`set_thread_budget`] remains the thread-local cap for threads outside
 //! the pool that should keep their kernels narrow.
 
+use std::any::Any;
 use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 
 use crate::stats::{self, Counter};
@@ -107,7 +110,8 @@ struct Region {
     /// Helpers that have not yet finished with this region.
     remaining: Mutex<usize>,
     done: Condvar,
-    panicked: AtomicBool,
+    /// The first panic payload a task raised, re-raised on the caller.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 // SAFETY: `body` is only dereferenced while the issuing `parallel_for`
@@ -132,8 +136,9 @@ impl Region {
                 claimed += 1;
                 // SAFETY: see the struct-level invariant.
                 let body = unsafe { &*self.body };
-                if catch_unwind(AssertUnwindSafe(|| body(idx))).is_err() {
-                    self.panicked.store(true, Ordering::Relaxed);
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(idx))) {
+                    let mut first = self.panic.lock().expect("panic slot poisoned");
+                    first.get_or_insert(payload);
                 }
             }
             flag.set(was);
@@ -202,8 +207,8 @@ pub fn pool() -> &'static ThreadPool {
 /// pool workers. Runs inline when the budget is 1, the region is trivial,
 /// or the caller is itself a pool task (no nested parallelism).
 ///
-/// Panics in any task are re-raised on the caller after the region
-/// completes.
+/// A panic in any task is re-raised on the caller, with the first
+/// task's payload, after the region completes.
 pub fn parallel_for(tasks: usize, body: &(dyn Fn(usize) + Sync)) {
     if tasks == 0 {
         return;
@@ -239,7 +244,7 @@ pub fn parallel_for(tasks: usize, body: &(dyn Fn(usize) + Sync)) {
         tasks,
         remaining: Mutex::new(helpers),
         done: Condvar::new(),
-        panicked: AtomicBool::new(false),
+        panic: Mutex::new(None),
     });
     {
         let sender = pool.sender.lock().unwrap();
@@ -256,59 +261,73 @@ pub fn parallel_for(tasks: usize, body: &(dyn Fn(usize) + Sync)) {
         rem = region.done.wait(rem).unwrap();
     }
     drop(rem);
-    if region.panicked.load(Ordering::Relaxed) {
-        panic!("parallel_for: a task panicked");
+    let payload = region.panic.lock().expect("panic slot poisoned").take();
+    if let Some(payload) = payload {
+        resume_unwind(payload);
     }
+}
+
+/// Run `body(t, chunk)` once for each chunk of `buf.chunks_mut(chunk_len)`,
+/// `t` being the chunk's index, splitting the chunks across the pool as
+/// [`parallel_for`] splits its tasks. This is how a pool task gets its
+/// exclusive slice of a shared output (the determinism contract's rule
+/// (a)); to hand tasks several buffers at once, collect the per-task
+/// borrows into a `Vec` and pass chunks of 1.
+///
+/// # Panics
+/// If `chunk_len == 0`, and (re-raised on the caller) if `body` panics.
+pub fn parallel_chunks_mut<T: Send>(
+    buf: &mut [T],
+    chunk_len: usize,
+    body: &(dyn Fn(usize, &mut [T]) + Sync),
+) {
+    assert!(chunk_len > 0, "parallel_chunks_mut: chunk_len is 0");
+    let len = buf.len();
+    // An atomic only so that the region's closure is `Sync` without an
+    // `unsafe impl`; the value is published to the pool workers by the
+    // channel that hands them the region.
+    let base = AtomicPtr::new(buf.as_mut_ptr());
+    parallel_for(len.div_ceil(chunk_len), &|t| {
+        let start = t * chunk_len;
+        let n = chunk_len.min(len - start);
+        // SAFETY: `start..start + n` is in bounds (`t < len.div_ceil(chunk_len)`,
+        // so `start < len`, and `n` stops at `len`), and it is the `t`-th
+        // chunk of `chunks_mut(chunk_len)`, so no two tasks' chunks overlap.
+        // `parallel_for` runs each `t` exactly once, so each chunk is
+        // borrowed once, and it returns only after every helper has
+        // finished with the region (`Region::work` catches unwinds), so no
+        // chunk outlives the exclusive borrow of `buf` held by this call.
+        let chunk =
+            unsafe { std::slice::from_raw_parts_mut(base.load(Ordering::Relaxed).add(start), n) };
+        body(t, chunk);
+    });
 }
 
 /// Minimum FLOP count before a kernel goes multi-threaded; below this
 /// the fork-join handshake outweighs the work.
 pub(crate) const PAR_MIN_FLOPS: usize = 1 << 21;
 
-/// Run `body(t)` for `t in 0..tasks`, going through the pool only when
-/// `flops` clears [`PAR_MIN_FLOPS`]; otherwise the tasks run inline.
-/// Either way every task executes exactly once, in a scheduling whose
-/// floating-point consequences are identical (tasks own disjoint
-/// outputs), so the threshold never affects results.
+/// [`parallel_chunks_mut`] that goes through the pool only when `flops`
+/// clears [`PAR_MIN_FLOPS`] and there are several chunks; otherwise the
+/// chunks run inline. Either way every chunk is visited exactly once, in
+/// a scheduling whose floating-point consequences are identical (tasks
+/// own disjoint outputs), so the threshold never affects results.
 #[inline]
-pub(crate) fn parallel_for_threshold(tasks: usize, flops: usize, body: &(dyn Fn(usize) + Sync)) {
-    if flops >= PAR_MIN_FLOPS && tasks > 1 {
-        parallel_for(tasks, body);
+pub(crate) fn parallel_chunks_mut_threshold<T: Send>(
+    buf: &mut [T],
+    chunk_len: usize,
+    flops: usize,
+    body: &(dyn Fn(usize, &mut [T]) + Sync),
+) {
+    assert!(chunk_len > 0, "parallel_chunks_mut: chunk_len is 0");
+    if flops >= PAR_MIN_FLOPS && buf.len() > chunk_len {
+        parallel_chunks_mut(buf, chunk_len, body);
     } else {
         stats::bump(Counter::PoolInlineRegions, 1);
-        stats::bump(Counter::PoolTasks, tasks as u64);
-        for t in 0..tasks {
-            body(t);
+        stats::bump(Counter::PoolTasks, buf.len().div_ceil(chunk_len) as u64);
+        for (t, chunk) in buf.chunks_mut(chunk_len).enumerate() {
+            body(t, chunk);
         }
-    }
-}
-
-/// A `*mut f32` that may cross thread boundaries so parallel tasks can
-/// write disjoint regions of one output buffer.
-///
-/// # Safety
-/// The creator must guarantee tasks never write overlapping ranges and
-/// the buffer outlives the region (both hold for every use in this
-/// crate: each task owns an exclusive row range of the output).
-pub(crate) struct SharedMut(pub *mut f32);
-
-// SAFETY: the pointer is only turned into slices through `slice`, whose
-// callers guarantee in-bounds, non-overlapping ranges per task and a
-// buffer that outlives the parallel region.
-unsafe impl Send for SharedMut {}
-// SAFETY: sharing the wrapper shares only the address; every write goes
-// through a task-exclusive `slice` range, as for `Send`.
-unsafe impl Sync for SharedMut {}
-
-impl SharedMut {
-    /// The sub-slice `[offset, offset + len)` of the underlying buffer.
-    ///
-    /// # Safety
-    /// Caller must ensure the range is in bounds and not aliased by any
-    /// concurrently running task.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slice(&self, offset: usize, len: usize) -> &mut [f32] {
-        std::slice::from_raw_parts_mut(self.0.add(offset), len)
     }
 }
 
@@ -423,22 +442,60 @@ mod tests {
                 }
             });
         });
-        assert!(result.is_err(), "panic must surface on the caller");
+        let payload = result.expect_err("panic must surface on the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+    }
+
+    /// Every element is written exactly once, by the task whose chunk
+    /// holds it, and every task sees the chunk `chunks_mut` would give it.
+    fn check_chunks(len: usize, chunk_len: usize) {
+        let tasks = len.div_ceil(chunk_len);
+        let calls: Vec<AtomicUsize> = (0..tasks).map(|_| AtomicUsize::new(0)).collect();
+        let mut buf: Vec<Option<String>> = vec![None; len];
+        parallel_chunks_mut(&mut buf, chunk_len, &|t, chunk| {
+            calls[t].fetch_add(1, Ordering::Relaxed);
+            assert_eq!(chunk.len(), chunk_len.min(len - t * chunk_len), "chunk {t}");
+            for v in chunk {
+                assert!(v.is_none(), "element written twice");
+                *v = Some(t.to_string());
+            }
+        });
+        for (t, c) in calls.iter().enumerate() {
+            assert_eq!(
+                c.load(Ordering::Relaxed),
+                1,
+                "chunk {t} of {len}/{chunk_len}"
+            );
+        }
+        for (i, v) in buf.iter().enumerate() {
+            let want = (i / chunk_len).to_string();
+            assert_eq!(
+                v.as_deref(),
+                Some(want.as_str()),
+                "element {i} of {len}/{chunk_len}"
+            );
+        }
+    }
+
+    fn chunk_sweep() {
+        for len in [0, 1, 7, 64, 1000] {
+            for chunk_len in [1, 3, 8, 64, 2000] {
+                check_chunks(len, chunk_len);
+            }
+        }
     }
 
     #[test]
-    fn disjoint_writes_through_shared_mut() {
-        let mut buf = vec![0.0f32; 64];
-        let ptr = SharedMut(buf.as_mut_ptr());
-        parallel_for(8, &|t| {
-            // SAFETY: task `t` owns elements `8t..8t + 8` of the 64.
-            let chunk = unsafe { ptr.slice(t * 8, 8) };
-            for (j, v) in chunk.iter_mut().enumerate() {
-                *v = (t * 8 + j) as f32;
-            }
-        });
-        for (i, v) in buf.iter().enumerate() {
-            assert_eq!(*v, i as f32);
-        }
+    fn chunks_are_exclusive_and_cover_the_buffer() {
+        with_thread_budget(1, chunk_sweep);
+        chunk_sweep();
+        // Nested inside a pool task, the region runs inline.
+        parallel_for(2, &|_| chunk_sweep());
+    }
+
+    #[test]
+    #[should_panic(expected = "parallel_chunks_mut")]
+    fn zero_chunk_len_panics() {
+        parallel_chunks_mut(&mut [0u8; 4], 0, &|_, _| {});
     }
 }

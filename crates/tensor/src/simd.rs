@@ -50,7 +50,7 @@
 //! NaN-maps-to-zero behaviour equals the scalar `if v > 0.0` branch.
 
 use std::cell::Cell;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Environment variable overriding kernel selection
 /// (`off` | `scalar` | `avx2`).
@@ -879,17 +879,11 @@ fn in_blocks<T: Send>(blocks: usize, f: &(dyn Fn(usize) -> T + Sync)) -> Vec<T> 
     if blocks == 1 {
         return vec![f(0)];
     }
-    let slots: Vec<Mutex<Option<T>>> = (0..blocks).map(|_| Mutex::new(None)).collect();
-    crate::parallel::parallel_for(blocks, &|b| {
-        *slots[b].lock().expect("select block poisoned") = Some(f(b));
-    });
+    let mut slots: Vec<Option<T>> = (0..blocks).map(|_| None).collect();
+    crate::parallel::parallel_chunks_mut(&mut slots, 1, &|b, slot| slot[0] = Some(f(b)));
     slots
         .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("select block poisoned")
-                .expect("parallel_for runs every block")
-        })
+        .map(|s| s.expect("parallel_chunks_mut visits every block"))
         .collect()
 }
 

@@ -23,6 +23,9 @@
 //!   trace-event (Perfetto) export.
 //!
 //! See `examples/quickstart.rs` for a three-step end-to-end run.
+
+#![forbid(unsafe_code)]
+
 pub use niid_core as core;
 pub use niid_data as data;
 pub use niid_fl as fl;

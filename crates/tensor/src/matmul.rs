@@ -110,6 +110,28 @@ fn dispatch_kernel(simd_ctr: Counter, scalar_ctr: Counter) -> Kernel {
     kern
 }
 
+/// `c[i] += a * b[i]`, one multiply and one add per element — the
+/// scalar arm's panel update (historical bits).
+#[inline]
+fn axpy(c: &mut [f32], a: f32, b: &[f32]) {
+    debug_assert_eq!(c.len(), b.len());
+    for (cv, &bv) in c.iter_mut().zip(b) {
+        *cv += a * bv;
+    }
+}
+
+/// Dot product `Σ a[i]·b[i]`, accumulated serially — the scalar arm's
+/// `A·Bᵀ` inner loop (historical bits).
+#[inline]
+fn dot(a: &[f32], b: &[f32]) -> f32 {
+    debug_assert_eq!(a.len(), b.len());
+    let mut acc = 0.0f32;
+    for (av, bv) in a.iter().zip(b) {
+        acc += av * bv;
+    }
+    acc
+}
+
 /// `C[m,n] += A[m,k] · B[k,n]` over flat row-major slices.
 ///
 /// Accumulates into `c` (pass a zeroed buffer for a plain product).
@@ -215,7 +237,7 @@ fn mm_row_block(
                             }
                         }
                         let b_seg = &bv[(kk0 + dk) * n + jj0..(kk0 + dk) * n + jj1];
-                        simd::axpy(kern, c_seg, a_ik, b_seg);
+                        axpy(c_seg, a_ik, b_seg);
                     }
                 }
             }
@@ -351,7 +373,7 @@ pub(crate) fn atb_rows(
                     continue;
                 }
             }
-            simd::axpy(kern, &mut c[dk * n..(dk + 1) * n], a_rk, b_row);
+            axpy(&mut c[dk * n..(dk + 1) * n], a_rk, b_row);
         }
     }
 }
@@ -414,7 +436,7 @@ pub fn matmul_a_bt_slices(av: &[f32], bv: &[f32], c: &mut [f32], m: usize, n: us
             let b_row = &bv[j * n..(j + 1) * n];
             for i in r0..r1 {
                 let a_row = &av[i * n..(i + 1) * n];
-                c_rows[(i - r0) * k + j] = simd::dot(kern, a_row, b_row);
+                c_rows[(i - r0) * k + j] = dot(a_row, b_row);
             }
         }
     });
@@ -539,6 +561,25 @@ mod tests {
             }
         }
         c
+    }
+
+    #[test]
+    fn dot_and_axpy_propagate_non_finite() {
+        let mut rng = Pcg64::new(31);
+        for &n in &[5usize, 9, 33] {
+            let mut b: Vec<f32> = (0..n).map(|_| rng.next_f32() * 2.0 - 1.0).collect();
+            b[n - 1] = f32::NAN;
+            let mut c = vec![0.0f32; n];
+            axpy(&mut c, 1.0, &b);
+            assert!(c[n - 1].is_nan(), "axpy NaN lost, len {n}");
+            assert!(c[..n - 1].iter().all(|v| v.is_finite()));
+
+            let a = vec![1.0f32; n];
+            assert!(dot(&a, &b).is_nan(), "dot NaN lost, len {n}");
+            let mut inf: Vec<f32> = (0..n).map(|_| rng.next_f32() * 2.0 - 1.0).collect();
+            inf[0] = f32::INFINITY;
+            assert!(dot(&a, &inf).is_infinite(), "dot inf lost, len {n}");
+        }
     }
 
     #[test]

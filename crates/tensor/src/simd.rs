@@ -1,18 +1,20 @@
-//! Runtime-dispatched SIMD micro-kernels for the training hot path.
+//! Runtime-dispatched SIMD kernels for the training hot path.
 //!
-//! Every inner loop the models spend time in — the GEMM axpy/dot panels,
-//! elementwise activations, bias adds, reductions and the SGD momentum
-//! update — funnels through this module. At process start the dispatcher
-//! picks a [`Kernel`]:
+//! The elementwise loops the models spend time in — activations, bias
+//! adds, reductions, the SGD momentum update and the int8 codec passes —
+//! and the register-tiled GEMM panels of the AVX2 arm live in this
+//! module. At process start the dispatcher picks a [`Kernel`]:
 //!
-//! * **`Kernel::Avx2`** — explicit `std::arch` AVX2+FMA kernels: 8-wide
-//!   (256-bit) f32 lanes, fused multiply-add, 4× unrolled main loops and
-//!   masked tail handling (`_mm256_maskload_ps`/`_mm256_maskstore_ps`)
-//!   so odd lengths never fall off the vector path.
+//! * **`Kernel::Avx2`** — mostly the scalar arm's own loops, compiled a
+//!   second time with `avx2,fma` enabled so the compiler vectorizes them
+//!   over 8-wide (256-bit) lanes. Hand-written `std::arch` intrinsics
+//!   remain only where the compiled loop cannot match them: the GEMM
+//!   panels, `sum` and `quantize_stochastic_i8`.
 //! * **`Kernel::Scalar`** — the portable fallback. Its loops are kept
-//!   **character-for-character identical** to the pre-SIMD kernels, so
+//!   **character-for-character identical** to the pre-SIMD kernels
+//!   (only `max_abs`'s source changed, not its bits), so
 //!   `NIID_SIMD=scalar` reproduces historical training trajectories
-//!   bit-for-bit.
+//!   bit-for-bit, and it executes no AVX instruction.
 //!
 //! ## Selection
 //!
@@ -29,25 +31,44 @@
 //! worker-pool tasks — so a forced kernel applies to the whole operation
 //! regardless of which pool thread executes a tile.
 //!
+//! ## One gate into AVX2 code
+//!
+//! `Kernel` is a public enum, so any caller can pass `Kernel::Avx2`.
+//! Every AVX2 arm therefore enters through the private `on_avx2(body)`:
+//! it asserts that the CPU has avx2 and fma — panicking with the kernel's
+//! name otherwise — and then runs `body` inside one
+//! `#[target_feature(enable = "avx2,fma")]` function, into which the
+//! body is inlined and compiled for AVX2. `on_kernel(k, body)` runs one
+//! body as compiled for either arm. Rust never contracts `a * b + c`
+//! into an FMA, so a body compiled twice gives the same bits on both
+//! arms; only an explicit `mul_add` fuses.
+//!
 //! ## Determinism contract
 //!
 //! For a **fixed kernel**, every primitive's floating-point evaluation
 //! order is a function of slice lengths alone, so results compose with the
 //! worker-pool blocking in [`crate::matmul`] to stay bit-identical at any
-//! `NIID_THREADS`. Across kernels the primitives fall in three classes:
+//! `NIID_THREADS`. Across kernels the primitives fall in these classes:
 //!
-//! | primitive                         | AVX2 vs scalar |
-//! |-----------------------------------|----------------|
-//! | `add_assign`, `add_scalar_assign`, `scale_assign`, `relu_*` | bit-identical (lane ops have scalar IEEE semantics) |
-//! | `sum_sq_f64`                      | bit-identical (4 f64 lanes mirror the scalar 4-accumulator loop) |
-//! | `max_abs`, `quantize_stochastic_i8`, `dequantize_i8` | bit-identical (max/compare/convert are exact; the dither hash is integer) |
-//! | `topk_select`                     | identical (one integer radix select serves both arms) |
-//! | `axpy`, `dot`, `sum`, `sgd_momentum_step` | tolerance-bounded (FMA contraction and/or lane-reduction reassociation) |
+//! | primitive | AVX2 arm | AVX2 vs scalar |
+//! |-----------|----------|----------------|
+//! | `add_assign`, `add_scalar_assign`, `scale_assign`, `relu_*`, `sum_sq_f64`, `dequantize_i8` | one source compiled twice | bit-identical (no fusion, no reassociation) |
+//! | `max_abs` | one 8-lane source compiled twice | bit-identical (see below) |
+//! | `topk_select` | one integer source; the kernel selects nothing | identical |
+//! | `sgd_momentum_step` | its own safe body, a `mul_add` chain | tolerance-bounded (FMA contraction) |
+//! | `sum` | intrinsics | tolerance-bounded (lane reassociation) |
+//! | `quantize_stochastic_i8` | intrinsics | bit-identical for finite inputs only |
+//! | `gemm_panel_avx2`, `gemm_panel_nt_avx2` | intrinsics, AVX2 arm only | the GEMM tolerance class |
+//!
+//! `max_abs` used to fold with `f32::max`, a serial chain the compiler
+//! cannot vectorize; both arms now run an 8-lane `if v > m { v } else
+//! { m }` body. Its bits did not change: the max of non-negative
+//! magnitudes does not depend on order, and both forms skip NaN.
 //!
 //! NaN/∞ propagation matches the scalar kernels everywhere: FMA and lane
 //! arithmetic propagate non-finite values exactly like their scalar
-//! counterparts, and the ReLU kernels use compare/max forms whose
-//! NaN-maps-to-zero behaviour equals the scalar `if v > 0.0` branch.
+//! counterparts, and the ReLU bodies map NaN to zero through the scalar
+//! `if v > 0.0` branch on both arms.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -61,7 +82,9 @@ pub const ENV_SIMD: &str = "NIID_SIMD";
 pub enum Kernel {
     /// Portable scalar loops (bit-identical to the pre-SIMD kernels).
     Scalar,
-    /// AVX2 + FMA `std::arch` kernels (x86-64 only).
+    /// The same loops compiled for AVX2 + FMA, plus intrinsics for the
+    /// GEMM panels, `sum` and the quantizer (x86-64 only). Every entry
+    /// point checks the CPU first and panics when it lacks avx2 or fma.
     Avx2,
 }
 
@@ -98,9 +121,24 @@ impl Kernel {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Makes [`avx2_available`] report false on this thread, so a test
+    /// can watch the AVX2 arms refuse to run.
+    static HIDE_AVX2: Cell<bool> = const { Cell::new(false) };
+}
+
 #[cfg(target_arch = "x86_64")]
 fn avx2_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+    #[cfg(test)]
+    if HIDE_AVX2.with(Cell::get) {
+        return false;
+    }
+    // Every AVX2 call checks this: one cached load, not two lookups.
+    static DETECTED: OnceLock<bool> = OnceLock::new();
+    *DETECTED.get_or_init(|| {
+        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+    })
 }
 
 #[cfg(not(target_arch = "x86_64"))]
@@ -183,163 +221,117 @@ pub fn with_forced_kernel<R>(k: Kernel, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// Run `body` compiled for AVX2 + FMA: the one way into AVX2 code.
+///
+/// # Panics
+/// Panics, naming the kernel, when the CPU lacks avx2 or fma.
+#[inline]
+fn on_avx2<R>(body: impl FnOnce() -> R) -> R {
+    assert!(
+        avx2_available(),
+        "simd: {} not available on this CPU",
+        Kernel::Avx2.name()
+    );
+    #[cfg(target_arch = "x86_64")]
+    {
+        /// `body` is inlined here and compiled with the features on.
+        #[target_feature(enable = "avx2,fma")]
+        fn region<R>(body: impl FnOnce() -> R) -> R {
+            body()
+        }
+        // SAFETY: the assert above found avx2 and fma on this CPU, which
+        // is all a call into a `target_feature` function requires.
+        unsafe { region(body) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = body;
+        unreachable!("avx2 is never available off x86-64")
+    }
+}
+
+/// Run `body` as compiled for kernel `k`: inline for `Scalar`, through
+/// [`on_avx2`] for `Avx2`. The kernel picks which compiled copy runs, so
+/// the scalar arm executes no AVX instruction.
+#[inline]
+fn on_kernel<R>(k: Kernel, body: impl FnOnce() -> R) -> R {
+    match k {
+        Kernel::Scalar => body(),
+        Kernel::Avx2 => on_avx2(body),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Dispatched primitives. Every function takes the resolved `Kernel` so the
 // dispatch decision is hoisted out of tile/row loops by the caller.
 // ---------------------------------------------------------------------------
 
-/// `c[i] += a * b[i]` — the GEMM panel update.
-///
-/// AVX2 uses 8-wide FMA (single rounding per element); scalar is the
-/// historical mul+add loop.
-#[inline]
-pub fn axpy(k: Kernel, c: &mut [f32], a: f32, b: &[f32]) {
-    debug_assert_eq!(c.len(), b.len());
-    match k {
-        Kernel::Scalar => {
-            for (cv, &bv) in c.iter_mut().zip(b) {
-                *cv += a * bv;
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only selectable when avx2+fma are detected.
-        Kernel::Avx2 => unsafe { avx2::axpy(c, a, b) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Avx2 => unreachable!("avx2 kernel on non-x86_64"),
-    }
-}
-
-/// Dot product `Σ a[i]·b[i]` — the A·Bᵀ inner loop.
-///
-/// AVX2 accumulates in 4×8 lanes reduced in a fixed order; scalar is the
-/// historical serial accumulation.
-#[inline]
-pub fn dot(k: Kernel, a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    match k {
-        Kernel::Scalar => {
-            let mut acc = 0.0f32;
-            for (av, bv) in a.iter().zip(b) {
-                acc += av * bv;
-            }
-            acc
-        }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only selectable when avx2+fma are detected.
-        Kernel::Avx2 => unsafe { avx2::dot(a, b) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Avx2 => unreachable!("avx2 kernel on non-x86_64"),
-    }
-}
-
 /// Elementwise `c[i] += b[i]`. Bit-identical across kernels.
 #[inline]
 pub fn add_assign(k: Kernel, c: &mut [f32], b: &[f32]) {
     debug_assert_eq!(c.len(), b.len());
-    match k {
-        Kernel::Scalar => {
-            for (cv, &bv) in c.iter_mut().zip(b) {
-                *cv += bv;
-            }
+    on_kernel(k, move || {
+        for (cv, &bv) in c.iter_mut().zip(b) {
+            *cv += bv;
         }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only selectable when avx2+fma are detected.
-        Kernel::Avx2 => unsafe { avx2::add_assign(c, b) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Avx2 => unreachable!("avx2 kernel on non-x86_64"),
-    }
+    })
 }
 
 /// `c[i] += a` — the conv bias broadcast. Bit-identical across kernels.
 #[inline]
 pub fn add_scalar_assign(k: Kernel, c: &mut [f32], a: f32) {
-    match k {
-        Kernel::Scalar => {
-            for cv in c.iter_mut() {
-                *cv += a;
-            }
+    on_kernel(k, move || {
+        for cv in c.iter_mut() {
+            *cv += a;
         }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only selectable when avx2+fma are detected.
-        Kernel::Avx2 => unsafe { avx2::add_scalar_assign(c, a) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Avx2 => unreachable!("avx2 kernel on non-x86_64"),
-    }
+    })
 }
 
 /// `c[i] *= a` — softmax normalization, gradient scaling. Bit-identical
 /// across kernels.
 #[inline]
 pub fn scale_assign(k: Kernel, c: &mut [f32], a: f32) {
-    match k {
-        Kernel::Scalar => {
-            for cv in c.iter_mut() {
-                *cv *= a;
-            }
+    on_kernel(k, move || {
+        for cv in c.iter_mut() {
+            *cv *= a;
         }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only selectable when avx2+fma are detected.
-        Kernel::Avx2 => unsafe { avx2::scale_assign(c, a) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Avx2 => unreachable!("avx2 kernel on non-x86_64"),
-    }
+    })
 }
 
-/// `dst[i] = max(src[i], 0)`, with NaN mapped to `0.0` exactly like the
-/// scalar `if v > 0.0 { v } else { 0.0 }`. Bit-identical across kernels.
+/// `dst[i] = max(src[i], 0)`, with NaN mapped to `0.0` by the scalar
+/// `if v > 0.0 { v } else { 0.0 }`. Bit-identical across kernels.
 #[inline]
 pub fn relu_into(k: Kernel, src: &[f32], dst: &mut [f32]) {
     debug_assert_eq!(src.len(), dst.len());
-    match k {
-        Kernel::Scalar => {
-            for (d, &v) in dst.iter_mut().zip(src) {
-                *d = if v > 0.0 { v } else { 0.0 };
-            }
+    on_kernel(k, move || {
+        for (d, &v) in dst.iter_mut().zip(src) {
+            *d = if v > 0.0 { v } else { 0.0 };
         }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only selectable when avx2+fma are detected.
-        Kernel::Avx2 => unsafe { avx2::relu_into(src, dst) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Avx2 => unreachable!("avx2 kernel on non-x86_64"),
-    }
+    })
 }
 
 /// In-place ReLU (`x[i] = max(x[i], 0)`, NaN → 0). Bit-identical across
 /// kernels.
 #[inline]
 pub fn relu_assign(k: Kernel, xs: &mut [f32]) {
-    match k {
-        Kernel::Scalar => {
-            for v in xs.iter_mut() {
-                *v = if *v > 0.0 { *v } else { 0.0 };
-            }
+    on_kernel(k, move || {
+        for v in xs.iter_mut() {
+            *v = if *v > 0.0 { *v } else { 0.0 };
         }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only selectable when avx2+fma are detected.
-        Kernel::Avx2 => unsafe { avx2::relu_assign(xs) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Avx2 => unreachable!("avx2 kernel on non-x86_64"),
-    }
+    })
 }
 
 /// `dst[i] = if input[i] > 0 { grad[i] } else { 0 }` — ReLU backward.
-/// Bit-identical across kernels (NaN input gates to 0, like scalar).
+/// Bit-identical across kernels (NaN input gates to 0).
 #[inline]
 pub fn relu_backward_into(k: Kernel, grad: &[f32], input: &[f32], dst: &mut [f32]) {
     debug_assert_eq!(grad.len(), input.len());
     debug_assert_eq!(grad.len(), dst.len());
-    match k {
-        Kernel::Scalar => {
-            for ((d, &g), &x) in dst.iter_mut().zip(grad).zip(input) {
-                *d = if x > 0.0 { g } else { 0.0 };
-            }
+    on_kernel(k, move || {
+        for ((d, &g), &x) in dst.iter_mut().zip(grad).zip(input) {
+            *d = if x > 0.0 { g } else { 0.0 };
         }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only selectable when avx2+fma are detected.
-        Kernel::Avx2 => unsafe { avx2::relu_backward_into(grad, input, dst) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Avx2 => unreachable!("avx2 kernel on non-x86_64"),
-    }
+    })
 }
 
 /// Sum of a slice (f32 accumulation). AVX2 reduces 8 lanes in a fixed
@@ -355,44 +347,36 @@ pub fn sum(k: Kernel, xs: &[f32]) -> f32 {
             acc
         }
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only selectable when avx2+fma are detected.
-        Kernel::Avx2 => unsafe { avx2::sum(xs) },
+        // SAFETY: `on_avx2` runs the closure only after finding avx2+fma.
+        Kernel::Avx2 => on_avx2(|| unsafe { avx2::sum(xs) }),
         #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Avx2 => unreachable!("avx2 kernel on non-x86_64"),
+        Kernel::Avx2 => on_avx2(|| unreachable!()),
     }
 }
 
 /// Sum of squares with f64 accumulation — the gradient-norm probe.
 ///
-/// **Bit-identical across kernels**: the scalar path uses 4 independent
-/// accumulators over `chunks_exact(4)` (lane `j` takes elements
-/// `j, j+4, …`), combined as `s0+s1+s2+s3` plus a serial remainder; the
-/// AVX2 path maps the same 4 streams onto 4 f64 lanes with plain
-/// convert/multiply/add (no FMA), so every partial sum rounds identically.
+/// **Bit-identical across kernels**: 4 independent accumulators over
+/// `chunks_exact(4)` (lane `j` takes elements `j, j+4, …`), combined as
+/// `s0+s1+s2+s3` plus a serial remainder. The compiler may map the 4
+/// streams onto 4 f64 lanes, but never reorders an addition.
 #[inline]
 pub fn sum_sq_f64(k: Kernel, xs: &[f32]) -> f64 {
-    match k {
-        Kernel::Scalar => {
-            let mut sums = [0.0f64; 4];
-            let mut chunks = xs.chunks_exact(4);
-            for c in chunks.by_ref() {
-                sums[0] += (c[0] as f64) * (c[0] as f64);
-                sums[1] += (c[1] as f64) * (c[1] as f64);
-                sums[2] += (c[2] as f64) * (c[2] as f64);
-                sums[3] += (c[3] as f64) * (c[3] as f64);
-            }
-            let mut s = sums[0] + sums[1] + sums[2] + sums[3];
-            for &v in chunks.remainder() {
-                s += (v as f64) * (v as f64);
-            }
-            s
+    on_kernel(k, move || {
+        let mut sums = [0.0f64; 4];
+        let mut chunks = xs.chunks_exact(4);
+        for c in chunks.by_ref() {
+            sums[0] += (c[0] as f64) * (c[0] as f64);
+            sums[1] += (c[1] as f64) * (c[1] as f64);
+            sums[2] += (c[2] as f64) * (c[2] as f64);
+            sums[3] += (c[3] as f64) * (c[3] as f64);
         }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only selectable when avx2+fma are detected.
-        Kernel::Avx2 => unsafe { avx2::sum_sq_f64(xs) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Avx2 => unreachable!("avx2 kernel on non-x86_64"),
-    }
+        let mut s = sums[0] + sums[1] + sums[2] + sums[3];
+        for &v in chunks.remainder() {
+            s += (v as f64) * (v as f64);
+        }
+        s
+    })
 }
 
 /// Register-tiled GEMM panel update (AVX2 only):
@@ -405,23 +389,24 @@ pub fn sum_sq_f64(k: Kernel, xs: &[f32]) -> f64 {
 /// loop (two 8-lane vectors per row while `width ≥ 16`, one while
 /// `width ≥ 8`, a masked vector for the final `width % 8` columns), so C
 /// is loaded and stored **once per panel** instead of once per `t` as in
-/// the [`axpy`] formulation. The `alpha` strides make the one kernel
+/// the scalar arm's per-row axpy. The `alpha` strides make the one kernel
 /// serve both axpy-shaped GEMMs: `A·B` passes `rs = k, ts = 1` (alphas
 /// are a row of A), `Aᵀ·B` passes `rs = 1, ts = k` (alphas are a column
 /// of A).
 ///
-/// Per C element the evaluation is the same `t`-ascending FMA chain as
-/// the AVX2 [`axpy`] panel loop, so swapping the formulations does not
-/// change the cross-kernel tolerance class, and the order is a function
-/// of shapes alone (thread-count bit-identity holds). Unlike the scalar
-/// path this kernel never skips zero alphas — every term is computed, so
-/// NaN/∞ in either operand propagate exactly as IEEE arithmetic demands.
+/// Per C element the evaluation is one `t`-ascending FMA chain, a
+/// function of shapes alone (thread-count bit-identity holds). Unlike the
+/// scalar path this kernel never skips zero alphas — every term is
+/// computed, so NaN/∞ in either operand propagate exactly as IEEE
+/// arithmetic demands. Only `matmul.rs` and `conv.rs` call it, from the
+/// AVX2 arm of a `dispatch_kernel` choice.
 ///
 /// # Panics
-/// Panics when `rows ∉ 1..=4` or any index reaches outside its slice.
+/// Panics when `rows ∉ 1..=4`, any index reaches outside its slice, or
+/// the CPU lacks avx2+fma.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_panel_avx2(
+pub(crate) fn gemm_panel_avx2(
     alpha: &[f32],
     rs: usize,
     ts: usize,
@@ -449,10 +434,10 @@ pub fn gemm_panel_avx2(
         (rows - 1) * cs + width <= c.len(),
         "gemm_panel: c out of bounds"
     );
-    // SAFETY: bounds asserted above; callers only select this kernel when
-    // avx2+fma are detected (enforced by `Kernel::Avx2.available()` at
-    // dispatch time).
-    unsafe {
+    // SAFETY: bounds asserted above, and `on_avx2` runs the closure only
+    // after finding avx2+fma (the crate's callers get here from a
+    // `dispatch_kernel` AVX2 arm, so that check never fails for them).
+    on_avx2(|| unsafe {
         avx2::gemm_panel(
             alpha.as_ptr(),
             rs,
@@ -465,7 +450,7 @@ pub fn gemm_panel_avx2(
             cs,
             width,
         )
-    }
+    })
 }
 
 /// Pack a `depth × width` panel of `Bᵀ` into contiguous lanes:
@@ -524,13 +509,15 @@ pub fn pack_bt_panel(
 /// runs the same register-tiled broadcast-FMA inner loop as
 /// [`gemm_panel_avx2`] — whose per-element `t`-ascending chain it shares,
 /// so bits depend only on depth chunking, never on pack width or row
-/// grouping.
+/// grouping. Only `matmul.rs` and `conv.rs` call it, from the AVX2 arm of
+/// a `dispatch_kernel` choice.
 ///
 /// # Panics
-/// Panics when `rows ∉ 1..=4` or any index reaches outside its slice.
+/// Panics when `rows ∉ 1..=4`, any index reaches outside its slice, or
+/// the CPU lacks avx2+fma.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_panel_nt_avx2(
+pub(crate) fn gemm_panel_nt_avx2(
     alpha: &[f32],
     rs: usize,
     ts: usize,
@@ -557,9 +544,10 @@ pub fn gemm_panel_nt_avx2(
         (rows - 1) * cs + width <= c.len(),
         "gemm_panel_nt: c out of bounds"
     );
-    // SAFETY: bounds asserted above; callers only select this kernel when
-    // avx2+fma are detected.
-    unsafe {
+    // SAFETY: bounds asserted above, and `on_avx2` runs the closure only
+    // after finding avx2+fma (the crate's callers get here from a
+    // `dispatch_kernel` AVX2 arm, so that check never fails for them).
+    on_avx2(|| unsafe {
         avx2::gemm_panel_nt(
             alpha.as_ptr(),
             rs,
@@ -571,7 +559,7 @@ pub fn gemm_panel_nt_avx2(
             cs,
             width,
         )
-    }
+    })
 }
 
 /// Fused single-pass SGD momentum update over the flat parameter vector:
@@ -584,8 +572,8 @@ pub fn gemm_panel_nt_avx2(
 ///
 /// One load/store pass over three arrays instead of three scalar
 /// read-modify-write chains. The scalar path is the historical
-/// [`Sgd::step`] loop verbatim; AVX2 contracts each line into an FMA
-/// (tolerance-bounded).
+/// `Sgd::step` loop verbatim; the AVX2 path writes each line as one
+/// `mul_add`, a single rounding (tolerance-bounded).
 #[inline]
 pub fn sgd_momentum_step(
     k: Kernel,
@@ -598,49 +586,48 @@ pub fn sgd_momentum_step(
 ) {
     assert_eq!(params.len(), grads.len(), "sgd step: grads length");
     assert_eq!(params.len(), velocity.len(), "sgd step: velocity length");
+    let (m, wd) = (momentum, weight_decay);
+    let steps = params.iter_mut().zip(grads).zip(velocity.iter_mut());
     match k {
         Kernel::Scalar => {
-            let (m, wd) = (momentum, weight_decay);
-            for ((p, &g), v) in params.iter_mut().zip(grads).zip(velocity.iter_mut()) {
+            for ((p, &g), v) in steps {
                 let g = g + wd * *p;
                 *v = m * *v + g;
                 *p -= lr * *v;
             }
         }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only selectable when avx2+fma are detected;
-        // lengths checked above.
-        Kernel::Avx2 => unsafe {
-            avx2::sgd_momentum_step(params, grads, velocity, lr, momentum, weight_decay)
-        },
-        #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Avx2 => unreachable!("avx2 kernel on non-x86_64"),
+        Kernel::Avx2 => on_avx2(move || {
+            for ((p, &g), v) in steps {
+                let g = wd.mul_add(*p, g);
+                *v = m.mul_add(*v, g);
+                *p = (-lr).mul_add(*v, *p);
+            }
+        }),
     }
 }
 
 /// Largest absolute value in `xs` (`0` when empty) — the int8 codec's
 /// scale pass.
 ///
-/// **Bit-identical across kernels**: max over non-negative magnitudes is
-/// order-insensitive, so the AVX2 lane reduction cannot reassociate its
-/// way to a different answer. NaN elements are ignored on both arms
-/// (the accumulator operand order maps `max(acc, NaN)` to `acc`).
+/// **Bit-identical across kernels**: one body runs on both arms, keeping
+/// 8 running maxima with `if v > m { v } else { m }` (the operand order
+/// of `maxps`, so the compiler vectorizes it). The max of non-negative
+/// magnitudes does not depend on order, and a NaN element never wins a
+/// `>` compare, so it is ignored.
 #[inline]
 pub fn max_abs(k: Kernel, xs: &[f32]) -> f32 {
-    match k {
-        Kernel::Scalar => {
-            let mut m = 0.0f32;
-            for &v in xs {
-                m = m.max(v.abs());
+    on_kernel(k, move || {
+        let max = |m: f32, v: f32| if v > m { v } else { m };
+        let mut lanes = [0.0f32; 8];
+        let mut chunks = xs.chunks_exact(8);
+        for c in chunks.by_ref() {
+            for (m, &v) in lanes.iter_mut().zip(c) {
+                *m = max(*m, v.abs());
             }
-            m
         }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only selectable when avx2+fma are detected.
-        Kernel::Avx2 => unsafe { avx2::max_abs(xs) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Avx2 => unreachable!("avx2 kernel on non-x86_64"),
-    }
+        let tail = chunks.remainder().iter().map(|v| v.abs());
+        lanes.into_iter().chain(tail).fold(0.0, max)
+    })
 }
 
 /// Fold a 64-bit seed into the 32-bit lane-hash domain.
@@ -675,9 +662,10 @@ fn dither_f32(seed: u32, i: u32) -> f32 {
 /// (unbiased). `levels` must be in `2..=128` so magnitudes fit an `i8`.
 /// A zero (or non-finite-free all-zero) vector quantizes to all zeros.
 ///
-/// **Bit-identical across kernels** for finite inputs: both arms share
-/// the integer dither hash and the same mul → add → floor → clamp →
-/// convert chain, all of which are exact lane-for-lane.
+/// **Bit-identical across kernels for finite inputs only**: both arms
+/// share the integer dither hash and the same mul → add → floor → clamp →
+/// convert chain, all of which are exact lane-for-lane; the arms' NaN
+/// handling in the clamp is not part of the contract.
 pub fn quantize_stochastic_i8(
     k: Kernel,
     xs: &[f32],
@@ -691,8 +679,8 @@ pub fn quantize_stochastic_i8(
         "quantize: levels must be in 2..=128, got {levels}"
     );
     let scale = max_abs(k, xs);
-    // `max_abs` folds through f32::max, which ignores NaN lanes, so the
-    // scale is never NaN — only a genuinely all-zero input lands here.
+    // `max_abs` ignores NaN elements, so the scale is never NaN — only a
+    // genuinely all-zero input lands here.
     if scale <= 0.0 {
         out.fill(0);
         return scale;
@@ -709,18 +697,18 @@ pub fn quantize_stochastic_i8(
             }
         }
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only selectable when avx2+fma are detected;
-        // lengths checked above.
-        Kernel::Avx2 => unsafe { avx2::quantize_stochastic_i8(xs, m, qmax, s32, out) },
+        // SAFETY: `on_avx2` runs the closure only after finding avx2+fma;
+        // lengths asserted above.
+        Kernel::Avx2 => on_avx2(|| unsafe { avx2::quantize_stochastic_i8(xs, m, qmax, s32, out) }),
         #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Avx2 => unreachable!("avx2 kernel on non-x86_64"),
+        Kernel::Avx2 => on_avx2(|| unreachable!()),
     }
     scale
 }
 
 /// Int8 dequantization: `out[i] = q[i] · s/(levels−1)` — the QSGD decode
 /// pass. Bit-identical across kernels (one exact convert and one IEEE
-/// multiply per lane).
+/// multiply per element).
 pub fn dequantize_i8(k: Kernel, qs: &[i8], scale: f32, levels: u16, out: &mut [f32]) {
     assert_eq!(qs.len(), out.len(), "dequantize: output length");
     assert!(
@@ -732,19 +720,11 @@ pub fn dequantize_i8(k: Kernel, qs: &[i8], scale: f32, levels: u16, out: &mut [f
     } else {
         0.0
     };
-    match k {
-        Kernel::Scalar => {
-            for (&q, v) in qs.iter().zip(out.iter_mut()) {
-                *v = q as f32 * step;
-            }
+    on_kernel(k, move || {
+        for (&q, v) in qs.iter().zip(out.iter_mut()) {
+            *v = q as f32 * step;
         }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only selectable when avx2+fma are detected;
-        // lengths checked above.
-        Kernel::Avx2 => unsafe { avx2::dequantize_i8(qs, step, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Avx2 => unreachable!("avx2 kernel on non-x86_64"),
-    }
+    })
 }
 
 /// Fixed block width for [`topk_select`]'s passes over the input. Like
@@ -974,16 +954,18 @@ fn for_each_kept<T: Copy>(xs: &[T], keep: impl Fn(T) -> bool, mut hit: impl FnMu
     }
 }
 
-/// The AVX2+FMA micro-kernels.
+/// The hand-written AVX2+FMA kernels that stay intrinsics: the GEMM
+/// register tiles, `sum` and the quantizer. They stream 256-bit `ymm`
+/// registers over contiguous f32 slices, and the GEMM tiles and `sum`
+/// `maskload`/`maskstore` the final `len % 8` lanes so a tail never
+/// leaves the vector unit or touches memory beyond the slice.
 ///
-/// ## Register layout
+/// # Safety
 ///
-/// All kernels stream 256-bit `ymm` registers over contiguous f32 slices:
-/// a 4× unrolled main loop (32 f32 per iteration, enough independent FMA
-/// chains to cover the 4-cycle FMA latency at 2 issues/cycle), an 8-wide
-/// cleanup loop, and a masked epilogue that `maskload`s/`maskstore`s the
-/// final `len % 8` lanes so tails never leave the vector unit or touch
-/// memory beyond the slice.
+/// Every function here requires avx2 and fma on the running CPU, so it
+/// is called only inside `on_avx2`. The pointer-taking GEMM tiles also
+/// require every index their contract names to be in bounds, which their
+/// safe wrappers assert.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::*;
@@ -1020,52 +1002,10 @@ mod avx2 {
         _mm_cvtss_f32(s)
     }
 
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn axpy(c: &mut [f32], a: f32, b: &[f32]) {
-        let n = c.len();
-        let (cp, bp) = (c.as_mut_ptr(), b.as_ptr());
-        let va = _mm256_set1_ps(a);
-        let mut i = 0usize;
-        while i + 32 <= n {
-            let c0 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp.add(i)), _mm256_loadu_ps(cp.add(i)));
-            let c1 = _mm256_fmadd_ps(
-                va,
-                _mm256_loadu_ps(bp.add(i + 8)),
-                _mm256_loadu_ps(cp.add(i + 8)),
-            );
-            let c2 = _mm256_fmadd_ps(
-                va,
-                _mm256_loadu_ps(bp.add(i + 16)),
-                _mm256_loadu_ps(cp.add(i + 16)),
-            );
-            let c3 = _mm256_fmadd_ps(
-                va,
-                _mm256_loadu_ps(bp.add(i + 24)),
-                _mm256_loadu_ps(cp.add(i + 24)),
-            );
-            _mm256_storeu_ps(cp.add(i), c0);
-            _mm256_storeu_ps(cp.add(i + 8), c1);
-            _mm256_storeu_ps(cp.add(i + 16), c2);
-            _mm256_storeu_ps(cp.add(i + 24), c3);
-            i += 32;
-        }
-        while i + 8 <= n {
-            let cv = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp.add(i)), _mm256_loadu_ps(cp.add(i)));
-            _mm256_storeu_ps(cp.add(i), cv);
-            i += 8;
-        }
-        let rem = n - i;
-        if rem > 0 {
-            let m = tail_mask(rem);
-            let bv = _mm256_maskload_ps(bp.add(i), m);
-            let cv = _mm256_maskload_ps(cp.add(i), m);
-            _mm256_maskstore_ps(cp.add(i), m, _mm256_fmadd_ps(va, bv, cv));
-        }
-    }
-
     /// Register-tiled panel update; see [`super::gemm_panel_avx2`] for the
     /// contract. Monomorphizes the row count so the accumulator arrays
     /// stay in `ymm` registers.
+    #[inline]
     #[target_feature(enable = "avx2,fma")]
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn gemm_panel(
@@ -1094,6 +1034,7 @@ mod avx2 {
     /// makes the panel a dense `depth × width` row-major matrix, i.e.
     /// [`gemm_panel`] with `bs = width` — same register tiling, same
     /// per-element FMA chain.
+    #[inline]
     #[target_feature(enable = "avx2,fma")]
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn gemm_panel_nt(
@@ -1190,172 +1131,6 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len();
-        let (ap, bp) = (a.as_ptr(), b.as_ptr());
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut acc2 = _mm256_setzero_ps();
-        let mut acc3 = _mm256_setzero_ps();
-        let mut i = 0usize;
-        while i + 32 <= n {
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)), acc0);
-            acc1 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(ap.add(i + 8)),
-                _mm256_loadu_ps(bp.add(i + 8)),
-                acc1,
-            );
-            acc2 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(ap.add(i + 16)),
-                _mm256_loadu_ps(bp.add(i + 16)),
-                acc2,
-            );
-            acc3 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(ap.add(i + 24)),
-                _mm256_loadu_ps(bp.add(i + 24)),
-                acc3,
-            );
-            i += 32;
-        }
-        while i + 8 <= n {
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)), acc0);
-            i += 8;
-        }
-        let rem = n - i;
-        if rem > 0 {
-            // Masked lanes load as +0.0 on both sides: 0·0 contributes
-            // exactly 0 and cannot manufacture or swallow a NaN.
-            let m = tail_mask(rem);
-            acc1 = _mm256_fmadd_ps(
-                _mm256_maskload_ps(ap.add(i), m),
-                _mm256_maskload_ps(bp.add(i), m),
-                acc1,
-            );
-        }
-        let acc = _mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3));
-        hsum(acc)
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn add_assign(c: &mut [f32], b: &[f32]) {
-        let n = c.len();
-        let (cp, bp) = (c.as_mut_ptr(), b.as_ptr());
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let cv = _mm256_add_ps(_mm256_loadu_ps(cp.add(i)), _mm256_loadu_ps(bp.add(i)));
-            _mm256_storeu_ps(cp.add(i), cv);
-            i += 8;
-        }
-        let rem = n - i;
-        if rem > 0 {
-            let m = tail_mask(rem);
-            let cv = _mm256_add_ps(
-                _mm256_maskload_ps(cp.add(i), m),
-                _mm256_maskload_ps(bp.add(i), m),
-            );
-            _mm256_maskstore_ps(cp.add(i), m, cv);
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn add_scalar_assign(c: &mut [f32], a: f32) {
-        let n = c.len();
-        let cp = c.as_mut_ptr();
-        let va = _mm256_set1_ps(a);
-        let mut i = 0usize;
-        while i + 8 <= n {
-            _mm256_storeu_ps(cp.add(i), _mm256_add_ps(_mm256_loadu_ps(cp.add(i)), va));
-            i += 8;
-        }
-        let rem = n - i;
-        if rem > 0 {
-            let m = tail_mask(rem);
-            let cv = _mm256_add_ps(_mm256_maskload_ps(cp.add(i), m), va);
-            _mm256_maskstore_ps(cp.add(i), m, cv);
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn scale_assign(c: &mut [f32], a: f32) {
-        let n = c.len();
-        let cp = c.as_mut_ptr();
-        let va = _mm256_set1_ps(a);
-        let mut i = 0usize;
-        while i + 8 <= n {
-            _mm256_storeu_ps(cp.add(i), _mm256_mul_ps(_mm256_loadu_ps(cp.add(i)), va));
-            i += 8;
-        }
-        let rem = n - i;
-        if rem > 0 {
-            let m = tail_mask(rem);
-            let cv = _mm256_mul_ps(_mm256_maskload_ps(cp.add(i), m), va);
-            _mm256_maskstore_ps(cp.add(i), m, cv);
-        }
-    }
-
-    /// `max(x, 0)` with the NaN→0 convention: `MAXPS` returns the second
-    /// operand when either input is NaN, and zero is the second operand.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn relu_into(src: &[f32], dst: &mut [f32]) {
-        let n = src.len();
-        let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
-        let zero = _mm256_setzero_ps();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            _mm256_storeu_ps(dp.add(i), _mm256_max_ps(_mm256_loadu_ps(sp.add(i)), zero));
-            i += 8;
-        }
-        let rem = n - i;
-        if rem > 0 {
-            let m = tail_mask(rem);
-            let v = _mm256_max_ps(_mm256_maskload_ps(sp.add(i), m), zero);
-            _mm256_maskstore_ps(dp.add(i), m, v);
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn relu_assign(xs: &mut [f32]) {
-        let n = xs.len();
-        let p = xs.as_mut_ptr();
-        let zero = _mm256_setzero_ps();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            _mm256_storeu_ps(p.add(i), _mm256_max_ps(_mm256_loadu_ps(p.add(i)), zero));
-            i += 8;
-        }
-        let rem = n - i;
-        if rem > 0 {
-            let m = tail_mask(rem);
-            let v = _mm256_max_ps(_mm256_maskload_ps(p.add(i), m), zero);
-            _mm256_maskstore_ps(p.add(i), m, v);
-        }
-    }
-
-    /// Gradient gated by `input > 0` via `CMP_GT_OQ` + bitwise AND; a NaN
-    /// input compares false (ordered, quiet) and gates the lane to 0,
-    /// matching the scalar branch.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn relu_backward_into(grad: &[f32], input: &[f32], dst: &mut [f32]) {
-        let n = grad.len();
-        let (gp, xp, dp) = (grad.as_ptr(), input.as_ptr(), dst.as_mut_ptr());
-        let zero = _mm256_setzero_ps();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let mask = _mm256_cmp_ps(_mm256_loadu_ps(xp.add(i)), zero, _CMP_GT_OQ);
-            let v = _mm256_and_ps(mask, _mm256_loadu_ps(gp.add(i)));
-            _mm256_storeu_ps(dp.add(i), v);
-            i += 8;
-        }
-        let rem = n - i;
-        if rem > 0 {
-            let m = tail_mask(rem);
-            let mask = _mm256_cmp_ps(_mm256_maskload_ps(xp.add(i), m), zero, _CMP_GT_OQ);
-            let v = _mm256_and_ps(mask, _mm256_maskload_ps(gp.add(i), m));
-            _mm256_maskstore_ps(dp.add(i), m, v);
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
     pub unsafe fn sum(xs: &[f32]) -> f32 {
         let n = xs.len();
         let p = xs.as_ptr();
@@ -1371,96 +1146,6 @@ mod avx2 {
             acc = _mm256_add_ps(acc, _mm256_maskload_ps(p.add(i), tail_mask(rem)));
         }
         hsum(acc)
-    }
-
-    /// 4 f64 lanes mirror the scalar path's 4 accumulators exactly:
-    /// convert (exact), multiply and add (no FMA) round identically to the
-    /// scalar f64 ops, and lanes are combined in index order — so this is
-    /// bit-identical to the scalar kernel.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn sum_sq_f64(xs: &[f32]) -> f64 {
-        let n = xs.len();
-        let p = xs.as_ptr();
-        let mut acc = _mm256_setzero_pd();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let v = _mm256_cvtps_pd(_mm_loadu_ps(p.add(i)));
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(v, v));
-            i += 4;
-        }
-        let lanes: [f64; 4] = std::mem::transmute(acc);
-        let mut s = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-        while i < n {
-            let v = *p.add(i) as f64;
-            s += v * v;
-            i += 1;
-        }
-        s
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn sgd_momentum_step(
-        params: &mut [f32],
-        grads: &[f32],
-        velocity: &mut [f32],
-        lr: f32,
-        momentum: f32,
-        weight_decay: f32,
-    ) {
-        let n = params.len();
-        let (pp, gp, vp) = (params.as_mut_ptr(), grads.as_ptr(), velocity.as_mut_ptr());
-        let vlr = _mm256_set1_ps(lr);
-        let vm = _mm256_set1_ps(momentum);
-        let vwd = _mm256_set1_ps(weight_decay);
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let p = _mm256_loadu_ps(pp.add(i));
-            let g = _mm256_fmadd_ps(vwd, p, _mm256_loadu_ps(gp.add(i))); // g + wd·p
-            let v = _mm256_fmadd_ps(vm, _mm256_loadu_ps(vp.add(i)), g); // m·v + g
-            let p = _mm256_fnmadd_ps(vlr, v, p); // p − lr·v
-            _mm256_storeu_ps(vp.add(i), v);
-            _mm256_storeu_ps(pp.add(i), p);
-            i += 8;
-        }
-        let rem = n - i;
-        if rem > 0 {
-            let m = tail_mask(rem);
-            let p = _mm256_maskload_ps(pp.add(i), m);
-            let g = _mm256_fmadd_ps(vwd, p, _mm256_maskload_ps(gp.add(i), m));
-            let v = _mm256_fmadd_ps(vm, _mm256_maskload_ps(vp.add(i), m), g);
-            let p = _mm256_fnmadd_ps(vlr, v, p);
-            _mm256_maskstore_ps(vp.add(i), m, v);
-            _mm256_maskstore_ps(pp.add(i), m, p);
-        }
-    }
-
-    /// Max of |x| over 8 lanes at a time. The accumulator is the second
-    /// `maxps` operand, so NaN lanes map to the running max (scalar
-    /// `f32::max` semantics). Masked tails are unnecessary: the scalar
-    /// epilogue is bit-equivalent because max is order-insensitive.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn max_abs(xs: &[f32]) -> f32 {
-        let n = xs.len();
-        let xp = xs.as_ptr();
-        let absmask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFF_FFFF));
-        let mut acc = _mm256_setzero_ps();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let a = _mm256_and_ps(_mm256_loadu_ps(xp.add(i)), absmask);
-            acc = _mm256_max_ps(a, acc);
-            i += 8;
-        }
-        let lo = _mm256_castps256_ps128(acc);
-        let hi = _mm256_extractf128_ps(acc, 1);
-        let m4 = _mm_max_ps(lo, hi);
-        let m2 = _mm_max_ps(m4, _mm_movehl_ps(m4, m4));
-        let m1 = _mm_max_ss(m2, _mm_shuffle_ps(m2, m2, 1));
-        let mut m = _mm_cvtss_f32(m1);
-        while i < n {
-            m = m.max((*xp.add(i)).abs());
-            i += 1;
-        }
-        m
     }
 
     /// One 8-lane slice of the murmur3-finalizer dither + quantize chain;
@@ -1541,28 +1226,6 @@ mod avx2 {
             i += 1;
         }
     }
-
-    /// Int8 dequantize; see [`super::dequantize_i8`]. Sign-extend 8
-    /// bytes, convert, one multiply — all exact lane ops.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dequantize_i8(qs: &[i8], step: f32, out: &mut [f32]) {
-        let n = qs.len();
-        let qp = qs.as_ptr();
-        let op = out.as_mut_ptr();
-        let vstep = _mm256_set1_ps(step);
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let b = _mm_loadl_epi64(qp.add(i) as *const __m128i);
-            let w = _mm256_cvtepi8_epi32(b);
-            let v = _mm256_mul_ps(_mm256_cvtepi32_ps(w), vstep);
-            _mm256_storeu_ps(op.add(i), v);
-            i += 8;
-        }
-        while i < n {
-            *op.add(i) = *qp.add(i) as f32 * step;
-            i += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1570,7 +1233,7 @@ mod tests {
     use super::*;
     use niid_stats::Pcg64;
 
-    /// Lengths straddling the unroll (32), vector (8) and tail boundaries.
+    /// Lengths straddling the 32-, 8- and 4-element boundaries.
     const LENS: [usize; 10] = [0, 1, 3, 7, 8, 9, 17, 31, 33, 100];
 
     fn randv(n: usize, seed: u64) -> Vec<f32> {
@@ -1778,56 +1441,6 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_dot_within_tolerance_of_scalar() {
-        for k in Kernel::available_kernels() {
-            for &n in &LENS {
-                let a = 0.37f32;
-                let b = randv(n, 17 + n as u64);
-                let base = randv(n, 19 + n as u64);
-                let mut want = base.clone();
-                axpy(Kernel::Scalar, &mut want, a, &b);
-                let mut got = base.clone();
-                axpy(k, &mut got, a, &b);
-                for (g, w) in got.iter().zip(&want) {
-                    assert!(
-                        (g - w).abs() <= 1e-5 * (1.0 + w.abs()),
-                        "axpy {k:?} len {n}"
-                    );
-                }
-
-                let x = randv(n, 23 + n as u64);
-                let y = randv(n, 29 + n as u64);
-                let want = dot(Kernel::Scalar, &x, &y);
-                let got = dot(k, &x, &y);
-                assert!(
-                    (got - want).abs() <= 1e-4 * (1.0 + want.abs()) * (n.max(1) as f32).sqrt(),
-                    "dot {k:?} len {n}: {got} vs {want}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn dot_and_axpy_propagate_non_finite() {
-        for k in Kernel::available_kernels() {
-            for &n in &[5usize, 9, 33] {
-                let mut b = randv(n, 31 + n as u64);
-                b[n - 1] = f32::NAN; // in the tail lanes
-                let mut c = vec![0.0f32; n];
-                axpy(k, &mut c, 1.0, &b);
-                assert!(c[n - 1].is_nan(), "axpy NaN lost {k:?} len {n}");
-                assert!(c[..n - 1].iter().all(|v| v.is_finite()));
-
-                let a = vec![1.0f32; n];
-                assert!(dot(k, &a, &b).is_nan(), "dot NaN lost {k:?} len {n}");
-                let mut inf = randv(n, 37 + n as u64);
-                inf[0] = f32::INFINITY;
-                assert!(dot(k, &a, &inf).is_infinite(), "dot inf lost {k:?}");
-            }
-        }
-    }
-
-    #[test]
     fn sums_match_reference() {
         for k in Kernel::available_kernels() {
             for &n in &LENS {
@@ -1877,11 +1490,32 @@ mod tests {
     #[test]
     #[should_panic(expected = "not available")]
     fn forcing_unavailable_kernel_panics() {
-        if Kernel::Avx2.available() {
-            // Can't demonstrate on AVX2 hardware; satisfy the expectation.
-            panic!("not available (simulated: all kernels available here)");
-        }
+        configured_kernel();
+        HIDE_AVX2.with(|h| h.set(true));
         with_forced_kernel(Kernel::Avx2, || {});
+    }
+
+    /// `Kernel` is public, so a caller can pass `Kernel::Avx2` on a CPU
+    /// without it: the arm must refuse before running any AVX2 code.
+    #[test]
+    fn avx2_arms_panic_without_the_cpu_features() {
+        // Resolve the process-wide kernel before hiding AVX2 from this
+        // thread, so the hidden state cannot leak into the cached choice.
+        configured_kernel();
+        HIDE_AVX2.with(|h| h.set(true));
+        let relu = std::panic::catch_unwind(|| relu_into(Kernel::Avx2, &[1.0], &mut [0.0]));
+        let sgd = std::panic::catch_unwind(|| {
+            sgd_momentum_step(Kernel::Avx2, &mut [1.0], &[1.0], &mut [0.0], 0.1, 0.9, 0.0)
+        });
+        HIDE_AVX2.with(|h| h.set(false));
+        for (name, result) in [("relu_into", relu), ("sgd_momentum_step", sgd)] {
+            let payload = result.expect_err(name);
+            let msg = payload.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(
+                msg.contains("avx2 not available on this CPU"),
+                "{name}: {msg:?}"
+            );
+        }
     }
 
     #[test]

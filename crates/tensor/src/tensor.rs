@@ -261,12 +261,13 @@ impl Tensor {
         simd::add_assign(simd::active_kernel(), &mut self.data, &other.data);
     }
 
-    /// In-place `self += alpha * other` (axpy). Dispatches through
-    /// [`crate::simd`] (AVX2 fuses the multiply-add; tolerance-bounded
-    /// vs scalar).
+    /// In-place `self += alpha * other` (axpy): one multiply and one add
+    /// per element, never fused, so every kernel gives the same bits.
     pub fn scaled_add_assign(&mut self, alpha: f32, other: &Tensor) {
         self.assert_same_shape(other, "scaled_add_assign");
-        simd::axpy(simd::active_kernel(), &mut self.data, alpha, &other.data);
+        for (c, &b) in self.data.iter_mut().zip(&other.data) {
+            *c += alpha * b;
+        }
     }
 
     /// In-place scalar multiply. Dispatches through [`crate::simd`]

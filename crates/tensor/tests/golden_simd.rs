@@ -19,9 +19,7 @@ use niid_tensor::simd::{self, Kernel};
 use std::ops::Range;
 
 /// `(primitive, [scalar, avx2])` digests over the whole sweep.
-const PINNED: [(&str, [u64; 2]); 15] = [
-    ("axpy", [0x1f7745db9e54fd67, 0xf8a54c96c247725c]),
-    ("dot", [0x3191300e2f0da3c5, 0xc936adb3aa0a0371]),
+const PINNED: [(&str, [u64; 2]); 13] = [
     ("add_assign", [0xb4aa9e68d1d673ba, 0xb4aa9e68d1d673ba]),
     (
         "add_scalar_assign",
@@ -122,12 +120,6 @@ fn copy(src: &[f32], r: &Range<usize>) -> Vec<f32> {
 fn probe(name: &str, k: Kernel, inp: &Inputs, r: Range<usize>, h: &mut Fnv) {
     let (a, b) = (&inp.a[r.clone()], &inp.b[r.clone()]);
     match name {
-        "axpy" => {
-            let mut c = copy(&inp.a, &r);
-            simd::axpy(k, &mut c[r.clone()], 0.37, b);
-            h.f32s(&c[r]);
-        }
-        "dot" => h.f32s(&[simd::dot(k, a, b)]),
         "add_assign" => {
             let mut c = copy(&inp.a, &r);
             simd::add_assign(k, &mut c[r.clone()], b);

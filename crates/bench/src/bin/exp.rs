@@ -33,6 +33,16 @@ fn reject_ignored_flags(e: &Experiment, args: &Args) {
 
 /// Run one experiment in this process, output to stdout.
 fn run(e: &Experiment, args: &Args) {
+    let mut args = args.clone();
+    if !matches!(e.kind, Kind::Sweep(..)) {
+        // Its cell flags were refused, so these can only be `NIID_*`
+        // defaults, and a row that trains no cell has nothing to record.
+        args.trace = None;
+        args.metrics_dir = None;
+        args.metrics_port = None;
+        args.checkpoint_dir = None;
+    }
+    let args = &args;
     // Open the JSON file before the first cell trains, not after the last.
     let json = args.json.as_ref().map(|path| match File::create(path) {
         Ok(file) => (path, file),
@@ -122,8 +132,8 @@ fn main() {
     let names_a_file = [&args.json, &args.trace, &args.metrics_dir, &args.profile];
     if selected.len() > 1 && names_a_file.iter().any(|flag| flag.is_some()) {
         fail(
-            "--json, --trace, --metrics-dir and --profile name one experiment's file: run one \
-             id at a time (--out DIR writes a .txt and a .json per id)",
+            "--json, --trace, --metrics-dir and --profile (or NIID_TRACE, NIID_METRICS) name one \
+             experiment's file: run one id at a time (--out DIR writes a .txt and a .json per id)",
         );
     }
     match &args.out {

@@ -72,13 +72,16 @@ pub struct Args {
     /// Optional output directory: one isolated process per experiment,
     /// `<out>/<id>.txt` + `<out>/<id>.json`.
     pub out: Option<String>,
-    /// Optional JSONL trace-output path.
+    /// Optional JSONL trace-output path: `--trace`, else `NIID_TRACE`.
     pub trace: Option<String>,
-    /// Optional training-dynamics metrics directory.
+    /// Optional training-dynamics metrics directory: `--metrics-dir`,
+    /// else `NIID_METRICS`.
     pub metrics_dir: Option<String>,
-    /// Optional live-metrics port (0 = ephemeral).
+    /// Optional live-metrics port (0 = ephemeral): `--metrics-port`, else
+    /// `NIID_METRICS_PORT`.
     pub metrics_port: Option<u16>,
-    /// Optional checkpoint root directory.
+    /// Optional checkpoint root directory: `--checkpoint-dir`, else
+    /// `NIID_CHECKPOINT`.
     pub checkpoint_dir: Option<String>,
     /// Checkpoint cadence override (rounds).
     pub checkpoint_every: Option<usize>,
@@ -93,6 +96,9 @@ pub struct Args {
     /// Optional Perfetto-loadable profile output path; also enables the
     /// span profiler for the whole run.
     pub profile: Option<String>,
+    /// What [`Args::cell_flags`] reports, recorded before the `NIID_*`
+    /// defaults fill in.
+    cell_flags: Vec<&'static str>,
 }
 
 /// What `exp --help` prints.
@@ -138,6 +144,7 @@ impl Args {
             min_quorum: None,
             codec: None,
             profile: None,
+            cell_flags: Vec::new(),
         };
         let it = &mut args.into_iter();
         while let Some(arg) = it.next() {
@@ -175,8 +182,35 @@ impl Args {
         if out.checkpoint_every == Some(0) {
             fail("bad --checkpoint-every: must be at least 1");
         }
-        let env_dir = std::env::var("NIID_CHECKPOINT").is_ok_and(|d| !d.is_empty());
-        if out.resume && out.checkpoint_dir.is_none() && !env_dir {
+        out.cell_flags = [
+            ("--rounds", out.rounds.is_some()),
+            ("--trials", out.trials.is_some()),
+            ("--trace", out.trace.is_some()),
+            ("--metrics-dir", out.metrics_dir.is_some()),
+            ("--metrics-port", out.metrics_port.is_some()),
+            ("--checkpoint-dir", out.checkpoint_dir.is_some()),
+            ("--checkpoint-every", out.checkpoint_every.is_some()),
+            ("--resume", out.resume),
+            ("--faults", out.faults.is_some()),
+            ("--min-quorum", out.min_quorum.is_some()),
+        ]
+        .into_iter()
+        .filter_map(|(flag, given)| given.then_some(flag))
+        .collect();
+        // A flag wins; otherwise its `NIID_*` variable is the default,
+        // resolved here once for the header, the cells and the epilogue.
+        let env = |var: &str| std::env::var(var).ok().filter(|v| !v.is_empty());
+        out.trace = out.trace.or_else(|| env("NIID_TRACE"));
+        out.metrics_dir = out.metrics_dir.or_else(|| env("NIID_METRICS"));
+        out.metrics_port = out.metrics_port.or_else(|| {
+            let port = env("NIID_METRICS_PORT")?;
+            Some(
+                port.parse()
+                    .unwrap_or_else(|e| fail(format!("bad NIID_METRICS_PORT: {e}"))),
+            )
+        });
+        out.checkpoint_dir = out.checkpoint_dir.or_else(|| env("NIID_CHECKPOINT"));
+        if out.resume && out.checkpoint_dir.is_none() {
             fail("--resume needs --checkpoint-dir DIR (or NIID_CHECKPOINT) to resume from");
         }
         out
@@ -204,7 +238,7 @@ impl Args {
         spec.local_epochs = epochs;
         spec.batch_size = batch;
         spec.trials = self.trials.unwrap_or(trials);
-        // A flag beats the `NIID_*` env default `ExperimentSpec::new` read.
+        // The flag or its `NIID_*` default beats what the row set.
         spec.trace_path = self.trace.clone().or(spec.trace_path.take());
         spec.metrics_dir = self.metrics_dir.clone().or(spec.metrics_dir.take());
         spec.metrics_port = self.metrics_port.or(spec.metrics_port);
@@ -223,23 +257,10 @@ impl Args {
     }
 
     /// The given flags that only [`Args::apply`] consumes — meaningless
-    /// to an experiment that runs no `ExperimentSpec` cells.
+    /// to an experiment that runs no `ExperimentSpec` cells. Flags only:
+    /// a `NIID_*` default never makes such an experiment refuse to run.
     pub fn cell_flags(&self) -> Vec<&'static str> {
-        [
-            ("--rounds", self.rounds.is_some()),
-            ("--trials", self.trials.is_some()),
-            ("--trace", self.trace.is_some()),
-            ("--metrics-dir", self.metrics_dir.is_some()),
-            ("--metrics-port", self.metrics_port.is_some()),
-            ("--checkpoint-dir", self.checkpoint_dir.is_some()),
-            ("--checkpoint-every", self.checkpoint_every.is_some()),
-            ("--resume", self.resume),
-            ("--faults", self.faults.is_some()),
-            ("--min-quorum", self.min_quorum.is_some()),
-        ]
-        .into_iter()
-        .filter_map(|(flag, given)| given.then_some(flag))
-        .collect()
+        self.cell_flags.clone()
     }
 }
 

@@ -166,3 +166,34 @@ fn out_writes_a_txt_per_id_and_a_json_per_trained_id() {
     assert!(!dir.join("fig5.json").exists(), "static ids have no JSON");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn niid_trace_alone_truncates_the_file_and_prints_the_summary() {
+    let trace = scratch("env_trace").with_extension("jsonl");
+    let run = |args: &[&str]| {
+        let out = common::exp_command()
+            .env("NIID_TRACE", &trace)
+            .args(args)
+            .output()
+            .expect("spawn exp");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        stdout
+    };
+    for _ in 0..2 {
+        let stdout = run(&["fig8", "--quick", "--rounds", "1"]);
+        assert!(stdout.contains("trace summary"), "{stdout}");
+    }
+    let events = std::fs::read_to_string(&trace).expect("trace written");
+    let rounds = events.matches("\"round_started\"").count();
+    assert_eq!(rounds, 5, "one run's five cells x one round, not two runs'");
+    // A row that trains nothing still runs, and leaves the file alone.
+    let stdout = run(&["table1", "--quick"]);
+    assert!(!stdout.contains("trace summary"), "{stdout}");
+    assert_eq!(std::fs::read_to_string(&trace).unwrap(), events);
+    let _ = std::fs::remove_file(&trace);
+}

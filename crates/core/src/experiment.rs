@@ -92,23 +92,19 @@ pub struct ExperimentSpec {
     pub seed: u64,
     /// Worker threads (0 = auto).
     pub threads: usize,
-    /// Append round-level trace events (JSON Lines) to this file.
-    /// Defaults from the `NIID_TRACE` environment variable; `None`
+    /// Append round-level trace events (JSON Lines) to this file; `None`
     /// disables tracing.
     pub trace_path: Option<String>,
     /// Directory for training-dynamics metrics series
-    /// (`<dir>/metrics.jsonl`). Defaults from the `NIID_METRICS`
-    /// environment variable; `None` disables the JSONL series (the live
-    /// endpoint can still be enabled via `metrics_port`).
+    /// (`<dir>/metrics.jsonl`); `None` disables the JSONL series (the
+    /// live endpoint can still be enabled via `metrics_port`).
     pub metrics_dir: Option<String>,
     /// Serve live Prometheus metrics on `127.0.0.1:<port>` (0 picks an
-    /// ephemeral port; see [`metrics_server_addr`]). Defaults from the
-    /// `NIID_METRICS_PORT` environment variable; `None` disables the
+    /// ephemeral port; see [`metrics_server_addr`]); `None` disables the
     /// endpoint.
     pub metrics_port: Option<u16>,
     /// Root directory for round-granular checkpoints; each trial writes
-    /// under `<dir>/trial<t>/checkpoint.bin`. Defaults from the
-    /// `NIID_CHECKPOINT` environment variable; `None` disables
+    /// under `<dir>/trial<t>/checkpoint.bin`; `None` disables
     /// checkpointing.
     pub checkpoint_dir: Option<String>,
     /// Checkpoint cadence in rounds (the final round is always written).
@@ -160,14 +156,10 @@ impl ExperimentSpec {
             trials: 1,
             seed: gen.seed,
             threads: 0,
-            trace_path: std::env::var("NIID_TRACE").ok().filter(|p| !p.is_empty()),
-            metrics_dir: std::env::var("NIID_METRICS").ok().filter(|p| !p.is_empty()),
-            metrics_port: std::env::var("NIID_METRICS_PORT")
-                .ok()
-                .and_then(|p| p.parse().ok()),
-            checkpoint_dir: std::env::var("NIID_CHECKPOINT")
-                .ok()
-                .filter(|p| !p.is_empty()),
+            trace_path: None,
+            metrics_dir: None,
+            metrics_port: None,
+            checkpoint_dir: None,
             checkpoint_every: 5,
             resume: false,
             faults: None,

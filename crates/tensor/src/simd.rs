@@ -252,7 +252,8 @@ fn on_avx2<R>(body: impl FnOnce() -> R) -> R {
 
 /// Run `body` as compiled for kernel `k`: inline for `Scalar`, through
 /// [`on_avx2`] for `Avx2`. The kernel picks which compiled copy runs, so
-/// the scalar arm executes no AVX instruction.
+/// the scalar arm executes no AVX instruction. Bodies capture by `move`:
+/// a captured `&f32` would be reloaded on every iteration of the loop.
 #[inline]
 fn on_kernel<R>(k: Kernel, body: impl FnOnce() -> R) -> R {
     match k {
@@ -348,7 +349,7 @@ pub fn sum(k: Kernel, xs: &[f32]) -> f32 {
         }
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `on_avx2` runs the closure only after finding avx2+fma.
-        Kernel::Avx2 => on_avx2(|| unsafe { avx2::sum(xs) }),
+        Kernel::Avx2 => on_avx2(move || unsafe { avx2::sum(xs) }),
         #[cfg(not(target_arch = "x86_64"))]
         Kernel::Avx2 => on_avx2(|| unreachable!()),
     }
@@ -437,7 +438,7 @@ pub(crate) fn gemm_panel_avx2(
     // SAFETY: bounds asserted above, and `on_avx2` runs the closure only
     // after finding avx2+fma (the crate's callers get here from a
     // `dispatch_kernel` AVX2 arm, so that check never fails for them).
-    on_avx2(|| unsafe {
+    on_avx2(move || unsafe {
         avx2::gemm_panel(
             alpha.as_ptr(),
             rs,
@@ -547,7 +548,7 @@ pub(crate) fn gemm_panel_nt_avx2(
     // SAFETY: bounds asserted above, and `on_avx2` runs the closure only
     // after finding avx2+fma (the crate's callers get here from a
     // `dispatch_kernel` AVX2 arm, so that check never fails for them).
-    on_avx2(|| unsafe {
+    on_avx2(move || unsafe {
         avx2::gemm_panel_nt(
             alpha.as_ptr(),
             rs,

@@ -1006,7 +1006,6 @@ mod avx2 {
     /// Register-tiled panel update; see [`super::gemm_panel_avx2`] for the
     /// contract. Monomorphizes the row count so the accumulator arrays
     /// stay in `ymm` registers.
-    #[inline]
     #[target_feature(enable = "avx2,fma")]
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn gemm_panel(
@@ -1035,7 +1034,6 @@ mod avx2 {
     /// makes the panel a dense `depth × width` row-major matrix, i.e.
     /// [`gemm_panel`] with `bs = width` — same register tiling, same
     /// per-element FMA chain.
-    #[inline]
     #[target_feature(enable = "avx2,fma")]
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn gemm_panel_nt(

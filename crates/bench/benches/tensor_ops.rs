@@ -244,10 +244,10 @@ fn main() {
         32,
         conv2d_forward,
     );
-    // A `ConvWide` body layer (VGG-9 / ResNet: 3x3, padding 1) through the
-    // lowering dispatch picks for it, and — on the AVX2 arm — forced
-    // through the direct kernels: the measurement behind keeping
-    // `ConvWide` on the implicit path (DESIGN.md).
+    // A wide body layer (VGG-9 / ResNet: 3x3, padding 1, 288 lowered
+    // columns) through the lowering `conv_lowering` picks for it, and — on
+    // the AVX2 arm — forced through the direct kernels: the measurement
+    // behind keeping wide layers on the implicit path (DESIGN.md).
     let wide16 = Conv2dShape {
         in_channels: 32,
         out_channels: 64,

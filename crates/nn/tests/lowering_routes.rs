@@ -8,8 +8,9 @@ use niid_stats::Pcg64;
 use niid_tensor::{Conv2dShape, Tensor};
 
 /// On the SIMD arm a Train forward + backward of a narrow stride-1 layer
-/// runs the direct kernels and a strided one keeps the implicit (fused
-/// pack) path; the scalar arm materializes both.
+/// runs the direct kernels, while a strided one and a wide stride-1 one
+/// (a patch of more than 256 lowered columns) keep the implicit (fused
+/// pack) path; the scalar arm materializes all three.
 #[test]
 fn train_step_routes_through_expected_lowering() {
     let narrow = Conv2dShape {
@@ -26,11 +27,17 @@ fn train_step_routes_through_expected_lowering() {
         stride: 2,
         ..narrow
     };
-    for (s, direct) in [(narrow, true), (strided, false)] {
+    // 29 · 3 · 3 = 261 lowered columns.
+    let wide = Conv2dShape {
+        in_channels: 29,
+        out_channels: 8,
+        ..narrow
+    };
+    for (s, direct) in [(narrow, true), (strided, false), (wide, false)] {
         let mut rng = Pcg64::new(14);
         let mut c = Conv2d::new(s, &mut rng);
         let mut arena = Arena::bind(&mut c);
-        let x = Tensor::randn(&[4, 2, 6, 6], 1.0, &mut rng);
+        let x = Tensor::randn(&[4, s.in_channels, s.in_h, s.in_w], 1.0, &mut rng);
         let before = niid_tensor::stats::snapshot();
         let y = c.forward(x, Phase::Train, &mut arena.state());
         c.backward(Tensor::ones(y.shape()), &mut arena.state());

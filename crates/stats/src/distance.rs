@@ -44,15 +44,6 @@ pub fn kl_divergence(p: &[f64], q: &[f64]) -> f64 {
         .sum()
 }
 
-/// Jensen–Shannon divergence (symmetric, bounded by `ln 2`).
-pub fn js_divergence(p: &[f64], q: &[f64]) -> f64 {
-    assert_eq!(p.len(), q.len(), "JS: length mismatch");
-    let p = normalize(p).expect("JS: p must have positive mass");
-    let q = normalize(q).expect("JS: q must have positive mass");
-    let m: Vec<f64> = p.iter().zip(&q).map(|(&a, &b)| 0.5 * (a + b)).collect();
-    0.5 * kl_divergence(&p, &m) + 0.5 * kl_divergence(&q, &m)
-}
-
 /// Total-variation distance: half the L1 distance between normalized
 /// histograms. In [0, 1].
 pub fn total_variation(p: &[f64], q: &[f64]) -> f64 {
@@ -130,20 +121,6 @@ mod tests {
     fn kl_survives_zero_in_q() {
         let d = kl_divergence(&[0.5, 0.5], &[1.0, 0.0]);
         assert!(d.is_finite() && d > 0.0);
-    }
-
-    #[test]
-    fn js_is_symmetric_and_bounded() {
-        let p = [1.0, 0.0, 0.0];
-        let q = [0.0, 0.0, 1.0];
-        let d1 = js_divergence(&p, &q);
-        let d2 = js_divergence(&q, &p);
-        assert!((d1 - d2).abs() < 1e-12);
-        assert!(d1 <= std::f64::consts::LN_2 + 1e-9);
-        assert!(
-            (d1 - std::f64::consts::LN_2).abs() < 1e-9,
-            "disjoint supports hit the bound"
-        );
     }
 
     #[test]

@@ -25,8 +25,8 @@ pub mod rng;
 pub mod sample;
 
 pub use describe::Summary;
-pub use distance::{emd_1d, gini, js_divergence, kl_divergence, total_variation};
-pub use rng::{derive_seed, Pcg64, SeedStream};
+pub use distance::{emd_1d, gini, kl_divergence, total_variation};
+pub use rng::{derive_seed, Pcg64};
 pub use sample::{
     sample_categorical, sample_dirichlet, sample_gamma, sample_standard_normal,
     sample_standard_normal_ziggurat, Dirichlet, Gaussian, STANDARD_NORMAL_DRAWS,

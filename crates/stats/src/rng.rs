@@ -2,8 +2,8 @@
 //!
 //! All stochastic behaviour in the workspace flows through [`Pcg64`], a
 //! hand-implemented PCG-XSH-RR 64/32 generator wrapped to produce 64-bit
-//! outputs, plus a [`SeedStream`] that derives independent child seeds with
-//! SplitMix64. Implementing the generator ourselves (with no dependency on
+//! outputs, plus [`derive_seed`], which derives independent child seeds
+//! with SplitMix64. Implementing the generator ourselves (with no dependency on
 //! the `rand` crate) pins the bit stream permanently, so experiment results
 //! recorded in EXPERIMENTS.md stay reproducible across toolchains.
 
@@ -30,35 +30,6 @@ pub fn derive_seed(parent: u64, label: u64) -> u64 {
     let a = splitmix64(&mut s);
     let b = splitmix64(&mut s);
     a ^ b.rotate_left(32)
-}
-
-/// A stream of derived seeds, handy when spawning many parties or trials.
-#[derive(Debug, Clone)]
-pub struct SeedStream {
-    parent: u64,
-    next_label: u64,
-}
-
-impl SeedStream {
-    /// Create a stream rooted at `parent`.
-    pub fn new(parent: u64) -> Self {
-        Self {
-            parent,
-            next_label: 0,
-        }
-    }
-
-    /// Produce the next child seed.
-    pub fn next_seed(&mut self) -> u64 {
-        let s = derive_seed(self.parent, self.next_label);
-        self.next_label += 1;
-        s
-    }
-
-    /// Produce the child seed for a fixed label without advancing the stream.
-    pub fn labeled(&self, label: u64) -> u64 {
-        derive_seed(self.parent, label)
-    }
 }
 
 /// PCG-XSH-RR 64/32 with fixed default stream, widened to 64-bit output by
@@ -422,16 +393,6 @@ mod tests {
         let mut ra = Pcg64::new(a);
         let mut rb = Pcg64::new(b);
         assert_ne!(ra.next_u64(), rb.next_u64());
-    }
-
-    #[test]
-    fn seed_stream_is_deterministic() {
-        let mut s1 = SeedStream::new(77);
-        let mut s2 = SeedStream::new(77);
-        for _ in 0..16 {
-            assert_eq!(s1.next_seed(), s2.next_seed());
-        }
-        assert_eq!(s1.labeled(3), s2.labeled(3));
     }
 
     #[test]

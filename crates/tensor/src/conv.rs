@@ -41,8 +41,7 @@
 //!   segments of the padded planes, at the map's offsets, with unaligned
 //!   vector loads. It serves the stride-1 shapes of the paper CNN, where
 //!   packing and regenerating the lowered operand cost more than the FMAs
-//!   they feed; [`crate::dispatch::conv_lowering`] picks the path from
-//!   the geometry alone.
+//!   they feed; [`conv_lowering`] picks the path from the geometry alone.
 //!
 //! One forward driver (`forward_samples`) and one data-gradient driver
 //! (`backward_input`) run the per-sample bodies of all three. The dX
@@ -51,7 +50,7 @@
 //!
 //! Per output element all three run the same depth-ascending FMA chain
 //! over the same operand values — tile splits are bits-neutral (see
-//! [`crate::dispatch`]), and both fused weight gradients replicate
+//! [`crate::matmul`]), and both fused weight gradients replicate
 //! `matmul_at_b_slices`' branch and `ATB_BLOCK_M` partial-sum split — so
 //! under the same SIMD kernel they are **bit-identical**; tests assert
 //! exactly this, and `tests/golden_conv.rs` pins the bits themselves.
@@ -72,8 +71,9 @@
 
 #[cfg(target_arch = "x86_64")]
 use crate::conv_direct as direct;
-use crate::dispatch::ConvLowering;
-use crate::matmul::{matmul_a_bt_slices, matmul_at_b_slices};
+use crate::matmul::{
+    matmul_a_bt_slices, matmul_at_b_slices, ATB_BLOCK_M, KB, KC, MR, NT_KC, NT_NC,
+};
 use crate::parallel::{parallel_chunks_mut_threshold, with_scratch};
 use crate::simd::{self, Kernel};
 use crate::stats::{self, Counter};
@@ -543,9 +543,9 @@ fn add_bias(kern: Kernel, bias: Option<&[f32]>, out_i: &mut [f32], positions: us
 /// * `bias`: optional `[out_channels]`
 ///
 /// Returns the output `[N, out_c, oh, ow]`. On the AVX2 arm
-/// [`crate::dispatch::conv_lowering`] picks the direct kernels or the
-/// implicit (fused-pack) lowering from the geometry; the scalar arm runs
-/// the materialized im2col lowering. All three process samples in
+/// [`conv_lowering`] picks the direct kernels or the implicit
+/// (fused-pack) lowering from the geometry; the scalar arm runs the
+/// materialized im2col lowering. All three process samples in
 /// parallel over disjoint buffer regions, so results are bit-identical at
 /// any thread count.
 pub fn conv2d_forward(
@@ -562,10 +562,53 @@ pub fn conv2d_forward(
     }
 }
 
+/// How a convolution is lowered onto the FMA kernels (see the module
+/// docs for the three paths).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ConvLowering {
+    /// Nothing is lowered: the kernels read NCHW row segments in place.
+    Direct,
+    /// im2col fused into the GEMM panel pack.
+    Implicit,
+    /// Full im2col matrix in [`ConvScratch`]: the scalar arm, the oracle,
+    /// and the fallback for shapes neither fused path covers.
+    #[default]
+    Materialized,
+}
+
+/// Whether the fused backward passes cover `s`: both compute every
+/// lowered dX value as one out-channel-ascending chain, i.e. they
+/// replicate the row-split branch of the per-sample
+/// `matmul_at_b_slices(k = positions, m = out_channels)` the
+/// materialized path runs, so the shape must satisfy that branch's
+/// predicate.
+fn fused_backward_eligible(s: &Conv2dShape) -> bool {
+    s.out_positions() >= 2 * KB || s.out_channels < ATB_BLOCK_M
+}
+
+/// The lowering a geometry takes on the AVX2 arm — a function of the
+/// shape alone. The paper CNN's narrow stride-1 layers (at most 3 input
+/// channels, or a patch of at most 256 lowered columns) run the direct
+/// kernels, where packing and regenerating the lowered operand cost more
+/// than the FMAs they feed; wide bodies (`kx`-lane vectors would idle
+/// most lanes on a 3-wide kernel, measured in DESIGN.md) and strided
+/// layers keep the implicit pack.
+pub fn conv_lowering(s: &Conv2dShape) -> ConvLowering {
+    if !fused_backward_eligible(s) {
+        return ConvLowering::Materialized;
+    }
+    let narrow = s.in_channels <= 3 || s.col_width() <= 256;
+    if narrow && s.stride == 1 && s.kernel_w <= 8 {
+        ConvLowering::Direct
+    } else {
+        ConvLowering::Implicit
+    }
+}
+
 /// The lowering [`conv2d_forward`] runs for `s` under the active kernel.
 fn active_lowering(s: &Conv2dShape) -> ConvLowering {
     if simd::active_kernel().is_simd() {
-        crate::dispatch::conv_lowering(s)
+        conv_lowering(s)
     } else {
         ConvLowering::Materialized
     }
@@ -649,7 +692,7 @@ fn pack_cols_t_tile(
 /// Bit-identical to [`conv2d_forward_materialized`] under the same SIMD
 /// kernel: per output element both run the identical `t`-ascending
 /// broadcast-FMA chain over identical values (depth chunking and tile
-/// sizes are bits-neutral; see [`crate::dispatch`]).
+/// sizes are bits-neutral; see [`crate::matmul`]).
 ///
 /// # Panics
 /// Panics when the active kernel is scalar — the scalar arm must keep its
@@ -671,19 +714,18 @@ pub fn conv2d_forward_implicit(
     #[cfg(target_arch = "x86_64")]
     {
         let (v, cw) = (s.padded_view(), s.col_width());
-        let tiles = crate::dispatch::tiles_for(crate::dispatch::classify_conv(s.in_channels, cw));
         let lowering = ConvLowering::Implicit;
         let sample = |sc: &ConvScratch, i: usize, out_i: &mut [f32]| {
             let (positions, vin) = (s.out_positions(), v.input_numel());
             let x_i = &sc.input[i * vin..(i + 1) * vin];
-            with_scratch(tiles.nc * tiles.kc, |pack| {
+            with_scratch(NT_NC * NT_KC, |pack| {
                 let mut j0 = 0;
                 while j0 < positions {
-                    let j1 = (j0 + tiles.nc).min(positions);
+                    let j1 = (j0 + NT_NC).min(positions);
                     let wj = j1 - j0;
                     let mut d0 = 0;
                     while d0 < cw {
-                        let d1 = (d0 + tiles.kc).min(cw);
+                        let d1 = (d0 + NT_KC).min(cw);
                         let depth = d1 - d0;
                         {
                             let _sp = niid_prof::span!("conv.pack_cols");
@@ -692,7 +734,7 @@ pub fn conv2d_forward_implicit(
                         let _sp = niid_prof::span!("conv.kernel_nt");
                         let mut oc = 0;
                         while oc < s.out_channels {
-                            let rows = (s.out_channels - oc).min(tiles.mr);
+                            let rows = (s.out_channels - oc).min(MR);
                             simd::gemm_panel_nt_avx2(
                                 &weight[oc * cw + d0..],
                                 cw,
@@ -843,7 +885,7 @@ pub fn conv2d_backward_params_accum(
     // `matmul_at_b_slices`' row-split branch, which both fused data
     // gradients replicate; anything else (re)materializes, after which
     // `scratch.cached` names the backward both halves run.
-    let fused_ok = simd::active_kernel().is_simd() && crate::dispatch::fused_backward_eligible(s);
+    let fused_ok = simd::active_kernel().is_simd() && fused_backward_eligible(s);
     if scratch.cached != ConvLowering::Materialized && !fused_ok {
         materialize_cols(scratch, s);
     }
@@ -888,10 +930,7 @@ fn backward_input(
     let kern = simd::active_kernel();
     let strip_rows = match lowering {
         ConvLowering::Materialized => positions,
-        ConvLowering::Implicit => {
-            let class = crate::dispatch::classify_conv(s.in_channels, cw);
-            crate::dispatch::tiles_for(class).nc.min(positions)
-        }
+        ConvLowering::Implicit => NT_NC.min(positions),
         ConvLowering::Direct => 0,
     };
     if lowering != ConvLowering::Materialized {
@@ -1047,7 +1086,6 @@ fn dx_implicit(
 /// same order, with the same `ATB_BLOCK_M` partial-sum boundaries.
 #[cfg(target_arch = "x86_64")]
 fn dw_fused(scratch: &ConvScratch, grad_out: &Tensor, s: &Conv2dShape, grad_weight: &mut [f32]) {
-    use crate::matmul::{ATB_BLOCK_M, KB};
     let (n, v) = (scratch.batch, s.padded_view());
     let cw = s.col_width();
     let outc = s.out_channels;
@@ -1057,7 +1095,6 @@ fn dw_fused(scratch: &ConvScratch, grad_out: &Tensor, s: &Conv2dShape, grad_weig
     stats::bump(calls(scratch.cached), 1);
     // The dW GEMM flops, normally counted inside matmul_at_b_slices.
     stats::bump(Counter::GemmFlops, flops as u64);
-    let tiles = crate::dispatch::tiles_for(crate::dispatch::classify_conv(s.in_channels, cw));
     let go = grad_out.as_slice();
     let xs = &scratch.input[..n * v.input_numel() + SLACK];
     // dW rows `kk0..kk1` accumulated over lowered rows `r0..r1`.
@@ -1066,7 +1103,7 @@ fn dw_fused(scratch: &ConvScratch, grad_out: &Tensor, s: &Conv2dShape, grad_weig
             let _sp = niid_prof::span!("conv.direct_dw");
             direct::dw_rows(xs, go, c_rows, &v, kk0, kk1, r0, r1);
         } else {
-            dw_rows_implicit(xs, go, c_rows, &v, kk0, kk1, r0, r1, tiles.kc, tiles.mr);
+            dw_rows_implicit(xs, go, c_rows, &v, kk0, kk1, r0, r1);
         }
     };
 
@@ -1097,7 +1134,7 @@ fn dw_fused(scratch: &ConvScratch, grad_out: &Tensor, s: &Conv2dShape, grad_weig
 
 /// Accumulate dW output rows `kk0..kk1` over lowered rows `r0..r1` of the
 /// padded batch `xs` (`v` is the padded view) without a materialized cols
-/// buffer: im2col row windows (`rw` rows at a time, clipped to sample
+/// buffer: im2col row windows (`KC` rows at a time, clipped to sample
 /// boundaries) are regenerated into a thread-local tile and fed to the
 /// same `gemm_panel` chain `matmul_at_b_slices` runs, with alphas read
 /// **directly from `grad_out`** (`rs = positions, ts = 1` walks a channel
@@ -1116,19 +1153,17 @@ fn dw_rows_implicit(
     kk1: usize,
     r0: usize,
     r1: usize,
-    rw: usize,
-    mr: usize,
 ) {
     let positions = v.out_positions();
     let cw = v.col_width();
     let in_numel = v.input_numel();
     let out_numel = v.output_numel();
-    with_scratch(rw * cw, |buf| {
+    with_scratch(KC * cw, |buf| {
         let mut r = r0;
         while r < r1 {
             let i = r / positions;
             let p0 = r % positions;
-            let p1 = positions.min(p0 + (r1 - r)).min(p0 + rw);
+            let p1 = positions.min(p0 + (r1 - r)).min(p0 + KC);
             let rows_here = p1 - p0;
             im2col_rows(
                 &xs[i * in_numel..(i + 1) * in_numel],
@@ -1140,7 +1175,7 @@ fn dw_rows_implicit(
             let go_i = &go[i * out_numel..(i + 1) * out_numel];
             let mut kk = kk0;
             while kk < kk1 {
-                let rows = (kk1 - kk).min(mr);
+                let rows = (kk1 - kk).min(MR);
                 simd::gemm_panel_avx2(
                     &go_i[kk * positions + p0..],
                     positions,

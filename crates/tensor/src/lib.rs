@@ -11,8 +11,8 @@
 //!    always produce the same bits, *at any thread count*. Multi-threaded
 //!    kernels assign each output region to exactly one task (see
 //!    [`parallel`]).
-//! 3. **Speed**: GEMM is cache-blocked (tiled over M/N/K per shape class
-//!    via the committed [`dispatch`] table) and splits row-blocks across
+//! 3. **Speed**: GEMM is cache-blocked (one fixed M/N/K tiling per
+//!    micro-kernel, see [`matmul`]) and splits row-blocks across
 //!    a persistent worker pool sized by `NIID_THREADS`; on the AVX2 arm
 //!    the paper CNN's narrow stride-1 convolutions run *direct* kernels
 //!    over the NCHW planes and the rest lower to GEMM *implicitly* — the
@@ -33,8 +33,6 @@
 pub mod conv;
 #[cfg(target_arch = "x86_64")]
 mod conv_direct;
-pub mod dispatch;
-mod dispatch_table;
 pub mod matmul;
 pub mod ops;
 pub mod parallel;
@@ -46,11 +44,7 @@ pub mod tensor;
 pub use conv::{
     conv2d, conv2d_backward, conv2d_backward_accum, conv2d_backward_params_accum,
     conv2d_backward_ws, conv2d_forward, conv2d_forward_direct, conv2d_forward_implicit,
-    conv2d_forward_materialized, Conv2dShape, ConvScratch,
-};
-pub use dispatch::{
-    classify_conv, classify_gemm, tiles_for, tuned_entries, validate_tiles, with_forced_tiles,
-    ConvLowering, GemmOp, ShapeClass, TileParams, DEFAULT_TILES,
+    conv2d_forward_materialized, Conv2dShape, ConvLowering, ConvScratch,
 };
 pub use matmul::{
     matmul, matmul_a_bt, matmul_a_bt_slices, matmul_at_b, matmul_at_b_slices, matmul_slices,

@@ -40,13 +40,17 @@
 //! (and ~10 GFLOP/s on 32³ blocks). The scalar arm keeps the historical
 //! axpy/dot loops verbatim.
 //!
-//! The AVX2 arms of `A·B` and `A·Bᵀ` resolve their NC/KC/MR blocking
-//! per shape class from the committed [`crate::dispatch`] table (tile
-//! choices are bits-neutral there — see that module for the argument);
-//! the scalar arm and `Aᵀ·B` stay on the historical constants, the
-//! former because its zero-skip memoization is part of the bit-exact
-//! replay contract, the latter because its only tunable knob
-//! (`ATB_BLOCK_M`) is bits-relevant.
+//! Each micro-kernel has one fixed blocking pair: the axpy panel runs
+//! `NC × KC` panels for `A·B` on both arms (and `KC`-row windows for the
+//! implicit conv's dW), the packed-NT kernel `NT_NC × NT_KC` tiles for
+//! `A·Bᵀ` (and the implicit conv's forward pack and dX strips), and every
+//! register tile holds `MR` rows of `C`. On the AVX2 arms these tiles are
+//! **bits-neutral**: every output element is accumulated along one
+//! depth-ascending FMA chain, a tile boundary only checkpoints that chain
+//! through a load/store of `C`, and the row-group size only decides which
+//! elements share a register tile. The scalar arm's zero-skip memoization
+//! is panel-bounds-dependent, so `NC`/`KC` are also part of its bit-exact
+//! replay contract; `Aᵀ·B`'s one knob (`ATB_BLOCK_M`) is bits-relevant.
 //!
 //! ## Determinism
 //!
@@ -73,7 +77,6 @@
 //! branch), which is the IEEE-exact result and therefore propagates NaN/∞
 //! without needing any finiteness bookkeeping.
 
-use crate::dispatch::{self, GemmOp, TileParams};
 use crate::parallel::parallel_chunks_mut_threshold as maybe_parallel;
 use crate::simd::{self, Kernel};
 use crate::stats::{self, Counter};
@@ -81,13 +84,17 @@ use crate::tensor::Tensor;
 
 /// Rows of `C` per parallel task in [`matmul`] / [`matmul_a_bt`].
 const MB: usize = 32;
-/// Scalar-arm K-tile: rows of `B` kept hot per panel pass. The AVX2 arm
-/// takes its tiles from [`crate::dispatch`]; these constants (equal to
-/// [`DEFAULT_TILES`], asserted in tests) pin the scalar arm's historical
-/// panel bounds, which its finiteness memoization depends on.
-const KC: usize = 256;
-/// Scalar-arm N-tile: columns of `B`/`C` per panel pass.
+/// Axpy-panel K-tile: rows of `B` kept hot per panel pass (also the
+/// implicit conv's dW row-window length).
+pub(crate) const KC: usize = 256;
+/// Axpy-panel N-tile: columns of `B`/`C` per panel pass.
 const NC: usize = 128;
+/// Packed-NT K-tile: depth per packed `Bᵀ` (or im2col) tile.
+pub(crate) const NT_KC: usize = 128;
+/// Packed-NT N-tile: output columns (conv positions) per packed tile.
+pub(crate) const NT_NC: usize = 64;
+/// `C` rows per register tile, for every micro-kernel.
+pub(crate) const MR: usize = 4;
 /// Output rows of `Aᵀ·B` per parallel task. `pub(crate)` so the
 /// implicit-conv dW path can replicate this op's task split exactly.
 pub(crate) const KB: usize = 32;
@@ -145,22 +152,10 @@ pub fn matmul_slices(av: &[f32], bv: &[f32], c: &mut [f32], m: usize, k: usize, 
     stats::bump(Counter::GemmAbCalls, 1);
     stats::bump(Counter::GemmFlops, (2 * m * k * n) as u64);
     let kern = dispatch_kernel(Counter::GemmAbSimdCalls, Counter::GemmAbScalarCalls);
-    // Tiles are resolved once per call on the calling thread, like the
-    // kernel itself. The scalar arm is pinned to the historical constants
-    // — the tuned table must never reach it.
-    let tiles = if kern.is_simd() {
-        dispatch::tiles_for(dispatch::classify_gemm(GemmOp::Ab, m, n, k))
-    } else {
-        TileParams {
-            nc: NC,
-            kc: KC,
-            mr: 4,
-        }
-    };
     maybe_parallel(c, MB * n, 2 * m * k * n, &|t, c_rows| {
         let r0 = t * MB;
         let r1 = (r0 + MB).min(m);
-        mm_row_block(kern, av, bv, c_rows, r0, r1, k, n, tiles);
+        mm_row_block(kern, av, bv, c_rows, r0, r1, k, n);
     });
 }
 
@@ -176,17 +171,16 @@ fn mm_row_block(
     r1: usize,
     k: usize,
     n: usize,
-    tiles: TileParams,
 ) {
     let _sp = niid_prof::span!("gemm.row_block");
     let mut jj0 = 0;
     while jj0 < n {
-        let jj1 = (jj0 + tiles.nc).min(n);
+        let jj1 = (jj0 + NC).min(n);
         let mut kk0 = 0;
         while kk0 < k {
-            let kk1 = (kk0 + tiles.kc).min(k);
+            let kk1 = (kk0 + KC).min(k);
             if kern.is_simd() {
-                // Register-tiled always-compute path: groups of ≤mr C rows
+                // Register-tiled always-compute path: groups of ≤MR C rows
                 // stay in ymm accumulators across the whole B panel, so C
                 // traffic drops up to 4× vs the per-row axpy formulation.
                 // The group partition depends on the block bounds alone,
@@ -200,7 +194,7 @@ fn mm_row_block(
                     let (width, depth) = (jj1 - jj0, kk1 - kk0);
                     let mut i = r0;
                     while i < r1 {
-                        let rows = (r1 - i).min(tiles.mr);
+                        let rows = (r1 - i).min(MR);
                         simd::gemm_panel_avx2(
                             &av[i * k + kk0..],
                             k,
@@ -331,7 +325,7 @@ pub(crate) fn atb_rows(
 ) {
     let _sp = niid_prof::span!("gemm.atb_rows");
     if kern.is_simd() {
-        // Register-tiled always-compute path (see `mm_row_block`): ≤4
+        // Register-tiled always-compute path (see `mm_row_block`): ≤MR
         // output rows per ymm group, alphas walking a *column* of A
         // (`rs = 1, ts = k`), B streamed once per 16-column chunk instead
         // of once per (input row × output row) pair.
@@ -341,7 +335,7 @@ pub(crate) fn atb_rows(
             let nrows = kk1 - kk0;
             let mut r = 0;
             while r < nrows {
-                let rows = (nrows - r).min(4);
+                let rows = (nrows - r).min(MR);
                 simd::gemm_panel_avx2(
                     &av[r0 * k + kk0 + r..],
                     1,
@@ -454,21 +448,20 @@ pub fn matmul_a_bt_slices(av: &[f32], bv: &[f32], c: &mut [f32], m: usize, n: us
 ///
 /// Assign semantics are preserved by zeroing each `C` block before
 /// accumulating; per-element accumulation is one depth-ascending chain
-/// chunked at `kc` boundaries, a function of shapes and tiles alone, so
+/// chunked at `NT_KC` boundaries, a function of shapes alone, so
 /// thread-count bit-identity holds. Every term is computed (never
 /// skipped), so NaN/±∞ propagate IEEE-exactly.
 #[cfg(target_arch = "x86_64")]
 fn abt_nt(av: &[f32], bv: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
-    let tiles = dispatch::tiles_for(dispatch::classify_gemm(GemmOp::ABt, m, k, n));
     let flops = 2 * m * k * n;
     crate::parallel::with_scratch(k * n, |pack| {
-        maybe_parallel(pack, tiles.nc * n, flops, &|jt, region| {
+        maybe_parallel(pack, NT_NC * n, flops, &|jt, region| {
             let _sp = niid_prof::span!("gemm.pack_bt");
-            let j0 = jt * tiles.nc;
-            let wj = (j0 + tiles.nc).min(k) - j0;
+            let j0 = jt * NT_NC;
+            let wj = (j0 + NT_NC).min(k) - j0;
             let mut kk0 = 0;
             while kk0 < n {
-                let kk1 = (kk0 + tiles.kc).min(n);
+                let kk1 = (kk0 + NT_KC).min(n);
                 simd::pack_bt_panel(
                     bv,
                     n,
@@ -489,16 +482,16 @@ fn abt_nt(av: &[f32], bv: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
             c_rows.fill(0.0);
             let mut j0 = 0;
             while j0 < k {
-                let j1 = (j0 + tiles.nc).min(k);
+                let j1 = (j0 + NT_NC).min(k);
                 let wj = j1 - j0;
                 let mut kk0 = 0;
                 while kk0 < n {
-                    let kk1 = (kk0 + tiles.kc).min(n);
+                    let kk1 = (kk0 + NT_KC).min(n);
                     let depth = kk1 - kk0;
                     let block = &pack[j0 * n + wj * kk0..j0 * n + wj * kk1];
                     let mut i = r0;
                     while i < r1 {
-                        let rows = (r1 - i).min(tiles.mr);
+                        let rows = (r1 - i).min(MR);
                         simd::gemm_panel_nt_avx2(
                             &av[i * n + kk0..],
                             n,
@@ -685,16 +678,6 @@ mod tests {
                 assert_eq!(c.at2(i, j).is_nan(), j == 2, "({i},{j})");
             }
         }
-    }
-
-    #[test]
-    fn scalar_arm_default_tiles_match_historical_constants() {
-        // The dispatch table's fallback must stay in lockstep with the
-        // scalar arm's pinned constants: both encode the pre-tuning
-        // blocking, and the scalar replay contract depends on it.
-        assert_eq!(crate::dispatch::DEFAULT_TILES.nc, NC);
-        assert_eq!(crate::dispatch::DEFAULT_TILES.kc, KC);
-        assert_eq!(crate::dispatch::DEFAULT_TILES.mr, 4);
     }
 
     #[test]

@@ -303,11 +303,6 @@ impl Tensor {
         }
     }
 
-    /// Fill with zeros, keeping the allocation.
-    pub fn zero_(&mut self) {
-        self.data.iter_mut().for_each(|a| *a = 0.0);
-    }
-
     /// Sum of all elements (f64 accumulator for stability).
     pub fn sum(&self) -> f64 {
         self.data.iter().map(|&a| a as f64).sum()
@@ -330,37 +325,6 @@ impl Tensor {
     /// L2 norm.
     pub fn norm(&self) -> f64 {
         self.sq_norm().sqrt()
-    }
-
-    /// Column-wise sum of a rank-2 tensor: `[rows, cols] -> [cols]`.
-    pub fn sum_axis0(&self) -> Tensor {
-        assert_eq!(self.ndim(), 2, "sum_axis0 on rank-{} tensor", self.ndim());
-        let (rows, cols) = (self.shape[0], self.shape[1]);
-        let kern = simd::active_kernel();
-        let mut out = vec![0.0f32; cols];
-        for r in 0..rows {
-            let row = &self.data[r * cols..(r + 1) * cols];
-            simd::add_assign(kern, &mut out, row);
-        }
-        Tensor::from_vec(out, &[cols])
-    }
-
-    /// Broadcast-add a `[cols]` bias onto each row of a `[rows, cols]`
-    /// tensor, in place.
-    pub fn add_row_broadcast(&mut self, bias: &Tensor) {
-        assert_eq!(self.ndim(), 2, "add_row_broadcast on rank-{}", self.ndim());
-        assert_eq!(
-            bias.numel(),
-            self.shape[1],
-            "add_row_broadcast: bias length {} vs row width {}",
-            bias.numel(),
-            self.shape[1]
-        );
-        let cols = self.shape[1];
-        let kern = simd::active_kernel();
-        for row in self.data.chunks_exact_mut(cols) {
-            simd::add_assign(kern, row, &bias.data);
-        }
     }
 
     /// Transpose a rank-2 tensor into a new tensor.
@@ -458,8 +422,6 @@ mod tests {
         assert_eq!(a.as_slice(), &[16.0, 32.0]);
         a.scale_assign(0.25);
         assert_eq!(a.as_slice(), &[4.0, 8.0]);
-        a.zero_();
-        assert_eq!(a.as_slice(), &[0.0, 0.0]);
     }
 
     #[test]
@@ -475,15 +437,6 @@ mod tests {
         let g = t.gather_rows(&[2, 0]);
         assert_eq!(g.shape(), &[2, 2]);
         assert_eq!(g.as_slice(), &[5.0, 6.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    fn sum_axis0_and_broadcast() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        assert_eq!(t.sum_axis0().as_slice(), &[4.0, 6.0]);
-        let mut u = t.clone();
-        u.add_row_broadcast(&Tensor::from_vec(vec![10.0, 20.0], &[2]));
-        assert_eq!(u.as_slice(), &[11.0, 22.0, 13.0, 24.0]);
     }
 
     #[test]

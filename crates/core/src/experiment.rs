@@ -82,16 +82,12 @@ pub struct ExperimentSpec {
     pub sample_fraction: f64,
     /// BatchNorm buffer aggregation policy.
     pub buffer_policy: BufferPolicy,
-    /// Evaluate every k rounds.
-    pub eval_every: usize,
     /// Server-side learning rate (paper: 1.0).
     pub server_lr: f32,
     /// Independent trials (the paper runs 3).
     pub trials: usize,
     /// Master seed.
     pub seed: u64,
-    /// Worker threads (0 = auto).
-    pub threads: usize,
     /// Append round-level trace events (JSON Lines) to this file; `None`
     /// disables tracing.
     pub trace_path: Option<String>,
@@ -151,11 +147,9 @@ impl ExperimentSpec {
             lr: None,
             sample_fraction: 1.0,
             buffer_policy: BufferPolicy::Average,
-            eval_every: 1,
             server_lr: 1.0,
             trials: 1,
             seed: gen.seed,
-            threads: 0,
             trace_path: None,
             metrics_dir: None,
             metrics_port: None,
@@ -420,10 +414,10 @@ pub fn run_experiment(spec: &ExperimentSpec) -> Result<ExperimentResult, Experim
             sample_fraction: spec.sample_fraction,
             buffer_policy: spec.buffer_policy,
             eval_batch_size: 256,
-            eval_every: spec.eval_every,
+            eval_every: 1,
             server_lr: spec.server_lr,
             seed: tseed,
-            threads: spec.threads,
+            threads: 0,
             min_quorum: spec.min_quorum,
             fault_plan: spec.faults.clone(),
             checkpoint: spec.checkpoint_policy(trial),

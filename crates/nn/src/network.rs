@@ -176,39 +176,11 @@ impl Network {
         input_shape: &[usize],
         batch_size: usize,
     ) -> f64 {
-        assert_eq!(features.ndim(), 2, "evaluate: features must be [n, dim]");
-        let n = features.shape()[0];
-        assert_eq!(n, labels.len(), "evaluate: features/labels mismatch");
-        assert!(batch_size > 0, "evaluate: zero batch size");
-        if n == 0 {
+        let (correct, _) = self.class_counts(features, labels, input_shape, batch_size);
+        if labels.is_empty() {
             return 0.0;
         }
-        let per_sample: usize = input_shape.iter().product();
-        assert_eq!(
-            per_sample,
-            features.shape()[1],
-            "evaluate: input_shape {:?} does not match feature dim {}",
-            input_shape,
-            features.shape()[1]
-        );
-        let mut correct = 0usize;
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + batch_size).min(n);
-            let idx: Vec<usize> = (start..end).collect();
-            let batch = features.gather_rows(&idx);
-            let mut shape = vec![end - start];
-            shape.extend_from_slice(input_shape);
-            let batch = batch.reshape(&shape);
-            let preds = self.predict(batch);
-            correct += preds
-                .iter()
-                .zip(&labels[start..end])
-                .filter(|(p, l)| p == l)
-                .count();
-            start = end;
-        }
-        correct as f64 / n as f64
+        correct.iter().sum::<usize>() as f64 / labels.len() as f64
     }
 
     /// Per-class recall over a dataset: `out[k] = accuracy on samples of
@@ -223,18 +195,42 @@ impl Network {
         input_shape: &[usize],
         batch_size: usize,
     ) -> Vec<f64> {
-        assert_eq!(
-            features.ndim(),
-            2,
-            "evaluate_per_class: features must be [n, dim]"
-        );
+        let (correct, total) = self.class_counts(features, labels, input_shape, batch_size);
+        correct
+            .iter()
+            .zip(&total)
+            .map(|(&c, &t)| {
+                if t == 0 {
+                    f64::NAN
+                } else {
+                    c as f64 / t as f64
+                }
+            })
+            .collect()
+    }
+
+    /// Correct predictions and sample counts per true class, predicted in
+    /// mini-batches of `batch_size` rows: the one evaluation loop behind
+    /// [`Network::evaluate`] and [`Network::evaluate_per_class`].
+    fn class_counts(
+        &mut self,
+        features: &Tensor,
+        labels: &[usize],
+        input_shape: &[usize],
+        batch_size: usize,
+    ) -> (Vec<usize>, Vec<usize>) {
+        assert_eq!(features.ndim(), 2, "evaluate: features must be [n, dim]");
         let n = features.shape()[0];
+        assert_eq!(n, labels.len(), "evaluate: features/labels mismatch");
+        assert!(batch_size > 0, "evaluate: zero batch size");
+        let per_sample: usize = input_shape.iter().product();
         assert_eq!(
-            n,
-            labels.len(),
-            "evaluate_per_class: features/labels mismatch"
+            per_sample,
+            features.shape()[1],
+            "evaluate: input_shape {:?} does not match feature dim {}",
+            input_shape,
+            features.shape()[1]
         );
-        assert!(batch_size > 0, "evaluate_per_class: zero batch size");
         let mut correct = vec![0usize; self.num_classes];
         let mut total = vec![0usize; self.num_classes];
         let mut start = 0usize;
@@ -253,17 +249,7 @@ impl Network {
             }
             start = end;
         }
-        correct
-            .iter()
-            .zip(&total)
-            .map(|(&c, &t)| {
-                if t == 0 {
-                    f64::NAN
-                } else {
-                    c as f64 / t as f64
-                }
-            })
-            .collect()
+        (correct, total)
     }
 }
 

@@ -31,7 +31,7 @@
 //!   transposed `[depth, width]` tiles *inside the GEMM panel pack*
 //!   ([`pack_cols_t_tile`]) into a thread-local arena
 //!   ([`crate::parallel::with_scratch`]) that
-//!   [`crate::simd::gemm_panel_nt_avx2`] consumes; its weight gradient
+//!   [`crate::simd::gemm_panel_avx2`] consumes; its weight gradient
 //!   regenerates im2col row windows on the fly ([`im2col_rows`]) and its
 //!   data gradient scatters each position strip of
 //!   [`crate::matmul::atb_rows`] at once ([`col2im_scatter_rows`]) — no
@@ -50,9 +50,9 @@
 //!
 //! Per output element all three run the same depth-ascending FMA chain
 //! over the same operand values — tile splits are bits-neutral (see
-//! [`crate::matmul`]), and both fused weight gradients replicate
-//! `matmul_at_b_slices`' branch and `ATB_BLOCK_M` partial-sum split — so
-//! under the same SIMD kernel they are **bit-identical**; tests assert
+//! [`crate::matmul`]), and both fused weight gradients run their row
+//! kernels inside the `Aᵀ·B` task split that `matmul_at_b_slices` uses —
+//! so under the same SIMD kernel they are **bit-identical**; tests assert
 //! exactly this, and `tests/golden_conv.rs` pins the bits themselves.
 //!
 //! ## Workspace reuse
@@ -72,7 +72,7 @@
 #[cfg(target_arch = "x86_64")]
 use crate::conv_direct as direct;
 use crate::matmul::{
-    matmul_a_bt_slices, matmul_at_b_slices, ATB_BLOCK_M, KB, KC, MR, NT_KC, NT_NC,
+    atb_split, atb_splits_rows, matmul_a_bt_slices, matmul_at_b_slices, KC, NT_KC, NT_NC,
 };
 use crate::parallel::{parallel_chunks_mut_threshold, with_scratch};
 use crate::simd::{self, Kernel};
@@ -580,10 +580,9 @@ pub enum ConvLowering {
 /// lowered dX value as one out-channel-ascending chain, i.e. they
 /// replicate the row-split branch of the per-sample
 /// `matmul_at_b_slices(k = positions, m = out_channels)` the
-/// materialized path runs, so the shape must satisfy that branch's
-/// predicate.
+/// materialized path runs, so the shape must take that branch.
 fn fused_backward_eligible(s: &Conv2dShape) -> bool {
-    s.out_positions() >= 2 * KB || s.out_channels < ATB_BLOCK_M
+    atb_splits_rows(s.out_positions(), s.out_channels)
 }
 
 /// The lowering a geometry takes on the AVX2 arm — a function of the
@@ -732,22 +731,18 @@ pub fn conv2d_forward_implicit(
                             pack_cols_t_tile(x_i, &v, j0, j1, d0, d1, &mut pack[..depth * wj]);
                         }
                         let _sp = niid_prof::span!("conv.kernel_nt");
-                        let mut oc = 0;
-                        while oc < s.out_channels {
-                            let rows = (s.out_channels - oc).min(MR);
-                            simd::gemm_panel_nt_avx2(
-                                &weight[oc * cw + d0..],
-                                cw,
-                                1,
-                                rows,
-                                depth,
-                                &pack[..depth * wj],
-                                &mut out_i[oc * positions + j0..],
-                                positions,
-                                wj,
-                            );
-                            oc += rows;
-                        }
+                        simd::gemm_panel_avx2(
+                            &weight[d0..],
+                            cw,
+                            1,
+                            s.out_channels,
+                            depth,
+                            &pack[..depth * wj],
+                            wj,
+                            &mut out_i[j0..],
+                            positions,
+                            wj,
+                        );
                         d0 = d1;
                     }
                     j0 = j1;
@@ -1077,24 +1072,23 @@ fn dx_implicit(
 }
 
 /// Fused weight gradient, shared by the implicit and direct lowerings:
-/// `matmul_at_b_slices`' branch and task split replicated exactly over
+/// `matmul_at_b_slices`' own task split ([`atb_split`]) over
 /// (`k = out_channels`, `m = batch·positions`), with the lowered operand
 /// supplied per row range from the padded batch by [`dw_rows_implicit`]
 /// (im2col windows regenerated on the fly) or [`direct::dw_rows`] (read
 /// in place). Bit-identical to [`dw_materialized`] under the same SIMD
 /// kernel: every per-element FMA chain visits the same values in the
-/// same order, with the same `ATB_BLOCK_M` partial-sum boundaries.
+/// same order, with the same partial-sum boundaries.
 #[cfg(target_arch = "x86_64")]
 fn dw_fused(scratch: &ConvScratch, grad_out: &Tensor, s: &Conv2dShape, grad_weight: &mut [f32]) {
     let (n, v) = (scratch.batch, s.padded_view());
     let cw = s.col_width();
     let outc = s.out_channels;
     let m = n * s.out_positions();
-    let flops = 2 * m * outc * cw;
     let direct = scratch.cached == ConvLowering::Direct;
     stats::bump(calls(scratch.cached), 1);
     // The dW GEMM flops, normally counted inside matmul_at_b_slices.
-    stats::bump(Counter::GemmFlops, flops as u64);
+    stats::bump(Counter::GemmFlops, (2 * m * outc * cw) as u64);
     let go = grad_out.as_slice();
     let xs = &scratch.input[..n * v.input_numel() + SLACK];
     // dW rows `kk0..kk1` accumulated over lowered rows `r0..r1`.
@@ -1106,30 +1100,7 @@ fn dw_fused(scratch: &ConvScratch, grad_out: &Tensor, s: &Conv2dShape, grad_weig
             dw_rows_implicit(xs, go, c_rows, &v, kk0, kk1, r0, r1);
         }
     };
-
-    if outc >= 2 * KB || m < ATB_BLOCK_M {
-        // Row-split path: each task owns KB output rows of dW and sweeps
-        // every lowered row.
-        parallel_chunks_mut_threshold(grad_weight, KB * cw, flops, &|t, gw_rows| {
-            let kk0 = t * KB;
-            let kk1 = (kk0 + KB).min(outc);
-            rows(gw_rows, kk0, kk1, 0, m);
-        });
-        return;
-    }
-    // Partial-sum path: fixed ATB_BLOCK_M-row partial products reduced
-    // in ascending block order, exactly like matmul_at_b_slices.
-    let blocks = m.div_ceil(ATB_BLOCK_M);
-    let mut partials = vec![0.0f32; blocks * outc * cw];
-    parallel_chunks_mut_threshold(&mut partials, outc * cw, flops, &|blk, part| {
-        let r0 = blk * ATB_BLOCK_M;
-        let r1 = (r0 + ATB_BLOCK_M).min(m);
-        rows(part, 0, outc, r0, r1);
-    });
-    let kern = simd::active_kernel();
-    for part in partials.chunks_exact(outc * cw) {
-        simd::add_assign(kern, grad_weight, part);
-    }
+    atb_split(simd::active_kernel(), grad_weight, m, outc, cw, rows);
 }
 
 /// Accumulate dW output rows `kk0..kk1` over lowered rows `r0..r1` of the
@@ -1172,24 +1143,18 @@ fn dw_rows_implicit(
                 p1,
                 &mut buf[..rows_here * cw],
             );
-            let go_i = &go[i * out_numel..(i + 1) * out_numel];
-            let mut kk = kk0;
-            while kk < kk1 {
-                let rows = (kk1 - kk).min(MR);
-                simd::gemm_panel_avx2(
-                    &go_i[kk * positions + p0..],
-                    positions,
-                    1,
-                    rows,
-                    rows_here,
-                    &buf[..rows_here * cw],
-                    cw,
-                    &mut c_rows[(kk - kk0) * cw..],
-                    cw,
-                    cw,
-                );
-                kk += rows;
-            }
+            simd::gemm_panel_avx2(
+                &go[i * out_numel + kk0 * positions + p0..],
+                positions,
+                1,
+                kk1 - kk0,
+                rows_here,
+                &buf[..rows_here * cw],
+                cw,
+                c_rows,
+                cw,
+                cw,
+            );
             r += rows_here;
         }
     });

@@ -29,8 +29,8 @@
 //! Per element each kernel runs the oracle's own chain: the forward
 //! starts at `0.0` and FMAs depth-ascending `(c, ky, kx)`; dW FMAs
 //! lowered-row-ascending from whatever the output buffer holds (the
-//! caller replicates `matmul_at_b_slices`' `ATB_BLOCK_M` partial-sum
-//! split); dX computes each lowered value as one out-channel-ascending
+//! caller runs it inside `matmul_at_b_slices`' own task split, partial
+//! sums included); dX computes each lowered value as one out-channel-ascending
 //! chain from `0.0` and adds it to its input element in ascending
 //! position order — the full col2im scatter's order, because for a fixed
 //! element every position contributes at most once. Lanes never interact,

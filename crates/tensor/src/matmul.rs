@@ -31,26 +31,31 @@
 //! task, so blocking, threading and vector width compose and per-thread
 //! kernel forcing governs the whole operation. On the AVX2 arm the two
 //! axpy-shaped variants (`A·B`, `Aᵀ·B`) run the register-tiled
-//! [`crate::simd::gemm_panel_avx2`] outer-product kernel — groups of ≤4
-//! `C` rows held in `ymm` accumulators across a whole panel — and
-//! `A·Bᵀ` packs `Bᵀ` tiles via [`crate::simd::pack_bt_panel`] into a
-//! per-thread arena and streams them through the dedicated NT kernel
-//! [`crate::simd::gemm_panel_nt_avx2`], replacing the horizontal-sum dot
-//! kernel that capped `a_bt` at less than half its siblings' throughput
-//! (and ~10 GFLOP/s on 32³ blocks). The scalar arm keeps the historical
+//! [`crate::simd::gemm_panel_avx2`] outer-product kernel over a whole row
+//! block per call — the kernel holds groups of ≤4 `C` rows in `ymm`
+//! accumulators across a panel — and `A·Bᵀ` packs `Bᵀ` tiles via
+//! [`crate::simd::pack_bt_panel`] into a per-thread arena and streams
+//! them through the same kernel, replacing the horizontal-sum dot kernel
+//! that capped `a_bt` at less than half its siblings' throughput (and
+//! ~10 GFLOP/s on 32³ blocks). The scalar arm keeps the historical
 //! axpy/dot loops verbatim.
 //!
 //! Each micro-kernel has one fixed blocking pair: the axpy panel runs
 //! `NC × KC` panels for `A·B` on both arms (and `KC`-row windows for the
 //! implicit conv's dW), the packed-NT kernel `NT_NC × NT_KC` tiles for
-//! `A·Bᵀ` (and the implicit conv's forward pack and dX strips), and every
-//! register tile holds `MR` rows of `C`. On the AVX2 arms these tiles are
+//! `A·Bᵀ` (and the implicit conv's forward pack and dX strips); the
+//! kernel itself picks its register rows. On the AVX2 arms these tiles are
 //! **bits-neutral**: every output element is accumulated along one
 //! depth-ascending FMA chain, a tile boundary only checkpoints that chain
 //! through a load/store of `C`, and the row-group size only decides which
 //! elements share a register tile. The scalar arm's zero-skip memoization
 //! is panel-bounds-dependent, so `NC`/`KC` are also part of its bit-exact
 //! replay contract; `Aᵀ·B`'s one knob (`ATB_BLOCK_M`) is bits-relevant.
+//!
+//! `Aᵀ·B`'s task split has one owner, `atb_split`: it picks the row split
+//! or the partial-sum path and reduces the partials, and its caller
+//! supplies the row kernel — [`matmul_at_b_slices`] the lowered-operand
+//! `atb_rows`, the fused conv weight gradients their own lowerings.
 //!
 //! ## Determinism
 //!
@@ -93,14 +98,11 @@ const NC: usize = 128;
 pub(crate) const NT_KC: usize = 128;
 /// Packed-NT N-tile: output columns (conv positions) per packed tile.
 pub(crate) const NT_NC: usize = 64;
-/// `C` rows per register tile, for every micro-kernel.
-pub(crate) const MR: usize = 4;
-/// Output rows of `Aᵀ·B` per parallel task. `pub(crate)` so the
-/// implicit-conv dW path can replicate this op's task split exactly.
-pub(crate) const KB: usize = 32;
+/// Output rows of `Aᵀ·B` per parallel task.
+const KB: usize = 32;
 /// Fixed row-block length for the partial-sum path of [`matmul_at_b`]
 /// (engaged when the output has too few rows to split across tasks).
-/// `pub(crate)` for the same branch-replication reason as [`KB`].
+/// `pub(crate)` only for conv's tests, which size batches to straddle it.
 pub(crate) const ATB_BLOCK_M: usize = 1024;
 
 /// Resolve the micro-kernel for one GEMM call and record the dispatch.
@@ -180,36 +182,27 @@ fn mm_row_block(
         while kk0 < k {
             let kk1 = (kk0 + KC).min(k);
             if kern.is_simd() {
-                // Register-tiled always-compute path: groups of ≤MR C rows
-                // stay in ymm accumulators across the whole B panel, so C
-                // traffic drops up to 4× vs the per-row axpy formulation.
-                // The group partition depends on the block bounds alone,
-                // and each element's t-ascending FMA chain matches the
-                // axpy order — neither threading nor tile choice can
-                // change it. Computing zero alphas (instead of skipping)
-                // is the IEEE-exact result, so NaN/∞ propagation is
-                // preserved by construction.
+                // Register-tiled always-compute path: the kernel keeps
+                // groups of C rows in ymm accumulators across the whole B
+                // panel, so C traffic drops up to 4× vs the per-row axpy
+                // formulation. Each element's t-ascending FMA chain
+                // matches the axpy order — neither threading nor tile
+                // choice can change it. Computing zero alphas (instead of
+                // skipping) is the IEEE-exact result, so NaN/∞
+                // propagation is preserved by construction.
                 #[cfg(target_arch = "x86_64")]
-                {
-                    let (width, depth) = (jj1 - jj0, kk1 - kk0);
-                    let mut i = r0;
-                    while i < r1 {
-                        let rows = (r1 - i).min(MR);
-                        simd::gemm_panel_avx2(
-                            &av[i * k + kk0..],
-                            k,
-                            1,
-                            rows,
-                            depth,
-                            &bv[kk0 * n + jj0..],
-                            n,
-                            &mut c_rows[(i - r0) * n + jj0..],
-                            n,
-                            width,
-                        );
-                        i += rows;
-                    }
-                }
+                simd::gemm_panel_avx2(
+                    &av[r0 * k + kk0..],
+                    k,
+                    1,
+                    r1 - r0,
+                    kk1 - kk0,
+                    &bv[kk0 * n + jj0..],
+                    n,
+                    &mut c_rows[jj0..],
+                    n,
+                    jj1 - jj0,
+                );
                 #[cfg(not(target_arch = "x86_64"))]
                 unreachable!("SIMD kernel selected on non-x86_64");
             } else {
@@ -272,37 +265,57 @@ pub fn matmul_at_b_slices(av: &[f32], bv: &[f32], c: &mut [f32], m: usize, k: us
     if m == 0 || k == 0 || n == 0 {
         return;
     }
-    let flops = 2 * m * k * n;
     stats::bump(Counter::GemmAtbCalls, 1);
-    stats::bump(Counter::GemmFlops, flops as u64);
+    stats::bump(Counter::GemmFlops, (2 * m * k * n) as u64);
     let kern = dispatch_kernel(Counter::GemmAtbSimdCalls, Counter::GemmAtbScalarCalls);
-    // Wide outputs: split the k output rows across tasks; each task sweeps
-    // all m input rows but touches only its own rows of C, so per-element
-    // accumulation order (ascending input row) matches the sequential
-    // kernel bit-for-bit.
-    if k >= 2 * KB || m < ATB_BLOCK_M {
+    atb_split(kern, c, m, k, n, |c_rows, kk0, kk1, r0, r1| {
+        atb_rows(kern, av, bv, c_rows, r0, r1, kk0, kk1, k, n);
+    });
+}
+
+/// Whether `Aᵀ·B` with `k` output rows over `m` input rows splits its
+/// output rows across tasks (else it sums fixed `ATB_BLOCK_M`-row
+/// partial products).
+pub(crate) fn atb_splits_rows(k: usize, m: usize) -> bool {
+    k >= 2 * KB || m < ATB_BLOCK_M
+}
+
+/// The task split of `C[k,n] += Aᵀ·B` over `m` input rows, around a row
+/// kernel `rows(c_rows, kk0, kk1, r0, r1)` that accumulates input rows
+/// `r0..r1` into output rows `kk0..kk1` (`c_rows` holds exactly those).
+///
+/// Wide outputs split the `k` output rows across tasks; each task sweeps
+/// all `m` input rows but touches only its own rows of `C`, so
+/// per-element accumulation order (ascending input row) matches the
+/// sequential kernel bit-for-bit. Short-and-tall outputs (the conv weight
+/// gradient: `k = out_channels`, `m = batch · positions`) take fixed
+/// `ATB_BLOCK_M`-row partial sums reduced in block order. Both structures
+/// depend on shape only, so the result is thread-count invariant.
+pub(crate) fn atb_split(
+    kern: Kernel,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    rows: impl Fn(&mut [f32], usize, usize, usize, usize) + Sync,
+) {
+    let flops = 2 * m * k * n;
+    if atb_splits_rows(k, m) {
         maybe_parallel(c, KB * n, flops, &|t, c_rows| {
             let kk0 = t * KB;
-            let kk1 = (kk0 + KB).min(k);
-            atb_rows(kern, av, bv, c_rows, 0, m, kk0, kk1, k, n);
+            rows(c_rows, kk0, (kk0 + KB).min(k), 0, m);
         });
         return;
     }
-    // Short-and-tall outputs (the conv weight gradient: k = out_channels,
-    // m = batch · positions): fixed ATB_BLOCK_M-row partial sums reduced
-    // in block order. The block structure depends on shape only, so the
-    // result is still thread-count invariant.
-    let blocks = m.div_ceil(ATB_BLOCK_M);
-    let mut partials = vec![0.0f32; blocks * k * n];
+    let mut partials = vec![0.0f32; m.div_ceil(ATB_BLOCK_M) * k * n];
     maybe_parallel(&mut partials, k * n, flops, &|blk, part| {
         let r0 = blk * ATB_BLOCK_M;
-        let r1 = (r0 + ATB_BLOCK_M).min(m);
-        atb_rows(kern, av, bv, part, r0, r1, 0, k, k, n);
+        rows(part, 0, k, r0, (r0 + ATB_BLOCK_M).min(m));
     });
-    for blk in 0..blocks {
+    for part in partials.chunks_exact(k * n) {
         // `c += 1.0 · part` and `c += part` are the same IEEE operation,
         // so this reduction is bit-identical to the historical axpy.
-        simd::add_assign(kern, c, &partials[blk * k * n..(blk + 1) * k * n]);
+        simd::add_assign(kern, c, part);
     }
 }
 
@@ -325,31 +338,24 @@ pub(crate) fn atb_rows(
 ) {
     let _sp = niid_prof::span!("gemm.atb_rows");
     if kern.is_simd() {
-        // Register-tiled always-compute path (see `mm_row_block`): ≤MR
-        // output rows per ymm group, alphas walking a *column* of A
-        // (`rs = 1, ts = k`), B streamed once per 16-column chunk instead
-        // of once per (input row × output row) pair.
+        // Register-tiled always-compute path (see `mm_row_block`):
+        // alphas walk a *column* of A (`rs = 1, ts = k`), and B streams
+        // once per 16-column chunk and row group instead of once per
+        // (input row × output row) pair.
         #[cfg(target_arch = "x86_64")]
         {
-            let depth = r1 - r0;
-            let nrows = kk1 - kk0;
-            let mut r = 0;
-            while r < nrows {
-                let rows = (nrows - r).min(MR);
-                simd::gemm_panel_avx2(
-                    &av[r0 * k + kk0 + r..],
-                    1,
-                    k,
-                    rows,
-                    depth,
-                    &bv[r0 * n..],
-                    n,
-                    &mut c[r * n..],
-                    n,
-                    n,
-                );
-                r += rows;
-            }
+            simd::gemm_panel_avx2(
+                &av[r0 * k + kk0..],
+                1,
+                k,
+                kk1 - kk0,
+                r1 - r0,
+                &bv[r0 * n..],
+                n,
+                c,
+                n,
+                n,
+            );
             return;
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -441,8 +447,8 @@ pub fn matmul_a_bt_slices(av: &[f32], bv: &[f32], c: &mut [f32], m: usize, n: us
 /// Phase 1 packs `Bᵀ` tile-major into a per-thread arena: the
 /// `(j0, kk0)` tile lives at arena offset `j0·n + wj·kk0` (where `wj` is
 /// the jj-tile width), a disjoint region per jj-tile so the pack can run
-/// on the pool. Phase 2 sweeps `MB`-row blocks of `C` with the dedicated
-/// NT panel kernel over the packed tiles — the same broadcast-FMA
+/// on the pool. Phase 2 sweeps `MB`-row blocks of `C` with the panel
+/// kernel over the packed tiles (`bs = wj`) — the same broadcast-FMA
 /// register tiling as `A·B`, which is what removes the per-element
 /// horizontal sums of the old dot formulation.
 ///
@@ -487,24 +493,18 @@ fn abt_nt(av: &[f32], bv: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
                 let mut kk0 = 0;
                 while kk0 < n {
                     let kk1 = (kk0 + NT_KC).min(n);
-                    let depth = kk1 - kk0;
-                    let block = &pack[j0 * n + wj * kk0..j0 * n + wj * kk1];
-                    let mut i = r0;
-                    while i < r1 {
-                        let rows = (r1 - i).min(MR);
-                        simd::gemm_panel_nt_avx2(
-                            &av[i * n + kk0..],
-                            n,
-                            1,
-                            rows,
-                            depth,
-                            block,
-                            &mut c_rows[(i - r0) * k + j0..],
-                            k,
-                            wj,
-                        );
-                        i += rows;
-                    }
+                    simd::gemm_panel_avx2(
+                        &av[r0 * n + kk0..],
+                        n,
+                        1,
+                        r1 - r0,
+                        kk1 - kk0,
+                        &pack[j0 * n + wj * kk0..j0 * n + wj * kk1],
+                        wj,
+                        &mut c_rows[j0..],
+                        k,
+                        wj,
+                    );
                     kk0 = kk1;
                 }
                 j0 = j1;

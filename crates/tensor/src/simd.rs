@@ -58,7 +58,7 @@
 //! | `sgd_momentum_step` | its own safe body, a `mul_add` chain | tolerance-bounded (FMA contraction) |
 //! | `sum` | intrinsics | tolerance-bounded (lane reassociation) |
 //! | `quantize_stochastic_i8` | intrinsics | bit-identical for finite inputs only |
-//! | `gemm_panel_avx2`, `gemm_panel_nt_avx2` | intrinsics, AVX2 arm only | the GEMM tolerance class |
+//! | `gemm_panel_avx2` | intrinsics, AVX2 arm only | the GEMM tolerance class |
 //!
 //! `max_abs` used to fold with `f32::max`, a serial chain the compiler
 //! cannot vectorize; both arms now run an 8-lane `if v > m { v } else
@@ -386,25 +386,27 @@ pub fn sum_sq_f64(k: Kernel, xs: &[f32]) -> f64 {
 /// C[r][j] += Σ_t alpha[r·rs + t·ts] · B[t·bs + j]    r < rows, j < width
 /// ```
 ///
-/// Up to 4 C rows are held in `ymm` accumulators across the whole `t`
-/// loop (two 8-lane vectors per row while `width ≥ 16`, one while
+/// The kernel walks `C` in groups of up to 4 rows, starting at row 0,
+/// and holds each group in `ymm` accumulators across the whole `t` loop
+/// (two 8-lane vectors per row while `width ≥ 16`, one while
 /// `width ≥ 8`, a masked vector for the final `width % 8` columns), so C
 /// is loaded and stored **once per panel** instead of once per `t` as in
 /// the scalar arm's per-row axpy. The `alpha` strides make the one kernel
-/// serve both axpy-shaped GEMMs: `A·B` passes `rs = k, ts = 1` (alphas
-/// are a row of A), `Aᵀ·B` passes `rs = 1, ts = k` (alphas are a column
-/// of A).
+/// serve every GEMM shape: `A·B` passes `rs = k, ts = 1` (alphas are a
+/// row of A), `Aᵀ·B` passes `rs = 1, ts = k` (alphas are a column of A),
+/// and `A·Bᵀ` passes a [`pack_bt_panel`] tile as `B` with `bs = width`.
 ///
 /// Per C element the evaluation is one `t`-ascending FMA chain, a
-/// function of shapes alone (thread-count bit-identity holds). Unlike the
+/// function of shapes alone (thread-count bit-identity holds); the row
+/// grouping only decides which elements share a register tile. Unlike the
 /// scalar path this kernel never skips zero alphas — every term is
 /// computed, so NaN/∞ in either operand propagate exactly as IEEE
 /// arithmetic demands. Only `matmul.rs` and `conv.rs` call it, from the
 /// AVX2 arm of a `dispatch_kernel` choice.
 ///
 /// # Panics
-/// Panics when `rows ∉ 1..=4`, any index reaches outside its slice, or
-/// the CPU lacks avx2+fma.
+/// Panics when any index reaches outside its slice or the CPU lacks
+/// avx2+fma. `rows`, `depth` or `width` of 0 is a no-op.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_panel_avx2(
@@ -419,10 +421,9 @@ pub(crate) fn gemm_panel_avx2(
     cs: usize,
     width: usize,
 ) {
-    if depth == 0 || width == 0 {
+    if rows == 0 || depth == 0 || width == 0 {
         return;
     }
-    assert!((1..=4).contains(&rows), "gemm_panel: rows = {rows}");
     assert!(
         (rows - 1) * rs + (depth - 1) * ts < alpha.len(),
         "gemm_panel: alpha out of bounds"
@@ -461,9 +462,9 @@ pub(crate) fn gemm_panel_avx2(
 /// ```
 ///
 /// i.e. the transpose of rows `j0..j0+width`, columns `d0..d0+depth` of
-/// row-major `B`. [`gemm_panel_nt_avx2`] then streams the packed panel
-/// with unit row stride exactly like the `A·B` kernel streams `B` itself
-/// — this is what lets the `A·Bᵀ` product drop the per-element
+/// row-major `B`. [`gemm_panel_avx2`] then streams the packed panel
+/// (`bs = width`) with unit row stride exactly like it streams `B` for
+/// `A·B` — this is what lets the `A·Bᵀ` product drop the per-element
 /// horizontal-sum dot kernel. A pure copy with no arithmetic, so it is
 /// kernel-agnostic and cannot affect results: NaN/±∞ travel through
 /// untouched.
@@ -496,71 +497,6 @@ pub fn pack_bt_panel(
             idx += width;
         }
     }
-}
-
-/// Dedicated NT micro-kernel (AVX2 only): multiply up to 4 rows of
-/// alphas against a **pre-packed** `Bᵀ` panel in [`pack_bt_panel`]
-/// layout:
-///
-/// ```text
-/// C[r][j] += Σ_t alpha[r·rs + t·ts] · packed[t·width + j]
-/// ```
-///
-/// The pack gives the `t` loop unit-stride panel rows, so the NT product
-/// runs the same register-tiled broadcast-FMA inner loop as
-/// [`gemm_panel_avx2`] — whose per-element `t`-ascending chain it shares,
-/// so bits depend only on depth chunking, never on pack width or row
-/// grouping. Only `matmul.rs` and `conv.rs` call it, from the AVX2 arm of
-/// a `dispatch_kernel` choice.
-///
-/// # Panics
-/// Panics when `rows ∉ 1..=4`, any index reaches outside its slice, or
-/// the CPU lacks avx2+fma.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_panel_nt_avx2(
-    alpha: &[f32],
-    rs: usize,
-    ts: usize,
-    rows: usize,
-    depth: usize,
-    packed: &[f32],
-    c: &mut [f32],
-    cs: usize,
-    width: usize,
-) {
-    if depth == 0 || width == 0 {
-        return;
-    }
-    assert!((1..=4).contains(&rows), "gemm_panel_nt: rows = {rows}");
-    assert!(
-        (rows - 1) * rs + (depth - 1) * ts < alpha.len(),
-        "gemm_panel_nt: alpha out of bounds"
-    );
-    assert!(
-        depth * width <= packed.len(),
-        "gemm_panel_nt: packed panel out of bounds"
-    );
-    assert!(
-        (rows - 1) * cs + width <= c.len(),
-        "gemm_panel_nt: c out of bounds"
-    );
-    // SAFETY: bounds asserted above, and `on_avx2` runs the closure only
-    // after finding avx2+fma (the crate's callers get here from a
-    // `dispatch_kernel` AVX2 arm, so that check never fails for them).
-    on_avx2(move || unsafe {
-        avx2::gemm_panel_nt(
-            alpha.as_ptr(),
-            rs,
-            ts,
-            rows,
-            depth,
-            packed.as_ptr(),
-            c.as_mut_ptr(),
-            cs,
-            width,
-        )
-    })
 }
 
 /// Fused single-pass SGD momentum update over the flat parameter vector:
@@ -1004,7 +940,8 @@ mod avx2 {
     }
 
     /// Register-tiled panel update; see [`super::gemm_panel_avx2`] for the
-    /// contract. Monomorphizes the row count so the accumulator arrays
+    /// contract. Steps through groups of ≤4 rows from row 0 and
+    /// monomorphizes each group's row count so the accumulator arrays
     /// stay in `ymm` registers.
     #[target_feature(enable = "avx2,fma")]
     #[allow(clippy::too_many_arguments)]
@@ -1020,34 +957,18 @@ mod avx2 {
         cs: usize,
         width: usize,
     ) {
-        match rows {
-            4 => gemm_panel_rows::<4>(alpha, rs, ts, depth, b, bs, c, cs, width),
-            3 => gemm_panel_rows::<3>(alpha, rs, ts, depth, b, bs, c, cs, width),
-            2 => gemm_panel_rows::<2>(alpha, rs, ts, depth, b, bs, c, cs, width),
-            1 => gemm_panel_rows::<1>(alpha, rs, ts, depth, b, bs, c, cs, width),
-            _ => unreachable!("gemm_panel: rows must be 1..=4"),
+        let mut r = 0;
+        while r < rows {
+            let group = (rows - r).min(4);
+            let (alpha, c) = (alpha.add(r * rs), c.add(r * cs));
+            match group {
+                4 => gemm_panel_rows::<4>(alpha, rs, ts, depth, b, bs, c, cs, width),
+                3 => gemm_panel_rows::<3>(alpha, rs, ts, depth, b, bs, c, cs, width),
+                2 => gemm_panel_rows::<2>(alpha, rs, ts, depth, b, bs, c, cs, width),
+                _ => gemm_panel_rows::<1>(alpha, rs, ts, depth, b, bs, c, cs, width),
+            }
+            r += group;
         }
-    }
-
-    /// NT panel update on a packed `Bᵀ` panel; see
-    /// [`super::gemm_panel_nt_avx2`] for the contract. The pack layout
-    /// makes the panel a dense `depth × width` row-major matrix, i.e.
-    /// [`gemm_panel`] with `bs = width` — same register tiling, same
-    /// per-element FMA chain.
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn gemm_panel_nt(
-        alpha: *const f32,
-        rs: usize,
-        ts: usize,
-        rows: usize,
-        depth: usize,
-        packed: *const f32,
-        c: *mut f32,
-        cs: usize,
-        width: usize,
-    ) {
-        gemm_panel(alpha, rs, ts, rows, depth, packed, width, c, cs, width)
     }
 
     // `for r in 0..R` + indexing keeps the accumulator arrays addressed by
@@ -1330,15 +1251,17 @@ mod tests {
 
     /// The register-tiled panel kernel against a naïve reference, for both
     /// alpha-stride configurations (A·B rows: `rs = stride, ts = 1`;
-    /// Aᵀ·B columns: `rs = 1, ts = stride`), every row count and widths
-    /// straddling the 16-, 8- and masked-tail paths.
+    /// Aᵀ·B columns: `rs = 1, ts = stride`), row counts within and past
+    /// one 4-row group and widths straddling the 16-, 8- and masked-tail
+    /// paths.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn gemm_panel_matches_reference_and_propagates_nan() {
         if !Kernel::Avx2.available() {
             return;
         }
-        for rows in 1..=4usize {
+        // Rows past 4 run several register groups in one call.
+        for rows in [1usize, 2, 3, 4, 5, 7, 9] {
             for depth in [1usize, 2, 5, 33] {
                 for width in [1usize, 7, 8, 9, 16, 17, 33] {
                     let stride = rows.max(depth) + 3;
@@ -1412,25 +1335,25 @@ mod tests {
             return;
         }
         // C[r][j] += Σ_t A[r][t] · B[j][t] with B row-major [n, k]: pack
-        // Bᵀ tiles and check the NT kernel against gemm_panel_avx2 fed a
-        // pre-transposed dense operand — they must agree bit-for-bit,
-        // since the NT kernel IS gemm_panel at bs = width.
+        // Bᵀ with pack_bt_panel and run the panel kernel on it at
+        // bs = width, against the same kernel fed an explicitly transposed
+        // dense operand — bit-for-bit, which pins the pack layout.
         let (k, n) = (37usize, 19usize);
-        for rows in 1..=4usize {
-            let a = randv(rows * k, 7);
-            let b = randv(n * k, 11);
-            let mut bt = vec![0.0f32; k * n];
-            for j in 0..n {
-                for t in 0..k {
-                    bt[t * n + j] = b[j * k + t];
-                }
+        let b = randv(n * k, 11);
+        let mut bt = vec![0.0f32; k * n];
+        for j in 0..n {
+            for t in 0..k {
+                bt[t * n + j] = b[j * k + t];
             }
+        }
+        let mut packed = vec![0.0f32; k * n];
+        pack_bt_panel(&b, k, 0, 0, n, k, &mut packed);
+        for rows in [1usize, 2, 3, 4, 5, 7, 9] {
+            let a = randv(rows * k, 7);
             let mut want = vec![0.5f32; rows * n];
             gemm_panel_avx2(&a, k, 1, rows, k, &bt, n, &mut want, n, n);
-            let mut packed = vec![0.0f32; k * n];
-            pack_bt_panel(&b, k, 0, 0, n, k, &mut packed);
             let mut got = vec![0.5f32; rows * n];
-            gemm_panel_nt_avx2(&a, k, 1, rows, k, &packed, &mut got, n, n);
+            gemm_panel_avx2(&a, k, 1, rows, k, &packed, n, &mut got, n, n);
             assert_eq!(
                 got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

@@ -282,7 +282,8 @@ pub fn run_or_exit(spec: &ExperimentSpec) -> ExperimentResult {
 /// `--metrics-dir` files, so each is truncated here, once per invocation,
 /// and holds this run's events alone. Both are best-effort: an unwritable
 /// path warns (`run_experiment` then disables the sink) but never kills
-/// the run.
+/// the run. Any of `--trace`, `--metrics-dir` or `--metrics-port` also
+/// installs the exit guard here, the one place that installs it.
 pub fn print_header(what: &str, args: &Args) {
     println!("=== {what} ===");
     println!(
@@ -300,9 +301,9 @@ pub fn print_header(what: &str, args: &Args) {
         let _ = std::fs::create_dir_all(path.parent().expect("joined under --metrics-dir"));
         start("metrics series", &path);
     }
-    if args.metrics_dir.is_some() || args.metrics_port.is_some() {
-        // Ctrl-C during a long run still leaves flushed, parseable
-        // trace/metrics files.
+    if args.trace.is_some() || args.metrics_dir.is_some() || args.metrics_port.is_some() {
+        // The one exit guard: Ctrl-C or SIGTERM during a long run flushes
+        // every open trace and metrics file, so they stay parseable.
         niid_metrics::install_signal_flush();
     }
     if let Some(path) = &args.profile {

@@ -197,3 +197,43 @@ fn niid_trace_alone_truncates_the_file_and_prints_the_summary() {
     assert_eq!(std::fs::read_to_string(&trace).unwrap(), events);
     let _ = std::fs::remove_file(&trace);
 }
+
+#[cfg(unix)]
+#[test]
+fn sigterm_mid_run_flushes_the_trace_and_exits_143() {
+    use niid_json::FromJson;
+    use std::process::{Command, Stdio};
+    use std::time::{Duration, Instant};
+
+    let trace = scratch("sigterm_trace").with_extension("jsonl");
+    let _ = std::fs::remove_file(&trace);
+    let child = common::exp_command()
+        .args(["table3", "--quick", "--rounds", "100000", "--trace"])
+        .arg(&trace)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn exp");
+    // The first buffer flush lands once training has started, so the
+    // header has already installed the exit guard.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while std::fs::metadata(&trace).map_or(true, |m| m.len() == 0) {
+        assert!(Instant::now() < deadline, "exp wrote no trace");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let kill = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(kill.success());
+    let out = child.wait_with_output().expect("wait for exp");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(143), "{stderr}");
+    assert!(stderr.contains("flushed 1 sink(s)"), "{stderr}");
+    let text = std::fs::read_to_string(&trace).expect("trace written");
+    assert!(text.ends_with('\n'), "torn last line");
+    for line in text.lines() {
+        niid_fl::TraceEvent::from_json_str(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+    }
+    let _ = std::fs::remove_file(&trace);
+}

@@ -9,9 +9,7 @@ use niid_fl::local::LocalConfig;
 use niid_fl::trace::{JsonlSink, NoopSink, TraceSink};
 use niid_fl::{Algorithm, CheckpointPolicy, FaultPlan, FlError, RunResult, UpdateCodec};
 use niid_json::{FromJson, Json, JsonError, ToJson};
-use niid_metrics::{
-    global_registry, install_signal_flush, register_flusher, JsonlExporter, MetricsServer,
-};
+use niid_metrics::{global_registry, JsonlExporter, MetricsServer};
 use niid_nn::ModelSpec;
 use niid_stats::{derive_seed, Summary};
 use std::fmt;
@@ -320,8 +318,8 @@ pub fn metrics_server_addr() -> Option<std::net::SocketAddr> {
 
 /// Build the training-dynamics recorder for a spec, when metrics are
 /// enabled. Publishes into the process-global registry, appends the JSONL
-/// series under `metrics_dir`, registers the exporter for signal-time
-/// flushing, and (once per process) starts the live endpoint.
+/// series under `metrics_dir` (the file registers itself for the exit
+/// flush), and (once per process) starts the live endpoint.
 fn build_recorder(
     spec: &ExperimentSpec,
     model: &ModelSpec,
@@ -342,12 +340,7 @@ fn build_recorder(
             }
         }
         match JsonlExporter::append(&path) {
-            Ok(exporter) => {
-                let exporter = Arc::new(exporter);
-                register_flusher(Arc::downgrade(&exporter) as _);
-                install_signal_flush();
-                Some(exporter)
-            }
+            Ok(exporter) => Some(Arc::new(exporter)),
             Err(e) => {
                 eprintln!(
                     "warning: metrics file {}: {e}; series disabled",

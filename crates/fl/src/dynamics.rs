@@ -757,9 +757,7 @@ impl DynamicsSummary {
     /// The substrate gauges and fault counters are cumulative, so those
     /// lines keep the last value seen.
     pub fn from_jsonl_file(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        let lines = niid_json::parse_jsonl(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        let lines = niid_json::read_jsonl_file(path)?;
         let mut out = DynamicsSummary::default();
         let mut substrate = niid_tensor::SubstrateStats::default();
         let mut failures: HashMap<String, f64> = HashMap::new();

@@ -27,12 +27,11 @@
 //! round's [`RoundRecord`](crate::RoundRecord) keeps: events are a view
 //! of the spans, not a second clock.
 
-use niid_json::{parse_jsonl, FromJson, Json, JsonError, ToJson};
-use std::collections::{BTreeMap, VecDeque};
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read as _, Write as _};
+use niid_json::{read_jsonl_file, FromJson, Json, JsonError, ToJson};
+use niid_metrics::JsonlFile;
+use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// One structured event in the life of a federated round.
 #[derive(Debug, Clone, PartialEq)]
@@ -313,70 +312,29 @@ impl TraceSink for NoopSink {
     fn record(&self, _event: &TraceEvent) {}
 }
 
-/// Buffers events in memory; the test and in-process-analysis sink.
-///
-/// The buffer is a bounded ring: once `capacity` events are held, each
-/// new event evicts the oldest one (and is counted in
-/// [`MemorySink::dropped`]), so a long run can never grow the sink
-/// without bound. The default capacity of 65 536 events comfortably
-/// covers any paper-scale run (50 rounds × 100 parties ≈ 5 300 events).
-#[derive(Debug)]
+/// Buffers every event in memory; the test and in-process-analysis sink.
+#[derive(Debug, Default)]
 pub struct MemorySink {
-    events: Mutex<VecDeque<TraceEvent>>,
-    capacity: usize,
-    dropped: Mutex<usize>,
-}
-
-/// Ring capacity used by [`MemorySink::new`].
-pub const MEMORY_SINK_DEFAULT_CAPACITY: usize = 1 << 16;
-
-impl Default for MemorySink {
-    fn default() -> Self {
-        Self::with_capacity(MEMORY_SINK_DEFAULT_CAPACITY)
-    }
+    events: Mutex<Vec<TraceEvent>>,
 }
 
 impl MemorySink {
-    /// An empty sink with the default ring capacity.
+    /// An empty sink.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty sink keeping at most `capacity` events (min 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            events: Mutex::new(VecDeque::new()),
-            capacity: capacity.max(1),
-            dropped: Mutex::new(0),
-        }
-    }
-
-    /// The ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// How many events have been evicted to make room for newer ones.
-    pub fn dropped(&self) -> usize {
-        *self.dropped.lock().expect("trace sink poisoned")
-    }
-
-    /// A snapshot of the retained events, oldest first.
+    /// A snapshot of the recorded events, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.events
-            .lock()
-            .expect("trace sink poisoned")
-            .iter()
-            .cloned()
-            .collect()
+        self.events.lock().expect("trace sink poisoned").clone()
     }
 
-    /// Number of events currently retained (≤ capacity).
+    /// Number of events recorded.
     pub fn len(&self) -> usize {
         self.events.lock().expect("trace sink poisoned").len()
     }
 
-    /// True if nothing is retained.
+    /// True if nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -384,75 +342,43 @@ impl MemorySink {
 
 impl TraceSink for MemorySink {
     fn record(&self, event: &TraceEvent) {
-        let mut events = self.events.lock().expect("trace sink poisoned");
-        if events.len() == self.capacity {
-            events.pop_front();
-            *self.dropped.lock().expect("trace sink poisoned") += 1;
-        }
-        events.push_back(event.clone());
+        self.events
+            .lock()
+            .expect("trace sink poisoned")
+            .push(event.clone());
     }
 }
 
-/// Writes events as JSON Lines (one compact object per line).
+/// Writes events as JSON Lines (one compact object per line) into a
+/// [`JsonlFile`], which flushes on drop and on the exit guard.
 ///
 /// I/O errors after creation are swallowed: a full disk must degrade the
 /// trace, not abort a multi-hour training run.
 #[derive(Debug)]
-pub struct JsonlSink {
-    out: Mutex<BufWriter<File>>,
-}
+pub struct JsonlSink(Arc<JsonlFile>);
 
 impl JsonlSink {
     /// Create (truncate) `path` and write events to it.
     pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Ok(Self {
-            out: Mutex::new(BufWriter::new(File::create(path)?)),
-        })
+        JsonlFile::create(path).map(Self)
     }
 
     /// Open `path` for appending (multiple experiment cells can share one
     /// trace file within a process run).
     pub fn append(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Self {
-            out: Mutex::new(BufWriter::new(file)),
-        })
+        JsonlFile::append(path).map(Self)
     }
 
     /// Flush buffered events to disk.
     pub fn flush(&self) -> std::io::Result<()> {
-        self.out.lock().expect("trace sink poisoned").flush()
-    }
-
-    /// Flush and fsync — what the Ctrl-C shutdown guard calls so partial
-    /// runs still leave valid JSONL.
-    pub fn sync(&self) {
-        if let Ok(mut out) = self.out.lock() {
-            let _ = out.flush();
-            let _ = out.get_ref().sync_all();
-        }
-    }
-}
-
-impl niid_metrics::Flush for JsonlSink {
-    fn flush_now(&self) {
-        self.sync();
+        self.0.flush()
     }
 }
 
 impl TraceSink for JsonlSink {
     fn record(&self, event: &TraceEvent) {
-        let mut out = self.out.lock().expect("trace sink poisoned");
         // Errors are intentionally dropped; see the type-level contract.
-        let _ = writeln!(out, "{}", event.to_json());
-    }
-}
-
-impl Drop for JsonlSink {
-    fn drop(&mut self) {
-        if let Ok(mut out) = self.out.lock() {
-            let _ = out.flush();
-        }
+        let _ = self.0.write_line(event.to_json());
     }
 }
 
@@ -616,8 +542,8 @@ impl TraceSummary {
                     party_id, wall_ms, ..
                 } => {
                     party_train.push(wall_ms);
-                    // A stream cut mid-round (ring wrap, truncated file)
-                    // times its leading parties but has no round to
+                    // A stream cut mid-round (a truncated file, a slice
+                    // of a longer trace) times its leading parties but has no round to
                     // book a straggler against.
                     if s.rounds > 0 && slowest.is_none_or(|(_, ms)| wall_ms > ms) {
                         slowest = Some((party_id, wall_ms));
@@ -665,11 +591,10 @@ impl TraceSummary {
 
     /// Summarize a JSONL trace file written by [`JsonlSink`].
     pub fn from_jsonl_file(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let mut text = String::new();
-        File::open(path)?.read_to_string(&mut text)?;
-        let events: Vec<TraceEvent> = parse_jsonl(&text)
-            .and_then(|vals| vals.iter().map(TraceEvent::from_json).collect())
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        let events: Vec<TraceEvent> = read_jsonl_file(path)?
+            .iter()
+            .map(TraceEvent::from_json)
+            .collect::<Result<_, _>>()?;
         Ok(Self::from_events(&events))
     }
 
@@ -732,6 +657,7 @@ impl TraceSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use niid_json::parse_jsonl;
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![
@@ -908,35 +834,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_sink_ring_wraps_and_counts_drops() {
-        let sink = MemorySink::with_capacity(4);
-        assert_eq!(sink.capacity(), 4);
-        for round in 0..10 {
-            sink.record(&TraceEvent::RoundStarted {
-                round,
-                participants: 1,
-            });
-        }
-        assert_eq!(sink.len(), 4, "ring must not outgrow its capacity");
-        assert_eq!(sink.dropped(), 6);
-        // The newest four events survive, oldest first.
-        let rounds: Vec<usize> = sink.events().iter().map(TraceEvent::round).collect();
-        assert_eq!(rounds, vec![6, 7, 8, 9]);
-        // Zero capacity clamps to one slot rather than panicking.
-        let tiny = MemorySink::with_capacity(0);
-        tiny.record(&TraceEvent::RoundStarted {
-            round: 0,
-            participants: 1,
-        });
-        tiny.record(&TraceEvent::RoundStarted {
-            round: 1,
-            participants: 1,
-        });
-        assert_eq!(tiny.len(), 1);
-        assert_eq!(tiny.dropped(), 1);
-    }
-
-    #[test]
     fn summary_folds_phases_and_stragglers() {
         let s = TraceSummary::from_events(&sample_events());
         assert_eq!(s.rounds, 2);
@@ -951,7 +848,7 @@ mod tests {
         let table = s.render();
         assert!(table.contains("party_train"), "{table}");
         assert!(table.contains("#1 (2/2)"), "{table}");
-        // A stream that starts mid-round (its `RoundStarted` was dropped)
+        // A stream that starts mid-round (a slice of a longer trace)
         // keeps the leading party's time but books no straggler for a
         // round it never counted: the histogram still sums to `rounds`.
         let cut = TraceSummary::from_events(&sample_events()[1..]);
@@ -1003,6 +900,51 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), sample_events().len() + 1);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn exit_flush_reaches_open_trace_and_series_files() {
+        let dir = std::env::temp_dir().join(format!("niid_exit_flush_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (trace_path, series_path) = (dir.join("trace.jsonl"), dir.join("series.jsonl"));
+        let sink = JsonlSink::create(&trace_path).unwrap();
+        let exporter = niid_metrics::JsonlExporter::create(&series_path).unwrap();
+        for ev in sample_events() {
+            sink.record(&ev);
+        }
+        let registry = niid_metrics::Registry::new();
+        registry.gauge("niid_round", "", &[]).set(3.0);
+        registry
+            .counter("niid_comm_bytes_total", "", &[("dir", "up")])
+            .add(42);
+        exporter.write_snapshot(Some(3), &registry.snapshot());
+        // Both files are still open, as when a signal lands mid-run.
+        assert!(niid_metrics::flush_all() >= 2);
+        let events: Vec<TraceEvent> = read_jsonl_file(&trace_path)
+            .unwrap()
+            .iter()
+            .map(|v| TraceEvent::from_json(v).unwrap())
+            .collect();
+        assert_eq!(events, sample_events());
+        let mut series: Vec<(String, f64, f64)> = read_jsonl_file(&series_path)
+            .unwrap()
+            .iter()
+            .map(|l| {
+                let num = |k: &str| l.get(k).and_then(Json::as_f64).unwrap();
+                let name = l.get("name").and_then(Json::as_str).unwrap();
+                (name.to_string(), num("round"), num("value"))
+            })
+            .collect();
+        series.sort_by(|a, b| a.0.cmp(&b.0));
+        assert_eq!(
+            series,
+            [
+                ("niid_comm_bytes_total".to_string(), 3.0, 42.0),
+                ("niid_round".to_string(), 3.0, 3.0)
+            ]
+        );
+        drop((sink, exporter));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -21,7 +21,7 @@ mod parse;
 mod value;
 mod write;
 
-pub use parse::{parse, parse_jsonl, JsonError};
+pub use parse::{parse, parse_jsonl, read_jsonl_file, JsonError};
 pub use value::Json;
 
 /// Convert a value into a [`Json`] tree.

@@ -33,6 +33,12 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+impl From<JsonError> for std::io::Error {
+    fn from(e: JsonError) -> Self {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
+    }
+}
+
 /// Parse one JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
@@ -56,6 +62,11 @@ pub fn parse_jsonl(input: &str) -> Result<Vec<Json>, JsonError> {
         .filter(|(_, line)| !line.trim().is_empty())
         .map(|(i, line)| parse(line).map_err(|e| e.contextualize(&format!("line {}", i + 1))))
         .collect()
+}
+
+/// Read and parse a JSON-Lines file; a malformed line is `InvalidData`.
+pub fn read_jsonl_file(path: impl AsRef<std::path::Path>) -> std::io::Result<Vec<Json>> {
+    Ok(parse_jsonl(&std::fs::read_to_string(path)?)?)
 }
 
 /// Nesting depth guard: experiment artifacts are a few levels deep, so a

@@ -1,14 +1,16 @@
-//! Exposition: Prometheus text format 0.0.4 and JSONL series files.
+//! Exposition: Prometheus text format 0.0.4 and JSONL series files, plus
+//! the one JSONL file type every JSONL writer in the workspace uses.
 
+use std::fmt::Display;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 use niid_json::Json;
 
-use crate::registry::{FamilySnapshot, SampleValue};
-use crate::shutdown::Flush;
+use crate::registry::{FamilySnapshot, Sample, SampleValue};
+use crate::shutdown::{register_flusher, Flush};
 
 /// Escape a label value per the Prometheus text format: backslash,
 /// double-quote, and newline.
@@ -113,6 +115,130 @@ pub fn render_prometheus(families: &[FamilySnapshot]) -> String {
     out
 }
 
+/// One JSONL output file: a buffered writer behind one lock, shared by
+/// the trace sink and [`JsonlExporter`].
+///
+/// Opening one registers it with the exit-flush registry, so the `exp`
+/// binary's Ctrl-C watcher ([`crate::shutdown`]) flushes and fsyncs
+/// every file still open. The registry holds it weakly; dropping it
+/// flushes the buffer (`BufWriter`'s own `Drop`).
+#[derive(Debug)]
+pub struct JsonlFile {
+    out: Mutex<BufWriter<File>>,
+}
+
+impl JsonlFile {
+    /// Truncate-and-create `path`.
+    pub fn create(path: impl AsRef<Path>) -> io::Result<Arc<Self>> {
+        Ok(Self::open(File::create(path)?))
+    }
+
+    /// Open `path` for appending, creating it if missing.
+    pub fn append(path: impl AsRef<Path>) -> io::Result<Arc<Self>> {
+        Ok(Self::open(
+            OpenOptions::new().create(true).append(true).open(path)?,
+        ))
+    }
+
+    fn open(file: File) -> Arc<Self> {
+        let file = Arc::new(JsonlFile {
+            out: Mutex::new(BufWriter::new(file)),
+        });
+        register_flusher(Arc::downgrade(&file) as Weak<dyn Flush>);
+        file
+    }
+
+    /// The writer; a lock poisoned by a panicking writer is an I/O error,
+    /// so neither a run nor the exit guard panics on it.
+    fn lock(&self) -> io::Result<MutexGuard<'_, BufWriter<File>>> {
+        self.out
+            .lock()
+            .map_err(|_| io::Error::other("JSONL writer poisoned by a panic"))
+    }
+
+    /// Buffer one line; it reaches the OS at the next flush.
+    pub fn write_line(&self, line: impl Display) -> io::Result<()> {
+        writeln!(self.lock()?, "{line}")
+    }
+
+    /// Write `lines` under one lock, then flush once.
+    pub fn write_batch<T: Display>(&self, lines: impl IntoIterator<Item = T>) -> io::Result<()> {
+        let mut out = self.lock()?;
+        for line in lines {
+            writeln!(out, "{line}")?;
+        }
+        out.flush()
+    }
+
+    /// Flush buffered lines to the OS.
+    pub fn flush(&self) -> io::Result<()> {
+        self.lock()?.flush()
+    }
+
+    /// Flush and fsync.
+    pub fn sync(&self) -> io::Result<()> {
+        let mut out = self.lock()?;
+        out.flush()?;
+        out.get_ref().sync_all()
+    }
+}
+
+impl Flush for JsonlFile {
+    fn flush_now(&self) {
+        let _ = self.sync();
+    }
+}
+
+/// One series sample as a JSONL line, or `None` for a non-finite value.
+fn sample_line(round: Option<u64>, name: &str, sample: &Sample) -> Option<Json> {
+    let mut fields: Vec<(&str, Json)> = Vec::with_capacity(5);
+    if let Some(r) = round {
+        fields.push(("round", Json::Num(r as f64)));
+    }
+    fields.push(("name", Json::Str(name.to_string())));
+    let labels = Json::Obj(
+        sample
+            .labels
+            .iter()
+            .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
+            .collect(),
+    );
+    fields.push(("labels", labels));
+    match &sample.value {
+        SampleValue::Counter(v) => fields.push(("value", Json::Num(*v as f64))),
+        SampleValue::Gauge(v) => {
+            if !v.is_finite() {
+                return None;
+            }
+            fields.push(("value", Json::Num(*v)));
+        }
+        SampleValue::Histogram {
+            bounds,
+            buckets,
+            sum,
+            count,
+        } => {
+            if !sum.is_finite() {
+                return None;
+            }
+            fields.push(("value", Json::Num(*sum)));
+            fields.push(("count", Json::Num(*count as f64)));
+            let mut cum = 0u64;
+            let pairs: Vec<Json> = buckets
+                .iter()
+                .enumerate()
+                .map(|(i, b)| {
+                    cum += b;
+                    let le = bounds.get(i).copied().unwrap_or(f64::MAX);
+                    Json::Arr(vec![Json::Num(le), Json::Num(cum as f64)])
+                })
+                .collect();
+            fields.push(("buckets", Json::Arr(pairs)));
+        }
+    }
+    Some(Json::obj(fields))
+}
+
 /// Append-mode JSONL writer for per-round metric snapshots.
 ///
 /// Each line is one series sample:
@@ -122,27 +248,23 @@ pub fn render_prometheus(families: &[FamilySnapshot]) -> String {
 /// skipped so the file stays strict-JSON parseable.
 pub struct JsonlExporter {
     path: PathBuf,
-    out: Mutex<BufWriter<File>>,
+    file: Arc<JsonlFile>,
 }
 
 impl JsonlExporter {
     /// Truncate-and-create `path`.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let file = File::create(&path)?;
+    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
         Ok(JsonlExporter {
-            path,
-            out: Mutex::new(BufWriter::new(file)),
+            path: path.as_ref().to_path_buf(),
+            file: JsonlFile::create(path)?,
         })
     }
 
     /// Open `path` for appending (multi-trial runs share one file).
-    pub fn append(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+    pub fn append(path: impl AsRef<Path>) -> io::Result<Self> {
         Ok(JsonlExporter {
-            path,
-            out: Mutex::new(BufWriter::new(file)),
+            path: path.as_ref().to_path_buf(),
+            file: JsonlFile::append(path)?,
         })
     }
 
@@ -152,86 +274,23 @@ impl JsonlExporter {
 
     /// Write one line per series in `families`, stamped with `round`.
     pub fn write_snapshot(&self, round: Option<u64>, families: &[FamilySnapshot]) {
-        let mut out = self.out.lock().unwrap();
-        for f in families {
-            for s in &f.samples {
-                let mut fields: Vec<(&str, Json)> = Vec::with_capacity(5);
-                if let Some(r) = round {
-                    fields.push(("round", Json::Num(r as f64)));
-                }
-                fields.push(("name", Json::Str(f.name.clone())));
-                let labels = Json::Obj(
-                    s.labels
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                        .collect(),
-                );
-                fields.push(("labels", labels));
-                match &s.value {
-                    SampleValue::Counter(v) => fields.push(("value", Json::Num(*v as f64))),
-                    SampleValue::Gauge(v) => {
-                        if !v.is_finite() {
-                            continue;
-                        }
-                        fields.push(("value", Json::Num(*v)));
-                    }
-                    SampleValue::Histogram {
-                        bounds,
-                        buckets,
-                        sum,
-                        count,
-                    } => {
-                        if !sum.is_finite() {
-                            continue;
-                        }
-                        fields.push(("value", Json::Num(*sum)));
-                        fields.push(("count", Json::Num(*count as f64)));
-                        let mut cum = 0u64;
-                        let pairs: Vec<Json> = buckets
-                            .iter()
-                            .enumerate()
-                            .map(|(i, b)| {
-                                cum += b;
-                                let le = bounds.get(i).copied().unwrap_or(f64::MAX);
-                                Json::Arr(vec![Json::Num(le), Json::Num(cum as f64)])
-                            })
-                            .collect();
-                        fields.push(("buckets", Json::Arr(pairs)));
-                    }
-                }
-                let line = Json::obj(fields).to_string();
-                if writeln!(out, "{line}").is_err() {
-                    return; // disk-full etc. must never poison a run
-                }
-            }
-        }
-        let _ = out.flush();
+        let lines = families.iter().flat_map(|f| {
+            f.samples
+                .iter()
+                .filter_map(move |s| sample_line(round, &f.name, s))
+        });
+        // Disk-full etc. must never poison a run.
+        let _ = self.file.write_batch(lines);
     }
 
     /// Flush buffered lines to the OS.
     pub fn flush(&self) {
-        let _ = self.out.lock().unwrap().flush();
+        let _ = self.file.flush();
     }
 
-    /// Flush and fsync — what the shutdown guard calls on Ctrl-C.
+    /// Flush and fsync.
     pub fn sync(&self) {
-        let mut out = self.out.lock().unwrap();
-        let _ = out.flush();
-        let _ = out.get_ref().sync_all();
-    }
-}
-
-impl Flush for JsonlExporter {
-    fn flush_now(&self) {
-        self.sync();
-    }
-}
-
-impl Drop for JsonlExporter {
-    fn drop(&mut self) {
-        if let Ok(mut out) = self.out.lock() {
-            let _ = out.flush();
-        }
+        let _ = self.file.sync();
     }
 }
 

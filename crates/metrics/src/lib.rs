@@ -15,13 +15,15 @@
 //!
 //! * [`expo::render_prometheus`] — Prometheus text format 0.0.4,
 //! * [`expo::JsonlExporter`] — per-round JSONL series files written
-//!   through `niid-json`,
+//!   through `niid-json` into a [`JsonlFile`], the one JSONL file type
+//!   (the trace sink writes through it too),
 //! * [`http::MetricsServer`] — an optional live `/metrics` + `/healthz`
 //!   endpoint on `std::net::TcpListener`, served from a background
 //!   thread.
 //!
-//! The [`shutdown`] module is the small "flush on Ctrl-C" guard the
-//! experiment bins install so partial runs still leave valid JSONL.
+//! The [`shutdown`] module is the small "flush on Ctrl-C" guard that
+//! keeps partial runs' JSONL valid: every [`JsonlFile`] registers itself
+//! with it on opening, and only the `exp` binary installs the watcher.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
@@ -32,10 +34,10 @@ pub mod registry;
 pub mod shutdown;
 
 pub use deadline::Deadline;
-pub use expo::{render_prometheus, JsonlExporter};
+pub use expo::{render_prometheus, JsonlExporter, JsonlFile};
 pub use http::MetricsServer;
 pub use registry::{
     global_registry, Counter, FamilySnapshot, Gauge, Histogram, MetricKind, Registry, Sample,
     SampleValue,
 };
-pub use shutdown::{flush_all, install_signal_flush, register_flusher, Flush};
+pub use shutdown::{flush_all, install_signal_flush, Flush};

@@ -1,8 +1,10 @@
 //! Flush-on-exit guard: keeps partial runs' JSONL valid on Ctrl-C.
 //!
-//! Sinks that buffer output (`JsonlExporter`, the trace `JsonlSink`)
-//! register themselves here as weak [`Flush`] handles. The experiment
-//! bins call [`install_signal_flush`] once; it installs SIGINT/SIGTERM
+//! Every [`JsonlFile`](crate::JsonlFile) — the file behind both the
+//! metrics `JsonlExporter` and the trace `JsonlSink` — registers itself
+//! here as a weak [`Flush`] handle when it opens; nothing else registers.
+//! Only the `exp` binary decides whether exit is guarded: it calls
+//! [`install_signal_flush`] once, which installs SIGINT/SIGTERM
 //! handlers (raw `libc` FFI — the workspace is dependency-free) that do
 //! nothing but set an atomic flag, and a watcher thread that notices the
 //! flag, runs [`flush_all`], and exits with the conventional
@@ -25,7 +27,7 @@ fn flushers() -> &'static Mutex<Vec<Weak<dyn Flush>>> {
 /// Register a sink to be flushed on Ctrl-C / early exit. Weak handles:
 /// a dropped sink (which flushes itself in `Drop`) is skipped and later
 /// pruned, so registration never extends a sink's lifetime.
-pub fn register_flusher(f: Weak<dyn Flush>) {
+pub(crate) fn register_flusher(f: Weak<dyn Flush>) {
     let mut list = flushers().lock().unwrap();
     list.retain(|w| w.strong_count() > 0);
     list.push(f);

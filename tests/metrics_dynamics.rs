@@ -351,12 +351,13 @@ fn experiment_runner_emits_jsonl_and_serves_live_metrics() {
     spec.metrics_port = Some(0);
     run_experiment(&spec).expect("experiment");
 
-    // JSONL series: schema-valid lines carrying the divergence series.
+    // JSONL series: schema-valid lines carrying every training-dynamics
+    // series (BN drift needs a BatchNorm model: see
+    // `live_summary_and_jsonl_summary_agree`).
     let path = dir.join("metrics.jsonl");
-    let text = std::fs::read_to_string(&path).expect("metrics.jsonl written");
-    let lines = niid_bench_rs::json::parse_jsonl(&text).expect("valid JSONL");
+    let lines = niid_bench_rs::json::read_jsonl_file(&path).expect("valid metrics.jsonl");
     assert!(!lines.is_empty());
-    let mut saw_divergence = false;
+    let mut names = std::collections::HashSet::new();
     for line in &lines {
         let name = line
             .get("name")
@@ -367,9 +368,20 @@ fn experiment_runner_emits_jsonl_and_serves_live_metrics() {
             .and_then(niid_bench_rs::json::Json::as_f64)
             .expect("value field");
         assert!(value.is_finite(), "{name} = {value}");
-        saw_divergence |= name == "niid_weight_divergence_l2";
+        names.insert(name);
     }
-    assert!(saw_divergence, "per-party divergence series missing");
+    for series in [
+        "niid_weight_divergence_l2",
+        "niid_weight_cosine",
+        "niid_update_norm_l2",
+        "niid_grad_norm_l2",
+        "niid_train_loss",
+        "niid_comm_bytes_total",
+    ] {
+        assert!(names.contains(series), "{series} series missing");
+    }
+    let summary = niid_bench_rs::fl::DynamicsSummary::from_jsonl_file(&path).expect("summarize");
+    assert_eq!(summary.rounds, spec.rounds);
 
     // Live endpoint: plain HTTP GET returns Prometheus text.
     let addr = metrics_server_addr().expect("live server started");
@@ -380,11 +392,15 @@ fn experiment_runner_emits_jsonl_and_serves_live_metrics() {
     let mut response = String::new();
     stream.read_to_string(&mut response).expect("response");
     assert!(response.starts_with("HTTP/1.1 200"), "{response}");
-    assert!(response.contains("# TYPE niid_round gauge"), "{response}");
-    assert!(
-        response.contains("niid_weight_divergence_l2{"),
-        "{response}"
-    );
+    for needle in [
+        "# TYPE niid_round gauge",
+        "# TYPE niid_weight_divergence_l2 gauge",
+        "niid_weight_divergence_l2{party=\"0\"}",
+        "niid_grad_norm_l2{",
+        "niid_pool_tasks",
+    ] {
+        assert!(response.contains(needle), "{needle}: {response}");
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }

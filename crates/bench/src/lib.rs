@@ -176,8 +176,14 @@ impl Args {
                 other => fail(format!("unknown argument: {other}")),
             }
         }
+        if out.rounds == Some(0) {
+            fail("bad --rounds: must be at least 1");
+        }
         if out.trials == Some(0) {
             fail("bad --trials: must be at least 1");
+        }
+        if let Some(q) = out.min_quorum.filter(|q| !(*q > 0.0 && *q <= 1.0)) {
+            fail(format!("bad --min-quorum: must be in (0, 1], got {q}"));
         }
         if out.checkpoint_every == Some(0) {
             fail("bad --checkpoint-every: must be at least 1");

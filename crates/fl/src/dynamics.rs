@@ -28,7 +28,7 @@
 //! | `niid_party_failures_total{kind}` | failure kind | counter: isolated party failures |
 //! | `niid_rounds_degraded_total` | — | counter: rounds that aggregated without a full cohort |
 //! | `niid_pool_*`, `niid_gemm_*`, `niid_conv_scratch_*` | — | substrate collector |
-//! | `niid_conv_lowering_calls{lowering}` | implicit / materialized | conv passes per lowering |
+//! | `niid_conv_lowering_calls{lowering}` | direct / implicit / materialized | conv passes per lowering |
 //! | `niid_gemm_dispatch_calls{variant,path}` | GEMM variant × kernel | simd vs scalar dispatch |
 //! | `niid_simd_active_kernel{kernel}` | kernel name | process-wide micro-kernel selection |
 //!

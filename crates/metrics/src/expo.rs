@@ -338,6 +338,10 @@ mod tests {
         r.gauge("div", "", &[("party", "0")]).set(0.25);
         r.gauge("bad", "", &[]).set(f64::NAN);
         r.counter("bytes_total", "", &[]).add(42);
+        let h = r.histogram("lat_ms", "", &[1.0, 10.0], &[("phase", "eval")]);
+        for v in [0.5, 5.0, 7.0, 50.0] {
+            h.observe(v);
+        }
         {
             let ex = JsonlExporter::create(&path).unwrap();
             ex.write_snapshot(Some(3), &r.snapshot());
@@ -345,7 +349,28 @@ mod tests {
         }
         let text = std::fs::read_to_string(&path).unwrap();
         let lines = niid_json::parse_jsonl(&text).unwrap();
-        assert_eq!(lines.len(), 2, "NaN gauge must be skipped");
+        assert_eq!(lines.len(), 3, "NaN gauge must be skipped");
+        for l in &lines {
+            assert!(!l.get("name").and_then(Json::as_str).unwrap().is_empty());
+            assert!(l.get("value").and_then(Json::as_f64).unwrap().is_finite());
+            let round = l.get("round").and_then(Json::as_f64).unwrap();
+            assert!(round >= 0.0 && round.fract() == 0.0, "{l:?}");
+            let labels = l.get("labels").and_then(Json::as_obj).unwrap();
+            assert!(labels.iter().all(|(_, v)| v.as_str().is_some()), "{l:?}");
+        }
+        let hist = lines
+            .iter()
+            .find(|l| l.get("name").and_then(Json::as_str) == Some("lat_ms"))
+            .unwrap();
+        assert_eq!(hist.get("value").and_then(Json::as_f64), Some(62.5));
+        assert_eq!(hist.get("count").and_then(Json::as_f64), Some(4.0));
+        // Cumulative `[le, count]` pairs; the last bucket is +Inf.
+        let le = |le: f64, n: f64| Json::Arr(vec![Json::Num(le), Json::Num(n)]);
+        let buckets = [le(1.0, 1.0), le(10.0, 3.0), le(f64::MAX, 4.0)];
+        assert_eq!(
+            hist.get("buckets").and_then(Json::as_arr),
+            Some(&buckets[..])
+        );
         let div = lines
             .iter()
             .find(|l| l.get("name").and_then(Json::as_str) == Some("div"))

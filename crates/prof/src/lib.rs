@@ -446,9 +446,14 @@ pub struct FlameRow {
     pub total_ns: u64,
     /// Cumulative wall time minus time attributed to child spans (exact).
     pub self_ns: u64,
-    /// Median span duration over the retained ring window, ns.
+    /// Entries still retained in the rings, the sample behind p50/p99.
+    /// 0 when every entry of the label was overwritten on wrap.
+    pub retained: u64,
+    /// Median span duration over the retained ring window, ns (0 when
+    /// `retained` is 0).
     pub p50_ns: u64,
-    /// 99th-percentile span duration over the retained ring window, ns.
+    /// 99th-percentile span duration over the retained ring window, ns
+    /// (0 when `retained` is 0).
     pub p99_ns: u64,
 }
 
@@ -482,6 +487,7 @@ pub fn flame() -> Vec<FlameRow> {
                 calls: s.calls.load(Ordering::Relaxed),
                 total_ns: s.total_ns.load(Ordering::Relaxed),
                 self_ns: s.self_ns.load(Ordering::Relaxed),
+                retained: d.len() as u64,
                 p50_ns: percentile_sorted(&d, 0.50),
                 p99_ns: percentile_sorted(&d, 0.99),
             }
@@ -597,7 +603,8 @@ pub fn write_chrome_trace(path: &str) -> std::io::Result<()> {
 }
 
 /// Render the flame aggregation as an aligned text table (top `limit`
-/// rows by self time), for end-of-run summaries.
+/// rows by self time), for end-of-run summaries. A label with no
+/// retained entry prints `-` for its percentiles: it has no sample.
 pub fn render_flame_table(limit: usize) -> String {
     let rows = flame();
     let mut out = String::new();
@@ -605,15 +612,22 @@ pub fn render_flame_table(limit: usize) -> String {
         "{:<22} {:>9} {:>11} {:>11} {:>9} {:>9}\n",
         "span", "calls", "self_ms", "total_ms", "p50_us", "p99_us"
     ));
+    let us = |ns: u64, retained: u64| {
+        if retained == 0 {
+            "-".to_string()
+        } else {
+            format!("{:.1}", ns as f64 / 1e3)
+        }
+    };
     for r in rows.iter().take(limit) {
         out.push_str(&format!(
-            "{:<22} {:>9} {:>11.2} {:>11.2} {:>9.1} {:>9.1}\n",
+            "{:<22} {:>9} {:>11.2} {:>11.2} {:>9} {:>9}\n",
             r.label,
             r.calls,
             r.self_ns as f64 / 1e6,
             r.total_ns as f64 / 1e6,
-            r.p50_ns as f64 / 1e3,
-            r.p99_ns as f64 / 1e3,
+            us(r.p50_ns, r.retained),
+            us(r.p99_ns, r.retained),
         ));
     }
     out
@@ -671,8 +685,10 @@ mod tests {
         enable(true);
         let extra = 257u64;
         // A fresh thread owns a fresh ring, so the arithmetic is exact.
+        // Its first span is overwritten with the oldest `extra`.
         let stats = std::thread::spawn(move || {
-            for _ in 0..RING_CAPACITY as u64 + extra {
+            drop(span!("test.wrapped_out"));
+            for _ in 1..RING_CAPACITY as u64 + extra {
                 let _sp = span!("test.wrap");
             }
             let all = ring_stats();
@@ -687,9 +703,19 @@ mod tests {
         assert_eq!(stats.dropped, extra);
         let (calls, _, _) = label_totals("test.wrap").unwrap();
         assert!(
-            calls >= RING_CAPACITY as u64 + extra,
+            calls >= RING_CAPACITY as u64 + extra - 1,
             "cumulative totals survive wrap"
         );
+        // A label with no retained entry has no percentiles to print.
+        let gone = flame().into_iter().find(|r| r.label == "test.wrapped_out");
+        assert_eq!(gone.map(|r| (r.calls, r.retained)), Some((1, 0)));
+        let table = render_flame_table(usize::MAX);
+        let percentiles = |label: &str| {
+            let row = table.lines().find(|l| l.starts_with(label)).unwrap();
+            row.split_whitespace().skip(4).collect::<Vec<_>>()
+        };
+        assert_eq!(percentiles("test.wrapped_out "), ["-", "-"]);
+        assert!(!percentiles("test.wrap ").contains(&"-"), "{table}");
     }
 
     #[test]

@@ -141,6 +141,10 @@ pub(crate) fn forward_sample(
     }
 }
 
+/// # Safety
+///
+/// [`fwd_tile`]'s contract with `R = r`, `V = rows`; [`forward_sample`]
+/// asserts it.
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn fwd_tile_dispatch(
@@ -178,6 +182,16 @@ unsafe fn fwd_tile_dispatch(
 /// `R` output channels × `V` output rows × one `ox` vector, held in
 /// `R·V` accumulators across the whole depth-ascending `(c, ky, kx)`
 /// chain.
+///
+/// # Safety
+///
+/// The CPU must support avx2 and fma. `v` must be the stride-1 padded
+/// view with `kernel_w <= LANES` and `map` its [`Im2colMap`] (what
+/// `check_view` returns); `x.len() >= v.input_numel() + SLACK`,
+/// `w.len() == out_channels · col_width`, `out.len() == output_numel`,
+/// `bias` (if any) holds `out_channels` values; the tile lies inside the
+/// output: `oc + R <= out_channels`, `oy + V <= out_h` and
+/// `ox0 + lanes <= out_w` with `lanes <= LANES`.
 #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn fwd_tile<const R: usize, const V: usize>(
@@ -276,6 +290,9 @@ pub(crate) fn dw_rows(
     }
 }
 
+/// # Safety
+///
+/// [`dw_tile`]'s contract with `R = r`, `T = t`.
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn dw_tile_dispatch(
@@ -314,6 +331,16 @@ unsafe fn dw_tile_dispatch(
 /// `R` output channels × `T` consecutive `(c, ky)` rows, `kx` along the
 /// lanes: `R·T` accumulators stay in registers across the whole lowered
 /// row range, each running its element's row-ascending FMA chain.
+///
+/// # Safety
+///
+/// The CPU must support avx2 and fma. `v` must be the stride-1 padded
+/// view with `kernel_w <= LANES` and `map` its [`Im2colMap`];
+/// `oc + R <= out_channels`, `q + T <= in_channels · kernel_h` and
+/// `c_rows.len() >= (c_row + R) · col_width`; `r0 <= r1`, and with
+/// `n = ⌈r1 / out_positions⌉` samples, `xs.len() >= n · input_numel +
+/// SLACK` and `go.len() >= n · output_numel` ([`dw_rows`] asserts
+/// these).
 #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn dw_tile<const R: usize, const T: usize>(
@@ -429,6 +456,15 @@ pub(crate) fn dx_sample(go_i: &[f32], wpack: &[f32], v: &Conv2dShape, plane: &mu
 /// out-channel-ascending FMA chain from `0.0`, masked to its `kernel_w`
 /// live lanes and added onto the input-gradient row segment it scatters
 /// to.
+///
+/// # Safety
+///
+/// The CPU must support avx2 and fma. `v` must be the stride-1 padded
+/// view with `kernel_w <= LANES` and `map` its [`Im2colMap`];
+/// `go_i.len() == output_numel`, `wpack.len() == in_channels · kernel_h ·
+/// out_channels · LANES`, `plane.len() >= input_numel + SLACK`,
+/// `q + T <= in_channels · kernel_h` and `oy < out_h` ([`dx_sample`]
+/// asserts these).
 #[allow(clippy::needless_range_loop)]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn dx_tile<const T: usize>(
@@ -467,6 +503,10 @@ unsafe fn dx_tile<const T: usize>(
 }
 
 /// Mask enabling the first `n ≤ LANES` lanes (sign bit set).
+///
+/// # Safety
+///
+/// The CPU must support avx2. No memory is read.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn lane_mask(n: usize) -> __m256i {

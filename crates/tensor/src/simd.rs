@@ -921,6 +921,11 @@ mod avx2 {
     ];
 
     /// Load the lane mask for a tail of `r` elements (`0 < r < 8`).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support avx2. The load reads row `r` of `TAIL_MASKS`,
+    /// whose index is checked.
     #[inline]
     unsafe fn tail_mask(r: usize) -> __m256i {
         debug_assert!(r < 8);
@@ -929,6 +934,10 @@ mod avx2 {
 
     /// Horizontal sum of 8 lanes in a fixed order:
     /// `(l0+l4)+(l2+l6) + (l1+l5)+(l3+l7)` — deterministic per length.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support avx2. No memory is read.
     #[inline]
     unsafe fn hsum(v: __m256) -> f32 {
         let lo = _mm256_castps256_ps128(v);
@@ -943,6 +952,16 @@ mod avx2 {
     /// contract. Steps through groups of ≤4 rows from row 0 and
     /// monomorphizes each group's row count so the accumulator arrays
     /// stay in `ymm` registers.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support avx2 and fma. For `rows`, `depth` and `width`
+    /// all non-zero, `alpha` must be readable at every
+    /// `r·rs + t·ts ≤ (rows−1)·rs + (depth−1)·ts`, `b` at every
+    /// `t·bs + j < (depth−1)·bs + width`, and `c` readable and writable
+    /// at every `r·cs + j < (rows−1)·cs + width`, with `c` overlapping
+    /// neither `alpha` nor `b`. [`super::gemm_panel_avx2`] asserts these
+    /// bounds on the slices it passes.
     #[target_feature(enable = "avx2,fma")]
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn gemm_panel(
@@ -974,6 +993,11 @@ mod avx2 {
     // `for r in 0..R` + indexing keeps the accumulator arrays addressed by
     // a const-propagated index, which is what lets LLVM allocate them to
     // ymm registers; iterator chains obscure that.
+    /// One group of `R` rows of [`gemm_panel`].
+    ///
+    /// # Safety
+    ///
+    /// [`gemm_panel`]'s contract with `rows = R`.
     #[target_feature(enable = "avx2,fma")]
     #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
     unsafe fn gemm_panel_rows<const R: usize>(
@@ -1050,6 +1074,11 @@ mod avx2 {
         }
     }
 
+    /// Sum of `xs` in 8-lane partial sums, then [`hsum`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support avx2 and fma. Every load stays inside `xs`.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn sum(xs: &[f32]) -> f32 {
         let n = xs.len();
@@ -1070,6 +1099,11 @@ mod avx2 {
 
     /// One 8-lane slice of the murmur3-finalizer dither + quantize chain;
     /// see [`super::quantize_stochastic_i8`]. Returns signed i32 levels.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support avx2 and fma, and `xp` must be readable for
+    /// the 8 floats at `xp + i ..= xp + i + 7`.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn quant8(
@@ -1115,6 +1149,12 @@ mod avx2 {
     /// chains saturating-packed (values fit ±127, so packs never clip)
     /// into one 32-byte store, lane order restored by a cross-lane dword
     /// permute.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support avx2 and fma, and `out.len() >= xs.len()`:
+    /// each 32-element store writes `out` at the offsets it read from
+    /// `xs`.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn quantize_stochastic_i8(xs: &[f32], m: f32, qmax: f32, seed: u32, out: &mut [i8]) {
         let n = xs.len();

@@ -1,8 +1,8 @@
 //! Substrate counters: worker-pool activity, GEMM kernel dispatch and
 //! FLOP totals, and conv-scratch reuse.
 //!
-//! `niid-tensor` sits at the bottom of the workspace and stays
-//! dependency-free, so instead of talking to the metrics registry
+//! `niid-tensor` does not depend on `niid-metrics` (only on `niid-stats`
+//! and `niid-prof`), so instead of talking to the metrics registry
 //! directly it keeps these plain counters; `niid-fl` mirrors a
 //! [`snapshot`] into `niid-metrics` gauges via a registry collector.
 //! Counters are cumulative for the process — consumers that need rates

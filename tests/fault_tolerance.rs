@@ -133,47 +133,60 @@ fn scaffold_with_failures_is_deterministic() {
 
 /// Kill the run after `k` rounds, then resume from the checkpoint: the
 /// stitched record stream must be bit-identical to the uninterrupted
-/// run's — at one worker thread and at four.
+/// run's — at one worker thread and at four, for FedNova and for SCAFFOLD
+/// (whose control variates ride in the checkpoint). Every save renames
+/// its `*.tmp` away, so the directory holds `checkpoint.bin` alone.
 #[test]
 fn kill_and_resume_is_bit_identical_across_thread_counts() {
-    for &threads in &[1usize, 4] {
-        let dir = std::env::temp_dir().join(format!(
-            "niid_fault_resume_t{threads}_{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+    let scaffold = Algorithm::Scaffold {
+        variant: ControlVariateUpdate::Reuse,
+    };
+    for algorithm in [Algorithm::FedNova, scaffold] {
+        for &threads in &[1usize, 4] {
+            let at = format!("{} @{threads} threads", algorithm.name());
+            let dir = std::env::temp_dir().join(format!(
+                "niid_fault_resume_{}_t{threads}_{}",
+                algorithm.name(),
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let only_checkpoint = |when: &str| {
+                let names: Vec<_> = std::fs::read_dir(&dir)
+                    .unwrap()
+                    .map(|e| e.unwrap().file_name())
+                    .collect();
+                assert_eq!(names, ["checkpoint.bin"], "{at}, {when}");
+            };
 
-        let make_sim = |ck: Option<CheckpointPolicy>| {
-            let (parties, test) = setup(6, 40, 71);
-            let mut cfg = config(Algorithm::FedNova, 6, threads, 72);
-            cfg.checkpoint = ck;
-            FedSim::new(ModelSpec::Mlp { in_dim: 4 }, parties, test, cfg).unwrap()
-        };
+            let make_sim = |ck: Option<CheckpointPolicy>| {
+                let (parties, test) = setup(6, 40, 71);
+                let mut cfg = config(algorithm, 6, threads, 72);
+                cfg.checkpoint = ck;
+                FedSim::new(ModelSpec::Mlp { in_dim: 4 }, parties, test, cfg).unwrap()
+            };
 
-        let full = make_sim(None).run().unwrap();
+            let full = make_sim(None).run().unwrap();
 
-        let sim = make_sim(Some(CheckpointPolicy::new(&dir, 3)));
-        sim.run_interrupted(3, &NoopSink).unwrap(); // "killed" after round 3
-        assert!(
-            sim.has_checkpoint(),
-            "periodic checkpoint survived the kill"
-        );
-        let resumed = sim.resume().unwrap();
+            let sim = make_sim(Some(CheckpointPolicy::new(&dir, 3)));
+            sim.run_interrupted(3, &NoopSink).unwrap(); // "killed" after round 3
+            assert!(sim.has_checkpoint(), "{at}: checkpoint survived the kill");
+            only_checkpoint("after the kill");
+            let resumed = sim.resume().unwrap();
+            only_checkpoint("after the resume");
 
-        assert_eq!(
-            resumed.final_accuracy, full.final_accuracy,
-            "@{threads} threads"
-        );
-        assert_eq!(resumed.best_accuracy, full.best_accuracy);
-        assert_eq!(resumed.total_bytes, full.total_bytes);
-        assert_eq!(resumed.rounds.len(), full.rounds.len());
-        for (ra, rb) in resumed.rounds.iter().zip(&full.rounds) {
-            assert_eq!(ra.round, rb.round);
-            assert_eq!(ra.test_accuracy, rb.test_accuracy, "@{threads} threads");
-            assert_eq!(ra.avg_local_loss, rb.avg_local_loss, "@{threads} threads");
-            assert_eq!(ra.failures, rb.failures);
+            assert_eq!(resumed.final_accuracy, full.final_accuracy, "{at}");
+            assert_eq!(resumed.best_accuracy, full.best_accuracy, "{at}");
+            assert_eq!(resumed.total_bytes, full.total_bytes, "{at}");
+            assert_eq!(resumed.rounds.len(), full.rounds.len(), "{at}");
+            for (ra, rb) in resumed.rounds.iter().zip(&full.rounds) {
+                assert_eq!(ra.round, rb.round);
+                assert_eq!(ra.test_accuracy, rb.test_accuracy, "{at}");
+                assert_eq!(ra.avg_local_loss, rb.avg_local_loss, "{at}");
+                assert_eq!(ra.up_bytes, rb.up_bytes, "{at}");
+                assert_eq!(ra.failures, rb.failures, "{at}");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

@@ -188,38 +188,45 @@ fn multithreaded_chrome_trace_is_well_formed() {
 
     let mut last_ts: HashMap<u64, f64> = HashMap::new();
     let mut named_tids: Vec<u64> = Vec::new();
-    let mut span_tids: Vec<u64> = Vec::new();
     let mut labels: Vec<String> = Vec::new();
     for e in events {
         let ph = e.get("ph").and_then(Json::as_str).expect("ph");
+        let name = e.get("name").and_then(Json::as_str).expect("name");
+        assert!(!name.is_empty(), "empty name: {e:?}");
+        assert!(e.get("pid").and_then(Json::as_f64).is_some(), "pid: {e:?}");
         let tid = e.get("tid").and_then(Json::as_f64).expect("tid") as u64;
+        let time = |key: &str| {
+            let v = e.get(key).and_then(Json::as_f64).expect(key);
+            assert!(v.is_finite() && v >= 0.0, "{key} = {v}");
+            v
+        };
         match ph {
             "M" => {
-                if e.get("name").and_then(Json::as_str) == Some("thread_name") {
+                let args_name = e.get("args").and_then(|a| a.get("name"));
+                assert!(args_name.and_then(Json::as_str).is_some(), "{e:?}");
+                if name == "thread_name" {
                     named_tids.push(tid);
                 }
             }
             "X" => {
-                let ts = e.get("ts").and_then(Json::as_f64).expect("ts");
-                assert!(e.get("dur").and_then(Json::as_f64).expect("dur") >= 0.0);
+                let ts = time("ts");
+                time("dur");
                 if let Some(&prev) = last_ts.get(&tid) {
                     assert!(ts >= prev, "ts goes backwards on tid {tid}");
                 }
                 last_ts.insert(tid, ts);
-                span_tids.push(tid);
-                labels.push(e.get("name").and_then(Json::as_str).unwrap().to_string());
+                labels.push(name.to_string());
             }
             other => panic!("unexpected phase {other:?}"),
         }
     }
-    for tid in &span_tids {
+    // `last_ts` has a key per tid that recorded spans.
+    for tid in last_ts.keys() {
         assert!(named_tids.contains(tid), "tid {tid} has no thread_name");
     }
     // The pooled run crosses threads: the main thread drives rounds, the
     // kernel pool trains parties.
-    span_tids.sort_unstable();
-    span_tids.dedup();
-    assert!(span_tids.len() >= 2, "expected spans from >= 2 threads");
+    assert!(last_ts.len() >= 2, "expected spans from >= 2 threads");
     for required in ["fl.round", "fl.train", "fl.aggregate", "local.step"] {
         assert!(labels.iter().any(|l| l == required), "missing {required}");
     }

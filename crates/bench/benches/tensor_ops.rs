@@ -244,6 +244,28 @@ fn main() {
         32,
         conv2d_forward,
     );
+    // Its second conv at that scale (6→16 channels over the 6×6 pooled
+    // map): 2×2 outputs, rows narrower than a vector.
+    let late16 = Conv2dShape {
+        in_channels: 6,
+        out_channels: 16,
+        in_h: 6,
+        in_w: 6,
+        kernel_h: 5,
+        kernel_w: 5,
+        stride: 1,
+        padding: 0,
+    };
+    conv_rows(
+        &mut h,
+        &mut rng,
+        "conv2d/late16",
+        "",
+        "n32 6->16 6x6 k5",
+        late16,
+        32,
+        conv2d_forward,
+    );
     // A wide body layer (VGG-9 / ResNet: 3x3, padding 1, 288 lowered
     // columns) through the lowering `conv_lowering` picks for it, and — on
     // the AVX2 arm — forced through the direct kernels: the measurement

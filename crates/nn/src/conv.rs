@@ -1,11 +1,11 @@
-//! Convolution layer over `niid-tensor`'s GEMM-lowered kernels.
+//! Convolution layer over `niid-tensor`'s convolution kernels.
 //!
 //! On the AVX2 arm the substrate runs a fused lowering — direct kernels
-//! over the NCHW planes for the paper CNN's narrow stride-1 shapes, the
-//! im2col mapping fused into the GEMM panel pack for the rest — so no
-//! `[batch·positions, C·kh·kw]` buffer is materialized; the scalar arm
-//! keeps the historical materialized im2col pipeline (see
-//! `niid_tensor::conv`). The layer is agnostic: it hands the same
+//! that read the NCHW planes in place for the paper CNN's narrow
+//! stride-1 shapes, the im2col mapping fused into the GEMM panel pack for
+//! the rest — so no `[batch·positions, C·kh·kw]` buffer is materialized;
+//! the scalar arm keeps the historical materialized im2col pipeline, a
+//! GEMM over the lowered matrix (see `niid_tensor::conv`). The layer is agnostic: it hands the same
 //! [`ConvScratch`] to whichever path and the results are bit-identical
 //! under a fixed kernel.
 

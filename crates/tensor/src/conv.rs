@@ -37,15 +37,18 @@
 //!   [`crate::matmul::atb_rows`] at once ([`col2im_scatter_rows`]) — no
 //!   `[batch·positions, C·kh·kw]` buffer ever exists;
 //! * the **direct** path ([`conv2d_forward_direct`], kernels in
-//!   [`crate::conv_direct`]) lowers nothing: forward, dW and dX read row
-//!   segments of the padded planes, at the map's offsets, with unaligned
-//!   vector loads. It serves the stride-1 shapes of the paper CNN, where
-//!   packing and regenerating the lowered operand cost more than the FMAs
-//!   they feed; [`conv_lowering`] picks the path from the geometry alone.
+//!   [`crate::conv_direct`]) lowers nothing: forward, dW and dX read the
+//!   padded planes in place, at the map's offsets — row segments with
+//!   unaligned vector loads, or single broadcast values where output rows
+//!   are narrower than a vector and the lanes run along channels instead.
+//!   It serves the stride-1 shapes of the paper CNN, where packing and
+//!   regenerating the lowered operand cost more than the FMAs they feed;
+//!   [`conv_lowering`] picks the path from the geometry alone.
 //!
 //! One forward driver (`forward_samples`) and one data-gradient driver
-//! (`backward_input`) run the per-sample bodies of all three. The dX
-//! driver accumulates each sample's gradient onto a zeroed padded plane —
+//! (`backward_input`) run the per-sample bodies of all three (the
+//! narrow-row direct forward takes a few samples per body). The dX
+//! driver has each sample's gradient land on a zeroed padded plane —
 //! padding taps land in its border — and copies the interior out.
 //!
 //! Per output element all three run the same depth-ascending FMA chain
@@ -84,6 +87,10 @@ use std::cell::RefCell;
 /// sample: the direct kernels' segment loads read (and their dX add
 /// rewrites) a full vector where as few as one float is meaningful.
 pub(crate) const SLACK: usize = 8;
+
+/// Lowered rows one task of the narrow-row direct forward covers.
+#[cfg(target_arch = "x86_64")]
+const NARROW_FWD_ROWS: usize = 48;
 
 /// Static geometry of a conv layer applied to a fixed input size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -293,12 +300,17 @@ pub(crate) fn pad_batch(xs: &[f32], s: &Conv2dShape, n: usize, out: &mut [f32]) 
 }
 
 /// Copy the interior of one padded `[C, H+2p, W+2p]` gradient plane set
-/// back out to `[C, H, W]`.
+/// back out to `[C, H, W]` (one copy at `padding = 0`, where the interior
+/// is the whole plane set).
 pub(crate) fn unpad_sample(plane: &[f32], s: &Conv2dShape, out: &mut [f32]) {
     let v = s.padded_view();
     assert!(plane.len() >= v.input_numel(), "unpad_sample: plane short");
     assert_eq!(out.len(), s.input_numel(), "unpad_sample: bad output");
     let p = s.padding;
+    if p == 0 {
+        out.copy_from_slice(&plane[..out.len()]);
+        return;
+    }
     for (i, row) in out.chunks_exact_mut(s.in_w).enumerate() {
         let (c, y) = (i / s.in_h, i % s.in_h);
         let src = (c * v.in_h + p + y) * v.in_w + p;
@@ -381,10 +393,14 @@ pub struct ConvScratch {
     /// im2col lowering of the last forward batch: `[batch·positions, cw]`.
     /// Only filled by the materialized path (`cached` tracks this).
     cols: Vec<f32>,
-    /// The direct data gradient's `kx`-lane weight pack.
+    /// The direct kernels' weight pack, re-laid by each pass that reads
+    /// it: the narrow-row forward's `oc`-lane layout or the wide-row data
+    /// gradient's `kx`-lane one.
     wpack: Vec<f32>,
     /// Output gradients transposed to `[batch·positions, out_channels]`
-    /// so the materialized weight gradient is one tall GEMM.
+    /// so the materialized weight gradient is one tall GEMM (the
+    /// narrow-row direct one reads it with `out_channels` padded to whole
+    /// vectors).
     gy_t: Vec<f32>,
     /// The last forward batch, zero-padded once:
     /// `[batch, C·(H+2p)·(W+2p)]` plus [`SLACK`] — the one source every
@@ -498,9 +514,11 @@ fn calls(lowering: ConvLowering) -> Counter {
 
 /// The one forward skeleton every lowering runs: check the arguments,
 /// count the call, pad the batch into `scratch` once, then run
-/// `sample(scratch, i, out_i)` for every sample over its own region of
-/// the output — samples in parallel over disjoint regions, so results are
-/// bit-identical at any thread count.
+/// `samples(scratch, i, out)` for every run of `group` samples from `i`
+/// (fewer at the end) over its own region `out` of the output — runs in
+/// parallel over disjoint regions, so results are bit-identical at any
+/// thread count.
+#[allow(clippy::too_many_arguments)]
 fn forward_samples(
     input: &Tensor,
     weight: &[f32],
@@ -508,7 +526,8 @@ fn forward_samples(
     s: &Conv2dShape,
     scratch: &mut ConvScratch,
     lowering: ConvLowering,
-    sample: &(dyn Fn(&ConvScratch, usize, &mut [f32]) + Sync),
+    group: usize,
+    samples: &(dyn Fn(&ConvScratch, usize, &mut [f32]) + Sync),
 ) -> Tensor {
     let n = check_forward_args(input, weight, bias, s);
     let out_numel = s.output_numel();
@@ -522,8 +541,8 @@ fn forward_samples(
     scratch.prime(input.as_slice(), n, s, lowering);
     let scratch = &*scratch;
     let mut out = vec![0.0f32; n * out_numel];
-    parallel_chunks_mut_threshold(&mut out, out_numel, flops, &|i, out_i| {
-        sample(scratch, i, out_i);
+    parallel_chunks_mut_threshold(&mut out, group * out_numel, flops, &|t, out_t| {
+        samples(scratch, t * group, out_t);
     });
     Tensor::from_vec(out, &[n, s.out_channels, s.out_h(), s.out_w()])
 }
@@ -639,7 +658,7 @@ pub fn conv2d_forward_materialized(
         });
         add_bias(kern, bias, out_i, positions);
     };
-    forward_samples(input, weight, bias, s, scratch, lowering, &sample)
+    forward_samples(input, weight, bias, s, scratch, lowering, 1, &sample)
 }
 
 /// Pack the transposed tile `cols[j0..j1, d0..d1]ᵀ` of one padded
@@ -750,14 +769,15 @@ pub fn conv2d_forward_implicit(
             });
             add_bias(kern, bias, out_i, positions);
         };
-        forward_samples(input, weight, bias, s, scratch, lowering, &sample)
+        forward_samples(input, weight, bias, s, scratch, lowering, 1, &sample)
     }
 }
 
-/// Forward convolution straight from the padded planes — nothing is
-/// lowered, packed or regenerated (kernels and the bit-identity argument
-/// live in [`crate::conv_direct`]). AVX2-arm only; needs `stride == 1`
-/// and `kernel_w <= 8`.
+/// Forward convolution straight from the padded planes — no input is
+/// lowered, packed or regenerated; rows narrower than a vector re-lay the
+/// weights once per call (kernels and the bit-identity argument live in
+/// [`crate::conv_direct`]). AVX2-arm only; needs `stride == 1` and
+/// `kernel_w <= 8`.
 ///
 /// Bit-identical to [`conv2d_forward_materialized`] under the same SIMD
 /// kernel: every output element runs the oracle's depth-ascending FMA
@@ -781,15 +801,27 @@ pub fn conv2d_forward_direct(
     unreachable!("SIMD kernel selected on non-x86_64");
     #[cfg(target_arch = "x86_64")]
     {
+        let _sp = niid_prof::span!("conv.direct_fwd");
         let v = s.padded_view();
-        let lowering = ConvLowering::Direct;
-        let sample = |sc: &ConvScratch, i: usize, out_i: &mut [f32]| {
-            let _sp = niid_prof::span!("conv.direct_fwd");
-            // The kernels' slack lanes may look into the next sample.
-            let x_i = &sc.input[i * v.input_numel()..];
-            direct::forward_sample(x_i, &v, weight, bias, out_i);
+        // Narrow rows re-lay the weights once for the call, and their
+        // tiles of lowered rows cross sample boundaries, so a task takes
+        // enough samples to fill several.
+        let (group, pack_len) = if direct::narrow_rows(&v) {
+            let group = NARROW_FWD_ROWS.div_ceil(v.out_positions());
+            (group, direct::oc_pack_len(&v))
+        } else {
+            (1, 0)
         };
-        forward_samples(input, weight, bias, s, scratch, lowering, &sample)
+        if pack_len > 0 {
+            ConvScratch::ensure(&mut scratch.wpack, pack_len);
+            direct::pack_weights_oc(weight, bias, &v, &mut scratch.wpack[..pack_len]);
+        }
+        let samples = |sc: &ConvScratch, i: usize, out: &mut [f32]| {
+            let xs = &sc.input[i * v.input_numel()..];
+            direct::forward(xs, &v, weight, bias, &sc.wpack[..pack_len], out);
+        };
+        let lowering = ConvLowering::Direct;
+        forward_samples(input, weight, bias, s, scratch, lowering, group, &samples)
     }
 }
 
@@ -923,17 +955,20 @@ fn backward_input(
     let flops = n * 2 * out_numel * cw;
     // Resolved on the calling thread; re-pinned inside pool tasks below.
     let kern = simd::active_kernel();
-    let strip_rows = match lowering {
-        ConvLowering::Materialized => positions,
-        ConvLowering::Implicit => NT_NC.min(positions),
+    let strip_len = match lowering {
+        ConvLowering::Materialized => positions * cw,
+        ConvLowering::Implicit => NT_NC.min(positions) * cw,
+        #[cfg(target_arch = "x86_64")]
+        ConvLowering::Direct if direct::narrow_rows(&v) => direct::dcols_len(&v),
         ConvLowering::Direct => 0,
     };
     if lowering != ConvLowering::Materialized {
         // The dX GEMM flops, normally counted inside matmul_at_b_slices.
         stats::bump(Counter::GemmFlops, flops as u64);
     }
+    let _direct_sp = (lowering == ConvLowering::Direct).then(|| niid_prof::span!("conv.direct_dx"));
     #[cfg(target_arch = "x86_64")]
-    let wpack: &[f32] = if lowering == ConvLowering::Direct {
+    let wpack: &[f32] = if lowering == ConvLowering::Direct && !direct::narrow_rows(&v) {
         let len = v.in_channels * v.kernel_h * v.out_channels * direct::LANES;
         ConvScratch::ensure(&mut scratch.wpack, len);
         direct::pack_weights_kx(weight, &v, &mut scratch.wpack[..len]);
@@ -945,17 +980,14 @@ fn backward_input(
     let mut grad_input = vec![0.0f32; n * in_numel];
     parallel_chunks_mut_threshold(&mut grad_input, in_numel, flops, &|i, gx_i| {
         let go_i = &go[i * out_numel..(i + 1) * out_numel];
-        with_scratch(plane_len + strip_rows * cw, |buf| {
+        with_scratch(plane_len + strip_len, |buf| {
             let (plane, strip) = buf.split_at_mut(plane_len);
             plane.fill(0.0);
             match lowering {
                 ConvLowering::Materialized => dx_materialized(kern, go_i, weight, &v, strip, plane),
                 ConvLowering::Implicit => dx_implicit(kern, go_i, weight, &v, strip, plane),
                 #[cfg(target_arch = "x86_64")]
-                ConvLowering::Direct => {
-                    let _sp = niid_prof::span!("conv.direct_dx");
-                    direct::dx_sample(go_i, wpack, &v, plane);
-                }
+                ConvLowering::Direct => direct::dx_sample(go_i, weight, wpack, &v, strip, plane),
                 #[cfg(not(target_arch = "x86_64"))]
                 ConvLowering::Direct => unreachable!("direct conv on non-x86_64"),
             }
@@ -1080,7 +1112,12 @@ fn dx_implicit(
 /// kernel: every per-element FMA chain visits the same values in the
 /// same order, with the same partial-sum boundaries.
 #[cfg(target_arch = "x86_64")]
-fn dw_fused(scratch: &ConvScratch, grad_out: &Tensor, s: &Conv2dShape, grad_weight: &mut [f32]) {
+fn dw_fused(
+    scratch: &mut ConvScratch,
+    grad_out: &Tensor,
+    s: &Conv2dShape,
+    grad_weight: &mut [f32],
+) {
     let (n, v) = (scratch.batch, s.padded_view());
     let cw = s.col_width();
     let outc = s.out_channels;
@@ -1089,7 +1126,15 @@ fn dw_fused(scratch: &ConvScratch, grad_out: &Tensor, s: &Conv2dShape, grad_weig
     stats::bump(calls(scratch.cached), 1);
     // The dW GEMM flops, normally counted inside matmul_at_b_slices.
     stats::bump(Counter::GemmFlops, (2 * m * outc * cw) as u64);
-    let go = grad_out.as_slice();
+    let mut go = grad_out.as_slice();
+    if direct && direct::narrow_rows(&v) {
+        // Narrow rows put the output channels on the lanes: each lowered
+        // row's gradient becomes one contiguous channel vector.
+        let len = direct::grad_t_len(&v, n);
+        ConvScratch::ensure(&mut scratch.gy_t, len);
+        direct::transpose_grad(go, &v, &mut scratch.gy_t[..len]);
+        go = &scratch.gy_t[..len];
+    }
     let xs = &scratch.input[..n * v.input_numel() + SLACK];
     // dW rows `kk0..kk1` accumulated over lowered rows `r0..r1`.
     let rows = |c_rows: &mut [f32], kk0: usize, kk1: usize, r0: usize, r1: usize| {
@@ -1576,11 +1621,43 @@ mod tests {
         }
     }
 
+    /// Random operands for `n` samples of `s` (with a NaN, ±∞ planted in
+    /// them when `poison`), through the direct lowering at thread budgets
+    /// 1, 2 and 4 against the materialized oracle, bit for bit.
+    fn assert_direct_matches(s: &Conv2dShape, n: usize, poison: bool, rng: &mut Pcg64, tag: &str) {
+        let mut x = Tensor::randn(&[n, s.in_channels, s.in_h, s.in_w], 1.0, rng);
+        let mut w = Tensor::randn(&[s.out_channels, s.col_width()], 0.3, rng);
+        let b = Tensor::randn(&[s.out_channels], 0.1, rng);
+        let mut gy = Tensor::randn(&[n, s.out_channels, s.out_h(), s.out_w()], 1.0, rng);
+        if poison {
+            let mut poison = |t: &mut Tensor, v: f32| {
+                let at = rng.next_below(t.numel());
+                t.as_mut_slice()[at] = v;
+            };
+            poison(&mut x, f32::NAN);
+            poison(&mut x, f32::INFINITY);
+            poison(&mut w, f32::NEG_INFINITY);
+            poison(&mut gy, f32::INFINITY);
+        }
+        let mat = run_lowering(conv2d_forward_materialized, &x, &w, &b, &gy, s);
+        for budget in [1usize, 2, 4] {
+            let dir = with_thread_budget(budget, || {
+                run_lowering(conv2d_forward_direct, &x, &w, &b, &gy, s)
+            });
+            assert_bits_eq(&dir, &mat, &format!("{tag} n{n} @{budget} {s:?}"));
+        }
+    }
+
     /// The direct kernels against the materialized oracle over randomised
     /// stride-1 geometries — non-square planes, output rows that are no
     /// multiple of the vector width (and narrower than it), paddings 0–2,
     /// batch 1, batches whose lowered rows straddle an `ATB_BLOCK_M`
-    /// boundary mid-row, non-finite inputs — at thread budgets 1, 2, 4.
+    /// boundary mid-row, non-finite inputs — and over a fixed grid of rows
+    /// narrower than a vector: every `out_w` below `LANES` the grid names ×
+    /// output channels on both sides of each vector boundary, batch 1 and
+    /// batches whose narrow forward tiles span several samples, clean and
+    /// poisoned, plus the paper CNN's second conv at bench scale; each at
+    /// thread budgets 1, 2, 4.
     #[test]
     fn direct_matches_materialized_bitwise() {
         if !simd::active_kernel().is_simd() {
@@ -1620,32 +1697,53 @@ mod tests {
             {
                 straddled += 1;
             }
-            let mut x = Tensor::randn(&[n, s.in_channels, s.in_h, s.in_w], 1.0, &mut rng);
-            let mut w = Tensor::randn(&[s.out_channels, s.col_width()], 0.3, &mut rng);
-            let b = Tensor::randn(&[s.out_channels], 0.1, &mut rng);
-            let mut gy = Tensor::randn(&[n, s.out_channels, s.out_h(), s.out_w()], 1.0, &mut rng);
-            if case % 4 == 3 {
-                let mut poison = |t: &mut Tensor, v: f32| {
-                    let at = rng.next_below(t.numel());
-                    t.as_mut_slice()[at] = v;
-                };
-                poison(&mut x, f32::NAN);
-                poison(&mut x, f32::INFINITY);
-                poison(&mut w, f32::NEG_INFINITY);
-                poison(&mut gy, f32::INFINITY);
-            }
-            let mat = run_lowering(conv2d_forward_materialized, &x, &w, &b, &gy, &s);
-            for budget in [1usize, 2, 4] {
-                let dir = with_thread_budget(budget, || {
-                    run_lowering(conv2d_forward_direct, &x, &w, &b, &gy, &s)
-                });
-                assert_bits_eq(&dir, &mat, &format!("case {case} n{n} @{budget} {s:?}"));
-            }
+            assert_direct_matches(&s, n, case % 4 == 3, &mut rng, &format!("case {case}"));
         }
         assert!(
             straddled >= 5,
             "only {straddled} cases split a row across blocks"
         );
+        // The narrow-row grid. Kernel widths, heights and paddings rotate
+        // through the cells; batch 5 puts sample boundaries inside the
+        // narrow forward's six-row tiles wherever a sample's positions are
+        // no multiple of six.
+        let mut cell = 0;
+        for out_w in [1usize, 2, 3, 4, 7] {
+            for out_channels in [1usize, 6, 8, 9, 16, 17] {
+                let kernel_w = [1usize, 2, 3, 5][cell % 4];
+                let padded_w = out_w + kernel_w - 1;
+                let padding = (cell % 3).min((padded_w - 1) / 2);
+                let s = Conv2dShape {
+                    in_channels: 1 + cell % 3,
+                    out_channels,
+                    in_h: 3 + cell % 2,
+                    in_w: padded_w - 2 * padding,
+                    kernel_h: 3,
+                    kernel_w,
+                    stride: 1,
+                    padding,
+                };
+                assert!(s.out_w() == out_w && s.out_w() < direct::LANES, "{s:?}");
+                for n in [1usize, 5] {
+                    let tag = format!("grid out_w {out_w} out_c {out_channels}");
+                    assert_direct_matches(&s, n, cell % 2 == 1, &mut rng, &tag);
+                }
+                cell += 1;
+            }
+        }
+        // The paper CNN's second conv at bench scale, as training runs it.
+        let lenet = Conv2dShape {
+            in_channels: 6,
+            out_channels: 16,
+            in_h: 6,
+            in_w: 6,
+            kernel_h: 5,
+            kernel_w: 5,
+            stride: 1,
+            padding: 0,
+        };
+        assert_direct_matches(&lenet, 32, false, &mut rng, "lenet late16");
+        assert_direct_matches(&lenet, 32, true, &mut rng, "lenet late16 poisoned");
     }
 
     #[test]

@@ -88,10 +88,6 @@ use std::cell::RefCell;
 /// rewrites) a full vector where as few as one float is meaningful.
 pub(crate) const SLACK: usize = 8;
 
-/// Lowered rows one task of the narrow-row direct forward covers.
-#[cfg(target_arch = "x86_64")]
-const NARROW_FWD_ROWS: usize = 48;
-
 /// Static geometry of a conv layer applied to a fixed input size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Conv2dShape {
@@ -453,7 +449,9 @@ impl ConvScratch {
         }
     }
 
-    fn ensure(buf: &mut Vec<f32>, len: usize) {
+    /// Grow `buf` to at least `len` floats, counting the growth (or the
+    /// reuse) in the substrate stats.
+    pub(crate) fn ensure(buf: &mut Vec<f32>, len: usize) {
         if buf.len() < len {
             stats::bump(Counter::ConvScratchAllocs, 1);
             stats::scratch_grew(((len - buf.len()) * std::mem::size_of::<f32>()) as u64);
@@ -803,22 +801,10 @@ pub fn conv2d_forward_direct(
     {
         let _sp = niid_prof::span!("conv.direct_fwd");
         let v = s.padded_view();
-        // Narrow rows re-lay the weights once for the call, and their
-        // tiles of lowered rows cross sample boundaries, so a task takes
-        // enough samples to fill several.
-        let (group, pack_len) = if direct::narrow_rows(&v) {
-            let group = NARROW_FWD_ROWS.div_ceil(v.out_positions());
-            (group, direct::oc_pack_len(&v))
-        } else {
-            (1, 0)
-        };
-        if pack_len > 0 {
-            ConvScratch::ensure(&mut scratch.wpack, pack_len);
-            direct::pack_weights_oc(weight, bias, &v, &mut scratch.wpack[..pack_len]);
-        }
+        let group = direct::forward_prep(weight, bias, &v, &mut scratch.wpack);
         let samples = |sc: &ConvScratch, i: usize, out: &mut [f32]| {
             let xs = &sc.input[i * v.input_numel()..];
-            direct::forward(xs, &v, weight, bias, &sc.wpack[..pack_len], out);
+            direct::forward(xs, &v, weight, bias, &sc.wpack, out);
         };
         let lowering = ConvLowering::Direct;
         forward_samples(input, weight, bias, s, scratch, lowering, group, &samples)
@@ -959,7 +945,8 @@ fn backward_input(
         ConvLowering::Materialized => positions * cw,
         ConvLowering::Implicit => NT_NC.min(positions) * cw,
         #[cfg(target_arch = "x86_64")]
-        ConvLowering::Direct if direct::narrow_rows(&v) => direct::dcols_len(&v),
+        ConvLowering::Direct => direct::dx_strip_len(&v),
+        #[cfg(not(target_arch = "x86_64"))]
         ConvLowering::Direct => 0,
     };
     if lowering != ConvLowering::Materialized {
@@ -968,13 +955,10 @@ fn backward_input(
     }
     let _direct_sp = (lowering == ConvLowering::Direct).then(|| niid_prof::span!("conv.direct_dx"));
     #[cfg(target_arch = "x86_64")]
-    let wpack: &[f32] = if lowering == ConvLowering::Direct && !direct::narrow_rows(&v) {
-        let len = v.in_channels * v.kernel_h * v.out_channels * direct::LANES;
-        ConvScratch::ensure(&mut scratch.wpack, len);
-        direct::pack_weights_kx(weight, &v, &mut scratch.wpack[..len]);
-        &scratch.wpack[..len]
+    let dx_w = if lowering == ConvLowering::Direct {
+        direct::dx_weights(weight, &v, &mut scratch.wpack)
     } else {
-        &[]
+        weight
     };
     let go = grad_out.as_slice();
     let mut grad_input = vec![0.0f32; n * in_numel];
@@ -987,7 +971,7 @@ fn backward_input(
                 ConvLowering::Materialized => dx_materialized(kern, go_i, weight, &v, strip, plane),
                 ConvLowering::Implicit => dx_implicit(kern, go_i, weight, &v, strip, plane),
                 #[cfg(target_arch = "x86_64")]
-                ConvLowering::Direct => direct::dx_sample(go_i, weight, wpack, &v, strip, plane),
+                ConvLowering::Direct => direct::dx_sample(go_i, dx_w, &v, strip, plane),
                 #[cfg(not(target_arch = "x86_64"))]
                 ConvLowering::Direct => unreachable!("direct conv on non-x86_64"),
             }
@@ -1126,15 +1110,11 @@ fn dw_fused(
     stats::bump(calls(scratch.cached), 1);
     // The dW GEMM flops, normally counted inside matmul_at_b_slices.
     stats::bump(Counter::GemmFlops, (2 * m * outc * cw) as u64);
-    let mut go = grad_out.as_slice();
-    if direct && direct::narrow_rows(&v) {
-        // Narrow rows put the output channels on the lanes: each lowered
-        // row's gradient becomes one contiguous channel vector.
-        let len = direct::grad_t_len(&v, n);
-        ConvScratch::ensure(&mut scratch.gy_t, len);
-        direct::transpose_grad(go, &v, &mut scratch.gy_t[..len]);
-        go = &scratch.gy_t[..len];
-    }
+    let go = if direct {
+        direct::dw_grad(grad_out.as_slice(), &v, &mut scratch.gy_t)
+    } else {
+        grad_out.as_slice()
+    };
     let xs = &scratch.input[..n * v.input_numel() + SLACK];
     // dW rows `kk0..kk1` accumulated over lowered rows `r0..r1`.
     let rows = |c_rows: &mut [f32], kk0: usize, kk1: usize, r0: usize, r1: usize| {
@@ -1656,8 +1636,9 @@ mod tests {
     /// narrower than a vector: every `out_w` below `LANES` the grid names ×
     /// output channels on both sides of each vector boundary, batch 1 and
     /// batches whose narrow forward tiles span several samples, clean and
-    /// poisoned, plus the paper CNN's second conv at bench scale; each at
-    /// thread budgets 1, 2, 4.
+    /// poisoned, plus the paper CNN's second conv at bench scale and a
+    /// narrow layer whose dW channels split across tasks; each at thread
+    /// budgets 1, 2, 4.
     #[test]
     fn direct_matches_materialized_bitwise() {
         if !simd::active_kernel().is_simd() {
@@ -1744,6 +1725,25 @@ mod tests {
         };
         assert_direct_matches(&lenet, 32, false, &mut rng, "lenet late16");
         assert_direct_matches(&lenet, 32, true, &mut rng, "lenet late16 poisoned");
+        // 75 output channels: `atb_split` hands the narrow dW the channel
+        // ranges 0..32, 32..64 and 64..75, so its kernel starts inside
+        // the transposed gradient's rows and ends on a partial vector.
+        let tall = Conv2dShape {
+            in_channels: 3,
+            out_channels: 75,
+            in_h: 4,
+            in_w: 4,
+            kernel_h: 3,
+            kernel_w: 3,
+            stride: 1,
+            padding: 1,
+        };
+        assert!(crate::matmul::atb_splits_rows(
+            tall.out_channels,
+            2 * tall.out_positions()
+        ));
+        assert_direct_matches(&tall, 2, false, &mut rng, "out_c 75");
+        assert_direct_matches(&tall, 2, true, &mut rng, "out_c 75 poisoned");
     }
 
     #[test]

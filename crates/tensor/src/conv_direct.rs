@@ -6,7 +6,11 @@
 //! strips. For the paper CNN's narrow shapes that data movement costs
 //! more than the FMAs it feeds. The kernels here read the NCHW planes
 //! themselves, and put the vector lanes on whichever axis is wide.
-//! [`narrow_rows`] is the one predicate that picks the orientation.
+//! [`narrow_rows`] is the one predicate that picks the orientation, and
+//! only this module reads it: the caller asks [`forward_prep`],
+//! [`dx_weights`], [`dx_strip_len`] and [`dw_grad`] for the operands and
+//! buffers an orientation needs and hands them to the kernel entries
+//! unopened.
 //!
 //! Output rows at least a vector wide (`out_w >= LANES`):
 //!
@@ -60,7 +64,7 @@
 //! on an element is the identity on every value a sum started at `+0.0`
 //! can hold (it is never `-0.0`).
 
-use crate::conv::{Conv2dShape, Im2colMap, SLACK};
+use crate::conv::{Conv2dShape, ConvScratch, Im2colMap, SLACK};
 use std::arch::x86_64::*;
 
 /// f32 lanes per vector; also the widest `kernel_w` the `kx`-lane
@@ -72,6 +76,8 @@ const _: () = assert!(SLACK >= LANES);
 
 /// Lowered rows a narrow-row forward tile holds in registers.
 const FWD_ROWS: usize = 6;
+/// Lowered rows one task of the narrow-row forward covers (eight tiles).
+const FWD_TASK_ROWS: usize = 48;
 /// Depths a narrow-row dW tile holds in registers.
 const DW_DEPTHS: usize = 6;
 /// Positions a narrow-row dX tile holds in registers.
@@ -80,9 +86,68 @@ const DX_POSITIONS: usize = 4;
 /// The orientation predicate: whether the padded view `v` has output
 /// rows narrower than a vector, so its forward and dW put output
 /// channels on the lanes (instead of `ox` and `kx`) and its dX lowered
-/// columns (instead of `kx`).
-pub(crate) fn narrow_rows(v: &Conv2dShape) -> bool {
+/// columns (instead of `kx`). Measured in DESIGN.md on every narrow
+/// shape the models train (output rows 2 and 4 wide) and at the
+/// boundary (5–7 wide).
+fn narrow_rows(v: &Conv2dShape) -> bool {
     v.out_w() < LANES
+}
+
+/// Lay the weights out for one [`forward`] call in `pack` and return how
+/// many samples a forward task takes. Narrow rows re-lay weights and
+/// bias once ([`pack_weights_oc`]), and their tiles of lowered rows cross
+/// sample boundaries, so a task takes enough samples to fill several;
+/// wide rows read `w` in place, one sample a task, and leave `pack` be.
+pub(crate) fn forward_prep(
+    w: &[f32],
+    bias: Option<&[f32]>,
+    v: &Conv2dShape,
+    pack: &mut Vec<f32>,
+) -> usize {
+    if !narrow_rows(v) {
+        return 1;
+    }
+    let len = oc_pack_len(v);
+    ConvScratch::ensure(pack, len);
+    pack_weights_oc(w, bias, v, &mut pack[..len]);
+    FWD_TASK_ROWS.div_ceil(v.out_positions())
+}
+
+/// The weight operand [`dx_sample`] reads: on rows narrower than a vector
+/// W's own `[out_c, C·kh·kw]` rows, on wider rows their
+/// [`pack_weights_kx`] layout, built in `pack`.
+pub(crate) fn dx_weights<'a>(w: &'a [f32], v: &Conv2dShape, pack: &'a mut Vec<f32>) -> &'a [f32] {
+    if narrow_rows(v) {
+        return w;
+    }
+    let len = v.in_channels * v.kernel_h * v.out_channels * LANES;
+    ConvScratch::ensure(pack, len);
+    pack_weights_kx(w, v, &mut pack[..len]);
+    &pack[..len]
+}
+
+/// Floats of per-sample staging [`dx_sample`] needs: on rows narrower
+/// than a vector the lowered gradient's buffer, a vector of slack either
+/// side of `out_positions` rows of [`cw_stride`]; none on wider rows.
+pub(crate) fn dx_strip_len(v: &Conv2dShape) -> usize {
+    if narrow_rows(v) {
+        v.out_positions() * cw_stride(v) + 2 * LANES
+    } else {
+        0
+    }
+}
+
+/// The output-gradient operand [`dw_rows`] reads for the whole
+/// `[N, out_c, oh, ow]` gradient `go`: on wider rows `go` itself, on rows
+/// narrower than a vector its [`transpose_grad`] layout, built in `buf`.
+pub(crate) fn dw_grad<'a>(go: &'a [f32], v: &Conv2dShape, buf: &'a mut Vec<f32>) -> &'a [f32] {
+    if !narrow_rows(v) {
+        return go;
+    }
+    let len = go.len() / v.output_numel() * v.out_positions() * oc_stride(v);
+    ConvScratch::ensure(buf, len);
+    transpose_grad(go, v, &mut buf[..len]);
+    &buf[..len]
 }
 
 /// `out_channels` rounded up to whole vectors: the row stride of
@@ -98,20 +163,14 @@ fn cw_stride(v: &Conv2dShape) -> usize {
 }
 
 /// Floats of the [`pack_weights_oc`] layout.
-pub(crate) fn oc_pack_len(v: &Conv2dShape) -> usize {
+fn oc_pack_len(v: &Conv2dShape) -> usize {
     (v.col_width() + 1) * oc_stride(v)
-}
-
-/// Floats [`dx_sample`] needs for one sample's lowered gradient: a
-/// vector of slack either side of `out_positions` rows of [`cw_stride`].
-pub(crate) fn dcols_len(v: &Conv2dShape) -> usize {
-    v.out_positions() * cw_stride(v) + 2 * LANES
 }
 
 /// Re-lay the flat `[out_c, C·kh·kw]` weights for the narrow-row forward:
 /// `out[d·ocp + oc] = w[oc][d]`, then one row holding the bias (zeros
 /// without one), with `ocp` = [`oc_stride`] and lanes past `out_c` zero.
-pub(crate) fn pack_weights_oc(w: &[f32], bias: Option<&[f32]>, v: &Conv2dShape, out: &mut [f32]) {
+fn pack_weights_oc(w: &[f32], bias: Option<&[f32]>, v: &Conv2dShape, out: &mut [f32]) {
     let (outc, cw, ocp) = (v.out_channels, v.col_width(), oc_stride(v));
     assert_eq!(w.len(), outc * cw, "pack_weights_oc: bad weight length");
     assert_eq!(out.len(), oc_pack_len(v), "pack_weights_oc: bad pack");
@@ -129,7 +188,7 @@ pub(crate) fn pack_weights_oc(w: &[f32], bias: Option<&[f32]>, v: &Conv2dShape, 
 /// Re-lay the flat `[out_c, C·kh·kw]` weights for the wide-row dX kernel:
 /// `out[(q·out_c + oc)·LANES + kx] = w[oc][q·kw + kx]` with
 /// `q = c·kh + ky`, lanes past `kernel_w` zero.
-pub(crate) fn pack_weights_kx(w: &[f32], v: &Conv2dShape, out: &mut [f32]) {
+fn pack_weights_kx(w: &[f32], v: &Conv2dShape, out: &mut [f32]) {
     let (outc, cw, kw) = (v.out_channels, v.col_width(), v.kernel_w);
     let nq = v.in_channels * v.kernel_h;
     assert!(kw <= LANES, "pack_weights_kx: kernel_w {kw} > {LANES}");
@@ -160,9 +219,9 @@ fn check_view(v: &Conv2dShape) -> Im2colMap {
 /// Forward pass of the samples `out` holds (`out.len() / output_numel`
 /// of them, their padded planes at the head of `xs`, which must extend
 /// [`SLACK`] floats past them): `out[i][oc][oy][ox]` plus `bias[oc]`.
-/// On rows narrower than a vector the kernel reads the weights and bias
-/// through `pack`, their [`pack_weights_oc`] layout; on wider rows it
-/// reads `w` and `bias` and ignores `pack`.
+/// `pack` is the buffer [`forward_prep`] laid this call's weights into
+/// (on rows narrower than a vector the kernel reads weights and bias
+/// there, on wider rows `w` and `bias`).
 pub(crate) fn forward(
     xs: &[f32],
     v: &Conv2dShape,
@@ -186,8 +245,9 @@ pub(crate) fn forward(
     }
     let narrow = narrow_rows(v);
     if narrow {
-        assert_eq!(pack.len(), oc_pack_len(v), "forward: pack");
+        assert!(pack.len() >= oc_pack_len(v), "forward: pack short");
     }
+    let pack = &pack[..if narrow { oc_pack_len(v) } else { 0 }];
     let positions = v.out_positions();
     let (rows, vectors) = (n * positions, oc_stride(v) / LANES);
     // SAFETY: the lengths were asserted above. Narrow rows: every target
@@ -430,8 +490,8 @@ unsafe fn oc_tile<const R: usize, const V: usize>(
 /// Accumulate dW rows `kk0..kk1` (`c_rows` holds exactly those rows of
 /// the flat `[out_c, C·kh·kw]` gradient) over lowered rows `r0..r1`
 /// (global: `sample · positions + position`). `xs` is the padded batch
-/// plus [`SLACK`]; `go` is the whole `[N, out_c, oh, ow]` gradient, or
-/// on rows narrower than a vector its [`transpose_grad`] layout.
+/// plus [`SLACK`]; `go` is what [`dw_grad`] made of the whole
+/// `[N, out_c, oh, ow]` gradient.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dw_rows(
     xs: &[f32],
@@ -575,11 +635,11 @@ fn row_runs(
 /// dW reads it: `out[r·ocp + oc] = go[i][oc][p]` for lowered row `r = i ·
 /// out_positions + p`, with `ocp` = `out_c` rounded up to whole vectors
 /// and lanes past `out_c` zero.
-pub(crate) fn transpose_grad(go: &[f32], v: &Conv2dShape, out: &mut [f32]) {
+fn transpose_grad(go: &[f32], v: &Conv2dShape, out: &mut [f32]) {
     let (positions, outc, ocp) = (v.out_positions(), v.out_channels, oc_stride(v));
     let n = go.len() / v.output_numel();
     assert_eq!(go.len(), n * v.output_numel(), "transpose_grad: go");
-    assert_eq!(out.len(), grad_t_len(v, n), "transpose_grad: out");
+    assert_eq!(out.len(), n * positions * ocp, "transpose_grad: out");
     for (go_i, out_i) in go
         .chunks_exact(v.output_numel())
         .zip(out.chunks_exact_mut(positions * ocp))
@@ -591,11 +651,6 @@ pub(crate) fn transpose_grad(go: &[f32], v: &Conv2dShape, out: &mut [f32]) {
             row[outc..].fill(0.0);
         }
     }
-}
-
-/// Floats of the [`transpose_grad`] layout for `n` samples.
-pub(crate) fn grad_t_len(v: &Conv2dShape, n: usize) -> usize {
-    n * v.out_positions() * oc_stride(v)
 }
 
 /// `R` output channels × `T` consecutive `(c, ky)` rows, `kx` along the
@@ -682,15 +737,12 @@ unsafe fn dw_tile<const R: usize, const T: usize>(
 
 /// Data gradient of one sample onto the **zeroed** padded planes at the
 /// head of `plane` (which must extend [`SLACK`] floats past them). `go_i`
-/// is the sample's `[out_c, oh, ow]` gradient. On rows narrower than a
-/// vector the kernel reads W's own `[out_c, C·kh·kw]` rows `w` and
-/// stages the lowered gradient in `dcols` (a [`dcols_len`] buffer whose
-/// contents are ignored); on wider rows it reads `wpack`, the
-/// [`pack_weights_kx`] layout, and ignores `dcols`.
+/// is the sample's `[out_c, oh, ow]` gradient, `w` the operand
+/// [`dx_weights`] returned, and `dcols` a [`dx_strip_len`] buffer whose
+/// contents are ignored.
 pub(crate) fn dx_sample(
     go_i: &[f32],
     w: &[f32],
-    wpack: &[f32],
     v: &Conv2dShape,
     dcols: &mut [f32],
     plane: &mut [f32],
@@ -703,11 +755,11 @@ pub(crate) fn dx_sample(
         "dx_sample: plane short"
     );
     let narrow = narrow_rows(v);
+    assert_eq!(dcols.len(), dx_strip_len(v), "dx_sample: dcols");
     if narrow {
         assert_eq!(w.len(), v.out_channels * cw, "dx_sample: w");
-        assert_eq!(dcols.len(), dcols_len(v), "dx_sample: dcols");
     } else {
-        assert_eq!(wpack.len(), nq * v.out_channels * LANES, "dx_sample: wpack");
+        assert_eq!(w.len(), nq * v.out_channels * LANES, "dx_sample: wpack");
     }
     let (full, tail) = (cw / LANES, cw % LANES);
     // SAFETY: the lengths were asserted above; every `dcols_tile` starts
@@ -746,7 +798,7 @@ pub(crate) fn dx_sample(
                 let t = (nq - q).min(8);
                 macro_rules! go {
                     ($t:literal) => {
-                        dx_tile::<$t>(go_i, wpack, v, &map, plane, q, oy)
+                        dx_tile::<$t>(go_i, w, v, &map, plane, q, oy)
                     };
                 }
                 match t {
@@ -832,7 +884,7 @@ unsafe fn dx_tile<const T: usize>(
 ///
 /// The CPU must support avx2 and fma. `go_i.len() == output_numel`,
 /// `w.len() == out_channels · col_width`, `dcols.len() ==
-/// dcols_len(v)`, `p0 < out_positions`, and `(j + D) · LANES <=
+/// dx_strip_len(v)`, `p0 < out_positions`, and `(j + D) · LANES <=
 /// col_width` (or, with `TAIL`, `D == 1` and `j · LANES` the last
 /// partial vector's start) — [`dx_sample`] asserts these.
 #[allow(clippy::needless_range_loop)]
@@ -903,7 +955,7 @@ unsafe fn dcols_tile<const P: usize, const D: usize, const TAIL: bool>(
 /// # Safety
 ///
 /// The CPU must support avx2 (and, as called, fma). `v` is the stride-1
-/// padded view with `kernel_w <= LANES`, `dcols.len() == dcols_len(v)`
+/// padded view with `kernel_w <= LANES`, `dcols.len() == dx_strip_len(v)`
 /// and `plane.len() >= input_numel + SLACK` ([`dx_sample`] asserts
 /// these).
 #[target_feature(enable = "avx2")]

@@ -7,6 +7,7 @@
 //! workloads are additionally swept over kernel thread budgets.
 
 use niid_bench::harness::{black_box, BenchMeta, Harness};
+use niid_nn::{mlp, Sgd};
 use niid_stats::Pcg64;
 use niid_tensor::{
     conv2d, conv2d_backward, conv2d_backward_ws, conv2d_forward, conv2d_forward_direct,
@@ -171,6 +172,72 @@ fn main() {
             },
         );
     }
+
+    // rcv1's first layer at bench scale (2 048 features, 90 % zeros, batch
+    // 32 into 32 hidden units): the forward `X·W` and the weight gradient
+    // `Xᵀ·dY`, which take the AVX2 arm's sparse-A kernels, and their twins
+    // on a dense `X` of the same shape, which keep the dense kernels.
+    let (m, k, n) = (32usize, 2048usize, 32usize);
+    let flops = (2 * m * k * n) as u64;
+    let w = Tensor::randn(&[k, n], 0.05, &mut rng);
+    let dy = Tensor::randn(&[m, n], 0.1, &mut rng);
+    let sparse_x = {
+        let dense = Tensor::randn(&[m, k], 1.0, &mut rng);
+        let v = dense
+            .as_slice()
+            .iter()
+            .map(|&v| if rng.next_f32() < 0.9 { 0.0 } else { v })
+            .collect();
+        Tensor::from_vec(v, &[m, k])
+    };
+    let dense_x = Tensor::randn(&[m, k], 1.0, &mut rng);
+    for (x, zeros, suffix) in [(&sparse_x, "90% zeros", ""), (&dense_x, "dense", "/dense")] {
+        let shape = format!("{m}x{k}x{n} {zeros}");
+        h.bench_meta(
+            &format!("matmul/rcv1_ab_{m}x{k}x{n}/t1{suffix}"),
+            BenchMeta::op("matmul/rcv1_ab", &shape, 1, flops),
+            |bench| bench.iter(|| with_thread_budget(1, || matmul(black_box(x), black_box(&w)))),
+        );
+        h.bench_meta(
+            &format!("matmul/rcv1_atb_{m}x{k}x{n}/t1{suffix}"),
+            BenchMeta::op("matmul/rcv1_atb", &shape, 1, flops),
+            |bench| {
+                bench.iter(|| with_thread_budget(1, || matmul_at_b(black_box(x), black_box(&dy))))
+            },
+        );
+    }
+    // One SGD step of the rcv1 `Mlp` on those sparse rows; the FLOPs are
+    // the step's nominal GEMM work (forward, every dW, every dX but the
+    // first layer's). A learning rate far below the weights' ulp keeps
+    // them fixed, so every iteration times the same step: descending on
+    // one batch thousands of times drives the gradients subnormal, and a
+    // subnormal FMA stalls.
+    let mut net = mlp(k, 2, 5);
+    let mut opt = Sgd::new(net.param_count(), 1e-30, 0.9, 0.0);
+    let labels: Vec<usize> = (0..m).map(|i| i % 2).collect();
+    let layers = [(k, 32usize), (32, 16), (16, 8), (8, 2)];
+    let fwd: usize = layers.iter().map(|&(i, o)| 2 * m * i * o).sum();
+    let step_flops = (2 * fwd - 2 * m * k * 32) as u64;
+    h.bench_meta(
+        "model_step/mlp_rcv1_2048_batch32",
+        BenchMeta::op(
+            "model_step/mlp_rcv1",
+            "batch32 2048-32-16-8-2 90% zeros",
+            1,
+            step_flops,
+        ),
+        |bench| {
+            bench.iter(|| {
+                with_thread_budget(1, || {
+                    net.zero_grads();
+                    let loss = net.forward_backward(black_box(sparse_x.clone()), &labels);
+                    let (params, grads) = net.params_and_grads_mut();
+                    opt.step(params, grads);
+                    loss
+                })
+            })
+        },
+    );
 
     // LeNet-sized conv layer (6→16 channels, 5x5 kernel) over a batch of 32.
     let s = Conv2dShape {

@@ -30,6 +30,7 @@
 //! | `niid_pool_*`, `niid_gemm_*`, `niid_conv_scratch_*` | — | substrate collector |
 //! | `niid_conv_lowering_calls{lowering}` | direct / implicit / materialized | conv passes per lowering |
 //! | `niid_gemm_dispatch_calls{variant,path}` | GEMM variant × kernel | simd vs scalar dispatch |
+//! | `niid_gemm_sparse_calls{variant}` | `ab` / `atb` | AVX2 calls that took the sparse-A kernels |
 //! | `niid_simd_active_kernel{kernel}` | kernel name | process-wide micro-kernel selection |
 //!
 //! Divergence compares each party's **post-training** local model
@@ -592,6 +593,14 @@ pub fn install_substrate_collector(registry: &Arc<Registry>) {
                 )
                 .set(calls as f64);
             }
+        }
+        for (variant, calls) in [("ab", s.gemm_ab_sparse_calls), ("atb", s.gemm_atb_sparse_calls)] {
+            r.gauge(
+                "niid_gemm_sparse_calls",
+                "AVX2 GEMM invocations that took the sparse-A kernels, by variant (cumulative)",
+                &[("variant", variant)],
+            )
+            .set(calls as f64);
         }
         r.gauge(
             "niid_simd_active_kernel",

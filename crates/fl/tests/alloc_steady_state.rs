@@ -37,14 +37,26 @@ unsafe impl GlobalAlloc for CountBig {
 #[global_allocator]
 static ALLOC: CountBig = CountBig;
 
-/// Model-sized allocations made by one `local_train` call of `epochs`.
-fn big_allocs(spec: &ModelSpec, algorithm: &Algorithm, spans: bool, epochs: usize) -> usize {
+/// Model-sized allocations made by one `local_train` call of `epochs`,
+/// on inputs where only every `keep_every`-th entry is nonzero.
+fn big_allocs(
+    spec: &ModelSpec,
+    algorithm: &Algorithm,
+    spans: bool,
+    epochs: usize,
+    keep_every: usize,
+) -> usize {
     const CLASSES: usize = 3;
     let mut model = spec.build(CLASSES, 1);
     let p_len = model.param_count();
     let (global, buffers) = (model.params().to_vec(), model.buffers().to_vec());
     let dim: usize = spec.input_shape().iter().product();
-    let x = Tensor::randn(&[12, dim], 1.0, &mut Pcg64::new(2));
+    let mut x = Tensor::randn(&[12, dim], 1.0, &mut Pcg64::new(2));
+    for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
+        if i % keep_every != 0 {
+            *v = 0.0;
+        }
+    }
     let labels = (0..12).map(|i| i % CLASSES).collect();
     let data = Dataset::new("toy", x, labels, CLASSES, spec.input_shape(), None);
     let party = Party::new(0, data);
@@ -94,12 +106,19 @@ fn big_allocs(spec: &ModelSpec, algorithm: &Algorithm, spans: bool, epochs: usiz
 
 #[test]
 fn model_sized_allocations_do_not_scale_with_steps() {
+    // `(model, keep_every)`: the third is rcv1's shape, 2 048 features of
+    // which 90 % are zero, so its first layer's GEMMs take the AVX2 arm's
+    // sparse-A path.
     let specs = [
-        ModelSpec::Mlp { in_dim: 6 },
-        ModelSpec::LenetCnn {
-            in_channels: 1,
-            side: 16,
-        },
+        (ModelSpec::Mlp { in_dim: 6 }, 1),
+        (
+            ModelSpec::LenetCnn {
+                in_channels: 1,
+                side: 16,
+            },
+            1,
+        ),
+        (ModelSpec::Mlp { in_dim: 2048 }, 10),
     ];
     let algorithms = [
         Algorithm::FedAvg,
@@ -112,11 +131,12 @@ fn model_sized_allocations_do_not_scale_with_steps() {
         },
     ];
     niid_tensor::with_thread_budget(1, || {
-        for spec in &specs {
+        let before = niid_tensor::stats::snapshot();
+        for (spec, keep_every) in &specs {
             for algorithm in &algorithms {
                 for spans in [false, true] {
-                    let one = big_allocs(spec, algorithm, spans, 1);
-                    let four = big_allocs(spec, algorithm, spans, 4);
+                    let one = big_allocs(spec, algorithm, spans, 1, *keep_every);
+                    let four = big_allocs(spec, algorithm, spans, 4, *keep_every);
                     assert_eq!(
                         one, four,
                         "{spec:?} {algorithm:?} grad_spans={spans}: model-sized \
@@ -125,6 +145,13 @@ fn model_sized_allocations_do_not_scale_with_steps() {
                     assert!(one > 0, "the counter sees Δw and the optimizer state");
                 }
             }
+        }
+        let d = niid_tensor::stats::snapshot().since(&before);
+        if niid_tensor::active_kernel().is_simd() {
+            assert!(
+                d.gemm_ab_sparse_calls > 0 && d.gemm_atb_sparse_calls > 0,
+                "{d:?}"
+            );
         }
     });
 }

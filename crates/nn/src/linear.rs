@@ -60,10 +60,7 @@ impl Linear {
             self.in_features,
             self.out_features,
         );
-        let kern = simd::active_kernel();
-        for r in 0..batch {
-            simd::add_assign(kern, gb, grad_out.row(r));
-        }
+        simd::accumulate_rows(simd::active_kernel(), gb, grad_out.as_slice());
     }
 }
 
@@ -85,10 +82,7 @@ impl Layer for Linear {
         let (batch, out) = (x.shape()[0], self.out_features);
         let mut y = vec![0.0f32; batch * out];
         matmul_slices(x.as_slice(), w, &mut y, batch, self.in_features, out);
-        let kern = simd::active_kernel();
-        for row in y.chunks_exact_mut(out) {
-            simd::add_assign(kern, row, b);
-        }
+        simd::broadcast_add_rows(simd::active_kernel(), &mut y, b);
         if phase == Phase::Train {
             self.cached_input = Some(x);
         }

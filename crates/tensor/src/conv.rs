@@ -75,7 +75,7 @@
 #[cfg(target_arch = "x86_64")]
 use crate::conv_direct as direct;
 use crate::matmul::{
-    atb_split, atb_splits_rows, matmul_a_bt_slices, matmul_at_b_slices, KC, NT_KC, NT_NC,
+    atb_split, atb_splits_rows, matmul_a_bt_slices, matmul_at_b_slices, KB, KC, NT_KC, NT_NC,
 };
 use crate::parallel::{parallel_chunks_mut_threshold, with_scratch};
 use crate::simd::{self, Kernel};
@@ -1125,7 +1125,7 @@ fn dw_fused(
             dw_rows_implicit(xs, go, c_rows, &v, kk0, kk1, r0, r1);
         }
     };
-    atb_split(simd::active_kernel(), grad_weight, m, outc, cw, rows);
+    atb_split(simd::active_kernel(), grad_weight, m, outc, cw, KB, rows);
 }
 
 /// Accumulate dW output rows `kk0..kk1` over lowered rows `r0..r1` of the

@@ -70,17 +70,33 @@
 //!
 //! ## NaN/inf propagation and the zero-skip
 //!
-//! Skipping `a == 0.0` terms (profitable for one-hot and post-ReLU
-//! inputs) is only exact when the skipped `B` entries are finite (IEEE:
-//! `0 · NaN = 0 · inf = NaN`). Instead of the old whole-matrix `O(k·n)`
-//! pre-scan on every call, finiteness is now established lazily — only
-//! when a zero is actually hit — and per B-tile (resp. per B-row), then
-//! memoized for the rest of that tile pass. Dense inputs pay nothing.
+//! Both arms follow one rule: a term `a · b` with `a == ±0` may be
+//! skipped only when `b` is finite, because IEEE makes `0 · NaN` and
+//! `0 · ∞` NaN. Each arm applies it its own way.
 //!
-//! The zero-skip lives on the **scalar arm only**: the AVX2 register-tiled
-//! panels always compute every term (a vector FMA is cheaper than the
-//! branch), which is the IEEE-exact result and therefore propagates NaN/∞
-//! without needing any finiteness bookkeeping.
+//! * **Scalar arm** (historical loops, verbatim): every zero alpha is a
+//!   candidate. Finiteness is established lazily — only when a zero is
+//!   actually hit — per B-tile for `A·B` (per B-row for `Aᵀ·B`), then
+//!   memoized for the rest of that tile pass, so dense inputs pay
+//!   nothing.
+//! * **AVX2 arm**: the register-tiled panels compute every term (for a
+//!   dense `A` a vector FMA is cheaper than a branch). `A·B` and `Aᵀ·B`
+//!   switch to the sparse-A kernels ([`crate::simd`]'s
+//!   `gemm_sparse_ab_avx2` / `gemm_sparse_atb_avx2`) when a gate on the
+//!   operands alone passes: `A` has at least `SPARSE_MIN_A` entries, at
+//!   most `SPARSE_MAX_NONZERO_SHARE` (20 %) of them are nonzero, and
+//!   every entry of `B` is finite. Those kernels find each row's nonzero
+//!   alphas with a bit mask and run every `C` element's FMA chain over
+//!   them in the panel kernel's depth order, so against a finite `B` they
+//!   reproduce the dense AVX2 bits at any thread count. The one
+//!   exception is the sign of a zero: where the dense chain adds a `+0`
+//!   product to a `−0` running sum it makes `+0`, and the skip keeps
+//!   `−0`. `Linear` accumulates into fresh `+0` buffers and a zeroed
+//!   gradient, so its sums can turn `−0` only by underflowing; the
+//!   rcv1 digests pinned on the dense kernels hold on the sparse path. A
+//!   NaN or ±∞ in `A` is not zero, so it is always computed; a
+//!   non-finite `B` keeps the dense kernels.
+//!   DESIGN.md records the crossover measurement behind the constants.
 
 use crate::parallel::parallel_chunks_mut_threshold as maybe_parallel;
 use crate::simd::{self, Kernel};
@@ -98,12 +114,19 @@ const NC: usize = 128;
 pub(crate) const NT_KC: usize = 128;
 /// Packed-NT N-tile: output columns (conv positions) per packed tile.
 pub(crate) const NT_NC: usize = 64;
-/// Output rows of `Aᵀ·B` per parallel task.
-const KB: usize = 32;
+/// Output rows of `Aᵀ·B` per parallel task on the dense kernels.
+pub(crate) const KB: usize = 32;
 /// Fixed row-block length for the partial-sum path of [`matmul_at_b`]
 /// (engaged when the output has too few rows to split across tasks).
 /// `pub(crate)` only for conv's tests, which size batches to straddle it.
 pub(crate) const ATB_BLOCK_M: usize = 1024;
+/// Smallest `A` (in entries) that the AVX2 arm scans for the sparse-A
+/// path: below it the scan costs more than skipping can save.
+const SPARSE_MIN_A: usize = 4096;
+/// Largest share of nonzero entries in `A` at which the AVX2 arm takes
+/// the sparse-A path (a zero share of at least 1 − this); DESIGN.md has
+/// the crossover measurement.
+const SPARSE_MAX_NONZERO_SHARE: f64 = 0.2;
 
 /// Resolve the micro-kernel for one GEMM call and record the dispatch.
 ///
@@ -117,6 +140,26 @@ fn dispatch_kernel(simd_ctr: Counter, scalar_ctr: Counter) -> Kernel {
     let kern = simd::active_kernel();
     stats::bump(if kern.is_simd() { simd_ctr } else { scalar_ctr }, 1);
     kern
+}
+
+/// Whether an AVX2 GEMM with left operand `a` takes the sparse-A kernels:
+/// `a` is at least [`SPARSE_MIN_A`] entries, at most
+/// [`SPARSE_MAX_NONZERO_SHARE`] of them are nonzero, and every entry of
+/// `b` is finite, so skipping a `0 · b` term is exact (up to the sign of
+/// a zero; see the module doc). A function of the operands alone, never
+/// of the thread count; the scalar arm never takes it.
+fn takes_sparse_a(kern: Kernel, a: &[f32], b: &[f32]) -> bool {
+    if !kern.is_simd() || a.len() < SPARSE_MIN_A {
+        return false;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        let _sp = niid_prof::span!("gemm.sparse_gate");
+        let limit = (a.len() as f64 * SPARSE_MAX_NONZERO_SHARE) as usize;
+        simd::nonzeros_at_most_avx2(a, limit) && simd::all_finite_avx2(b)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("SIMD kernel selected on non-x86_64");
 }
 
 /// `c[i] += a * b[i]`, one multiply and one add per element — the
@@ -154,18 +197,41 @@ pub fn matmul_slices(av: &[f32], bv: &[f32], c: &mut [f32], m: usize, k: usize, 
     stats::bump(Counter::GemmAbCalls, 1);
     stats::bump(Counter::GemmFlops, (2 * m * k * n) as u64);
     let kern = dispatch_kernel(Counter::GemmAbSimdCalls, Counter::GemmAbScalarCalls);
+    let sparse = takes_sparse_a(kern, av, bv);
+    if sparse {
+        stats::bump(Counter::GemmAbSparseCalls, 1);
+    }
+    ab_tasks(kern, sparse, av, bv, c, m, k, n);
+}
+
+/// The task split of [`matmul_slices`]: `MB`-row blocks of `C`, each one
+/// [`mm_row_block`].
+#[allow(clippy::too_many_arguments)]
+fn ab_tasks(
+    kern: Kernel,
+    sparse: bool,
+    av: &[f32],
+    bv: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     maybe_parallel(c, MB * n, 2 * m * k * n, &|t, c_rows| {
         let r0 = t * MB;
         let r1 = (r0 + MB).min(m);
-        mm_row_block(kern, av, bv, c_rows, r0, r1, k, n);
+        mm_row_block(kern, sparse, av, bv, c_rows, r0, r1, k, n);
     });
 }
 
 /// The single-task body of [`matmul_slices`]: rows `r0..r1` of `C`,
-/// tiled `jj → kk → i` so the `B` panel is reused across the block.
+/// tiled `jj → kk → i` so the `B` panel is reused across the block, or,
+/// when `sparse` (see [`takes_sparse_a`]), the sparse-A kernel over the
+/// whole block.
 #[allow(clippy::too_many_arguments)]
 fn mm_row_block(
     kern: Kernel,
+    sparse: bool,
     av: &[f32],
     bv: &[f32],
     c_rows: &mut [f32],
@@ -175,6 +241,13 @@ fn mm_row_block(
     n: usize,
 ) {
     let _sp = niid_prof::span!("gemm.row_block");
+    if sparse {
+        #[cfg(target_arch = "x86_64")]
+        {
+            simd::gemm_sparse_ab_avx2(&av[r0 * k..], k, r1 - r0, k, bv, n, c_rows, n, n);
+            return;
+        }
+    }
     let mut jj0 = 0;
     while jj0 < n {
         let jj1 = (jj0 + NC).min(n);
@@ -268,7 +341,60 @@ pub fn matmul_at_b_slices(av: &[f32], bv: &[f32], c: &mut [f32], m: usize, k: us
     stats::bump(Counter::GemmAtbCalls, 1);
     stats::bump(Counter::GemmFlops, (2 * m * k * n) as u64);
     let kern = dispatch_kernel(Counter::GemmAtbSimdCalls, Counter::GemmAtbScalarCalls);
-    atb_split(kern, c, m, k, n, |c_rows, kk0, kk1, r0, r1| {
+    let sparse = takes_sparse_a(kern, av, bv);
+    if sparse {
+        stats::bump(Counter::GemmAtbSparseCalls, 1);
+    }
+    atb_tasks(kern, sparse, av, bv, c, m, k, n);
+}
+
+/// The task split and row kernel of [`matmul_at_b_slices`]: the dense
+/// `atb_rows` over [`KB`]-row output tasks, or, when `sparse` (see
+/// [`takes_sparse_a`]), the sparse-A kernel over tasks of whole
+/// `SPARSE_SEG`-row output segments, so every input row is scanned for
+/// nonzeros in full mask words. Both run under [`atb_split`], so they
+/// take the same row split or partial-sum path.
+#[allow(clippy::too_many_arguments)]
+fn atb_tasks(
+    kern: Kernel,
+    sparse: bool,
+    av: &[f32],
+    bv: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    if sparse {
+        #[cfg(target_arch = "x86_64")]
+        {
+            atb_split(
+                kern,
+                c,
+                m,
+                k,
+                n,
+                simd::SPARSE_SEG,
+                |c_rows, kk0, kk1, r0, r1| {
+                    let _sp = niid_prof::span!("gemm.atb_rows");
+                    let a = &av[r0 * k + kk0..];
+                    simd::gemm_sparse_atb_avx2(
+                        a,
+                        k,
+                        r1 - r0,
+                        kk1 - kk0,
+                        &bv[r0 * n..],
+                        n,
+                        c_rows,
+                        n,
+                        n,
+                    );
+                },
+            );
+            return;
+        }
+    }
+    atb_split(kern, c, m, k, n, KB, |c_rows, kk0, kk1, r0, r1| {
         atb_rows(kern, av, bv, c_rows, r0, r1, kk0, kk1, k, n);
     });
 }
@@ -284,8 +410,9 @@ pub(crate) fn atb_splits_rows(k: usize, m: usize) -> bool {
 /// kernel `rows(c_rows, kk0, kk1, r0, r1)` that accumulates input rows
 /// `r0..r1` into output rows `kk0..kk1` (`c_rows` holds exactly those).
 ///
-/// Wide outputs split the `k` output rows across tasks; each task sweeps
-/// all `m` input rows but touches only its own rows of `C`, so
+/// Wide outputs split the `k` output rows across tasks of `task_rows`
+/// rows ([`KB`] for the dense kernels); each task sweeps all `m` input
+/// rows but touches only its own rows of `C`, so
 /// per-element accumulation order (ascending input row) matches the
 /// sequential kernel bit-for-bit. Short-and-tall outputs (the conv weight
 /// gradient: `k = out_channels`, `m = batch · positions`) take fixed
@@ -297,13 +424,14 @@ pub(crate) fn atb_split(
     m: usize,
     k: usize,
     n: usize,
+    task_rows: usize,
     rows: impl Fn(&mut [f32], usize, usize, usize, usize) + Sync,
 ) {
     let flops = 2 * m * k * n;
     if atb_splits_rows(k, m) {
-        maybe_parallel(c, KB * n, flops, &|t, c_rows| {
-            let kk0 = t * KB;
-            rows(c_rows, kk0, (kk0 + KB).min(k), 0, m);
+        maybe_parallel(c, task_rows * n, flops, &|t, c_rows| {
+            let kk0 = t * task_rows;
+            rows(c_rows, kk0, (kk0 + task_rows).min(k), 0, m);
         });
         return;
     }
@@ -538,6 +666,8 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
 mod tests {
     use super::*;
     use crate::parallel::with_thread_budget;
+    #[cfg(target_arch = "x86_64")]
+    use crate::simd::with_forced_kernel;
     use niid_stats::Pcg64;
 
     fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
@@ -789,6 +919,198 @@ mod tests {
             assert_eq!(got.0.as_slice(), base.0.as_slice(), "matmul @{budget}");
             assert_eq!(got.1.as_slice(), base.1.as_slice(), "at_b @{budget}");
             assert_eq!(got.2.as_slice(), base.2.as_slice(), "a_bt @{budget}");
+        }
+    }
+
+    /// `len` values of which a share `density` are nonzero, the rest `+0`
+    /// or `−0`.
+    fn sparse_values(len: usize, density: f32, rng: &mut Pcg64) -> Vec<f32> {
+        (0..len)
+            .map(|i| {
+                if rng.next_f32() < density {
+                    rng.next_f32() * 4.0 - 2.0
+                } else if i % 3 == 0 {
+                    -0.0
+                } else {
+                    0.0
+                }
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `C += A·B` and `C += Aᵀ·B` on the dense AVX2 kernels and on the
+    /// sparse-A kernels, from the same non-zero `C`, at thread budget `t`.
+    /// Returns `(dense, sparse)` for both products.
+    #[cfg(target_arch = "x86_64")]
+    #[allow(clippy::type_complexity)]
+    fn both_paths(
+        a: &[f32],
+        (m, k, n): (usize, usize, usize),
+        t: usize,
+        rng: &mut Pcg64,
+    ) -> ((Vec<f32>, Vec<f32>), (Vec<f32>, Vec<f32>)) {
+        let kern = Kernel::Avx2;
+        let b = sparse_values(k * n, 1.0, rng);
+        let c0 = sparse_values(m * n, 1.0, rng);
+        let ab = |sparse: bool| {
+            let mut c = c0.clone();
+            with_thread_budget(t, || ab_tasks(kern, sparse, a, &b, &mut c, m, k, n));
+            c
+        };
+        let dy = sparse_values(m * n, 1.0, rng);
+        let dw0 = sparse_values(k * n, 1.0, rng);
+        let atb = |sparse: bool| {
+            let mut c = dw0.clone();
+            with_thread_budget(t, || atb_tasks(kern, sparse, a, &dy, &mut c, m, k, n));
+            c
+        };
+        ((ab(false), ab(true)), (atb(false), atb(true)))
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sparse_a_kernels_match_the_dense_avx2_kernels_bit_for_bit() {
+        if !Kernel::Avx2.available() {
+            return;
+        }
+        let mut rng = Pcg64::new(61);
+        let crossover = SPARSE_MAX_NONZERO_SHARE as f32;
+        let densities = [0.0, 0.01, 0.1, crossover - 0.05, crossover + 0.05, 1.0];
+        // `m` off the 4-row register groups and `MB`; `k` straddling `KC`
+        // and off a multiple of 8; `n` through the 32/8/1 column blocks
+        // and past `NC`.
+        let mks = [(5usize, 257usize), (33, 300), (1, 7), (70, 255)];
+        for (i, &n) in [1usize, 7, 8, 16, 17, 32, 33, 130].iter().enumerate() {
+            for &density in &densities {
+                let (m, k) = mks[i % mks.len()];
+                let a = sparse_values(m * k, density, &mut rng);
+                let ((ab_d, ab_s), (atb_d, atb_s)) = both_paths(&a, (m, k, n), 1, &mut rng);
+                let case = format!("m={m} k={k} n={n} density={density}");
+                assert_eq!(bits(&ab_s), bits(&ab_d), "A·B {case}");
+                assert_eq!(bits(&atb_s), bits(&atb_d), "Aᵀ·B {case}");
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sparse_a_kernels_hold_across_thread_budgets_and_the_partial_sum_path() {
+        if !Kernel::Avx2.available() {
+            return;
+        }
+        // (70, 300, 64) clears the parallel threshold; (1100, 40, 17) has
+        // `k < 64` and `m ≥ ATB_BLOCK_M`, so Aᵀ·B sums row-block partials.
+        for (m, k, n) in [(70usize, 300usize, 64usize), (ATB_BLOCK_M + 76, 40, 17)] {
+            assert_eq!(atb_splits_rows(k, m), m < ATB_BLOCK_M);
+            let mut rng = Pcg64::new(62);
+            let a = sparse_values(m * k, 0.1, &mut rng);
+            let base = both_paths(&a, (m, k, n), 1, &mut Pcg64::new(63));
+            assert_eq!(bits(&base.0 .1), bits(&base.0 .0), "A·B ({m},{k},{n})");
+            assert_eq!(bits(&base.1 .1), bits(&base.1 .0), "Aᵀ·B ({m},{k},{n})");
+            for t in [2usize, 4] {
+                let got = both_paths(&a, (m, k, n), t, &mut Pcg64::new(63));
+                assert_eq!(bits(&got.0 .1), bits(&base.0 .0), "A·B @{t}");
+                assert_eq!(bits(&got.1 .1), bits(&base.1 .0), "Aᵀ·B @{t}");
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sparse_a_kernels_compute_nan_and_inf_alphas() {
+        if !Kernel::Avx2.available() {
+            return;
+        }
+        // NaN and ±∞ in A are not zeros: the sparse kernels compute them
+        // like any alpha, with the dense kernel's bits.
+        let (m, k, n) = (9usize, 130usize, 33usize);
+        let mut rng = Pcg64::new(64);
+        let mut a = sparse_values(m * k, 0.05, &mut rng);
+        a[3] = f32::NAN;
+        a[k + 70] = f32::INFINITY;
+        a[5 * k + 129] = f32::NEG_INFINITY;
+        let ((ab_d, ab_s), (atb_d, atb_s)) = both_paths(&a, (m, k, n), 1, &mut rng);
+        assert!(ab_d.iter().any(|v| v.is_nan()) && atb_d.iter().any(|v| v.is_nan()));
+        assert_eq!(bits(&ab_s), bits(&ab_d));
+        assert_eq!(bits(&atb_s), bits(&atb_d));
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sparse_gate_refuses_non_finite_b_so_zero_alphas_still_meet_it() {
+        if !Kernel::Avx2.available() {
+            return;
+        }
+        // A is sparse and past the size floor, so only B's NaN/±∞ keep the
+        // dense kernel: `0 · NaN` and `0 · ∞` must still reach C.
+        let (m, k, n) = (32usize, 256usize, 8usize);
+        let mut a = sparse_values(m * k, 0.05, &mut Pcg64::new(65));
+        assert!(a.len() >= SPARSE_MIN_A);
+        a[..k].fill(0.0); // row 0 of A is all zeros
+        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut b = sparse_values(k * n, 1.0, &mut Pcg64::new(66));
+            let finite = b.clone();
+            b[17 * n + 3] = poison; // B[17][3], against A[0][17] = 0
+            let kern = Kernel::Avx2;
+            assert!(takes_sparse_a(kern, &a, &finite));
+            assert!(!takes_sparse_a(kern, &a, &b));
+            let mut got = vec![0.0f32; m * n];
+            with_forced_kernel(kern, || matmul_slices(&a, &b, &mut got, m, k, n));
+            assert!(got[3].is_nan(), "0·{poison} was skipped: {}", got[3]);
+            let mut dense = vec![0.0f32; m * n];
+            ab_tasks(kern, false, &a, &b, &mut dense, m, k, n);
+            assert_eq!(bits(&got), bits(&dense));
+            // Aᵀ·B: B's row 0 poisoned against A's all-zero row 0.
+            let mut dy = sparse_values(m * n, 1.0, &mut Pcg64::new(67));
+            assert!(takes_sparse_a(kern, &a, &dy));
+            dy[2] = poison;
+            let mut dw = vec![0.0f32; k * n];
+            with_forced_kernel(kern, || matmul_at_b_slices(&a, &dy, &mut dw, m, k, n));
+            assert!((0..k).all(|kk| dw[kk * n + 2].is_nan()));
+        }
+        // Dense and small operands never take the sparse path.
+        let dense_a = sparse_values(m * k, 0.5, &mut Pcg64::new(68));
+        let b = sparse_values(k * n, 1.0, &mut Pcg64::new(69));
+        assert!(!takes_sparse_a(Kernel::Avx2, &dense_a, &b));
+        assert!(!takes_sparse_a(Kernel::Avx2, &a[..SPARSE_MIN_A - 1], &b));
+        assert!(!takes_sparse_a(Kernel::Scalar, &a, &b));
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sparse_a_kernels_keep_a_negative_zero_accumulator() {
+        if !Kernel::Avx2.available() {
+            return;
+        }
+        // The one IEEE difference from computing `fma(0, b, c)`: against a
+        // `−0` accumulator and a `+0` product the dense chain makes `+0`,
+        // while the skip leaves `−0`. A `+0` accumulator agrees.
+        let (m, k, n) = (1usize, 8usize, 8usize);
+        let a = vec![0.0f32; m * k];
+        let b = vec![1.5f32; k * n];
+        for (c0, dense_bits, sparse_bits) in [(-0.0f32, 0u32, 0x8000_0000u32), (0.0, 0, 0)] {
+            let mut dense = vec![c0; m * n];
+            ab_tasks(Kernel::Avx2, false, &a, &b, &mut dense, m, k, n);
+            let mut sparse = vec![c0; m * n];
+            ab_tasks(Kernel::Avx2, true, &a, &b, &mut sparse, m, k, n);
+            assert!(dense.iter().all(|v| v.to_bits() == dense_bits), "{dense:?}");
+            assert!(
+                sparse.iter().all(|v| v.to_bits() == sparse_bits),
+                "{sparse:?}"
+            );
+            let mut dense = vec![c0; k * n];
+            atb_tasks(Kernel::Avx2, false, &a, &b[..m * n], &mut dense, m, k, n);
+            let mut sparse = vec![c0; k * n];
+            atb_tasks(Kernel::Avx2, true, &a, &b[..m * n], &mut sparse, m, k, n);
+            assert!(dense.iter().all(|v| v.to_bits() == dense_bits), "{dense:?}");
+            assert!(
+                sparse.iter().all(|v| v.to_bits() == sparse_bits),
+                "{sparse:?}"
+            );
         }
     }
 }

@@ -52,13 +52,14 @@
 //!
 //! | primitive | AVX2 arm | AVX2 vs scalar |
 //! |-----------|----------|----------------|
-//! | `add_assign`, `add_scalar_assign`, `scale_assign`, `relu_*`, `sum_sq_f64`, `dequantize_i8` | one source compiled twice | bit-identical (no fusion, no reassociation) |
+//! | `add_assign`, `broadcast_add_rows`, `accumulate_rows`, `add_scalar_assign`, `scale_assign`, `relu_*`, `sum_sq_f64`, `dequantize_i8` | one source compiled twice | bit-identical (no fusion, no reassociation) |
 //! | `max_abs` | one 8-lane source compiled twice | bit-identical (see below) |
 //! | `topk_select` | one integer source; the kernel selects nothing | identical |
 //! | `sgd_momentum_step` | its own safe body, a `mul_add` chain | tolerance-bounded (FMA contraction) |
 //! | `sum` | intrinsics | tolerance-bounded (lane reassociation) |
 //! | `quantize_stochastic_i8` | intrinsics | bit-identical for finite inputs only |
 //! | `gemm_panel_avx2` | intrinsics, AVX2 arm only | the GEMM tolerance class |
+//! | `gemm_sparse_ab_avx2`, `gemm_sparse_atb_avx2` | safe `mul_add` chains over a nonzero mask, AVX2 arm only | bit-identical to `gemm_panel_avx2` against a finite `B`, up to the sign of a zero |
 //!
 //! `max_abs` used to fold with `f32::max`, a serial chain the compiler
 //! cannot vectorize; both arms now run an 8-lane `if v > m { v } else
@@ -278,6 +279,55 @@ pub fn add_assign(k: Kernel, c: &mut [f32], b: &[f32]) {
     })
 }
 
+/// `rows[r·w + i] += bias[i]` for every `w = bias.len()`-wide row — the
+/// `Linear` bias broadcast, one gated call per batch. Bit-identical
+/// across kernels, and to [`add_assign`] called once per row.
+///
+/// # Panics
+/// Panics when `rows.len()` is not a multiple of `bias.len()`.
+#[inline]
+pub fn broadcast_add_rows(k: Kernel, rows: &mut [f32], bias: &[f32]) {
+    if bias.is_empty() {
+        assert!(rows.is_empty(), "broadcast_add_rows: empty bias");
+        return;
+    }
+    assert_eq!(
+        rows.len() % bias.len(),
+        0,
+        "broadcast_add_rows: ragged rows"
+    );
+    on_kernel(k, move || {
+        for row in rows.chunks_exact_mut(bias.len()) {
+            for (cv, &bv) in row.iter_mut().zip(bias) {
+                *cv += bv;
+            }
+        }
+    })
+}
+
+/// `acc[i] += rows[r·w + i]` for every `w = acc.len()`-wide row, in row
+/// order — the `Linear` bias gradient (column sums of `dy`), one gated
+/// call per batch. Bit-identical across kernels, and to [`add_assign`]
+/// called once per row.
+///
+/// # Panics
+/// Panics when `rows.len()` is not a multiple of `acc.len()`.
+#[inline]
+pub fn accumulate_rows(k: Kernel, acc: &mut [f32], rows: &[f32]) {
+    if acc.is_empty() {
+        assert!(rows.is_empty(), "accumulate_rows: empty accumulator");
+        return;
+    }
+    assert_eq!(rows.len() % acc.len(), 0, "accumulate_rows: ragged rows");
+    on_kernel(k, move || {
+        for row in rows.chunks_exact(acc.len()) {
+            for (cv, &bv) in acc.iter_mut().zip(row) {
+                *cv += bv;
+            }
+        }
+    })
+}
+
 /// `c[i] += a` — the conv bias broadcast. Bit-identical across kernels.
 #[inline]
 pub fn add_scalar_assign(k: Kernel, c: &mut [f32], a: f32) {
@@ -452,6 +502,276 @@ pub(crate) fn gemm_panel_avx2(
             cs,
             width,
         )
+    })
+}
+
+/// Depth of one segment of an `A` row in the sparse-A kernels: a
+/// segment's nonzero positions live in `SPARSE_SEG / 64` mask words on
+/// the stack.
+#[cfg(target_arch = "x86_64")]
+pub(crate) const SPARSE_SEG: usize = 256;
+
+/// The nonzero positions of one `A` segment: bit `l` of word `w` is set
+/// where entry `64·w + l` is not `±0` (NaN counts as nonzero).
+#[cfg(target_arch = "x86_64")]
+type SegMasks = [u64; SPARSE_SEG / 64];
+
+/// [`SegMasks`] of `seg` (at most [`SPARSE_SEG`] long). Each 32 entries
+/// fold into one `u32` (`bit l = entry l ≠ 0`), which the compiler turns
+/// into 8-lane compares, masks and one horizontal OR; building the words
+/// in 64-bit lanes instead costs twice as much.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn nonzero_masks(seg: &[f32]) -> SegMasks {
+    debug_assert!(seg.len() <= SPARSE_SEG);
+    let mut words = [0u32; SPARSE_SEG / 32];
+    let mut chunks = seg.chunks_exact(32);
+    for (word, chunk) in words.iter_mut().zip(chunks.by_ref()) {
+        *word = (0..)
+            .zip(chunk)
+            .fold(0, |m, (l, &v)| m | u32::from(v != 0.0) << l);
+    }
+    let tail = seg.len() - chunks.remainder().len();
+    for (t, &v) in (tail..).zip(chunks.remainder()) {
+        words[t / 32] |= u32::from(v != 0.0) << (t % 32);
+    }
+    std::array::from_fn(|w| u64::from(words[2 * w]) | u64::from(words[2 * w + 1]) << 32)
+}
+
+/// Call `f(t, seg[t])` for every nonzero entry of `seg`, in ascending
+/// `t`, as `masks` (from [`nonzero_masks`]) marks them.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn for_each_nonzero(seg: &[f32], masks: &SegMasks, mut f: impl FnMut(usize, f32)) {
+    for (w, &mask) in masks.iter().enumerate() {
+        let mut mask = mask;
+        while mask != 0 {
+            let t = 64 * w + mask.trailing_zeros() as usize;
+            f(t, seg[t]);
+            mask &= mask - 1;
+        }
+    }
+}
+
+/// `c[j] += Σ a · b[t·bs + j]` over the nonzero `(t, a)` of `seg` in
+/// ascending `t`, one `mul_add` per term, for every column `j` of `c`.
+/// Columns go in blocks of 32, then 8, then 1, each block held in
+/// registers across the whole chain.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn gather_nonzeros(seg: &[f32], masks: &SegMasks, b: &[f32], bs: usize, c: &mut [f32]) {
+    let mut j = 0;
+    while j + 32 <= c.len() {
+        gather_block::<32>(seg, masks, b, bs, j, c);
+        j += 32;
+    }
+    while j + 8 <= c.len() {
+        gather_block::<8>(seg, masks, b, bs, j, c);
+        j += 8;
+    }
+    while j < c.len() {
+        gather_block::<1>(seg, masks, b, bs, j, c);
+        j += 1;
+    }
+}
+
+/// [`gather_nonzeros`] over the `W` columns from `j0`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn gather_block<const W: usize>(
+    seg: &[f32],
+    masks: &SegMasks,
+    b: &[f32],
+    bs: usize,
+    j0: usize,
+    c: &mut [f32],
+) {
+    let c = &mut c[j0..j0 + W];
+    let mut acc = [0.0f32; W];
+    acc.copy_from_slice(c);
+    for_each_nonzero(seg, masks, |t, a| {
+        let row = &b[t * bs + j0..][..W];
+        for l in 0..W {
+            acc[l] = a.mul_add(row[l], acc[l]);
+        }
+    });
+    c.copy_from_slice(&acc);
+}
+
+/// `c[t·cs + j] += a · b_row[j]` for each nonzero `(t, a)` of `seg` in
+/// ascending `t`, one `mul_add` per term, for every column `j` of
+/// `b_row`. Columns go in blocks of 32, then 8, then 1, with that block
+/// of `b_row` held in registers.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn scatter_nonzeros(seg: &[f32], masks: &SegMasks, b_row: &[f32], c: &mut [f32], cs: usize) {
+    let mut j = 0;
+    while j + 32 <= b_row.len() {
+        scatter_block::<32>(seg, masks, b_row, j, c, cs);
+        j += 32;
+    }
+    while j + 8 <= b_row.len() {
+        scatter_block::<8>(seg, masks, b_row, j, c, cs);
+        j += 8;
+    }
+    while j < b_row.len() {
+        scatter_block::<1>(seg, masks, b_row, j, c, cs);
+        j += 1;
+    }
+}
+
+/// [`scatter_nonzeros`] over the `W` columns from `j0`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn scatter_block<const W: usize>(
+    seg: &[f32],
+    masks: &SegMasks,
+    b_row: &[f32],
+    j0: usize,
+    c: &mut [f32],
+    cs: usize,
+) {
+    let mut bv = [0.0f32; W];
+    bv.copy_from_slice(&b_row[j0..j0 + W]);
+    for_each_nonzero(seg, masks, |t, a| {
+        let row = &mut c[t * cs + j0..][..W];
+        for l in 0..W {
+            row[l] = a.mul_add(bv[l], row[l]);
+        }
+    });
+}
+
+/// Sparse-A GEMM rows, `A·B` form (AVX2 only):
+///
+/// ```text
+/// C[r][j] += Σ_{t : A[r][t] ≠ 0} A[r·lda + t] · B[t·bs + j]
+///            r < rows, t < depth, j < width
+/// ```
+///
+/// Depth runs in [`SPARSE_SEG`]-deep segments, and within one segment
+/// every row of `A` is compacted to the bit mask of its nonzero positions
+/// ([`SegMasks`], on the stack) and gathers from that segment's rows of
+/// `B`, which stay in cache across the rows. Each `C` element so runs
+/// one `t`-ascending `mul_add` chain over the marked terms, checkpointed
+/// in `C` between segments, with 32, 8 or 1 columns of its row held in
+/// registers — the chain [`gemm_panel_avx2`] runs over every `t`, minus
+/// the terms whose alpha is `±0`. A skipped term `fma(±0, b, c)` with a
+/// finite `b` returns `c`, except that a `−0` sum plus a `+0` product is
+/// `+0`. So against a finite `B` the two kernels agree bit for bit up to
+/// the sign of a zero: where the dense chain meets a `−0` running sum and
+/// a `+0` product it makes `+0`, while the skip keeps `−0`. The caller
+/// must run the dense kernel when `B` has a non-finite entry (`0·∞` and
+/// `0·NaN` are NaN). NaN or ±∞ in `A` is not zero, so it is computed like
+/// any other alpha.
+///
+/// # Panics
+/// Panics when any index reaches outside its slice or the CPU lacks
+/// avx2+fma. `rows`, `depth` or `width` of 0 is a no-op.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_sparse_ab_avx2(
+    a: &[f32],
+    lda: usize,
+    rows: usize,
+    depth: usize,
+    b: &[f32],
+    bs: usize,
+    c: &mut [f32],
+    cs: usize,
+    width: usize,
+) {
+    if rows == 0 || depth == 0 || width == 0 {
+        return;
+    }
+    on_avx2(move || {
+        // Depth segments outside rows: the segment's `SPARSE_SEG` rows of
+        // `B` stay in cache while every row of `A` gathers from them.
+        let mut t0 = 0;
+        while t0 < depth {
+            let t1 = (t0 + SPARSE_SEG).min(depth);
+            let b = &b[t0 * bs..];
+            for r in 0..rows {
+                let seg = &a[r * lda + t0..r * lda + t1];
+                let masks = nonzero_masks(seg);
+                gather_nonzeros(seg, &masks, b, bs, &mut c[r * cs..r * cs + width]);
+            }
+            t0 = t1;
+        }
+    })
+}
+
+/// Sparse-A GEMM rows, `Aᵀ·B` form (AVX2 only):
+///
+/// ```text
+/// C[t·cs + j] += Σ_{r : A[r][t] ≠ 0} A[r·lda + t] · B[r·bs + j]
+///                r < rows, t < depth, j < width
+/// ```
+///
+/// Input rows are taken in ascending order; each row of `A` is compacted
+/// to a nonzero mask as in [`gemm_sparse_ab_avx2`], and each marked
+/// alpha `A[r][t]` scatters `A[r][t] · B[r]` into row `t` of `C`. Every `C` element
+/// therefore runs the `r`-ascending `mul_add` chain of
+/// [`gemm_panel_avx2`] (`rs = 1, ts = lda`) minus the `±0` terms, with
+/// the same exactness rule and the same `−0` exception.
+///
+/// # Panics
+/// Panics when any index reaches outside its slice or the CPU lacks
+/// avx2+fma. `rows`, `depth` or `width` of 0 is a no-op.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_sparse_atb_avx2(
+    a: &[f32],
+    lda: usize,
+    rows: usize,
+    depth: usize,
+    b: &[f32],
+    bs: usize,
+    c: &mut [f32],
+    cs: usize,
+    width: usize,
+) {
+    if rows == 0 || depth == 0 || width == 0 {
+        return;
+    }
+    on_avx2(move || {
+        for r in 0..rows {
+            let a_row = &a[r * lda..r * lda + depth];
+            let b_row = &b[r * bs..r * bs + width];
+            for (s, seg) in a_row.chunks(SPARSE_SEG).enumerate() {
+                let masks = nonzero_masks(seg);
+                scatter_nonzeros(seg, &masks, b_row, &mut c[s * SPARSE_SEG * cs..], cs);
+            }
+        }
+    })
+}
+
+/// Whether at most `limit` entries of `xs` are nonzero (NaN counts as
+/// nonzero). Counts in blocks and stops at the first block that passes
+/// `limit`, so a dense slice is rejected after reading about `limit` of
+/// its entries (AVX2 only).
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn nonzeros_at_most_avx2(xs: &[f32], limit: usize) -> bool {
+    on_avx2(move || {
+        let mut seen = 0usize;
+        for block in xs.chunks(1024) {
+            seen += block.iter().map(|&v| u32::from(v != 0.0)).sum::<u32>() as usize;
+            if seen > limit {
+                return false;
+            }
+        }
+        true
+    })
+}
+
+/// Whether every entry of `xs` is finite (neither NaN nor ±∞), read as
+/// the largest magnitude bit pattern, which vectorizes (AVX2 only).
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn all_finite_avx2(xs: &[f32]) -> bool {
+    on_avx2(move || {
+        let max_bits = xs
+            .iter()
+            .fold(0u32, |m, v| m.max(v.to_bits() & 0x7fff_ffff));
+        max_bits < f32::INFINITY.to_bits()
     })
 }
 
@@ -1254,6 +1574,37 @@ mod tests {
                 let mut got = base.clone();
                 add_scalar_assign(k, &mut got, -0.3);
                 assert_eq!(got, want, "add_scalar_assign {k:?} len {n}");
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn row_primitives_match_add_assign_per_row() {
+        // One gated call over every row gives the bits of one
+        // `add_assign` per row, in row order, on every arm.
+        for k in Kernel::available_kernels() {
+            for (rows, w) in [(0usize, 3usize), (1, 1), (5, 7), (32, 33), (3, 130)] {
+                let bias = randv(w, 3 + w as u64);
+                let y = randv(rows * w, 5 + rows as u64);
+                let mut want = y.clone();
+                for row in want.chunks_exact_mut(w) {
+                    add_assign(Kernel::Scalar, row, &bias);
+                }
+                let mut got = y.clone();
+                broadcast_add_rows(k, &mut got, &bias);
+                assert_eq!(bits(&got), bits(&want), "broadcast {k:?} {rows}x{w}");
+
+                let mut want = bias.clone();
+                for row in y.chunks_exact(w) {
+                    add_assign(Kernel::Scalar, &mut want, row);
+                }
+                let mut got = bias.clone();
+                accumulate_rows(k, &mut got, &y);
+                assert_eq!(bits(&got), bits(&want), "accumulate {k:?} {rows}x{w}");
             }
         }
     }

@@ -35,6 +35,8 @@ pub(crate) enum Counter {
     GemmAtbScalarCalls,
     GemmAbtSimdCalls,
     GemmAbtScalarCalls,
+    GemmAbSparseCalls,
+    GemmAtbSparseCalls,
     ConvScratchAllocs,
     ConvScratchReuses,
     ConvImplicitCalls,
@@ -159,6 +161,12 @@ pub struct SubstrateStats {
     pub gemm_abt_simd_calls: u64,
     /// A·Bᵀ calls dispatched to the scalar fallback kernel.
     pub gemm_abt_scalar_calls: u64,
+    /// A·B calls on the AVX2 arm that took the sparse-A kernel (a subset
+    /// of [`Self::gemm_ab_simd_calls`]; their [`Self::gemm_flops`] stay
+    /// the nominal `2·m·k·n`).
+    pub gemm_ab_sparse_calls: u64,
+    /// Aᵀ·B calls on the AVX2 arm that took the sparse-A kernel.
+    pub gemm_atb_sparse_calls: u64,
     /// Conv scratch buffers that had to grow (fresh allocation).
     pub conv_scratch_allocs: u64,
     /// Conv scratch requests served from an already-large-enough buffer.
@@ -248,6 +256,12 @@ impl SubstrateStats {
             gemm_abt_scalar_calls: self
                 .gemm_abt_scalar_calls
                 .saturating_sub(earlier.gemm_abt_scalar_calls),
+            gemm_ab_sparse_calls: self
+                .gemm_ab_sparse_calls
+                .saturating_sub(earlier.gemm_ab_sparse_calls),
+            gemm_atb_sparse_calls: self
+                .gemm_atb_sparse_calls
+                .saturating_sub(earlier.gemm_atb_sparse_calls),
             conv_scratch_allocs: self
                 .conv_scratch_allocs
                 .saturating_sub(earlier.conv_scratch_allocs),
@@ -305,6 +319,8 @@ pub fn snapshot() -> SubstrateStats {
         gemm_atb_scalar_calls: c(Counter::GemmAtbScalarCalls),
         gemm_abt_simd_calls: c(Counter::GemmAbtSimdCalls),
         gemm_abt_scalar_calls: c(Counter::GemmAbtScalarCalls),
+        gemm_ab_sparse_calls: c(Counter::GemmAbSparseCalls),
+        gemm_atb_sparse_calls: c(Counter::GemmAtbSparseCalls),
         conv_scratch_allocs: c(Counter::ConvScratchAllocs),
         conv_scratch_reuses: c(Counter::ConvScratchReuses),
         conv_scratch_bytes: CONV_SCRATCH_BYTES.load(Ordering::Relaxed),

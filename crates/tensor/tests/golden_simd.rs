@@ -19,7 +19,7 @@ use niid_tensor::simd::{self, Kernel};
 use std::ops::Range;
 
 /// `(primitive, [scalar, avx2])` digests over the whole sweep.
-const PINNED: [(&str, [u64; 2]); 13] = [
+const PINNED: [(&str, [u64; 2]); 15] = [
     ("add_assign", [0xb4aa9e68d1d673ba, 0xb4aa9e68d1d673ba]),
     (
         "add_scalar_assign",
@@ -45,6 +45,11 @@ const PINNED: [(&str, [u64; 2]); 13] = [
     ),
     ("dequantize_i8", [0x5073322eff05443a, 0x5073322eff05443a]),
     ("topk_select", [0x0c8295f20c64fd1b, 0x0c8295f20c64fd1b]),
+    (
+        "broadcast_add_rows",
+        [0xf16ab561cbce18cc, 0xf16ab561cbce18cc],
+    ),
+    ("accumulate_rows", [0xb0428d772080f499, 0xb0428d772080f499]),
 ];
 
 const MAX_LEN: usize = 4099;
@@ -177,6 +182,20 @@ fn probe(name: &str, k: Kernel, inp: &Inputs, r: Range<usize>, h: &mut Fnv) {
         "topk_select" => {
             let idx = simd::topk_select(k, a, r.len() / 4 + 1);
             h.bytes(&idx.iter().flat_map(|i| i.to_le_bytes()).collect::<Vec<_>>());
+        }
+        // The window as rows of `w = len % 5 + 1` columns (a tail shorter
+        // than a row is left out), against a `w`-wide bias at its start.
+        "broadcast_add_rows" => {
+            let (w, mut c) = (r.len() % 5 + 1, copy(&inp.a, &r));
+            let rows = r.start..r.start + r.len() / w * w;
+            simd::broadcast_add_rows(k, &mut c[rows.clone()], &inp.b[r.start..r.start + w]);
+            h.f32s(&c[rows]);
+        }
+        "accumulate_rows" => {
+            let w = r.len() % 5 + 1;
+            let mut acc = inp.v[r.start..r.start + w].to_vec();
+            simd::accumulate_rows(k, &mut acc, &a[..r.len() / w * w]);
+            h.f32s(&acc);
         }
         _ => panic!("no probe for {name}"),
     }

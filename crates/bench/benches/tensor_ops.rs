@@ -11,8 +11,9 @@ use niid_nn::{mlp, Sgd};
 use niid_stats::Pcg64;
 use niid_tensor::{
     conv2d, conv2d_backward, conv2d_backward_ws, conv2d_forward, conv2d_forward_direct,
-    conv2d_forward_implicit, matmul, matmul_a_bt, matmul_at_b, maxpool2d, softmax_rows,
-    with_forced_kernel, with_thread_budget, Conv2dShape, ConvScratch, Kernel, Pool2dShape, Tensor,
+    conv2d_forward_implicit, matmul, matmul_a_bt, matmul_at_b, matmul_at_b_scanned_slices,
+    matmul_scanned_slices, maxpool2d, softmax_rows, with_forced_kernel, with_thread_budget,
+    Conv2dShape, ConvScratch, Kernel, Pool2dShape, SparseRows, Tensor,
 };
 
 /// A lowering-specific conv forward ([`conv2d_forward`] dispatches).
@@ -206,6 +207,32 @@ fn main() {
             },
         );
     }
+    // Both products of the first layer's train step the way `Linear` runs
+    // them: one scan of the sparse `X`, then `X·W` and `Xᵀ·dY` from its
+    // masks.
+    let (mut y, mut dw) = (vec![0.0f32; m * n], vec![0.0f32; k * n]);
+    h.bench_meta(
+        &format!("matmul/rcv1_step_{m}x{k}x{n}/t1"),
+        BenchMeta::op(
+            "matmul/rcv1_step",
+            format!("{m}x{k}x{n} 90% zeros"),
+            1,
+            2 * flops,
+        ),
+        |bench| {
+            bench.iter(|| {
+                with_thread_budget(1, || {
+                    let x = black_box(sparse_x.as_slice());
+                    let sparse = SparseRows::scan(x, m, k);
+                    y.fill(0.0);
+                    matmul_scanned_slices(x, sparse.as_ref(), w.as_slice(), &mut y, m, k, n);
+                    dw.fill(0.0);
+                    let (dy, sparse) = (dy.as_slice(), sparse.as_ref());
+                    matmul_at_b_scanned_slices(x, sparse, dy, &mut dw, m, k, n);
+                })
+            })
+        },
+    );
     // One SGD step of the rcv1 `Mlp` on those sparse rows; the FLOPs are
     // the step's nominal GEMM work (forward, every dW, every dX but the
     // first layer's). A learning rate far below the weights' ulp keeps

@@ -31,6 +31,7 @@
 //! | `niid_conv_lowering_calls{lowering}` | direct / implicit / materialized | conv passes per lowering |
 //! | `niid_gemm_dispatch_calls{variant,path}` | GEMM variant × kernel | simd vs scalar dispatch |
 //! | `niid_gemm_sparse_calls{variant}` | `ab` / `atb` | AVX2 calls that took the sparse-A kernels |
+//! | `niid_gemm_sparse_scans` | — | sparse-A scans that built a left operand's masks |
 //! | `niid_simd_active_kernel{kernel}` | kernel name | process-wide micro-kernel selection |
 //!
 //! Divergence compares each party's **post-training** local model
@@ -602,6 +603,12 @@ pub fn install_substrate_collector(registry: &Arc<Registry>) {
             )
             .set(calls as f64);
         }
+        r.gauge(
+            "niid_gemm_sparse_scans",
+            "Sparse-A scans that passed the gate and built a left operand's nonzero masks (cumulative)",
+            &[],
+        )
+        .set(s.gemm_sparse_scans as f64);
         r.gauge(
             "niid_simd_active_kernel",
             "Process-wide SIMD micro-kernel selection (value is always 1; the kernel label carries the information)",

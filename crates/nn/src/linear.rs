@@ -3,13 +3,18 @@
 use crate::arena::{Arena, State, WeightBias};
 use crate::layer::{Layer, Phase};
 use niid_stats::Pcg64;
-use niid_tensor::{matmul_a_bt_slices, matmul_at_b_slices, matmul_slices, simd, Tensor};
+use niid_tensor::{
+    matmul_a_bt_slices, matmul_at_b_scanned_slices, matmul_scanned_slices, simd, SparseRows, Tensor,
+};
 
 /// `y = x · W + b` over a batch: `x [N, in]`, `W [in, out]`, `b [out]`;
 /// the arena holds `[W | b]`.
 pub struct Linear {
     wb: WeightBias,
-    cached_input: Option<Tensor>,
+    /// A train forward's input and its sparse-A scan: one scan of a
+    /// mostly-zero batch serves both `x · W` and the weight gradient
+    /// `xᵀ · dy`.
+    cached_input: Option<(Tensor, Option<SparseRows>)>,
     in_features: usize,
     out_features: usize,
 }
@@ -44,16 +49,18 @@ impl Linear {
 
     /// `dW += xᵀ · dy`, `db += column sums of dy`: the GEMM and the bias
     /// reduction accumulate straight into the arena's gradient span — no
-    /// `[in, out]`-sized temporary per batch.
+    /// `[in, out]`-sized temporary per batch. The GEMM reuses the forward's
+    /// scan of `x`.
     fn accumulate_param_grads(&mut self, grad_out: &Tensor, grads: &mut [f32]) {
-        let x = self
+        let (x, sparse) = self
             .cached_input
             .take()
             .expect("Linear::backward without cached forward");
         let batch = grad_out.shape()[0];
         let (gw, gb) = self.wb.split_mut(grads);
-        matmul_at_b_slices(
+        matmul_at_b_scanned_slices(
             x.as_slice(),
+            sparse.as_ref(),
             grad_out.as_slice(),
             gw,
             batch,
@@ -81,10 +88,12 @@ impl Layer for Linear {
         let (w, b) = self.wb.split(state.params);
         let (batch, out) = (x.shape()[0], self.out_features);
         let mut y = vec![0.0f32; batch * out];
-        matmul_slices(x.as_slice(), w, &mut y, batch, self.in_features, out);
+        let (xs, inp) = (x.as_slice(), self.in_features);
+        let sparse = SparseRows::scan(xs, batch, inp);
+        matmul_scanned_slices(xs, sparse.as_ref(), w, &mut y, batch, inp, out);
         simd::broadcast_add_rows(simd::active_kernel(), &mut y, b);
         if phase == Phase::Train {
-            self.cached_input = Some(x);
+            self.cached_input = Some((x, sparse));
         }
         Tensor::from_vec(y, &[batch, out])
     }
@@ -227,5 +236,166 @@ mod tests {
         let (mut l, mut arena) = bound(Linear::new(2, 2, &mut Pcg64::new(0)));
         let _ = l.forward(Tensor::ones(&[1, 2]), Phase::Eval, &mut arena.state());
         assert!(l.cached_input.is_none());
+    }
+
+    /// `rows × dim` inputs, 90 % of them `±0`, the rest in `[-1, 1)`.
+    fn sparse_rows(rows: usize, dim: usize, rng: &mut Pcg64) -> Tensor {
+        let v = (0..rows * dim)
+            .map(|i| match rng.next_f32() {
+                z if z < 0.9 && i % 5 == 0 => -0.0,
+                z if z < 0.9 => 0.0,
+                _ => rng.next_f32() * 2.0 - 1.0,
+            })
+            .collect();
+        Tensor::from_vec(v, &[rows, dim])
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `y = x·W + b`, `dW = xᵀ·dy` and `db` the per-call way: every
+    /// product scans its own operands.
+    fn per_call(params: &[f32], x: &Tensor, dy: &Tensor) -> [Vec<f32>; 3] {
+        let (batch, inp) = (x.shape()[0], x.shape()[1]);
+        let out = dy.shape()[1];
+        let (w, b) = params.split_at(inp * out);
+        let kern = simd::active_kernel();
+        let mut y = vec![0.0f32; batch * out];
+        niid_tensor::matmul_slices(x.as_slice(), w, &mut y, batch, inp, out);
+        simd::broadcast_add_rows(kern, &mut y, b);
+        let mut dw = vec![0.0f32; inp * out];
+        niid_tensor::matmul_at_b_slices(x.as_slice(), dy.as_slice(), &mut dw, batch, inp, out);
+        let mut db = vec![0.0f32; out];
+        simd::accumulate_rows(kern, &mut db, dy.as_slice());
+        [y, dw, db]
+    }
+
+    /// One layer step: a train forward of `x`, then `between` (more
+    /// forwards), then a backward of `dy`, from zeroed gradients. Returns
+    /// the first forward's `y`, `dW` and `db`.
+    fn layer_step(
+        l: &mut Linear,
+        arena: &mut Arena,
+        x: &Tensor,
+        between: impl FnOnce(&mut Linear, &mut Arena),
+        dy: &Tensor,
+    ) -> [Vec<f32>; 3] {
+        arena.grads.fill(0.0);
+        let y = l.forward(x.clone(), Phase::Train, &mut arena.state());
+        between(l, arena);
+        l.backward_params_only(dy.clone(), &mut arena.state());
+        let (dw, db) = arena.grads.split_at(l.in_features * l.out_features);
+        [y.into_vec(), dw.to_vec(), db.to_vec()]
+    }
+
+    fn assert_bits_eq(got: &[Vec<f32>; 3], want: &[Vec<f32>; 3], case: &str) {
+        for (name, (g, w)) in ["y", "dW", "db"].iter().zip(got.iter().zip(want)) {
+            assert_eq!(bits(g), bits(w), "{name}: {case}");
+        }
+    }
+
+    #[test]
+    fn kept_scan_gives_the_per_call_bits() {
+        let mut rng = Pcg64::new(7);
+        for kern in niid_tensor::Kernel::available_kernels() {
+            for (i, &batch) in [1usize, 7, 32, 33, 256].iter().enumerate() {
+                for (j, &out) in [1usize, 7, 8, 32, 33].iter().enumerate() {
+                    // `in = 2050` leaves a partial last 256-entry segment.
+                    let inp = if (i + j) % 2 == 0 { 2048 } else { 2050 };
+                    let (mut l, mut arena) = bound(Linear::new(inp, out, &mut rng));
+                    let mut x = sparse_rows(batch, inp, &mut rng);
+                    if j == 2 {
+                        // NaN and ±∞ are not zeros: computed on both paths.
+                        let xs = x.as_mut_slice();
+                        let len = xs.len();
+                        xs[3] = f32::NAN;
+                        xs[len / 2] = f32::INFINITY;
+                        xs[len - 1] = f32::NEG_INFINITY;
+                    }
+                    let dy = Tensor::randn(&[batch, out], 1.0, &mut rng);
+                    let want =
+                        niid_tensor::with_forced_kernel(kern, || per_call(&arena.params, &x, &dy));
+                    for t in [1usize, 2, 4] {
+                        let got = niid_tensor::with_forced_kernel(kern, || {
+                            niid_tensor::with_thread_budget(t, || {
+                                layer_step(&mut l, &mut arena, &x, |_, _| {}, &dy)
+                            })
+                        });
+                        let case = format!("{kern:?} batch {batch} {inp}->{out} @{t}");
+                        assert_bits_eq(&got, &want, &case);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kept_scan_follows_the_last_train_forward() {
+        let mut rng = Pcg64::new(8);
+        let (batch, inp, out) = (32usize, 2050usize, 8usize);
+        let (x1, x2) = (
+            sparse_rows(batch, inp, &mut rng),
+            sparse_rows(batch, inp, &mut rng),
+        );
+        let eval = sparse_rows(256, inp, &mut rng);
+        let dy = Tensor::randn(&[batch, out], 1.0, &mut rng);
+        for kern in niid_tensor::Kernel::available_kernels() {
+            niid_tensor::with_forced_kernel(kern, || {
+                let (mut l, mut arena) = bound(Linear::new(inp, out, &mut Pcg64::new(9)));
+                let params = arena.params.clone();
+                // A second train forward replaces the kept input and its
+                // scan: the gradient is x2's.
+                let got = layer_step(
+                    &mut l,
+                    &mut arena,
+                    &x1,
+                    |l, arena| {
+                        let _ = l.forward(x2.clone(), Phase::Train, &mut arena.state());
+                    },
+                    &dy,
+                );
+                let [_, dw2, db2] = per_call(&params, &x2, &dy);
+                assert_eq!(
+                    bits(&got[1]),
+                    bits(&dw2),
+                    "{kern:?}: dW of the second forward"
+                );
+                assert_eq!(bits(&got[2]), bits(&db2));
+                // An eval forward in between scans its own batch and
+                // leaves the kept one alone.
+                let got = layer_step(
+                    &mut l,
+                    &mut arena,
+                    &x1,
+                    |l, arena| {
+                        let _ = l.forward(eval.clone(), Phase::Eval, &mut arena.state());
+                    },
+                    &dy,
+                );
+                assert_bits_eq(&got, &per_call(&params, &x1, &dy), &format!("{kern:?}"));
+            });
+        }
+    }
+
+    #[test]
+    fn nan_in_dy_after_a_sparse_forward_takes_the_dense_gradient() {
+        let mut rng = Pcg64::new(10);
+        let (batch, inp, out) = (32usize, 2048usize, 7usize);
+        let x = sparse_rows(batch, inp, &mut rng);
+        let mut dy = Tensor::randn(&[batch, out], 1.0, &mut rng);
+        dy.as_mut_slice()[5 * out + 3] = f32::NAN; // dY[5][3]
+        for kern in niid_tensor::Kernel::available_kernels() {
+            niid_tensor::with_forced_kernel(kern, || {
+                let (mut l, mut arena) = bound(Linear::new(inp, out, &mut Pcg64::new(11)));
+                let want = per_call(&arena.params, &x, &dy);
+                let got = layer_step(&mut l, &mut arena, &x, |_, _| {}, &dy);
+                assert_bits_eq(&got, &want, &format!("{kern:?}"));
+                // `0 · NaN` is NaN: every row of dW's column 3 is NaN,
+                // the zero entries of x[5] included.
+                assert!((0..inp).all(|t| got[1][t * out + 3].is_nan()), "{kern:?}");
+                assert!(got[1][out].is_finite());
+            });
+        }
     }
 }

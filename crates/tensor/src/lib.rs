@@ -47,7 +47,8 @@ pub use conv::{
     conv2d_forward_materialized, Conv2dShape, ConvLowering, ConvScratch,
 };
 pub use matmul::{
-    matmul, matmul_a_bt, matmul_a_bt_slices, matmul_at_b, matmul_at_b_slices, matmul_slices,
+    matmul, matmul_a_bt, matmul_a_bt_slices, matmul_at_b, matmul_at_b_scanned_slices,
+    matmul_at_b_slices, matmul_scanned_slices, matmul_slices, SparseRows,
 };
 pub use ops::{argmax_rows, log_softmax_rows, relu, relu_assign, relu_backward, softmax_rows};
 pub use parallel::{

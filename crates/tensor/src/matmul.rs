@@ -82,16 +82,27 @@
 //! * **AVX2 arm**: the register-tiled panels compute every term (for a
 //!   dense `A` a vector FMA is cheaper than a branch). `A·B` and `Aᵀ·B`
 //!   switch to the sparse-A kernels ([`crate::simd`]'s
-//!   `gemm_sparse_ab_avx2` / `gemm_sparse_atb_avx2`) when a gate on the
-//!   operands alone passes: `A` has at least `SPARSE_MIN_A` entries, at
-//!   most `SPARSE_MAX_NONZERO_SHARE` (20 %) of them are nonzero, and
-//!   every entry of `B` is finite. Those kernels find each row's nonzero
-//!   alphas with a bit mask and run every `C` element's FMA chain over
-//!   them in the panel kernel's depth order, so against a finite `B` they
-//!   reproduce the dense AVX2 bits at any thread count. The one
-//!   exception is the sign of a zero: where the dense chain adds a `+0`
-//!   product to a `−0` running sum it makes `+0`, and the skip keeps
-//!   `−0`. `Linear` accumulates into fresh `+0` buffers and a zeroed
+//!   `gemm_sparse_ab_avx2` / `gemm_sparse_atb_avx2`) when `A` has been
+//!   compacted and `B` is finite. The compaction is the gate:
+//!   [`SparseRows::scan`] returns `A`'s masks only when `A` has at least
+//!   `SPARSE_MIN_A` entries and at most `SPARSE_MAX_NONZERO_SHARE`
+//!   (20 %) of them are nonzero. It counts the nonzeros first and gives
+//!   up as soon as the count passes that limit, so a dense `A` costs
+//!   about a fifth of one read and builds nothing. Only then does it
+//!   build the bit mask of each row's nonzero positions, 256 entries at
+//!   a time. The [`SparseRows`] operand owns the masks, so one scan can
+//!   serve every product with that `A` on the left: [`matmul_slices`]
+//!   and [`matmul_at_b_slices`] scan their own `A`, while
+//!   [`matmul_scanned_slices`] and [`matmul_at_b_scanned_slices`] take a
+//!   kept one (`Linear` scans its batch once in the forward and reuses
+//!   the masks for the weight gradient). Each product still checks its
+//!   own `B` for finiteness. The kernels run every `C` element's FMA
+//!   chain over the marked alphas in the panel kernel's depth order, so
+//!   against a finite `B` they reproduce the dense AVX2 bits at any
+//!   thread count.
+//!   The one exception is the sign of a zero: where the dense chain adds
+//!   a `+0` product to a `−0` running sum it makes `+0`, and the skip
+//!   keeps `−0`. `Linear` accumulates into fresh `+0` buffers and a zeroed
 //!   gradient, so its sums can turn `−0` only by underflowing; the
 //!   rcv1 digests pinned on the dense kernels hold on the sparse path. A
 //!   NaN or ±∞ in `A` is not zero, so it is always computed; a
@@ -120,8 +131,8 @@ pub(crate) const KB: usize = 32;
 /// (engaged when the output has too few rows to split across tasks).
 /// `pub(crate)` only for conv's tests, which size batches to straddle it.
 pub(crate) const ATB_BLOCK_M: usize = 1024;
-/// Smallest `A` (in entries) that the AVX2 arm scans for the sparse-A
-/// path: below it the scan costs more than skipping can save.
+/// Smallest `A` (in entries) that [`SparseRows::scan`] compacts for the
+/// sparse-A path: below it the scan costs more than skipping can save.
 const SPARSE_MIN_A: usize = 4096;
 /// Largest share of nonzero entries in `A` at which the AVX2 arm takes
 /// the sparse-A path (a zero share of at least 1 − this); DESIGN.md has
@@ -142,24 +153,100 @@ fn dispatch_kernel(simd_ctr: Counter, scalar_ctr: Counter) -> Kernel {
     kern
 }
 
-/// Whether an AVX2 GEMM with left operand `a` takes the sparse-A kernels:
-/// `a` is at least [`SPARSE_MIN_A`] entries, at most
-/// [`SPARSE_MAX_NONZERO_SHARE`] of them are nonzero, and every entry of
-/// `b` is finite, so skipping a `0 · b` term is exact (up to the sign of
-/// a zero; see the module doc). A function of the operands alone, never
-/// of the thread count; the scalar arm never takes it.
-fn takes_sparse_a(kern: Kernel, a: &[f32], b: &[f32]) -> bool {
-    if !kern.is_simd() || a.len() < SPARSE_MIN_A {
-        return false;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        let _sp = niid_prof::span!("gemm.sparse_gate");
+/// The nonzero masks of a mostly-zero left operand `A[m, k]`: what the
+/// AVX2 arm's sparse-A kernels read instead of `A`'s zeros. One scan
+/// builds them, and every product with `A` on the left can reuse them —
+/// `Linear` scans its batch once in the forward `X·W` and keeps the masks
+/// for the weight gradient `Xᵀ·dY`.
+///
+/// [`SparseRows::scan`] is also the gate of the sparse path: it returns
+/// `None` unless the kernel is AVX2, `A` has at least [`SPARSE_MIN_A`]
+/// entries and at most [`SPARSE_MAX_NONZERO_SHARE`] of them are nonzero.
+/// A product takes the sparse kernels only with `Some` masks and a finite
+/// `B` (see the module doc). The masks hold no values: a product reads
+/// them together with the very `A` they were built from.
+#[derive(Debug, PartialEq, Eq)]
+pub struct SparseRows {
+    masks: Vec<simd::SegMasks>,
+    rows: usize,
+    cols: usize,
+}
+
+impl SparseRows {
+    /// Scan `a` (row-major `m × k`) on the active kernel: its masks when
+    /// the sparse-A gate passes, else `None`. A function of `a` alone,
+    /// never of the thread count; the scalar arm always gets `None`.
+    ///
+    /// # Panics
+    /// Panics if `a.len() != m · k`.
+    pub fn scan(a: &[f32], m: usize, k: usize) -> Option<SparseRows> {
+        assert_eq!(a.len(), m * k, "sparse scan: bad A length");
+        if !simd::active_kernel().is_simd() || a.len() < SPARSE_MIN_A {
+            return None;
+        }
         let limit = (a.len() as f64 * SPARSE_MAX_NONZERO_SHARE) as usize;
-        simd::nonzeros_at_most_avx2(a, limit) && simd::all_finite_avx2(b)
+        let sparse = Self::within(a, m, k, limit);
+        if sparse.is_some() {
+            stats::bump(Counter::GemmSparseScans, 1);
+        }
+        sparse
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    unreachable!("SIMD kernel selected on non-x86_64");
+
+    /// The masks of `a` if at most `limit` of its entries are nonzero.
+    /// The count runs first and stops as soon as it passes `limit`, so a
+    /// dense `a` costs a fifth of one cheap read and builds no masks.
+    fn within(a: &[f32], m: usize, k: usize, limit: usize) -> Option<SparseRows> {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let _sp = niid_prof::span!("gemm.sparse_scan");
+            simd::nonzeros_at_most_avx2(a, limit).then(|| SparseRows {
+                masks: simd::nonzero_masks_avx2(a, m, k),
+                rows: m,
+                cols: k,
+            })
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        unreachable!("SIMD kernel selected on non-x86_64");
+    }
+
+    /// Mask sets per row: one per `SPARSE_SEG`-deep segment.
+    #[cfg(target_arch = "x86_64")]
+    fn segs(&self) -> usize {
+        self.cols.div_ceil(simd::SPARSE_SEG)
+    }
+
+    /// The masks if a product on kernel `kern` of `a` (`m × k`) with
+    /// right operand `b` takes the sparse kernels: `kern` is AVX2 and
+    /// `b` is finite, so skipping a `0 · b` term is exact (up to the sign
+    /// of a zero). The masks must be `a`'s; debug builds check.
+    fn route<'s>(
+        sparse: Option<&'s SparseRows>,
+        kern: Kernel,
+        a: &[f32],
+        (m, k): (usize, usize),
+        b: &[f32],
+    ) -> Option<&'s SparseRows> {
+        let sparse = sparse?;
+        assert_eq!(
+            (sparse.rows, sparse.cols),
+            (m, k),
+            "sparse masks: bad shape"
+        );
+        if !kern.is_simd() {
+            return None;
+        }
+        debug_assert!(
+            Self::within(a, m, k, usize::MAX).as_ref() == Some(sparse),
+            "sparse masks were not built from this A"
+        );
+        #[cfg(target_arch = "x86_64")]
+        {
+            let _sp = niid_prof::span!("gemm.sparse_gate");
+            simd::all_finite_avx2(b).then_some(sparse)
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        unreachable!("SIMD kernel selected on non-x86_64");
+    }
 }
 
 /// `c[i] += a * b[i]`, one multiply and one add per element — the
@@ -189,6 +276,27 @@ fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// Accumulates into `c` (pass a zeroed buffer for a plain product).
 pub fn matmul_slices(av: &[f32], bv: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(av.len(), m * k, "matmul_slices: bad A length");
+    let sparse = SparseRows::scan(av, m, k);
+    matmul_scanned_slices(av, sparse.as_ref(), bv, c, m, k, n);
+}
+
+/// [`matmul_slices`] with `A`'s [`SparseRows::scan`] supplied, so a
+/// caller that multiplies the same `A` again reuses its masks. `sparse`
+/// must be the scan of this `av` (debug builds check); `None` runs the
+/// dense kernels.
+///
+/// # Panics
+/// Panics on a bad slice length or when `sparse` has another shape.
+pub fn matmul_scanned_slices(
+    av: &[f32],
+    sparse: Option<&SparseRows>,
+    bv: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    assert_eq!(av.len(), m * k, "matmul_slices: bad A length");
     assert_eq!(bv.len(), k * n, "matmul_slices: bad B length");
     assert_eq!(c.len(), m * n, "matmul_slices: bad C length");
     if m == 0 || k == 0 || n == 0 {
@@ -197,8 +305,8 @@ pub fn matmul_slices(av: &[f32], bv: &[f32], c: &mut [f32], m: usize, k: usize, 
     stats::bump(Counter::GemmAbCalls, 1);
     stats::bump(Counter::GemmFlops, (2 * m * k * n) as u64);
     let kern = dispatch_kernel(Counter::GemmAbSimdCalls, Counter::GemmAbScalarCalls);
-    let sparse = takes_sparse_a(kern, av, bv);
-    if sparse {
+    let sparse = SparseRows::route(sparse, kern, av, (m, k), bv);
+    if sparse.is_some() {
         stats::bump(Counter::GemmAbSparseCalls, 1);
     }
     ab_tasks(kern, sparse, av, bv, c, m, k, n);
@@ -209,7 +317,7 @@ pub fn matmul_slices(av: &[f32], bv: &[f32], c: &mut [f32], m: usize, k: usize, 
 #[allow(clippy::too_many_arguments)]
 fn ab_tasks(
     kern: Kernel,
-    sparse: bool,
+    sparse: Option<&SparseRows>,
     av: &[f32],
     bv: &[f32],
     c: &mut [f32],
@@ -226,12 +334,12 @@ fn ab_tasks(
 
 /// The single-task body of [`matmul_slices`]: rows `r0..r1` of `C`,
 /// tiled `jj → kk → i` so the `B` panel is reused across the block, or,
-/// when `sparse` (see [`takes_sparse_a`]), the sparse-A kernel over the
+/// with `sparse` masks (see [`SparseRows`]), the sparse-A kernel over the
 /// whole block.
 #[allow(clippy::too_many_arguments)]
 fn mm_row_block(
     kern: Kernel,
-    sparse: bool,
+    sparse: Option<&SparseRows>,
     av: &[f32],
     bv: &[f32],
     c_rows: &mut [f32],
@@ -241,10 +349,12 @@ fn mm_row_block(
     n: usize,
 ) {
     let _sp = niid_prof::span!("gemm.row_block");
-    if sparse {
+    if let Some(sp) = sparse {
         #[cfg(target_arch = "x86_64")]
         {
-            simd::gemm_sparse_ab_avx2(&av[r0 * k..], k, r1 - r0, k, bv, n, c_rows, n, n);
+            let (a, segs) = (&av[r0 * k..], sp.segs());
+            let masks = &sp.masks[r0 * segs..];
+            simd::gemm_sparse_ab_avx2(a, k, masks, segs, r1 - r0, k, bv, n, c_rows, n, n);
             return;
         }
     }
@@ -333,6 +443,25 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 /// Accumulates into `c` (pass a zeroed buffer for a plain product).
 pub fn matmul_at_b_slices(av: &[f32], bv: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(av.len(), m * k, "matmul_at_b_slices: bad A length");
+    let sparse = SparseRows::scan(av, m, k);
+    matmul_at_b_scanned_slices(av, sparse.as_ref(), bv, c, m, k, n);
+}
+
+/// [`matmul_at_b_slices`] with `A`'s [`SparseRows::scan`] supplied, as
+/// for [`matmul_scanned_slices`].
+///
+/// # Panics
+/// Panics on a bad slice length or when `sparse` has another shape.
+pub fn matmul_at_b_scanned_slices(
+    av: &[f32],
+    sparse: Option<&SparseRows>,
+    bv: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    assert_eq!(av.len(), m * k, "matmul_at_b_slices: bad A length");
     assert_eq!(bv.len(), m * n, "matmul_at_b_slices: bad B length");
     assert_eq!(c.len(), k * n, "matmul_at_b_slices: bad C length");
     if m == 0 || k == 0 || n == 0 {
@@ -341,23 +470,23 @@ pub fn matmul_at_b_slices(av: &[f32], bv: &[f32], c: &mut [f32], m: usize, k: us
     stats::bump(Counter::GemmAtbCalls, 1);
     stats::bump(Counter::GemmFlops, (2 * m * k * n) as u64);
     let kern = dispatch_kernel(Counter::GemmAtbSimdCalls, Counter::GemmAtbScalarCalls);
-    let sparse = takes_sparse_a(kern, av, bv);
-    if sparse {
+    let sparse = SparseRows::route(sparse, kern, av, (m, k), bv);
+    if sparse.is_some() {
         stats::bump(Counter::GemmAtbSparseCalls, 1);
     }
     atb_tasks(kern, sparse, av, bv, c, m, k, n);
 }
 
 /// The task split and row kernel of [`matmul_at_b_slices`]: the dense
-/// `atb_rows` over [`KB`]-row output tasks, or, when `sparse` (see
-/// [`takes_sparse_a`]), the sparse-A kernel over tasks of whole
+/// `atb_rows` over [`KB`]-row output tasks, or, with `sparse` masks (see
+/// [`SparseRows`]), the sparse-A kernel over tasks of whole
 /// `SPARSE_SEG`-row output segments, so every input row is scanned for
 /// nonzeros in full mask words. Both run under [`atb_split`], so they
 /// take the same row split or partial-sum path.
 #[allow(clippy::too_many_arguments)]
 fn atb_tasks(
     kern: Kernel,
-    sparse: bool,
+    sparse: Option<&SparseRows>,
     av: &[f32],
     bv: &[f32],
     c: &mut [f32],
@@ -365,9 +494,10 @@ fn atb_tasks(
     k: usize,
     n: usize,
 ) {
-    if sparse {
+    if let Some(sp) = sparse {
         #[cfg(target_arch = "x86_64")]
         {
+            let segs = sp.segs();
             atb_split(
                 kern,
                 c,
@@ -378,9 +508,12 @@ fn atb_tasks(
                 |c_rows, kk0, kk1, r0, r1| {
                     let _sp = niid_prof::span!("gemm.atb_rows");
                     let a = &av[r0 * k + kk0..];
+                    let masks = &sp.masks[r0 * segs + kk0 / simd::SPARSE_SEG..];
                     simd::gemm_sparse_atb_avx2(
                         a,
                         k,
+                        masks,
+                        segs,
                         r1 - r0,
                         kk1 - kk0,
                         &bv[r0 * n..],
@@ -942,6 +1075,19 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// `a`'s masks whatever its density or size.
+    #[cfg(target_arch = "x86_64")]
+    fn all_masks(a: &[f32], m: usize, k: usize) -> SparseRows {
+        SparseRows::within(a, m, k, usize::MAX).expect("no limit")
+    }
+
+    /// Whether `A·B` (or `Aᵀ·B`) of `a` (`m × k`) with right operand `b`
+    /// takes the sparse kernels on `kern`.
+    fn takes_sparse(kern: Kernel, a: &[f32], (m, k): (usize, usize), b: &[f32]) -> bool {
+        let sparse = with_forced_kernel(kern, || SparseRows::scan(a, m, k));
+        SparseRows::route(sparse.as_ref(), kern, a, (m, k), b).is_some()
+    }
+
     /// `C += A·B` and `C += Aᵀ·B` on the dense AVX2 kernels and on the
     /// sparse-A kernels, from the same non-zero `C`, at thread budget `t`.
     /// Returns `(dense, sparse)` for both products.
@@ -954,21 +1100,22 @@ mod tests {
         rng: &mut Pcg64,
     ) -> ((Vec<f32>, Vec<f32>), (Vec<f32>, Vec<f32>)) {
         let kern = Kernel::Avx2;
+        let masks = all_masks(a, m, k);
         let b = sparse_values(k * n, 1.0, rng);
         let c0 = sparse_values(m * n, 1.0, rng);
-        let ab = |sparse: bool| {
+        let ab = |sparse| {
             let mut c = c0.clone();
             with_thread_budget(t, || ab_tasks(kern, sparse, a, &b, &mut c, m, k, n));
             c
         };
         let dy = sparse_values(m * n, 1.0, rng);
         let dw0 = sparse_values(k * n, 1.0, rng);
-        let atb = |sparse: bool| {
+        let atb = |sparse| {
             let mut c = dw0.clone();
             with_thread_budget(t, || atb_tasks(kern, sparse, a, &dy, &mut c, m, k, n));
             c
         };
-        ((ab(false), ab(true)), (atb(false), atb(true)))
+        ((ab(None), ab(Some(&masks))), (atb(None), atb(Some(&masks))))
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -1056,17 +1203,17 @@ mod tests {
             let finite = b.clone();
             b[17 * n + 3] = poison; // B[17][3], against A[0][17] = 0
             let kern = Kernel::Avx2;
-            assert!(takes_sparse_a(kern, &a, &finite));
-            assert!(!takes_sparse_a(kern, &a, &b));
+            assert!(takes_sparse(kern, &a, (m, k), &finite));
+            assert!(!takes_sparse(kern, &a, (m, k), &b));
             let mut got = vec![0.0f32; m * n];
             with_forced_kernel(kern, || matmul_slices(&a, &b, &mut got, m, k, n));
             assert!(got[3].is_nan(), "0·{poison} was skipped: {}", got[3]);
             let mut dense = vec![0.0f32; m * n];
-            ab_tasks(kern, false, &a, &b, &mut dense, m, k, n);
+            ab_tasks(kern, None, &a, &b, &mut dense, m, k, n);
             assert_eq!(bits(&got), bits(&dense));
             // Aᵀ·B: B's row 0 poisoned against A's all-zero row 0.
             let mut dy = sparse_values(m * n, 1.0, &mut Pcg64::new(67));
-            assert!(takes_sparse_a(kern, &a, &dy));
+            assert!(takes_sparse(kern, &a, (m, k), &dy));
             dy[2] = poison;
             let mut dw = vec![0.0f32; k * n];
             with_forced_kernel(kern, || matmul_at_b_slices(&a, &dy, &mut dw, m, k, n));
@@ -1075,9 +1222,11 @@ mod tests {
         // Dense and small operands never take the sparse path.
         let dense_a = sparse_values(m * k, 0.5, &mut Pcg64::new(68));
         let b = sparse_values(k * n, 1.0, &mut Pcg64::new(69));
-        assert!(!takes_sparse_a(Kernel::Avx2, &dense_a, &b));
-        assert!(!takes_sparse_a(Kernel::Avx2, &a[..SPARSE_MIN_A - 1], &b));
-        assert!(!takes_sparse_a(Kernel::Scalar, &a, &b));
+        assert!(!takes_sparse(Kernel::Avx2, &dense_a, (m, k), &b));
+        let small = &a[..SPARSE_MIN_A - 1];
+        let scan = with_forced_kernel(Kernel::Avx2, || SparseRows::scan(small, 1, small.len()));
+        assert!(scan.is_none());
+        assert!(!takes_sparse(Kernel::Scalar, &a, (m, k), &b));
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -1091,26 +1240,113 @@ mod tests {
         // while the skip leaves `−0`. A `+0` accumulator agrees.
         let (m, k, n) = (1usize, 8usize, 8usize);
         let a = vec![0.0f32; m * k];
+        let masks = all_masks(&a, m, k);
         let b = vec![1.5f32; k * n];
         for (c0, dense_bits, sparse_bits) in [(-0.0f32, 0u32, 0x8000_0000u32), (0.0, 0, 0)] {
             let mut dense = vec![c0; m * n];
-            ab_tasks(Kernel::Avx2, false, &a, &b, &mut dense, m, k, n);
+            ab_tasks(Kernel::Avx2, None, &a, &b, &mut dense, m, k, n);
             let mut sparse = vec![c0; m * n];
-            ab_tasks(Kernel::Avx2, true, &a, &b, &mut sparse, m, k, n);
+            ab_tasks(Kernel::Avx2, Some(&masks), &a, &b, &mut sparse, m, k, n);
             assert!(dense.iter().all(|v| v.to_bits() == dense_bits), "{dense:?}");
             assert!(
                 sparse.iter().all(|v| v.to_bits() == sparse_bits),
                 "{sparse:?}"
             );
             let mut dense = vec![c0; k * n];
-            atb_tasks(Kernel::Avx2, false, &a, &b[..m * n], &mut dense, m, k, n);
+            atb_tasks(Kernel::Avx2, None, &a, &b[..m * n], &mut dense, m, k, n);
             let mut sparse = vec![c0; k * n];
-            atb_tasks(Kernel::Avx2, true, &a, &b[..m * n], &mut sparse, m, k, n);
+            let masks = Some(&masks);
+            atb_tasks(Kernel::Avx2, masks, &a, &b[..m * n], &mut sparse, m, k, n);
             assert!(dense.iter().all(|v| v.to_bits() == dense_bits), "{dense:?}");
             assert!(
                 sparse.iter().all(|v| v.to_bits() == sparse_bits),
                 "{sparse:?}"
             );
         }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn scan_keeps_the_count_gate_and_marks_every_nonzero() {
+        if !Kernel::Avx2.available() {
+            return;
+        }
+        // Row widths off the 256-entry segment and the 32-entry word
+        // (Covtype's 54, Adult's 64, a 2 050-wide partial last segment).
+        with_forced_kernel(Kernel::Avx2, || {
+            for (m, k) in [(256usize, 54usize), (256, 64), (7, 2050), (32, 2048)] {
+                let limit = (m * k) as f64 * SPARSE_MAX_NONZERO_SHARE;
+                let limit = limit as usize;
+                let mut a = vec![0.0f32; m * k];
+                let mut rng = Pcg64::new(70);
+                // Exactly `limit` nonzeros at random places, NaN and ±∞ among
+                // them, `−0` elsewhere: the gate passes.
+                let mut placed = 0;
+                while placed < limit {
+                    let i = (rng.next_u64() % (m * k) as u64) as usize;
+                    if a[i] == 0.0 {
+                        a[i] = [1.0, f32::NAN, f32::INFINITY, -2.5][placed % 4];
+                        placed += 1;
+                    }
+                }
+                a.iter_mut()
+                    .filter(|v| **v == 0.0)
+                    .step_by(3)
+                    .for_each(|v| *v = -0.0);
+                let sparse = SparseRows::scan(&a, m, k).expect("at the limit");
+                assert_eq!(sparse.masks.len(), m * k.div_ceil(simd::SPARSE_SEG));
+                for (r, row) in a.chunks_exact(k).enumerate() {
+                    for (t, &v) in row.iter().enumerate() {
+                        let (s, l) = (t / simd::SPARSE_SEG, t % simd::SPARSE_SEG);
+                        let word = sparse.masks[r * sparse.segs() + s][l / 64];
+                        assert_eq!(word >> (l % 64) & 1 == 1, v != 0.0, "({m},{k}) [{r}][{t}]");
+                    }
+                }
+                // One more nonzero anywhere and the gate refuses, as the
+                // count `nnz ≤ limit` did.
+                for at in [0, m * k / 2, m * k - 1] {
+                    let mut over = a.clone();
+                    let zero = (at..m * k).chain(0..at).find(|&i| over[i] == 0.0).unwrap();
+                    over[zero] = 0.5;
+                    assert!(SparseRows::scan(&over, m, k).is_none());
+                }
+            }
+        });
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn scanned_products_reuse_one_scan_with_the_per_call_bits() {
+        if !Kernel::Avx2.available() {
+            return;
+        }
+        let (m, k, n) = (33usize, 2050usize, 7usize);
+        let mut rng = Pcg64::new(71);
+        let a = sparse_values(m * k, 0.1, &mut rng);
+        let b = sparse_values(k * n, 1.0, &mut rng);
+        let dy = sparse_values(m * n, 1.0, &mut rng);
+        with_forced_kernel(Kernel::Avx2, || {
+            let sparse = SparseRows::scan(&a, m, k);
+            assert!(sparse.is_some());
+            for t in [1usize, 2, 4] {
+                with_thread_budget(t, || {
+                    let (mut c, mut c_kept) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+                    matmul_slices(&a, &b, &mut c, m, k, n);
+                    matmul_scanned_slices(&a, sparse.as_ref(), &b, &mut c_kept, m, k, n);
+                    assert_eq!(bits(&c_kept), bits(&c), "A·B @{t}");
+                    let (mut g, mut g_kept) = (vec![0.0f32; k * n], vec![0.0f32; k * n]);
+                    matmul_at_b_slices(&a, &dy, &mut g, m, k, n);
+                    matmul_at_b_scanned_slices(&a, sparse.as_ref(), &dy, &mut g_kept, m, k, n);
+                    assert_eq!(bits(&g_kept), bits(&g), "Aᵀ·B @{t}");
+                });
+            }
+        });
+        // Kept masks of another shape are refused outright.
+        let other = SparseRows::within(&a[..k], 1, k, usize::MAX);
+        let mut c = vec![0.0f32; m * n];
+        let wrong = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            matmul_scanned_slices(&a, other.as_ref(), &b, &mut c, m, k, n)
+        }));
+        assert!(wrong.is_err());
     }
 }

@@ -60,6 +60,7 @@
 //! | `quantize_stochastic_i8` | intrinsics | bit-identical for finite inputs only |
 //! | `gemm_panel_avx2` | intrinsics, AVX2 arm only | the GEMM tolerance class |
 //! | `gemm_sparse_ab_avx2`, `gemm_sparse_atb_avx2` | safe `mul_add` chains over a nonzero mask, AVX2 arm only | bit-identical to `gemm_panel_avx2` against a finite `B`, up to the sign of a zero |
+//! | `nonzeros_at_most_avx2`, `nonzero_masks_avx2` | one safe body each, AVX2 arm only: the sparse gate's count and the masks those kernels read | no arithmetic: they test which entries are not `±0` |
 //!
 //! `max_abs` used to fold with `f32::max`, a serial chain the compiler
 //! cannot vectorize; both arms now run an 8-lane `if v > m { v } else
@@ -506,20 +507,16 @@ pub(crate) fn gemm_panel_avx2(
 }
 
 /// Depth of one segment of an `A` row in the sparse-A kernels: a
-/// segment's nonzero positions live in `SPARSE_SEG / 64` mask words on
-/// the stack.
-#[cfg(target_arch = "x86_64")]
+/// segment's nonzero positions live in `SPARSE_SEG / 64` mask words.
 pub(crate) const SPARSE_SEG: usize = 256;
 
 /// The nonzero positions of one `A` segment: bit `l` of word `w` is set
 /// where entry `64·w + l` is not `±0` (NaN counts as nonzero).
-#[cfg(target_arch = "x86_64")]
-type SegMasks = [u64; SPARSE_SEG / 64];
+pub(crate) type SegMasks = [u64; SPARSE_SEG / 64];
 
 /// [`SegMasks`] of `seg` (at most [`SPARSE_SEG`] long). Each 32 entries
-/// fold into one `u32` (`bit l = entry l ≠ 0`), which the compiler turns
-/// into 8-lane compares, masks and one horizontal OR; building the words
-/// in 64-bit lanes instead costs twice as much.
+/// fold into one `u32` (`bit l = entry l ≠ 0`); building the words in
+/// 64-bit lanes instead costs twice as much.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 fn nonzero_masks(seg: &[f32]) -> SegMasks {
@@ -536,6 +533,23 @@ fn nonzero_masks(seg: &[f32]) -> SegMasks {
         words[t / 32] |= u32::from(v != 0.0) << (t % 32);
     }
     std::array::from_fn(|w| u64::from(words[2 * w]) | u64::from(words[2 * w + 1]) << 32)
+}
+
+/// The [`SegMasks`] of every `SPARSE_SEG`-deep segment of every row of
+/// the row-major `rows × cols` matrix `a`, row by row (`⌈cols / 256⌉`
+/// per row), in one pass (AVX2 only).
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn nonzero_masks_avx2(a: &[f32], rows: usize, cols: usize) -> Vec<SegMasks> {
+    assert_eq!(a.len(), rows * cols, "sparse scan: bad A length");
+    on_avx2(move || {
+        let mut masks = Vec::with_capacity(rows * cols.div_ceil(SPARSE_SEG));
+        for row in a.chunks_exact(cols.max(1)) {
+            for seg in row.chunks(SPARSE_SEG) {
+                masks.push(nonzero_masks(seg));
+            }
+        }
+        masks
+    })
 }
 
 /// Call `f(t, seg[t])` for every nonzero entry of `seg`, in ascending
@@ -575,7 +589,10 @@ fn gather_nonzeros(seg: &[f32], masks: &SegMasks, b: &[f32], bs: usize, c: &mut 
     }
 }
 
-/// [`gather_nonzeros`] over the `W` columns from `j0`.
+/// [`gather_nonzeros`] over the `W` columns from `j0`. The `mul_add`
+/// closure is forced inline: an outlined copy is compiled without
+/// avx2/fma, and each of its `mul_add`s becomes a call to libm's `fmaf`
+/// (same bits, about 20× slower).
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 fn gather_block<const W: usize>(
@@ -589,12 +606,17 @@ fn gather_block<const W: usize>(
     let c = &mut c[j0..j0 + W];
     let mut acc = [0.0f32; W];
     acc.copy_from_slice(c);
-    for_each_nonzero(seg, masks, |t, a| {
-        let row = &b[t * bs + j0..][..W];
-        for l in 0..W {
-            acc[l] = a.mul_add(row[l], acc[l]);
-        }
-    });
+    for_each_nonzero(
+        seg,
+        masks,
+        #[inline(always)]
+        |t, a| {
+            let row = &b[t * bs + j0..][..W];
+            for l in 0..W {
+                acc[l] = a.mul_add(row[l], acc[l]);
+            }
+        },
+    );
     c.copy_from_slice(&acc);
 }
 
@@ -620,7 +642,8 @@ fn scatter_nonzeros(seg: &[f32], masks: &SegMasks, b_row: &[f32], c: &mut [f32],
     }
 }
 
-/// [`scatter_nonzeros`] over the `W` columns from `j0`.
+/// [`scatter_nonzeros`] over the `W` columns from `j0`; its `mul_add`
+/// closure is forced inline as in [`gather_block`].
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 fn scatter_block<const W: usize>(
@@ -633,12 +656,17 @@ fn scatter_block<const W: usize>(
 ) {
     let mut bv = [0.0f32; W];
     bv.copy_from_slice(&b_row[j0..j0 + W]);
-    for_each_nonzero(seg, masks, |t, a| {
-        let row = &mut c[t * cs + j0..][..W];
-        for l in 0..W {
-            row[l] = a.mul_add(bv[l], row[l]);
-        }
-    });
+    for_each_nonzero(
+        seg,
+        masks,
+        #[inline(always)]
+        |t, a| {
+            let row = &mut c[t * cs + j0..][..W];
+            for l in 0..W {
+                row[l] = a.mul_add(bv[l], row[l]);
+            }
+        },
+    );
 }
 
 /// Sparse-A GEMM rows, `A·B` form (AVX2 only):
@@ -648,9 +676,11 @@ fn scatter_block<const W: usize>(
 ///            r < rows, t < depth, j < width
 /// ```
 ///
+/// `masks` holds the [`SegMasks`] of `A`'s rows, `ms` per row: those of
+/// row `r`'s segment `s` (entries `256·s..` of the row) are
+/// `masks[r·ms + s]`, as [`nonzero_masks_avx2`] lays them out.
 /// Depth runs in [`SPARSE_SEG`]-deep segments, and within one segment
-/// every row of `A` is compacted to the bit mask of its nonzero positions
-/// ([`SegMasks`], on the stack) and gathers from that segment's rows of
+/// every row of `A` gathers its marked terms from that segment's rows of
 /// `B`, which stay in cache across the rows. Each `C` element so runs
 /// one `t`-ascending `mul_add` chain over the marked terms, checkpointed
 /// in `C` between segments, with 32, 8 or 1 columns of its row held in
@@ -672,6 +702,8 @@ fn scatter_block<const W: usize>(
 pub(crate) fn gemm_sparse_ab_avx2(
     a: &[f32],
     lda: usize,
+    masks: &[SegMasks],
+    ms: usize,
     rows: usize,
     depth: usize,
     b: &[f32],
@@ -686,16 +718,14 @@ pub(crate) fn gemm_sparse_ab_avx2(
     on_avx2(move || {
         // Depth segments outside rows: the segment's `SPARSE_SEG` rows of
         // `B` stay in cache while every row of `A` gathers from them.
-        let mut t0 = 0;
-        while t0 < depth {
+        for (s, t0) in (0..depth).step_by(SPARSE_SEG).enumerate() {
             let t1 = (t0 + SPARSE_SEG).min(depth);
             let b = &b[t0 * bs..];
             for r in 0..rows {
                 let seg = &a[r * lda + t0..r * lda + t1];
-                let masks = nonzero_masks(seg);
-                gather_nonzeros(seg, &masks, b, bs, &mut c[r * cs..r * cs + width]);
+                let c = &mut c[r * cs..r * cs + width];
+                gather_nonzeros(seg, &masks[r * ms + s], b, bs, c);
             }
-            t0 = t1;
         }
     })
 }
@@ -707,9 +737,9 @@ pub(crate) fn gemm_sparse_ab_avx2(
 ///                r < rows, t < depth, j < width
 /// ```
 ///
-/// Input rows are taken in ascending order; each row of `A` is compacted
-/// to a nonzero mask as in [`gemm_sparse_ab_avx2`], and each marked
-/// alpha `A[r][t]` scatters `A[r][t] · B[r]` into row `t` of `C`. Every `C` element
+/// Input rows are taken in ascending order, with `A`'s masks laid out as
+/// in [`gemm_sparse_ab_avx2`], and each marked alpha `A[r][t]` scatters
+/// `A[r][t] · B[r]` into row `t` of `C`. Every `C` element
 /// therefore runs the `r`-ascending `mul_add` chain of
 /// [`gemm_panel_avx2`] (`rs = 1, ts = lda`) minus the `±0` terms, with
 /// the same exactness rule and the same `−0` exception.
@@ -722,6 +752,8 @@ pub(crate) fn gemm_sparse_ab_avx2(
 pub(crate) fn gemm_sparse_atb_avx2(
     a: &[f32],
     lda: usize,
+    masks: &[SegMasks],
+    ms: usize,
     rows: usize,
     depth: usize,
     b: &[f32],
@@ -738,8 +770,8 @@ pub(crate) fn gemm_sparse_atb_avx2(
             let a_row = &a[r * lda..r * lda + depth];
             let b_row = &b[r * bs..r * bs + width];
             for (s, seg) in a_row.chunks(SPARSE_SEG).enumerate() {
-                let masks = nonzero_masks(seg);
-                scatter_nonzeros(seg, &masks, b_row, &mut c[s * SPARSE_SEG * cs..], cs);
+                let c = &mut c[s * SPARSE_SEG * cs..];
+                scatter_nonzeros(seg, &masks[r * ms + s], b_row, c, cs);
             }
         }
     })

@@ -37,6 +37,7 @@ pub(crate) enum Counter {
     GemmAbtScalarCalls,
     GemmAbSparseCalls,
     GemmAtbSparseCalls,
+    GemmSparseScans,
     ConvScratchAllocs,
     ConvScratchReuses,
     ConvImplicitCalls,
@@ -167,6 +168,10 @@ pub struct SubstrateStats {
     pub gemm_ab_sparse_calls: u64,
     /// Aᵀ·B calls on the AVX2 arm that took the sparse-A kernel.
     pub gemm_atb_sparse_calls: u64,
+    /// Sparse-A scans that passed the gate and built a left operand's
+    /// nonzero masks ([`crate::matmul::SparseRows::scan`]). A product
+    /// that reuses a kept scan adds a sparse call but no scan.
+    pub gemm_sparse_scans: u64,
     /// Conv scratch buffers that had to grow (fresh allocation).
     pub conv_scratch_allocs: u64,
     /// Conv scratch requests served from an already-large-enough buffer.
@@ -262,6 +267,9 @@ impl SubstrateStats {
             gemm_atb_sparse_calls: self
                 .gemm_atb_sparse_calls
                 .saturating_sub(earlier.gemm_atb_sparse_calls),
+            gemm_sparse_scans: self
+                .gemm_sparse_scans
+                .saturating_sub(earlier.gemm_sparse_scans),
             conv_scratch_allocs: self
                 .conv_scratch_allocs
                 .saturating_sub(earlier.conv_scratch_allocs),
@@ -321,6 +329,7 @@ pub fn snapshot() -> SubstrateStats {
         gemm_abt_scalar_calls: c(Counter::GemmAbtScalarCalls),
         gemm_ab_sparse_calls: c(Counter::GemmAbSparseCalls),
         gemm_atb_sparse_calls: c(Counter::GemmAtbSparseCalls),
+        gemm_sparse_scans: c(Counter::GemmSparseScans),
         conv_scratch_allocs: c(Counter::ConvScratchAllocs),
         conv_scratch_reuses: c(Counter::ConvScratchReuses),
         conv_scratch_bytes: CONV_SCRATCH_BYTES.load(Ordering::Relaxed),

@@ -20,12 +20,20 @@
 //! Writes are atomic-by-rename (`checkpoint.bin.tmp` → fsync →
 //! `checkpoint.bin`): a kill mid-write leaves the previous checkpoint
 //! intact, and a failed write removes its tmp file.
+//!
+//! The engine writes behind the round loop (`CheckpointWriter`): the
+//! round thread encodes straight from its live state and hands the bytes
+//! to one writer thread, which runs that same atomic write while the next
+//! rounds train. A checkpoint is durable before the next save starts and
+//! before the run returns.
 
 use crate::error::FlError;
 use crate::metrics::RoundRecord;
 use crate::wire::{put_f32s, put_f64, put_len, put_str, put_u32, put_u64, Cursor, Malformed};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::thread::Scope;
 
 /// First eight bytes of a checkpoint file.
 const MAGIC: [u8; 8] = *b"NIIDCKPT";
@@ -127,12 +135,103 @@ pub struct Checkpoint {
     pub total_bytes: usize,
 }
 
-fn put_sparse(buf: &mut Vec<u8>, pairs: &[(usize, Vec<f32>)]) {
+/// A checkpoint's fields, borrowed from wherever they live: what the
+/// container encodes. A [`Checkpoint`] lends its own; the engine lends its
+/// live state, so a save copies each vector once, into the bytes.
+pub(crate) struct CheckpointRef<'a> {
+    pub round_next: usize,
+    pub seed: u64,
+    pub algorithm: &'a str,
+    pub n_parties: usize,
+    pub sample_fraction: f64,
+    pub min_quorum: f64,
+    pub fault_plan: Option<&'a str>,
+    pub codec: &'a str,
+    pub global_params: &'a [f32],
+    pub global_buffers: &'a [f32],
+    pub server_c: &'a [f32],
+    pub client_c: Vec<(usize, &'a [f32])>,
+    pub residuals: Vec<(usize, &'a [f32])>,
+    pub records: &'a [RoundRecord],
+    pub best_accuracy: f64,
+    pub final_accuracy: f64,
+    pub total_bytes: usize,
+}
+
+impl CheckpointRef<'_> {
+    /// Length of the container [`encode_into`](Self::encode_into) writes.
+    fn encoded_len(&self) -> usize {
+        let vec = |v: &[f32]| 4 + 4 * v.len();
+        let sparse =
+            |pairs: &[(usize, &[f32])]| 4 + pairs.iter().map(|(_, v)| 8 + vec(v)).sum::<usize>();
+        MAGIC.len()
+            + 4
+            + 8 * 8
+            + 4
+            + self.algorithm.len()
+            + 4
+            + self.codec.len()
+            + 1
+            + self.fault_plan.map_or(0, |p| 4 + p.len())
+            + vec(self.global_params)
+            + vec(self.global_buffers)
+            + vec(self.server_c)
+            + sparse(&self.client_c)
+            + sparse(&self.residuals)
+            + 4
+            + RoundRecord::ENCODED_LEN * self.records.len()
+    }
+
+    /// Append the version-4 container to `buf`, which grows once, to the
+    /// exact length.
+    pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) {
+        let _sp = niid_prof::span!("ckpt.encode");
+        let (start, len) = (buf.len(), self.encoded_len());
+        buf.reserve_exact(len);
+        buf.extend_from_slice(&MAGIC);
+        put_u32(buf, CHECKPOINT_VERSION);
+        put_u64(buf, self.round_next as u64);
+        put_u64(buf, self.seed);
+        put_u64(buf, self.n_parties as u64);
+        put_u64(buf, self.total_bytes as u64);
+        put_f64(buf, self.sample_fraction);
+        put_f64(buf, self.min_quorum);
+        put_f64(buf, self.best_accuracy);
+        put_f64(buf, self.final_accuracy);
+        put_str(buf, self.algorithm);
+        put_str(buf, self.codec);
+        buf.push(u8::from(self.fault_plan.is_some()));
+        if let Some(spec) = self.fault_plan {
+            put_str(buf, spec);
+        }
+        put_f32s(buf, self.global_params);
+        put_f32s(buf, self.global_buffers);
+        put_f32s(buf, self.server_c);
+        put_sparse(buf, &self.client_c);
+        put_sparse(buf, &self.residuals);
+        put_len(buf, self.records.len());
+        self.records.iter().for_each(|rec| rec.put(buf));
+        debug_assert_eq!(buf.len() - start, len, "encoded_len is the layout's length");
+    }
+}
+
+fn put_sparse(buf: &mut Vec<u8>, pairs: &[(usize, &[f32])]) {
     put_len(buf, pairs.len());
-    for (party, v) in pairs {
-        put_u64(buf, *party as u64);
+    for &(party, v) in pairs {
+        put_u64(buf, party as u64);
         put_f32s(buf, v);
     }
+}
+
+/// Sparse `(party id, vector)` pairs as borrowed slices, in the order
+/// given (a `Vec` of pairs or a `BTreeMap`, both sorted by id).
+pub(crate) fn borrow_sparse<'a>(
+    pairs: impl IntoIterator<Item = (&'a usize, &'a Vec<f32>)>,
+) -> Vec<(usize, &'a [f32])> {
+    pairs
+        .into_iter()
+        .map(|(&id, v)| (id, v.as_slice()))
+        .collect()
 }
 
 fn sparse(r: &mut Cursor, field: &str) -> Result<Vec<(usize, Vec<f32>)>, Malformed> {
@@ -151,33 +250,33 @@ fn sparse(r: &mut Cursor, field: &str) -> Result<Vec<(usize, Vec<f32>)>, Malform
 }
 
 impl Checkpoint {
-    /// The version-4 container, built in one buffer.
-    fn encode(&self) -> Vec<u8> {
-        let _sp = niid_prof::span!("ckpt.encode");
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC);
-        put_u32(&mut buf, CHECKPOINT_VERSION);
-        put_u64(&mut buf, self.round_next as u64);
-        put_u64(&mut buf, self.seed);
-        put_u64(&mut buf, self.n_parties as u64);
-        put_u64(&mut buf, self.total_bytes as u64);
-        put_f64(&mut buf, self.sample_fraction);
-        put_f64(&mut buf, self.min_quorum);
-        put_f64(&mut buf, self.best_accuracy);
-        put_f64(&mut buf, self.final_accuracy);
-        put_str(&mut buf, &self.algorithm);
-        put_str(&mut buf, &self.codec);
-        buf.push(u8::from(self.fault_plan.is_some()));
-        if let Some(spec) = &self.fault_plan {
-            put_str(&mut buf, spec);
+    /// Borrow every field for [`CheckpointRef::encode_into`].
+    fn borrow(&self) -> CheckpointRef<'_> {
+        CheckpointRef {
+            round_next: self.round_next,
+            seed: self.seed,
+            algorithm: &self.algorithm,
+            n_parties: self.n_parties,
+            sample_fraction: self.sample_fraction,
+            min_quorum: self.min_quorum,
+            fault_plan: self.fault_plan.as_deref(),
+            codec: &self.codec,
+            global_params: &self.global_params,
+            global_buffers: &self.global_buffers,
+            server_c: &self.server_c,
+            client_c: borrow_sparse(self.client_c.iter().map(|(id, v)| (id, v))),
+            residuals: borrow_sparse(self.residuals.iter().map(|(id, v)| (id, v))),
+            records: &self.records,
+            best_accuracy: self.best_accuracy,
+            final_accuracy: self.final_accuracy,
+            total_bytes: self.total_bytes,
         }
-        put_f32s(&mut buf, &self.global_params);
-        put_f32s(&mut buf, &self.global_buffers);
-        put_f32s(&mut buf, &self.server_c);
-        put_sparse(&mut buf, &self.client_c);
-        put_sparse(&mut buf, &self.residuals);
-        put_len(&mut buf, self.records.len());
-        self.records.iter().for_each(|rec| rec.put(&mut buf));
+    }
+
+    /// The version-4 container, built in one buffer.
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        self.borrow().encode_into(&mut buf);
         buf
     }
 
@@ -230,26 +329,7 @@ impl Checkpoint {
     /// `path` + `.tmp`, are fsynced, and renamed over `path` in one step.
     /// On any failure the tmp file is removed again.
     pub fn save(&self, path: &Path) -> Result<(), FlError> {
-        let io_err = |stage: &str, e: std::io::Error| {
-            FlError::Checkpoint(format!("{stage} {}: {e}", path.display()))
-        };
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).map_err(|e| io_err("create dir for", e))?;
-        }
-        let bytes = self.encode();
-        let _sp = niid_prof::span!("ckpt.write");
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let write = || {
-            let mut f = std::fs::File::create(&tmp).map_err(|e| io_err("create", e))?;
-            f.write_all(&bytes).map_err(|e| io_err("write", e))?;
-            f.sync_all().map_err(|e| io_err("sync", e))?;
-            drop(f);
-            std::fs::rename(&tmp, path).map_err(|e| io_err("rename", e))
-        };
-        write().inspect_err(|_| {
-            let _ = std::fs::remove_file(&tmp);
-        })
+        write_atomic(path, &self.encode())
     }
 
     /// Load a checkpoint written by [`save`](Self::save).
@@ -258,6 +338,123 @@ impl Checkpoint {
             .map_err(|e| FlError::Checkpoint(format!("read {}: {e}", path.display())))?;
         Checkpoint::decode(&bytes)
             .map_err(|e| FlError::Checkpoint(format!("parse {}: {}", path.display(), e.0)))
+    }
+}
+
+/// Write `bytes` to `path` atomically: the directory is created, the
+/// bytes go to `path` + `.tmp`, are fsynced, and renamed over `path` in
+/// one step. On any failure the tmp file is removed again.
+fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), FlError> {
+    let _sp = niid_prof::span!("ckpt.write");
+    let io_err = |stage: &str, e: std::io::Error| {
+        FlError::Checkpoint(format!("{stage} {}: {e}", path.display()))
+    };
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).map_err(|e| io_err("create dir for", e))?;
+    }
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let write = || {
+        let mut f = std::fs::File::create(&tmp).map_err(|e| io_err("create", e))?;
+        f.write_all(bytes).map_err(|e| io_err("write", e))?;
+        f.sync_all().map_err(|e| io_err("sync", e))?;
+        drop(f);
+        std::fs::rename(&tmp, path).map_err(|e| io_err("rename", e))
+    };
+    write().inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
+}
+
+/// A write handed to the writer thread: where, and the encoded bytes.
+type Job = (PathBuf, Vec<u8>);
+/// What comes back: the bytes' buffer, for the next save, and the outcome.
+type Done = (Vec<u8>, Result<(), FlError>);
+
+/// Write-behind for one run's checkpoints. [`save`](Self::save) encodes
+/// on the calling (round) thread and hands the bytes to a single writer
+/// thread, scoped to the run and started by the first save, which runs
+/// [`write_atomic`]. At most one write is in flight: a save first waits
+/// for the previous one, and [`wait`](Self::wait) is what every end of a
+/// run calls, so a checkpoint is durable before the next save starts and
+/// before the run returns. A failed write is returned by the wait after
+/// it.
+///
+/// The bytes in flight are the only copy of the state being saved. Their
+/// buffer comes back with the outcome and the next save encodes into it:
+/// one allocation per run, grown to the exact length as the records
+/// accumulate, instead of a fresh checkpoint-sized one every save.
+///
+/// If the round thread unwinds, dropping this closes the job channel: the
+/// writer finishes the write in flight and exits, and the scope joins it
+/// before the panic goes on.
+pub(crate) struct CheckpointWriter<'scope, 'env> {
+    scope: &'scope Scope<'scope, 'env>,
+    lane: Option<(Sender<Job>, Receiver<Done>)>,
+    in_flight: bool,
+    buf: Vec<u8>,
+}
+
+impl<'scope, 'env> CheckpointWriter<'scope, 'env> {
+    /// A writer whose thread, once started, lives in `scope`.
+    pub(crate) fn new(scope: &'scope Scope<'scope, 'env>) -> Self {
+        CheckpointWriter {
+            scope,
+            lane: None,
+            in_flight: false,
+            buf: Vec::new(),
+        }
+    }
+
+    /// Wait until the write in flight, if any, is durable; its error is
+    /// returned here.
+    pub(crate) fn wait(&mut self) -> Result<(), FlError> {
+        if !std::mem::take(&mut self.in_flight) {
+            return Ok(());
+        }
+        let _sp = niid_prof::span!("ckpt.wait");
+        let (_, done) = self.lane.as_ref().expect("a write in flight has a writer");
+        let (buf, outcome) = done
+            .recv()
+            .map_err(|_| FlError::Checkpoint("checkpoint writer thread died".into()))?;
+        self.buf = buf;
+        outcome
+    }
+
+    /// Wait for the previous write, encode `ck` into the run's buffer, and
+    /// hand the bytes to the writer for `path`.
+    pub(crate) fn save(&mut self, path: PathBuf, ck: &CheckpointRef<'_>) -> Result<(), FlError> {
+        self.wait()?;
+        let mut bytes = std::mem::take(&mut self.buf);
+        bytes.clear();
+        ck.encode_into(&mut bytes);
+        if self.lane.is_none() {
+            self.lane = Some(self.start()?);
+        }
+        let (jobs, _) = self.lane.as_ref().expect("started above");
+        jobs.send((path, bytes))
+            .map_err(|_| FlError::Checkpoint("checkpoint writer thread died".into()))?;
+        self.in_flight = true;
+        Ok(())
+    }
+
+    /// Start the writer thread: it runs each job it receives and sends the
+    /// buffer back with the outcome, until the job channel closes.
+    fn start(&self) -> Result<(Sender<Job>, Receiver<Done>), FlError> {
+        let (job_tx, job_rx) = channel::<Job>();
+        let (done_tx, done_rx) = channel::<Done>();
+        std::thread::Builder::new()
+            .name("niid-checkpoint".into())
+            .spawn_scoped(self.scope, move || {
+                for (path, bytes) in job_rx {
+                    let outcome = write_atomic(&path, &bytes);
+                    if done_tx.send((bytes, outcome)).is_err() {
+                        break;
+                    }
+                }
+            })
+            .map_err(|e| FlError::Checkpoint(format!("start the checkpoint writer: {e}")))?;
+        Ok((job_tx, done_rx))
     }
 }
 

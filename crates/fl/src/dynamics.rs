@@ -43,12 +43,12 @@ use crate::local::LocalOutcome;
 use crate::metrics::RoundRecord;
 use niid_json::Json;
 use niid_metrics::registry::Registry;
-use niid_metrics::{Counter, Gauge, Histogram, JsonlExporter};
+use niid_metrics::{Counter, Gauge, Histogram, JsonlExporter, SeriesCache, SeriesScope};
 use niid_nn::LayerSpan;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// `‖a − b‖₂` in f64 accumulation.
 pub fn l2_distance(a: &[f32], b: &[f32]) -> f64 {
@@ -204,6 +204,20 @@ const PARTY_GAUGES: [&str; 4] = [
     "niid_bn_var_drift_l2",
 ];
 
+/// Where a series goes in the per-round JSONL snapshot: a per-party
+/// gauge keeps the value of the last round its party trained in, so its
+/// series is written only in rounds that party trained (the live registry
+/// still serves every one). Decided once per series, by the party label.
+fn party_scope(name: &str, labels: &[(&str, &str)]) -> SeriesScope {
+    if !PARTY_GAUGES.contains(&name) {
+        return SeriesScope::Always;
+    }
+    labels
+        .iter()
+        .find_map(|&(k, v)| (k == "party").then(|| v.parse().ok()).flatten())
+        .map_or(SeriesScope::Never, SeriesScope::Keyed)
+}
+
 /// The four per-party gauge handles, cached so hot-path observation
 /// never re-walks the registry's family lists.
 struct PartyGauges {
@@ -223,6 +237,8 @@ struct RecorderState {
     comm_counters: HashMap<String, (Arc<Counter>, Arc<Counter>)>,
     layer_gauges: Vec<(Arc<Gauge>, Arc<Gauge>)>,
     substrate_at_start: niid_tensor::SubstrateStats,
+    /// The JSONL snapshot's rendered series (see [`SeriesCache`]).
+    series: SeriesCache,
 }
 
 /// Records training dynamics into a metrics [`Registry`] (and optionally
@@ -346,6 +362,7 @@ impl DynamicsRecorder {
                 comm_counters: HashMap::new(),
                 layer_gauges,
                 substrate_at_start: niid_tensor::stats::snapshot(),
+                series: SeriesCache::new(party_scope),
             }),
         }
     }
@@ -511,178 +528,212 @@ impl RoundObserver for DynamicsRecorder {
             update_g.set(layer_update_sq[l].sqrt());
             grad_g.set(layer_grad[l]);
         }
-        drop(guard);
 
         if let Some(jsonl) = &self.jsonl {
-            // A per-party gauge keeps the value of the last round its
-            // party trained in; the series carries only this round's
-            // parties (the live registry still serves every one).
-            let mut families = self.registry.gather();
-            for family in &mut families {
-                if PARTY_GAUGES.contains(&family.name.as_str()) {
-                    family.samples.retain(|sample| {
-                        sample.labels.iter().any(|(k, v)| {
-                            k == "party" && v.parse().is_ok_and(|id| obs.selected.contains(&id))
-                        })
-                    });
-                }
-            }
-            jsonl.write_snapshot(Some(record.round as u64), &families);
+            let _sp = niid_prof::span!("obs.snapshot");
+            jsonl.write_series(
+                Some(record.round as u64),
+                &self.registry,
+                &mut state.series,
+                |party| obs.selected.contains(&party),
+            );
         }
     }
 }
 
 /// Mirror `niid_tensor::stats` counters into registry gauges; registered
-/// once per registry (the collector key deduplicates).
+/// once per registry (the collector key deduplicates). The first run
+/// looks each gauge up by name and keeps the handles; every later run
+/// sets them in the same order.
 pub fn install_substrate_collector(registry: &Arc<Registry>) {
-    registry.register_collector("niid_tensor_substrate", |r| {
+    let handles: OnceLock<Vec<Arc<Gauge>>> = OnceLock::new();
+    registry.register_collector("niid_tensor_substrate", move |r| {
         let s = niid_tensor::stats::snapshot();
-        r.gauge(
-            "niid_pool_tasks",
-            "Total worker-pool tasks issued (cumulative)",
-            &[],
-        )
-        .set(s.pool_tasks as f64);
-        r.gauge(
-            "niid_pool_stolen_tasks",
-            "Tasks executed by pool workers rather than the issuing thread (cumulative)",
-            &[],
-        )
-        .set(s.pool_stolen_tasks as f64);
-        r.gauge(
-            "niid_pool_regions",
-            "Fork-join regions dispatched through the pool (cumulative)",
-            &[],
-        )
-        .set(s.pool_regions as f64);
-        r.gauge(
-            "niid_pool_inline_regions",
-            "Fork-join regions that ran inline (cumulative)",
-            &[],
-        )
-        .set(s.pool_inline_regions as f64);
-        r.gauge(
-            "niid_pool_utilization",
-            "Fraction of issued tasks executed by pool workers",
-            &[],
-        )
-        .set(s.pool_utilization());
-        r.gauge("niid_gemm_flops", "Cumulative GEMM FLOPs", &[])
-            .set(s.gemm_flops as f64);
-        for (kernel, calls) in [
-            ("ab", s.gemm_ab_calls),
-            ("atb", s.gemm_atb_calls),
-            ("abt", s.gemm_abt_calls),
-        ] {
-            r.gauge(
-                "niid_gemm_calls",
-                "GEMM kernel invocations by kernel path (cumulative)",
-                &[("kernel", kernel)],
-            )
-            .set(calls as f64);
-        }
-        for (variant, simd, scalar) in [
-            ("ab", s.gemm_ab_simd_calls, s.gemm_ab_scalar_calls),
-            ("atb", s.gemm_atb_simd_calls, s.gemm_atb_scalar_calls),
-            ("abt", s.gemm_abt_simd_calls, s.gemm_abt_scalar_calls),
-        ] {
-            for (path, calls) in [("simd", simd), ("scalar", scalar)] {
-                r.gauge(
-                    "niid_gemm_dispatch_calls",
-                    "GEMM invocations by variant and dispatched micro-kernel (cumulative)",
-                    &[("variant", variant), ("path", path)],
-                )
-                .set(calls as f64);
-            }
-        }
-        for (variant, calls) in [("ab", s.gemm_ab_sparse_calls), ("atb", s.gemm_atb_sparse_calls)] {
-            r.gauge(
-                "niid_gemm_sparse_calls",
-                "AVX2 GEMM invocations that took the sparse-A kernels, by variant (cumulative)",
-                &[("variant", variant)],
-            )
-            .set(calls as f64);
-        }
-        r.gauge(
-            "niid_gemm_sparse_scans",
-            "Sparse-A scans that passed the gate and built a left operand's nonzero masks (cumulative)",
-            &[],
-        )
-        .set(s.gemm_sparse_scans as f64);
-        r.gauge(
-            "niid_simd_active_kernel",
-            "Process-wide SIMD micro-kernel selection (value is always 1; the kernel label carries the information)",
-            &[("kernel", niid_tensor::configured_kernel().name())],
-        )
-        .set(1.0);
-        r.gauge(
-            "niid_conv_scratch_allocs",
-            "Conv scratch buffers grown (fresh allocations, cumulative)",
-            &[],
-        )
-        .set(s.conv_scratch_allocs as f64);
-        r.gauge(
-            "niid_conv_scratch_reuses",
-            "Conv scratch requests served without reallocating (cumulative)",
-            &[],
-        )
-        .set(s.conv_scratch_reuses as f64);
-        r.gauge(
-            "niid_conv_scratch_bytes",
-            "Bytes currently resident across live conv scratch workspaces",
-            &[],
-        )
-        .set(s.conv_scratch_bytes as f64);
-        r.gauge(
-            "niid_conv_scratch_peak_bytes",
-            "High-water mark of live conv scratch bytes over the process lifetime",
-            &[],
-        )
-        .set(s.conv_scratch_peak_bytes as f64);
-        for (lowering, calls) in [
-            ("implicit", s.conv_implicit_calls),
-            ("materialized", s.conv_materialized_calls),
-            ("direct", s.conv_direct_calls),
-        ] {
-            r.gauge(
-                "niid_conv_lowering_calls",
-                "Convolution passes per lowering (direct reads the NCHW planes \
-                 in place; implicit fuses im2col into the GEMM pack; \
-                 materialized is the scalar arm / oracle)",
-                &[("lowering", lowering)],
-            )
-            .set(calls as f64);
-        }
+        let handles = handles.get_or_init(|| {
+            let mut handles = Vec::new();
+            substrate_gauges(&s, |name, help, labels, _| {
+                handles.push(r.gauge(name, help, labels));
+            });
+            handles
+        });
+        let mut next = handles.iter();
+        substrate_gauges(&s, |_, _, _, value| {
+            next.next()
+                .expect("one handle per substrate gauge")
+                .set(value);
+        });
     });
+}
+
+/// Every substrate gauge as `put(name, help, labels, value)`, always in
+/// the same order.
+fn substrate_gauges(
+    s: &niid_tensor::SubstrateStats,
+    mut put: impl FnMut(&'static str, &'static str, &[(&str, &str)], f64),
+) {
+    put(
+        "niid_pool_tasks",
+        "Total worker-pool tasks issued (cumulative)",
+        &[],
+        s.pool_tasks as f64,
+    );
+    put(
+        "niid_pool_stolen_tasks",
+        "Tasks executed by pool workers rather than the issuing thread (cumulative)",
+        &[],
+        s.pool_stolen_tasks as f64,
+    );
+    put(
+        "niid_pool_regions",
+        "Fork-join regions dispatched through the pool (cumulative)",
+        &[],
+        s.pool_regions as f64,
+    );
+    put(
+        "niid_pool_inline_regions",
+        "Fork-join regions that ran inline (cumulative)",
+        &[],
+        s.pool_inline_regions as f64,
+    );
+    put(
+        "niid_pool_utilization",
+        "Fraction of issued tasks executed by pool workers",
+        &[],
+        s.pool_utilization(),
+    );
+    put(
+        "niid_gemm_flops",
+        "Cumulative GEMM FLOPs",
+        &[],
+        s.gemm_flops as f64,
+    );
+    for (kernel, calls) in [
+        ("ab", s.gemm_ab_calls),
+        ("atb", s.gemm_atb_calls),
+        ("abt", s.gemm_abt_calls),
+    ] {
+        put(
+            "niid_gemm_calls",
+            "GEMM kernel invocations by kernel path (cumulative)",
+            &[("kernel", kernel)],
+            calls as f64,
+        );
+    }
+    for (variant, simd, scalar) in [
+        ("ab", s.gemm_ab_simd_calls, s.gemm_ab_scalar_calls),
+        ("atb", s.gemm_atb_simd_calls, s.gemm_atb_scalar_calls),
+        ("abt", s.gemm_abt_simd_calls, s.gemm_abt_scalar_calls),
+    ] {
+        for (path, calls) in [("simd", simd), ("scalar", scalar)] {
+            put(
+                "niid_gemm_dispatch_calls",
+                "GEMM invocations by variant and dispatched micro-kernel (cumulative)",
+                &[("variant", variant), ("path", path)],
+                calls as f64,
+            );
+        }
+    }
+    for (variant, calls) in [
+        ("ab", s.gemm_ab_sparse_calls),
+        ("atb", s.gemm_atb_sparse_calls),
+    ] {
+        put(
+            "niid_gemm_sparse_calls",
+            "AVX2 GEMM invocations that took the sparse-A kernels, by variant (cumulative)",
+            &[("variant", variant)],
+            calls as f64,
+        );
+    }
+    put(
+        "niid_gemm_sparse_scans",
+        "Sparse-A scans that passed the gate and built a left operand's nonzero masks (cumulative)",
+        &[],
+        s.gemm_sparse_scans as f64,
+    );
+    put(
+        "niid_simd_active_kernel",
+        "Process-wide SIMD micro-kernel selection (value is always 1; the kernel label carries the information)",
+        &[("kernel", niid_tensor::configured_kernel().name())], 1.0);
+    put(
+        "niid_conv_scratch_allocs",
+        "Conv scratch buffers grown (fresh allocations, cumulative)",
+        &[],
+        s.conv_scratch_allocs as f64,
+    );
+    put(
+        "niid_conv_scratch_reuses",
+        "Conv scratch requests served without reallocating (cumulative)",
+        &[],
+        s.conv_scratch_reuses as f64,
+    );
+    put(
+        "niid_conv_scratch_bytes",
+        "Bytes currently resident across live conv scratch workspaces",
+        &[],
+        s.conv_scratch_bytes as f64,
+    );
+    put(
+        "niid_conv_scratch_peak_bytes",
+        "High-water mark of live conv scratch bytes over the process lifetime",
+        &[],
+        s.conv_scratch_peak_bytes as f64,
+    );
+    for (lowering, calls) in [
+        ("implicit", s.conv_implicit_calls),
+        ("materialized", s.conv_materialized_calls),
+        ("direct", s.conv_direct_calls),
+    ] {
+        put(
+            "niid_conv_lowering_calls",
+            "Convolution passes per lowering (direct reads the NCHW planes \
+             in place; implicit fuses im2col into the GEMM pack; \
+             materialized is the scalar arm / oracle)",
+            &[("lowering", lowering)],
+            calls as f64,
+        );
+    }
 }
 
 /// Mirror the span profiler's exact per-label totals into registry
 /// gauges (`niid_prof_self_ns_total{span=…}` and friends); registered
 /// once per registry. The gauges only appear once at least one span has
-/// been recorded, so unprofiled runs pay nothing and emit nothing.
+/// been recorded, so unprofiled runs pay nothing and emit nothing. A
+/// label's three gauges are looked up on its first appearance and kept.
 pub fn install_prof_collector(registry: &Arc<Registry>) {
-    registry.register_collector("niid_prof", |r| {
+    type SpanGauges = (&'static str, [Arc<Gauge>; 3]);
+    let handles: Mutex<Vec<SpanGauges>> = Mutex::new(Vec::new());
+    registry.register_collector("niid_prof", move |r| {
+        let mut handles = handles.lock().expect("prof collector poisoned");
         // The exact counters only: `flame()` would also drain every
         // ring for percentiles this collector never reads.
         for row in niid_prof::totals() {
-            r.gauge(
-                "niid_prof_self_ns_total",
-                "Cumulative span self time (duration minus child spans), ns",
-                &[("span", row.label)],
-            )
-            .set(row.self_ns as f64);
-            r.gauge(
-                "niid_prof_total_ns_total",
-                "Cumulative span wall time including child spans, ns",
-                &[("span", row.label)],
-            )
-            .set(row.total_ns as f64);
-            r.gauge(
-                "niid_prof_calls_total",
-                "Completed span count",
-                &[("span", row.label)],
-            )
-            .set(row.calls as f64);
+            let at = match handles.iter().position(|(label, _)| *label == row.label) {
+                Some(at) => at,
+                None => {
+                    let labels: &[(&str, &str)] = &[("span", row.label)];
+                    handles.push((
+                        row.label,
+                        [
+                            r.gauge(
+                                "niid_prof_self_ns_total",
+                                "Cumulative span self time (duration minus child spans), ns",
+                                labels,
+                            ),
+                            r.gauge(
+                                "niid_prof_total_ns_total",
+                                "Cumulative span wall time including child spans, ns",
+                                labels,
+                            ),
+                            r.gauge("niid_prof_calls_total", "Completed span count", labels),
+                        ],
+                    ));
+                    handles.len() - 1
+                }
+            };
+            let [self_ns, total_ns, calls] = &handles[at].1;
+            self_ns.set(row.self_ns as f64);
+            total_ns.set(row.total_ns as f64);
+            calls.set(row.calls as f64);
         }
     });
 }

@@ -6,7 +6,9 @@ use crate::aggregate::{
     UpdateRef,
 };
 use crate::algorithm::Algorithm;
-use crate::checkpoint::{Checkpoint, CheckpointPolicy};
+use crate::checkpoint::{
+    borrow_sparse, Checkpoint, CheckpointPolicy, CheckpointRef, CheckpointWriter,
+};
 use crate::comm::RoundTraffic;
 use crate::compress::{DecodedUpdate, UpdateCodec};
 use crate::dynamics::{RoundObservation, RoundObserver};
@@ -690,11 +692,12 @@ impl FedSim {
         })
     }
 
-    /// The round loop: advance `st` from `st.round_next` up to (not
-    /// including) `stop_round`, which is `cfg.rounds` except for a
-    /// simulated kill. Where the cohort trains is `transport`'s business;
-    /// everything else is the same loop on every path, and nothing a
-    /// round produces is committed to `st` before the round passes quorum.
+    /// Advance `st` from `st.round_next` up to (not including)
+    /// `stop_round`, which is `cfg.rounds` except for a simulated kill,
+    /// with the run's checkpoints written behind the rounds (see
+    /// [`CheckpointWriter`]). Every way out — done, stopped, failed or
+    /// unwinding — waits for the last checkpoint to be durable; a failed
+    /// write outranks what the rounds after it returned.
     fn drive(
         &self,
         st: &mut SimState,
@@ -702,6 +705,26 @@ impl FedSim {
         observer: Option<&dyn RoundObserver>,
         stop_round: usize,
         transport: &mut dyn Transport,
+    ) -> Result<(), FlError> {
+        std::thread::scope(|scope| {
+            let mut writer = CheckpointWriter::new(scope);
+            let driven = self.run_rounds(st, sink, observer, stop_round, transport, &mut writer);
+            writer.wait().and(driven)
+        })
+    }
+
+    /// The round loop of [`drive`](Self::drive). Where the cohort trains
+    /// is `transport`'s business; everything else is the same loop on
+    /// every path, and nothing a round produces is committed to `st`
+    /// before the round passes quorum.
+    fn run_rounds(
+        &self,
+        st: &mut SimState,
+        sink: &dyn TraceSink,
+        observer: Option<&dyn RoundObserver>,
+        stop_round: usize,
+        transport: &mut dyn Transport,
+        writer: &mut CheckpointWriter<'_, '_>,
     ) -> Result<(), FlError> {
         let cfg = &self.config;
         let mut eval_model = self.model_spec.build(self.test.num_classes, 0);
@@ -764,7 +787,7 @@ impl FedSim {
                 // `st` is still the state this round started from,
                 // `round_next` included, so resume retries exactly here.
                 if let Some(policy) = &cfg.checkpoint {
-                    self.save_checkpoint(st, policy, sink, round)?;
+                    self.save_checkpoint(st, policy, sink, round, writer)?;
                 }
                 return Err(FlError::QuorumLost {
                     round,
@@ -859,7 +882,7 @@ impl FedSim {
 
             if let Some(policy) = &cfg.checkpoint {
                 if (round + 1) % policy.every == 0 || round + 1 == cfg.rounds {
-                    self.save_checkpoint(st, policy, sink, round)?;
+                    self.save_checkpoint(st, policy, sink, round, writer)?;
                 }
             }
         }
@@ -990,44 +1013,45 @@ impl FedSim {
         (accuracy, sp.close())
     }
 
-    /// Write a checkpoint of `st` through the atomic tmp + fsync + rename
-    /// path — the one writer for both the periodic round-end checkpoint
-    /// (`st.round_next` is `round + 1`) and the abort-time checkpoint a
-    /// lost quorum leaves behind (still `round`, the failed round).
+    /// Checkpoint `st`: encode it on this thread and hand the bytes to
+    /// `writer`, which writes them through the atomic tmp + fsync +
+    /// rename path behind the next rounds — the one writer for both the
+    /// periodic round-end checkpoint (`st.round_next` is `round + 1`) and
+    /// the abort-time checkpoint a lost quorum leaves behind (still
+    /// `round`, the failed round). `CheckpointWritten` marks the hand-off.
     fn save_checkpoint(
         &self,
         st: &SimState,
         policy: &CheckpointPolicy,
         sink: &dyn TraceSink,
         round: usize,
+        writer: &mut CheckpointWriter<'_, '_>,
     ) -> Result<(), FlError> {
         let _sp = niid_prof::span!("fl.checkpoint");
         let cfg = &self.config;
         let path = policy.path();
-        Checkpoint {
+        let fault_plan = cfg.fault_plan.as_ref().map(ToString::to_string);
+        let codec = cfg.codec.to_string();
+        let ck = CheckpointRef {
             round_next: st.round_next,
             seed: cfg.seed,
-            algorithm: cfg.algorithm.name().to_string(),
+            algorithm: cfg.algorithm.name(),
             n_parties: self.parties.n_parties(),
             sample_fraction: cfg.sample_fraction,
             min_quorum: cfg.min_quorum,
-            fault_plan: cfg.fault_plan.as_ref().map(ToString::to_string),
-            codec: cfg.codec.to_string(),
-            global_params: st.global_params.clone(),
-            global_buffers: st.global_buffers.clone(),
-            server_c: st.server_c.clone(),
-            client_c: st.client_c.iter().map(|(&id, c)| (id, c.clone())).collect(),
-            residuals: st
-                .residuals
-                .iter()
-                .map(|(&id, r)| (id, r.clone()))
-                .collect(),
-            records: st.records.clone(),
+            fault_plan: fault_plan.as_deref(),
+            codec: &codec,
+            global_params: &st.global_params,
+            global_buffers: &st.global_buffers,
+            server_c: &st.server_c,
+            client_c: borrow_sparse(&st.client_c),
+            residuals: borrow_sparse(&st.residuals),
+            records: &st.records,
             best_accuracy: st.best_accuracy,
             final_accuracy: st.final_accuracy,
             total_bytes: st.total_bytes,
-        }
-        .save(&path)?;
+        };
+        writer.save(path.clone(), &ck)?;
         sink.record(&TraceEvent::CheckpointWritten {
             round,
             path: path.display().to_string(),
@@ -1822,6 +1846,133 @@ mod tests {
         let ck = Checkpoint::load(&policy.path()).unwrap();
         assert_eq!(ck.round_next, 2);
         assert_eq!(ck.client_c, entered_with);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The deterministic fields of a run's records, as their checkpoint
+    /// bytes with the wall times zeroed.
+    fn trajectory(r: &RunResult) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for rec in &r.rounds {
+            let mut rec = rec.clone();
+            (rec.local_wall_ms, rec.aggregate_wall_ms, rec.eval_wall_ms) = (0.0, 0.0, 0.0);
+            rec.put(&mut bytes);
+        }
+        bytes
+    }
+
+    /// The file names in `dir`, sorted.
+    fn listing(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// Checkpoints are written behind the rounds, and a run waits for the
+    /// last one before it returns: after `run_interrupted(k)` the file
+    /// holds the last save, byte for byte what `Checkpoint::encode` makes
+    /// of it, with no tmp file beside it, and resuming from it reproduces
+    /// the uninterrupted trajectory.
+    #[test]
+    fn written_behind_checkpoints_are_durable_when_the_run_returns() {
+        let dir = std::env::temp_dir().join(format!("niid_engine_behind_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (parties, test) = toy_setup(4, 16, 41);
+        let mut cfg = quick_config(
+            Algorithm::Scaffold {
+                variant: ControlVariateUpdate::Reuse,
+            },
+            42,
+        );
+        cfg.rounds = 7;
+        cfg.codec = UpdateCodec::TopK { fraction: 0.5 };
+        let policy = CheckpointPolicy::new(&dir, 2);
+        cfg.checkpoint = Some(policy.clone());
+        let sim = FedSim::new(spec(), parties, test, cfg).unwrap();
+        let uninterrupted = sim.run().unwrap();
+        // Saves after rounds 1, 3, 5 (round_next 2, 4, 6) and the last.
+        for (stop_after, last_save) in [(1, None), (4, Some(4)), (5, Some(4)), (7, Some(7))] {
+            let _ = std::fs::remove_dir_all(&dir);
+            sim.run_interrupted(stop_after, &NoopSink).unwrap();
+            let Some(last_save) = last_save else {
+                assert!(!sim.has_checkpoint(), "stop after {stop_after}");
+                continue;
+            };
+            let ck = Checkpoint::load(&policy.path()).unwrap();
+            assert_eq!(ck.round_next, last_save, "stop after {stop_after}");
+            assert!(!ck.client_c.is_empty() && !ck.residuals.is_empty());
+            assert_eq!(std::fs::read(policy.path()).unwrap(), ck.encode());
+            assert_eq!(listing(&dir), ["checkpoint.bin"], "tmp left behind");
+            let resumed = sim.resume().unwrap();
+            assert_eq!(trajectory(&resumed), trajectory(&uninterrupted));
+            assert_eq!(resumed.total_bytes, uninterrupted.total_bytes);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A write that fails behind the rounds still fails the run with a
+    /// typed checkpoint error — whether a later save or the end of the
+    /// run finds it — and leaves no tmp file.
+    #[test]
+    fn a_failed_write_behind_is_the_runs_checkpoint_error() {
+        let base = std::env::temp_dir().join(format!("niid_engine_failwb_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        std::fs::create_dir_all(&base).unwrap();
+        // A checkpoint directory that is a regular file: creating it fails.
+        let blocker = base.join("blocker");
+        std::fs::write(&blocker, b"not a directory").unwrap();
+        // A checkpoint path that is a non-empty directory: the tmp file is
+        // written and synced, the rename fails.
+        let occupied = base.join("occupied");
+        std::fs::create_dir_all(occupied.join("checkpoint.bin")).unwrap();
+        std::fs::write(occupied.join("checkpoint.bin").join("occupant"), b"x").unwrap();
+        let (parties, test) = toy_setup(3, 16, 43);
+        for (dir, stage) in [(&blocker, "create dir"), (&occupied, "rename")] {
+            // Every round, every other round, and only the final round.
+            for every in [1, 2, 10] {
+                let mut cfg = quick_config(Algorithm::FedAvg, 44);
+                cfg.rounds = 3;
+                cfg.checkpoint = Some(CheckpointPolicy::new(dir, every));
+                let sim = FedSim::new(spec(), parties.clone(), test.clone(), cfg).unwrap();
+                match sim.run() {
+                    Err(FlError::Checkpoint(msg)) => assert!(msg.contains(stage), "{msg}"),
+                    other => {
+                        panic!("{stage}, every {every}: expected a checkpoint error, got {other:?}")
+                    }
+                }
+            }
+        }
+        assert_eq!(std::fs::read(&blocker).unwrap(), b"not a directory");
+        assert_eq!(listing(&occupied), ["checkpoint.bin"], "tmp left behind");
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// A run that panics with a write in flight waits for the writer as
+    /// it unwinds: the last checkpoint is whole and no tmp file is left.
+    #[test]
+    fn a_panicking_run_leaves_its_last_checkpoint_whole() {
+        struct GiveUpAt(usize);
+        impl RoundObserver for GiveUpAt {
+            fn observe_round(&self, obs: &RoundObservation<'_>) {
+                assert!(obs.record.round < self.0, "observer gives up");
+            }
+        }
+        let dir = std::env::temp_dir().join(format!("niid_engine_panicwb_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (parties, test) = toy_setup(3, 16, 45);
+        let mut cfg = quick_config(Algorithm::FedAvg, 46);
+        cfg.checkpoint = Some(CheckpointPolicy::new(&dir, 1));
+        let sim = FedSim::new(spec(), parties, test, cfg).unwrap();
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.run_observed(&NoopSink, Some(&GiveUpAt(3)))
+        }));
+        assert!(run.is_err(), "the observer's panic reaches the caller");
+        let ck = Checkpoint::load(&dir.join("checkpoint.bin")).unwrap();
+        assert_eq!(ck.round_next, 3, "the save after round 2");
+        assert_eq!(listing(&dir), ["checkpoint.bin"], "tmp left behind");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

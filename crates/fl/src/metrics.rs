@@ -63,6 +63,9 @@ pub struct RunResult {
 }
 
 impl RoundRecord {
+    /// Length of [`put`](Self::put)'s layout.
+    pub(crate) const ENCODED_LEN: usize = 81;
+
     /// Append the record in its fixed 81-byte checkpoint layout (exact
     /// bits): five counts, four timings/losses and the `test_accuracy`
     /// value as 8-byte words, then the `test_accuracy` presence flag.

@@ -117,9 +117,14 @@ pub enum TraceEvent {
         /// Wall time of the encode/decode phase, in milliseconds.
         wall_ms: f64,
     },
-    /// A resumable checkpoint was written after this round.
+    /// A resumable checkpoint of the state after this round was handed to
+    /// the run's checkpoint writer. Emitted at the hand-off, so the file
+    /// may still be in flight: it is durable (written, fsynced and renamed
+    /// into place) before the run's next checkpoint is encoded and before
+    /// the run returns, whatever it returns.
     CheckpointWritten {
-        /// Round index (the checkpoint resumes at `round + 1`).
+        /// Round index (the checkpoint resumes at `round + 1`, or at
+        /// `round` itself for the checkpoint a lost quorum leaves).
         round: usize,
         /// Where the checkpoint landed.
         path: String,

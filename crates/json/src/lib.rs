@@ -23,6 +23,7 @@ mod write;
 
 pub use parse::{parse, parse_jsonl, read_jsonl_file, JsonError};
 pub use value::Json;
+pub use write::{write_number, write_string};
 
 /// Convert a value into a [`Json`] tree.
 pub trait ToJson {

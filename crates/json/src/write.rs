@@ -98,7 +98,9 @@ fn write_seq<W: fmt::Write, T>(
 /// finite values use Rust's shortest round-trip representation. Non-finite
 /// values have no JSON encoding and degrade to `null` (the trace sinks
 /// must never fail mid-run because a diverged loss went infinite).
-fn write_number<W: fmt::Write>(out: &mut W, n: f64) -> fmt::Result {
+/// Public so a writer that renders JSON text without building a [`Json`]
+/// tree prints numbers byte for byte as the tree would.
+pub fn write_number<W: fmt::Write>(out: &mut W, n: f64) -> fmt::Result {
     if !n.is_finite() {
         return out.write_str("null");
     }
@@ -109,7 +111,9 @@ fn write_number<W: fmt::Write>(out: &mut W, n: f64) -> fmt::Result {
     }
 }
 
-fn write_string<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+/// A JSON string literal: `s` quoted, with `"`, `\` and control
+/// characters escaped exactly as [`Json::Str`] prints them.
+pub fn write_string<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
     out.write_char('"')?;
     for c in s.chars() {
         match c {

@@ -1,15 +1,15 @@
 //! Exposition: Prometheus text format 0.0.4 and JSONL series files, plus
 //! the one JSONL file type every JSONL writer in the workspace uses.
 
-use std::fmt::Display;
+use std::fmt::{Display, Write as _};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
-use niid_json::Json;
+use niid_json::{write_number, write_string};
 
-use crate::registry::{FamilySnapshot, Sample, SampleValue};
+use crate::registry::{Cell, FamilySnapshot, Registry, SampleValue};
 use crate::shutdown::{register_flusher, Flush};
 
 /// Escape a label value per the Prometheus text format: backslash,
@@ -118,13 +118,33 @@ pub fn render_prometheus(families: &[FamilySnapshot]) -> String {
 /// One JSONL output file: a buffered writer behind one lock, shared by
 /// the trace sink and [`JsonlExporter`].
 ///
+/// Every write renders its text into one reused `String` first and hands
+/// it to the buffered file in a single `write_all`, so formatting never
+/// runs through the writer piece by piece.
+///
 /// Opening one registers it with the exit-flush registry, so the `exp`
 /// binary's Ctrl-C watcher ([`crate::shutdown`]) flushes and fsyncs
 /// every file still open. The registry holds it weakly; dropping it
 /// flushes the buffer (`BufWriter`'s own `Drop`).
 #[derive(Debug)]
 pub struct JsonlFile {
-    out: Mutex<BufWriter<File>>,
+    out: Mutex<Out>,
+}
+
+/// The file and the text buffer its writes are rendered into.
+#[derive(Debug)]
+struct Out {
+    file: BufWriter<File>,
+    text: String,
+}
+
+impl Out {
+    /// Render into the cleared text buffer, then write it in one go.
+    fn write_rendered(&mut self, render: impl FnOnce(&mut String)) -> io::Result<()> {
+        self.text.clear();
+        render(&mut self.text);
+        self.file.write_all(self.text.as_bytes())
+    }
 }
 
 impl JsonlFile {
@@ -142,7 +162,10 @@ impl JsonlFile {
 
     fn open(file: File) -> Arc<Self> {
         let file = Arc::new(JsonlFile {
-            out: Mutex::new(BufWriter::new(file)),
+            out: Mutex::new(Out {
+                file: BufWriter::new(file),
+                text: String::new(),
+            }),
         });
         register_flusher(Arc::downgrade(&file) as Weak<dyn Flush>);
         file
@@ -150,7 +173,7 @@ impl JsonlFile {
 
     /// The writer; a lock poisoned by a panicking writer is an I/O error,
     /// so neither a run nor the exit guard panics on it.
-    fn lock(&self) -> io::Result<MutexGuard<'_, BufWriter<File>>> {
+    fn lock(&self) -> io::Result<MutexGuard<'_, Out>> {
         self.out
             .lock()
             .map_err(|_| io::Error::other("JSONL writer poisoned by a panic"))
@@ -158,28 +181,29 @@ impl JsonlFile {
 
     /// Buffer one line; it reaches the OS at the next flush.
     pub fn write_line(&self, line: impl Display) -> io::Result<()> {
-        writeln!(self.lock()?, "{line}")
+        self.lock()?.write_rendered(|text| {
+            let _ = writeln!(text, "{line}");
+        })
     }
 
-    /// Write `lines` under one lock, then flush once.
-    pub fn write_batch<T: Display>(&self, lines: impl IntoIterator<Item = T>) -> io::Result<()> {
+    /// Write the newline-terminated lines `render` appends to its (empty)
+    /// buffer under one lock, in one `write_all`, then flush once.
+    pub fn write_batch(&self, render: impl FnOnce(&mut String)) -> io::Result<()> {
         let mut out = self.lock()?;
-        for line in lines {
-            writeln!(out, "{line}")?;
-        }
-        out.flush()
+        out.write_rendered(render)?;
+        out.file.flush()
     }
 
     /// Flush buffered lines to the OS.
     pub fn flush(&self) -> io::Result<()> {
-        self.lock()?.flush()
+        self.lock()?.file.flush()
     }
 
     /// Flush and fsync.
     pub fn sync(&self) -> io::Result<()> {
         let mut out = self.lock()?;
-        out.flush()?;
-        out.get_ref().sync_all()
+        out.file.flush()?;
+        out.file.get_ref().sync_all()
     }
 }
 
@@ -189,28 +213,47 @@ impl Flush for JsonlFile {
     }
 }
 
-/// One series sample as a JSONL line, or `None` for a non-finite value.
-fn sample_line(round: Option<u64>, name: &str, sample: &Sample) -> Option<Json> {
-    let mut fields: Vec<(&str, Json)> = Vec::with_capacity(5);
-    if let Some(r) = round {
-        fields.push(("round", Json::Num(r as f64)));
+/// The part of a series' JSONL line that only the series decides:
+/// `"name":N,"labels":{...},"value":`.
+fn line_prefix<'a>(out: &mut String, name: &str, labels: impl Iterator<Item = (&'a str, &'a str)>) {
+    out.push_str("\"name\":");
+    let _ = write_string(out, name);
+    out.push_str(",\"labels\":{");
+    for (i, (k, v)) in labels.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write_string(out, k);
+        out.push(':');
+        let _ = write_string(out, v);
     }
-    fields.push(("name", Json::Str(name.to_string())));
-    let labels = Json::Obj(
-        sample
-            .labels
-            .iter()
-            .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-            .collect(),
-    );
-    fields.push(("labels", labels));
-    match &sample.value {
-        SampleValue::Counter(v) => fields.push(("value", Json::Num(*v as f64))),
+    out.push_str("},\"value\":");
+}
+
+/// Append one series sample's JSONL line — `prefix` from [`line_prefix`],
+/// stamped with `round` — or nothing for a non-finite gauge or histogram
+/// sum, which has no JSON number.
+fn put_line(out: &mut String, round: Option<u64>, prefix: &str, value: &SampleValue) {
+    let finite = match value {
+        SampleValue::Counter(_) => true,
+        SampleValue::Gauge(v) | SampleValue::Histogram { sum: v, .. } => v.is_finite(),
+    };
+    if !finite {
+        return;
+    }
+    out.push('{');
+    if let Some(r) = round {
+        out.push_str("\"round\":");
+        let _ = write_number(out, r as f64);
+        out.push(',');
+    }
+    out.push_str(prefix);
+    match value {
+        SampleValue::Counter(v) => {
+            let _ = write_number(out, *v as f64);
+        }
         SampleValue::Gauge(v) => {
-            if !v.is_finite() {
-                return None;
-            }
-            fields.push(("value", Json::Num(*v)));
+            let _ = write_number(out, *v);
         }
         SampleValue::Histogram {
             bounds,
@@ -218,34 +261,129 @@ fn sample_line(round: Option<u64>, name: &str, sample: &Sample) -> Option<Json> 
             sum,
             count,
         } => {
-            if !sum.is_finite() {
-                return None;
-            }
-            fields.push(("value", Json::Num(*sum)));
-            fields.push(("count", Json::Num(*count as f64)));
+            let _ = write_number(out, *sum);
+            out.push_str(",\"count\":");
+            let _ = write_number(out, *count as f64);
+            out.push_str(",\"buckets\":[");
             let mut cum = 0u64;
-            let pairs: Vec<Json> = buckets
-                .iter()
-                .enumerate()
-                .map(|(i, b)| {
-                    cum += b;
-                    let le = bounds.get(i).copied().unwrap_or(f64::MAX);
-                    Json::Arr(vec![Json::Num(le), Json::Num(cum as f64)])
-                })
-                .collect();
-            fields.push(("buckets", Json::Arr(pairs)));
+            for (i, b) in buckets.iter().enumerate() {
+                cum += b;
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push('[');
+                let _ = write_number(out, bounds.get(i).copied().unwrap_or(f64::MAX));
+                out.push(',');
+                let _ = write_number(out, cum as f64);
+                out.push(']');
+            }
+            out.push(']');
         }
     }
-    Some(Json::obj(fields))
+    out.push_str("}\n");
+}
+
+/// Which snapshots write a cached series: decided once per series, when
+/// the [`SeriesCache`] is built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SeriesScope {
+    /// Every snapshot.
+    Always,
+    /// Only snapshots whose filter accepts this key (a party id, say).
+    Keyed(usize),
+    /// No snapshot.
+    Never,
+}
+
+/// One cached series: its line prefix, its cell and its scope.
+struct CachedSeries {
+    prefix: String,
+    cell: Cell,
+    scope: SeriesScope,
+}
+
+/// A registry's series ready to render as JSONL lines, so a per-round
+/// snapshot walks no family list, clones no label and looks up no name.
+///
+/// The cache keeps, per series in snapshot order, the rendered line
+/// prefix, the cell and the [`SeriesScope`] its `scope` function gave the
+/// series' name and labels. It is rebuilt only when the registry's
+/// generation moved, i.e. when the registry gained a family or a series
+/// (a collector's first run, a party's first round); otherwise a render
+/// reads each cell and prints its numbers. The lines are byte for byte
+/// those of [`JsonlExporter::write_snapshot`] over `registry.gather()`
+/// with the out-of-scope samples removed.
+pub struct SeriesCache {
+    scope: fn(&str, &[(&str, &str)]) -> SeriesScope,
+    generation: Option<u64>,
+    series: Vec<CachedSeries>,
+}
+
+impl SeriesCache {
+    /// An empty cache; `scope(name, labels)` places each series.
+    pub fn new(scope: fn(&str, &[(&str, &str)]) -> SeriesScope) -> Self {
+        SeriesCache {
+            scope,
+            generation: None,
+            series: Vec::new(),
+        }
+    }
+
+    /// Run `registry`'s collectors, rebuild the cache if the registry
+    /// gained a series, then append a line stamped with `round` for every
+    /// series that is in scope (`keep` decides [`SeriesScope::Keyed`]).
+    pub fn render(
+        &mut self,
+        registry: &Registry,
+        round: Option<u64>,
+        keep: impl Fn(usize) -> bool,
+        out: &mut String,
+    ) {
+        registry.run_collectors();
+        let generation = registry.generation();
+        if self.generation != Some(generation) {
+            self.rebuild(registry);
+            self.generation = Some(generation);
+        }
+        for s in &self.series {
+            let written = match s.scope {
+                SeriesScope::Always => true,
+                SeriesScope::Keyed(key) => keep(key),
+                SeriesScope::Never => false,
+            };
+            if written {
+                put_line(out, round, &s.prefix, &s.cell.value());
+            }
+        }
+    }
+
+    fn rebuild(&mut self, registry: &Registry) {
+        self.series.clear();
+        registry.for_each_series(|name, keys, values, cell| {
+            let labels: Vec<(&str, &str)> = keys
+                .iter()
+                .map(String::as_str)
+                .zip(values.iter().map(String::as_str))
+                .collect();
+            let mut prefix = String::new();
+            line_prefix(&mut prefix, name, labels.iter().copied());
+            self.series.push(CachedSeries {
+                prefix,
+                cell: cell.clone(),
+                scope: (self.scope)(name, &labels),
+            });
+        });
+    }
 }
 
 /// Append-mode JSONL writer for per-round metric snapshots.
 ///
 /// Each line is one series sample:
 /// `{"round":R,"name":N,"labels":{...},"value":V}` — histograms carry
-/// `"value"` = sum plus `"count"` and `"buckets":[[le,cumulative],...]`.
-/// Non-finite gauge values (e.g. a NaN cosine on a zero vector) are
-/// skipped so the file stays strict-JSON parseable.
+/// `"value"` = sum plus `"count"` and `"buckets":[[le,cumulative],...]`
+/// (the `+Inf` bucket's `le` is `f64::MAX`). Non-finite gauge values
+/// (e.g. a NaN cosine on a zero vector) are skipped so the file stays
+/// strict-JSON parseable.
 pub struct JsonlExporter {
     path: PathBuf,
     file: Arc<JsonlFile>,
@@ -274,13 +412,34 @@ impl JsonlExporter {
 
     /// Write one line per series in `families`, stamped with `round`.
     pub fn write_snapshot(&self, round: Option<u64>, families: &[FamilySnapshot]) {
-        let lines = families.iter().flat_map(|f| {
-            f.samples
-                .iter()
-                .filter_map(move |s| sample_line(round, &f.name, s))
-        });
         // Disk-full etc. must never poison a run.
-        let _ = self.file.write_batch(lines);
+        let _ = self.file.write_batch(|text| {
+            let mut prefix = String::new();
+            for f in families {
+                for s in &f.samples {
+                    prefix.clear();
+                    let labels = s.labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+                    line_prefix(&mut prefix, &f.name, labels);
+                    put_line(text, round, &prefix, &s.value);
+                }
+            }
+        });
+    }
+
+    /// [`write_snapshot`](Self::write_snapshot) of `registry.gather()`
+    /// through `cache` (see [`SeriesCache::render`]): the same lines,
+    /// without walking the registry.
+    pub fn write_series(
+        &self,
+        round: Option<u64>,
+        registry: &Registry,
+        cache: &mut SeriesCache,
+        keep: impl Fn(usize) -> bool,
+    ) {
+        // Disk-full etc. must never poison a run.
+        let _ = self
+            .file
+            .write_batch(|text| cache.render(registry, round, keep, text));
     }
 
     /// Flush buffered lines to the OS.
@@ -297,7 +456,7 @@ impl JsonlExporter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::Registry;
+    use niid_json::Json;
 
     #[test]
     fn prometheus_text_renders_all_kinds() {

@@ -15,8 +15,9 @@
 //!
 //! * [`expo::render_prometheus`] — Prometheus text format 0.0.4,
 //! * [`expo::JsonlExporter`] — per-round JSONL series files written
-//!   through `niid-json` into a [`JsonlFile`], the one JSONL file type
-//!   (the trace sink writes through it too),
+//!   into a [`JsonlFile`], the one JSONL file type (the trace sink writes
+//!   through it too); a [`SeriesCache`] renders a registry's lines
+//!   without walking it,
 //! * [`http::MetricsServer`] — an optional live `/metrics` + `/healthz`
 //!   endpoint on `std::net::TcpListener`, served from a background
 //!   thread.
@@ -34,7 +35,7 @@ pub mod registry;
 pub mod shutdown;
 
 pub use deadline::Deadline;
-pub use expo::{render_prometheus, JsonlExporter, JsonlFile};
+pub use expo::{render_prometheus, JsonlExporter, JsonlFile, SeriesCache, SeriesScope};
 pub use http::MetricsServer;
 pub use registry::{
     global_registry, Counter, FamilySnapshot, Gauge, Histogram, MetricKind, Registry, Sample,

@@ -4,7 +4,10 @@
 //! meant to happen once per series; the returned `Arc` handle is then a
 //! plain relaxed atomic on every update. Snapshots copy the current
 //! values out under the same mutex so exposition never blocks updates
-//! for long.
+//! for long. A registry also counts the families and series it has
+//! created (its *generation*), so a cache of its series list
+//! ([`crate::expo::SeriesCache`]) knows when it is stale without walking
+//! it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -159,10 +162,27 @@ impl MetricKind {
     }
 }
 
-enum Cell {
+#[derive(Clone)]
+pub(crate) enum Cell {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
+}
+
+impl Cell {
+    /// The cell's current value.
+    pub(crate) fn value(&self) -> SampleValue {
+        match self {
+            Cell::Counter(c) => SampleValue::Counter(c.get()),
+            Cell::Gauge(g) => SampleValue::Gauge(g.get()),
+            Cell::Histogram(h) => SampleValue::Histogram {
+                bounds: h.bounds().to_vec(),
+                buckets: h.bucket_counts(),
+                sum: h.sum(),
+                count: h.count(),
+            },
+        }
+    }
 }
 
 struct Family {
@@ -213,6 +233,8 @@ type Collector = Box<dyn Fn(&Registry) + Send + Sync>;
 pub struct Registry {
     families: Mutex<Vec<Arc<Family>>>,
     collectors: Mutex<Vec<(&'static str, Collector)>>,
+    /// Families and series created so far; bumped after each creation.
+    generation: AtomicU64,
 }
 
 impl Registry {
@@ -251,7 +273,37 @@ impl Registry {
             series: Mutex::new(Vec::new()),
         });
         families.push(Arc::clone(&f));
+        self.generation.fetch_add(1, Ordering::Release);
         f
+    }
+
+    /// Append a new series to `family`'s locked list.
+    fn push_series(&self, series: &mut Vec<(Vec<String>, Cell)>, values: Vec<String>, cell: Cell) {
+        series.push((values, cell));
+        self.generation.fetch_add(1, Ordering::Release);
+    }
+
+    /// How many families and series this registry has created: unchanged
+    /// means the series list is as it was.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
+    }
+
+    /// Families sorted by name, the order every snapshot lists them in.
+    fn sorted_families(&self) -> Vec<Arc<Family>> {
+        let mut families: Vec<Arc<Family>> = self.families.lock().unwrap().clone();
+        families.sort_by(|a, b| a.name.cmp(&b.name));
+        families
+    }
+
+    /// Call `f(name, label keys, label values, cell)` for every series in
+    /// [`snapshot`](Self::snapshot) order.
+    pub(crate) fn for_each_series(&self, mut f: impl FnMut(&str, &[String], &[String], &Cell)) {
+        for family in self.sorted_families() {
+            for (values, cell) in family.series.lock().unwrap().iter() {
+                f(&family.name, &family.label_keys, values, cell);
+            }
+        }
     }
 
     /// Find-or-create a counter series. Cache the returned handle; the
@@ -265,7 +317,7 @@ impl Registry {
             return Arc::clone(c);
         }
         let c = Arc::new(Counter::default());
-        series.push((values, Cell::Counter(Arc::clone(&c))));
+        self.push_series(&mut series, values, Cell::Counter(Arc::clone(&c)));
         c
     }
 
@@ -279,7 +331,7 @@ impl Registry {
             return Arc::clone(g);
         }
         let g = Arc::new(Gauge::default());
-        series.push((values, Cell::Gauge(Arc::clone(&g))));
+        self.push_series(&mut series, values, Cell::Gauge(Arc::clone(&g)));
         g
     }
 
@@ -300,7 +352,7 @@ impl Registry {
             return Arc::clone(h);
         }
         let h = Arc::new(Histogram::new(&family.bounds));
-        series.push((values, Cell::Histogram(Arc::clone(&h))));
+        self.push_series(&mut series, values, Cell::Histogram(Arc::clone(&h)));
         h
     }
 
@@ -331,9 +383,7 @@ impl Registry {
     /// Copy out the current value of every series, families sorted by
     /// name for stable output.
     pub fn snapshot(&self) -> Vec<FamilySnapshot> {
-        let mut families: Vec<Arc<Family>> = self.families.lock().unwrap().clone();
-        families.sort_by(|a, b| a.name.cmp(&b.name));
-        families
+        self.sorted_families()
             .iter()
             .map(|f| {
                 let series = f.series.lock().unwrap();
@@ -346,17 +396,10 @@ impl Registry {
                             .cloned()
                             .zip(values.iter().cloned())
                             .collect();
-                        let value = match cell {
-                            Cell::Counter(c) => SampleValue::Counter(c.get()),
-                            Cell::Gauge(g) => SampleValue::Gauge(g.get()),
-                            Cell::Histogram(h) => SampleValue::Histogram {
-                                bounds: h.bounds().to_vec(),
-                                buckets: h.bucket_counts(),
-                                sum: h.sum(),
-                                count: h.count(),
-                            },
-                        };
-                        Sample { labels, value }
+                        Sample {
+                            labels,
+                            value: cell.value(),
+                        }
                     })
                     .collect();
                 FamilySnapshot {

@@ -404,3 +404,241 @@ fn experiment_runner_emits_jsonl_and_serves_live_metrics() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The JSONL series line as it was built before the series renderer: a
+/// `Json` tree per sample, printed through `Display` (`None` for a
+/// non-finite gauge or histogram sum). The oracle the rendered lines
+/// must equal byte for byte.
+fn oracle_line(
+    round: Option<u64>,
+    name: &str,
+    sample: &niid_bench_rs::metrics::Sample,
+) -> Option<niid_bench_rs::json::Json> {
+    use niid_bench_rs::json::Json;
+    use niid_bench_rs::metrics::SampleValue;
+    let mut fields: Vec<(&str, Json)> = Vec::with_capacity(5);
+    if let Some(r) = round {
+        fields.push(("round", Json::Num(r as f64)));
+    }
+    fields.push(("name", Json::Str(name.to_string())));
+    let labels = Json::Obj(
+        sample
+            .labels
+            .iter()
+            .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
+            .collect(),
+    );
+    fields.push(("labels", labels));
+    match &sample.value {
+        SampleValue::Counter(v) => fields.push(("value", Json::Num(*v as f64))),
+        SampleValue::Gauge(v) => {
+            if !v.is_finite() {
+                return None;
+            }
+            fields.push(("value", Json::Num(*v)));
+        }
+        SampleValue::Histogram {
+            bounds,
+            buckets,
+            sum,
+            count,
+        } => {
+            if !sum.is_finite() {
+                return None;
+            }
+            fields.push(("value", Json::Num(*sum)));
+            fields.push(("count", Json::Num(*count as f64)));
+            let mut cum = 0u64;
+            let pairs: Vec<Json> = buckets
+                .iter()
+                .enumerate()
+                .map(|(i, b)| {
+                    cum += b;
+                    let le = bounds.get(i).copied().unwrap_or(f64::MAX);
+                    Json::Arr(vec![Json::Num(le), Json::Num(cum as f64)])
+                })
+                .collect();
+            fields.push(("buckets", Json::Arr(pairs)));
+        }
+    }
+    Some(Json::obj(fields))
+}
+
+/// The oracle's text for one snapshot: a line per sample it keeps.
+fn oracle_text(round: Option<u64>, families: &[niid_bench_rs::metrics::FamilySnapshot]) -> String {
+    let mut text = String::new();
+    for f in families {
+        for s in &f.samples {
+            if let Some(line) = oracle_line(round, &f.name, s) {
+                text.push_str(&format!("{line}\n"));
+            }
+        }
+    }
+    text
+}
+
+fn series_path(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("niid-series-{tag}-{}.jsonl", std::process::id()))
+}
+
+/// Counters, gauges and histograms, a NaN and an infinite gauge (both
+/// skipped), escaped label values and an unlabelled series: the cached
+/// renderer and `write_snapshot` print the oracle's bytes, with and
+/// without a round stamp, and the cache picks up a series added later
+/// and every value change.
+#[test]
+fn series_renderer_matches_the_json_tree_oracle() {
+    use niid_bench_rs::metrics::{JsonlExporter, SeriesCache, SeriesScope};
+    let r = Registry::new();
+    r.counter("bytes_total", "", &[("dir", "up"), ("encoding", "int8")])
+        .add(42);
+    r.counter("bytes_total", "", &[("dir", "down"), ("encoding", "int8")])
+        .add(1 << 60);
+    r.gauge("div", "", &[("party", "0")]).set(0.1 + 0.2);
+    r.gauge("div", "", &[("party", "1")]).set(-0.0);
+    r.gauge("bad", "", &[]).set(f64::NAN);
+    r.gauge("huge", "", &[]).set(f64::INFINITY);
+    r.gauge("tiny", "", &[]).set(5e-324);
+    r.gauge("big", "", &[]).set(1e300);
+    r.gauge("path", "", &[("p", "a\"b\\c\nd\t\u{1}é")]).set(2.5);
+    let h = r.histogram("lat_ms", "", &[1.0, 10.0], &[("phase", "eval")]);
+    for v in [0.5, 5.0, 7.0, 50.0, 1e9] {
+        h.observe(v);
+    }
+    r.histogram("idle_ms", "", &[0.25], &[]);
+
+    let path = series_path("oracle");
+    let exporter = JsonlExporter::create(&path).unwrap();
+    let mut cache = SeriesCache::new(|_, _| SeriesScope::Always);
+    let mut expected = String::new();
+    for round in [Some(3), None, Some(u64::from(u32::MAX))] {
+        exporter.write_snapshot(round, &r.snapshot());
+        exporter.write_series(round, &r, &mut cache, |_| false);
+        expected.push_str(&oracle_text(round, &r.snapshot()).repeat(2));
+        // A new series and changed values after the cache was built.
+        r.gauge("late", "", &[("k", &format!("{round:?}"))])
+            .set(1.0 / 3.0);
+        h.observe(2.0);
+        r.gauge("div", "", &[("party", "0")]).add(1.0);
+    }
+    exporter.sync();
+    let written = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(written.lines().count(), expected.lines().count());
+    for (i, (got, want)) in written.lines().zip(expected.lines()).enumerate() {
+        assert_eq!(got, want, "line {i}");
+    }
+    assert_eq!(written, expected);
+    assert!(!written.contains("\"bad\"") && !written.contains("\"huge\""));
+    assert!(
+        written.contains(r#"{"p":"a\"b\\c\nd\t\u0001é"}"#),
+        "{written}"
+    );
+}
+
+/// Per-round snapshots of a real observed run — partial participation,
+/// so per-party series appear lazily in later rounds and the party filter
+/// drops the parties that did not train, plus faults and a BatchNorm
+/// model — equal, line for line, the oracle applied to the registry
+/// right after each round with the per-party families filtered the way
+/// the recorder used to filter them.
+#[test]
+fn observed_run_series_match_the_json_tree_oracle() {
+    use niid_bench_rs::fl::{FaultPlan, RoundObservation, RoundObserver};
+    use niid_bench_rs::metrics::JsonlExporter;
+    use std::sync::Mutex;
+
+    struct Oracle<'a> {
+        recorder: &'a DynamicsRecorder,
+        text: Mutex<String>,
+    }
+    impl RoundObserver for Oracle<'_> {
+        fn grad_spans(&self) -> Option<&[std::ops::Range<usize>]> {
+            self.recorder.grad_spans()
+        }
+        fn observe_round(&self, obs: &RoundObservation<'_>) {
+            self.recorder.observe_round(obs);
+            let mut families = self.recorder.registry().snapshot();
+            for family in &mut families {
+                if [
+                    "niid_weight_divergence_l2",
+                    "niid_weight_cosine",
+                    "niid_bn_mean_drift_l2",
+                    "niid_bn_var_drift_l2",
+                ]
+                .contains(&family.name.as_str())
+                {
+                    family.samples.retain(|sample| {
+                        sample.labels.iter().any(|(k, v)| {
+                            k == "party" && v.parse().is_ok_and(|id| obs.selected.contains(&id))
+                        })
+                    });
+                }
+            }
+            let text = oracle_text(Some(obs.record.round as u64), &families);
+            self.text.lock().unwrap().push_str(&text);
+        }
+    }
+
+    let split = generate(DatasetId::Mnist, &GenConfig::tiny(31));
+    let part = partition(
+        &split.train,
+        6,
+        Strategy::DirichletLabelSkew { beta: 0.5 },
+        5,
+    )
+    .expect("partition");
+    let parties = build_parties(&split.train, &part, 5);
+    let model = ModelSpec::ResNetLite {
+        in_channels: 1,
+        side: 16,
+        width: 4,
+        blocks_per_stage: 1,
+    };
+    let layout = model.build(split.test.num_classes, 0).state_layout();
+    let path = series_path("observed");
+    let exporter = Arc::new(JsonlExporter::create(&path).expect("create series"));
+    let recorder = DynamicsRecorder::new(Arc::new(Registry::new()), &layout, Some(exporter));
+    let oracle = Oracle {
+        recorder: &recorder,
+        text: Mutex::new(String::new()),
+    };
+    let mut cfg = quick_config(37, 4);
+    cfg.sample_fraction = 0.5;
+    cfg.min_quorum = 0.1;
+    cfg.fault_plan = Some(FaultPlan::crash_only(0.2, 3));
+    let sim = FedSim::new(model, parties, split.test, cfg).expect("sim");
+    sim.run_observed(&NoopSink, Some(&oracle)).expect("run");
+    recorder.flush();
+    let written = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let expected = oracle.text.into_inner().unwrap();
+    assert_eq!(written.lines().count(), expected.lines().count());
+    for (i, (got, want)) in written.lines().zip(expected.lines()).enumerate() {
+        assert_eq!(got, want, "line {i}");
+    }
+    assert_eq!(written, expected);
+    // The filter did drop parties, and later rounds did add some.
+    let parties_in = |round: usize| {
+        expected
+            .lines()
+            .filter(|l| {
+                l.starts_with(&format!(
+                    "{{\"round\":{round},\"name\":\"niid_weight_divergence_l2\""
+                ))
+            })
+            .count()
+    };
+    let per_round: Vec<usize> = (0..4).map(parties_in).collect();
+    assert!(
+        per_round.iter().all(|&n| (1..6).contains(&n)),
+        "{per_round:?}"
+    );
+    let registered = recorder
+        .registry()
+        .snapshot()
+        .into_iter()
+        .find(|f| f.name == "niid_weight_divergence_l2")
+        .map_or(0, |f| f.samples.len());
+    assert!(registered > per_round[0], "{registered} vs {per_round:?}");
+}

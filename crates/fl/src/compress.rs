@@ -81,22 +81,6 @@ fn k_for(fraction: f64, n: usize) -> usize {
     (((n as f64) * fraction).ceil() as usize).clamp(1, n)
 }
 
-/// Reinterpret an `i8` slice as bytes (identical size/alignment, every bit
-/// pattern valid for both).
-fn i8_as_u8(xs: &[i8]) -> &[u8] {
-    // SAFETY: `i8` and `u8` have the same size (1) and alignment (1) and
-    // every bit pattern is valid for both, so the same `xs.len()`
-    // initialized bytes, borrowed for the same lifetime, are a valid
-    // `[u8]`.
-    unsafe { std::slice::from_raw_parts(xs.as_ptr().cast::<u8>(), xs.len()) }
-}
-
-/// Reinterpret a byte slice as `i8` (see [`i8_as_u8`]).
-fn u8_as_i8(xs: &[u8]) -> &[i8] {
-    // SAFETY: as in `i8_as_u8`, with the roles of the two types swapped.
-    unsafe { std::slice::from_raw_parts(xs.as_ptr().cast::<i8>(), xs.len()) }
-}
-
 impl UpdateCodec {
     /// Metric/JSON label for the codec family (`{dir, encoding}` label
     /// values, bench row names). The full parameterization is
@@ -154,7 +138,7 @@ impl UpdateCodec {
                 let scale = simd::quantize_stochastic_i8(kern, delta, levels, seed, &mut qs);
                 let mut buf = Vec::with_capacity(4 + n);
                 put_u32(&mut buf, scale.to_bits());
-                buf.extend_from_slice(i8_as_u8(&qs));
+                buf.extend(qs.iter().map(|&q| q as u8));
                 buf
             }
             UpdateCodec::TopKInt8 { fraction, levels } => {
@@ -166,7 +150,7 @@ impl UpdateCodec {
                 put_len(&mut buf, idx.len());
                 put_u32(&mut buf, scale.to_bits());
                 write_le(&mut buf, &idx);
-                buf.extend_from_slice(i8_as_u8(&qs));
+                buf.extend(qs.iter().map(|&q| q as u8));
                 buf
             }
         }
@@ -200,7 +184,7 @@ impl UpdateCodec {
                 let scale = quant_scale(&mut r)?;
                 let qs = quant_values(&mut r, n, levels)?;
                 let mut out = vec![0f32; n];
-                simd::dequantize_i8(kern, qs, scale, levels, &mut out);
+                simd::dequantize_i8(kern, &qs, scale, levels, &mut out);
                 DecodedUpdate::Dense(out)
             }
             UpdateCodec::TopKInt8 { levels, .. } => {
@@ -209,7 +193,7 @@ impl UpdateCodec {
                 let indices = sparse_indices(&mut r, k, n)?;
                 let qs = quant_values(&mut r, k, levels)?;
                 let mut values = vec![0f32; k];
-                simd::dequantize_i8(kern, qs, scale, levels, &mut values);
+                simd::dequantize_i8(kern, &qs, scale, levels, &mut values);
                 DecodedUpdate::Sparse { indices, values }
             }
         };
@@ -409,8 +393,12 @@ fn quant_scale(r: &mut Cursor<'_>) -> Result<f32, Malformed> {
 /// `len` quantized values whose magnitudes fit the declared level count —
 /// a hostile `q = 127` with `levels = 16` would reconstruct far beyond the
 /// scale.
-fn quant_values<'a>(r: &mut Cursor<'a>, len: usize, levels: u16) -> Result<&'a [i8], Malformed> {
-    let qs = u8_as_i8(r.take(len, "quantized values")?);
+fn quant_values(r: &mut Cursor<'_>, len: usize, levels: u16) -> Result<Vec<i8>, Malformed> {
+    let qs: Vec<i8> = r
+        .take(len, "quantized values")?
+        .iter()
+        .map(|&b| b as i8)
+        .collect();
     let qmax = u32::from(levels) - 1;
     if qs.iter().all(|q| u32::from(q.unsigned_abs()) <= qmax) {
         return Ok(qs);

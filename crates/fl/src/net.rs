@@ -54,7 +54,7 @@ use crate::transport::{
     record_trained, train_party, Broadcast, PartyEnv, PartyOutcome, TrainedParty, Transport,
 };
 use crate::wire::{put_bytes, put_f32s, put_f64, put_len, put_str, put_u64, Cursor, Malformed};
-use niid_metrics::Deadline;
+use niid_metrics::{Deadline, DeadlineReader};
 use niid_nn::ModelSpec;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{ErrorKind, Read, Write};
@@ -191,20 +191,6 @@ fn io_err(op: &'static str, e: std::io::Error) -> NetError {
     }
 }
 
-/// A transient error is worth a bounded retry with backoff; anything
-/// else (reset, refused, protocol violation) means the peer is gone or
-/// hostile.
-fn is_transient(e: &NetError) -> bool {
-    matches!(e, NetError::Timeout(_))
-        || matches!(
-            e,
-            NetError::Io {
-                kind: ErrorKind::Interrupted | ErrorKind::WouldBlock | ErrorKind::TimedOut,
-                ..
-            }
-        )
-}
-
 /// One decoded frame.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
@@ -284,74 +270,42 @@ pub fn read_frame(r: &mut impl Read, max_len: u32) -> Result<Frame, NetError> {
     Ok(Frame { kind, payload })
 }
 
-/// A `Read` adapter over a `TcpStream` that enforces one overall
-/// [`Deadline`]: each blocking read's socket timeout is clamped to the
-/// time remaining, so a peer trickling bytes cannot reset its window —
-/// the same fix the metrics listener got.
-struct DeadlineReader<'a> {
-    stream: &'a mut TcpStream,
-    deadline: Deadline,
+/// How long one frame write may wait on a peer that reads nothing.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// One framed TCP connection, as both the coordinator and the party
+/// client hold it.
+///
+/// A frame is sent at most once: `write_all` cannot tell how much of a
+/// frame left before a timeout, so resending would splice a second header
+/// into the first frame's payload. A failed send is the end of the
+/// connection instead, exactly as a failed read is.
+struct Conn {
+    stream: TcpStream,
+    peer: String,
+    max_frame: u32,
 }
 
-impl Read for DeadlineReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        loop {
-            let Some(remaining) = self.deadline.remaining() else {
-                return Err(std::io::Error::new(ErrorKind::TimedOut, "deadline elapsed"));
-            };
-            self.stream
-                .set_read_timeout(Some(remaining.min(Duration::from_millis(250))))?;
-            match self.stream.read(buf) {
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    continue
-                }
-                other => return other,
-            }
+impl Conn {
+    fn new(stream: TcpStream, peer: String, max_frame: u32) -> Self {
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+        Conn {
+            stream,
+            peer,
+            max_frame,
         }
     }
-}
 
-/// Read one frame with an overall deadline (see [`DeadlineReader`]).
-pub fn read_frame_deadline(
-    stream: &mut TcpStream,
-    max_len: u32,
-    deadline: &Deadline,
-) -> Result<Frame, NetError> {
-    read_frame(
-        &mut DeadlineReader {
-            stream,
-            deadline: *deadline,
-        },
-        max_len,
-    )
-}
+    fn send(&mut self, kind: MsgKind, payload: &[u8]) -> Result<(), NetError> {
+        write_frame(&mut self.stream, kind, payload)
+    }
 
-/// Read one frame with no read timeout (the party side's idle wait: the
-/// server sets the pace between rounds).
-fn read_frame_blocking(stream: &mut TcpStream, max_len: u32) -> Result<Frame, NetError> {
-    stream
-        .set_read_timeout(None)
-        .map_err(|e| io_err("frame read", e))?;
-    read_frame(stream, max_len)
-}
-
-/// Send a frame with bounded retry/backoff on transient I/O errors.
-fn send_with_retry(
-    stream: &mut TcpStream,
-    kind: MsgKind,
-    payload: &[u8],
-    net: &NetConfig,
-) -> Result<(), NetError> {
-    let mut attempt = 0u32;
-    loop {
-        match write_frame(stream, kind, payload) {
-            Ok(()) => return Ok(()),
-            Err(e) if attempt < net.io_retries && is_transient(&e) => {
-                attempt += 1;
-                std::thread::sleep(net.retry_backoff);
-            }
-            Err(e) => return Err(e),
-        }
+    /// Read one frame before `deadline`, or with no time limit (the party
+    /// side's idle wait: the server sets the pace between rounds).
+    fn recv(&mut self, deadline: Option<&Deadline>) -> Result<Frame, NetError> {
+        let mut reader = DeadlineReader::new(&self.stream, deadline.copied());
+        read_frame(&mut reader, self.max_frame)
     }
 }
 
@@ -770,10 +724,6 @@ pub struct NetConfig {
     /// local training plus any [`FaultPlan`](crate::fault::FaultPlan)
     /// delay, which party clients honor as real wall-clock sleeps.
     pub round_timeout: Duration,
-    /// Bounded retries for transient I/O errors.
-    pub io_retries: u32,
-    /// Backoff between transient-error retries.
-    pub retry_backoff: Duration,
 }
 
 impl Default for NetConfig {
@@ -783,16 +733,13 @@ impl Default for NetConfig {
             handshake_timeout: Duration::from_secs(10),
             accept_timeout: Duration::from_secs(120),
             round_timeout: Duration::from_secs(300),
-            io_retries: 3,
-            retry_backoff: Duration::from_millis(100),
         }
     }
 }
 
 struct HostConn {
-    stream: TcpStream,
+    conn: Conn,
     party_ids: Vec<usize>,
-    peer: String,
 }
 
 /// The server side of a distributed run: owns the listener and the
@@ -815,6 +762,10 @@ impl Coordinator {
         net: NetConfig,
     ) -> Result<Self, NetError> {
         let listener = TcpListener::bind(addr).map_err(|e| io_err("bind", e))?;
+        // Accepts only ever drain what is already waiting (`accept_pending`).
+        listener
+            .set_nonblocking(true)
+            .map_err(|e| io_err("bind", e))?;
         Ok(Coordinator {
             listener,
             net,
@@ -843,65 +794,46 @@ impl Coordinator {
     }
 
     /// Accept and handshake party hosts until every party id in
-    /// `0..n_parties` is hosted, or the accept deadline fires. The accept
-    /// loop runs under the same [`Deadline`] helper the metrics listener
-    /// uses — per-iteration waits are clamped to the time remaining.
+    /// `0..n_parties` is hosted, or the accept deadline fires.
     pub fn wait_for_roster(&mut self) -> Result<(), NetError> {
         let deadline = Deadline::after(self.net.accept_timeout);
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| io_err("accept", e))?;
-        let result = loop {
+        loop {
+            self.accept_pending()?;
             if self.hosted_parties() == self.n_parties {
-                break Ok(());
+                return Ok(());
             }
             if deadline.expired() {
-                break Err(NetError::Timeout("waiting for the party roster"));
+                return Err(NetError::Timeout("waiting for the party roster"));
             }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    /// Register every connection already waiting on the listener, without
+    /// blocking. Called while waiting for the roster, and at the top of
+    /// every round so a host that died and reconnected is back in the
+    /// roster before assignments go out.
+    fn accept_pending(&mut self) -> Result<(), NetError> {
+        loop {
             match self.listener.accept() {
                 Ok((stream, peer)) => {
                     // A bad handshake rejects that connection, not the run.
                     let _ = self.try_register(stream, peer);
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => break Err(io_err("accept", e)),
-            }
-        };
-        let _ = self.listener.set_nonblocking(false);
-        result
-    }
-
-    /// Drain any pending (re)connections without blocking — called at
-    /// the top of every round so a host that died and reconnected is
-    /// back in the roster before assignments go out.
-    fn absorb_reconnects(&mut self) {
-        if self.listener.set_nonblocking(true).is_err() {
-            return;
-        }
-        loop {
-            match self.listener.accept() {
-                Ok((stream, peer)) => {
-                    let _ = self.try_register(stream, peer);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => break,
+                Err(e) => return Err(io_err("accept", e)),
             }
         }
-        let _ = self.listener.set_nonblocking(false);
     }
 
     /// Handshake one inbound connection: read its `Hello` under the
     /// handshake deadline, validate fingerprint and claimed ids, answer
     /// `Ack`, and register it — evicting any previous host that owned
     /// one of the claimed ids (that is what a reconnect looks like).
-    fn try_register(&mut self, mut stream: TcpStream, peer: SocketAddr) -> Result<(), NetError> {
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-        let deadline = Deadline::after(self.net.handshake_timeout);
-        let frame = read_frame_deadline(&mut stream, self.net.max_frame, &deadline)?;
+    fn try_register(&mut self, stream: TcpStream, peer: SocketAddr) -> Result<(), NetError> {
+        let mut conn = Conn::new(stream, peer.to_string(), self.net.max_frame);
+        let frame = conn.recv(Some(&Deadline::after(self.net.handshake_timeout)))?;
         if frame.kind != MsgKind::Hello {
             return Err(NetError::Malformed(format!(
                 "expected Hello, got {:?}",
@@ -909,22 +841,18 @@ impl Coordinator {
             )));
         }
         let hello = HelloMsg::decode(&frame.payload)?;
-        let reject = |stream: &mut TcpStream, message: String| {
-            let _ = write_frame(
-                stream,
-                MsgKind::Ack,
-                &AckMsg { ok: false, message }.encode(),
-            );
+        let reject = |conn: &mut Conn, message: String| {
+            let _ = conn.send(MsgKind::Ack, &AckMsg { ok: false, message }.encode());
         };
         if hello.fingerprint != self.fingerprint {
-            reject(&mut stream, "config fingerprint mismatch".into());
+            reject(&mut conn, "config fingerprint mismatch".into());
             return Ok(());
         }
         let mut seen = BTreeSet::new();
         for &id in &hello.party_ids {
             if id >= self.n_parties {
                 reject(
-                    &mut stream,
+                    &mut conn,
                     format!(
                         "party id {id} out of range (n_parties = {})",
                         self.n_parties
@@ -933,16 +861,15 @@ impl Coordinator {
                 return Ok(());
             }
             if !seen.insert(id) {
-                reject(&mut stream, format!("duplicate party id {id} in Hello"));
+                reject(&mut conn, format!("duplicate party id {id} in Hello"));
                 return Ok(());
             }
         }
         if hello.party_ids.is_empty() {
-            reject(&mut stream, "Hello claims no parties".into());
+            reject(&mut conn, "Hello claims no parties".into());
             return Ok(());
         }
-        write_frame(
-            &mut stream,
+        conn.send(
             MsgKind::Ack,
             &AckMsg {
                 ok: true,
@@ -954,9 +881,8 @@ impl Coordinator {
         self.hosts
             .retain(|h| !h.party_ids.iter().any(|id| seen.contains(id)));
         self.hosts.push(HostConn {
-            stream,
+            conn,
             party_ids: hello.party_ids,
-            peer: peer.to_string(),
         });
         Ok(())
     }
@@ -971,7 +897,7 @@ impl Coordinator {
     /// the roster either way.
     pub fn shutdown_all(&mut self) {
         for host in &mut self.hosts {
-            let _ = write_frame(&mut host.stream, MsgKind::Shutdown, &[]);
+            let _ = host.conn.send(MsgKind::Shutdown, &[]);
         }
         self.hosts.clear();
     }
@@ -990,7 +916,7 @@ impl Transport for Coordinator {
         residuals: &BTreeMap<usize, Vec<f32>>,
         sink: &dyn TraceSink,
     ) -> Vec<PartyOutcome> {
-        self.absorb_reconnects();
+        let _ = self.accept_pending();
         let round = bcast.round;
         let p_len = bcast.params.len();
         let b_len = bcast.buffers.len();
@@ -1046,15 +972,13 @@ impl Transport for Coordinator {
                     .collect(),
             }
             .encode();
-            let net = self.net.clone();
-            let host = &mut self.hosts[*h];
-            let sent = send_with_retry(&mut host.stream, MsgKind::Broadcast, &bcast, &net)
-                .and_then(|_| {
-                    send_with_retry(&mut host.stream, MsgKind::RoundAssign, &assign, &net)
-                });
+            let conn = &mut self.hosts[*h].conn;
+            let sent = conn
+                .send(MsgKind::Broadcast, &bcast)
+                .and_then(|_| conn.send(MsgKind::RoundAssign, &assign));
             if let Err(e) = sent {
                 for &pid in pids {
-                    results.insert(pid, host_lost(pid, &host.peer, &e));
+                    results.insert(pid, host_lost(pid, &conn.peer, &e));
                 }
                 dead.insert(*h);
             }
@@ -1066,10 +990,10 @@ impl Transport for Coordinator {
             }
             let mut pending: BTreeSet<usize> = pids.iter().copied().collect();
             let deadline = Deadline::after(self.net.round_timeout);
-            let max_frame = self.net.max_frame;
+            let conn = &mut self.hosts[*h].conn;
             while !pending.is_empty() {
-                let host = &mut self.hosts[*h];
-                let received = read_frame_deadline(&mut host.stream, max_frame, &deadline)
+                let received = conn
+                    .recv(Some(&deadline))
                     .and_then(|frame| {
                         if frame.kind != MsgKind::Update {
                             return Err(NetError::Malformed(format!(
@@ -1123,9 +1047,8 @@ impl Transport for Coordinator {
                         results.insert(pid, outcome);
                     }
                     Err(e) => {
-                        let peer = self.hosts[*h].peer.clone();
                         for &pid in &pending {
-                            results.insert(pid, host_lost(pid, &peer, &e));
+                            results.insert(pid, host_lost(pid, &conn.peer, &e));
                         }
                         dead.insert(*h);
                         break;
@@ -1187,7 +1110,7 @@ pub struct PartyClientConfig {
     pub party_ids: Vec<usize>,
     /// Canonical config JSON (see [`config_fingerprint`]).
     pub fingerprint: String,
-    /// Socket knobs (frame cap, handshake deadline, retry policy).
+    /// Socket knobs (frame cap and handshake deadline).
     pub net: NetConfig,
     /// Sleep between reconnect attempts.
     pub reconnect_backoff: Duration,
@@ -1222,16 +1145,14 @@ pub struct PartyHost {
     pub config: FlConfig,
 }
 
-fn connect_once(cfg: &PartyClientConfig) -> Result<TcpStream, NetError> {
+fn connect_once(cfg: &PartyClientConfig) -> Result<Conn, NetError> {
     let addr = cfg.server.resolve().ok_or(NetError::Io {
         op: "resolve server address",
         kind: ErrorKind::NotFound,
         message: "server address not available yet".into(),
     })?;
     let stream = TcpStream::connect(&addr).map_err(|e| io_err("connect", e))?;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    Ok(stream)
+    Ok(Conn::new(stream, addr, cfg.net.max_frame))
 }
 
 /// Run a party client until the coordinator says [`MsgKind::Shutdown`].
@@ -1265,14 +1186,13 @@ pub fn run_party_client(cfg: &PartyClientConfig, host: &PartyHost) -> Result<(),
                 continue 'session;
             }};
         }
-        let mut stream = match connect_once(cfg) {
+        let mut conn = match connect_once(cfg) {
             Ok(s) => s,
             Err(e) => outage!(e),
         };
         let handshake = (|| -> Result<AckMsg, NetError> {
-            write_frame(&mut stream, MsgKind::Hello, &hello)?;
-            let deadline = Deadline::after(cfg.net.handshake_timeout);
-            let frame = read_frame_deadline(&mut stream, cfg.net.max_frame, &deadline)?;
+            conn.send(MsgKind::Hello, &hello)?;
+            let frame = conn.recv(Some(&Deadline::after(cfg.net.handshake_timeout)))?;
             if frame.kind != MsgKind::Ack {
                 return Err(NetError::Malformed(format!(
                     "expected Ack, got {:?}",
@@ -1292,7 +1212,7 @@ pub fn run_party_client(cfg: &PartyClientConfig, host: &PartyHost) -> Result<(),
 
         let mut bcast: Option<BroadcastMsg> = None;
         loop {
-            let frame = match read_frame_blocking(&mut stream, cfg.net.max_frame) {
+            let frame = match conn.recv(None) {
                 Ok(f) => f,
                 Err(e) => outage!(e),
             };
@@ -1323,7 +1243,7 @@ pub fn run_party_client(cfg: &PartyClientConfig, host: &PartyHost) -> Result<(),
                         let outcome =
                             train_party(&env, &bcast, &mut model, party_id, a.client_c, a.residual);
                         let upd = UpdateMsg::from_outcome(bcast.round, party_id, outcome);
-                        if let Err(e) = write_frame(&mut stream, MsgKind::Update, &upd.encode()) {
+                        if let Err(e) = conn.send(MsgKind::Update, &upd.encode()) {
                             outage!(e);
                         }
                     }
@@ -1453,9 +1373,10 @@ mod tests {
             // Send the header plus half the payload, then vanish.
             s.write_all(&bytes[..FRAME_HEADER_LEN + 32]).unwrap();
         });
-        let (mut conn, _) = listener.accept().unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let mut conn = Conn::new(stream, "writer".into(), 1024);
         let deadline = Deadline::after(Duration::from_secs(5));
-        let err = read_frame_deadline(&mut conn, 1024, &deadline).unwrap_err();
+        let err = conn.recv(Some(&deadline)).unwrap_err();
         assert_eq!(
             err,
             NetError::Truncated {
@@ -1472,12 +1393,82 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let _client = TcpStream::connect(addr).unwrap();
-        let (mut conn, _) = listener.accept().unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let mut conn = Conn::new(stream, "client".into(), 1024);
         let deadline = Deadline::after(Duration::from_millis(200));
         let started = std::time::Instant::now();
-        let err = read_frame_deadline(&mut conn, 1024, &deadline).unwrap_err();
+        let err = conn.recv(Some(&deadline)).unwrap_err();
         assert!(matches!(err, NetError::Timeout(_)), "{err:?}");
         assert!(started.elapsed() < Duration::from_secs(5));
+    }
+
+    /// A peer that trickles one byte every 100 ms never leaves a read
+    /// idle for a whole timeout window, yet it is still cut off at the
+    /// frame's deadline rather than one fresh window per byte.
+    #[test]
+    fn trickling_peer_times_out_at_the_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop_trickler = std::sync::Arc::clone(&stop);
+        let trickler = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            let frame = frame_bytes(MsgKind::Update, &[0u8; 64]);
+            for b in frame {
+                if stop_trickler.load(std::sync::atomic::Ordering::SeqCst)
+                    || s.write_all(&[b]).is_err()
+                {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let mut conn = Conn::new(stream, "trickler".into(), 1024);
+        let deadline = Deadline::after(Duration::from_millis(400));
+        let started = std::time::Instant::now();
+        let err = conn.recv(Some(&deadline)).unwrap_err();
+        let waited = started.elapsed();
+        stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        trickler.join().unwrap();
+        assert!(matches!(err, NetError::Timeout(_)), "{err:?}");
+        // The whole 74-byte frame would take 7.4 s to arrive.
+        assert!(waited < Duration::from_secs(3), "cut off after {waited:?}");
+    }
+
+    /// A send that times out is not retried: `write_all` cannot tell how
+    /// much of the frame left, so a resend would splice a second header
+    /// into the first frame. The peer sees a strict prefix of one frame.
+    #[test]
+    fn a_frame_is_sent_at_most_once() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Larger than both sides' socket buffers together.
+        let payload = vec![0u8; 32 << 20];
+        let frame = frame_bytes(MsgKind::Broadcast, &payload);
+        let peer = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            // Idle well past the sender's write timeout, then drain.
+            std::thread::sleep(Duration::from_millis(350));
+            let mut got = Vec::new();
+            s.read_to_end(&mut got).unwrap();
+            got
+        });
+        let mut conn = Conn::new(TcpStream::connect(addr).unwrap(), "peer".into(), 1024);
+        conn.stream
+            .set_write_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let sent = conn.send(MsgKind::Broadcast, &payload);
+        drop(conn);
+        let got = peer.join().unwrap();
+        assert!(matches!(sent, Err(NetError::Timeout(_))), "{sent:?}");
+        assert!(got.len() < frame.len(), "the whole frame arrived");
+        assert_eq!(got[..], frame[..got.len()], "not a prefix of one frame");
+        let headers = got
+            .windows(FRAME_HEADER_LEN)
+            .filter(|w| *w == &frame[..FRAME_HEADER_LEN])
+            .count();
+        assert_eq!(headers, 1);
     }
 
     #[test]
@@ -1655,6 +1646,94 @@ mod tests {
             Err(NetError::Malformed(m)) => assert!(m.contains("truncated Hello party id"), "{m}"),
             other => panic!("lying id count gave {other:?}"),
         }
+    }
+
+    /// FNV-1a over a byte stream.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The exact bytes every codec payload and every message puts on the
+    /// wire, pinned by digest: a change to how bytes are written or read
+    /// must leave each one where it is.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        use crate::compress::UpdateCodec;
+        let mut rng = niid_stats::Pcg64::new(7);
+        let mut delta: Vec<f32> = (0..1001)
+            .map(|_| (rng.next_f64() as f32) * 2.0 - 1.0)
+            .collect();
+        delta[3] = -0.0;
+        delta[500] = 1.0e-40;
+        let kern = niid_tensor::simd::active_kernel();
+        let codecs = [
+            UpdateCodec::DenseF32,
+            UpdateCodec::TopK { fraction: 0.1 },
+            UpdateCodec::Int8Q { levels: 128 },
+            UpdateCodec::TopKInt8 {
+                fraction: 0.1,
+                levels: 16,
+            },
+        ];
+        let payloads: Vec<Vec<u8>> = codecs.iter().map(|c| c.encode(kern, &delta, 42)).collect();
+        let broadcast = BroadcastMsg {
+            round: 9,
+            params: delta.clone(),
+            buffers: vec![0.5, f32::from_bits(0x7FC0_1234)],
+            server_c: delta[..17].to_vec(),
+        };
+        let trained = UpdateMsg {
+            round: 9,
+            party_id: 3,
+            body: UpdateBody::Trained {
+                payload: payloads[3].clone(),
+                residual: delta[..33].to_vec(),
+                client_c: vec![],
+                buffers: vec![1.0, -2.0],
+                delta_c: delta[..5].to_vec(),
+                tau: 12,
+                n_samples: 340,
+                avg_loss: 0.731,
+                wall_ms: 5.25,
+            },
+        };
+        let failed = UpdateMsg {
+            round: 9,
+            party_id: 4,
+            body: UpdateBody::Failed {
+                kind: FailureKind::InjectedDrop,
+                message: "dropped".into(),
+            },
+        };
+        let hello = HelloMsg {
+            fingerprint: "{\"seed\":\"42\"}".into(),
+            party_ids: vec![0, 3, 6],
+        };
+        let got: Vec<u64> = payloads
+            .iter()
+            .map(|p| fnv1a(p))
+            .chain([
+                fnv1a(&broadcast.encode()),
+                fnv1a(&trained.encode()),
+                fnv1a(&failed.encode()),
+                fnv1a(&hello.encode()),
+            ])
+            .collect();
+        // Recorded before `wire`'s byte views became safe loops; the
+        // same on every SIMD arm.
+        let want: [u64; 8] = [
+            0x8f9a_f8c2_3f17_7ef3, // dense
+            0x3c98_6dfd_f309_99f1, // topk
+            0x38d1_678f_1030_caf7, // int8
+            0xfc0b_7126_652a_2351, // topk8
+            0x0b67_79bb_2fe8_7210, // Broadcast
+            0x4954_bd79_12a5_4efd, // Update, trained
+            0x439f_5a77_3f39_9afa, // Update, failed
+            0xa95e_385e_6c5e_6a27, // Hello
+        ];
+        assert_eq!(got, want, "{got:#018x?}");
     }
 
     #[test]

@@ -11,54 +11,43 @@
 pub(crate) struct Malformed(pub(crate) String);
 
 /// A 4-byte scalar the wire carries as its exact little-endian bits.
-///
-/// # Safety
-/// Implementors are 4 bytes wide with no padding, and every bit pattern
-/// is a valid value, so a slice of them may be read and written as bytes.
-pub(crate) unsafe trait Word: Copy + Default {}
-
-// SAFETY: `f32` and `u32` are 4-byte plain values; any bits are valid.
-unsafe impl Word for f32 {}
-// SAFETY: as for `f32`.
-unsafe impl Word for u32 {}
-
-fn as_bytes<T: Word>(xs: &[T]) -> &[u8] {
-    // SAFETY: `T: Word` has no padding, so all `size_of_val(xs)` bytes are
-    // initialized, and `u8` has alignment 1.
-    unsafe { std::slice::from_raw_parts(xs.as_ptr().cast::<u8>(), std::mem::size_of_val(xs)) }
+pub(crate) trait Word: Copy {
+    fn to_le(self) -> [u8; 4];
+    fn from_le(bytes: [u8; 4]) -> Self;
 }
 
-fn as_bytes_mut<T: Word>(xs: &mut [T]) -> &mut [u8] {
-    // SAFETY: as in `as_bytes`; any bytes written are a valid `T` (`Word`).
-    unsafe {
-        std::slice::from_raw_parts_mut(xs.as_mut_ptr().cast::<u8>(), std::mem::size_of_val(xs))
+impl Word for f32 {
+    fn to_le(self) -> [u8; 4] {
+        self.to_le_bytes()
+    }
+    fn from_le(bytes: [u8; 4]) -> Self {
+        f32::from_le_bytes(bytes)
     }
 }
 
-/// On a big-endian target, turn native words into little-endian ones (or
-/// back) in place; on little-endian targets memory order *is* wire order.
-fn swap_to_le(bytes: &mut [u8]) {
-    if cfg!(target_endian = "big") {
-        bytes.chunks_exact_mut(4).for_each(<[u8]>::reverse);
+impl Word for u32 {
+    fn to_le(self) -> [u8; 4] {
+        self.to_le_bytes()
+    }
+    fn from_le(bytes: [u8; 4]) -> Self {
+        u32::from_le_bytes(bytes)
     }
 }
 
-/// Append `xs` to `buf` as little-endian bytes: one bulk copy of the
-/// slice, not a per-element `to_le_bytes` loop.
+/// Append `xs` to `buf` as little-endian bytes. One `extend` over the
+/// whole slice: a per-element `extend_from_slice` is many times slower.
 pub(crate) fn write_le<T: Word>(buf: &mut Vec<u8>, xs: &[T]) {
-    let start = buf.len();
-    buf.extend_from_slice(as_bytes(xs));
-    swap_to_le(&mut buf[start..]);
+    buf.reserve(4 * xs.len());
+    buf.extend(xs.iter().flat_map(|x| x.to_le()));
 }
 
-/// Decode little-endian bytes into words, one bulk copy. `bytes.len()`
-/// is a multiple of 4 ([`Cursor`] takes exactly `4·n` bytes).
+/// Decode little-endian bytes into words. `bytes.len()` is a multiple of
+/// 4 ([`Cursor`] takes exactly `4·n` bytes).
 fn read_le<T: Word>(bytes: &[u8]) -> Vec<T> {
-    let mut out = vec![T::default(); bytes.len() / 4];
-    let dst = as_bytes_mut(&mut out);
-    dst.copy_from_slice(bytes);
-    swap_to_le(dst);
-    out
+    bytes
+        .chunks_exact(4)
+        .map(|b| T::from_le(b.try_into().expect("4-byte chunk")))
+        .collect()
 }
 
 /// A `u32` length prefix; one that does not fit is this program's bug.
@@ -219,8 +208,8 @@ mod tests {
 
     #[test]
     fn bulk_le_helpers_match_portable_byte_order() {
-        // The little-endian bulk copy must emit exactly what the portable
-        // per-element `to_le_bytes` loop would, including NaN payload bits.
+        // The helpers must emit exactly what a per-element `to_le_bytes`
+        // loop would, including NaN payload bits, and read it back.
         let xs = vec![
             1.5f32,
             -0.0,

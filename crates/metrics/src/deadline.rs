@@ -1,16 +1,22 @@
-//! A tiny monotonic deadline, shared by every socket loop in the
-//! workspace.
+//! A monotonic deadline and the one socket reader that counts down to it.
 //!
-//! The HTTP exposition server and the federated coordinator both read
-//! from untrusted sockets in a loop. A per-*read* timeout is not enough:
-//! a peer that trickles one byte inside every timeout window resets it
-//! forever and holds the handler open indefinitely. The fix is the same
-//! everywhere — one [`Deadline`] per connection (or per protocol phase),
-//! with each blocking read's timeout clamped to the time that is
-//! actually left — so the helper lives here, in the lowest crate that
-//! owns a socket.
+//! Every read from an untrusted socket in the workspace goes through
+//! [`DeadlineReader`]: the metrics HTTP server reads a request with it,
+//! and the federated coordinator and party client (`niid_fl::net`) read
+//! every frame with it. A per-*read* timeout is not enough: a peer that
+//! trickles one byte inside every timeout window resets it forever and
+//! holds the handler open indefinitely. The reader holds one [`Deadline`]
+//! per connection (or per protocol phase) and clamps each blocking read's
+//! timeout to the time that is actually left, so the helper lives here,
+//! in the lowest crate that owns a socket.
 
+use std::io::{ErrorKind, Read};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
+
+/// The longest single socket wait inside a [`DeadlineReader`]: each read
+/// waits at most this long before the deadline is checked again.
+const READ_SLICE: Duration = Duration::from_millis(250);
 
 /// An absolute point in monotonic time that socket loops count down to.
 #[derive(Debug, Clone, Copy)]
@@ -41,6 +47,52 @@ impl Deadline {
     /// Whether the deadline has passed.
     pub fn expired(&self) -> bool {
         self.remaining().is_none()
+    }
+}
+
+/// A `Read` adapter over a `TcpStream` that gives up once its
+/// [`Deadline`] passes, with an `ErrorKind::TimedOut` error, however the
+/// peer paces its bytes. With no deadline it blocks until the peer sends
+/// or closes (a party's idle wait between rounds).
+///
+/// This is the only place in the workspace that sets a socket's read
+/// timeout; it sets one before every read, so the stream may be shared
+/// by readers with different deadlines.
+pub struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Option<Deadline>,
+}
+
+impl<'a> DeadlineReader<'a> {
+    /// Read `stream` until `deadline` (or without end, if `None`).
+    pub fn new(stream: &'a TcpStream, deadline: Option<Deadline>) -> Self {
+        DeadlineReader { stream, deadline }
+    }
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            let timeout = match &self.deadline {
+                None => None,
+                Some(d) => match d.remaining() {
+                    Some(left) => Some(left.min(READ_SLICE)),
+                    None => {
+                        return Err(std::io::Error::new(ErrorKind::TimedOut, "deadline elapsed"))
+                    }
+                },
+            };
+            self.stream.set_read_timeout(timeout)?;
+            match self.stream.read(buf) {
+                Err(e)
+                    if timeout.is_some()
+                        && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+                {
+                    continue
+                }
+                other => return other,
+            }
+        }
     }
 }
 

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::deadline::Deadline;
+use crate::deadline::{Deadline, DeadlineReader};
 use crate::expo::render_prometheus;
 use crate::registry::Registry;
 
@@ -99,19 +99,14 @@ enum RequestRead {
 }
 
 fn handle_conn_within(mut stream: TcpStream, registry: &Registry, budget: Duration) {
-    // One deadline for the whole request read: each socket read's timeout
-    // is the time *remaining*, never a fresh window, so slow-trickling
-    // peers are bounded by `budget` total.
-    let deadline = Deadline::after(budget);
+    // One deadline for the whole request read, so slow-trickling peers
+    // are bounded by `budget` total.
+    let mut reader = DeadlineReader::new(&stream, Some(Deadline::after(budget)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
     let mut buf = [0u8; 1024];
     let mut req = Vec::new();
     let outcome = loop {
-        let Some(remaining) = deadline.remaining() else {
-            break RequestRead::TimedOut;
-        };
-        let _ = stream.set_read_timeout(Some(remaining.min(Duration::from_millis(500))));
-        match stream.read(&mut buf) {
+        match reader.read(&mut buf) {
             Ok(0) => break RequestRead::Complete,
             Ok(n) => {
                 // Enforce the cap *before* growing the buffer, so a
@@ -124,10 +119,7 @@ fn handle_conn_within(mut stream: TcpStream, registry: &Registry, budget: Durati
                     break RequestRead::Complete;
                 }
             }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                // Re-check the overall deadline at the top of the loop.
-                continue;
-            }
+            Err(e) if e.kind() == ErrorKind::TimedOut => break RequestRead::TimedOut,
             Err(_) => break RequestRead::Complete,
         }
     };

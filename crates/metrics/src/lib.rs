@@ -34,7 +34,7 @@ pub mod http;
 pub mod registry;
 pub mod shutdown;
 
-pub use deadline::Deadline;
+pub use deadline::{Deadline, DeadlineReader};
 pub use expo::{render_prometheus, JsonlExporter, JsonlFile, SeriesCache, SeriesScope};
 pub use http::MetricsServer;
 pub use registry::{

@@ -10,10 +10,10 @@ use niid_bench::harness::{black_box, BenchMeta, Harness};
 use niid_nn::{mlp, Sgd};
 use niid_stats::Pcg64;
 use niid_tensor::{
-    conv2d, conv2d_backward, conv2d_backward_ws, conv2d_forward, conv2d_forward_direct,
-    conv2d_forward_implicit, matmul, matmul_a_bt, matmul_at_b, matmul_at_b_scanned_slices,
-    matmul_scanned_slices, maxpool2d, softmax_rows, with_forced_kernel, with_thread_budget,
-    Conv2dShape, ConvScratch, Kernel, Pool2dShape, SparseRows, Tensor,
+    conv2d_backward_ws, conv2d_forward, conv2d_forward_direct, conv2d_forward_implicit, matmul,
+    matmul_a_bt, matmul_at_b, matmul_at_b_scanned_slices, matmul_scanned_slices, maxpool2d,
+    softmax_rows, with_forced_kernel, with_thread_budget, Conv2dShape, ConvScratch, Kernel,
+    Pool2dShape, SparseRows, Tensor,
 };
 
 /// A lowering-specific conv forward ([`conv2d_forward`] dispatches).
@@ -192,25 +192,45 @@ fn main() {
         Tensor::from_vec(v, &[m, k])
     };
     let dense_x = Tensor::randn(&[m, k], 1.0, &mut rng);
+    // Each row scans its `X` and then runs the one product on that scan:
+    // the per-call cost of a product nobody kept a scan for. The dense
+    // twin's scan gives up early and keeps the dense kernels.
+    let (mut y, mut dw) = (vec![0.0f32; m * n], vec![0.0f32; k * n]);
     for (x, zeros, suffix) in [(&sparse_x, "90% zeros", ""), (&dense_x, "dense", "/dense")] {
         let shape = format!("{m}x{k}x{n} {zeros}");
         h.bench_meta(
             &format!("matmul/rcv1_ab_{m}x{k}x{n}/t1{suffix}"),
             BenchMeta::op("matmul/rcv1_ab", &shape, 1, flops),
-            |bench| bench.iter(|| with_thread_budget(1, || matmul(black_box(x), black_box(&w)))),
+            |bench| {
+                bench.iter(|| {
+                    with_thread_budget(1, || {
+                        let x = black_box(x.as_slice());
+                        let sparse = SparseRows::scan(x, m, k);
+                        y.fill(0.0);
+                        matmul_scanned_slices(x, sparse.as_ref(), w.as_slice(), &mut y, m, k, n);
+                    })
+                })
+            },
         );
         h.bench_meta(
             &format!("matmul/rcv1_atb_{m}x{k}x{n}/t1{suffix}"),
             BenchMeta::op("matmul/rcv1_atb", &shape, 1, flops),
             |bench| {
-                bench.iter(|| with_thread_budget(1, || matmul_at_b(black_box(x), black_box(&dy))))
+                bench.iter(|| {
+                    with_thread_budget(1, || {
+                        let x = black_box(x.as_slice());
+                        let sparse = SparseRows::scan(x, m, k);
+                        dw.fill(0.0);
+                        let (dy, sparse) = (dy.as_slice(), sparse.as_ref());
+                        matmul_at_b_scanned_slices(x, sparse, dy, &mut dw, m, k, n);
+                    })
+                })
             },
         );
     }
     // Both products of the first layer's train step the way `Linear` runs
     // them: one scan of the sparse `X`, then `X·W` and `Xᵀ·dY` from its
     // masks.
-    let (mut y, mut dw) = (vec![0.0f32; m * n], vec![0.0f32; k * n]);
     h.bench_meta(
         &format!("matmul/rcv1_step_{m}x{k}x{n}/t1"),
         BenchMeta::op(
@@ -460,33 +480,6 @@ fn main() {
             );
         });
     }
-
-    // Allocating wrappers, for the workspace-reuse delta. These now route
-    // through a thread-local scratch, so the delta against the `_ws` rows
-    // above is pure dispatch overhead rather than a per-call lowering
-    // allocation.
-    h.bench_meta(
-        "conv2d/forward_batch32/alloc",
-        BenchMeta::op("conv2d/forward_alloc", conv_shape, 1, conv_flops),
-        |bench| {
-            bench.iter(|| {
-                with_thread_budget(1, || conv2d(black_box(&x), black_box(&w), Some(&b), &s))
-            })
-        },
-    );
-    let y = conv2d(&x, &w, Some(&b), &s);
-    let gy = Tensor::ones(y.shape());
-    h.bench_meta(
-        "conv2d/backward_batch32/alloc",
-        BenchMeta::op("conv2d/backward_alloc", conv_shape, 1, 2 * conv_flops),
-        |bench| {
-            bench.iter(|| {
-                with_thread_budget(1, || {
-                    conv2d_backward(black_box(&x), black_box(&w), black_box(&gy), &s)
-                })
-            })
-        },
-    );
 
     let x = Tensor::randn(&[32, 16, 8, 8], 1.0, &mut rng);
     let s = Pool2dShape::square(16, 8, 8, 2);

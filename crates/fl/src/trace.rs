@@ -29,6 +29,7 @@
 
 use niid_json::{read_jsonl_file, FromJson, Json, JsonError, ToJson};
 use niid_metrics::JsonlFile;
+use niid_prof::percentile_sorted;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -421,15 +422,6 @@ impl PhaseStats {
             max_ms: samples.iter().copied().fold(0.0, f64::max),
         }
     }
-}
-
-/// Nearest-rank percentile of an ascending-sorted sample.
-fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 /// Worker-pool activity captured from the span profiler and substrate

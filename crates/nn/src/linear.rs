@@ -255,19 +255,21 @@ mod tests {
     }
 
     /// `y = x·W + b`, `dW = xᵀ·dy` and `db` the per-call way: every
-    /// product scans its own operands.
+    /// product scans `x` afresh.
     fn per_call(params: &[f32], x: &Tensor, dy: &Tensor) -> [Vec<f32>; 3] {
         let (batch, inp) = (x.shape()[0], x.shape()[1]);
         let out = dy.shape()[1];
         let (w, b) = params.split_at(inp * out);
-        let kern = simd::active_kernel();
+        let (kern, xs) = (simd::active_kernel(), x.as_slice());
         let mut y = vec![0.0f32; batch * out];
-        niid_tensor::matmul_slices(x.as_slice(), w, &mut y, batch, inp, out);
+        let scan = SparseRows::scan(xs, batch, inp);
+        matmul_scanned_slices(xs, scan.as_ref(), w, &mut y, batch, inp, out);
         simd::broadcast_add_rows(kern, &mut y, b);
         let mut dw = vec![0.0f32; inp * out];
-        niid_tensor::matmul_at_b_slices(x.as_slice(), dy.as_slice(), &mut dw, batch, inp, out);
+        let (scan, dy) = (SparseRows::scan(xs, batch, inp), dy.as_slice());
+        matmul_at_b_scanned_slices(xs, scan.as_ref(), dy, &mut dw, batch, inp, out);
         let mut db = vec![0.0f32; out];
-        simd::accumulate_rows(kern, &mut db, dy.as_slice());
+        simd::accumulate_rows(kern, &mut db, dy);
         [y, dw, db]
     }
 

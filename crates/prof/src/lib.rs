@@ -457,10 +457,11 @@ pub struct FlameRow {
     pub p99_ns: u64,
 }
 
-/// Nearest-rank percentile of a sorted sample; 0 for an empty sample.
-fn percentile_sorted(sorted: &[u64], q: f64) -> u64 {
+/// Nearest-rank percentile of an ascending-sorted sample; zero
+/// (`T::default()`) for an empty sample.
+pub fn percentile_sorted<T: Copy + Default>(sorted: &[T], q: f64) -> T {
     if sorted.is_empty() {
-        return 0;
+        return T::default();
     }
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
@@ -787,8 +788,10 @@ mod tests {
         let s = [10u64, 20, 30, 40, 50, 60, 70, 80, 90, 100];
         assert_eq!(percentile_sorted(&s, 0.50), 50);
         assert_eq!(percentile_sorted(&s, 0.99), 100);
-        assert_eq!(percentile_sorted(&[], 0.5), 0);
+        assert_eq!(percentile_sorted::<u64>(&[], 0.5), 0);
         assert_eq!(percentile_sorted(&[7], 0.99), 7);
+        assert_eq!(percentile_sorted(&[0.5f64, 1.5, 2.5], 0.50), 1.5);
+        assert_eq!(percentile_sorted::<f64>(&[], 0.99), 0.0);
     }
 
     #[test]

@@ -54,9 +54,9 @@
 //! Per output element all three run the same depth-ascending FMA chain
 //! over the same operand values — tile splits are bits-neutral (see
 //! [`crate::matmul`]), and both fused weight gradients run their row
-//! kernels inside the `Aᵀ·B` task split that `matmul_at_b_slices` uses —
-//! so under the same SIMD kernel they are **bit-identical**; tests assert
-//! exactly this, and `tests/golden_conv.rs` pins the bits themselves.
+//! kernels inside `atb_split`, the one `Aᵀ·B` task split — so under the
+//! same SIMD kernel they are **bit-identical**; tests assert exactly
+//! this, and `tests/golden_conv.rs` pins the bits themselves.
 //!
 //! ## Workspace reuse
 //!
@@ -67,21 +67,21 @@
 //! behind for the backward weight pass; only the materialized path also
 //! fills `cols`. Samples are processed in parallel (each owns disjoint
 //! regions of every buffer), which keeps results bit-identical at any
-//! thread count. The allocating [`conv2d`] / [`conv2d_backward`] wrappers
-//! route through a reused **thread-local** scratch, so one-off callers no
-//! longer pay a fresh lowering allocation per call. Bias broadcast and
+//! thread count. A caller-owned [`ConvScratch`] is the only workspace:
+//! one-off callers (tests, benches) hold a fresh one and pair
+//! [`conv2d_forward`] with [`conv2d_backward_ws`]. Bias broadcast and
 //! the bias-gradient reduction dispatch through [`crate::simd`].
 
 #[cfg(target_arch = "x86_64")]
 use crate::conv_direct as direct;
 use crate::matmul::{
-    atb_split, atb_splits_rows, matmul_a_bt_slices, matmul_at_b_slices, KB, KC, NT_KC, NT_NC,
+    atb_split, atb_splits_rows, matmul_a_bt_slices, matmul_at_b_scanned_slices, KB, KC, NT_KC,
+    NT_NC,
 };
 use crate::parallel::{parallel_chunks_mut_threshold, with_scratch};
 use crate::simd::{self, Kernel};
 use crate::stats::{self, Counter};
 use crate::tensor::Tensor;
-use std::cell::RefCell;
 
 /// Floats the padded batch and the dX plane extend past their last
 /// sample: the direct kernels' segment loads read (and their dX add
@@ -415,27 +415,6 @@ impl ConvScratch {
         Self::default()
     }
 
-    /// Batch size of the last lowered forward pass.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// The im2col lowering of the last forward pass, as a flat slice of
-    /// `[batch·positions, col_width]`.
-    ///
-    /// # Panics
-    /// Panics if the last forward pass ran a fused lowering (nothing was
-    /// materialized); callers that need the buffer should run
-    /// [`conv2d_forward_materialized`].
-    pub fn cols(&self, s: &Conv2dShape) -> &[f32] {
-        assert!(
-            self.cached == ConvLowering::Materialized,
-            "conv scratch holds no materialized lowering ({:?} forward)",
-            self.cached
-        );
-        &self.cols[..self.batch * s.out_positions() * s.col_width()]
-    }
-
     /// Pad a forward batch into `input` and leave behind what the
     /// backward of `lowering` reads (the materialized one also `cols`).
     fn prime(&mut self, xs: &[f32], n: usize, s: &Conv2dShape, lowering: ConvLowering) {
@@ -595,9 +574,9 @@ pub enum ConvLowering {
 
 /// Whether the fused backward passes cover `s`: both compute every
 /// lowered dX value as one out-channel-ascending chain, i.e. they
-/// replicate the row-split branch of the per-sample
-/// `matmul_at_b_slices(k = positions, m = out_channels)` the
-/// materialized path runs, so the shape must take that branch.
+/// replicate [`atb_split`]'s row-split branch for the per-sample
+/// `Aᵀ·B` (`k = positions`, `m = out_channels`) the materialized path
+/// runs, so the shape must take that branch.
 fn fused_backward_eligible(s: &Conv2dShape) -> bool {
     atb_splits_rows(s.out_positions(), s.out_channels)
 }
@@ -895,7 +874,7 @@ pub fn conv2d_backward_params_accum(
 
     // A fused cache pairs with its own fused backward as long as a SIMD
     // kernel is still active and the per-sample dX GEMM would take
-    // `matmul_at_b_slices`' row-split branch, which both fused data
+    // `atb_split`'s row-split branch, which both fused data
     // gradients replicate; anything else (re)materializes, after which
     // `scratch.cached` names the backward both halves run.
     let fused_ok = simd::active_kernel().is_simd() && fused_backward_eligible(s);
@@ -950,7 +929,7 @@ fn backward_input(
         ConvLowering::Direct => 0,
     };
     if lowering != ConvLowering::Materialized {
-        // The dX GEMM flops, normally counted inside matmul_at_b_slices.
+        // The dX GEMM flops, normally counted inside matmul_at_b_scanned_slices.
         stats::bump(Counter::GemmFlops, flops as u64);
     }
     let _direct_sp = (lowering == ConvLowering::Direct).then(|| niid_prof::span!("conv.direct_dx"));
@@ -1017,8 +996,9 @@ fn dw_materialized(
     // dW[outc, cw] += gy_tᵀ [outc, N·pos] · cols [N·pos, cw]: one GEMM
     // over the whole batch, accumulating input rows in ascending order
     // straight into the caller's gradient buffer.
-    matmul_at_b_slices(
+    matmul_at_b_scanned_slices(
         &gy_t[..n * positions * s.out_channels],
+        None,
         cols,
         grad_weight,
         n * positions,
@@ -1044,7 +1024,7 @@ fn dx_materialized(
     // run on a pool worker — re-pin the kernel.
     dcols.fill(0.0);
     simd::with_forced_kernel(kern, || {
-        matmul_at_b_slices(go_i, weight, dcols, v.out_channels, positions, cw);
+        matmul_at_b_scanned_slices(go_i, None, weight, dcols, v.out_channels, positions, cw);
     });
     col2im_scatter_rows(dcols, v, 0, positions, plane);
 }
@@ -1088,7 +1068,7 @@ fn dx_implicit(
 }
 
 /// Fused weight gradient, shared by the implicit and direct lowerings:
-/// `matmul_at_b_slices`' own task split ([`atb_split`]) over
+/// the `Aᵀ·B` task split [`atb_split`] over
 /// (`k = out_channels`, `m = batch·positions`), with the lowered operand
 /// supplied per row range from the padded batch by [`dw_rows_implicit`]
 /// (im2col windows regenerated on the fly) or [`direct::dw_rows`] (read
@@ -1108,7 +1088,7 @@ fn dw_fused(
     let m = n * s.out_positions();
     let direct = scratch.cached == ConvLowering::Direct;
     stats::bump(calls(scratch.cached), 1);
-    // The dW GEMM flops, normally counted inside matmul_at_b_slices.
+    // The dW GEMM flops, normally counted inside matmul_at_b_scanned_slices.
     stats::bump(Counter::GemmFlops, (2 * m * outc * cw) as u64);
     let go = if direct {
         direct::dw_grad(grad_out.as_slice(), &v, &mut scratch.gy_t)
@@ -1132,7 +1112,7 @@ fn dw_fused(
 /// padded batch `xs` (`v` is the padded view) without a materialized cols
 /// buffer: im2col row windows (`KC` rows at a time, clipped to sample
 /// boundaries) are regenerated into a thread-local tile and fed to the
-/// same `gemm_panel` chain `matmul_at_b_slices` runs, with alphas read
+/// same `gemm_panel` chain the dense `Aᵀ·B` runs, with alphas read
 /// **directly from `grad_out`** (`rs = positions, ts = 1` walks a channel
 /// row) instead of the materialized path's transposed `gy_t` copy. Depth
 /// order (lowered row ascending) and per-element chains are therefore
@@ -1214,64 +1194,6 @@ pub fn conv2d_backward_ws(
     )
 }
 
-thread_local! {
-    /// Workspace reused by the allocating wrappers below, so one-off
-    /// callers stop paying a fresh lowering allocation per call.
-    static WRAPPER_SCRATCH: RefCell<ConvScratch> = RefCell::new(ConvScratch::new());
-}
-
-fn with_wrapper_scratch<R>(f: impl FnOnce(&mut ConvScratch) -> R) -> R {
-    WRAPPER_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => f(&mut scratch),
-        // Re-entrant call (wrapper inside wrapper): fall back to a fresh
-        // scratch rather than aliasing the borrowed one.
-        Err(_) => f(&mut ConvScratch::new()),
-    })
-}
-
-/// Allocating forward convolution (tests and one-off callers), routed
-/// through a reused thread-local [`ConvScratch`].
-///
-/// Returns the output `[N, out_c, oh, ow]`. Training loops should hold
-/// their own [`ConvScratch`] and call [`conv2d_forward`] instead; pair
-/// this with [`conv2d_backward`], which recomputes the lowering state
-/// from the input.
-pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, s: &Conv2dShape) -> Tensor {
-    with_wrapper_scratch(|scratch| {
-        let bias = bias.map(Tensor::as_slice);
-        conv2d_forward(input, weight.as_slice(), bias, s, scratch)
-    })
-}
-
-/// Allocating backward convolution from the forward `input` (one-off
-/// callers; training loops use [`conv2d_backward_accum`]).
-///
-/// Primes the thread-local scratch from `input` exactly as
-/// [`conv2d_forward`] would — the lowering is a pure function of the
-/// input, so the gradients are bit-identical to a forward-primed scratch
-/// — and returns `(grad_input [N,C,H,W], grad_weight, grad_bias)`.
-pub fn conv2d_backward(
-    input: &Tensor,
-    weight: &Tensor,
-    grad_out: &Tensor,
-    s: &Conv2dShape,
-) -> (Tensor, Tensor, Tensor) {
-    s.validate();
-    assert_eq!(input.ndim(), 4, "conv2d_backward: input must be NCHW");
-    let n = input.shape()[0];
-    assert_eq!(
-        &input.shape()[1..],
-        &[s.in_channels, s.in_h, s.in_w],
-        "conv2d_backward: input shape {:?} does not match geometry {:?}",
-        input.shape(),
-        s
-    );
-    with_wrapper_scratch(|scratch| {
-        scratch.prime(input.as_slice(), n, s, active_lowering(s));
-        conv2d_backward_ws(scratch, weight, grad_out, s)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1298,6 +1220,12 @@ mod tests {
         let mut out = vec![0.0f32; s.input_numel()];
         unpad_sample(&plane, s, &mut out);
         out
+    }
+
+    /// Forward convolution on a fresh workspace.
+    fn conv_fresh(x: &Tensor, w: &Tensor, b: Option<&Tensor>, s: &Conv2dShape) -> Tensor {
+        let b = b.map(Tensor::as_slice);
+        conv2d_forward(x, w.as_slice(), b, s, &mut ConvScratch::new())
     }
 
     fn shape_3x3() -> Conv2dShape {
@@ -1440,7 +1368,7 @@ mod tests {
         let mut rng = Pcg64::new(5);
         let x = Tensor::randn(&[2, 1, 4, 4], 1.0, &mut rng);
         let w = Tensor::ones(&[1, 1]);
-        let y = conv2d(&x, &w, None, &s);
+        let y = conv_fresh(&x, &w, None, &s);
         assert_eq!(y.shape(), x.shape());
         assert!(y.max_abs_diff(&x) < 1e-6);
     }
@@ -1452,7 +1380,7 @@ mod tests {
         let input: Vec<f32> = (1..=9).map(|x| x as f32).collect();
         let x = Tensor::from_vec(input, &[1, 1, 3, 3]);
         let w = Tensor::ones(&[1, 4]);
-        let y = conv2d(&x, &w, None, &s);
+        let y = conv_fresh(&x, &w, None, &s);
         assert_eq!(y.as_slice(), &[12.0, 16.0, 24.0, 28.0]);
     }
 
@@ -1462,7 +1390,7 @@ mod tests {
         let x = Tensor::zeros(&[1, 1, 3, 3]);
         let w = Tensor::ones(&[1, 4]);
         let b = Tensor::from_vec(vec![0.5], &[1]);
-        let y = conv2d(&x, &w, Some(&b), &s);
+        let y = conv_fresh(&x, &w, Some(&b), &s);
         assert!(y.as_slice().iter().all(|&v| v == 0.5));
     }
 
@@ -1523,7 +1451,7 @@ mod tests {
         let mut rng = Pcg64::new(6);
         let x = Tensor::randn(&[2, 3, 7, 6], 1.0, &mut rng);
         let w = Tensor::randn(&[4, s.col_width()], 0.5, &mut rng);
-        let fast = conv2d(&x, &w, None, &s);
+        let fast = conv_fresh(&x, &w, None, &s);
         let slow = naive_conv(&x, &w, &s);
         assert!(fast.max_abs_diff(&slow) < 1e-4);
     }
@@ -1776,11 +1704,12 @@ mod tests {
         let b = Tensor::randn(&[3], 0.1, &mut rng);
 
         // Loss = sum(conv(x)) so dY = ones.
-        let y = conv2d(&x, &w, Some(&b), &s);
+        let mut scratch = ConvScratch::new();
+        let y = conv2d_forward(&x, w.as_slice(), Some(b.as_slice()), &s, &mut scratch);
         let gy = Tensor::ones(y.shape());
-        let (gx, gw, gb) = conv2d_backward(&x, &w, &gy, &s);
+        let (gx, gw, gb) = conv2d_backward_ws(&mut scratch, &w, &gy, &s);
 
-        let loss = |x: &Tensor, w: &Tensor, b: &Tensor| -> f64 { conv2d(x, w, Some(b), &s).sum() };
+        let loss = |x: &Tensor, w: &Tensor, b: &Tensor| conv_fresh(x, w, Some(b), &s).sum();
         let eps = 1e-2f32;
 
         // Check a scattering of coordinates in each gradient.
@@ -1843,8 +1772,9 @@ mod tests {
             let gy = Tensor::ones(y_ws.shape());
             let (gx_ws, gw_ws, gb_ws) = conv2d_backward_ws(&mut scratch, &w, &gy, &s);
 
-            let y_fresh = conv2d(&x, &w, Some(&b), &s);
-            let (gx, gw, gb) = conv2d_backward(&x, &w, &gy, &s);
+            let mut fresh = ConvScratch::new();
+            let y_fresh = conv2d_forward(&x, w.as_slice(), Some(b.as_slice()), &s, &mut fresh);
+            let (gx, gw, gb) = conv2d_backward_ws(&mut fresh, &w, &gy, &s);
             assert_eq!(y_ws.as_slice(), y_fresh.as_slice(), "batch {batch}");
             assert_eq!(gx_ws.as_slice(), gx.as_slice(), "batch {batch}");
             assert_eq!(gw_ws.as_slice(), gw.as_slice(), "batch {batch}");

@@ -53,7 +53,7 @@
 //! Per element each kernel runs the oracle's own chain: the forward
 //! starts at `0.0`, FMAs depth-ascending `(c, ky, kx)` and then adds the
 //! bias; dW FMAs lowered-row-ascending from whatever the output buffer
-//! holds (the caller runs it inside `matmul_at_b_slices`' own task split,
+//! holds (the caller runs it inside `atb_split`, the `Aᵀ·B` task split,
 //! partial sums included); dX computes each lowered value as one
 //! out-channel-ascending chain from `0.0` and adds it to its input element
 //! in ascending position order — the full col2im scatter's order, because

@@ -42,13 +42,13 @@ pub mod stats;
 pub mod tensor;
 
 pub use conv::{
-    conv2d, conv2d_backward, conv2d_backward_accum, conv2d_backward_params_accum,
-    conv2d_backward_ws, conv2d_forward, conv2d_forward_direct, conv2d_forward_implicit,
-    conv2d_forward_materialized, Conv2dShape, ConvLowering, ConvScratch,
+    conv2d_backward_accum, conv2d_backward_params_accum, conv2d_backward_ws, conv2d_forward,
+    conv2d_forward_direct, conv2d_forward_implicit, conv2d_forward_materialized, Conv2dShape,
+    ConvLowering, ConvScratch,
 };
 pub use matmul::{
     matmul, matmul_a_bt, matmul_a_bt_slices, matmul_at_b, matmul_at_b_scanned_slices,
-    matmul_at_b_slices, matmul_scanned_slices, matmul_slices, SparseRows,
+    matmul_scanned_slices, SparseRows,
 };
 pub use ops::{argmax_rows, log_softmax_rows, relu, relu_assign, relu_backward, softmax_rows};
 pub use parallel::{

@@ -54,8 +54,9 @@
 //!
 //! `Aᵀ·B`'s task split has one owner, `atb_split`: it picks the row split
 //! or the partial-sum path and reduces the partials, and its caller
-//! supplies the row kernel — [`matmul_at_b_slices`] the lowered-operand
-//! `atb_rows`, the fused conv weight gradients their own lowerings.
+//! supplies the row kernel — [`matmul_at_b_scanned_slices`] the
+//! lowered-operand `atb_rows`, the fused conv weight gradients their own
+//! lowerings.
 //!
 //! ## Determinism
 //!
@@ -91,15 +92,16 @@
 //!   about a fifth of one read and builds nothing. Only then does it
 //!   build the bit mask of each row's nonzero positions, 256 entries at
 //!   a time. The [`SparseRows`] operand owns the masks, so one scan can
-//!   serve every product with that `A` on the left: [`matmul_slices`]
-//!   and [`matmul_at_b_slices`] scan their own `A`, while
-//!   [`matmul_scanned_slices`] and [`matmul_at_b_scanned_slices`] take a
-//!   kept one (`Linear` scans its batch once in the forward and reuses
-//!   the masks for the weight gradient). Each product still checks its
-//!   own `B` for finiteness. The kernels run every `C` element's FMA
-//!   chain over the marked alphas in the panel kernel's depth order, so
-//!   against a finite `B` they reproduce the dense AVX2 bits at any
-//!   thread count.
+//!   serve every product with that `A` on the left. No product scans for
+//!   itself: [`matmul_scanned_slices`] and [`matmul_at_b_scanned_slices`]
+//!   take the caller's kept scan, or `None` for the dense kernels, which
+//!   is what the [`matmul`] / [`matmul_at_b`] wrappers and conv's
+//!   materialized lowering pass. `Linear` scans its batch once in the
+//!   forward and reuses the masks for the weight gradient. Each product
+//!   still checks its own `B` for finiteness. The kernels run every `C`
+//!   element's FMA chain over the marked alphas in the panel kernel's
+//!   depth order, so against a finite `B` they reproduce the dense AVX2
+//!   bits at any thread count.
 //!   The one exception is the sign of a zero: where the dense chain adds
 //!   a `+0` product to a `−0` running sum it makes `+0`, and the skip
 //!   keeps `−0`. `Linear` accumulates into fresh `+0` buffers and a zeroed
@@ -274,16 +276,9 @@ fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// `C[m,n] += A[m,k] · B[k,n]` over flat row-major slices.
 ///
 /// Accumulates into `c` (pass a zeroed buffer for a plain product).
-pub fn matmul_slices(av: &[f32], bv: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(av.len(), m * k, "matmul_slices: bad A length");
-    let sparse = SparseRows::scan(av, m, k);
-    matmul_scanned_slices(av, sparse.as_ref(), bv, c, m, k, n);
-}
-
-/// [`matmul_slices`] with `A`'s [`SparseRows::scan`] supplied, so a
-/// caller that multiplies the same `A` again reuses its masks. `sparse`
-/// must be the scan of this `av` (debug builds check); `None` runs the
-/// dense kernels.
+/// `sparse` is `A`'s [`SparseRows::scan`], kept by a caller that
+/// multiplies the same `A` again; it must be the scan of this `av`
+/// (debug builds check). `None` runs the dense kernels.
 ///
 /// # Panics
 /// Panics on a bad slice length or when `sparse` has another shape.
@@ -296,9 +291,9 @@ pub fn matmul_scanned_slices(
     k: usize,
     n: usize,
 ) {
-    assert_eq!(av.len(), m * k, "matmul_slices: bad A length");
-    assert_eq!(bv.len(), k * n, "matmul_slices: bad B length");
-    assert_eq!(c.len(), m * n, "matmul_slices: bad C length");
+    assert_eq!(av.len(), m * k, "matmul_scanned_slices: bad A length");
+    assert_eq!(bv.len(), k * n, "matmul_scanned_slices: bad B length");
+    assert_eq!(c.len(), m * n, "matmul_scanned_slices: bad C length");
     if m == 0 || k == 0 || n == 0 {
         return;
     }
@@ -312,8 +307,8 @@ pub fn matmul_scanned_slices(
     ab_tasks(kern, sparse, av, bv, c, m, k, n);
 }
 
-/// The task split of [`matmul_slices`]: `MB`-row blocks of `C`, each one
-/// [`mm_row_block`].
+/// The task split of [`matmul_scanned_slices`]: `MB`-row blocks of `C`,
+/// each one [`mm_row_block`].
 #[allow(clippy::too_many_arguments)]
 fn ab_tasks(
     kern: Kernel,
@@ -332,10 +327,10 @@ fn ab_tasks(
     });
 }
 
-/// The single-task body of [`matmul_slices`]: rows `r0..r1` of `C`,
-/// tiled `jj → kk → i` so the `B` panel is reused across the block, or,
-/// with `sparse` masks (see [`SparseRows`]), the sparse-A kernel over the
-/// whole block.
+/// The single-task body of [`matmul_scanned_slices`]: rows `r0..r1` of
+/// `C`, tiled `jj → kk → i` so the `B` panel is reused across the block,
+/// or, with `sparse` masks (see [`SparseRows`]), the sparse-A kernel over
+/// the whole block.
 #[allow(clippy::too_many_arguments)]
 fn mm_row_block(
     kern: Kernel,
@@ -434,21 +429,15 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
         b.shape()
     );
     let mut c = vec![0.0f32; m * n];
-    matmul_slices(a.as_slice(), b.as_slice(), &mut c, m, k, n);
+    matmul_scanned_slices(a.as_slice(), None, b.as_slice(), &mut c, m, k, n);
     Tensor::from_vec(c, &[m, n])
 }
 
 /// `C[k,n] += Aᵀ[k,m] · B[m,n]` over flat slices (`A` is `[m,k]`).
 ///
 /// Accumulates into `c` (pass a zeroed buffer for a plain product).
-pub fn matmul_at_b_slices(av: &[f32], bv: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(av.len(), m * k, "matmul_at_b_slices: bad A length");
-    let sparse = SparseRows::scan(av, m, k);
-    matmul_at_b_scanned_slices(av, sparse.as_ref(), bv, c, m, k, n);
-}
-
-/// [`matmul_at_b_slices`] with `A`'s [`SparseRows::scan`] supplied, as
-/// for [`matmul_scanned_slices`].
+/// `sparse` is `A`'s kept scan or `None`, as for
+/// [`matmul_scanned_slices`].
 ///
 /// # Panics
 /// Panics on a bad slice length or when `sparse` has another shape.
@@ -461,9 +450,9 @@ pub fn matmul_at_b_scanned_slices(
     k: usize,
     n: usize,
 ) {
-    assert_eq!(av.len(), m * k, "matmul_at_b_slices: bad A length");
-    assert_eq!(bv.len(), m * n, "matmul_at_b_slices: bad B length");
-    assert_eq!(c.len(), k * n, "matmul_at_b_slices: bad C length");
+    assert_eq!(av.len(), m * k, "matmul_at_b_scanned_slices: bad A length");
+    assert_eq!(bv.len(), m * n, "matmul_at_b_scanned_slices: bad B length");
+    assert_eq!(c.len(), k * n, "matmul_at_b_scanned_slices: bad C length");
     if m == 0 || k == 0 || n == 0 {
         return;
     }
@@ -477,9 +466,9 @@ pub fn matmul_at_b_scanned_slices(
     atb_tasks(kern, sparse, av, bv, c, m, k, n);
 }
 
-/// The task split and row kernel of [`matmul_at_b_slices`]: the dense
-/// `atb_rows` over [`KB`]-row output tasks, or, with `sparse` masks (see
-/// [`SparseRows`]), the sparse-A kernel over tasks of whole
+/// The task split and row kernel of [`matmul_at_b_scanned_slices`]: the
+/// dense `atb_rows` over [`KB`]-row output tasks, or, with `sparse` masks
+/// (see [`SparseRows`]), the sparse-A kernel over tasks of whole
 /// `SPARSE_SEG`-row output segments, so every input row is scanned for
 /// nonzeros in full mask words. Both run under [`atb_split`], so they
 /// take the same row split or partial-sum path.
@@ -655,7 +644,7 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
         b.shape()
     );
     let mut c = vec![0.0f32; k * n];
-    matmul_at_b_slices(a.as_slice(), b.as_slice(), &mut c, m, k, n);
+    matmul_at_b_scanned_slices(a.as_slice(), None, b.as_slice(), &mut c, m, k, n);
     Tensor::from_vec(c, &[k, n])
 }
 
@@ -1206,7 +1195,10 @@ mod tests {
             assert!(takes_sparse(kern, &a, (m, k), &finite));
             assert!(!takes_sparse(kern, &a, (m, k), &b));
             let mut got = vec![0.0f32; m * n];
-            with_forced_kernel(kern, || matmul_slices(&a, &b, &mut got, m, k, n));
+            with_forced_kernel(kern, || {
+                let sparse = SparseRows::scan(&a, m, k);
+                matmul_scanned_slices(&a, sparse.as_ref(), &b, &mut got, m, k, n)
+            });
             assert!(got[3].is_nan(), "0·{poison} was skipped: {}", got[3]);
             let mut dense = vec![0.0f32; m * n];
             ab_tasks(kern, None, &a, &b, &mut dense, m, k, n);
@@ -1216,7 +1208,10 @@ mod tests {
             assert!(takes_sparse(kern, &a, (m, k), &dy));
             dy[2] = poison;
             let mut dw = vec![0.0f32; k * n];
-            with_forced_kernel(kern, || matmul_at_b_slices(&a, &dy, &mut dw, m, k, n));
+            with_forced_kernel(kern, || {
+                let sparse = SparseRows::scan(&a, m, k);
+                matmul_at_b_scanned_slices(&a, sparse.as_ref(), &dy, &mut dw, m, k, n)
+            });
             assert!((0..k).all(|kk| dw[kk * n + 2].is_nan()));
         }
         // Dense and small operands never take the sparse path.
@@ -1330,12 +1325,15 @@ mod tests {
             assert!(sparse.is_some());
             for t in [1usize, 2, 4] {
                 with_thread_budget(t, || {
+                    // The per-call oracle: a fresh scan for each product.
                     let (mut c, mut c_kept) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
-                    matmul_slices(&a, &b, &mut c, m, k, n);
+                    let fresh = SparseRows::scan(&a, m, k);
+                    matmul_scanned_slices(&a, fresh.as_ref(), &b, &mut c, m, k, n);
                     matmul_scanned_slices(&a, sparse.as_ref(), &b, &mut c_kept, m, k, n);
                     assert_eq!(bits(&c_kept), bits(&c), "A·B @{t}");
                     let (mut g, mut g_kept) = (vec![0.0f32; k * n], vec![0.0f32; k * n]);
-                    matmul_at_b_slices(&a, &dy, &mut g, m, k, n);
+                    let fresh = SparseRows::scan(&a, m, k);
+                    matmul_at_b_scanned_slices(&a, fresh.as_ref(), &dy, &mut g, m, k, n);
                     matmul_at_b_scanned_slices(&a, sparse.as_ref(), &dy, &mut g_kept, m, k, n);
                     assert_eq!(bits(&g_kept), bits(&g), "Aᵀ·B @{t}");
                 });

@@ -8,7 +8,8 @@
 
 use niid_bench_rs::stats::Pcg64;
 use niid_bench_rs::tensor::{
-    matmul_a_bt_slices, matmul_at_b_slices, matmul_slices, with_forced_kernel, Kernel, Tensor,
+    matmul_a_bt_slices, matmul_at_b_scanned_slices, matmul_scanned_slices, with_forced_kernel,
+    Kernel, Tensor,
 };
 
 /// Sweep dimensions: below / at / above the 8-wide SIMD lane count, plus
@@ -39,9 +40,9 @@ fn gemm_variants_match_scalar_within_tolerance_across_shape_sweep() {
                 let run = |kern: Kernel| {
                     with_forced_kernel(kern, || {
                         let mut ab = vec![0.0f32; m * n];
-                        matmul_slices(&a, &b, &mut ab, m, k, n);
+                        matmul_scanned_slices(&a, None, &b, &mut ab, m, k, n);
                         let mut atb = vec![0.0f32; m * n];
-                        matmul_at_b_slices(&a_lead, &b, &mut atb, k, m, n);
+                        matmul_at_b_scanned_slices(&a_lead, None, &b, &mut atb, k, m, n);
                         let mut abt = vec![0.0f32; m * n];
                         matmul_a_bt_slices(&a, &b_t, &mut abt, m, k, n);
                         (ab, atb, abt)
@@ -84,7 +85,7 @@ fn non_finite_values_propagate_identically_under_every_kernel() {
         let run = |kern: Kernel| {
             with_forced_kernel(kern, || {
                 let mut c = vec![0.0f32; m * n];
-                matmul_slices(&a, &b, &mut c, m, k, n);
+                matmul_scanned_slices(&a, None, &b, &mut c, m, k, n);
                 c
             })
         };
